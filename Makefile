@@ -12,7 +12,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-.PHONY: all fmt vet build test race fuzz-smoke bench-smoke bench-core bench-check smoke smoke-serve smoke-crash ci
+.PHONY: all fmt vet build test race fuzz-smoke bench-smoke bench-core bench-check smoke smoke-serve smoke-crash perfbench-test ci
 
 all: ci
 
@@ -33,13 +33,13 @@ test:
 
 # The pattern also covers the fault-injection and watermark suites
 # (Pipeline/Watermark/CountStream names), the block-granular merge
-# suite (BlockMerge: refcounted views flowing decoder→merger), the
-# snapshot readers-during-ingest suites, and the serving layer's
-# concurrent HTTP tests, so source-failure isolation, the reorder
-# stage, and the lock-free estimate read path all run under the race
-# detector.
+# suites (BlockMerge and LoserTree: refcounted views flowing
+# decoder→merger), the snapshot readers-during-ingest suites, and the
+# serving layer's concurrent HTTP tests, so source-failure isolation,
+# the reorder stage, and the lock-free estimate read path all run under
+# the race detector.
 race:
-	$(GO) test -race -run 'Sharded|Parallel|Pipeline|CountStream|Watermark|Snapshot|Serve|BlockMerge' \
+	$(GO) test -race -run 'Sharded|Parallel|Pipeline|CountStream|Watermark|Snapshot|Serve|BlockMerge|LoserTree' \
 		./internal/core/ ./internal/stream/ ./internal/serve/ ./
 
 # Fuzz the decoders for a short budget per target: FuzzTextSourceNext
@@ -50,13 +50,15 @@ race:
 # FuzzBinarySourceFill / FuzzTimestampedBinarySourceFill (bulk
 # Peek/Discard decode bit-identical to per-record reads on truncated,
 # corrupted, and timestamp-pathological streams; the timestamped target
-# also pushes whatever decodes through the watermark stage), and
-# FuzzWindowCheckpointDecode (the NSTW sliding-window checkpoint
-# decoder: accepted bytes must decode to a reachable estimator state and
-# re-encode identically; everything else is rejected by name). Entries
-# are package:Target pairs so targets can live next to the code they
-# fuzz. `go test` alone already replays the seed corpus; this target
-# actually mutates.
+# also pushes whatever decodes through the watermark stage),
+# FuzzOrderedMergeMatchesReference (the ordered merge over up to 8
+# v2/slice/text sources with arbitrary timestamps must equal the naive
+# reference merge), and FuzzWindowCheckpointDecode (the NSTW
+# sliding-window checkpoint decoder: accepted bytes must decode to a
+# reachable estimator state and re-encode identically; everything else
+# is rejected by name). Entries are package:Target pairs so targets can
+# live next to the code they fuzz. `go test` alone already replays the
+# seed corpus; this target actually mutates.
 FUZZTIME ?= 20s
 FUZZ_TARGETS := \
 	internal/stream:FuzzTextSourceNext \
@@ -65,6 +67,7 @@ FUZZ_TARGETS := \
 	internal/stream:FuzzBinarySourceFill \
 	internal/stream:FuzzTimestampedBinarySourceFill \
 	internal/stream:FuzzBlockBinarySourceFill \
+	internal/stream:FuzzOrderedMergeMatchesReference \
 	internal/window:FuzzWindowCheckpointDecode
 fuzz-smoke:
 	for t in $(FUZZ_TARGETS); do \
@@ -99,9 +102,10 @@ bench-check:
 # and the robustness flags: a corrupt record inside a -max-bad-records
 # budget and watermarked -lateness runs), plus the block-structured v2
 # binary format end to end (single-stream windowed, sniffed into the
-# whole-stream counter with timestamps stripped, and an 8-shard windowed
-# ordered merge — the block-gallop path), and run every example —
-# exercising the "[no test files]" packages.
+# whole-stream counter with timestamps stripped, an 8-shard windowed
+# ordered merge — the block-gallop path — and a windowed merge of a v1
+# shard with a v2 shard), and run every example — exercising the
+# "[no test files]" packages.
 smoke:
 	rm -rf bin && mkdir -p bin
 	$(GO) build -o bin ./cmd/...
@@ -141,6 +145,7 @@ smoke:
 		-i bin/smoke-b2-shard.002 -i bin/smoke-b2-shard.003 \
 		-i bin/smoke-b2-shard.004 -i bin/smoke-b2-shard.005 \
 		-i bin/smoke-b2-shard.006 -i bin/smoke-b2-shard.007
+	./bin/trict -r 512 -window 8000 -format binary -i bin/smoke-ts-a.bin -i bin/smoke-b2-shard.000
 	set -e; for ex in examples/*/ ; do echo "== $$ex"; $(GO) run ./$$ex >/dev/null; done
 
 # End-to-end smoke of the trictd serving daemon: two tenants ingesting
@@ -157,7 +162,13 @@ smoke-serve:
 smoke-crash:
 	GO=$(GO) ./scripts/smoke-crash.sh
 
+# perfbench/ is a module of its own, so the root `go build ./...` never
+# compiles it; vet and self-test it here, since it builds on the stream
+# package's writers and readers.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # Mirrors the per-push GitHub Actions coverage (the matrix/fuzz/bench
-# jobs run fmt..bench-smoke plus the smoke jobs; fuzz-smoke and
-# bench-check are separate because of their runtime).
-ci: fmt vet build test race bench-smoke smoke smoke-serve smoke-crash
+# jobs run fmt..bench-smoke plus the smoke and perfbench jobs;
+# fuzz-smoke and bench-check are separate because of their runtime).
+ci: fmt vet build test race bench-smoke smoke smoke-serve smoke-crash perfbench-test

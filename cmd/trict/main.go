@@ -41,7 +41,10 @@
 // (graphgen -timestamps emits both) — because the files are merged by a
 // deterministic k-way timestamp merge (ties break by input order) before
 // the window sees any edge; unlike the first-come whole-stream merge,
-// windowed multi-file runs are bit-for-bit reproducible.
+// windowed multi-file runs are bit-for-bit reproducible. That merge
+// holds a fixed few blocks per input, so -depth, which sizes the batch
+// ring, is rejected on windowed runs that go through it (several
+// inputs, or -lateness).
 //
 // Dirty input: -max-bad-records N skips up to N malformed records per
 // input (unparseable lines, truncated binary tails) instead of failing
@@ -121,6 +124,9 @@ func main() {
 	}
 	if *onLate != "count" && *onLate != "drop" && *onLate != "print" {
 		fatal(fmt.Errorf("unknown -on-late %q (want count, drop, or print)", *onLate))
+	}
+	if set["depth"] && *windowSize > 0 && (len(inputs) > 1 || *lateness >= 0) {
+		fatal(fmt.Errorf("-depth has no effect on a -window run over several inputs or with -lateness (the timestamp merge holds a fixed few blocks per input, not a ring of batch buffers); drop the flag"))
 	}
 	if set["on-late"] && *lateness < 0 {
 		fatal(fmt.Errorf("-on-late only applies together with -lateness (without a watermark no edge is ever late); drop the flag or add -lateness"))

@@ -117,7 +117,7 @@
 // counter: its window is defined by arrival sequence, so a
 // scheduler-dependent interleaving would make the window contents — and
 // the estimate — non-reproducible. SlidingWindowCounter.CountStreams
-// therefore takes TimestampedSources and re-sequences their batches
+// therefore takes TimestampedSources and re-sequences their records
 // with a k-way merge on the per-edge timestamp before the window
 // sees any edge: smallest timestamp first, ties broken by source index,
 // then intra-file order. The merged stream is a pure function of the
@@ -128,31 +128,39 @@
 // # Merge scaling
 //
 // The k-way merge is built to stay cheap from k = 2 to k in the
-// hundreds (object-store shard counts). Its comparison engine is a
-// loser tree — a tournament tree whose replay costs one comparison per
-// level, ⌈log2 k⌉ per emitted edge, against a binary heap's two — with
-// two fast paths layered on top. k = 2, the most common degree,
-// collapses the tournament to a single comparison per edge. And when
-// the same source keeps winning (pre-sorted shards with long monotone
-// runs, the shape partitioned temporal exporters produce), the merge
-// gallops: after a few consecutive wins it computes the runner-up key
-// once and copies the rest of the run — every consecutive edge that
-// still beats it — with no tree work at all, one comparison per edge,
-// across batch boundaries. Alternating inputs never trip the
-// hysteresis and stay on the per-edge tournament, so the worst case is
-// never worse than the tree. Decoders hand batches to the merger
-// through one shared source-tagged ring, flow-controlled by per-source
-// credits, rather than one channel per source.
+// hundreds (object-store shard counts), and every source set runs the
+// same engine. Each decoder hands the merger blocks of raw 16-byte
+// records, each block carrying an upper bound on its timestamps: a v2
+// reader passes its validated blocks as zero-copy views with the
+// header's bound, and any other source — v1, text, a slice, the
+// watermark stage — fills pooled blocks of up to min(w, 4096) records
+// through its bulk decoder, computing their exact maximum as it fills.
+// The comparison engine is a loser tree over flat key arrays — a
+// tournament tree whose replay costs one comparison per level,
+// ⌈log2 k⌉ per emitted edge (a single one at k = 2, the most common
+// degree), against a binary heap's two per level. When the same source
+// keeps winning (pre-sorted shards with long monotone runs, the shape
+// partitioned temporal exporters produce), the merge gallops: after a
+// few consecutive wins it computes the runner-up key once and copies
+// the rest of the run with no tree work — a whole block at a time while
+// the block's max timestamp still beats that key, one comparison per
+// edge where the ranges overlap — across block boundaries. Because
+// every bound holds for every record in its block, the gallop is sound
+// on unsorted sources too. Alternating inputs never trip the hysteresis
+// and stay on the per-edge tournament, so the worst case is never worse
+// than the tree. Decoders hand blocks to the merger through one shared
+// source-tagged ring, flow-controlled by per-source credits, rather
+// than one channel per source.
 //
 // Guidance on k: overhead over the first-come merge is tracked in
 // BENCH_core.json on worst-case (perfectly alternating, run length 1)
-// shards — about 1.14x at k=2, growing by only a few ns/edge per
-// tournament level out to k=64, i.e. sublinearly in log k and far
-// sublinearly in k. Sorted shards with real runs merge at nearly copy
-// speed at any k. Prefer fewer, larger shards when you control the
-// layout; when you do not, wide merges are safe — the cost of k lives
-// in buffer memory (the shared ring holds ~3 batches per source), not
-// in comparisons.
+// shards — the OrderedMergedCount cells against MultiPipelinedCount —
+// and grows by only a few ns/edge per tournament level out to k=64,
+// i.e. sublinearly in log k and far sublinearly in k. Sorted shards
+// with real runs merge at nearly copy speed at any k. Prefer fewer,
+// larger shards when you control the layout; when you do not, wide
+// merges are safe — the cost of k lives in buffer memory (about three
+// pooled blocks of up to 64 KiB per source), not in comparisons.
 //
 // The timestamp column contract: temporal text files carry "u v ts"
 // lines, where ts is the third column — a decimal int64 — that the
@@ -170,7 +178,7 @@
 // exports qualify); the determinism guarantee holds either way, since
 // the merge never reorders within a source.
 //
-// Prefer ordered ingestion (timestamped sources + the heap merge) when
+// Prefer ordered ingestion (timestamped sources + the k-way merge) when
 // the estimator is order-sensitive — the sliding window — or when
 // reproducible runs matter more than peak ingest; prefer the first-come
 // merge (CountStreams on the whole-stream counters) when order is
@@ -223,22 +231,21 @@
 // file, every consumer accepts both via sniffing, and graphgen emits
 // v2 with -format binary2. Prefer v2 for anything that matters: it
 // detects corruption v1 cannot, compresses sorted timestamps, and
-// unlocks the block merge path.
+// reaches the ordered merge without a copy.
 //
-// When every source of a SlidingWindowCounter.CountStreams call is a
-// v2 reader (NewBlockBinaryEdgeSource), the ordered merge switches to
-// block granularity: decoders hand whole validated blocks downstream
-// as zero-copy views into the decode buffer, and the gallop fast path
-// consults the header's maxTS — when a winning source's entire block
-// beats the runner-up's key, the block is copied out with no per-edge
-// comparisons at all. Overlapping ranges fall back to the per-edge
-// tournament, so the result is bit-identical to the record-path merge
-// (and to v1 inputs) on every stream; mixed v1/v2 source sets simply
-// use the record path. Block views are reference-counted and recycled
+// Every source of a SlidingWindowCounter.CountStreams call reaches the
+// ordered merge as blocks (see Merge scaling), so every source set —
+// v1, v2, text, or any mix — gets the flat-key tree and the block
+// gallop. v2 readers (NewBlockBinaryEdgeSource) additionally skip the
+// record encode the other sources pay: they hand whole validated
+// blocks downstream as zero-copy views into the decode buffer, and the
+// gallop consults the header's maxTS directly. The merged sequence
+// depends only on the records, never on the formats or block
+// boundaries, so a v2 file, its v1 twin, and any mix of the two merge
+// to the same edges. Block views are reference-counted and recycled
 // through a pool — the merge's resident set stays a few blocks per
 // source, and consumers of the public API never see a view: batches
-// handed to Next/Recycle remain plain owned slices with the same
-// recycling contract as the record path.
+// handed to Next/Recycle remain plain owned slices.
 //
 // # Dirty and out-of-order input
 //

@@ -194,7 +194,7 @@ func TestOrderedBenchEquivalence(t *testing.T) {
 		for i, d := range shards {
 			srcs[i] = stream.NewTimestampedBinarySource(bytes.NewReader(d))
 		}
-		p, err := stream.NewOrderedMultiPipeline(context.Background(), srcs, w, 0)
+		p, err := stream.NewOrderedMultiPipeline(context.Background(), srcs, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,11 +211,11 @@ func TestOrderedBenchEquivalence(t *testing.T) {
 	}
 }
 
-// TestOrderedBlockBenchEquivalence keeps the v2 cells honest: the
-// block-granular merge of the v2 round-robin shards must reproduce the
-// original stream exactly at every benchmarked k, bit-identical to
-// counting the unsharded slice — so the v2 cells measure the same work
-// as the v1 cells and differ only in the merge machinery under test.
+// TestOrderedBlockBenchEquivalence keeps the v2 cells honest: the merge
+// of the v2 round-robin shards must reproduce the original stream
+// exactly at every benchmarked k, bit-identical to counting the
+// unsharded slice — so the v2 cells measure the same work as the v1
+// cells and differ only in how the shards reach the merge.
 func TestOrderedBlockBenchEquivalence(t *testing.T) {
 	edges := CoreBenchStream(1 << 12)
 	const r, w = 256, 256
@@ -230,7 +230,7 @@ func TestOrderedBlockBenchEquivalence(t *testing.T) {
 		for i, d := range shards {
 			srcs[i] = stream.NewBlockBinarySource(bytes.NewReader(d))
 		}
-		p, err := stream.NewOrderedMultiPipeline(context.Background(), srcs, w, 0)
+		p, err := stream.NewOrderedMultiPipeline(context.Background(), srcs, w)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -224,8 +224,9 @@ func EncodeTimestampedShards(edges []graph.Edge, k int) [][]byte {
 }
 
 // BenchOrderedPipelined measures timestamp-ordered multi-file ingestion:
-// one bulk timestamped decoder per shard feeding the shared ring, the
-// k-way loser-tree merge re-sequencing batches, drained into sink. The
+// one bulk timestamped decoder per v1 shard filling pooled blocks, the
+// k-way loser-tree merge re-sequencing their records, drained into
+// sink. The
 // acceptance bar at k=2 is staying within 1.15x of the first-come
 // MultiPipelinedCount cell (the binary-heap merge sat at 1.23x):
 // determinism is the point, the tournament replays and the extra buffer
@@ -240,7 +241,7 @@ func BenchOrderedPipelined(b *testing.B, shards [][]byte, w int, sink stream.Asy
 		for i, d := range shards {
 			srcs[i] = stream.NewTimestampedBinarySource(bytes.NewReader(d))
 		}
-		p, err := stream.NewOrderedMultiPipeline(context.Background(), srcs, w, 0)
+		p, err := stream.NewOrderedMultiPipeline(context.Background(), srcs, w)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -280,7 +281,7 @@ func BenchWatermarkedPipelined(b *testing.B, shards [][]byte, w int, sink stream
 			srcs[i] = stream.NewWatermarkSource(
 				stream.NewTimestampedBinarySource(bytes.NewReader(d)), 0, stream.LateCount, nil)
 		}
-		p, err := stream.NewOrderedMultiPipeline(context.Background(), srcs, w, 0)
+		p, err := stream.NewOrderedMultiPipeline(context.Background(), srcs, w)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -371,10 +372,10 @@ func EncodeBlockShards(edges []graph.Edge, k int) [][]byte {
 // v1 16-byte-record Peek/Discard scan, BlockDecodeBulk the v2 path —
 // one CRC pass plus bounds validation per block, then batch fills
 // straight out of the validated view. The OrderedMergedCountV2 cells
-// rerun the worst-case round-robin merge cells on v2 shards, where the
-// block path's flat-key tournament and block-view plumbing replace the
-// v1 per-source rings; acceptance is the k=64 cell staying within
-// 1.25× the ns/edge of the k=2 cell (v1 sits near 1.47×).
+// rerun the worst-case round-robin merge cells on v2 shards, whose
+// zero-copy block views skip the decode-and-encode the v1 shards pay to
+// reach the merge; acceptance is the k=64 cell staying within 1.25× the
+// ns/edge of the k=2 cell.
 func RunBlockBenchCells(r, w int) []CoreBenchRow {
 	edges := CoreBenchStream(PipeBenchEdges)
 	m := PipeBenchEdges
@@ -407,8 +408,8 @@ func RunBlockBenchCells(r, w int) []CoreBenchRow {
 }
 
 // BenchOrderedBlockPipelined is BenchOrderedPipelined over v2 shards:
-// every source is a block reader, so NewOrderedMultiPipeline engages the
-// block-granular merge. The edge count cannot be derived from the byte
+// every source is a block reader, so NewOrderedMultiPipeline merges its
+// validated views directly. The edge count cannot be derived from the byte
 // length (blocks carry headers and may be compressed), so it is passed
 // in.
 func BenchOrderedBlockPipelined(b *testing.B, shards [][]byte, m, w int, sink stream.AsyncSink) {
@@ -417,7 +418,7 @@ func BenchOrderedBlockPipelined(b *testing.B, shards [][]byte, m, w int, sink st
 		for i, d := range shards {
 			srcs[i] = stream.NewBlockBinarySource(bytes.NewReader(d))
 		}
-		p, err := stream.NewOrderedMultiPipeline(context.Background(), srcs, w, 0)
+		p, err := stream.NewOrderedMultiPipeline(context.Background(), srcs, w)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -113,12 +113,26 @@ func TestServeCounterLifecycle(t *testing.T) {
 		t.Fatalf("p > r: status %d, want 400", code)
 	}
 
+	// Created out of name order: the listing must come back sorted.
+	zcfg, acfg := CounterConfig{R: 128, P: 1, Seed: 9}, CounterConfig{R: 64, P: 1, Seed: 3}
+	if code := createCounter(t, ts.URL, "zz", zcfg); code != http.StatusCreated {
+		t.Fatalf("create zz: status %d, want 201", code)
+	}
+	if code := createCounter(t, ts.URL, "aa", acfg); code != http.StatusCreated {
+		t.Fatalf("create aa: status %d, want 201", code)
+	}
 	var list []CounterInfo
 	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/counters", nil, &list); code != 200 {
 		t.Fatalf("list: status %d", code)
 	}
-	if len(list) != 1 || list[0].Name != "g1" || list[0].Config != (CounterConfig{R: 256, P: 2, Seed: 5}) {
-		t.Fatalf("list = %+v", list)
+	want := []CounterInfo{{Name: "aa", Config: acfg}, {Name: "g1", Config: cfg}, {Name: "zz", Config: zcfg}}
+	if len(list) != len(want) {
+		t.Fatalf("list = %+v, want %+v", list, want)
+	}
+	for i := range want {
+		if list[i] != want[i] {
+			t.Fatalf("list = %+v, want %+v", list, want)
+		}
 	}
 
 	if code := doJSON(t, http.MethodDelete, ts.URL+"/v1/counters/g1", nil, nil); code != http.StatusNoContent {

@@ -34,6 +34,7 @@ import (
 	"log"
 	"net/http"
 	"regexp"
+	"sort"
 	"sync"
 	"time"
 
@@ -230,17 +231,16 @@ type CounterInfo struct {
 	Edges  uint64        `json:"edges"`
 }
 
+// handleList serves GET /v1/counters: every tenant, sorted by name as
+// CheckpointAll orders them, so the listing is stable across calls.
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
-	names := make([]string, 0, len(s.tenants))
-	for name := range s.tenants {
-		names = append(names, name)
-	}
-	tenants := make([]*tenant, 0, len(names))
-	for _, name := range names {
-		tenants = append(tenants, s.tenants[name])
+	tenants := make([]*tenant, 0, len(s.tenants))
+	for _, t := range s.tenants {
+		tenants = append(tenants, t)
 	}
 	s.mu.RUnlock()
+	sort.Slice(tenants, func(i, j int) bool { return tenants[i].name < tenants[j].name })
 
 	out := make([]CounterInfo, 0, len(tenants))
 	for _, t := range tenants {

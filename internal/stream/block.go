@@ -299,8 +299,8 @@ func ReadBlockBinaryEdges(r io.Reader) ([]TimestampedEdge, error) {
 
 // blockBufPool recycles block payload buffers across views: with the
 // per-source credit budget bounding views in flight, a k-way merge's
-// steady state circulates ~3 buffers per source through this pool
-// instead of the v1 path's w-record ring slices.
+// steady state circulates ~3 buffers per source through this pool,
+// whatever the source's format.
 var blockBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 16*DefaultBlockRecords); return &b }}
 
 func getBlockBuf(n int) []byte {
@@ -322,8 +322,9 @@ func putBlockBuf(b []byte) {
 
 // blockView is one validated block's records as raw bytes: count
 // 16-byte records (compressed payloads are expanded at validation time,
-// so views always index fixed-width records), plus the header's
-// timestamp bounds. It is the unit the block-aware merge works in —
+// so views always index fixed-width records), plus maxTS, an upper
+// bound on their timestamps that the merge's block gallop relies on.
+// It is the unit the ordered merge works in —
 // handed from decoder to merger by reference, never re-materialized as
 // []TimestampedEdge. Views are refcounted: release returns the backing
 // buffer to the shared pool once the last holder lets go, after which
@@ -334,7 +335,6 @@ type blockView struct {
 	data  []byte // 16 * count bytes of raw v1-layout records
 	buf   []byte // the pooled allocation backing data (data may be a trimmed tail)
 	count int
-	minTS int64
 	maxTS int64
 	refs  atomic.Int32
 }
@@ -372,7 +372,7 @@ func (v *blockView) tail(i int) *blockView {
 	if i == 0 {
 		return v
 	}
-	t := &blockView{data: v.data[16*i:], buf: v.buf, count: v.count - i, minTS: v.minTS, maxTS: v.maxTS}
+	t := &blockView{data: v.data[16*i:], buf: v.buf, count: v.count - i, maxTS: v.maxTS}
 	t.refs.Store(v.refs.Load())
 	return t
 }
@@ -545,7 +545,7 @@ func (s *BlockBinarySource) nextBlock() (*blockView, error) {
 			putBlockBuf(raw)
 			continue // every record was a self loop; try the next block
 		}
-		v := &blockView{data: raw[:16*out], buf: raw, count: out, minTS: minTS, maxTS: maxTS}
+		v := &blockView{data: raw[:16*out], buf: raw, count: out, maxTS: maxTS}
 		v.refs.Store(1)
 		return v, nil
 	}
@@ -646,29 +646,31 @@ func (s *BlockBinarySource) FillTimestamped(out []TimestampedEdge) (int, error) 
 	return total, nil
 }
 
-// blockSource is the internal fast-path interface the ordered merge
-// probes for: a timestamped source that can hand over whole validated
-// blocks. Only BlockBinarySource implements it today; any wrapper (the
-// watermark stage, StripTimestamps) deliberately hides it, falling back
-// to the record-granular path.
+// blockSource is what the ordered merge consumes: a source of
+// refcounted block views whose maxTS bounds every record. io.EOF ends
+// the source; a *RecordError is skippable under a decode-error budget.
+// BlockBinarySource implements it with its validated zero-copy blocks;
+// every other TimestampedSource — wrappers like the watermark stage
+// included — is adapted by filledBlockSource (blockmerge.go).
 type blockSource interface {
-	TimestampedSource
 	nextBlockView() (*blockView, error)
 }
 
 // boundsBeat reports whether a block whose records are all ≤ maxTS from
 // source src merges entirely before the (limitTS, limitRank) rival key:
 // every record beats the limit, so the whole block can be copied through
-// with no per-edge comparisons. Mirrors mergeCursor.beats's
-// (timestamp, source) order with the tie broken by source index.
+// with no per-edge comparisons. It is the tournament's (timestamp,
+// source) order, the tie broken by source index.
 func boundsBeat(maxTS int64, src int, limitTS int64, limitRank int) bool {
 	return maxTS < limitTS || (maxTS == limitTS && src < limitRank)
 }
 
 // maxTSAgainst converts a (limitTS, limitRank) runner-up key into the
 // largest timestamp a record from source src may carry and still win its
-// tournament — runLen's bound, shared with the block merge's edge-level
-// fallback. math.MinInt64 underflow yields a sentinel no record beats.
+// tournament — the bound of the gallop's edge-level prefix walk. On a
+// timestamp tie the lower source index wins, so a source with
+// src < limitRank may still carry exactly limitTS. math.MinInt64
+// underflow yields a sentinel no record beats.
 func maxTSAgainst(limitTS int64, limitRank, src int) (int64, bool) {
 	if src > limitRank {
 		if limitTS == math.MinInt64 {

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -12,28 +13,46 @@ import (
 	"streamtri/internal/graph"
 )
 
-// The block-granular flavor of the ordered k-way merge. When every
-// source of an OrderedMultiPipeline can hand over whole validated
-// blocks (the v2 format's blockSource interface), the pipeline swaps
-// its record path — decoders materializing TimestampedEdges into shared
-// w-edge ring buffers — for this one: decoders pass refcounted
-// zero-copy block views to the merger, which runs the tournament
-// directly over the raw 16-byte records and gallops at *block*
-// granularity. The header's max timestamp makes a whole block
-// comparable against the runner-up key in O(1): when
-// (max_ts, src) merges before the rival champion's key, every record in
-// the block wins its tournament, so the block is copied through with
-// zero per-edge comparisons; overlapping ranges fall back to the same
-// edge-level prefix walk the record path gallops with, and the
-// tournament itself is a flat-key loser tree (parallel int64/int arrays
-// instead of cursor pointers) replayed in ⌈log2 k⌉ array compares.
-// Output is bit-identical to the record path — the property suite holds
-// the two to the same edge sequence over a k × block-size grid.
+// The ordered k-way merge engine. Every source of an
+// OrderedMultiPipeline reaches the merger as a sequence of refcounted
+// block views — raw 16-byte v1-layout records plus the maximum of their
+// timestamps — handed over by reference, never re-materialized as
+// []TimestampedEdge: a v2 reader passes its validated zero-copy blocks,
+// and any other source is adapted by filledBlockSource. The tournament
+// runs directly over the raw records as a flat-key loser tree (parallel
+// int64/int arrays instead of cursor pointers) replayed in ⌈log2 k⌉
+// array compares, and gallops at *block* granularity: the view's max
+// timestamp makes a whole block comparable against the runner-up key in
+// O(1). When (max_ts, src) merges before the rival champion's key,
+// every record in the block wins its tournament, so the block is copied
+// through with zero per-edge comparisons; overlapping ranges fall back
+// to an edge-level prefix walk bounded by the same key.
 //
-// Memory is the other half of the win: the record path circulates
-// ~3 w-edge rings per source (the term that dominates large k), while
-// this path circulates ~3 pooled block buffers per source, sized by the
-// writer's block length, not by w.
+// The bound is what keeps that gallop sound: a view's maxTS must be
+// ≥ every record in it. v2 readers check each record against the
+// header's declared bounds; the adapter computes the exact maximum of
+// the records it fills, so the bound holds for unsorted sources too.
+
+// gallopAfter is the gallop hysteresis threshold (timsort's trick,
+// adapted): the number of consecutive tournament decisions the same
+// source must win before the merge switches from per-edge mode — one
+// replay per edge — to galloping, which pays a runner-up walk up front
+// to then emit the rest of the run with no tree work at all.
+// Alternating inputs never reach the threshold and stay on the cheap
+// per-edge path; runny inputs cross it within a few edges and amortize
+// the setup over the whole run.
+const gallopAfter = 4
+
+// gallopOutcome says what ended a gallop run: the run's next edge no
+// longer beating the runner-up key, the running source's clean
+// exhaustion, or pipeline shutdown.
+type gallopOutcome uint8
+
+const (
+	gallopRunOver gallopOutcome = iota
+	gallopExhausted
+	gallopAbort
+)
 
 // srcBlock is one block-decoder→merger hand-off: a validated view
 // tagged with its source. A nil view is the end-of-source marker.
@@ -42,37 +61,28 @@ type srcBlock struct {
 	view *blockView
 }
 
-// blockCursor is one source's position in the block merge: the view
-// being consumed and the index of its next record.
+// blockCursor is one source's position in the merge: the view being
+// consumed and the index of its next record. Exhaustion lives in the
+// tree's keys, not here.
 type blockCursor struct {
 	view *blockView
 	idx  int
 	src  int
-	done bool
 }
 
-// headBeats reports whether a's current record merges before b's —
-// mergeCursor.beats over views.
-func (a *blockCursor) headBeats(b *blockCursor) bool {
-	if a.done {
-		return b.done && a.src < b.src
-	}
-	if b.done {
-		return true
-	}
-	ats, bts := a.view.ts(a.idx), b.view.ts(b.idx)
-	return ats < bts || (ats == bts && a.src < b.src)
-}
-
-// blockLoserTree is the flat-key tournament over k block cursors: the
-// same implicit layout as loserTree (leaf i at k+i, parent n/2, node[0]
-// the winner), but keyed by parallel arrays — ts[i] is source i's head
-// timestamp and rank[i] its tie-break — so a replay is ⌈log2 k⌉ compares
-// over flat int64/int arrays with no cursor pointer chasing. A live
-// source's rank is its index; exhausting source i sets
-// (ts, rank) = (MaxInt64, k+i), which loses to every live key — a live
-// head at MaxInt64 included, since its rank stays below k — and orders
-// done sources among themselves by index, exactly mergeCursor.beats.
+// blockLoserTree is the tournament over k block cursors. A loser tree
+// replays exactly one match per level — ⌈log2 k⌉ comparisons per edge,
+// where a binary heap's sift pays ~2·log2(k). node[1:k] holds the losers
+// of the internal matches in the standard implicit layout — leaf i at
+// index k+i, the parent of index n at n/2 — and node[0] the overall
+// winner's source; the layout is a valid tournament for any k ≥ 1. Keys
+// are parallel arrays — ts[i] is source i's head timestamp and rank[i]
+// its tie-break — so a replay touches flat int64/int arrays with no
+// cursor pointer chasing. A live source's rank is its index; exhausting
+// source i sets (ts, rank) = (MaxInt64, k+i), which loses to every live
+// key — a live head at MaxInt64 included, since its rank stays below
+// k — and orders done sources among themselves by index, which keeps
+// the order total.
 type blockLoserTree struct {
 	ts     []int64
 	rank   []int
@@ -85,8 +95,8 @@ func (t *blockLoserTree) beat(a, b int) bool {
 	return t.ts[a] < t.ts[b] || (t.ts[a] == t.ts[b] && t.rank[a] < t.rank[b])
 }
 
-// build plays the subtree rooted at internal node n bottom-up and
-// returns its winner, recording losers — loserTree.build on flat keys.
+// build plays the subtree rooted at internal node n bottom-up,
+// recording each match's loser, and returns the subtree's winner.
 func (t *blockLoserTree) build(n int) int {
 	if n >= t.k {
 		return n - t.k
@@ -119,9 +129,12 @@ func (t *blockLoserTree) exhaust(i int) {
 }
 
 // limit returns the runner-up key the winner must keep beating to skip
-// replays — loserTree.limit: the minimum over the champion's root-path
-// losers, seeded with the (MaxInt64, k) sentinel, which also absorbs
-// done keys (rank ≥ k never beats the sentinel).
+// replays. The second-best source always lost its one match directly to
+// the champion, so it sits on the champion's root path; the minimum
+// over those path losers, seeded with the (MaxInt64, k) sentinel, is
+// the runner-up. The sentinel also absorbs done keys (rank ≥ k never
+// beats it) and comes back when no live challenger remains, so every
+// live record beats it — ties at MaxInt64 included.
 func (t *blockLoserTree) limit() (int64, int) {
 	w := t.node[0]
 	bestTS, bestRank := int64(math.MaxInt64), t.k
@@ -134,30 +147,65 @@ func (t *blockLoserTree) limit() (int64, int) {
 	return bestTS, bestRank
 }
 
-// asBlockSources returns the sources as blockSources when every one
-// qualifies for the block-granular path, nil otherwise. Mixed inputs
-// (or any wrapper — the watermark stage, a slice source) fall back to
-// the record path as a group: the merge needs every lane in the same
-// currency.
-func asBlockSources(srcs []TimestampedSource) []blockSource {
-	out := make([]blockSource, len(srcs))
-	for i, s := range srcs {
-		bs, ok := s.(blockSource)
-		if !ok {
-			return nil
-		}
-		out[i] = bs
+// asBlockSource returns src itself when it hands over v2 blocks, and
+// src wrapped in the fill adapter, filling blocks of up to records
+// edges, otherwise.
+func asBlockSource(src TimestampedSource, records int) blockSource {
+	if bs, ok := src.(blockSource); ok {
+		return bs
 	}
-	return out
+	return &filledBlockSource{fill: tsSourceFill(src), scratch: make([]TimestampedEdge, records)}
 }
 
-// decodeBlocks is one source's decoder goroutine on the block path: it
-// pulls validated views from the source, applies the per-source
-// decode-error budget at block granularity (a checksum-damaged block is
-// one skippable RecordError, however many records it carried — the
-// reader has already resynced at the next header), and hands each view
-// to the merger through the credit-gated hand-off. Mirrors decode's
-// shutdown and error-naming contract exactly.
+// filledBlockSource adapts any TimestampedSource to the block merge:
+// each view is a pooled buffer of v1-layout records filled through the
+// source's FillTimestamped (per-edge NextTimestamped otherwise), with
+// maxTS computed over exactly the records it holds.
+type filledBlockSource struct {
+	fill    func([]TimestampedEdge) (int, error)
+	scratch []TimestampedEdge
+	err     error // the fill error held back behind the records decoded before it
+}
+
+// nextBlockView fills the next view. A fill error that arrives with
+// records is held back until those records have been handed over, then
+// returned exactly once — a RecordError is charged by
+// nextBudgetedView, and the next call resumes past the bad record.
+func (s *filledBlockSource) nextBlockView() (*blockView, error) {
+	if err := s.err; err != nil {
+		s.err = nil
+		return nil, err
+	}
+	n, err := s.fill(s.scratch)
+	for n == 0 && err == nil {
+		n, err = s.fill(s.scratch)
+	}
+	if n == 0 {
+		return nil, err
+	}
+	s.err = err
+	buf := getBlockBuf(16 * n)
+	maxTS := s.scratch[0].TS
+	for i, e := range s.scratch[:n] {
+		rec := buf[16*i : 16*i+16]
+		binary.LittleEndian.PutUint32(rec[0:4], e.E.U)
+		binary.LittleEndian.PutUint32(rec[4:8], e.E.V)
+		binary.LittleEndian.PutUint64(rec[8:16], uint64(e.TS))
+		maxTS = max(maxTS, e.TS)
+	}
+	v := &blockView{data: buf, buf: buf, count: n, maxTS: maxTS}
+	v.refs.Store(1)
+	return v, nil
+}
+
+// decodeBlocks is one source's decoder goroutine: it pulls views from
+// the source, applies the per-source decode-error budget, and hands
+// each view to the merger through the credit-gated hand-off. A clean
+// EOF sends the nil-view marker — the merger's signal that this source
+// is exhausted; an error shuts the whole pipeline down
+// (first-error-wins), named by source index. Edges, blocks, and decode
+// time are counted per source here; the aggregate counts merged
+// deliveries at the merger.
 func (p *OrderedMultiPipeline) decodeBlocks(i int, src blockSource) {
 	defer p.wg.Done()
 	fail := func(err error) {
@@ -191,10 +239,13 @@ func (p *OrderedMultiPipeline) decodeBlocks(i int, src blockSource) {
 	}
 }
 
-// nextBudgetedView is budgetedFill at block granularity: skippable
-// RecordErrors (damaged or truncated blocks) are counted and sampled
-// against the per-source budget with the same exceeded message; with no
-// budget the first failure is terminal.
+// nextBudgetedView is budgetedFill over views: each skippable
+// RecordError the source returns — a malformed record from an adapted
+// source, a damaged or truncated block from a v2 reader (one charge
+// however many records it carried; the reader has already resynced at
+// the next header) — is counted and sampled against the per-source
+// budget with budgetedFill's exceeded message; with no budget the first
+// failure is terminal.
 func (p *OrderedMultiPipeline) nextBudgetedView(i int, src blockSource) (*blockView, error) {
 	prog := &p.perSource[i]
 	for {
@@ -217,8 +268,12 @@ func (p *OrderedMultiPipeline) nextBudgetedView(i int, src blockSource) (*blockV
 	}
 }
 
-// nextView is nextBatch over views: source i's next block, in source
-// order, parking other sources' views in their pending boxes.
+// nextView returns source i's next view, in source order. ok is false
+// when the source is cleanly exhausted; abort is true when the pipeline
+// is shutting down (error, cancellation, or Close). Views for other
+// sources encountered while draining the hand-off ring park in their
+// pending boxes (bounded by the credit budget) until their source's
+// turn comes.
 func (p *OrderedMultiPipeline) nextView(i int) (v *blockView, ok, abort bool) {
 	for {
 		if q := p.pendingViews[i]; len(q) > 0 {
@@ -245,7 +300,8 @@ func (p *OrderedMultiPipeline) nextView(i int) (v *blockView, ok, abort bool) {
 
 // blockRefill releases the cursor's spent view (returning its buffer to
 // the pool once the last holder lets go), credits the decoder, and
-// installs the source's next view — refill on the block path.
+// installs the source's next view. more is false when the source is
+// cleanly exhausted; abort is true on shutdown.
 func (p *OrderedMultiPipeline) blockRefill(c *blockCursor) (more, abort bool) {
 	c.view.release()
 	c.view = nil
@@ -283,11 +339,14 @@ func (p *OrderedMultiPipeline) emitViewRange(v *blockView, lo, hi int, cur []gra
 	return cur, true
 }
 
-// mergeBlocks is the merger goroutine on the block path — merge with
-// the flat-key tree and the block-granular gallop. Semantics are
-// bit-identical to the record merger: smallest (timestamp, source)
-// first, never reordering within a source, gallop engaging after the
-// same hysteresis.
+// mergeBlocks is the merger goroutine: it primes one view per source,
+// builds the flat-key loser tree, then merges in one of two modes.
+// Per-edge mode emits the winner and replays. Once the same source wins
+// gallopAfter consecutive replays, gallop mode engages: the runner-up
+// key is computed once and gallopBlockRun copies the rest of the
+// winner's run — whole blocks where the bounds allow — across block
+// boundaries, until the run ends and the tournament resumes. Exhausted
+// sources leave the tournament.
 func (p *OrderedMultiPipeline) mergeBlocks() {
 	defer p.wg.Done()
 	k := len(p.perSource)
@@ -304,7 +363,6 @@ func (p *OrderedMultiPipeline) mergeBlocks() {
 			t.ts[i], t.rank[i] = v.ts(0), i
 			t.active++
 		} else {
-			cursors[i].done = true
 			t.ts[i], t.rank[i] = math.MaxInt64, k+i
 		}
 	}
@@ -312,19 +370,18 @@ func (p *OrderedMultiPipeline) mergeBlocks() {
 	if !ok {
 		return
 	}
-	if k == 2 {
-		// Same specialization as the record path: one comparison decides
-		// the tournament at the most common sharding degree.
-		p.mergeTwoBlocks(&cursors[0], &cursors[1], cur)
-		return
-	}
 	if k == 1 {
 		t.node[0] = 0
 	} else {
 		t.node[0] = t.build(1)
 	}
-	streak := 0
+	// Every iteration ends in one replay or exhaust. The count stays in
+	// a local until the merger exits, so the per-edge increment never
+	// touches the cache line the decoders read p's channels from.
+	replays, streak := 0, 0
+	defer func() { p.replays = replays }()
 	for t.active > 0 {
+		replays++
 		w := t.node[0]
 		c := &cursors[w]
 		if streak >= gallopAfter {
@@ -334,7 +391,6 @@ func (p *OrderedMultiPipeline) mergeBlocks() {
 				return
 			}
 			if outcome == gallopExhausted {
-				cursors[w].done = true
 				t.exhaust(w)
 			} else {
 				t.ts[w] = c.view.ts(c.idx)
@@ -360,7 +416,6 @@ func (p *OrderedMultiPipeline) mergeBlocks() {
 				return
 			}
 			if !more {
-				c.done = true
 				t.exhaust(w)
 				streak = 0
 				continue
@@ -379,71 +434,17 @@ func (p *OrderedMultiPipeline) mergeBlocks() {
 	}
 }
 
-// mergeTwoBlocks is the k = 2 specialization — mergeTwo over views,
-// including the gallop against the loser's fixed head key.
-func (p *OrderedMultiPipeline) mergeTwoBlocks(a, b *blockCursor, cur []graph.Edge) {
-	var last *blockCursor
-	ok, streak := false, 0
-	for !a.done || !b.done {
-		c, o := a, b
-		if o.headBeats(c) {
-			c, o = o, c
-		}
-		if c != last {
-			last, streak = c, 0
-		}
-		if streak >= gallopAfter {
-			limitTS, limitRank := int64(math.MaxInt64), 2
-			if !o.done {
-				limitTS, limitRank = o.view.ts(o.idx), o.src
-			}
-			var outcome gallopOutcome
-			if cur, outcome = p.gallopBlockRun(c, limitTS, limitRank, cur); outcome == gallopAbort {
-				return
-			}
-			if outcome == gallopExhausted {
-				c.done = true
-			}
-			streak = 0
-			continue
-		}
-		cur = append(cur, c.view.edge(c.idx))
-		c.idx++
-		streak++
-		if len(cur) == cap(cur) {
-			if !p.deliver(cur) {
-				return
-			}
-			if cur, ok = p.acquireOut(); !ok {
-				return
-			}
-		}
-		if c.idx == c.view.count {
-			more, abort := p.blockRefill(c)
-			if abort {
-				return
-			}
-			if !more {
-				c.done = true
-			}
-		}
-	}
-	if len(cur) > 0 {
-		p.deliver(cur)
-	}
-}
-
-// gallopBlockRun is gallopRun at block granularity: copy c's run —
-// every consecutive record that beats the (limitTS, limitRank)
-// runner-up key — into output buffers, crossing block boundaries while
-// the run survives. Two gears: when the view's max timestamp itself
-// beats the limit, the whole remaining block is copied with zero
-// per-record comparisons (the header bound proves every record wins its
-// tournament — this is what the v2 format buys the merge); otherwise
-// the run continues record-by-record under runLen's bound until a
-// record no longer beats the runner-up. The caller owns the tournament
-// consequences; the returned buffer is nil after gallopAbort and never
-// full otherwise.
+// gallopBlockRun is the gallop inner loop: copy c's run — every
+// consecutive record that beats the (limitTS, limitRank) runner-up key —
+// into output buffers, crossing block boundaries while the run survives.
+// Two gears: when the view's max timestamp itself beats the limit, the
+// whole remaining block is copied with zero per-record comparisons (the
+// bound proves every record wins its tournament); otherwise the run
+// continues record-by-record under maxTSAgainst's bound until a record
+// no longer beats the runner-up. The scan is a plain prefix walk, not a
+// binary search, because sources need not be timestamp-sorted. The
+// caller owns the tournament consequences; the returned buffer is nil
+// after gallopAbort and never full otherwise.
 func (p *OrderedMultiPipeline) gallopBlockRun(c *blockCursor, limitTS int64, limitRank int, cur []graph.Edge) ([]graph.Edge, gallopOutcome) {
 	for {
 		if boundsBeat(c.view.maxTS, c.src, limitTS, limitRank) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"strings"
@@ -11,23 +12,6 @@ import (
 
 	"streamtri/internal/graph"
 )
-
-// drainMerged drains an OrderedMultiPipeline into one flat edge slice.
-func drainMerged(t *testing.T, p *OrderedMultiPipeline) []graph.Edge {
-	t.Helper()
-	var out []graph.Edge
-	for {
-		b, err := p.Next()
-		if err == io.EOF {
-			return out
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, b...)
-		p.Recycle(b)
-	}
-}
 
 // blockMergeInput is one generated multi-source scenario.
 type blockMergeInput struct {
@@ -87,60 +71,38 @@ func blockMergeInputs(rng *rand.Rand, k int) []blockMergeInput {
 	return inputs
 }
 
-// TestBlockMergeMatchesRecordOracle is the tentpole property: the
-// block-granular pipeline over v2 encodings emits the bit-identical
-// edge sequence to the record-path pipeline (slice sources — the
-// edge-by-edge loser tree oracle) over the same contents, across a
-// k × block-size grid with compression on and off.
+// mergeKinds are the source sets the oracle grid runs: every source a
+// v2 block stream, every source adapted from a slice, and a mixed set
+// rotating through all four kinds the merge accepts.
+var mergeKinds = []struct {
+	name  string
+	kinds []mergeSourceKind
+}{
+	{"all-v2", []mergeSourceKind{kindBlock}},
+	{"all-slice", []mergeSourceKind{kindSlice}},
+	{"mixed", []mergeSourceKind{kindBlock, kindSlice, kindText, kindV1}},
+}
+
+// TestBlockMergeMatchesRecordOracle is the merge's property grid: the
+// pipeline emits exactly the record-by-record reference merge's
+// sequence across k × input shape × v2 block size × delta compression,
+// whether the sources are v2 views, adapted slices, or a mix of every
+// source kind.
 func TestBlockMergeMatchesRecordOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	for _, k := range []int{1, 2, 3, 5, 8} {
 		for _, input := range blockMergeInputs(rng, k) {
-			// Oracle: record path over the same edges.
-			oracleSrcs := make([]TimestampedSource, k)
-			for i, edges := range input.sources {
-				oracleSrcs[i] = NewTimestampedSliceSource(append([]TimestampedEdge(nil), edges...))
-			}
-			oracle, err := NewOrderedMultiPipeline(context.Background(), oracleSrcs, 64, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if oracle.tsRing == nil {
-				t.Fatal("oracle pipeline unexpectedly took the block path")
-			}
-			want := drainMerged(t, oracle)
-
+			want := referenceMerge(input.sources)
 			for _, bs := range []int{1, 3, 16, 64} {
 				for _, delta := range []bool{false, true} {
 					opts := []BlockOption{WithBlockRecords(bs)}
 					if delta {
 						opts = append(opts, WithBlockDeltaTimestamps())
 					}
-					srcs := make([]TimestampedSource, k)
-					for i, edges := range input.sources {
-						var buf bytes.Buffer
-						if err := WriteBlockBinaryEdges(&buf, edges, opts...); err != nil {
-							t.Fatal(err)
-						}
-						srcs[i] = NewBlockBinarySource(bytes.NewReader(buf.Bytes()))
-					}
-					p, err := NewOrderedMultiPipeline(context.Background(), srcs, 64, 0)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if p.blockHandoff == nil {
-						t.Fatal("all-v2 pipeline did not take the block path")
-					}
-					got := drainMerged(t, p)
-					if len(got) != len(want) {
-						t.Fatalf("k=%d %s bs=%d delta=%v: %d edges, want %d",
-							k, input.name, bs, delta, len(got), len(want))
-					}
-					for i := range got {
-						if got[i] != want[i] {
-							t.Fatalf("k=%d %s bs=%d delta=%v: edge %d = %+v, want %+v",
-								k, input.name, bs, delta, i, got[i], want[i])
-						}
+					for _, set := range mergeKinds {
+						got, _ := mergeShards(t, input.sources, set.kinds, 64, opts...)
+						assertMergeEqual(t, got, want, fmt.Sprintf("k=%d %s %s bs=%d delta=%v",
+							k, input.name, set.name, bs, delta))
 					}
 				}
 			}
@@ -148,76 +110,22 @@ func TestBlockMergeMatchesRecordOracle(t *testing.T) {
 	}
 }
 
-// TestBlockMergeSmallOutputBuffers drives the block path with w smaller
-// than the block size, so every whole-block gallop crosses several
+// TestBlockMergeSmallOutputBuffers drives the merge with w smaller than
+// the block size, so every whole-block gallop crosses several
 // output-buffer deliveries.
 func TestBlockMergeSmallOutputBuffers(t *testing.T) {
 	rng := rand.New(rand.NewSource(84))
-	k := 3
-	for _, input := range blockMergeInputs(rng, k) {
-		oracleSrcs := make([]TimestampedSource, k)
-		for i, edges := range input.sources {
-			oracleSrcs[i] = NewTimestampedSliceSource(append([]TimestampedEdge(nil), edges...))
-		}
-		oracle, err := NewOrderedMultiPipeline(context.Background(), oracleSrcs, 7, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := drainMerged(t, oracle)
-
-		srcs := make([]TimestampedSource, k)
-		for i, edges := range input.sources {
-			var buf bytes.Buffer
-			if err := WriteBlockBinaryEdges(&buf, edges, WithBlockRecords(32)); err != nil {
-				t.Fatal(err)
-			}
-			srcs[i] = NewBlockBinarySource(bytes.NewReader(buf.Bytes()))
-		}
-		p, err := NewOrderedMultiPipeline(context.Background(), srcs, 7, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := drainMerged(t, p)
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d edges, want %d", input.name, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("%s: edge %d = %+v, want %+v", input.name, i, got[i], want[i])
-			}
+	for _, input := range blockMergeInputs(rng, 3) {
+		want := referenceMerge(input.sources)
+		for _, set := range mergeKinds {
+			got, _ := mergeShards(t, input.sources, set.kinds, 7, WithBlockRecords(32))
+			assertMergeEqual(t, got, want, input.name+" "+set.name)
 		}
 	}
 }
 
-// TestBlockMergeMixedSourcesFallsBack verifies that one non-block
-// source demotes the whole merge to the record path — and that the
-// output is still correct.
-func TestBlockMergeMixedSourcesFallsBack(t *testing.T) {
-	a := tsEdges(50, 0)
-	b := tsEdges(50, 25)
-	var buf bytes.Buffer
-	if err := WriteBlockBinaryEdges(&buf, a, WithBlockRecords(8)); err != nil {
-		t.Fatal(err)
-	}
-	srcs := []TimestampedSource{
-		NewBlockBinarySource(bytes.NewReader(buf.Bytes())),
-		NewTimestampedSliceSource(b),
-	}
-	p, err := NewOrderedMultiPipeline(context.Background(), srcs, 16, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.blockHandoff != nil || p.tsRing == nil {
-		t.Fatal("mixed sources must fall back to the record path")
-	}
-	got := drainMerged(t, p)
-	if len(got) != len(a)+len(b) {
-		t.Fatalf("merged %d edges, want %d", len(got), len(a)+len(b))
-	}
-}
-
-// TestBlockMergeStats checks the Stats/SourceStats surface on the block
-// path: per-source edges sum to the aggregate after a full drain, and
+// TestBlockMergeStats checks the Stats/SourceStats surface over v2
+// sources: per-source edges sum to the aggregate after a full drain, and
 // decode time is attributed per source.
 func TestBlockMergeStats(t *testing.T) {
 	k := 3
@@ -232,7 +140,7 @@ func TestBlockMergeStats(t *testing.T) {
 		}
 		srcs[i] = NewBlockBinarySource(bytes.NewReader(buf.Bytes()))
 	}
-	p, err := NewOrderedMultiPipeline(context.Background(), srcs, 32, 0)
+	p, err := NewOrderedMultiPipeline(context.Background(), srcs, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +186,7 @@ func TestBlockMergeErrorBudget(t *testing.T) {
 	p, err := NewOrderedMultiPipeline(context.Background(), []TimestampedSource{
 		NewBlockBinarySource(bytes.NewReader(mkDamaged())),
 		NewBlockBinarySource(bytes.NewReader(cleanBuf.Bytes())),
-	}, 32, 0, WithMaxBadRecords(1))
+	}, 32, WithMaxBadRecords(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +203,7 @@ func TestBlockMergeErrorBudget(t *testing.T) {
 	p, err = NewOrderedMultiPipeline(context.Background(), []TimestampedSource{
 		NewBlockBinarySource(bytes.NewReader(mkDamaged())),
 		NewBlockBinarySource(bytes.NewReader(cleanBuf.Bytes())),
-	}, 32, 0)
+	}, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +235,7 @@ func TestBlockMergeCloseMidStream(t *testing.T) {
 		}
 		srcs[i] = NewBlockBinarySource(bytes.NewReader(buf.Bytes()))
 	}
-	p, err := NewOrderedMultiPipeline(context.Background(), srcs, 32, 0)
+	p, err := NewOrderedMultiPipeline(context.Background(), srcs, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +250,7 @@ func TestBlockMergeCloseMidStream(t *testing.T) {
 }
 
 // TestBlockMergeContextCancel verifies ctx cancellation surfaces from
-// Next on the block path.
+// Next.
 func TestBlockMergeContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var buf bytes.Buffer
@@ -352,7 +260,7 @@ func TestBlockMergeContextCancel(t *testing.T) {
 	p, err := NewOrderedMultiPipeline(ctx, []TimestampedSource{
 		NewBlockBinarySource(bytes.NewReader(buf.Bytes())),
 		NewBlockBinarySource(bytes.NewReader(buf.Bytes())),
-	}, 16, 0)
+	}, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,4 +276,148 @@ func TestBlockMergeContextCancel(t *testing.T) {
 		p.Recycle(b)
 	}
 	p.Close()
+}
+
+// gallopKinds are the source sets the tournament tests run over: the
+// adapter's exact computed bounds and the v2 header bounds must both
+// gallop the same way.
+var gallopKinds = [][]mergeSourceKind{{kindSlice}, {kindBlock}}
+
+// Equal timestamps everywhere: the merge must emit source 0 in full,
+// then source 1, then source 2 — and because each whole source is one
+// run under the tie-break, the tournament is decided only at source
+// boundaries.
+func TestLoserTreeTieBreakBySourceIndex(t *testing.T) {
+	const per = 100
+	shards := make([][]TimestampedEdge, 3)
+	var want []TimestampedEdge
+	for s := range shards {
+		shards[s] = tsShard(s, per, func(int) int64 { return 42 })
+		want = append(want, shards[s]...)
+	}
+	for _, kinds := range gallopKinds {
+		got, replays := mergeShards(t, shards, kinds, 16, WithBlockRecords(16))
+		assertMergeEqual(t, got, want, "tie-break "+kinds[0].String())
+		if max := (gallopAfter + 2) * len(shards); replays > max {
+			t.Fatalf("%v: replays = %d, want ≤ %d (each source is one gallop run under the tie-break)", kinds[0], replays, max)
+		}
+	}
+}
+
+// k = 1 degenerates to passthrough: once the hysteresis trips, the
+// limit is the +∞ sentinel (no live challenger), every block gallops
+// through whole, and the tree is never touched again until exhaustion.
+func TestLoserTreeSingleSourcePassthrough(t *testing.T) {
+	shard := tsShard(0, 500, func(i int) int64 { return int64(i % 7) }) // not even sorted
+	for _, kinds := range gallopKinds {
+		got, replays := mergeShards(t, [][]TimestampedEdge{shard}, kinds, 64, WithBlockRecords(64))
+		assertMergeEqual(t, got, shard, "passthrough "+kinds[0].String())
+		if replays > gallopAfter+1 {
+			t.Fatalf("%v: replays = %d, want ≤ %d (k=1 must not touch the tree per edge)", kinds[0], replays, gallopAfter+1)
+		}
+	}
+}
+
+// Runny input — each source one long monotone run — must enter the
+// gallop and stay in it across block boundaries: decisions stay at the
+// number of run switches, orders of magnitude below the edge count.
+// Alternating input — consecutive timestamps dealt round-robin — must
+// exit the gallop after every edge: one decision per edge, and the
+// output still exactly interleaved (the gallop never overshoots). k = 2
+// is a one-match tree, k = 3 a deeper one.
+func TestLoserTreeGallopEntersAndExitsOnRunnyVsAlternating(t *testing.T) {
+	const per = 1000
+	for _, k := range []int{2, 3} {
+		runny := make([][]TimestampedEdge, k)
+		alternating := make([][]TimestampedEdge, k)
+		for s := range runny {
+			runny[s] = tsShard(s, per, func(i int) int64 { return int64(s*per + i) })
+			alternating[s] = tsShard(s, per, func(i int) int64 { return int64(k*i + s) })
+		}
+		for _, kinds := range gallopKinds {
+			got, replays := mergeShards(t, runny, kinds, 128, WithBlockRecords(128))
+			assertMergeEqual(t, got, referenceMerge(runny), fmt.Sprintf("runny k=%d %v", k, kinds[0]))
+			if max := (gallopAfter + 2) * k; replays > max {
+				t.Fatalf("runny k=%d %v: replays = %d for %d edges, want ≤ %d (gallop must hold through each run)",
+					k, kinds[0], replays, k*per, max)
+			}
+
+			got, replays = mergeShards(t, alternating, kinds, 128, WithBlockRecords(128))
+			assertMergeEqual(t, got, referenceMerge(alternating), fmt.Sprintf("alternating k=%d %v", k, kinds[0]))
+			if replays < k*per-k {
+				t.Fatalf("alternating k=%d %v: replays = %d for %d edges, want ~one per edge (gallop must exit after each)",
+					k, kinds[0], replays, k*per)
+			}
+		}
+	}
+}
+
+// Sources that stop mid-tournament (including ones empty from the
+// start) must leave the tree cleanly and never stall the rest.
+func TestLoserTreeEmptyAndUnevenSources(t *testing.T) {
+	shards := [][]TimestampedEdge{
+		tsShard(0, 50, func(i int) int64 { return int64(3 * i) }),
+		nil,
+		tsShard(2, 7, func(i int) int64 { return int64(i) }),
+	}
+	for _, set := range mergeKinds {
+		got, _ := mergeShards(t, shards, set.kinds, 4, WithBlockRecords(4))
+		assertMergeEqual(t, got, referenceMerge(shards), "uneven "+set.name)
+	}
+}
+
+// Randomized oracle sweep: arbitrary (tie-heavy, unsorted) timestamps,
+// every k and batch size, over a mixed source set, must match the
+// linear-scan reference merge bit for bit — the tree plus gallop must
+// be observationally identical to a per-edge tournament on inputs with
+// no run structure at all.
+func TestLoserTreeMatchesReferenceMerge(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, k := range []int{2, 3, 5, 8} {
+		for _, batch := range []int{1, 3, 64} {
+			shards := make([][]TimestampedEdge, k)
+			for s := range shards {
+				n := rng.Intn(200) // occasionally tiny or empty
+				shards[s] = tsShard(s, n, func(int) int64 { return int64(rng.Intn(40)) })
+			}
+			got, _ := mergeShards(t, shards, mergeKinds[2].kinds, batch, WithBlockRecords(batch))
+			assertMergeEqual(t, got, referenceMerge(shards), fmt.Sprintf("random k=%d batch=%d", k, batch))
+		}
+	}
+}
+
+// The production pipeline over gallop-friendly shapes (one long run per
+// source, where the fast path does the most work) must stay
+// deterministic and correct run to run; the name keeps it in the -race
+// CI subset.
+func TestOrderedMultiPipelineGallopShapesDeterministic(t *testing.T) {
+	runOnce := func() []graph.Edge {
+		shards := [][]TimestampedEdge{
+			tsShard(0, 4000, func(i int) int64 { return int64(i) }),
+			tsShard(1, 4000, func(i int) int64 { return int64(4000 + i) }),
+			tsShard(2, 100, func(i int) int64 { return int64(50*i + 3) }),
+		}
+		srcs := make([]TimestampedSource, len(shards))
+		for i := range srcs {
+			srcs[i] = NewTimestampedSliceSource(shards[i])
+		}
+		p, err := NewOrderedMultiPipeline(nil, srcs, 128)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []graph.Edge
+		if rerr := p.Run(func(b []graph.Edge) error { got = append(got, b...); return nil }); rerr != nil {
+			t.Fatal(rerr)
+		}
+		return got
+	}
+	a, b := runOnce(), runOnce()
+	if len(a) != len(b) || len(a) != 8100 {
+		t.Fatalf("runs merged %d vs %d edges, want 8100", len(a), len(b))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("edge %d differs across runs: %v vs %v", i, a[i], b[i])
+		}
+	}
 }

@@ -322,7 +322,7 @@ func TestOrderedMultiPipelineStaysFailFast(t *testing.T) {
 		NewTimestampedSliceSource(tsEdges(2000, 0)),
 		&tsErrorSource{n: 100},
 	}
-	p, err := NewOrderedMultiPipeline(t.Context(), srcs, 64, 4, WithContinueOnSourceFailure())
+	p, err := NewOrderedMultiPipeline(t.Context(), srcs, 64, WithContinueOnSourceFailure())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +358,7 @@ func TestOrderedMultiPipelineBudgetDeterministic(t *testing.T) {
 		}
 	}
 	run := func() []graph.Edge {
-		p, err := NewOrderedMultiPipeline(t.Context(), mkSrcs(), 64, 4, WithMaxBadRecords(2))
+		p, err := NewOrderedMultiPipeline(t.Context(), mkSrcs(), 64, WithMaxBadRecords(2))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -390,6 +390,60 @@ func TestOrderedMultiPipelineBudgetDeterministic(t *testing.T) {
 	assertNoLeak(t, base)
 }
 
+// A malformed record in the middle of an adapted source's block is
+// charged exactly once, after the records decoded before it reach the
+// merge: without a budget the run fails on it, naming the source; within
+// budget each bad line is skipped and counted once; one short of the
+// budget, the second bad line trips the exceeded error.
+func TestOrderedMultiPipelineBudgetMidBlock(t *testing.T) {
+	base := goroutineBaseline()
+	clean := tsShard(0, 100, func(i int) int64 { return int64(i) })
+	var buf bytes.Buffer
+	if err := WriteTimestampedEdgeList(&buf, clean); err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(buf.Bytes(), []byte("\n"))
+	lines[40], lines[70] = []byte("garbage line\n"), []byte("1 2 x\n")
+	dirty := bytes.Join(lines, nil)
+	other := tsShard(1, 50, func(i int) int64 { return int64(2 * i) })
+
+	run := func(opts ...PipeOption) ([]graph.Edge, PipelineStats, error) {
+		p, err := NewOrderedMultiPipeline(t.Context(), []TimestampedSource{
+			NewTimestampedTextSource(bytes.NewReader(dirty)),
+			NewTimestampedSliceSource(other),
+		}, 64, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []graph.Edge
+		runErr := p.Run(func(b []graph.Edge) error { got = append(got, b...); return nil })
+		p.Close()
+		return got, p.Stats(), runErr
+	}
+
+	_, _, err := run()
+	var rec *RecordError
+	if !errors.As(err, &rec) || !strings.HasPrefix(err.Error(), "source 0: ") {
+		t.Fatalf("unbudgeted run error = %v, want source 0's record error", err)
+	}
+
+	got, st, err := run(WithMaxBadRecords(2))
+	if err != nil {
+		t.Fatalf("run within budget: %v", err)
+	}
+	if st.BadRecords != 2 {
+		t.Fatalf("BadRecords = %d, want 2 (one per bad line)", st.BadRecords)
+	}
+	kept := append(append(append([]TimestampedEdge(nil), clean[:40]...), clean[41:70]...), clean[71:]...)
+	assertMergeEqual(t, got, referenceMerge([][]TimestampedEdge{kept, other}), "within budget")
+
+	if _, _, err = run(WithMaxBadRecords(1)); err == nil ||
+		!strings.Contains(err.Error(), "decode-error budget exceeded: 2 malformed records over budget 1") {
+		t.Fatalf("over-budget run error = %v", err)
+	}
+	assertNoLeak(t, base)
+}
+
 // Garbage, truncation, and disorder at once: a watermark stage over a
 // budgeted, block-shuffled, corrupted text shard still produces the
 // sort-first oracle's stream.
@@ -405,7 +459,7 @@ func TestWatermarkPipelineSurvivesDirtyShards(t *testing.T) {
 	payload := bytes.Replace(buf.Bytes(), []byte("\t"), []byte("garbage\t"), 1)
 	src := NewTimestampedTextSource(bytes.NewReader(payload))
 	wm := NewWatermarkSource(src, 8, LateCount, nil)
-	p, err := NewOrderedMultiPipeline(t.Context(), []TimestampedSource{wm}, 64, 4, WithMaxBadRecords(1))
+	p, err := NewOrderedMultiPipeline(t.Context(), []TimestampedSource{wm}, 64, WithMaxBadRecords(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,9 @@ package stream
 
 import (
 	"bytes"
+	"context"
 	"io"
+	"math"
 	"testing"
 
 	"streamtri/internal/graph"
@@ -406,5 +408,70 @@ func FuzzTimestampedScanWindowEquivalence(f *testing.F) {
 				}
 			}
 		}
+	})
+}
+
+// fuzzMergeTS maps one fuzz byte to a timestamp: mostly a narrow signed
+// range — ties and unsorted runs everywhere — with the int64 extremes
+// and their neighbours reserved to the edge bytes.
+func fuzzMergeTS(b byte) int64 {
+	switch b {
+	case 0:
+		return math.MinInt64
+	case 1:
+		return math.MinInt64 + 1
+	case 254:
+		return math.MaxInt64 - 1
+	case 255:
+		return math.MaxInt64
+	}
+	return int64(b%16) - 8
+}
+
+// FuzzOrderedMergeMatchesReference holds the ordered merge to the naive
+// reference merge on arbitrary source sets. The fuzz bytes pick the
+// output batch size and up to 8 sources, each a v2 block stream (random
+// block size, delta timestamps on or off), a slice, or a timestamped
+// text stream. A source's timestamps are either one byte per edge (ties,
+// unsorted runs, MinInt64 and MaxInt64) or a run counting up from a
+// fuzzed base — which wraps past MaxInt64 — so the gallop engages too.
+func FuzzOrderedMergeMatchesReference(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{7, 2, 0, 3, 0, 20, 0, 1, 1, 5, 1, 30, 1, 100})
+	f.Add([]byte{63, 7, 0, 0, 1, 9, 0, 255, 0, 255, 1, 0, 1, 0, 2, 4, 1, 9, 1, 254,
+		1, 31, 0, 12, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 2, 15, 0, 4, 1, 253})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() byte {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return b
+		}
+		w := 1 + int(next()%64)
+		k := 1 + int(next()%8)
+		shards := make([][]TimestampedEdge, k)
+		srcs := make([]TimestampedSource, k)
+		for s := range shards {
+			kind := [...]mergeSourceKind{kindBlock, kindSlice, kindText}[next()%3]
+			opts := []BlockOption{WithBlockRecords(1 + int(next()%32))}
+			if next()&1 == 1 {
+				opts = append(opts, WithBlockDeltaTimestamps())
+			}
+			n := int(next() % 64)
+			if next()&1 == 1 {
+				base := fuzzMergeTS(next())
+				shards[s] = tsShard(s, n, func(i int) int64 { return base + int64(i) })
+			} else {
+				shards[s] = tsShard(s, n, func(int) int64 { return fuzzMergeTS(next()) })
+			}
+			srcs[s] = mergeSource(t, kind, shards[s], opts...)
+		}
+		p, err := NewOrderedMultiPipeline(context.Background(), srcs, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertMergeEqual(t, drainMerged(t, p), referenceMerge(shards), "fuzzed merge")
 	})
 }

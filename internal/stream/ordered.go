@@ -2,25 +2,23 @@ package stream
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
-	"math"
 	"sync"
 
 	"streamtri/internal/graph"
 )
 
 // OrderedMultiPipeline merges several timestamped sources into ONE
-// deterministic stream: decoders still run one goroutine per source over
-// a shared recycle ring (exactly the MultiPipeline shape), but their
-// batches are re-sequenced by a k-way loser-tree merge on the per-edge
-// timestamp before reaching the consumer — smallest timestamp first,
-// ties broken by source index (then intra-source order, which each
-// decoder preserves). The merged stream is therefore a pure function of
-// the source contents: any scheduler interleaving of the decoders yields
-// the same edge sequence, which is what the sequence-defined
-// sliding-window estimator needs from a multi-file ingest.
+// deterministic stream: one decoder goroutine per source hands blocks
+// of raw records to a merger goroutine, which re-sequences them by a
+// k-way loser-tree merge on the per-edge timestamp before they reach
+// the consumer — smallest timestamp first, ties broken by source index
+// (then intra-source order, which each decoder preserves). The merged
+// stream is therefore a pure function of the source contents: any
+// scheduler interleaving of the decoders yields the same edge sequence,
+// which is what the sequence-defined sliding-window estimator needs
+// from a multi-file ingest. The merge engine lives in blockmerge.go.
 //
 // Contract: the merged output is globally nondecreasing in timestamp iff
 // every source is; the merge is deterministic either way (it never
@@ -28,35 +26,30 @@ import (
 // first-error-wins across decoders, context cancellation stops
 // everything, and batches delivered before an error are valid.
 type OrderedMultiPipeline struct {
-	out     chan []graph.Edge      // merged batches to the consumer
-	recycle chan []graph.Edge      // consumer-side ring of merged buffers
-	tsRing  chan []TimestampedEdge // shared decoder ring
+	out     chan []graph.Edge // merged batches to the consumer
+	recycle chan []graph.Edge // consumer-side ring of merged buffers
 
-	// handoff is the single decoder→merger ring: every filled batch
-	// arrives here tagged with its source index (a nil batch marks a
-	// cleanly exhausted source). Flow control is per-source credits —
-	// a decoder surrenders one credit per batch sent and the merger
-	// returns it when the batch goes back to tsRing — so no source can
-	// starve the shared ring while the merger waits on a slower one.
-	handoff chan srcBatch
-	credits []chan struct{}
-
-	// pending and eof are the merger goroutine's private reorder state:
-	// batches popped from handoff while looking for another source's
-	// next batch wait here (bounded by the credit count), and eof marks
-	// sources whose nil marker has arrived. Only merge/nextBatch touch
-	// them.
-	pending [][][]TimestampedEdge
-	eof     []bool
-
-	// Block-granular mode (every source is a blockSource): decoders hand
-	// refcounted zero-copy block views through blockHandoff instead of
-	// materialized batches through handoff, and pendingViews replaces
-	// pending as the merger's reorder state. tsRing/handoff/pending stay
-	// nil in this mode — no w-edge decoder rings exist at all. See
-	// blockmerge.go.
+	// blockHandoff is the single decoder→merger ring: every block view
+	// arrives here tagged with its source index (a nil view marks a
+	// cleanly exhausted source). Flow control is per-source credits — a
+	// decoder surrenders one credit per view sent and the merger returns
+	// it when it releases the view — so no source can flood the merger
+	// while it waits on a slower one.
 	blockHandoff chan srcBlock
+	credits      []chan struct{}
+
+	// pendingViews and eof are the merger goroutine's private reorder
+	// state: views popped from blockHandoff while looking for another
+	// source's next view wait here (bounded by the credit count), and eof
+	// marks sources whose nil marker has arrived. Only the merger touches
+	// them.
 	pendingViews [][]*blockView
+	eof          []bool
+
+	// replays counts the merger's tournament decisions (tree replays
+	// and exhausts), stored as the merger exits; the gallop tests read
+	// it after a full drain.
+	replays int
 
 	quit chan struct{}
 	ctx  context.Context
@@ -78,92 +71,60 @@ type OrderedMultiPipeline struct {
 	perSource    []pipeProgress
 }
 
-// srcBatch is one decoder→merger hand-off: a filled batch tagged with
-// the source it came from. A nil batch is the end-of-source marker.
-type srcBatch struct {
-	src   int
-	batch []TimestampedEdge
-}
-
-// srcCredits is the per-source hand-off budget: how many filled batches
-// one source may have queued at the merger (in the handoff ring plus
-// the merger's pending box) before its decoder must wait for the merger
-// to consume one. Two keeps a decoder filling its next batch while the
-// merger holds the previous one — the same double-buffered overlap the
-// per-source hand-off channels used to provide.
+// srcCredits is the per-source hand-off budget: how many views one
+// source may have queued at the merger (in the hand-off ring plus the
+// merger's pending box) before its decoder must wait for the merger to
+// release one. Two keeps a decoder filling its next view while the
+// merger holds the previous one.
 const srcCredits = 2
 
 // NewOrderedMultiPipeline starts one decoder goroutine per timestamped
-// source plus a merger goroutine. Decoders draw w-edge buffers from a
-// shared ring of depth buffers; each source may hold one buffer
-// mid-fill plus srcCredits in flight to the merger, so depth is raised
-// to at least 3·len(srcs) (the bound that keeps the ring nonempty for
-// any decoder still owed a buffer, whatever the interleaving). depth <=
-// 0 selects DefaultPipelineDepth plus one buffer per additional source
-// before that floor is applied. Cancelling ctx stops everything and
-// surfaces ctx.Err() from Next. The caller must drain the pipeline to
-// io.EOF or call Close, or the goroutines leak.
+// source plus a merger goroutine, delivering merged batches of up to w
+// edges. Cancelling ctx stops everything and surfaces ctx.Err() from
+// Next. The caller must drain the pipeline to io.EOF or call Close, or
+// the goroutines leak.
+//
+// Every source feeds the same block-granular engine. A v2 block reader
+// (BlockBinarySource) hands over its validated zero-copy views; any
+// other source — a v1 or text reader, a slice, the watermark stage — is
+// adapted by filling pooled blocks of up to min(w, DefaultBlockRecords)
+// records through its FillTimestamped, computing each block's exact
+// maximum timestamp as it fills. Each source holds at most srcCredits+1 blocks.
 //
 // Options: WithMaxBadRecords applies per source (which records a source
 // skips is a pure function of that source's bytes, so the merged stream
-// stays deterministic). WithContinueOnSourceFailure is deliberately
-// ignored: the merged stream is a pure function of the source contents,
-// and completing without a mid-merge-dead source would silently emit a
+// stays deterministic); it is charged once per malformed record, except
+// for v2 readers, where a damaged block is one charge however many
+// records it lost. WithContinueOnSourceFailure is deliberately ignored:
+// the merged stream is a pure function of the source contents, and
+// completing without a mid-merge-dead source would silently emit a
 // stream missing an unpredictable timestamp-interleaved subset — an
 // order-sensitive consumer (the sliding window) would get a wrong
 // answer instead of an error, so the ordered merge stays fail-fast.
-//
-// When every source reads the v2 block format (BlockBinarySource), the
-// pipeline automatically switches to the block-granular path: decoders
-// hand zero-copy block views to the merger, which gallops whole blocks
-// through on their header bounds (see blockmerge.go). The merged edge
-// sequence is bit-identical either way; wrapping any source (the
-// watermark stage, StripTimestamps) opts the whole merge back into the
-// record path. In block mode the decode-error budget is charged per
-// damaged *block*, not per record, since a failed checksum loses the
-// whole delimited block at once.
-func NewOrderedMultiPipeline(ctx context.Context, srcs []TimestampedSource, w, depth int, opts ...PipeOption) (*OrderedMultiPipeline, error) {
+func NewOrderedMultiPipeline(ctx context.Context, srcs []TimestampedSource, w int, opts ...PipeOption) (*OrderedMultiPipeline, error) {
 	if w <= 0 {
 		return nil, fmt.Errorf("stream: pipeline batch size %d must be positive", w)
 	}
 	if len(srcs) == 0 {
 		return nil, fmt.Errorf("stream: ordered multi pipeline needs at least one source")
 	}
-	if depth <= 0 {
-		depth = DefaultPipelineDepth + len(srcs) - 1
-	}
-	if floor := (srcCredits + 1) * len(srcs); depth < floor {
-		depth = floor
-	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	k := len(srcs)
-	blockSrcs := asBlockSources(srcs)
 	p := &OrderedMultiPipeline{
-		out:       make(chan []graph.Edge, DefaultPipelineDepth),
-		recycle:   make(chan []graph.Edge, DefaultPipelineDepth),
-		credits:   make([]chan struct{}, k),
-		eof:       make([]bool, k),
-		quit:      make(chan struct{}),
-		ctx:       ctx,
-		cfg:       buildPipeCfg(opts),
-		perSource: make([]pipeProgress, k),
-	}
-	if blockSrcs == nil {
-		p.tsRing = make(chan []TimestampedEdge, depth)
-		// Capacity for every credit-gated batch plus one end-of-source
+		out:     make(chan []graph.Edge, DefaultPipelineDepth),
+		recycle: make(chan []graph.Edge, DefaultPipelineDepth),
+		// Capacity for every credit-gated view plus one end-of-source
 		// marker per source: hand-off sends effectively never block.
-		p.handoff = make(chan srcBatch, (srcCredits+1)*k)
-		p.pending = make([][][]TimestampedEdge, k)
-		for i := 0; i < depth; i++ {
-			p.tsRing <- make([]TimestampedEdge, w)
-		}
-	} else {
-		// Block mode carries pooled views, not ring buffers; the same
-		// credit budget bounds views in flight per source.
-		p.blockHandoff = make(chan srcBlock, (srcCredits+1)*k)
-		p.pendingViews = make([][]*blockView, k)
+		blockHandoff: make(chan srcBlock, (srcCredits+1)*k),
+		credits:      make([]chan struct{}, k),
+		pendingViews: make([][]*blockView, k),
+		eof:          make([]bool, k),
+		quit:         make(chan struct{}),
+		ctx:          ctx,
+		cfg:          buildPipeCfg(opts),
+		perSource:    make([]pipeProgress, k),
 	}
 	for i := 0; i < DefaultPipelineDepth; i++ {
 		p.recycle <- make([]graph.Edge, 0, w)
@@ -175,17 +136,10 @@ func NewOrderedMultiPipeline(ctx context.Context, srcs []TimestampedSource, w, d
 		}
 	}
 	p.wg.Add(k + 1)
-	if blockSrcs == nil {
-		for i, src := range srcs {
-			go p.decode(i, src, w)
-		}
-		go p.merge()
-	} else {
-		for i, src := range blockSrcs {
-			go p.decodeBlocks(i, src)
-		}
-		go p.mergeBlocks()
+	for i, src := range srcs {
+		go p.decodeBlocks(i, asBlockSource(src, min(w, DefaultBlockRecords)))
 	}
+	go p.mergeBlocks()
 	// out is closed exactly once, after the decoders and the merger have
 	// all exited; the consumer side can therefore never block forever,
 	// and err is always visible once out is closed.
@@ -201,285 +155,6 @@ func NewOrderedMultiPipeline(ctx context.Context, srcs []TimestampedSource, w, d
 func (p *OrderedMultiPipeline) fail(err error) {
 	p.errOnce.Do(func() { p.err = err })
 	p.quitOnce.Do(func() { close(p.quit) })
-}
-
-// decode is one source's decoder goroutine: the shared decodeLoop fills
-// ring buffers from the source (bulk FillTimestamped when available)
-// and hands each to the merger through the tagged handoff ring, gated
-// by this source's credits. A clean EOF sends the nil-batch marker —
-// the merger's signal that this source is exhausted; an error shuts the
-// whole pipeline down (first-error-wins). Edges, batches, and decode
-// time are counted per source here; the aggregate counts merged
-// deliveries at the merger.
-func (p *OrderedMultiPipeline) decode(i int, src TimestampedSource, w int) {
-	defer p.wg.Done()
-	fail := func(err error) {
-		// Name the source: with k inputs, "which shard is malformed"
-		// should not need a bisection.
-		if err != errPipelineClosed && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-			err = fmt.Errorf("source %d: %w", i, err)
-		}
-		p.fail(err)
-	}
-	send := func(b []TimestampedEdge) bool {
-		if _, ok := recvOrQuit(p.ctx, p.quit, p.credits[i], fail); !ok {
-			return false
-		}
-		return sendOrQuit(p.ctx, p.quit, p.handoff, srcBatch{src: i, batch: b}, fail)
-	}
-	fill := budgetedFill(tsSourceFill(src), p.cfg.maxBadRecords, &p.perSource[i])
-	if decodeLoop(p.ctx, p.quit, p.tsRing, w, fill, send,
-		[]*pipeProgress{&p.perSource[i]}, fail) == nil {
-		// Clean end of this source; the marker carries no buffer, so no
-		// credit is needed (the handoff ring reserves a slot for it).
-		sendOrQuit(p.ctx, p.quit, p.handoff, srcBatch{src: i}, fail)
-	}
-}
-
-// merge is the merger goroutine: it primes one batch per source, builds
-// the loser tree over the cursors, then merges in one of two modes.
-// Per-edge mode emits the winner and replays — ⌈log2 k⌉ comparisons per
-// edge, cheaper than a binary heap's two-per-level sift. Once the same
-// cursor wins gallopAfter consecutive replays, gallop mode engages: the
-// runner-up key is computed once and the rest of the winner's run —
-// every consecutive edge that still beats it — is copied into output
-// buffers at one comparison per edge with no tree work, across batch
-// boundaries, until the run ends and the tournament resumes. Exhausted
-// batches go back to the shared ring with a credit to their decoder;
-// exhausted sources leave the tournament.
-func (p *OrderedMultiPipeline) merge() {
-	defer p.wg.Done()
-	cursors := make([]*mergeCursor, len(p.perSource))
-	for i := range cursors {
-		cursors[i] = &mergeCursor{src: i}
-		b, ok, abort := p.nextBatch(i)
-		if abort {
-			return
-		}
-		if ok {
-			cursors[i].batch = b
-		} else {
-			cursors[i].done = true
-		}
-	}
-	cur, ok := p.acquireOut()
-	if !ok {
-		return
-	}
-	if len(cursors) == 2 {
-		// The most common sharding degree collapses the tournament to a
-		// single match; the dedicated loop below skips the tree's replay
-		// machinery entirely.
-		p.mergeTwo(cursors[0], cursors[1], cur)
-		return
-	}
-	t := newLoserTree(cursors)
-	streak := 0
-	for t.active > 0 {
-		c := t.winner()
-		if streak >= gallopAfter {
-			limitTS, limitSrc := t.limit()
-			var outcome gallopOutcome
-			if cur, outcome = p.gallopRun(c, limitTS, limitSrc, cur); outcome == gallopAbort {
-				return
-			}
-			if outcome == gallopExhausted {
-				t.exhaust()
-			} else {
-				t.replay()
-			}
-			streak = 0
-			continue
-		}
-		// Per-edge tournament mode.
-		cur = append(cur, c.batch[c.idx].E)
-		c.idx++
-		if len(cur) == cap(cur) {
-			if !p.deliver(cur) {
-				return
-			}
-			if cur, ok = p.acquireOut(); !ok {
-				return
-			}
-		}
-		if c.idx == len(c.batch) {
-			more, abort := p.refill(c)
-			if abort {
-				return
-			}
-			if !more {
-				t.exhaust()
-				streak = 0
-				continue
-			}
-		}
-		t.replay()
-		if t.winner() == c {
-			streak++
-		} else {
-			streak = 0
-		}
-	}
-	if len(cur) > 0 {
-		p.deliver(cur)
-	}
-}
-
-// mergeTwo is the k = 2 specialization of the merge loop: one
-// comparison decides the tournament, so the generic tree's replay walk
-// would roughly double the per-edge cost at the most common sharding
-// degree. Semantics are bit-identical to the tree path — smallest
-// (timestamp, source index) first, never reordering within a source —
-// including the gallop: with the same hysteresis, a repeatedly-winning
-// side starts copying its run against the loser's (fixed) head key, one
-// comparison per edge and no winner re-derivation at all.
-func (p *OrderedMultiPipeline) mergeTwo(a, b *mergeCursor, cur []graph.Edge) {
-	var last *mergeCursor
-	ok, streak := false, 0
-	for !a.done || !b.done {
-		c, o := a, b
-		if o.beats(c) {
-			c, o = o, c
-		}
-		if c != last {
-			last, streak = c, 0
-		}
-		if streak >= gallopAfter {
-			limitTS, limitSrc := int64(math.MaxInt64), 2
-			if !o.done {
-				limitTS, limitSrc = o.batch[o.idx].TS, o.src
-			}
-			var outcome gallopOutcome
-			if cur, outcome = p.gallopRun(c, limitTS, limitSrc, cur); outcome == gallopAbort {
-				return
-			}
-			if outcome == gallopExhausted {
-				c.done = true
-			}
-			streak = 0
-			continue
-		}
-		// Per-edge mode: emit the winner's head and re-compare.
-		cur = append(cur, c.batch[c.idx].E)
-		c.idx++
-		streak++
-		if len(cur) == cap(cur) {
-			if !p.deliver(cur) {
-				return
-			}
-			if cur, ok = p.acquireOut(); !ok {
-				return
-			}
-		}
-		if c.idx == len(c.batch) {
-			more, abort := p.refill(c)
-			if abort {
-				return
-			}
-			if !more {
-				c.done = true
-			}
-		}
-	}
-	if len(cur) > 0 {
-		p.deliver(cur)
-	}
-}
-
-// gallopOutcome says what ended a gallopRun: the run's next edge no
-// longer beating the runner-up key, the running source's clean
-// exhaustion, or pipeline shutdown.
-type gallopOutcome uint8
-
-const (
-	gallopRunOver gallopOutcome = iota
-	gallopExhausted
-	gallopAbort
-)
-
-// gallopRun is the gallop inner loop shared by the tree path and the
-// k = 2 specialization: copy c's run — every consecutive edge that
-// beats the (limitTS, limitSrc) runner-up key — into output buffers,
-// crossing batch boundaries while the run survives, with no tree work.
-// It returns the current output buffer (nil after gallopAbort, where
-// the merger must return immediately) and the outcome; the caller owns
-// the tournament consequences (replay, exhaust).
-func (p *OrderedMultiPipeline) gallopRun(c *mergeCursor, limitTS int64, limitSrc int, cur []graph.Edge) ([]graph.Edge, gallopOutcome) {
-	for {
-		n := c.runLen(limitTS, limitSrc, cap(cur)-len(cur))
-		for _, e := range c.batch[c.idx : c.idx+n] {
-			cur = append(cur, e.E)
-		}
-		c.idx += n
-		if len(cur) == cap(cur) {
-			if !p.deliver(cur) {
-				return nil, gallopAbort
-			}
-			var ok bool
-			if cur, ok = p.acquireOut(); !ok {
-				return nil, gallopAbort
-			}
-			continue // same run, fresh output space
-		}
-		if c.idx == len(c.batch) {
-			more, abort := p.refill(c)
-			if abort {
-				return nil, gallopAbort
-			}
-			if !more {
-				return cur, gallopExhausted
-			}
-			if c.runLen(limitTS, limitSrc, 1) == 1 {
-				continue // the run survives the batch boundary
-			}
-		}
-		// Run over: the next edge no longer beats the runner-up.
-		return cur, gallopRunOver
-	}
-}
-
-// refill returns the cursor's spent batch to the shared ring, credits
-// its decoder, and installs the source's next batch. more is false when
-// the source is cleanly exhausted; abort is true on shutdown. The ring
-// send cannot block: the ring has capacity for every buffer in
-// existence.
-func (p *OrderedMultiPipeline) refill(c *mergeCursor) (more, abort bool) {
-	p.tsRing <- c.batch[:cap(c.batch)]
-	p.credits[c.src] <- struct{}{}
-	b, more, abort := p.nextBatch(c.src)
-	if more {
-		c.batch, c.idx = b, 0
-	}
-	return more, abort
-}
-
-// nextBatch returns source i's next batch, in source order. ok is false
-// when the source is cleanly exhausted; abort is true when the pipeline
-// is shutting down (error, cancellation, or Close). Batches for other
-// sources encountered while draining the handoff ring park in their
-// pending boxes (bounded by the credit budget) until their source's
-// turn comes.
-func (p *OrderedMultiPipeline) nextBatch(i int) (b []TimestampedEdge, ok, abort bool) {
-	for {
-		if q := p.pending[i]; len(q) > 0 {
-			b = q[0]
-			copy(q, q[1:])
-			p.pending[i] = q[:len(q)-1]
-			return b, true, false
-		}
-		if p.eof[i] {
-			return nil, false, false
-		}
-		m, open := recvOrQuit(p.ctx, p.quit, p.handoff, p.fail)
-		if !open {
-			return nil, false, true // shutdown (handoff itself never closes)
-		}
-		if m.batch == nil {
-			p.eof[m.src] = true
-		} else {
-			p.pending[m.src] = append(p.pending[m.src], m.batch)
-		}
-	}
 }
 
 // acquireOut draws an empty merged-output buffer from the consumer ring.
@@ -533,7 +208,7 @@ func (p *OrderedMultiPipeline) Recycle(b []graph.Edge) {
 
 // Stats returns a snapshot of the merged pipeline's progress. Edges and
 // Batches count merged deliveries to the consumer; DecodeSeconds sums
-// the decoder goroutines' time in NextTimestamped/FillTimestamped and
+// the decoder goroutines' time reading blocks from their sources and
 // can exceed wall time when decoders run concurrently.
 func (p *OrderedMultiPipeline) Stats() PipelineStats {
 	s := p.snapshot()
@@ -547,10 +222,10 @@ func (p *OrderedMultiPipeline) Stats() PipelineStats {
 }
 
 // SourceStats returns per-source progress snapshots, indexed like the
-// srcs argument: edges decoded and handed to the merger, batches, and
-// decode time per source. After a complete drain the per-source edges
-// sum to the aggregate Stats().Edges; mid-stream the merger may hold a
-// few not-yet-delivered edges.
+// srcs argument: edges decoded and handed to the merger, blocks
+// (Batches), and decode time per source. After a complete drain the
+// per-source edges sum to the aggregate Stats().Edges; mid-stream the
+// merger may hold a few not-yet-delivered edges.
 func (p *OrderedMultiPipeline) SourceStats() []PipelineStats {
 	out := make([]PipelineStats, len(p.perSource))
 	for i := range p.perSource {

@@ -64,7 +64,7 @@ func TestOrderedMultiPipelineReassemblesShards(t *testing.T) {
 			for i := range srcs {
 				srcs[i] = NewTimestampedSliceSource(shards[i])
 			}
-			p, err := NewOrderedMultiPipeline(context.Background(), srcs, w, 0)
+			p, err := NewOrderedMultiPipeline(context.Background(), srcs, w)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -106,7 +106,7 @@ func TestOrderedMultiPipelineTieBreaksBySourceIndex(t *testing.T) {
 		}
 		srcs[i] = NewTimestampedSliceSource(shard)
 	}
-	p, err := NewOrderedMultiPipeline(context.Background(), srcs, 64, 0)
+	p, err := NewOrderedMultiPipeline(context.Background(), srcs, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestOrderedMultiPipelineDeterministicAcrossRuns(t *testing.T) {
 		for i := range srcs {
 			srcs[i] = NewTimestampedSliceSource(shards[i])
 		}
-		p, err := NewOrderedMultiPipeline(context.Background(), srcs, 128, 0)
+		p, err := NewOrderedMultiPipeline(context.Background(), srcs, 128)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +165,7 @@ func TestOrderedMultiPipelineFirstErrorStopsSiblings(t *testing.T) {
 		&tsInfiniteSource{},
 		&tsErrorSource{n: 25},
 	}
-	p, err := NewOrderedMultiPipeline(context.Background(), srcs, 8, 0)
+	p, err := NewOrderedMultiPipeline(context.Background(), srcs, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,13 +190,13 @@ func TestOrderedMultiPipelineFirstErrorStopsSiblings(t *testing.T) {
 	assertNoLeak(t, base)
 }
 
-// Context cancellation must free decoders parked on an exhausted ring
+// Context cancellation must free decoders parked on exhausted credits
 // and the merger with them (nobody consuming, every buffer in flight).
 func TestOrderedMultiPipelineCancelWithDecodersParked(t *testing.T) {
 	base := goroutineBaseline()
 	ctx, cancel := context.WithCancel(context.Background())
 	srcs := []TimestampedSource{&tsInfiniteSource{}, &tsInfiniteSource{i: 1 << 20}, &tsInfiniteSource{i: 1 << 21}}
-	p, err := NewOrderedMultiPipeline(ctx, srcs, 16, 0)
+	p, err := NewOrderedMultiPipeline(ctx, srcs, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestOrderedMultiPipelineCancelWithDecodersParked(t *testing.T) {
 func TestOrderedMultiPipelineCloseWithoutDraining(t *testing.T) {
 	base := goroutineBaseline()
 	srcs := []TimestampedSource{&tsInfiniteSource{}, &tsInfiniteSource{i: 1 << 20}}
-	p, err := NewOrderedMultiPipeline(context.Background(), srcs, 16, 0)
+	p, err := NewOrderedMultiPipeline(context.Background(), srcs, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,16 +240,16 @@ func TestOrderedMultiPipelineCloseWithoutDraining(t *testing.T) {
 
 func TestOrderedMultiPipelineBadArgs(t *testing.T) {
 	src := NewTimestampedSliceSource(nil)
-	if _, err := NewOrderedMultiPipeline(context.Background(), []TimestampedSource{src}, 0, 2); err == nil {
+	if _, err := NewOrderedMultiPipeline(context.Background(), []TimestampedSource{src}, 0); err == nil {
 		t.Fatal("want error for w=0")
 	}
-	if _, err := NewOrderedMultiPipeline(context.Background(), nil, 8, 2); err == nil {
+	if _, err := NewOrderedMultiPipeline(context.Background(), nil, 8); err == nil {
 		t.Fatal("want error for zero sources")
 	}
 }
 
 // Drain over two timestamped binary shards: the bulk FillTimestamped
-// path feeds the ring from both files and the sink absorbs the merged
+// path feeds the merge from both files and the sink absorbs the merged
 // stream in timestamp order, with the recycling contract intact.
 func TestOrderedMultiPipelineDrainBinaryShards(t *testing.T) {
 	base := goroutineBaseline()
@@ -264,7 +264,7 @@ func TestOrderedMultiPipelineDrainBinaryShards(t *testing.T) {
 		}
 		srcs[i] = NewTimestampedBinarySource(&buf)
 	}
-	p, err := NewOrderedMultiPipeline(context.Background(), srcs, 256, 0)
+	p, err := NewOrderedMultiPipeline(context.Background(), srcs, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestOrderedMultiPipelinePerSourceStats(t *testing.T) {
 		b[i] = TimestampedEdge{E: graph.Edge{U: u, V: u + 1}, TS: int64(2 * i)}
 	}
 	p, err := NewOrderedMultiPipeline(context.Background(),
-		[]TimestampedSource{NewTimestampedSliceSource(a), NewTimestampedSliceSource(b)}, 64, 0)
+		[]TimestampedSource{NewTimestampedSliceSource(a), NewTimestampedSliceSource(b)}, 64)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,8 +71,8 @@ type PipelineStats struct {
 }
 
 // pipeProgress is the shared progress state behind PipelineStats,
-// updated by decodeLoop (and budgetedFill) and embedded by every
-// pipeline flavor.
+// updated by the decoder goroutines (and the decode-error budget) and
+// embedded by every pipeline flavor.
 type pipeProgress struct {
 	edges      atomic.Uint64
 	batches    atomic.Uint64
@@ -163,9 +163,8 @@ func recvOrQuit[T any](ctx context.Context, quit <-chan struct{}, ch <-chan T, f
 	}
 }
 
-// decodeLoop is the decoder state machine shared by every pipeline
-// flavor — Pipeline (one instance), MultiPipeline (one per source), and
-// OrderedMultiPipeline (one per source, timestamped element type):
+// decodeLoop is the decoder state machine shared by the batch pipeline
+// flavors — Pipeline (one instance) and MultiPipeline (one per source):
 // acquire a buffer from the ring, fill it (the caller curries the bulk
 // Fill path when the source supports it), send it downstream — until
 // the source ends, filling fails, the context is cancelled, or quit
@@ -173,8 +172,7 @@ func recvOrQuit[T any](ctx context.Context, quit <-chan struct{}, ch <-chan T, f
 // won instead (having already recorded the terminal condition); other
 // terminal conditions are reported through fail (errPipelineClosed for
 // a quit-initiated shutdown). The return value is nil exactly for a
-// clean EOF — the ordered pipeline uses it to mark the source
-// exhausted. Progress — decode time, then edges and batches on each
+// clean EOF. Progress — decode time, then edges and batches on each
 // successful send — is recorded into every counter in progs.
 func decodeLoop[T any](ctx context.Context, quit <-chan struct{}, recycle chan []T, w int,
 	fill func([]T) (int, error), send func([]T) bool, progs []*pipeProgress, fail func(error)) error {

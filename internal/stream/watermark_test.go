@@ -335,7 +335,7 @@ func TestWatermarkUnderOrderedPipeline(t *testing.T) {
 			arrivals := blockShuffle(shard, blk, uint64(i)+1)
 			srcs[i] = NewWatermarkSource(NewTimestampedSliceSource(arrivals), L, LateCount, nil)
 		}
-		p, err := NewOrderedMultiPipeline(t.Context(), srcs, 128, 2)
+		p, err := NewOrderedMultiPipeline(t.Context(), srcs, 128)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -371,7 +371,7 @@ func TestWatermarkErrorUnwrapsThroughPipeline(t *testing.T) {
 	sentinel := errors.New("disk on fire")
 	src := &tsFailingSource{edges: tsEdges(50, 0), failWith: sentinel}
 	wm := NewWatermarkSource(src, 4, LateDrop, nil)
-	p, err := NewOrderedMultiPipeline(t.Context(), []TimestampedSource{wm}, 16, 2)
+	p, err := NewOrderedMultiPipeline(t.Context(), []TimestampedSource{wm}, 16)
 	if err != nil {
 		t.Fatal(err)
 	}

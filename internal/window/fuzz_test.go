@@ -2,6 +2,7 @@ package window
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"streamtri/internal/gen"
@@ -46,6 +47,12 @@ func FuzzWindowCheckpointDecode(f *testing.F) {
 		b[mut.off] = mut.b
 		f.Add(b)
 	}
+	// A header claiming 2^32 estimators with no estimator data after it:
+	// must be rejected at EOF, not answered with a 100 GB allocation.
+	huge := valid(0)
+	huge = huge[:len(huge)-4*4] // drop the four empty chains
+	binary.LittleEndian.PutUint64(huge[8:16], 1<<32)
+	f.Add(huge)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := ReadCounterFrom(bytes.NewReader(data))

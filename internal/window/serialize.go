@@ -175,8 +175,11 @@ func ReadCounterFrom(r io.Reader) (*Counter, error) {
 		return nil, fmt.Errorf("window: restoring rng state: %w", err)
 	}
 
-	c := &Counter{w: w, t: t, ests: make([]estimator, rCount), rng: rng}
-	for i := range c.ests {
+	// Append estimator by estimator (capped preallocation), like the
+	// chains below, so a lying count on a truncated stream fails at EOF
+	// instead of allocating the claimed size up front.
+	c := &Counter{w: w, t: t, ests: make([]estimator, 0, min(rCount, 1<<16)), rng: rng}
+	for i := uint64(0); i < rCount; i++ {
 		var chainLen uint32
 		if err := read(&chainLen); err != nil {
 			return nil, fmt.Errorf("window: reading estimator %d chain length: %w", i, err)
@@ -245,7 +248,7 @@ func ReadCounterFrom(r io.Reader) (*Counter, error) {
 			}
 			chain = append(chain, el)
 		}
-		c.ests[i].chain = chain
+		c.ests = append(c.ests, estimator{chain: chain})
 	}
 	if err := c.checkChainInvariant(); err != nil {
 		return nil, fmt.Errorf("window: restored state violates chain invariant: %w", err)

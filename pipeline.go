@@ -273,15 +273,15 @@ func countStreams(ctx context.Context, srcs []Source, w, depth int, ing ingest, 
 }
 
 // countOrderedStreams is the timestamp-merged flavor of countStreams:
-// one decoder per timestamped source over a shared ring, batches
-// re-sequenced by the k-way merge before the sink sees them, so the
-// merged stream — and any order-sensitive estimator consuming it — is
-// deterministic for any scheduler interleaving. With the watermark
+// one decoder per timestamped source, records re-sequenced by the k-way
+// merge before the sink sees them, so the merged stream — and any
+// order-sensitive estimator consuming it — is deterministic for any
+// scheduler interleaving. With the watermark
 // enabled (WithLateness), each source is wrapped in a bounded-lateness
 // reorder stage before the merge, so per-source disorder up to the
 // lateness bound is repaired where the merge's per-source-order
 // assumption needs it.
-func countOrderedStreams(ctx context.Context, srcs []TimestampedSource, w, depth int, ing ingest, sink stream.AsyncSink) (StreamStats, error) {
+func countOrderedStreams(ctx context.Context, srcs []TimestampedSource, w int, ing ingest, sink stream.AsyncSink) (StreamStats, error) {
 	var wms []*stream.WatermarkSource
 	if ing.watermark {
 		wms = make([]*stream.WatermarkSource, len(srcs))
@@ -292,7 +292,7 @@ func countOrderedStreams(ctx context.Context, srcs []TimestampedSource, w, depth
 		}
 		srcs = wrapped
 	}
-	p, err := stream.NewOrderedMultiPipeline(ctx, srcs, w, depth, ing.pipeOpts(false)...)
+	p, err := stream.NewOrderedMultiPipeline(ctx, srcs, w, ing.pipeOpts(false)...)
 	if err != nil {
 		return StreamStats{}, err
 	}

@@ -73,7 +73,9 @@ func WithBatchSize(w int) Option {
 // CountStream decode pipeline (default stream.DefaultPipelineDepth).
 // Larger depths absorb burstier decode/process speed mismatches at the
 // cost of depth×w edges of buffer memory; 2 is the minimum that still
-// overlaps decoding with processing.
+// overlaps decoding with processing. SlidingWindowCounter.CountStreams
+// ignores it: its timestamp merge holds a fixed few blocks per source,
+// not a ring of w-edge buffers.
 func WithPipelineDepth(depth int) Option {
 	return func(c *config) { c.pipeDepth = depth }
 }

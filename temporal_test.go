@@ -138,11 +138,9 @@ func TestSlidingWindowCountStreamsAcrossFormats(t *testing.T) {
 // as v1: the window estimate over k v2-encoded shards must be
 // bit-identical to the v1 ordered merge of the same shards — across
 // shard counts, block sizes that force partial trailing blocks, and
-// both timestamp layouts. This is the acceptance gate for the block
-// merge path: it auto-engages when every source is a block reader, so
-// the v2 run below exercises block-granular galloping while the v1 run
-// exercises the record-path rings, and the estimator cannot tell them
-// apart.
+// both timestamp layouts. The v2 run below merges the readers'
+// zero-copy block views while the v1 run merges blocks filled by the
+// adapter, and the estimator cannot tell them apart.
 func TestSlidingWindowCountStreamsBlockBinaryMatchesV1(t *testing.T) {
 	temporal := temporalStream(21, 2500)
 	const r, w = 128, 1800

@@ -51,9 +51,9 @@ func (s *SlidingWindowCounter) CountStream(ctx context.Context, src Source) (Str
 // CountStreams consumes several timestamped sources (typically one per
 // temporal export file) to exhaustion, merging them into a single
 // deterministic stream before the window sees any edge: each source
-// decodes on its own goroutine against a shared buffer ring, and a
-// k-way heap merge re-sequences batches by per-edge timestamp —
-// smallest first, ties broken by source index, then intra-file order.
+// decodes on its own goroutine into blocks of records, and a k-way
+// loser-tree merge re-sequences them by per-edge timestamp — smallest
+// first, ties broken by source index, then intra-file order.
 // The merged arrival sequence, and therefore the window contents and
 // the estimate, is a pure function of the inputs and the seed: unlike
 // the first-come CountStreams on the whole-stream counters, ordered
@@ -68,7 +68,7 @@ func (s *SlidingWindowCounter) CountStreams(ctx context.Context, srcs ...Timesta
 	if len(srcs) == 0 {
 		return StreamStats{}, nil
 	}
-	return countOrderedStreams(ctx, srcs, s.w, s.depth, s.ing, windowSink{s.c})
+	return countOrderedStreams(ctx, srcs, s.w, s.ing, windowSink{s.c})
 }
 
 // WindowEdges returns the number of edges currently inside the window.
