@@ -124,6 +124,34 @@ func TestBlockMergeSmallOutputBuffers(t *testing.T) {
 	}
 }
 
+// TestBlockMergeMixedSourcesFallsBack merges a v2 block stream with a
+// slice source: the v2 source hands over its own views, the slice source
+// falls back to the fill adapter, and the two still merge into exactly
+// the reference sequence.
+func TestBlockMergeMixedSourcesFallsBack(t *testing.T) {
+	a := tsEdges(50, 0)
+	b := tsEdges(50, 25)
+	var buf bytes.Buffer
+	if err := WriteBlockBinaryEdges(&buf, a, WithBlockRecords(8)); err != nil {
+		t.Fatal(err)
+	}
+	srcs := []TimestampedSource{
+		NewBlockBinarySource(bytes.NewReader(buf.Bytes())),
+		NewTimestampedSliceSource(b),
+	}
+	if _, ok := asBlockSource(srcs[0], 16).(*filledBlockSource); ok {
+		t.Fatal("a v2 source must hand over its own block views")
+	}
+	if _, ok := asBlockSource(srcs[1], 16).(*filledBlockSource); !ok {
+		t.Fatal("a slice source must fall back to the fill adapter")
+	}
+	p, err := NewOrderedMultiPipeline(context.Background(), srcs, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertMergeEqual(t, drainMerged(t, p), referenceMerge([][]TimestampedEdge{a, b}), "v2+slice")
+}
+
 // TestBlockMergeStats checks the Stats/SourceStats surface over v2
 // sources: per-source edges sum to the aggregate after a full drain, and
 // decode time is attributed per source.
