@@ -1,11 +1,6 @@
 package core
 
-import (
-	"cmp"
-	"slices"
-
-	"streamtri/internal/graph"
-)
+import "streamtri/internal/graph"
 
 // AddBatch advances all estimators as if the batch's edges had been
 // played one at a time after the stream so far (the bulkTC algorithm of
@@ -15,15 +10,13 @@ import (
 // The resulting estimator states are identically distributed to those
 // produced by calling Add on each edge in order. The implementation is
 // map-free; at steady state the only heap allocation per call is the
-// fixed-size estimate snapshot published for concurrent readers (the
-// original map-based scratch tables, retained for one release behind
-// WithMapScratch as the bit-identical equivalence oracle, have been
-// removed).
+// fixed-size estimate snapshot published for concurrent readers.
 func (c *Counter) AddBatch(batch []graph.Edge) {
 	if len(batch) == 0 {
 		return
 	}
-	c.addBatchFlat(batch)
+	c.own.build(batch)
+	c.absorb(batch, &c.own)
 	c.publish()
 }
 
@@ -36,204 +29,115 @@ func (c *Counter) AddBatchAsync(batch []graph.Edge) { c.AddBatch(batch) }
 // Barrier is a no-op: Counter has no asynchronous work in flight.
 func (c *Counter) Barrier() {}
 
-// addBatchFlat is the map-free hot path. The per-batch maps of the
-// original implementation are replaced by the flat tables of flatScratch:
-// a vertex interner plus flat degree slice, a batch-index-sorted level-1
-// pair list consumed by a cursor, and open-addressed event/closer tables
-// with packed uint64 keys. Random draws happen in a fixed order (level-1
-// step, then one draw per touched estimator in estimator order) — the
-// same order the retired map-based path used, which is what kept the two
-// bit-identical while both existed.
-func (c *Counter) addBatchFlat(batch []graph.Edge) {
+// absorb advances every estimator over batch, whose index x has already
+// been built. It draws every random number of the batch and only reads
+// x, so the shards of a ShardedCounter can share one index. Draws happen
+// in a fixed order — the level-1 step, then one draw per touched
+// estimator in estimator order — which is what keeps states
+// bit-identical across implementations of the index.
+func (c *Counter) absorb(batch []graph.Edge, x *batchIndex) {
 	w := uint64(len(batch))
-	r := len(c.ests)
-	s := &c.flat
-	s.reset(r, len(batch))
 	mOld := c.m
 	total := mOld + w
 
 	// --- Step 1: resample level-1 edges. Each estimator keeps its
 	// current r1 with probability m/(m+w); otherwise it adopts a uniform
 	// batch edge. One uniform draw over [1, m+w] implements both choices.
-	assign := func(idx int32, bi uint32) {
+	assign := func(idx int, bi uint64) {
 		est := &c.ests[idx]
-		est.r1, est.r1Pos, est.hasR1 = batch[bi], mOld+uint64(bi)+1, true
+		est.r1, est.r1Pos, est.hasR1 = batch[bi], mOld+bi+1, true
 		est.c, est.hasR2, est.hasT = 0, false, false
-		s.level1 = append(s.level1, l1Pair{batchIdx: bi, est: idx})
 	}
 	if c.useSkip {
 		// Section 4 optimization: the replacement indicator vector is
 		// Bernoulli(w/(m+w)) per estimator; generate only the successes
 		// via geometric gaps, then draw the batch index for each.
 		p := float64(w) / float64(total)
-		c.rng.SkipSequence(uint64(r), p, func(i uint64) {
-			assign(int32(i), uint32(c.rng.Uint64N(w)))
+		c.rng.SkipSequence(uint64(len(c.ests)), p, func(i uint64) {
+			assign(int(i), c.rng.Uint64N(w))
 		})
 	} else {
 		for idx := range c.ests {
 			if v := c.rng.RandInt(1, total); v > mOld {
-				assign(int32(idx), uint32(v-mOld-1))
+				assign(idx, v-mOld-1)
 			}
 		}
 	}
-	// Step 1 emitted pairs in estimator order with random batch indices;
-	// the cursor in step 2a needs them in batch order. Order within one
-	// batch index is irrelevant (each pair writes only its own β cells).
-	slices.SortFunc(s.level1, func(a, b l1Pair) int {
-		return cmp.Compare(a.batchIdx, b.batchIdx)
-	})
 
-	// --- Step 2a: one edgeIter pass interning the batch vertices,
-	// building the final batch degree table degB, and recording β values
-	// for estimators whose level-1 edge lives in this batch (cursor over
-	// the sorted level-1 pairs).
-	cur := 0
-	for i, e := range batch {
-		hu := hash32(e.U)
-		s.markVertex(hu)
-		iu := s.in.internHashed(e.U, hu)
-		if int(iu) == len(s.deg) {
-			s.deg = append(s.deg, 0)
-		}
-		s.deg[iu]++
-		hv := hash32(e.V)
-		s.markVertex(hv)
-		iv := s.in.internHashed(e.V, hv)
-		if int(iv) == len(s.deg) {
-			s.deg = append(s.deg, 0)
-		}
-		s.deg[iv]++
-		s.eids = append(s.eids, uint64(iu)<<32|uint64(iv))
-		s.batchEdges.add(packPair(e.U, e.V), int32(i))
-		// Estimators that adopted edge i have r1 = batch[i], so
-		// β(x) = deg[e.U] and β(y) = deg[e.V] at this very moment.
-		for cur < len(s.level1) && s.level1[cur].batchIdx == uint32(i) {
-			idx := s.level1[cur].est
-			s.betaX[idx] = s.deg[iu]
-			s.betaY[idx] = s.deg[iv]
-			cur++
-		}
-	}
-
-	// --- Step 2b: choose each estimator's level-2 edge as either the
+	// --- Step 2: choose each estimator's level-2 edge as either the
 	// retained old r2 or an EVENTB subscription (Algorithm 3), using
 	// c⁻ = |N(r1) \ B| (the inherited counter) and c⁺ = |N(r1) ∩ B|
-	// derived from Observation 3.6.
+	// derived from Observation 3.6. A subscription EVENTB(v, d) fires at
+	// the batch edge where v reaches degree d, which the occurrence list
+	// names directly; the new level-2 edge's wedge is then closed by one
+	// read of the batch-edge table.
 	for idx := range c.ests {
 		est := &c.ests[idx]
 		if !est.hasR1 {
 			continue
 		}
-		x, y := est.r1.U, est.r1.V
-		a := uint64(s.degOf(x) - s.betaX[idx])
-		b := uint64(s.degOf(y) - s.betaY[idx])
+		// ix, iy are r1's interned endpoints, dx, dy their final batch
+		// degrees, and bx, by their degrees when r1 arrived (β; 0 when r1
+		// predates the batch).
+		var ix, iy, dx, dy, bx, by uint32
+		if est.r1Pos > mOld && est.r1Pos <= total {
+			e := &x.edges[est.r1Pos-mOld-1]
+			ix, iy, bx, by = e.u, e.v, e.du, e.dv
+			dx, dy = x.verts[ix].deg, x.verts[iy].deg
+		} else {
+			ix, dx = x.degree(est.r1.U)
+			iy, dy = x.degree(est.r1.V)
+		}
+		a := uint64(dx - bx)
+		b := uint64(dy - by)
 		cMinus := est.c
 		cPlus := a + b
 		est.c = cMinus + cPlus
 		if cPlus == 0 {
 			// No batch edge touches r1: state unchanged except that an
 			// existing open wedge may still be closed by a batch edge.
-			c.flatCloseRetainedWedge(int32(idx))
+			c.closeRetainedWedge(idx, x)
 			continue
 		}
 		phi := c.rng.RandInt(1, cMinus+cPlus)
 		switch {
 		case phi <= cMinus:
 			// Keep the current level-2 edge (and triangle, if any).
-			c.flatCloseRetainedWedge(int32(idx))
+			c.closeRetainedWedge(idx, x)
 		case phi <= cMinus+a:
-			d := uint32(uint64(s.betaX[idx]) + (phi - cMinus))
-			// a > 0 implies x gained batch degree, so x is interned.
-			ix, _ := s.in.lookup(x)
-			s.events.add(packEvent(ix, d), int32(idx))
-			est.hasR2, est.hasT = false, false
+			c.setLevel2(idx, batch, x, x.reach(ix, bx+uint32(phi-cMinus)))
 		default:
-			d := uint32(uint64(s.betaY[idx]) + (phi - cMinus - a))
-			iy, _ := s.in.lookup(y)
-			s.events.add(packEvent(iy, d), int32(idx))
-			est.hasR2, est.hasT = false, false
+			c.setLevel2(idx, batch, x, x.reach(iy, by+uint32(phi-cMinus-a)))
 		}
 	}
-
-	// --- Steps 2c + 3 (merged, the paper's first optimization): a second
-	// edgeIter pass replaying the degree transitions. EVENTB subscribers
-	// convert their selection into the actual level-2 edge the moment the
-	// matching transition happens; their wedge is then closed by a direct
-	// probe of the batch-edge index (the inverted table Q) restricted to
-	// strictly later batch positions. The pass only matters to event
-	// subscribers, so it short-circuits when none exist.
-	if len(s.events.entries) > 0 {
-		clear(s.deg)
-		for i := range batch {
-			pos := mOld + uint64(i) + 1
-			eid := s.eids[i]
-			iu, iv := uint32(eid>>32), uint32(eid)
-			s.deg[iu]++
-			s.deg[iv]++
-			// Each (vertex, degree) transition happens at most once per
-			// pass, so fired events need no deletion.
-			for n := s.events.head(packEvent(iu, s.deg[iu])); n >= 0; {
-				idx, next := s.events.entry(n)
-				c.flatSetLevel2(idx, batch[i], pos, int32(i))
-				n = next
-			}
-			for n := s.events.head(packEvent(iv, s.deg[iv])); n >= 0; {
-				idx, next := s.events.entry(n)
-				c.flatSetLevel2(idx, batch[i], pos, int32(i))
-				n = next
-			}
-		}
-	}
-
 	c.m = total
 }
 
-// flatSetLevel2 installs e (the batch edge at index bi) as estimator
-// idx's level-2 edge at stream position pos, then resolves the wedge
-// against the batch-edge index: the wedge closes iff its closing edge
-// occurs in the batch strictly after bi. r2 cannot change again within
-// this pass, so the check is final — equivalent to the subscription table
-// Q firing on a later edge.
-func (c *Counter) flatSetLevel2(idx int32, e graph.Edge, pos uint64, bi int32) {
+// setLevel2 installs batch edge bi as estimator idx's level-2 edge, then
+// resolves the wedge against the batch-edge table: the wedge closes iff
+// its closing edge occurs in the batch strictly after bi. r2 cannot
+// change again within this batch, so the check is final — equivalent to
+// the subscription table Q firing on a later edge.
+func (c *Counter) setLevel2(idx int, batch []graph.Edge, x *batchIndex, bi uint32) {
 	est := &c.ests[idx]
-	est.r2, est.r2Pos, est.hasR2 = e, pos, true
+	est.r2, est.r2Pos, est.hasR2 = batch[bi], c.m+uint64(bi)+1, true
 	est.hasT = false
-	sh, ok := est.r1.SharedVertex(est.r2)
-	if !ok {
-		return
-	}
-	s := &c.flat
-	u, v := est.r1.Other(sh), est.r2.Other(sh)
-	if !s.mayContain(hash32(u)) || !s.mayContain(hash32(v)) {
-		return
-	}
-	if n := s.batchEdges.head(packPair(u, v)); n >= 0 {
-		if j, _ := s.batchEdges.entry(n); j > bi {
-			est.hasT = true
-		}
+	if sh, ok := est.r1.SharedVertex(est.r2); ok {
+		est.hasT = x.closes(est.r1.Other(sh), est.r2.Other(sh), int32(bi))
 	}
 }
 
-// flatCloseRetainedWedge resolves the open wedge of an estimator that
-// kept its pre-batch level-2 edge: any occurrence of the closing edge in
-// the batch arrives after r2 and closes the wedge. One read of the
-// batch-edge index replaces the per-batch re-subscription into table Q —
-// usually rejected by the vertex bitmap without a hash probe.
-func (c *Counter) flatCloseRetainedWedge(idx int32) {
+// closeRetainedWedge resolves the open wedge of an estimator that kept
+// its pre-batch level-2 edge: any occurrence of the closing edge in the
+// batch arrives after r2 and closes the wedge. One read of the batch-edge
+// table replaces the per-batch re-subscription into table Q — usually
+// rejected by the vertex bitmap without a hash probe.
+func (c *Counter) closeRetainedWedge(idx int, x *batchIndex) {
 	est := &c.ests[idx]
 	if !est.hasR2 || est.hasT {
 		return
 	}
-	sh, ok := est.r1.SharedVertex(est.r2)
-	if !ok {
-		return
-	}
-	s := &c.flat
-	u, v := est.r1.Other(sh), est.r2.Other(sh)
-	if !s.mayContain(hash32(u)) || !s.mayContain(hash32(v)) {
-		return
-	}
-	if s.batchEdges.head(packPair(u, v)) >= 0 {
-		est.hasT = true
+	if sh, ok := est.r1.SharedVertex(est.r2); ok {
+		est.hasT = x.closes(est.r1.Other(sh), est.r2.Other(sh), -1)
 	}
 }

@@ -178,50 +178,39 @@ func TestInternerGrowth(t *testing.T) {
 	}
 }
 
-// --- estTable unit tests ------------------------------------------------
+// --- pairTable unit tests -----------------------------------------------
 
-func collectChain(t *estTable, key uint64) []int32 {
-	var out []int32
-	for n := t.head(key); n >= 0; {
-		est, next := t.entry(n)
-		out = append(out, est)
-		n = next
+func TestPairTableLastIndexAndEpochs(t *testing.T) {
+	var tb pairTable
+	tb.begin(3000)
+	tb.put(packPair(7, 3), 1)
+	tb.put(packPair(3, 7), 2) // same undirected pair: the later position wins
+	tb.put(packPair(1, 1<<31), 3)
+	if got := tb.get(packPair(3, 7)); got != 2 {
+		t.Fatalf("get(3,7) = %d, want 2", got)
 	}
-	return out
-}
-
-func TestEstTableChainsAndEpochs(t *testing.T) {
-	var tb estTable
-	tb.begin(2)
-	tb.add(7, 1)
-	tb.add(7, 2)
-	tb.add(1<<40, 3)
-	if got := collectChain(&tb, 7); !reflect.DeepEqual(got, []int32{2, 1}) {
-		t.Fatalf("chain(7) = %v", got)
+	if got := tb.get(packPair(1<<31, 1)); got != 3 {
+		t.Fatalf("get(1<<31,1) = %d, want 3", got)
 	}
-	if got := collectChain(&tb, 1<<40); !reflect.DeepEqual(got, []int32{3}) {
-		t.Fatalf("chain(1<<40) = %v", got)
+	if tb.get(packPair(3, 8)) != -1 {
+		t.Fatal("absent pair has a position")
 	}
-	if tb.head(8) != -1 {
-		t.Fatal("absent key has a chain")
+	// Fill to the sized capacity (load factor 1/2) and re-check every pair,
+	// including the early ones whose probe runs the later keys lengthen.
+	for k := uint32(100); k < 3097; k++ {
+		tb.put(packPair(k, k+1), int32(k))
 	}
-	// Growth: push enough distinct keys to force several doublings and
-	// re-check every chain.
-	for k := uint64(100); k < 3000; k++ {
-		tb.add(k, int32(k))
-		tb.add(k, int32(k+1))
-	}
-	for k := uint64(100); k < 3000; k++ {
-		if got := collectChain(&tb, k); !reflect.DeepEqual(got, []int32{int32(k + 1), int32(k)}) {
-			t.Fatalf("chain(%d) = %v after growth", k, got)
+	for k := uint32(100); k < 3097; k++ {
+		if got := tb.get(packPair(k+1, k)); got != int32(k) {
+			t.Fatalf("get(%d,%d) = %d, want %d", k+1, k, got, k)
 		}
 	}
-	if got := collectChain(&tb, 7); !reflect.DeepEqual(got, []int32{2, 1}) {
-		t.Fatalf("chain(7) = %v after growth", got)
+	if got := tb.get(packPair(7, 3)); got != 2 {
+		t.Fatalf("get(7,3) = %d after filling, want 2", got)
 	}
-	// New epoch forgets everything.
+	// A new epoch forgets everything.
 	tb.begin(2)
-	if tb.head(7) != -1 || tb.head(200) != -1 {
-		t.Fatal("stale chains survived epoch bump")
+	if tb.get(packPair(3, 7)) != -1 || tb.get(packPair(200, 201)) != -1 {
+		t.Fatal("stale pairs survived epoch bump")
 	}
 }

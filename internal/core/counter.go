@@ -40,9 +40,10 @@ type Counter struct {
 	// the direct per-estimator coin; cheaper once m ≫ w.
 	useSkip bool
 
-	// flat is the reusable per-batch working storage of the map-free
-	// bulk path.
-	flat flatScratch
+	// own is the batch index AddBatch builds for this counter. The shards
+	// of a ShardedCounter read their owner's index instead and never
+	// build this one.
+	own batchIndex
 }
 
 // Option configures a Counter.

@@ -1,16 +1,26 @@
 package core
 
-// Flat per-batch scratch tables for the map-free bulk algorithm. The four
-// Go maps the original implementation rebuilt per batch (level1, deg,
-// events, closers) are replaced by:
+import "streamtri/internal/graph"
+
+// The bulk algorithm's per-batch tables. None of them depends on an
+// estimator or draws a random number: they are a function of the batch
+// alone, so they form one read-only batch index. A flat Counter builds
+// its own index; a ShardedCounter builds one per batch in the owner
+// goroutine and every shard reads it, so p shards pay the O(w) build
+// once. The per-estimator pass (bulk.go) only reads the index:
 //
-//   - level1: a slice of (batchIdx, estimator) pairs sorted by batch index
-//     and consumed cursor-style during the first edgeIter pass;
-//   - deg:    a flat []uint32 indexed by interned vertex id;
-//   - events, closers: open-addressed tables keyed by packed uint64 keys
-//     ((internedVertex, degree) and (internedU, internedV) respectively)
-//     whose values are estimator lists stored as inline chains in a reused
-//     arena.
+//   - in, verts: the interner over the batch's endpoints, and each
+//     interned vertex's final batch degree;
+//   - edges:     each batch edge's interned endpoints and their running
+//     batch degrees just after it — β for an estimator that adopts the
+//     edge (Observation 3.6);
+//   - occ:       the occurrence list, a CSR over interned ids: the batch
+//     position at which vertex v reaches batch degree d, so an EVENTB
+//     subscription resolves with one read;
+//   - last:      the batch-edge table, canonical vertex pair -> last batch
+//     position (the paper's table Q, inverted);
+//   - vbits:     a bitmap over vertex hashes that answers "not a batch
+//     vertex" without a hash probe.
 //
 // Everything is epoch-stamped or length-reset, so steady-state batches
 // perform zero heap allocations.
@@ -25,39 +35,39 @@ func nextPow2(n, floor int) int {
 	return p
 }
 
-// l1Pair records that estimator est adopted batch edge batchIdx as its new
-// level-1 edge (the flat form of the paper's inverted index L).
-type l1Pair struct {
-	batchIdx uint32
-	est      int32
+// packPair packs two original vertex ids into one canonical uint64 key
+// (order-insensitive, so it identifies an undirected vertex pair). The
+// batch-edge table is keyed by original ids, not interned ones, because
+// wedge endpoints may predate the batch.
+func packPair(a, b uint32) uint64 {
+	if a > b {
+		a, b = b, a
+	}
+	return uint64(a)<<32 | uint64(b)
 }
 
-// estTable maps a packed uint64 key to a list of estimator indices. Lists
-// are singly linked chains through the entries arena; slots are
-// epoch-stamped so reset is O(1) and the backing arrays are reused.
-type estTable struct {
-	epoch   uint32
-	mask    uint32
-	slots   []estSlot
-	entries []estEntry
-}
-
-type estSlot struct {
+// pairTable maps a packed vertex pair to the last batch position at which
+// that pair occurs. Slots are epoch-stamped so begin is O(1) and the
+// backing array is reused. It never grows: begin sizes it for `capacity`
+// distinct pairs at load factor ≤ 1/2, and a batch of w edges holds at
+// most w pairs.
+type pairTable struct {
 	epoch uint32
+	mask  uint32
+	slots []pairSlot
+}
+
+type pairSlot struct {
 	key   uint64
-	head  int32
+	epoch uint32
+	last  int32
 }
 
-type estEntry struct {
-	est  int32
-	next int32
-}
-
-// begin starts a new batch expected to hold about `capacity` entries.
-func (t *estTable) begin(capacity int) {
+// begin starts a new batch of at most `capacity` distinct pairs.
+func (t *pairTable) begin(capacity int) {
 	need := nextPow2(2*capacity, 16)
 	if need > len(t.slots) {
-		t.slots = make([]estSlot, need)
+		t.slots = make([]pairSlot, need)
 		t.mask = uint32(need - 1)
 		t.epoch = 0
 	}
@@ -66,36 +76,28 @@ func (t *estTable) begin(capacity int) {
 		clear(t.slots)
 		t.epoch = 1
 	}
-	t.entries = t.entries[:0]
 }
 
-// add prepends est to the list at key.
-func (t *estTable) add(key uint64, est int32) {
-	// Distinct keys are bounded by entries, so growing when the arena
-	// reaches half the slot count keeps the load factor ≤ 1/2.
-	if 2*len(t.entries) >= len(t.slots) {
-		t.grow()
-	}
+// put records that key occurs at batch position i. Positions arrive in
+// increasing order, so the stored one is always the last.
+func (t *pairTable) put(key uint64, i int32) {
 	h := uint32(hash64(key)) & t.mask
 	for {
 		s := &t.slots[h]
 		if s.epoch != t.epoch {
-			*s = estSlot{epoch: t.epoch, key: key, head: -1}
+			*s = pairSlot{key: key, epoch: t.epoch, last: i}
+			return
 		}
-		if s.epoch == t.epoch && s.key == key {
-			t.entries = append(t.entries, estEntry{est: est, next: s.head})
-			s.head = int32(len(t.entries) - 1)
+		if s.key == key {
+			s.last = i
 			return
 		}
 		h = (h + 1) & t.mask
 	}
 }
 
-// head returns the first entry index of key's list, or -1 if the key is
-// absent. Walk the list with entry(); entries appended during the walk
-// (for other keys, or prepended to this one) are not visited, matching the
-// snapshot semantics the bulk passes rely on.
-func (t *estTable) head(key uint64) int32 {
+// get returns the last batch position of key, or -1 if it does not occur.
+func (t *pairTable) get(key uint64) int32 {
 	h := uint32(hash64(key)) & t.mask
 	for {
 		s := &t.slots[h]
@@ -103,150 +105,132 @@ func (t *estTable) head(key uint64) int32 {
 			return -1
 		}
 		if s.key == key {
-			return s.head
+			return s.last
 		}
 		h = (h + 1) & t.mask
 	}
 }
 
-// entry returns the estimator at chain position i and the next position
-// (-1 at the end).
-func (t *estTable) entry(i int32) (est, next int32) {
-	e := t.entries[i]
-	return e.est, e.next
+// batchVertex is one interned batch vertex: its final batch degree and
+// where its occurrences start in batchIndex.occ.
+type batchVertex struct {
+	deg, start uint32
 }
 
-// grow doubles the slot table and reinserts the current epoch's slots.
-// Chain heads and the entries arena are untouched, so ongoing walks remain
-// valid.
-func (t *estTable) grow() {
-	old := t.slots
-	t.slots = make([]estSlot, 2*len(old))
-	t.mask = uint32(len(t.slots) - 1)
-	for _, s := range old {
-		if s.epoch != t.epoch {
-			continue
-		}
-		h := uint32(hash64(s.key)) & t.mask
-		for t.slots[h].epoch == t.epoch {
-			h = (h + 1) & t.mask
-		}
-		t.slots[h] = s
-	}
+// batchEdge is one batch edge's interned endpoints and their running
+// batch degrees just after the edge.
+type batchEdge struct {
+	u, v   uint32
+	du, dv uint32
 }
 
-// packPair packs two original vertex ids into one canonical uint64 key
-// (order-insensitive, so it identifies an undirected vertex pair). Note
-// the batch-edge table is keyed by original ids — not the interned ids
-// the events table uses — because wedge endpoints may predate the batch.
-func packPair(a, b uint32) uint64 {
-	if a > b {
-		a, b = b, a
-	}
-	return uint64(a)<<32 | uint64(b)
-}
-
-// packEvent packs EVENTB(*, *, v, d) — "interned vertex v reaches batch
-// degree d" — into one uint64 key.
-func packEvent(v uint32, d uint32) uint64 {
-	return uint64(v)<<32 | uint64(d)
-}
-
-// flatScratch is the map-free successor of the original (since removed)
-// map-based scratch tables: per-batch working storage for AddBatch,
-// reused across batches so a long stream incurs no steady-state
-// allocation. Footprint is O(r + w), the bound of Theorem 3.5.
-type flatScratch struct {
-	// in densely renames the ≤ 2w distinct batch vertices so deg can be
-	// a flat slice and event keys pack into uint64s.
-	in interner
-	// deg is the running batch degree table maintained by edgeIter
-	// (Algorithm 2), indexed by interned id.
-	deg []uint32
-	// eids caches the packed interned endpoint ids of each batch edge
-	// (intern(U)<<32 | intern(V)), filled during the first pass so the
-	// second pass performs no hash lookups for them.
-	eids []uint64
-	// level1 holds (batchIdx, estimator) pairs sorted by batchIdx — the
-	// flat inverted index L, consumed by a cursor in the first pass.
-	level1 []l1Pair
-	// betaX/betaY are β(r1)(x), β(r1)(y) per estimator: the batch degree
-	// of each endpoint of r1 at the moment r1 was adopted (0 if r1
-	// predates the batch). See Observation 3.6.
-	betaX, betaY []uint32
-	// events is the paper's table P: (vertex, degree) -> estimators
-	// subscribed to that EVENTB.
-	events estTable
-	// batchEdges inverts the paper's table Q: instead of subscribing
-	// every open wedge per batch (an O(r) write load), the batch's edges
-	// are indexed once — packed original canonical (U, V) -> batch index
-	// — and each wedge performs one read to learn whether and where its
-	// closing edge occurs in the batch.
-	batchEdges estTable
-	// vbits is a bitmap over hash32 values marking batch vertices. It
-	// answers "definitely not in this batch" in one L1 probe, short-
-	// circuiting the degree and closing-edge lookups that dominate the
-	// per-estimator pass (most level-1 endpoints are untouched once
-	// m ≫ w).
+// batchIndex is the read-only index of one batch; see the file comment.
+// Footprint is O(w), the batch share of Theorem 3.5's O(r + w).
+type batchIndex struct {
+	in    interner
+	verts []batchVertex
+	edges []batchEdge
+	occ   []uint32
+	last  pairTable
+	// vbits has ~16 bits per batch vertex, which keeps the false-positive
+	// rate in the low percent while staying O(w) bytes. Most level-1
+	// endpoints are untouched once m ≫ w, and the bitmap rejects them in
+	// one probe.
 	vbits    []uint64
 	vbitMask uint32
 }
 
-func (s *flatScratch) reset(r, w int) {
-	s.in.begin(2 * w)
-	s.deg = s.deg[:0]
-	s.eids = s.eids[:0]
-	// β entries are only ever set for level-1 pairs, so clearing last
-	// batch's pairs restores the all-zero state in O(pairs) instead of
-	// O(r).
-	for _, p := range s.level1 {
-		s.betaX[p.est] = 0
-		s.betaY[p.est] = 0
-	}
-	s.level1 = s.level1[:0]
-	if cap(s.betaX) < r {
-		s.betaX = make([]uint32, r)
-		s.betaY = make([]uint32, r)
-	}
-	s.betaX = s.betaX[:r]
-	s.betaY = s.betaY[:r]
-	s.events.begin(r)
-	s.batchEdges.begin(w)
-	// ~16 bitmap bits per batch vertex keeps the false-positive rate of
-	// the fast path in the low percent while staying O(w) bytes.
+// build indexes batch, replacing the previous batch's index.
+func (x *batchIndex) build(batch []graph.Edge) {
+	w := len(batch)
+	x.in.begin(2 * w)
+	x.verts = x.verts[:0]
+	x.edges = x.edges[:0]
+	x.last.begin(w)
 	bits := nextPow2(32*w, 1024)
 	words := bits / 64
-	if words > cap(s.vbits) {
-		s.vbits = make([]uint64, words)
+	if words > cap(x.vbits) {
+		x.vbits = make([]uint64, words)
 	}
-	s.vbits = s.vbits[:words]
-	clear(s.vbits)
-	s.vbitMask = uint32(bits - 1)
+	x.vbits = x.vbits[:words]
+	clear(x.vbits)
+	x.vbitMask = uint32(bits - 1)
+
+	// Pass 1 (the paper's edgeIter): intern both endpoints and record the
+	// degree each reaches, one endpoint increment at a time, so that a
+	// self loop's two increments get two distinct degrees.
+	for i, e := range batch {
+		iu, du := x.touch(e.U)
+		iv, dv := x.touch(e.V)
+		x.edges = append(x.edges, batchEdge{u: iu, v: iv, du: du, dv: dv})
+		x.last.put(packPair(e.U, e.V), int32(i))
+	}
+	// Lay the occurrence lists out by final degree, then fill them. Each
+	// endpoint increment owns exactly one slot, so every slot is written
+	// from this batch.
+	var n uint32
+	for i := range x.verts {
+		x.verts[i].start = n
+		n += x.verts[i].deg
+	}
+	if int(n) > cap(x.occ) {
+		x.occ = make([]uint32, n)
+	}
+	x.occ = x.occ[:n]
+	for i, e := range x.edges {
+		x.occ[x.verts[e.u].start+e.du-1] = uint32(i)
+		x.occ[x.verts[e.v].start+e.dv-1] = uint32(i)
+	}
 }
 
-// markVertex records hash as belonging to a batch vertex.
-func (s *flatScratch) markVertex(hash uint32) {
-	i := hash & s.vbitMask
-	s.vbits[i>>6] |= 1 << (i & 63)
+// touch interns batch endpoint v, marks it in the bitmap and bumps its
+// degree, returning its id and new degree.
+func (x *batchIndex) touch(v graph.NodeID) (id, deg uint32) {
+	h := hash32(v)
+	i := h & x.vbitMask
+	x.vbits[i>>6] |= 1 << (i & 63)
+	id = x.in.internHashed(v, h)
+	if int(id) == len(x.verts) {
+		x.verts = append(x.verts, batchVertex{})
+	}
+	x.verts[id].deg++
+	return id, x.verts[id].deg
 }
 
 // mayContain reports whether a vertex hashing to hash might be a batch
 // vertex (no false negatives).
-func (s *flatScratch) mayContain(hash uint32) bool {
-	i := hash & s.vbitMask
-	return s.vbits[i>>6]&(1<<(i&63)) != 0
+func (x *batchIndex) mayContain(hash uint32) bool {
+	i := hash & x.vbitMask
+	return x.vbits[i>>6]&(1<<(i&63)) != 0
 }
 
-// degOf returns the current batch degree of vertex v (0 if v is not a
-// batch vertex).
-func (s *flatScratch) degOf(v uint32) uint32 {
+// degree returns v's interned id and final batch degree; the degree is 0
+// (and the id meaningless) if v is not a batch vertex.
+func (x *batchIndex) degree(v graph.NodeID) (id, deg uint32) {
 	h := hash32(v)
-	if !s.mayContain(h) {
-		return 0
+	if !x.mayContain(h) {
+		return 0, 0
 	}
-	id, ok := s.in.lookupHashed(v, h)
+	id, ok := x.in.lookupHashed(v, h)
 	if !ok {
-		return 0
+		return 0, 0
 	}
-	return s.deg[id]
+	return id, x.verts[id].deg
+}
+
+// reach returns the batch position at which interned vertex v reaches
+// batch degree d (1 ≤ d ≤ v's final batch degree): where EVENTB(v, d)
+// fires.
+func (x *batchIndex) reach(v, d uint32) uint32 {
+	return x.occ[x.verts[v].start+d-1]
+}
+
+// closes reports whether the batch holds the edge {u, v} at a position
+// after `after` (pass -1 for anywhere in the batch): the test that closes
+// a wedge whose outer endpoints are u and v.
+func (x *batchIndex) closes(u, v graph.NodeID, after int32) bool {
+	if !x.mayContain(hash32(u)) || !x.mayContain(hash32(v)) {
+		return false
+	}
+	return x.last.get(packPair(u, v)) > after
 }

@@ -18,7 +18,12 @@ import (
 // amenable to parallelization (realized in the authors' follow-up CIKM
 // 2013 paper); this is the natural shared-nothing realization: estimators
 // are mutually independent, so partitioning them preserves the exact
-// estimate distribution while dividing the per-batch work.
+// estimate distribution.
+//
+// Shards split only the per-estimator work. The batch index — interning,
+// degrees, occurrence lists and the batch-edge table, the O(w) part of
+// Theorem 3.5 — draws no random number, so the owner builds it once per
+// batch before the handoff and every shard reads it.
 //
 // The pool is spawned lazily on the first batch and reused for the
 // counter's lifetime, so AddBatch pays a channel handoff per shard rather
@@ -57,6 +62,10 @@ type ShardedCounter struct {
 // counters — never the ShardedCounter — so an abandoned counter's cleanup
 // can stop them.
 type shardPool struct {
+	// idx indexes the batch in flight. The owner builds it before the
+	// handoff and rebuilds it only after every worker has acknowledged,
+	// so workers read it without locks.
+	idx  batchIndex
 	work []chan []graph.Edge
 	done chan struct{}
 	stop sync.Once
@@ -77,7 +86,8 @@ func newShardPool(shards []*Counter) *shardPool {
 		p.work[i] = ch
 		go func(c *Counter, ch chan []graph.Edge) {
 			for b := range ch {
-				c.AddBatch(b)
+				c.absorb(b, &p.idx)
+				c.publish()
 				p.done <- struct{}{}
 			}
 		}(s, ch)
@@ -86,6 +96,7 @@ func newShardPool(shards []*Counter) *shardPool {
 }
 
 func (p *shardPool) submit(batch []graph.Edge) {
+	p.idx.build(batch)
 	for _, ch := range p.work {
 		ch <- batch
 	}
@@ -198,11 +209,12 @@ func (sc *ShardedCounter) AddBatch(batch []graph.Edge) {
 	sc.barrier()
 }
 
-// AddBatchAsync hands the batch to the shard workers and returns without
-// waiting for them, first completing any previously outstanding batch (at
-// most one batch is in flight). The caller must not mutate batch until
-// the next call into the counter. This is the double-buffered handoff:
-// produce the next batch while the workers chew on this one.
+// AddBatchAsync builds the batch index, hands the batch to the shard
+// workers and returns without waiting for them, first completing any
+// previously outstanding batch (at most one batch is in flight). The
+// caller must not mutate batch until the next call into the counter.
+// This is the double-buffered handoff: produce the next batch while the
+// workers chew on this one.
 func (sc *ShardedCounter) AddBatchAsync(batch []graph.Edge) {
 	sc.barrier()
 	if len(batch) == 0 {
