@@ -53,10 +53,12 @@ race:
 # also pushes whatever decodes through the watermark stage),
 # FuzzOrderedMergeMatchesReference (the ordered merge over up to 8
 # v2/slice/text sources with arbitrary timestamps must equal the naive
-# reference merge), and FuzzWindowCheckpointDecode (the NSTW
+# reference merge), FuzzWindowCheckpointDecode (the NSTW
 # sliding-window checkpoint decoder: accepted bytes must decode to a
 # reachable estimator state and re-encode identically; everything else
-# is rejected by name). Entries are package:Target pairs so targets can
+# is rejected by name), and FuzzCounterCheckpointDecode (the NSTC/NSTS
+# decoders: no panic or runaway allocation, and decode → WriteTo →
+# decode must keep the state). Entries are package:Target pairs so targets can
 # live next to the code they fuzz. `go test` alone already replays the
 # seed corpus; this target actually mutates.
 FUZZTIME ?= 20s
@@ -68,7 +70,8 @@ FUZZ_TARGETS := \
 	internal/stream:FuzzTimestampedBinarySourceFill \
 	internal/stream:FuzzBlockBinarySourceFill \
 	internal/stream:FuzzOrderedMergeMatchesReference \
-	internal/window:FuzzWindowCheckpointDecode
+	internal/window:FuzzWindowCheckpointDecode \
+	internal/core:FuzzCounterCheckpointDecode
 fuzz-smoke:
 	for t in $(FUZZ_TARGETS); do \
 		$(GO) test -run xxx -fuzz "$${t##*:}"'$$' -fuzztime $(FUZZTIME) "./$${t%%:*}/"; \

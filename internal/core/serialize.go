@@ -186,14 +186,17 @@ func readCounter(br *bufio.Reader) (*Counter, error) {
 		return nil, fmt.Errorf("core: restoring rng state: %w", err)
 	}
 
+	// The header's count is not trusted for the allocation: estimators are
+	// appended as they are read, so a damaged header claiming billions of
+	// them fails at EOF instead of exhausting memory.
 	c := &Counter{
-		ests:    make([]Estimator, rCount),
+		ests:    make([]Estimator, 0, min(rCount, 1<<16)),
 		m:       m,
 		rng:     rng,
 		useSkip: flags&flagUseSkip != 0,
 	}
-	for i := range c.ests {
-		est := &c.ests[i]
+	for i := uint64(0); i < rCount; i++ {
+		var est Estimator
 		var st uint8
 		fields := []any{
 			&est.r1.U, &est.r1.V, &est.r2.U, &est.r2.V,
@@ -207,6 +210,7 @@ func readCounter(br *bufio.Reader) (*Counter, error) {
 		est.hasR1 = st&stHasR1 != 0
 		est.hasR2 = st&stHasR2 != 0
 		est.hasT = st&stHasT != 0
+		c.ests = append(c.ests, est)
 	}
 	c.publish()
 	return c, nil
