@@ -6,6 +6,7 @@ import (
 
 	"streamtri/internal/graph"
 	"streamtri/internal/randx"
+	"streamtri/internal/stream"
 )
 
 // randomSimpleStream decodes raw fuzz bytes into a simple edge stream on
@@ -84,22 +85,65 @@ func exactStateConsistent(edges []graph.Edge, c *Counter) bool {
 }
 
 // Property: for ANY simple stream and ANY batch segmentation, the bulk
-// counter's final state is internally consistent with the stream.
+// counter's final state is internally consistent with the stream — for a
+// flat counter and for every shard of a sharded one. Batches of up to 64
+// edges over 32 vertices give the batch index repeated high-degree
+// vertices within one batch.
 func TestPropertyBulkStateConsistency(t *testing.T) {
-	f := func(raw []uint16, seed uint64, wRaw uint8) bool {
-		edges := randomSimpleStream(raw)
-		w := int(wRaw%16) + 1
+	f := func(raw [256]uint16, n uint8, seed uint64, wRaw, pRaw uint8) bool {
+		edges := randomSimpleStream(raw[:n])
+		w := int(wRaw%64) + 1
 		c := NewCounter(40, seed)
+		sc := NewShardedCounter(40, int(pRaw%4)+1, seed)
+		defer sc.Close()
 		for lo := 0; lo < len(edges); lo += w {
-			hi := lo + w
-			if hi > len(edges) {
-				hi = len(edges)
-			}
+			hi := min(lo+w, len(edges))
 			c.AddBatch(edges[lo:hi])
+			sc.AddBatch(edges[lo:hi])
 		}
-		return c.Edges() == uint64(len(edges)) && exactStateConsistent(edges, c)
+		if c.Edges() != uint64(len(edges)) || !exactStateConsistent(edges, c) ||
+			sc.Edges() != uint64(len(edges)) {
+			return false
+		}
+		for _, s := range sc.shards {
+			if !exactStateConsistent(edges, s) {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: self loops are outside the simple-stream contract, but
+// AddBatch and NewSliceSource pass them through, so a batch carrying one
+// must not panic a flat or sharded counter. A self loop raises its
+// vertex's batch degree twice in one edge; every degree it passes must
+// still resolve to a batch position.
+func TestPropertyBulkSelfLoopsNoPanic(t *testing.T) {
+	f := func(raw []uint16, seed uint64, wRaw, pRaw uint8) bool {
+		var edges []graph.Edge
+		for i := 0; i+1 < len(raw); i += 2 {
+			edges = append(edges, graph.Edge{U: graph.NodeID(raw[i] % 8), V: graph.NodeID(raw[i+1] % 8)})
+		}
+		// Always carry at least one loop, on a vertex with other edges.
+		edges = append(edges, graph.Edge{U: 1, V: 2}, graph.Edge{U: 2, V: 2}, graph.Edge{U: 2, V: 3})
+		w := int(wRaw%16) + 1
+		c := NewCounter(500, seed)
+		sc := NewShardedCounter(500, int(pRaw%4)+1, seed)
+		defer sc.Close()
+		if err := stream.Batches(stream.NewSliceSource(edges), w, func(b []graph.Edge) error {
+			c.AddBatch(b)
+			sc.AddBatch(b)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return c.Edges() == uint64(len(edges)) && sc.Edges() == uint64(len(edges))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }
