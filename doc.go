@@ -30,25 +30,29 @@
 //
 // # Performance
 //
-// The batch hot path is map-free and allocation-free at steady state:
-// each batch's vertices are interned to dense ids through an
-// epoch-stamped hash index, the degree table is a flat slice indexed by
-// interned id, the level-1 inverted index is a batch-index-sorted pair
-// list consumed by a cursor, EVENTB subscriptions live in an
-// open-addressed table with packed (vertex, degree) uint64 keys and
-// inline chains, and wedge closing is resolved by probing a per-batch
-// edge index (guarded by a batch-vertex bitmap) instead of re-subscribing
-// every open wedge. All scratch storage is reused across batches — the
-// only steady-state heap allocation per AddBatch is the fixed-size
-// estimate snapshot published for lock-free readers (see Serving); it
-// measured 2.5–3× faster than the original map-based tables while both
-// paths existed (that comparison predates the map path's removal — the
-// cells tracked in BENCH_core.json today all measure the surviving
-// implementations; regenerate with `make bench-core`).
-// ParallelTriangleCounter feeds a persistent
-// per-shard worker pool through double-buffered batch handoff, so shard
-// processing overlaps edge intake with no per-batch goroutine spawning
-// and no copying.
+// The batch hot path is map-free and allocation-free at steady state.
+// AddBatch runs in two parts. The first builds a batch index from the
+// batch alone: its vertices are interned to dense ids through an
+// epoch-stamped hash index, each vertex's final batch degree and each
+// edge's running endpoint degrees land in flat slices, a batch-vertex
+// bitmap records the batch's vertices, a batch-edge table maps each
+// vertex pair to its last batch position, and a per-vertex occurrence
+// list (a CSR over the interned ids) names the batch position at which
+// each vertex reaches each batch degree. The second part draws every
+// random number and only reads the index: an estimator that adopted a
+// batch edge takes its β from that edge's running degrees, an EVENTB
+// subscription resolves with one read of the occurrence list, and a
+// wedge is closed by one probe of the batch-edge table (usually
+// rejected by the bitmap first) instead of re-subscribing every open
+// wedge. All storage is reused across batches — the only steady-state
+// heap allocation per AddBatch is the fixed-size estimate snapshot
+// published for lock-free readers (see Serving). ParallelTriangleCounter
+// builds the index once per batch and shares it across a persistent
+// per-shard worker pool, so shards split only the per-estimator work;
+// double-buffered batch handoff overlaps shard processing with edge
+// intake, with no per-batch goroutine spawning and no copying. Cells
+// tracked in BENCH_core.json measure these paths; regenerate with
+// `make bench-core`.
 //
 // # Pipelined ingestion
 //

@@ -46,9 +46,9 @@ func TestFlatDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestFlatStateInvariantsLargeBatch exercises the flat tables through
-// interner and event/closer table growth (batch far larger than the
-// initial table sizes) and checks the exact structural invariants.
+// TestFlatStateInvariantsLargeBatch exercises the batch index on one
+// batch far larger than r, and far larger than the tables' initial
+// sizes, and checks the exact structural invariants.
 func TestFlatStateInvariantsLargeBatch(t *testing.T) {
 	rng := randx.New(9)
 	edges := stream.Shuffle(gen.HolmeKim(rng, 3000, 4, 0.6), rng)

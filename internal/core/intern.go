@@ -7,9 +7,8 @@ import "streamtri/internal/graph"
 // per-batch `map[graph.NodeID]uint32` the bulk algorithm would otherwise
 // rebuild: the hash index is epoch-stamped, so starting a new batch is a
 // single counter bump instead of a table clear, and every slice is reused
-// across batches. Footprint is O(k) where k ≤ 2w + 2r (batch endpoints
-// plus wedge endpoints subscribed by estimators), within the Theorem 3.5
-// space bound.
+// across batches. Footprint is O(k) where k ≤ 2w: only the batch's own
+// endpoints are interned. That is within the Theorem 3.5 space bound.
 type interner struct {
 	epoch uint32
 	mask  uint32
@@ -123,8 +122,8 @@ func hash32(v uint32) uint32 {
 	return v
 }
 
-// hash64 is splitmix64's finalizer, used for the packed uint64 keys of the
-// event and closer tables.
+// hash64 is splitmix64's finalizer, used for the packed vertex-pair keys
+// of the batch-edge table.
 func hash64(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9

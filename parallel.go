@@ -6,7 +6,10 @@ import "streamtri/internal/core"
 // across p shards processed by a persistent pool of p worker goroutines —
 // the parallelization direction the paper's conclusion points to.
 // Estimators are mutually independent, so sharding leaves the estimate
-// distribution unchanged while dividing per-batch CPU time across cores.
+// distribution unchanged. Shards split only the per-estimator work: each
+// batch's index (interning, degrees, the batch-edge table), the part of
+// a batch's cost that grows with its size, is built once and read by
+// every shard.
 //
 // Add fills one of two internal buffers; a full buffer is handed to the
 // shard pool asynchronously while the other buffer keeps accepting edges
