@@ -78,7 +78,8 @@ func (c *Counter) absorb(batch []graph.Edge, x *batchIndex) {
 		}
 		// ix, iy are r1's interned endpoints, dx, dy their final batch
 		// degrees, and bx, by their degrees when r1 arrived (β; 0 when r1
-		// predates the batch).
+		// predates the batch). The upper bound on r1Pos only matters for a
+		// damaged restored state; it keeps such a state inside the index.
 		var ix, iy, dx, dy, bx, by uint32
 		if est.r1Pos > mOld && est.r1Pos <= total {
 			e := &x.edges[est.r1Pos-mOld-1]

@@ -148,12 +148,12 @@ func TestInternerDenseIdsAndEpochReuse(t *testing.T) {
 	if in.size() != 4 {
 		t.Fatalf("size = %d, want 4", in.size())
 	}
-	if _, ok := in.lookup(999); ok {
+	if _, ok := in.lookupHashed(999, hash32(999)); ok {
 		t.Fatal("lookup of unseen vertex succeeded")
 	}
 	// New epoch: all previous keys must be forgotten, ids restart at 0.
 	in.begin(4)
-	if _, ok := in.lookup(10); ok {
+	if _, ok := in.lookupHashed(10, hash32(10)); ok {
 		t.Fatal("stale key survived epoch bump")
 	}
 	if id := in.intern(7); id != 0 {
@@ -171,7 +171,7 @@ func TestInternerGrowth(t *testing.T) {
 		}
 	}
 	for v := graph.NodeID(0); v < n; v++ {
-		id, ok := in.lookup(v * 7919)
+		id, ok := in.lookupHashed(v*7919, hash32(v*7919))
 		if !ok || id != uint32(v) {
 			t.Fatalf("after growth: lookup(%d) = %d,%v, want %d", v*7919, id, ok, v)
 		}

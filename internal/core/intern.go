@@ -73,12 +73,8 @@ func (in *interner) internHashed(v graph.NodeID, hash uint32) uint32 {
 	}
 }
 
-// lookup returns the dense id of v and whether v was interned this batch.
-func (in *interner) lookup(v graph.NodeID) (uint32, bool) {
-	return in.lookupHashed(v, hash32(v))
-}
-
-// lookupHashed is lookup with the hash precomputed.
+// lookupHashed returns the dense id of v, whose hash32 is hash, and
+// whether v was interned this batch.
 func (in *interner) lookupHashed(v graph.NodeID, hash uint32) (uint32, bool) {
 	h := hash & in.mask
 	for {
