@@ -218,8 +218,8 @@ func BenchmarkLevel1Skip(b *testing.B) {
 
 // --- Map-free bulk path: public-API view of the core rewrite ----------
 
-// BenchmarkParallelAddBatch measures the double-buffered sharded intake
-// path end to end (persistent worker pool + flat scratch tables); the
+// BenchmarkParallelAddBatch measures the sharded intake path end to end
+// (shared batch index + flat scratch tables); the
 // per-implementation cells live in internal/bench (BenchmarkAddBatchFlat,
 // BenchmarkShardedAddBatch) and are committed as BENCH_core.json.
 func BenchmarkParallelAddBatch(b *testing.B) {
@@ -229,7 +229,6 @@ func BenchmarkParallelAddBatch(b *testing.B) {
 	for _, p := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
 			pc := streamtri.NewParallelTriangleCounter(r, p, streamtri.WithSeed(1))
-			defer pc.Close()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, e := range edges {

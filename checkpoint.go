@@ -44,9 +44,9 @@ func RestoreTriangleCounter(r io.Reader) (*TriangleCounter, error) {
 }
 
 // WriteTo checkpoints the parallel counter: buffered edges are flushed,
-// the shard pool drains, and the full sharded state (per-shard
-// estimators, stream position, random-generator states) is written so a
-// restore resumes bit-identically. It implements io.WriterTo.
+// and the full sharded state (per-shard estimators, stream position,
+// random-generator states) is written so a restore resumes
+// bit-identically. It implements io.WriterTo.
 func (t *ParallelTriangleCounter) WriteTo(w io.Writer) (int64, error) {
 	t.Flush()
 	var hdr [8]byte
@@ -60,9 +60,9 @@ func (t *ParallelTriangleCounter) WriteTo(w io.Writer) (int64, error) {
 
 // RestoreParallelTriangleCounter reads a checkpoint written by
 // ParallelTriangleCounter.WriteTo and returns a counter that continues
-// exactly where the original left off (the worker pool respawns on the
-// first batch). The restored counter answers Snapshot and Estimate
-// queries immediately, bit-identically to the checkpointed state.
+// exactly where the original left off. The restored counter answers
+// Snapshot and Estimate queries immediately, bit-identically to the
+// checkpointed state.
 func RestoreParallelTriangleCounter(r io.Reader) (*ParallelTriangleCounter, error) {
 	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {

@@ -167,7 +167,7 @@ func main() {
 	}
 
 	// Stop the loop; its exit path runs the final CheckpointAll, and
-	// Close tears down the tenant pools (re-checkpointing is a no-op).
+	// Close closes any tenant WALs (re-checkpointing is a no-op).
 	stopCkpt()
 	<-ckptDone
 	if err := srv.Close(); err != nil {

@@ -55,7 +55,6 @@ func main() {
 
 	tc := streamtri.NewParallelTriangleCounter(1<<14, 2,
 		streamtri.WithSeed(5), streamtri.WithBatchSize(1<<14))
-	defer tc.Close()
 
 	start := time.Now()
 	st, err := tc.CountStreams(context.Background(), srcs...)

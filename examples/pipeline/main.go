@@ -1,10 +1,9 @@
 // Pipelined ingestion: count triangles in an edge file WITHOUT ever
 // holding the graph in memory. The decode pipeline reads fixed-size
 // batches on its own goroutine (backpressured by a small recycle ring)
-// while the sharded worker pool absorbs them — so I/O+decode time
-// overlaps processing, the way the paper's Table 3 prices them
-// separately, and the resident set stays a few batch buffers regardless
-// of file size.
+// while the sharded counter absorbs them — so I/O+decode time overlaps
+// processing, the way the paper's Table 3 prices them separately, and
+// the resident set stays a few batch buffers regardless of file size.
 package main
 
 import (
@@ -39,7 +38,6 @@ func main() {
 
 	tc := streamtri.NewParallelTriangleCounter(1<<14, 2,
 		streamtri.WithSeed(5), streamtri.WithBatchSize(1<<14))
-	defer tc.Close()
 
 	start := time.Now()
 	st, err := tc.CountStream(context.Background(), streamtri.NewBinaryEdgeSource(in))

@@ -8,8 +8,8 @@ import (
 	"streamtri/internal/core"
 )
 
-// Benchmarks for the map-free AddBatch hot path and the worker-pool
-// sharded counter, across w ∈ {r/4, r, 4r}. `make bench-core` runs the
+// Benchmarks for the map-free AddBatch hot path and the sharded
+// counter, across w ∈ {r/4, r, 4r}. `make bench-core` runs the
 // same cells through RunCoreBenchSuite and commits the results as
 // BENCH_core.json. (The map-based baseline cells were retired together
 // with the WithMapScratch path itself.)
@@ -42,9 +42,7 @@ func BenchmarkServeIngestUnderReaders(b *testing.B) {
 	data := EncodeBinaryEdges(CoreBenchStream(coreBenchEdges))
 	r, w, p := PipeBenchR, 8*PipeBenchR, BenchShards
 	b.Run(fmt.Sprintf("readers=%d/r=%d/w=%d/p=%d", ServeBenchReaders, r, w, p), func(b *testing.B) {
-		sc := core.NewShardedCounter(r, p, 1)
-		defer sc.Close()
-		BenchServeIngestUnderReaders(b, data, w, 2, ServeBenchReaders, sc)
+		BenchServeIngestUnderReaders(b, data, w, 2, ServeBenchReaders, core.NewShardedCounter(r, p, 1))
 	})
 }
 
@@ -86,7 +84,6 @@ func TestCoreBenchPlumbing(t *testing.T) {
 		t.Fatalf("counter absorbed %d of %d edges", c.Edges(), len(edges))
 	}
 	sc := core.NewShardedCounter(32, 2, 1)
-	defer sc.Close()
 	streamInBatches(sc, edges, 100)
 	if sc.Edges() != uint64(len(edges)) {
 		t.Fatalf("sharded counter absorbed %d of %d edges", sc.Edges(), len(edges))
@@ -100,9 +97,7 @@ func TestCoreBenchPlumbing(t *testing.T) {
 func TestServeBenchPlumbing(t *testing.T) {
 	data := EncodeBinaryEdges(CoreBenchStream(1 << 12))
 	res := testing.Benchmark(func(b *testing.B) {
-		sc := core.NewShardedCounter(64, 2, 1)
-		defer sc.Close()
-		BenchServeIngestUnderReaders(b, data, 256, 2, 2, sc)
+		BenchServeIngestUnderReaders(b, data, 256, 2, 2, core.NewShardedCounter(64, 2, 1))
 	})
 	if res.N < 1 {
 		t.Fatalf("serving benchmark did not run: %+v", res)

@@ -33,9 +33,7 @@ func BenchmarkPipelinedShardedCount(b *testing.B) {
 	data := EncodeBinaryEdges(CoreBenchStream(PipeBenchEdges))
 	p := BenchShards
 	b.Run(fmt.Sprintf("r=%d/w=%d/p=%d", PipeBenchR, 8*PipeBenchR, p), func(b *testing.B) {
-		sc := core.NewShardedCounter(PipeBenchR, p, 1)
-		defer sc.Close()
-		BenchPipePipelined(b, data, 8*PipeBenchR, 2, sc)
+		BenchPipePipelined(b, data, 8*PipeBenchR, 2, core.NewShardedCounter(PipeBenchR, p, 1))
 	})
 }
 

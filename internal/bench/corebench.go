@@ -15,7 +15,7 @@ import (
 )
 
 // Core hot-path benchmarks: map-based vs flat AddBatch and the sharded
-// worker pool, across batch sizes w ∈ {r/4, r, 4r}. RunCoreBenchSuite
+// counter, across batch sizes w ∈ {r/4, r, 4r}. RunCoreBenchSuite
 // renders the results as a machine-readable report (BENCH_core.json) so
 // successive PRs can track the perf trajectory of the system's hottest
 // path.
@@ -99,11 +99,9 @@ func BenchCoreAddBatch(b *testing.B, edges []graph.Edge, r, w int, opts ...core.
 	b.ReportMetric(float64(len(edges))*float64(b.N)/b.Elapsed().Seconds()/1e6, "Medges/s")
 }
 
-// BenchCoreShardedAddBatch is BenchCoreAddBatch for the worker-pool
-// ShardedCounter.
+// BenchCoreShardedAddBatch is BenchCoreAddBatch for the ShardedCounter.
 func BenchCoreShardedAddBatch(b *testing.B, edges []graph.Edge, r, p, w int) {
 	sc := core.NewShardedCounter(r, p, 1)
-	defer sc.Close()
 	streamInBatches(sc, edges, w)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -72,10 +72,10 @@ func warmSlurp(c *core.Counter, data []byte, w int) {
 }
 
 // BenchPipePipelined measures the pipelined ingestion over the same
-// bytes: bulk batch decoding on the decoder goroutine, double-buffered
-// AddBatchAsync handoff into the sink, zero steady-state allocation.
-// sink is a *core.Counter or *core.ShardedCounter.
-func BenchPipePipelined(b *testing.B, data []byte, w, depth int, sink stream.AsyncSink) {
+// bytes: bulk batch decoding on the decoder goroutine overlapping the
+// sink's AddBatch, zero steady-state allocation. sink is a *core.Counter
+// or *core.ShardedCounter.
+func BenchPipePipelined(b *testing.B, data []byte, w, depth int, sink stream.Sink) {
 	pipeOnePass(b, data, w, depth, sink) // warm scratch tables untimed
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -86,7 +86,7 @@ func BenchPipePipelined(b *testing.B, data []byte, w, depth int, sink stream.Asy
 	reportEdgesPerSec(b, len(data)/8)
 }
 
-func pipeOnePass(b *testing.B, data []byte, w, depth int, sink stream.AsyncSink) {
+func pipeOnePass(b *testing.B, data []byte, w, depth int, sink stream.Sink) {
 	p, err := stream.NewPipeline(context.Background(), stream.NewBinarySource(bytes.NewReader(data)), w, depth)
 	if err != nil {
 		b.Fatal(err)
@@ -165,9 +165,7 @@ func RunPipelineBenchCells(r, w, shards int) []CoreBenchRow {
 			})),
 		benchRow(fmt.Sprintf("PipelinedShardedCount/r=%d/w=%d/p=%d", r, w, shards), "pipeline-sharded", m, r, w, shards,
 			medianBenchmark(runs, func(b *testing.B) {
-				sc := core.NewShardedCounter(r, shards, 1)
-				defer sc.Close()
-				BenchPipePipelined(b, data, w, 2, sc)
+				BenchPipePipelined(b, data, w, 2, core.NewShardedCounter(r, shards, 1))
 			})),
 		benchRow(fmt.Sprintf("MultiPipelinedCount/files=2/r=%d/w=%d", r, w), "multi-pipeline", m, r, w, 0,
 			medianBenchmark(runs, func(b *testing.B) {
@@ -231,7 +229,7 @@ func EncodeTimestampedShards(edges []graph.Edge, k int) [][]byte {
 // MultiPipelinedCount cell (the binary-heap merge sat at 1.23x):
 // determinism is the point, the tournament replays and the extra buffer
 // hop are the price, and that price must stay small.
-func BenchOrderedPipelined(b *testing.B, shards [][]byte, w int, sink stream.AsyncSink) {
+func BenchOrderedPipelined(b *testing.B, shards [][]byte, w int, sink stream.Sink) {
 	m := 0
 	for _, d := range shards {
 		m += (len(d) - 8) / 16
@@ -270,7 +268,7 @@ func BenchOrderedPipelined(b *testing.B, shards [][]byte, w int, sink stream.Asy
 // cell prices the stage's pure overhead on the hot path (the heap-free
 // fillDirect scan); the acceptance bar is staying within 1.15x of the
 // unwrapped OrderedMergedCount/files=2 cell.
-func BenchWatermarkedPipelined(b *testing.B, shards [][]byte, w int, sink stream.AsyncSink) {
+func BenchWatermarkedPipelined(b *testing.B, shards [][]byte, w int, sink stream.Sink) {
 	m := 0
 	for _, d := range shards {
 		m += (len(d) - 8) / 16
@@ -310,7 +308,7 @@ func BenchWatermarkedPipelined(b *testing.B, shards [][]byte, w int, sink stream
 
 // BenchMultiPipelined measures merged multi-file ingestion: one bulk
 // decoder per shard feeding the shared recycle ring, drained into sink.
-func BenchMultiPipelined(b *testing.B, shards [][]byte, w int, sink stream.AsyncSink) {
+func BenchMultiPipelined(b *testing.B, shards [][]byte, w int, sink stream.Sink) {
 	m := 0
 	for _, d := range shards {
 		m += len(d) / 8
@@ -412,7 +410,7 @@ func RunBlockBenchCells(r, w int) []CoreBenchRow {
 // validated views directly. The edge count cannot be derived from the byte
 // length (blocks carry headers and may be compressed), so it is passed
 // in.
-func BenchOrderedBlockPipelined(b *testing.B, shards [][]byte, m, w int, sink stream.AsyncSink) {
+func BenchOrderedBlockPipelined(b *testing.B, shards [][]byte, m, w int, sink stream.Sink) {
 	onePass := func() {
 		srcs := make([]stream.TimestampedSource, len(shards))
 		for i, d := range shards {
@@ -462,8 +460,7 @@ func (s nextOnlySource) Next() (graph.Edge, error) { return s.src.Next() }
 // separately from processing.
 type discardSink struct{}
 
-func (discardSink) AddBatchAsync([]graph.Edge) {}
-func (discardSink) Barrier()                   {}
+func (discardSink) AddBatch([]graph.Edge) {}
 
 // RunTextBenchCells measures text-format decoding through the pipeline:
 // the per-edge Next path vs the bulk window scanner (TextSource.Fill),
@@ -491,7 +488,7 @@ func RunTextBenchCells(r, w int) []CoreBenchRow {
 
 // BenchTextPipelined measures pipelined text ingestion; bulk selects the
 // TextSource.Fill window scanner, otherwise the per-edge Next fallback.
-func BenchTextPipelined(b *testing.B, data []byte, w, m int, sink stream.AsyncSink, bulk bool) {
+func BenchTextPipelined(b *testing.B, data []byte, w, m int, sink stream.Sink, bulk bool) {
 	benchSourcePipelined(b, w, m, sink, func() stream.Source {
 		var src stream.Source = stream.NewTextSource(bytes.NewReader(data))
 		if !bulk {
@@ -504,7 +501,7 @@ func BenchTextPipelined(b *testing.B, data []byte, w, m int, sink stream.AsyncSi
 // benchSourcePipelined drives one source per pass through the minimal
 // pipeline (ring depth 2) into sink — the decode-cell harness shared by
 // the plain and timestamped text benchmarks.
-func benchSourcePipelined(b *testing.B, w, m int, sink stream.AsyncSink, newSrc func() stream.Source) {
+func benchSourcePipelined(b *testing.B, w, m int, sink stream.Sink, newSrc func() stream.Source) {
 	onePass := func() {
 		p, err := stream.NewPipeline(context.Background(), newSrc(), w, 2)
 		if err != nil {
@@ -573,7 +570,7 @@ func RunTsTextBenchCells(r, w int) []CoreBenchRow {
 // BenchTsTextPipelined measures pipelined temporal text ingestion; bulk
 // selects the fused FillTimestamped window scanner, otherwise the
 // per-edge NextTimestamped fallback.
-func BenchTsTextPipelined(b *testing.B, data []byte, w, m int, sink stream.AsyncSink, bulk bool) {
+func BenchTsTextPipelined(b *testing.B, data []byte, w, m int, sink stream.Sink, bulk bool) {
 	benchSourcePipelined(b, w, m, sink, func() stream.Source {
 		src := stream.StripTimestamps(stream.NewTimestampedTextSource(bytes.NewReader(data)))
 		if !bulk {

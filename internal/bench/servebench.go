@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"streamtri/internal/core"
-	"streamtri/internal/stream"
 )
 
 // Serving benchmark: ingestion throughput while concurrent readers poll
@@ -79,13 +78,7 @@ func RunServeBenchCells(r, w, shards int) []CoreBenchRow {
 		benchRow(fmt.Sprintf("ServeIngestUnderReaders/readers=%d/r=%d/w=%d/p=%d", ServeBenchReaders, r, w, shards),
 			"serve-pipeline", m, r, w, shards,
 			medianBenchmark(runs, func(b *testing.B) {
-				sc := core.NewShardedCounter(r, shards, 1)
-				defer sc.Close()
-				BenchServeIngestUnderReaders(b, data, w, 2, ServeBenchReaders, sc)
+				BenchServeIngestUnderReaders(b, data, w, 2, ServeBenchReaders, core.NewShardedCounter(r, shards, 1))
 			})),
 	}
 }
-
-// Compile-time check that the sharded counter still satisfies the
-// pipeline sink contract the serving cell drains into.
-var _ stream.AsyncSink = (*core.ShardedCounter)(nil)

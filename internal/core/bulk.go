@@ -20,15 +20,6 @@ func (c *Counter) AddBatch(batch []graph.Edge) {
 	c.publish()
 }
 
-// AddBatchAsync absorbs the batch synchronously before returning; it
-// exists so Counter presents the same deferred-completion shape as
-// ShardedCounter (the stream.AsyncSink contract), letting pipeline code
-// drive either counter without caring which one it has.
-func (c *Counter) AddBatchAsync(batch []graph.Edge) { c.AddBatch(batch) }
-
-// Barrier is a no-op: Counter has no asynchronous work in flight.
-func (c *Counter) Barrier() {}
-
 // absorb advances every estimator over batch, whose index x has already
 // been built. It draws every random number of the batch and only reads
 // x, so the shards of a ShardedCounter can share one index. Draws happen

@@ -98,12 +98,10 @@ func TestAddBatchZeroAllocsSteadyState(t *testing.T) {
 	}
 }
 
-// TestShardedAddBatchZeroAllocsSteadyState: the persistent worker pool
-// must keep ShardedCounter.AddBatch free of per-batch goroutine spawning
-// and scratch growth at steady state (the old implementation spawned p
-// goroutines per batch); the allowed allocations are exactly the p
-// per-shard snapshots plus the one combined snapshot published for
-// concurrent readers.
+// TestShardedAddBatchZeroAllocsSteadyState: ShardedCounter.AddBatch
+// must reuse its shared batch index and every shard's scratch at steady
+// state; the allowed allocations are exactly the p per-shard snapshots
+// plus the one combined snapshot published for concurrent readers.
 func TestShardedAddBatchZeroAllocsSteadyState(t *testing.T) {
 	const r, p, w, batches = 256, 4, 2048, 16
 	rng := randx.New(19)
@@ -112,7 +110,6 @@ func TestShardedAddBatchZeroAllocsSteadyState(t *testing.T) {
 		edges = append(edges, edges[:min(w, w*batches-len(edges))]...)
 	}
 	sc := NewShardedCounter(r, p, 23)
-	defer sc.Close()
 	for i := 0; i < batches; i++ {
 		sc.AddBatch(edges[i*w : (i+1)*w])
 	}

@@ -31,7 +31,6 @@ func FuzzCounterCheckpointDecode(f *testing.F) {
 	flat.AddBatch(edges)
 	sharded := NewShardedCounter(5, 2, 2, WithoutLevel1Skip())
 	sharded.AddBatch(edges)
-	sharded.Close()
 	ckpt, sckpt := encode(flat), encode(sharded)
 	for _, b := range [][]byte{ckpt, sckpt, encode(NewCounter(1, 3)), ckpt[:len(ckpt)/2], sckpt[:40], {}} {
 		f.Add(b)

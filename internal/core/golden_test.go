@@ -93,9 +93,7 @@ func goldenState(t *testing.T, edges []graph.Edge, r, w, p int, opts []Option) [
 	if p == 0 {
 		c = NewCounter(r, 7, opts...)
 	} else {
-		sc := NewShardedCounter(r, p, 7, opts...)
-		defer sc.Close()
-		c = sc
+		c = NewShardedCounter(r, p, 7, opts...)
 	}
 	for lo := 0; lo < len(edges); lo += w {
 		c.AddBatch(edges[lo:min(lo+w, len(edges))])

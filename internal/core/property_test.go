@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 
@@ -88,25 +89,38 @@ func exactStateConsistent(edges []graph.Edge, c *Counter) bool {
 // counter's final state is internally consistent with the stream — for a
 // flat counter and for every shard of a sharded one. Batches of up to 64
 // edges over 32 vertices give the batch index repeated high-degree
-// vertices within one batch.
+// vertices within one batch. Each shard must also equal, byte for byte,
+// a flat counter with the shard's estimator count and derived seed that
+// built its own index for every batch: one shared index is exactly p own
+// indexes.
 func TestPropertyBulkStateConsistency(t *testing.T) {
-	f := func(raw [256]uint16, n uint8, seed uint64, wRaw, pRaw uint8) bool {
+	f := func(raw [256]uint16, n uint8, seed uint64, wRaw, pRaw, optRaw uint8) bool {
 		edges := randomSimpleStream(raw[:n])
 		w := int(wRaw%64) + 1
+		var opts []Option
+		if optRaw%2 == 1 {
+			opts = append(opts, WithoutLevel1Skip())
+		}
 		c := NewCounter(40, seed)
-		sc := NewShardedCounter(40, int(pRaw%4)+1, seed)
-		defer sc.Close()
+		sc := NewShardedCounter(40, int(pRaw%4)+1, seed, opts...)
+		own := make([]*Counter, len(sc.shards))
+		for i, s := range sc.shards {
+			own[i] = NewCounter(s.NumEstimators(), randx.Split(seed, uint64(i)).Uint64N(1<<62)+1, opts...)
+		}
 		for lo := 0; lo < len(edges); lo += w {
 			hi := min(lo+w, len(edges))
 			c.AddBatch(edges[lo:hi])
 			sc.AddBatch(edges[lo:hi])
+			for _, o := range own {
+				o.AddBatch(edges[lo:hi])
+			}
 		}
 		if c.Edges() != uint64(len(edges)) || !exactStateConsistent(edges, c) ||
 			sc.Edges() != uint64(len(edges)) {
 			return false
 		}
-		for _, s := range sc.shards {
-			if !exactStateConsistent(edges, s) {
+		for i, s := range sc.shards {
+			if !exactStateConsistent(edges, s) || !bytes.Equal(checkpoint(t, s), checkpoint(t, own[i])) {
 				return false
 			}
 		}
@@ -115,6 +129,16 @@ func TestPropertyBulkStateConsistency(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// checkpoint returns c's WriteTo bytes.
+func checkpoint(t *testing.T, c *Counter) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := c.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // Property: self loops are outside the simple-stream contract, but
@@ -133,7 +157,6 @@ func TestPropertyBulkSelfLoopsNoPanic(t *testing.T) {
 		w := int(wRaw%16) + 1
 		c := NewCounter(500, seed)
 		sc := NewShardedCounter(500, int(pRaw%4)+1, seed)
-		defer sc.Close()
 		if err := stream.Batches(stream.NewSliceSource(edges), w, func(b []graph.Edge) error {
 			c.AddBatch(b)
 			sc.AddBatch(b)

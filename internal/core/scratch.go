@@ -5,9 +5,9 @@ import "streamtri/internal/graph"
 // The bulk algorithm's per-batch tables. None of them depends on an
 // estimator or draws a random number: they are a function of the batch
 // alone, so they form one read-only batch index. A flat Counter builds
-// its own index; a ShardedCounter builds one per batch in the owner
-// goroutine and every shard reads it, so p shards pay the O(w) build
-// once. The per-estimator pass (bulk.go) only reads the index:
+// its own index; a ShardedCounter builds one per batch and every shard
+// reads it, so p shards pay the O(w) build once. The per-estimator pass
+// (bulk.go) only reads the index:
 //
 //   - in, verts: the interner over the batch's endpoints, and each
 //     interned vertex's final batch degree;

@@ -216,11 +216,9 @@ func readCounter(br *bufio.Reader) (*Counter, error) {
 	return c, nil
 }
 
-// WriteTo serializes the sharded counter (the NSTS envelope). It first
-// waits for any in-flight asynchronous batch, so the checkpoint is a
-// batch-boundary state. Owner-only, like the other mutating methods.
+// WriteTo serializes the sharded counter (the NSTS envelope) at its
+// current batch boundary. Owner-only, like the mutating methods.
 func (sc *ShardedCounter) WriteTo(w io.Writer) (int64, error) {
-	sc.barrier()
 	bw := bufio.NewWriter(w)
 	n := int64(0)
 	write := func(v any) error {
@@ -253,8 +251,8 @@ func (sc *ShardedCounter) WriteTo(w io.Writer) (int64, error) {
 }
 
 // ReadShardedCounterFrom deserializes a sharded counter previously
-// written by ShardedCounter.WriteTo. The worker pool is respawned lazily
-// on the first batch, exactly as for a fresh counter.
+// written by ShardedCounter.WriteTo. The restored counter continues
+// exactly as the original would have.
 func ReadShardedCounterFrom(r io.Reader) (*ShardedCounter, error) {
 	br := bufio.NewReader(r)
 	read := func(v any) error { return binary.Read(br, binary.LittleEndian, v) }

@@ -57,15 +57,13 @@ func (c *Counter) publish() {
 }
 
 // Snapshot returns the current published snapshot. Safe to call
-// concurrently with the owner's Add/AddBatch/AddBatchAsync; the returned
-// value is immutable and reflects the most recently completed mutation
-// (for an in-flight async batch on ShardedCounter, the prefix before it).
+// concurrently with the owner's Add/AddBatch; the returned value is
+// immutable and reflects the most recently completed mutation.
 func (c *Counter) Snapshot() *EstimateSnapshot { return c.snap.Load() }
 
 // publishCombined rebuilds the cross-shard snapshot from the shards'
-// own published snapshots. Must be called by the owner with no batch in
-// flight (the shard workers' done acknowledgements order their snapshot
-// stores before this load). The weighted-mean arithmetic — each shard's
+// own published snapshots. Called by the owner after every shard has
+// absorbed the mutation. The weighted-mean arithmetic — each shard's
 // mean scaled back up by its estimator count — replicates the direct
 // EstimateTriangles/EstimateWedges combination bit for bit.
 func (sc *ShardedCounter) publishCombined() {
@@ -80,5 +78,6 @@ func (sc *ShardedCounter) publishCombined() {
 
 // Snapshot returns the current published cross-shard snapshot. Safe to
 // call concurrently with the owner's ingestion; it reflects the last
-// batch boundary (an in-flight AddBatchAsync batch is not yet included).
+// batch boundary, never a batch some shards have absorbed and others
+// have not.
 func (sc *ShardedCounter) Snapshot() *EstimateSnapshot { return sc.snap.Load() }

@@ -64,8 +64,7 @@ func TestSnapshotReadersDuringCounterIngest(t *testing.T) {
 }
 
 // TestSnapshotReadersDuringShardedIngest is the ShardedCounter
-// counterpart, driving the double-buffered async handoff (the ingest
-// shape the pipeline uses) while 4 goroutines read estimates.
+// counterpart: sharded AddBatch calls while 4 goroutines read estimates.
 func TestSnapshotReadersDuringShardedIngest(t *testing.T) {
 	const r, p, w, batches, readers = 256, 4, 1024, 64, 4
 	rng := randx.New(103)
@@ -74,7 +73,6 @@ func TestSnapshotReadersDuringShardedIngest(t *testing.T) {
 		edges = append(edges, edges[:min(w, w*batches-len(edges))]...)
 	}
 	sc := NewShardedCounter(r, p, 11)
-	defer sc.Close()
 
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -97,9 +95,8 @@ func TestSnapshotReadersDuringShardedIngest(t *testing.T) {
 		}(g)
 	}
 	for i := 0; i < batches; i++ {
-		sc.AddBatchAsync(edges[i*w : (i+1)*w])
+		sc.AddBatch(edges[i*w : (i+1)*w])
 	}
-	sc.Barrier()
 	stop.Store(true)
 	wg.Wait()
 	if got := sc.Snapshot().Edges(); got != uint64(w*batches) {
@@ -139,7 +136,6 @@ func TestShardedSnapshotBitIdenticalToDirectAggregation(t *testing.T) {
 	rng := randx.New(31)
 	edges := stream.Shuffle(gen.HolmeKim(rng, 3000, 3, 0.6), rng)
 	sc := NewShardedCounter(300, 3, 5)
-	defer sc.Close()
 	for lo := 0; lo < len(edges); lo += 512 {
 		sc.AddBatch(edges[lo:min(lo+512, len(edges))])
 		var tri, wed float64
@@ -163,24 +159,49 @@ func TestShardedSnapshotBitIdenticalToDirectAggregation(t *testing.T) {
 	}
 }
 
-// TestSnapshotExcludesInFlightBatch pins the consistency model: a
-// snapshot taken after AddBatchAsync but before Barrier reflects the
-// prefix before the in-flight batch; after Barrier it includes it.
+// TestSnapshotExcludesInFlightBatch pins the consistency model: while
+// the owner runs sharded AddBatch calls, a concurrent reader only ever
+// sees a batch boundary — an edge count the owner reached, paired with
+// the estimates the owner saw there, never a batch that some shards
+// have absorbed and others have not.
 func TestSnapshotExcludesInFlightBatch(t *testing.T) {
+	const w, batches = 100, 40
 	rng := randx.New(37)
-	edges := stream.Shuffle(gen.HolmeKim(rng, 2000, 3, 0.6), rng)
-	sc := NewShardedCounter(64, 2, 9)
-	defer sc.Close()
-	sc.AddBatch(edges[:1024])
-	before := sc.Snapshot()
-	sc.AddBatchAsync(edges[1024:2048])
-	if got := sc.Snapshot(); got != before {
-		t.Fatalf("snapshot advanced during in-flight batch: edges %d -> %d", before.Edges(), got.Edges())
+	edges := stream.Shuffle(gen.HolmeKim(rng, 2000, 3, 0.6), rng)[:w*batches]
+	sc := NewShardedCounter(64, 3, 9)
+
+	var stop atomic.Bool
+	var seen []*EstimateSnapshot
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var last *EstimateSnapshot
+		for !stop.Load() {
+			if s := sc.Snapshot(); s != last {
+				seen = append(seen, s)
+				last = s
+			}
+		}
+	}()
+	want := map[uint64][2]float64{0: {sc.EstimateTriangles(), sc.EstimateWedges()}}
+	for i := 0; i < batches; i++ {
+		sc.AddBatch(edges[i*w : (i+1)*w])
+		want[sc.Edges()] = [2]float64{sc.EstimateTriangles(), sc.EstimateWedges()}
 	}
-	sc.Barrier()
-	after := sc.Snapshot()
-	if after.Edges() != 2048 {
-		t.Fatalf("post-barrier snapshot edges = %d, want 2048", after.Edges())
+	stop.Store(true)
+	<-done
+	for _, s := range seen {
+		got, ok := want[s.Edges()]
+		if !ok || s.Edges()%w != 0 {
+			t.Fatalf("reader saw %d edges, not a batch boundary", s.Edges())
+		}
+		if got != [2]float64{s.Triangles(), s.Wedges()} {
+			t.Fatalf("at %d edges the reader saw (%v, %v), the owner (%v, %v)",
+				s.Edges(), s.Triangles(), s.Wedges(), got[0], got[1])
+		}
+	}
+	if got := sc.Snapshot().Edges(); got != w*batches {
+		t.Fatalf("final snapshot edges = %d, want %d", got, w*batches)
 	}
 }
 
@@ -206,7 +227,6 @@ func TestSnapshotSurvivesSerializeRoundTrip(t *testing.T) {
 	}
 
 	sc := NewShardedCounter(128, 3, 13)
-	defer sc.Close()
 	sc.AddBatch(edges)
 	var sbuf bytes.Buffer
 	if _, err := sc.WriteTo(&sbuf); err != nil {
@@ -216,7 +236,6 @@ func TestSnapshotSurvivesSerializeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rsc.Close()
 	if rsc.EstimateTriangles() != sc.EstimateTriangles() || rsc.EstimateWedges() != sc.EstimateWedges() {
 		t.Fatal("restored ShardedCounter estimates differ from checkpointed ones")
 	}
@@ -234,7 +253,6 @@ func TestShardedSerializeRoundTripContinues(t *testing.T) {
 	half := len(edges) / 2
 
 	twin := NewShardedCounter(96, 3, 17)
-	defer twin.Close()
 	sc := NewShardedCounter(96, 3, 17)
 	for lo := 0; lo < half; lo += 300 {
 		b := edges[lo:min(lo+300, half)]
@@ -245,12 +263,10 @@ func TestShardedSerializeRoundTripContinues(t *testing.T) {
 	if _, err := sc.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	sc.Close()
 	restored, err := ReadShardedCounterFrom(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer restored.Close()
 	for lo := half; lo < len(edges); lo += 300 {
 		b := edges[lo:min(lo+300, len(edges))]
 		twin.AddBatch(b)
@@ -269,7 +285,6 @@ func TestShardedSerializeRoundTripContinues(t *testing.T) {
 // bad shard counts, and cross-shard edge-count disagreement.
 func TestReadShardedCounterFromErrors(t *testing.T) {
 	sc := NewShardedCounter(16, 2, 3)
-	defer sc.Close()
 	sc.Add(graph.Edge{U: 1, V: 2})
 	var buf bytes.Buffer
 	if _, err := sc.WriteTo(&buf); err != nil {

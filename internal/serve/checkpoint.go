@@ -341,8 +341,8 @@ func (s *Server) syncWALs() error {
 	return first
 }
 
-// Close tears down every tenant's worker pool and WAL (after a final
-// CheckpointAll if durable). The server is not usable afterwards.
+// Close closes every tenant's WAL (after a final CheckpointAll if
+// durable). The server is not usable afterwards.
 func (s *Server) Close() error {
 	_, err := s.CheckpointAll()
 	s.mu.Lock()
@@ -350,9 +350,6 @@ func (s *Server) Close() error {
 	for _, t := range s.tenants {
 		t.mu.Lock()
 		t.closed = true
-		if t.pc != nil {
-			t.pc.Close()
-		}
 		if t.wal != nil {
 			if cerr := t.wal.close(); cerr != nil && err == nil {
 				err = fmt.Errorf("closing %q wal: %w", t.name, cerr)

@@ -13,10 +13,10 @@ import (
 )
 
 // abandonServer models kill -9: the fault injector latches down (so no
-// final checkpoint, sync, or truncate runs) and the process-level
-// resources — worker pools, file descriptors — are released without any
-// of the graceful-shutdown work. Bytes already written survive (the
-// page cache outlives the process); everything else is lost.
+// final checkpoint, sync, or truncate runs) and the tenants' file
+// descriptors are released without any of the graceful-shutdown work.
+// Bytes already written survive (the page cache outlives the process);
+// everything else is lost.
 func abandonServer(s *Server) {
 	s.faults.mu.Lock()
 	s.faults.down = true
@@ -26,9 +26,6 @@ func abandonServer(s *Server) {
 	for _, t := range s.tenants {
 		t.mu.Lock()
 		t.closed = true
-		if t.pc != nil {
-			t.pc.Close()
-		}
 		if t.wal != nil {
 			t.wal.close()
 		}
@@ -125,7 +122,6 @@ func oracleBlob(t *testing.T, ct crashTenant, n uint64) []byte {
 		sw = streamtri.NewSlidingWindowCounter(ct.cfg.R, ct.cfg.Window, ct.cfg.options()...)
 	} else {
 		pc = streamtri.NewParallelTriangleCounter(ct.cfg.R, ct.cfg.P, ct.cfg.options()...)
-		defer pc.Close()
 	}
 	w := ct.cfg.effectiveBatchSize()
 	fed := uint64(0)

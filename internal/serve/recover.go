@@ -149,12 +149,10 @@ func (s *Server) restoreAndReplay(name string, cfg CounterConfig, gen *generatio
 			return nil, err
 		}
 		if !gen.legacy && base != gen.pos {
-			teardown(t)
 			return nil, fmt.Errorf("generation file claims position %d but blob holds %d edges", gen.pos, base)
 		}
 	}
 	if err := s.replayWAL(t, base); err != nil {
-		teardown(t)
 		return nil, fmt.Errorf("replaying wal past position %d: %w", base, err)
 	}
 	t.ckptEdges = base
@@ -168,14 +166,6 @@ func (s *Server) restoreAndReplay(name string, cfg CounterConfig, gen *generatio
 		t.wal = newWALWriter(s.dataDir, name, pos, s.policy, s.faults)
 	}
 	return t, nil
-}
-
-// teardown releases a half-built tenant's worker pool between recovery
-// attempts.
-func teardown(t *tenant) {
-	if t.pc != nil {
-		t.pc.Close()
-	}
 }
 
 // replayWAL feeds the logged batches past base into the tenant's

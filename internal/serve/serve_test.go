@@ -630,8 +630,8 @@ func TestServeRecoveryCorruptCheckpoint(t *testing.T) {
 			ts2 := httptest.NewServer(s2.Handler())
 			got := getEstimate(t, ts2.URL, "c")
 			ts2.Close()
-			// Close would re-checkpoint the replayed state; tear down the
-			// pools without touching the corrupted directory again.
+			// Close would re-checkpoint the replayed state; close the WALs
+			// without touching the corrupted directory again.
 			abandonServer(s2)
 			if got != want {
 				t.Fatalf("estimate after full-replay recovery %+v != pre-corruption %+v", got, want)

@@ -46,8 +46,11 @@ import (
 type CounterConfig struct {
 	// R is the estimator count (required, >= 1). Accuracy grows with R.
 	R int `json:"r"`
-	// P is the shard count for parallel processing (default 1; must
-	// satisfy 1 <= P <= R). Ignored for windowed tenants.
+	// P is the number of shards the R estimators are split into
+	// (default 1; must satisfy 1 <= P <= R). It fixes the shard seeds,
+	// so the tenant's estimates and checkpoints depend on it; the shards
+	// run one after another in the ingesting goroutine. Ignored for
+	// windowed tenants.
 	P int `json:"p,omitempty"`
 	// Window, when nonzero, makes the tenant a sliding-window counter
 	// over the last Window edges instead of a whole-stream counter.
@@ -316,7 +319,6 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		}
 		if err != nil {
 			s.mu.Unlock()
-			teardown(t)
 			httpError(w, http.StatusInternalServerError, "persisting counter %q: %v", name, err)
 			return
 		}
@@ -342,9 +344,6 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	// closed and 404s.
 	t.mu.Lock()
 	t.closed = true
-	if t.pc != nil {
-		t.pc.Close()
-	}
 	if t.wal != nil {
 		t.wal.close()
 	}

@@ -233,7 +233,6 @@ func (p *MultiPipeline) Close() error {
 // argument.
 func (p *MultiPipeline) Run(fn func(batch []graph.Edge) error) error { return runPipe(p, fn) }
 
-// Drain feeds every merged batch to sink through AddBatchAsync with the
-// same recycling contract as Pipeline.Drain, returning the number of
-// edges the sink absorbed.
-func (p *MultiPipeline) Drain(sink AsyncSink) (uint64, error) { return drainPipe(p, sink) }
+// Drain feeds every merged batch to sink like Pipeline.Drain, returning
+// the number of edges the sink absorbed.
+func (p *MultiPipeline) Drain(sink Sink) (uint64, error) { return drainPipe(p, sink) }

@@ -258,7 +258,6 @@ func (p *OrderedMultiPipeline) Close() error {
 // argument.
 func (p *OrderedMultiPipeline) Run(fn func(batch []graph.Edge) error) error { return runPipe(p, fn) }
 
-// Drain feeds every merged batch to sink through AddBatchAsync with the
-// same recycling contract as Pipeline.Drain, returning the number of
-// edges the sink absorbed.
-func (p *OrderedMultiPipeline) Drain(sink AsyncSink) (uint64, error) { return drainPipe(p, sink) }
+// Drain feeds every merged batch to sink like Pipeline.Drain, returning
+// the number of edges the sink absorbed.
+func (p *OrderedMultiPipeline) Drain(sink Sink) (uint64, error) { return drainPipe(p, sink) }

@@ -20,9 +20,10 @@ import (
 // blocks on an empty ring instead of buffering the stream — and zero
 // steady-state allocation: the same `depth` buffers circulate for the
 // pipeline's whole life. This is the missing link between the paper's
-// separate I/O and processing times (Table 3) and the double-buffered
-// AddBatchAsync handoff in internal/core: with both in place a graph
-// never needs to be resident in memory to be counted.
+// separate I/O and processing times (Table 3) and the counters in
+// internal/core: decoding batch i+1 overlaps the consumer's work on
+// batch i, and a graph never needs to be resident in memory to be
+// counted.
 
 // DefaultPipelineDepth is the recycle-ring size used when NewPipeline is
 // given depth <= 0: one buffer being filled by the decoder, one in the
@@ -42,14 +43,11 @@ type BatchFiller interface {
 	Fill(out []graph.Edge) (int, error)
 }
 
-// AsyncSink is a batch consumer with deferred completion: AddBatchAsync
-// may return before the batch is absorbed, but the next call into the
-// sink — including Barrier — must absorb it first, and the caller must
-// not reuse the batch until then. core.ShardedCounter is the canonical
-// implementation; core.Counter satisfies it trivially (synchronous).
-type AsyncSink interface {
-	AddBatchAsync(batch []graph.Edge)
-	Barrier()
+// Sink is the batch consumer Drain feeds: AddBatch absorbs the batch
+// before returning and keeps no reference to it. core.Counter,
+// core.ShardedCounter and window.Counter implement it.
+type Sink interface {
+	AddBatch(batch []graph.Edge)
 }
 
 // PipelineStats is a snapshot of a pipeline's progress.
@@ -395,13 +393,10 @@ func (p *Pipeline) Close() error {
 // and always shuts the pipeline down before returning.
 func (p *Pipeline) Run(fn func(batch []graph.Edge) error) error { return runPipe(p, fn) }
 
-// Drain feeds every batch to sink through AddBatchAsync, so decoding
-// batch i+1 overlaps the sink's processing of batch i. A buffer is
-// recycled only after a subsequent sink call has confirmed the workers
-// are done with it (the AddBatchAsync contract), and the sink is always
-// left quiescent (Barrier) on return. Drain returns the number of edges
-// the sink absorbed.
-func (p *Pipeline) Drain(sink AsyncSink) (uint64, error) { return drainPipe(p, sink) }
+// Drain feeds every batch to sink, recycling each buffer once AddBatch
+// returns, and returns the number of edges the sink absorbed. Decoding
+// batch i+1 overlaps the sink's work on batch i.
+func (p *Pipeline) Drain(sink Sink) (uint64, error) { return drainPipe(p, sink) }
 
 // batchPipe is the consumer-side surface shared by Pipeline and
 // MultiPipeline; runPipe and drainPipe drive either through it.
@@ -430,33 +425,13 @@ func runPipe(p batchPipe, fn func(batch []graph.Edge) error) error {
 	}
 }
 
-// drainPipe is the shared Drain implementation (see Pipeline.Drain for
-// the recycling contract).
-func drainPipe(p batchPipe, sink AsyncSink) (uint64, error) {
-	var inFlight []graph.Edge
+// drainPipe is the shared Drain implementation.
+func drainPipe(p batchPipe, sink Sink) (uint64, error) {
 	var n uint64
-	for {
-		b, err := p.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			sink.Barrier()
-			p.Close()
-			return n, err
-		}
-		sink.AddBatchAsync(b)
+	err := runPipe(p, func(b []graph.Edge) error {
+		sink.AddBatch(b)
 		n += uint64(len(b))
-		if inFlight != nil {
-			// The AddBatchAsync call above waited for the previous batch,
-			// so its buffer is out of the workers' hands.
-			p.Recycle(inFlight)
-		}
-		inFlight = b
-	}
-	sink.Barrier()
-	if inFlight != nil {
-		p.Recycle(inFlight)
-	}
-	return n, p.Close()
+		return nil
+	})
+	return n, err
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -257,35 +258,17 @@ func TestPipelineRunCallbackError(t *testing.T) {
 	assertNoLeak(t, base)
 }
 
-// recordingSink checks the Drain recycling contract: a batch handed to
-// AddBatchAsync must stay untouched until the next call into the sink.
+// recordingSink keeps a copy of every batch Drain hands it, so a test
+// can check that the concatenated batches equal the source: in order,
+// and with no buffer recycled while the sink still held it.
 type recordingSink struct {
-	inFlight []graph.Edge
-	snapshot []graph.Edge
-	edges    int
-	batches  int
-	violated bool
+	got     []graph.Edge
+	batches int
 }
 
-func (s *recordingSink) AddBatchAsync(batch []graph.Edge) {
-	s.check()
-	s.edges += len(batch)
+func (s *recordingSink) AddBatch(batch []graph.Edge) {
+	s.got = append(s.got, batch...)
 	s.batches++
-	s.inFlight = batch
-	s.snapshot = append(s.snapshot[:0], batch...)
-}
-
-func (s *recordingSink) Barrier() {
-	s.check()
-	s.inFlight = nil
-}
-
-func (s *recordingSink) check() {
-	for i := range s.inFlight {
-		if s.inFlight[i] != s.snapshot[i] {
-			s.violated = true
-		}
-	}
 }
 
 func TestPipelineDrain(t *testing.T) {
@@ -300,11 +283,8 @@ func TestPipelineDrain(t *testing.T) {
 	if derr != nil {
 		t.Fatal(derr)
 	}
-	if n != 500 || sink.edges != 500 {
-		t.Fatalf("drained %d edges, sink saw %d, want 500", n, sink.edges)
-	}
-	if sink.violated {
-		t.Fatal("a buffer was recycled while still in the sink's hands")
+	if n != 500 || !slices.Equal(sink.got, in) {
+		t.Fatalf("drained %d edges, sink saw %d, want the 500 input edges in order", n, len(sink.got))
 	}
 	wantBatches := (500 + 63) / 64
 	if sink.batches != wantBatches {
@@ -323,10 +303,7 @@ func TestPipelineDrainDecoderError(t *testing.T) {
 	if derr == nil {
 		t.Fatal("want decoder error")
 	}
-	if n != 130 || sink.edges != 130 {
-		t.Fatalf("sink absorbed %d/%d edges, want all 130 pre-error edges", sink.edges, n)
-	}
-	if sink.violated {
-		t.Fatal("buffer recycled early on the error path")
+	if n != 130 || !slices.Equal(sink.got, edges(130)) {
+		t.Fatalf("sink absorbed %d/%d edges, want all 130 pre-error edges in order", len(sink.got), n)
 	}
 }

@@ -3,25 +3,20 @@ package streamtri
 import "streamtri/internal/core"
 
 // ParallelTriangleCounter is a TriangleCounter whose estimators are split
-// across p shards processed by a persistent pool of p worker goroutines —
-// the parallelization direction the paper's conclusion points to.
-// Estimators are mutually independent, so sharding leaves the estimate
-// distribution unchanged. Shards split only the per-estimator work: each
-// batch's index (interning, degrees, the batch-edge table), the part of
-// a batch's cost that grows with its size, is built once and read by
-// every shard.
+// across p shards — the partition the paper's conclusion points to for
+// parallelization. Estimators are mutually independent, so sharding
+// leaves the estimate distribution unchanged. p fixes each shard's
+// derived seed, so the estimates and checkpoints depend on it, but it is
+// not a thread count: the shards run one after another in the caller's
+// goroutine. Each batch's index (interning, degrees, the batch-edge
+// table), the part of a batch's cost that grows with its size, is built
+// once and read by every shard.
 //
-// Add fills one of two internal buffers; a full buffer is handed to the
-// shard pool asynchronously while the other buffer keeps accepting edges
-// (double buffering), so buffered edges are never copied and edge intake
-// overlaps shard processing. Estimate methods flush and wait first, so
-// results always reflect every added edge.
+// Add buffers edges and processes them in batches internally; call Flush
+// (or any Estimate method, which flushes first) to force processing.
 type ParallelTriangleCounter struct {
-	c *core.ShardedCounter
-	// bufs are the two intake buffers; cur indexes the one being filled.
-	// The other one may be in flight inside the shard pool.
-	bufs  [2][]Edge
-	cur   int
+	c     *core.ShardedCounter
+	buf   []Edge
 	w     int
 	depth int
 	ing   ingest
@@ -42,54 +37,38 @@ func NewParallelTriangleCounter(r, p int, opts ...Option) *ParallelTriangleCount
 
 // Add appends one stream edge.
 func (t *ParallelTriangleCounter) Add(e Edge) {
-	t.bufs[t.cur] = append(t.bufs[t.cur], e)
-	if len(t.bufs[t.cur]) >= t.w {
-		t.dispatch()
+	t.buf = append(t.buf, e)
+	if len(t.buf) >= t.w {
+		t.Flush()
 	}
 	t.added++
 }
 
-// dispatch hands the current buffer to the shard pool asynchronously and
-// swaps intake to the other buffer. AddBatchAsync waits for the previous
-// in-flight batch first, so the buffer we are about to refill is
-// guaranteed to be out of the workers' hands.
-func (t *ParallelTriangleCounter) dispatch() {
-	if len(t.bufs[t.cur]) == 0 {
-		return
-	}
-	t.c.AddBatchAsync(t.bufs[t.cur])
-	t.cur ^= 1
-	t.bufs[t.cur] = t.bufs[t.cur][:0]
-}
-
 // AddBatch appends a batch of stream edges, processing buffered edges
 // first so stream order is preserved. The edge count is advanced only
-// after the batch has been fully absorbed.
+// after the batch has been processed.
 func (t *ParallelTriangleCounter) AddBatch(batch []Edge) {
-	t.dispatch()
+	t.Flush()
 	t.c.AddBatch(batch)
 	t.added += uint64(len(batch))
 }
 
-// Flush processes buffered edges and waits for the shard pool to finish
-// them.
+// Flush processes any buffered edges immediately.
 func (t *ParallelTriangleCounter) Flush() {
-	t.dispatch()
-	t.c.Barrier()
+	if len(t.buf) > 0 {
+		t.c.AddBatch(t.buf)
+		t.buf = t.buf[:0]
+	}
 }
 
-// Close releases the worker goroutines after flushing buffered edges. The
-// counter remains usable afterwards (the pool respawns on demand); unused
-// counters are also reclaimed by the garbage collector, so calling Close
-// is optional.
-func (t *ParallelTriangleCounter) Close() {
-	t.Flush()
-	t.c.Close()
-}
+// Close flushes buffered edges. The counter holds no goroutine or other
+// resource, so calling Close is optional and the counter remains usable
+// afterwards.
+func (t *ParallelTriangleCounter) Close() { t.Flush() }
 
-// Edges returns the number of edges added (including edges still
-// buffered or in flight; estimates always incorporate them because every
-// estimate method flushes first).
+// Edges returns the number of edges added, including edges still
+// buffered; estimates incorporate them because every estimate method
+// flushes first.
 func (t *ParallelTriangleCounter) Edges() uint64 { return t.added }
 
 // NumShards returns p.

@@ -232,9 +232,8 @@ type StreamStats struct {
 }
 
 // countStream runs the shared pipeline loop: decode src in w-edge
-// batches on a dedicated goroutine and feed them to sink with the
-// double-buffered AddBatchAsync handoff.
-func countStream(ctx context.Context, src Source, w, depth int, ing ingest, sink stream.AsyncSink) (StreamStats, error) {
+// batches on a dedicated goroutine and feed them to sink.
+func countStream(ctx context.Context, src Source, w, depth int, ing ingest, sink stream.Sink) (StreamStats, error) {
 	p, err := stream.NewPipeline(ctx, src, w, depth, ing.pipeOpts(false)...)
 	if err != nil {
 		return StreamStats{}, err
@@ -253,7 +252,7 @@ func countStream(ctx context.Context, src Source, w, depth int, ing ingest, sink
 // goroutine per source, all filling batch buffers from one shared
 // recycle ring, merged into a single batch stream for the sink. A single
 // source degenerates to the plain (deterministic) pipeline.
-func countStreams(ctx context.Context, srcs []Source, w, depth int, ing ingest, sink stream.AsyncSink) (StreamStats, error) {
+func countStreams(ctx context.Context, srcs []Source, w, depth int, ing ingest, sink stream.Sink) (StreamStats, error) {
 	if len(srcs) == 1 {
 		return countStream(ctx, srcs[0], w, depth, ing, sink)
 	}
@@ -281,7 +280,7 @@ func countStreams(ctx context.Context, srcs []Source, w, depth int, ing ingest, 
 // reorder stage before the merge, so per-source disorder up to the
 // lateness bound is repaired where the merge's per-source-order
 // assumption needs it.
-func countOrderedStreams(ctx context.Context, srcs []TimestampedSource, w int, ing ingest, sink stream.AsyncSink) (StreamStats, error) {
+func countOrderedStreams(ctx context.Context, srcs []TimestampedSource, w int, ing ingest, sink stream.Sink) (StreamStats, error) {
 	var wms []*stream.WatermarkSource
 	if ing.watermark {
 		wms = make([]*stream.WatermarkSource, len(srcs))
@@ -345,14 +344,13 @@ func (t *TriangleCounter) CountStream(ctx context.Context, src Source) (StreamSt
 	return st, err
 }
 
-// CountStream consumes src to exhaustion with full pipelining: batch
-// decoding (dedicated goroutine) overlaps shard processing (the worker
-// pool) through the double-buffered AddBatchAsync handoff. Edges
-// buffered by earlier Add calls are dispatched first, so stream order
-// is preserved. On error the counter remains valid and reflects exactly
-// the edges reported in StreamStats.
+// CountStream consumes src to exhaustion, decoding batches on a
+// dedicated goroutine so I/O overlaps shard processing. Edges buffered
+// by earlier Add calls are flushed first, so stream order is preserved.
+// On error the counter remains valid and reflects exactly the edges
+// reported in StreamStats.
 func (t *ParallelTriangleCounter) CountStream(ctx context.Context, src Source) (StreamStats, error) {
-	t.dispatch()
+	t.Flush()
 	st, err := countStream(ctx, src, t.w, t.depth, t.ing, t.c)
 	t.added += st.Edges
 	return st, err
@@ -380,14 +378,14 @@ func (t *TriangleCounter) CountStreams(ctx context.Context, srcs ...Source) (Str
 }
 
 // CountStreams is the multi-source CountStream: each source decodes on
-// its own goroutine into a shared buffer ring while the shard pool
-// absorbs merged batches. See TriangleCounter.CountStreams for the
-// ordering and determinism contract.
+// its own goroutine into a shared buffer ring while the shards absorb
+// merged batches. See TriangleCounter.CountStreams for the ordering and
+// determinism contract.
 func (t *ParallelTriangleCounter) CountStreams(ctx context.Context, srcs ...Source) (StreamStats, error) {
 	if len(srcs) == 0 {
 		return StreamStats{}, nil
 	}
-	t.dispatch()
+	t.Flush()
 	st, err := countStreams(ctx, srcs, t.w, t.depth, t.ing, t.c)
 	t.added += st.Edges
 	return st, err

@@ -44,13 +44,11 @@ func TestParallelCountStreamMatchesAddLoop(t *testing.T) {
 	edges := syn3regStream(12)
 
 	ref := streamtri.NewParallelTriangleCounter(4000, 4, streamtri.WithSeed(6))
-	defer ref.Close()
 	for _, e := range edges {
 		ref.Add(e)
 	}
 
 	tc := streamtri.NewParallelTriangleCounter(4000, 4, streamtri.WithSeed(6))
-	defer tc.Close()
 	st, err := tc.CountStream(context.Background(), streamtri.NewSliceSource(edges))
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +140,6 @@ func TestCountStreamCancel(t *testing.T) {
 
 func TestCountStreamDecodeError(t *testing.T) {
 	tc := streamtri.NewParallelTriangleCounter(1000, 2, streamtri.WithSeed(4))
-	defer tc.Close()
 	src := streamtri.NewEdgeListSource(strings.NewReader("1 2\n3 4\nnot an edge\n"))
 	st, err := tc.CountStream(context.Background(), src)
 	if err == nil {
@@ -215,7 +212,6 @@ func TestParallelCountStreamsFromFiles(t *testing.T) {
 	}
 
 	tc := streamtri.NewParallelTriangleCounter(4000, 2, streamtri.WithSeed(19))
-	defer tc.Close()
 	st, err := tc.CountStreams(context.Background(),
 		streamtri.NewBinaryEdgeSource(&a),
 		streamtri.NewEdgeListSource(&b),
@@ -236,7 +232,6 @@ func TestParallelCountStreamsFromFiles(t *testing.T) {
 func TestCountStreamsFirstErrorWins(t *testing.T) {
 	edges := syn3regStream(24)
 	tc := streamtri.NewParallelTriangleCounter(1000, 2, streamtri.WithSeed(20))
-	defer tc.Close()
 	st, err := tc.CountStreams(context.Background(),
 		streamtri.NewSliceSource(edges),
 		streamtri.NewEdgeListSource(strings.NewReader("1 2\n3 4\nnot an edge\n")),

@@ -94,14 +94,11 @@ func (s *TriangleSampler) CountStreams(ctx context.Context, srcs ...Source) (Str
 	return st, err
 }
 
-// samplerSink adapts TriangleSampler to the pipeline's sink contract.
-// Batches are absorbed synchronously (the degree tracker is not
-// sharded), which trivially satisfies the deferred-completion rules.
+// samplerSink feeds each pipeline batch to both halves of a
+// TriangleSampler: the degree tracker and the estimators.
 type samplerSink struct{ s *TriangleSampler }
 
-func (k samplerSink) AddBatchAsync(batch []Edge) {
+func (k samplerSink) AddBatch(batch []Edge) {
 	k.s.deg.AddBatch(batch)
 	k.s.tc.c.AddBatch(batch)
 }
-
-func (k samplerSink) Barrier() {}

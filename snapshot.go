@@ -4,10 +4,9 @@ package streamtri
 // estimates, taken without blocking ingestion. All fields come from one
 // atomically-published state, so Triangles, Wedges, and Transitivity are
 // mutually consistent and Edges says exactly which stream prefix they
-// describe: the last batch boundary. Edges the owner has buffered (or
-// handed to the shard pool) but not yet completed are not included —
-// call Flush first when the very latest prefix matters more than not
-// blocking.
+// describe: the last batch boundary. Edges the owner has buffered, or
+// whose batch is still being absorbed, are not included — call Flush
+// first when the very latest prefix matters more than not blocking.
 type EstimateSnapshot struct {
 	// Edges is the number of stream edges the estimates reflect.
 	Edges uint64
@@ -35,10 +34,9 @@ func (t *TriangleCounter) Snapshot() EstimateSnapshot {
 	}
 }
 
-// Snapshot returns the estimates at the last completed batch boundary,
-// excluding any batch still in flight inside the shard pool. Lock-free
-// and safe to call concurrently with the owner's ingestion; see
-// TriangleCounter.Snapshot.
+// Snapshot returns the estimates at the last batch boundary every shard
+// has completed. Lock-free and safe to call concurrently with the
+// owner's ingestion; see TriangleCounter.Snapshot.
 func (t *ParallelTriangleCounter) Snapshot() EstimateSnapshot {
 	s := t.c.Snapshot()
 	return EstimateSnapshot{

@@ -26,7 +26,6 @@ func TestSnapshotMatchesEstimatesAtBoundary(t *testing.T) {
 	}
 
 	pc := streamtri.NewParallelTriangleCounter(2000, 2, streamtri.WithSeed(62))
-	defer pc.Close()
 	pc.AddBatch(edges)
 	ps := pc.Snapshot()
 	if ps.Edges != pc.Edges() {
@@ -57,13 +56,12 @@ func TestSnapshotExcludesBufferedEdges(t *testing.T) {
 
 // TestSnapshotReadersDuringParallelIngest drives the public serving
 // shape under -race: 4 goroutines poll Snapshot while the owner
-// goroutine ingests through the double-buffered parallel counter.
+// goroutine ingests through the parallel counter.
 func TestSnapshotReadersDuringParallelIngest(t *testing.T) {
 	const readers = 4
 	edges := syn3regStream(64)
 	pc := streamtri.NewParallelTriangleCounter(512, 2,
 		streamtri.WithSeed(65), streamtri.WithBatchSize(128))
-	defer pc.Close()
 
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -109,7 +107,6 @@ func TestParallelCheckpointRoundTripPublic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer b.Close()
 	if b.Edges() != a.Edges() || b.NumShards() != a.NumShards() {
 		t.Fatal("restored counter metadata differs")
 	}
@@ -125,7 +122,16 @@ func TestParallelCheckpointRoundTripPublic(t *testing.T) {
 	if a.EstimateTransitivity() != b.EstimateTransitivity() {
 		t.Fatal("restored transitivity diverged")
 	}
+
+	// Close is a flush: buffered edges reach the published snapshot.
+	a.Add(streamtri.Edge{U: 1 << 30, V: 1<<30 + 1})
+	if a.Snapshot().Edges == a.Edges() {
+		t.Fatal("a buffered edge is already in the snapshot")
+	}
 	a.Close()
+	if got := a.Snapshot().Edges; got != a.Edges() {
+		t.Fatalf("snapshot after Close reflects %d edges, want %d", got, a.Edges())
+	}
 }
 
 // TestParallelCheckpointErrorsPublic mirrors the TriangleCounter error

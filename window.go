@@ -3,7 +3,6 @@ package streamtri
 import (
 	"context"
 
-	"streamtri/internal/stream"
 	"streamtri/internal/window"
 )
 
@@ -45,7 +44,7 @@ func (s *SlidingWindowCounter) AddBatch(batch []Edge) { s.c.AddBatch(batch) }
 // first-come merge of plain sources would make the window contents
 // scheduler-dependent.
 func (s *SlidingWindowCounter) CountStream(ctx context.Context, src Source) (StreamStats, error) {
-	return countStream(ctx, src, s.w, s.depth, s.ing, windowSink{s.c})
+	return countStream(ctx, src, s.w, s.depth, s.ing, s.c)
 }
 
 // CountStreams consumes several timestamped sources (typically one per
@@ -68,7 +67,7 @@ func (s *SlidingWindowCounter) CountStreams(ctx context.Context, srcs ...Timesta
 	if len(srcs) == 0 {
 		return StreamStats{}, nil
 	}
-	return countOrderedStreams(ctx, srcs, s.w, s.ing, windowSink{s.c})
+	return countOrderedStreams(ctx, srcs, s.w, s.ing, s.c)
 }
 
 // WindowEdges returns the number of edges currently inside the window.
@@ -85,16 +84,3 @@ func (s *SlidingWindowCounter) EstimateTriangles() float64 { return s.c.Estimate
 // MeanChainLength reports the average per-estimator chain length — the
 // O(log w) space factor of Theorem 5.8; exposed for diagnostics.
 func (s *SlidingWindowCounter) MeanChainLength() float64 { return s.c.MeanChainLength() }
-
-// windowSink adapts the window counter to the pipeline's sink contract.
-// Batches are absorbed synchronously (the estimator chains are one
-// shared mutable state), which trivially satisfies the
-// deferred-completion rules.
-type windowSink struct{ c *window.Counter }
-
-func (k windowSink) AddBatchAsync(batch []Edge) { k.c.AddBatch(batch) }
-
-func (k windowSink) Barrier() {}
-
-// The sink must satisfy stream.AsyncSink.
-var _ stream.AsyncSink = windowSink{}
