@@ -107,7 +107,10 @@ bench-check:
 # binary format end to end (single-stream windowed, sniffed into the
 # whole-stream counter with timestamps stripped, an 8-shard windowed
 # ordered merge — the block-gallop path — and a windowed merge of a v1
-# shard with a v2 shard), and run every example — exercising the
+# shard with a v2 shard), check that trict's estimate does not depend on
+# how many CPUs it may use (one run unrestricted, one pinned to CPU 0
+# with taskset; the shard count, which fixes the shard seeds, must not
+# follow the CPU count), and run every example — exercising the
 # "[no test files]" packages.
 smoke:
 	rm -rf bin && mkdir -p bin
@@ -149,6 +152,10 @@ smoke:
 		-i bin/smoke-b2-shard.004 -i bin/smoke-b2-shard.005 \
 		-i bin/smoke-b2-shard.006 -i bin/smoke-b2-shard.007
 	./bin/trict -r 512 -window 8000 -format binary -i bin/smoke-ts-a.bin -i bin/smoke-b2-shard.000
+	./bin/graphgen -kind holmekim -n 20000 -mper 5 -ptriad 0.7 -seed 3 > bin/smoke-hk.txt
+	./bin/trict -r 4096 bin/smoke-hk.txt | grep 'triangles ≈' > bin/smoke-cpus-all.txt
+	taskset -c 0 ./bin/trict -r 4096 bin/smoke-hk.txt | grep 'triangles ≈' > bin/smoke-cpus-one.txt
+	diff bin/smoke-cpus-all.txt bin/smoke-cpus-one.txt
 	set -e; for ex in examples/*/ ; do echo "== $$ex"; $(GO) run ./$$ex >/dev/null; done
 
 # End-to-end smoke of the trictd serving daemon: two tenants ingesting

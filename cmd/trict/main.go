@@ -24,9 +24,11 @@
 //
 // Ingestion is pipelined and constant-memory: each input's decoder runs
 // on its own goroutine, filling fixed-size batch buffers from a shared
-// recycle ring, while the estimators absorb batches on a sharded worker
-// pool — so files larger than RAM stream fine, and I/O+decode time
-// overlaps processing. With several -i inputs the decoders also overlap
+// recycle ring, while the estimators absorb batches in the main
+// goroutine — so files larger than RAM stream fine, and I/O+decode time
+// overlaps processing. -p splits the estimators into that many shards;
+// it fixes the shard seeds, so the estimate depends on it, but not on
+// the machine: an unset -p means one shard. With several -i inputs the decoders also overlap
 // each other (parallel ingestion); edges from one file keep their order,
 // but the interleaving across files is scheduler-dependent, which the
 // arbitrary-order stream model tolerates. The report prices I/O+decode
@@ -69,7 +71,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -88,7 +89,7 @@ func (m *multiFlag) Set(v string) error {
 
 func main() {
 	r := flag.Int("r", 1<<17, "number of estimators (accuracy grows with r)")
-	p := flag.Int("p", 0, "shard count for parallel processing (0 = one per CPU, capped at 8)")
+	p := flag.Int("p", 0, "number of shards the estimators are split into; it fixes the shard seeds, so the estimate depends on it (0 = unset, one shard)")
 	w := flag.Int("w", 0, "batch size (0 = the paper's w = 8r)")
 	depth := flag.Int("depth", 0, "pipeline buffers in flight (0 = default)")
 	format := flag.String("format", "text", "input format: text|binary (applies to every input; binary flavors — plain, timestamped v1, block v2 — are sniffed per input)")
@@ -117,7 +118,7 @@ func main() {
 		fatal(fmt.Errorf("-window is incompatible with -exact, -dedup, and -samples (the window estimator streams in constant memory)"))
 	}
 	if *windowSize > 0 && *p > 0 {
-		fatal(fmt.Errorf("-p has no effect with -window (the sliding-window estimator is single-threaded); drop one of the flags"))
+		fatal(fmt.Errorf("-p has no effect with -window (the sliding-window estimator has no shards); drop one of the flags"))
 	}
 	if *lateness >= 0 && *windowSize == 0 {
 		fatal(fmt.Errorf("-lateness only applies to -window runs (the whole-stream counters are order-insensitive, so out-of-order input needs no repair there)"))
@@ -199,10 +200,7 @@ func main() {
 	}
 
 	if *p <= 0 {
-		*p = runtime.NumCPU()
-		if *p > 8 {
-			*p = 8
-		}
+		*p = 1
 	}
 	if *p > *r {
 		*p = *r
@@ -230,7 +228,6 @@ func main() {
 		}
 	} else {
 		tc := streamtri.NewParallelTriangleCounter(*r, *p, opts...)
-		defer tc.Close()
 		st, err = tc.CountStreams(ctx, srcs...)
 		if err != nil {
 			fatal(err)
