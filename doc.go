@@ -47,12 +47,15 @@
 // wedge. All storage is reused across batches — the only steady-state
 // heap allocation per AddBatch is the fixed-size estimate snapshot
 // published for lock-free readers (see Serving). ParallelTriangleCounter
-// builds the index once per batch and shares it across a persistent
-// per-shard worker pool, so shards split only the per-estimator work;
-// double-buffered batch handoff overlaps shard processing with edge
-// intake, with no per-batch goroutine spawning and no copying. Cells
-// tracked in BENCH_core.json measure these paths; regenerate with
-// `make bench-core`.
+// splits the estimators into p shards, builds the index once per batch,
+// and runs the shards one after another in the caller's goroutine, each
+// reading that one index. p is a partition of the estimators, not a
+// parallelism setting: it fixes the shard seeds, so estimates and
+// checkpoints depend on it. Running the shards concurrently does not
+// pay: with the index shared, only the O(r/p) estimator pass could run
+// in parallel, and on two cores that gave no wall-time speedup while
+// costing more CPU per edge. Cells tracked in BENCH_core.json measure
+// these paths; regenerate with `make bench-core`.
 //
 // # Pipelined ingestion
 //
@@ -62,11 +65,12 @@
 // dedicated decoder goroutine that fills fixed-size batch buffers drawn
 // from a small recycle ring (WithPipelineDepth buffers circulate; an
 // empty ring is the backpressure that keeps a fast producer from
-// buffering the stream). Filled batches flow through a channel into the
-// counter's asynchronous batch handoff, so I/O+decode overlaps shard
-// processing and the resident set is a few batch buffers regardless of
-// stream length — a graph never has to fit in memory to be counted, the
-// property the adjacency-stream model promises. Errors and context
+// buffering the stream). Filled batches flow through a channel to the
+// counter, which absorbs each one before its buffer is recycled, so
+// I/O+decode overlaps counting and the resident set is a few batch
+// buffers regardless of stream length — a graph never has to fit in
+// memory to be counted, the property the adjacency-stream model
+// promises. Errors and context
 // cancellation propagate from the decoder to the CountStream caller,
 // and the counter remains valid (reflecting exactly the edges absorbed)
 // after a failed or cancelled stream. StreamStats prices I/O+decode
@@ -316,8 +320,8 @@
 // state behind one atomic pointer, and Snapshot (on TriangleCounter and
 // ParallelTriangleCounter) is a single pointer load against that. A
 // snapshot reflects exactly the stream prefix absorbed at some batch
-// boundary — edges still in the intake buffer or in an in-flight
-// asynchronous batch are not yet included — so readers get a consistent
+// boundary — edges still in the intake buffer or in the batch being
+// absorbed are not yet included — so readers get a consistent
 // (edges, triangles, wedges, transitivity) tuple without taking any
 // lock, queries never stall ingestion, and ingestion bursts never
 // stall queries. The cost to the ingest path is one fixed-size
