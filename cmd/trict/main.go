@@ -28,13 +28,14 @@
 // goroutine — so files larger than RAM stream fine, and I/O+decode time
 // overlaps processing. -p splits the estimators into that many shards;
 // it fixes the shard seeds, so the estimate depends on it, but not on
-// the machine: an unset -p means one shard. With several -i inputs the decoders also overlap
-// each other (parallel ingestion); edges from one file keep their order,
-// but the interleaving across files is scheduler-dependent, which the
-// arbitrary-order stream model tolerates. The report prices I/O+decode
-// separately from wall time, in the style of the paper's Table 3 (for
-// multiple inputs the decode figure aggregates all decoders and can
-// exceed wall time, and a per-source breakdown shows skewed shards).
+// the machine: an unset -p means one shard. With several -i inputs the
+// decoders also overlap each other (parallel ingestion); edges from one
+// file keep their order, but the interleaving across files is
+// scheduler-dependent, which the arbitrary-order stream model
+// tolerates. The report prices I/O+decode separately from wall time,
+// in the style of the paper's Table 3 (for multiple inputs the decode
+// figure aggregates all decoders and can exceed wall time, and a
+// per-source breakdown shows skewed shards).
 //
 // Windowed runs (-window N) use the sliding-window estimator. A single
 // input streams as-is (the window is defined by arrival order). Several

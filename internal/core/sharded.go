@@ -13,7 +13,7 @@ import (
 // paper's conclusion observes that neighborhood sampling is amenable to
 // parallelization (realized in the authors' follow-up CIKM 2013 paper);
 // estimators are mutually independent, so partitioning them preserves the
-// exact estimate distribution. p is a partition of the estimators, not a
+// exact estimate distribution. p partitions the estimators and is not a
 // parallelism setting: it fixes each shard's derived seed, and with it
 // the estimates and the NSTS checkpoint, while the shards run one after
 // another in the caller's goroutine.
@@ -30,10 +30,10 @@ import (
 //
 // Concurrency contract: Add, AddBatch, Edges, WriteTo and
 // EstimateTrianglesMedianOfMeans belong to a single owner goroutine and
-// must not be called concurrently with each other. The
-// Estimate* methods and Snapshot are readers: they return the snapshot
-// published at the last completed batch boundary and are safe to call
-// from any goroutine concurrently with the owner.
+// must not be called concurrently with each other. EstimateTriangles,
+// EstimateWedges, EstimateTransitivity and Snapshot are readers: they
+// return the snapshot published at the last completed batch boundary
+// and are safe to call from any goroutine concurrently with the owner.
 type ShardedCounter struct {
 	shards []*Counter
 	m      uint64
