@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"streamtri/internal/exact"
 	"streamtri/internal/gen"
 	"streamtri/internal/graph"
 	"streamtri/internal/randx"
@@ -22,66 +21,67 @@ func TestChainInvariantsMaintained(t *testing.T) {
 	}
 }
 
-func TestHeadIsUniformOverWindow(t *testing.T) {
-	// After t >= w edges, the head element's position must be uniform
-	// over the last w positions.
-	const w = 16
-	edges := gen.Path(200) // adjacency structure irrelevant here
-	counts := make(map[uint64]int)
-	const trials = 3000
-	for s := uint64(0); s < trials; s++ {
-		c := NewCounter(1, w, 100+s)
-		for _, e := range edges {
-			c.Add(e)
+// headCounter is what the head-uniformity check needs from an engine.
+type headCounter interface {
+	Add(graph.Edge)
+	HeadState(idx int) (pos uint64, hasT bool, ok bool)
+}
+
+// checkHeadUniform feeds a path stream to c (r estimators over windows of
+// w) and checks, at every position in at, that the head is uniform over
+// the window: each window position's count is within z = 4.5 binomial
+// standard deviations of r/min(t, w).
+func checkHeadUniform(t *testing.T, c headCounter, r int, w uint64, at []int) {
+	t.Helper()
+	const z = 4.5
+	edges := gen.Path(at[len(at)-1] + 1)
+	next := 0
+	for i, e := range edges {
+		c.Add(e)
+		pos := i + 1
+		if pos != at[next] {
+			continue
 		}
-		pos, _, ok := c.HeadState(0)
-		if !ok {
-			t.Fatal("no head")
+		next++
+		m := min(uint64(pos), w)
+		lo := uint64(pos) - m + 1
+		counts := make([]int, m)
+		for idx := 0; idx < r; idx++ {
+			h, _, ok := c.HeadState(idx)
+			if !ok || h < lo || h > uint64(pos) {
+				t.Fatalf("w=%d t=%d: estimator %d head %d (ok=%v) outside window [%d, %d]", w, pos, idx, h, ok, lo, pos)
+			}
+			counts[h-lo]++
 		}
-		lo := uint64(len(edges)) - w + 1
-		if pos < lo || pos > uint64(len(edges)) {
-			t.Fatalf("head position %d outside window [%d, %d]", pos, lo, len(edges))
-		}
-		counts[pos]++
-	}
-	want := float64(trials) / w
-	for pos, n := range counts {
-		if math.Abs(float64(n)-want) > 0.35*want {
-			t.Errorf("position %d sampled %d times, want ≈%v", pos, n, want)
+		p := 1 / float64(m)
+		want := float64(r) * p
+		tol := z * math.Sqrt(float64(r)*p*(1-p))
+		for j, n := range counts {
+			if math.Abs(float64(n)-want) > tol {
+				t.Errorf("w=%d t=%d: position %d is the head of %d estimators, want %.0f ± %.0f", w, pos, lo+uint64(j), n, want, tol)
+			}
 		}
 	}
 }
 
-func TestWindowEstimateUnbiased(t *testing.T) {
-	// Stream: 300 noise edges (triangle-free path on fresh vertices)
-	// followed by the paper's Figure-1-style block. With w equal to the
-	// block length, the window graph at the end is exactly the block.
-	noise := gen.Path(301) // vertices 0..300
-	var block []graph.Edge
-	for _, e := range gen.Syn3Reg(8, 4) { // τ = 8·4+4·2 = 40
-		block = append(block, graph.Edge{U: e.U + 1000, V: e.V + 1000})
+// headCheckpoints returns the positions the head-uniformity test checks
+// for window w: half full (when that is before the window fills), just
+// full, one past full, and deep into the stream.
+func headCheckpoints(w uint64) []int {
+	var at []int
+	if half := int(w+1) / 2; uint64(half) < w {
+		at = append(at, half)
 	}
-	block = stream.Shuffle(block, randx.New(4))
-	full := append(append([]graph.Edge{}, noise...), block...)
+	return append(at, int(w), int(w)+1, 5*int(w)+2)
+}
 
-	gBlock := graph.MustFromEdges(block)
-	tau := float64(exact.Triangles(gBlock))
-
-	var sum float64
-	const seeds = 10
-	for s := uint64(0); s < seeds; s++ {
-		c := NewCounter(4000, uint64(len(block)), 500+s)
-		for _, e := range full {
-			c.Add(e)
-		}
-		if c.WindowEdges() != uint64(len(block)) {
-			t.Fatalf("window edges = %d", c.WindowEdges())
-		}
-		sum += c.EstimateTriangles()
-	}
-	got := sum / seeds
-	if math.Abs(got-tau) > 0.25*tau {
-		t.Fatalf("windowed estimate = %v, want τ(window) = %v", got, tau)
+func TestHeadIsUniformOverWindow(t *testing.T) {
+	// One counter of r estimators gives r independent head samples per
+	// position. At w=2 a successor drawn from (pos, pos+w] instead of
+	// (pos, pos+w-1] puts the newest edge at the head 60% of the time.
+	const r = 40000
+	for _, w := range []uint64{1, 2, 3, 16} {
+		checkHeadUniform(t, NewCounter(r, w, 100+w), r, w, headCheckpoints(w))
 	}
 }
 
