@@ -100,9 +100,10 @@ func (s *SlidingWindowCounter) WriteTo(w io.Writer) (int64, error) {
 
 // RestoreSlidingWindowCounter reads a checkpoint written by
 // SlidingWindowCounter.WriteTo and returns a counter that continues
-// exactly where the original left off. Corrupt or truncated checkpoints
-// are rejected with an error naming the damage — never restored into
-// undefined estimator state.
+// exactly where the original left off. Checkpoints written before the
+// windowed estimator moved to chain sampling convert exactly on restore.
+// Corrupt or truncated checkpoints are rejected with an error naming the
+// damage — never restored into undefined estimator state.
 func RestoreSlidingWindowCounter(r io.Reader) (*SlidingWindowCounter, error) {
 	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {

@@ -57,6 +57,84 @@
 // costing more CPU per edge. Cells tracked in BENCH_core.json measure
 // these paths; regenerate with `make bench-core`.
 //
+// # The windowed estimator
+//
+// SlidingWindowCounter runs Section 5.2's neighborhood sampling over the
+// graph of the last w edges (Theorem 5.8). Each estimator needs a
+// uniform level-1 edge of the window and, for it, the level-2 reservoir
+// over the later adjacent edges. It keeps the level-1 sample by
+// Babcock–Datar–Motwani chain sampling:
+//
+//   - the edge at position t replaces the estimator's whole chain with
+//     probability 1/min(t, w);
+//   - an edge that joins a chain at position p draws its successor's
+//     position uniformly from (p, p+w−1]; when that edge arrives it
+//     joins the chain and draws its own (at w = 1 there is none);
+//   - when the head expires (at p+w) the next element becomes the head.
+//
+// Every chain element keeps its own level-2 state over the edges after
+// it. All of those lie inside the window while the element does, so the
+// element that becomes the head holds exactly the state neighborhood
+// sampling would hold for it, and Lemma 3.2 applies to the window graph.
+//
+// The head is uniform over the window. Induct on t. While t ≤ w nothing
+// expires and the replacements are reservoir sampling: the head is t
+// with probability 1/t and otherwise the previous head, uniform over the
+// other t−1 positions. For t > w, the head before t is uniform over
+// (t−1−w, t−1]. With probability 1/w it is t−w and expires; its
+// successor lies in (t−w, t−1], so it has arrived and is uniform over
+// the w−1 older positions of the new window. So before the replacement
+// each j in (t−w, t−1] is the head with probability
+// 1/w + (1/w)·1/(w−1) = 1/(w−1). The edge t replaces with probability
+// 1/w, which leaves each older position (1−1/w)·1/(w−1) = 1/w. The
+// successor drawn at an element depends on nothing but that element's
+// position, so the induction carries the rest of the chain along. The
+// range (p, p+w] of the original scheme breaks this: the expiring head's
+// successor can then be t itself, on top of t's own 1/w replacement
+// chance, and the newest edge is the head with probability 0.60 at w = 2
+// (uniform is 0.5).
+//
+// Cost. Once t ≥ w the head's age is uniform over the window and each
+// successor lies a uniform step of up to w−1 further, so for large w
+// the chain holds 1 + ∫₀¹(eˣ−1)dx = e−1 ≈ 1.72 arrived elements on
+// average, whatever w is: the state is O(r), not the paper's
+// O(r·log w). No estimator does anything on an edge unless it has an
+// event there. The next replacement is drawn directly: while t < w,
+// P(no replacement in (t, j]) = t/j, so it is ⌊t/U⌋+1 for U uniform on
+// (0, 1] if that is at most w; from w on the gaps are geometric with
+// mean w. Replacements, successor arrivals and head expiries sit on a
+// calendar (a heap with one entry per estimator), and a vertex index
+// over the live chain elements finds the elements adjacent to an
+// arriving edge. An edge costs O(1 + adjacent elements + events due at
+// its position). Scheduled positions beyond 2^62, the stream-position
+// bound, never arrive, so no schedule wraps for huge w.
+//
+// Determinism. The work at position t runs in one fixed order — head
+// expiries, level-2 updates, replacements, successor arrivals — with
+// estimators in index order and the vertex index's lists in (position,
+// estimator) order, the order in which elements arrive. The random draws
+// are therefore a function of the state and the edge alone: a counter
+// restored from a checkpoint (which rebuilds the calendar and the index)
+// continues bit-identically, and WAL replay reproduces an uncrashed run.
+//
+// Restoring version-1 checkpoints. Before chain sampling, each estimator
+// kept the suffix minima of i.i.d. uniform priorities ρ over the window
+// (the head is the window's argmin), and NSTW version 1 stored those
+// chains. ReadCounterFrom converts them exactly. Walk the old chain from
+// its head s and let A = (s, t] be the positions that have arrived. In
+// the new engine's law, s's successor is uniform over (s, s+w−1]; it
+// lies in A with probability |A|/(w−1) and is then uniform over A. The
+// old chain's next element is the argmin of ρ over A. Given everything
+// the walk has seen — that s is the argmin over the window, so every ρ
+// in A exceeds ρ_s — those priorities are still exchangeable, so the
+// argmin is uniform over A. It also carries its exact level-2 state. So
+// with probability |A|/(w−1) the successor is the old next element and
+// the walk continues from it. Otherwise the successor has not arrived:
+// it is scheduled uniformly over (t, s+w−1] and the walk stops. Future
+// replacements are independent of the past given t, so their draws start
+// afresh. Drawing with |A|/w instead, as for the range (p, p+w], biases
+// the heads after conversion the same way that range does.
+//
 // # Pipelined ingestion
 //
 // The CountStream methods decode a Source — a text edge list
@@ -350,7 +428,8 @@
 // generation are pruned. Whole-stream tenants serialize through
 // WriteTo/RestoreParallelTriangleCounter (the NSTS sharded envelope);
 // windowed tenants through SlidingWindowCounter.WriteTo /
-// RestoreSlidingWindowCounter (the NSTW envelope). Recovery restores
+// RestoreSlidingWindowCounter (the NSTW envelope, whose version-1
+// checkpoints convert on restore). Recovery restores
 // the newest generation that validates — both decoders reject corrupt
 // or truncated blobs by name, and a generation that fails falls back to
 // the next older one rather than failing the start — then replays the

@@ -3,6 +3,7 @@ package window
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"streamtri/internal/core"
@@ -42,14 +43,19 @@ type windowEngine interface {
 }
 
 // gateCase is one stream, window and estimator budget with the stream
-// positions (edge counts) at which the estimate is checked.
+// positions (edge counts) at which the estimate is checked. convertAt is
+// the position at which the converted-state run restores a version-1
+// checkpoint of the reference engine; refTrials > 0 adds the case to the
+// two-sample check against the reference engine.
 type gateCase struct {
-	name   string
-	edges  []graph.Edge
-	w      uint64
-	r      int
-	trials int
-	at     []int
+	name      string
+	edges     []graph.Edge
+	w         uint64
+	r         int
+	trials    int
+	at        []int
+	convertAt int
+	refTrials int
 }
 
 // windowTruth holds the exact parameters of the window graph at one
@@ -93,21 +99,21 @@ func gateCases() []gateCase {
 	noisy := append(append([]graph.Edge{}, noise...), block...)
 	return []gateCase{
 		{name: "syn3reg", edges: gen.Syn3Reg(100, 100), w: 500, r: 256, trials: 240,
-			at: []int{400, 520, 1450}},
+			at: []int{400, 520, 1450}, convertAt: 300},
 		{name: "K20x4", edges: disjointBlocks(gen.Complete(20), 4, 7), w: 250, r: 256, trials: 160,
-			at: []int{180, 260, 700}},
+			at: []int{180, 260, 700}, convertAt: 255, refTrials: 80},
 		{name: "holmekim", edges: gen.HolmeKim(randx.New(5), 250, 4, 0.9), w: 300, r: 256, trials: 480,
-			at: []int{250, 320, 950}},
+			at: []int{250, 320, 950}, convertAt: 200},
 		{name: "noise+syn3reg", edges: noisy, w: uint64(len(block)), r: 256, trials: 240,
-			at: []int{300 + 60, len(noisy)}},
+			at: []int{300 + 60, len(noisy)}, convertAt: 340, refTrials: 80},
 	}
 }
 
 // runGateTrials feeds tc's stream to trials engines built by mk and
 // returns est[i][k], trial k's estimate at position tc.at[i].
-func runGateTrials(tc gateCase, mk func(seed uint64) windowEngine) [][]float64 {
+func runGateTrials(tc gateCase, trials int, mk func(seed uint64) windowEngine) [][]float64 {
 	est := make([][]float64, len(tc.at))
-	for k := 0; k < tc.trials; k++ {
+	for k := 0; k < trials; k++ {
 		c := mk(gateSeed + uint64(k))
 		next := 0
 		for i, e := range tc.edges[:tc.at[len(tc.at)-1]] {
@@ -160,12 +166,16 @@ func gateCheck(est []float64, truth windowTruth, r int) string {
 	return ""
 }
 
-// runGate runs the whole grid against the engine built by mk.
-func runGate(t *testing.T, mk func(r int, w, seed uint64) windowEngine) {
+// runGate runs the whole grid against the engine that mk builds for a
+// case, checking the positions after `from`.
+func runGate(t *testing.T, trials func(gateCase) int, from func(gateCase) int, mk func(tc gateCase, seed uint64) windowEngine) {
 	for _, tc := range gateCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			est := runGateTrials(tc, func(seed uint64) windowEngine { return mk(tc.r, tc.w, seed) })
+			est := runGateTrials(tc, trials(tc), func(seed uint64) windowEngine { return mk(tc, seed) })
 			for i, pos := range tc.at {
+				if pos <= from(tc) {
+					continue
+				}
 				truth := truthAt(tc.edges, tc.w, pos)
 				if msg := gateCheck(est[i], truth, tc.r); msg != "" {
 					t.Errorf("t=%d (w=%d, m_w=%d, Δ_w=%d): %s", pos, tc.w, truth.m, truth.maxDeg, msg)
@@ -176,5 +186,94 @@ func runGate(t *testing.T, mk func(r int, w, seed uint64) windowEngine) {
 }
 
 func TestWindowAccuracyGate(t *testing.T) {
-	runGate(t, func(r int, w, seed uint64) windowEngine { return NewCounter(r, w, seed) })
+	runGate(t, func(tc gateCase) int { return tc.trials }, func(gateCase) int { return 0 },
+		func(tc gateCase, seed uint64) windowEngine { return NewCounter(tc.r, tc.w, seed) })
+}
+
+// convertingEngine runs the reference priority engine for the first t0
+// edges, then restores its version-1 checkpoint and continues on the
+// converted Counter.
+type convertingEngine struct {
+	tb  testing.TB
+	t0  uint64
+	ref *refCounter
+	c   *Counter
+}
+
+func (e *convertingEngine) Add(x graph.Edge) {
+	if e.c != nil {
+		e.c.Add(x)
+		return
+	}
+	e.ref.Add(x)
+	if e.ref.t == e.t0 {
+		e.c = e.ref.restoreV1(e.tb)
+	}
+}
+
+func (e *convertingEngine) EstimateTriangles() float64 {
+	if e.c != nil {
+		return e.c.EstimateTriangles()
+	}
+	return e.ref.EstimateTriangles()
+}
+
+// TestWindowAccuracyGateConvertedV1 runs the gate's checks on states
+// restored from version-1 checkpoints: the reference engine counts up to
+// convertAt, the checkpoint converts, and the positions after it are
+// checked over half the case's trials (the reference prefix is slow).
+func TestWindowAccuracyGateConvertedV1(t *testing.T) {
+	runGate(t, func(tc gateCase) int { return tc.trials / 2 }, func(tc gateCase) int { return tc.convertAt },
+		func(tc gateCase, seed uint64) windowEngine {
+			return &convertingEngine{tb: t, t0: uint64(tc.convertAt), ref: newRefCounter(tc.r, tc.w, seed)}
+		})
+}
+
+// ksDistance returns the two-sample Kolmogorov–Smirnov statistic
+// sup |F_a − F_b|.
+func ksDistance(a, b []float64) float64 {
+	a, b = slices.Sorted(slices.Values(a)), slices.Sorted(slices.Values(b))
+	var d float64
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		x := min(a[i], b[j])
+		for i < len(a) && a[i] == x {
+			i++
+		}
+		for j < len(b) && b[j] == x {
+			j++
+		}
+		d = max(d, math.Abs(float64(i)/float64(len(a))-float64(j)/float64(len(b))))
+	}
+	return d
+}
+
+// TestWindowEnginesAgreeInDistribution compares the chain-sampling
+// engine with the reference priority engine on the same cases: at every
+// position their trial means must agree within gateZ Welch standard
+// errors, and the Kolmogorov–Smirnov distance between their trial
+// estimates must stay under the critical value at the same two-sided
+// false-alarm rate as gateZ.
+func TestWindowEnginesAgreeInDistribution(t *testing.T) {
+	alpha := math.Erfc(gateZ / math.Sqrt2)
+	ksC := math.Sqrt(-0.5 * math.Log(alpha/2))
+	for _, tc := range gateCases() {
+		if tc.refTrials == 0 {
+			continue
+		}
+		t.Run(tc.name, func(t *testing.T) {
+			ref := runGateTrials(tc, tc.refTrials, func(seed uint64) windowEngine { return newRefCounter(tc.r, tc.w, seed) })
+			got := runGateTrials(tc, tc.trials, func(seed uint64) windowEngine { return NewCounter(tc.r, tc.w, seed) })
+			for i, pos := range tc.at {
+				ma, sa := meanSD(ref[i])
+				mb, sb := meanSD(got[i])
+				n, m := float64(len(ref[i])), float64(len(got[i]))
+				if tol := gateZ * math.Sqrt(sa*sa/n+sb*sb/m); math.Abs(ma-mb) > tol {
+					t.Errorf("t=%d: means differ: reference %.2f, chain sampling %.2f, tolerance ±%.2f", pos, ma, mb, tol)
+				}
+				if d, crit := ksDistance(ref[i], got[i]), ksC*math.Sqrt((n+m)/(n*m)); d > crit {
+					t.Errorf("t=%d: Kolmogorov–Smirnov distance %.3f above %.3f", pos, d, crit)
+				}
+			}
+		})
+	}
 }

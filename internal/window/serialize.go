@@ -7,117 +7,101 @@ import (
 	"io"
 	"math"
 
-	"streamtri/internal/graph"
 	"streamtri/internal/randx"
 )
 
 // Serialization lets a long-running windowed stream processor checkpoint
-// its estimator chains and resume later, bit-identically — closing the
-// durability gap that made windowed serving tenants volatile while the
-// whole-stream counters (NSTC/NSTS, internal/core) already survived
-// restarts. The format follows the same discipline: a little-endian
-// versioned envelope with a magic tag, length-prefixed variable blocks,
-// and strict validation so corrupt or truncated streams are rejected by
-// name rather than restored into undefined estimator state.
+// its estimator chains and resume later, bit-identically. The format is
+// a little-endian versioned envelope with a magic tag, length-prefixed
+// variable blocks, and strict validation, so corrupt or truncated streams
+// are rejected by name rather than restored into undefined estimator
+// state.
 //
 //	magic "NSTW" | version u32 | r u64 | w u64 | t u64 |
 //	rngLen u32 | rng bytes | r × estimator blocks
 //
-// where an estimator block is a length-prefixed chain,
+// Version 2 (written) stores chain-sampling estimators:
 //
-//	chainLen u32 | chainLen × chain elements
+//	chainLen u32 | chainLen × element | next u64 | replace u64
+//	element: e.U e.V (u32) | pos u64 | c u64 | r2.U r2.V (u32) | state u8
 //
-// and each chain element is
+// where next is the arrival position of the tail's successor and replace
+// the position of the next chain replacement (MaxUint64: never), and
+// state packs hasR2/hasT into bits 0..1. The reader enforces every
+// invariant checkChainInvariant states, so a decoded counter is always in
+// a state the live estimator could have reached, and re-encoding it
+// reproduces the input bytes. The calendar and the vertex index are
+// rebuilt, not stored.
 //
-//	e.U e.V (u32) | pos u64 | rho f64 bits (u64) | c u64 |
-//	r2.U r2.V (u32) | state u8
-//
-// with state packing hasR2/hasT into bits 0..1. The reader enforces
-// every structural invariant the estimator maintains — positions
-// 1-based, inside the window, strictly increasing along the chain with
-// strictly increasing priorities in [0,1), non-empty chains whenever
-// t > 0, hasR2 exactly when the level-2 neighborhood count is nonzero,
-// hasT only with hasR2, an unset r2 stored as the zero edge — so a
-// decoded counter is always in a state the live estimator could have
-// reached, and re-encoding it reproduces the input bytes.
+// Version 1 (read only) stored the priority chains of the engine before
+// chain sampling, each element carrying its priority ρ as f64 bits after
+// pos. ReadCounterFrom validates a version-1 chain as that engine kept it
+// — strictly increasing positions and priorities in [0,1), the newest
+// edge last — and converts it exactly (convertV1), so upgrading resets no
+// counter.
 
 var serWindowMagic = [4]byte{'N', 'S', 'T', 'W'}
 
-const serWindowVersion = 1
+const (
+	serWindowV1      = 1
+	serWindowVersion = 2
+)
 
 const (
 	wstHasR2 = 1 << 0
 	wstHasT  = 1 << 1
 )
 
-// WriteTo serializes the windowed counter (the NSTW envelope). It
-// implements io.WriterTo.
+func elemState(el *chainElem) uint8 {
+	var st uint8
+	if el.hasR2 {
+		st |= wstHasR2
+	}
+	if el.hasT {
+		st |= wstHasT
+	}
+	return st
+}
+
+// WriteTo serializes the windowed counter (the NSTW envelope, version 2).
+// It implements io.WriterTo.
 func (c *Counter) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	n := int64(0)
-	write := func(v any) error {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
-		}
-		n += int64(binary.Size(v))
-		return nil
-	}
-	if err := write(serWindowMagic); err != nil {
-		return n, err
-	}
-	if err := write(uint32(serWindowVersion)); err != nil {
-		return n, err
-	}
-	if err := write(uint64(len(c.ests))); err != nil {
-		return n, err
-	}
-	if err := write(c.w); err != nil {
-		return n, err
-	}
-	if err := write(c.t); err != nil {
-		return n, err
-	}
 	rngBytes, err := c.rng.MarshalBinary()
 	if err != nil {
-		return n, err
+		return 0, err
 	}
-	if err := write(uint32(len(rngBytes))); err != nil {
-		return n, err
-	}
-	if err := write(rngBytes); err != nil {
-		return n, err
-	}
+	var buf []byte
+	le := binary.LittleEndian
+	buf = append(buf, serWindowMagic[:]...)
+	buf = le.AppendUint32(buf, serWindowVersion)
+	buf = le.AppendUint64(buf, uint64(len(c.ests)))
+	buf = le.AppendUint64(buf, c.w)
+	buf = le.AppendUint64(buf, c.t)
+	buf = le.AppendUint32(buf, uint32(len(rngBytes)))
+	buf = append(buf, rngBytes...)
 	for i := range c.ests {
-		ch := c.ests[i].chain
-		if err := write(uint32(len(ch))); err != nil {
-			return n, err
+		est := &c.ests[i]
+		buf = le.AppendUint32(buf, uint32(len(est.chain)))
+		for _, el := range est.chain {
+			buf = le.AppendUint32(buf, el.e.U)
+			buf = le.AppendUint32(buf, el.e.V)
+			buf = le.AppendUint64(buf, el.pos)
+			buf = le.AppendUint64(buf, el.c)
+			buf = le.AppendUint32(buf, el.r2.U)
+			buf = le.AppendUint32(buf, el.r2.V)
+			buf = append(buf, elemState(el))
 		}
-		for j := range ch {
-			el := &ch[j]
-			var st uint8
-			if el.hasR2 {
-				st |= wstHasR2
-			}
-			if el.hasT {
-				st |= wstHasT
-			}
-			rec := []any{
-				el.e.U, el.e.V, el.pos, math.Float64bits(el.rho), el.c,
-				el.r2.U, el.r2.V, st,
-			}
-			for _, v := range rec {
-				if err := write(v); err != nil {
-					return n, err
-				}
-			}
-		}
+		buf = le.AppendUint64(buf, est.next)
+		buf = le.AppendUint64(buf, est.replace)
 	}
-	return n, bw.Flush()
+	n, err := w.Write(buf)
+	return int64(n), err
 }
 
 // ReadCounterFrom deserializes a windowed counter previously written by
-// WriteTo, validating every chain invariant so a corrupt checkpoint is
-// rejected by name instead of restored into undefined state.
+// WriteTo (version 2) or by the priority engine (version 1, converted),
+// validating every chain invariant so a corrupt checkpoint is rejected by
+// name instead of restored into undefined state.
 func ReadCounterFrom(r io.Reader) (*Counter, error) {
 	br := bufio.NewReader(r)
 	read := func(v any) error { return binary.Read(br, binary.LittleEndian, v) }
@@ -133,7 +117,7 @@ func ReadCounterFrom(r io.Reader) (*Counter, error) {
 	if err := read(&version); err != nil {
 		return nil, fmt.Errorf("window: reading checkpoint version: %w", err)
 	}
-	if version != serWindowVersion {
+	if version != serWindowV1 && version != serWindowVersion {
 		return nil, fmt.Errorf("window: unsupported checkpoint version %d", version)
 	}
 	var rCount, w, t uint64
@@ -153,9 +137,6 @@ func ReadCounterFrom(r io.Reader) (*Counter, error) {
 	if err := read(&t); err != nil {
 		return nil, fmt.Errorf("window: reading stream position: %w", err)
 	}
-	// 2^62 edges is decades of ingest at any real rate; beyond that the
-	// position is corrupt, and bounding it keeps t++ overflow unreachable.
-	const maxStreamPos = 1 << 62
 	if t > maxStreamPos {
 		return nil, fmt.Errorf("window: implausible stream position %d", t)
 	}
@@ -175,9 +156,9 @@ func ReadCounterFrom(r io.Reader) (*Counter, error) {
 		return nil, fmt.Errorf("window: restoring rng state: %w", err)
 	}
 
-	// Append estimator by estimator (capped preallocation), like the
-	// chains below, so a lying count on a truncated stream fails at EOF
-	// instead of allocating the claimed size up front.
+	// Append estimator by estimator and element by element (capped
+	// preallocation), so a lying count on a truncated stream fails at
+	// EOF instead of allocating the claimed size up front.
 	c := &Counter{w: w, t: t, ests: make([]estimator, 0, min(rCount, 1<<16)), rng: rng}
 	for i := uint64(0); i < rCount; i++ {
 		var chainLen uint32
@@ -190,68 +171,108 @@ func ReadCounterFrom(r io.Reader) (*Counter, error) {
 		if t > 0 && chainLen == 0 {
 			return nil, fmt.Errorf("window: estimator %d has an empty chain at stream position %d", i, t)
 		}
-		// Append element by element (capped preallocation) so a lying
-		// chain length on a truncated stream fails at EOF instead of
-		// allocating the claimed size up front.
-		prealloc := chainLen
-		if prealloc > 1<<16 {
-			prealloc = 1 << 16
-		}
-		chain := make([]chainElem, 0, prealloc)
+		chain := make([]v1Elem, 0, min(chainLen, 1<<16))
 		for j := uint32(0); j < chainLen; j++ {
 			var (
-				el      chainElem
+				el      v1Elem
 				rhoBits uint64
 				st      uint8
 			)
-			fields := []any{
-				&el.e.U, &el.e.V, &el.pos, &rhoBits, &el.c,
-				&el.r2.U, &el.r2.V, &st,
+			fields := []any{&el.e.U, &el.e.V, &el.pos, &rhoBits, &el.c, &el.r2.U, &el.r2.V, &st}
+			if version == serWindowVersion {
+				fields = append(fields[:3], fields[4:]...)
 			}
 			for _, f := range fields {
 				if err := read(f); err != nil {
 					return nil, fmt.Errorf("window: reading estimator %d chain element %d: %w", i, j, err)
 				}
 			}
-			el.rho = math.Float64frombits(rhoBits)
 			if st&^uint8(wstHasR2|wstHasT) != 0 {
 				return nil, fmt.Errorf("window: estimator %d chain element %d has unknown state bits %#x", i, j, st)
 			}
 			el.hasR2 = st&wstHasR2 != 0
 			el.hasT = st&wstHasT != 0
-			if el.pos == 0 || el.pos > t {
+			if err := checkElem(&el.chainElem); err != nil {
+				return nil, fmt.Errorf("window: estimator %d chain element %d: %w", i, j, err)
+			}
+			if el.pos > t {
 				return nil, fmt.Errorf("window: estimator %d chain element %d position %d outside stream of length %d", i, j, el.pos, t)
 			}
 			if t-el.pos >= w {
 				return nil, fmt.Errorf("window: estimator %d chain element %d expired (pos=%d, t=%d, w=%d)", i, j, el.pos, t, w)
 			}
-			if !(el.rho >= 0 && el.rho < 1) { // also rejects NaN
-				return nil, fmt.Errorf("window: estimator %d chain element %d priority %v outside [0,1)", i, j, el.rho)
+			if j > 0 && chain[j-1].pos >= el.pos {
+				return nil, fmt.Errorf("window: estimator %d chain positions not increasing at element %d", i, j)
 			}
-			if j > 0 {
-				prev := &chain[j-1]
-				if prev.pos >= el.pos {
-					return nil, fmt.Errorf("window: estimator %d chain positions not increasing at element %d", i, j)
+			if version == serWindowV1 {
+				el.rho = math.Float64frombits(rhoBits)
+				if !(el.rho >= 0 && el.rho < 1) { // also rejects NaN
+					return nil, fmt.Errorf("window: estimator %d chain element %d priority %v outside [0,1)", i, j, el.rho)
 				}
-				if prev.rho >= el.rho {
+				if j > 0 && chain[j-1].rho >= el.rho {
 					return nil, fmt.Errorf("window: estimator %d chain priorities not increasing at element %d", i, j)
 				}
 			}
-			if el.hasR2 != (el.c > 0) {
-				return nil, fmt.Errorf("window: estimator %d chain element %d level-2 state inconsistent (hasR2=%v, c=%d)", i, j, el.hasR2, el.c)
-			}
-			if el.hasT && !el.hasR2 {
-				return nil, fmt.Errorf("window: estimator %d chain element %d holds a triangle without a level-2 edge", i, j)
-			}
-			if !el.hasR2 && el.r2 != (graph.Edge{}) {
-				return nil, fmt.Errorf("window: estimator %d chain element %d carries a level-2 edge marked unset", i, j)
-			}
 			chain = append(chain, el)
 		}
-		c.ests = append(c.ests, estimator{chain: chain})
+		var est estimator
+		if version == serWindowV1 {
+			if chainLen > 0 && chain[chainLen-1].pos != t {
+				return nil, fmt.Errorf("window: estimator %d version-1 chain does not end at the newest edge %d", i, t)
+			}
+			est = c.convertV1(chain)
+		} else {
+			for j := range chain {
+				est.chain = append(est.chain, &chain[j].chainElem)
+			}
+			if err := read(&est.next); err != nil {
+				return nil, fmt.Errorf("window: reading estimator %d scheduled successor: %w", i, err)
+			}
+			if err := read(&est.replace); err != nil {
+				return nil, fmt.Errorf("window: reading estimator %d next replacement: %w", i, err)
+			}
+		}
+		c.ests = append(c.ests, est)
 	}
+	c.rebuild()
 	if err := c.checkChainInvariant(); err != nil {
 		return nil, fmt.Errorf("window: restored state violates chain invariant: %w", err)
 	}
 	return c, nil
+}
+
+// v1Elem is a version-1 chain element: a chain element with the random
+// priority ρ of the engine before chain sampling.
+type v1Elem struct {
+	chainElem
+	rho float64
+}
+
+// convertV1 turns one version-1 priority chain at stream position c.t
+// into a chain-sampling estimator with the same distribution (doc.go,
+// "Restoring version-1 checkpoints"). Walking from the head, an element s
+// keeps the old chain's next element as its successor with probability
+// |A|/(w−1), A = (s, t] the positions that have arrived; otherwise its
+// successor is scheduled uniformly over (t, s+w−1] and the walk stops.
+// Replacement draws start afresh.
+func (c *Counter) convertV1(old []v1Elem) estimator {
+	if c.t == 0 {
+		return estimator{next: never, replace: 1}
+	}
+	est := estimator{next: never}
+	for k := range old {
+		el := old[k].chainElem
+		est.chain = append(est.chain, &el)
+		if c.w == 1 {
+			break
+		}
+		arrived := c.t - el.pos
+		if k+1 < len(old) && c.rng.Uint64N(c.w-1) < arrived {
+			continue
+		}
+		est.next = after(c.t, 1+c.rng.Uint64N(c.w-1-arrived))
+		break
+	}
+	est.replace = c.nextReplacement(c.t)
+	return est
 }

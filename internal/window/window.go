@@ -2,34 +2,53 @@
 // over a sequence-based sliding window of the most recent w edges
 // (Theorem 5.8).
 //
-// Each estimator maintains a chain of candidate level-1 edges — the
-// suffix-minima of per-edge random priorities ρ, exactly the sample chain
-// of Babcock–Datar–Motwani — so that when the current level-1 edge
-// expires, the next chain element takes over and is itself a uniform
-// sample of the remaining window. Every chain element carries its own
-// level-2 reservoir over the edges that arrived after it (all of which
-// are inside the window whenever the element is), so the head element is
-// always a complete neighborhood-sampling state for the window graph.
-// The expected chain length is O(log w), giving the theorem's O(r·log w)
-// space.
+// Each estimator keeps its uniform window sample by Babcock–Datar–Motwani
+// chain sampling. The edge at position s replaces an estimator's whole
+// chain with probability 1/min(s, w). When an edge at pos joins a chain
+// it draws the position of its successor uniformly from (pos, pos+w−1];
+// the edge arriving there joins the chain in turn. When the head expires,
+// its successor has already arrived and takes over, and it is again a
+// uniform sample of the window (the proof is in the repository's doc.go).
+// Every chain element carries its own level-2 reservoir over the edges
+// that arrived after it, so the head is always a complete
+// neighborhood-sampling state for the window graph.
+//
+// Nothing is done per estimator per edge. Replacements, successor
+// arrivals and head expiries are scheduled positions on a calendar, and a
+// vertex index over the live chain elements finds the elements adjacent
+// to an arriving edge. An edge costs O(1 + adjacent elements + events due
+// at its position); the expected chain length is e−1 < 2 for large w, so
+// the state is O(r).
 package window
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 
 	"streamtri/internal/graph"
 	"streamtri/internal/randx"
 )
 
+// maxStreamPos bounds the stream position. 2^62 edges is decades of
+// ingest at any real rate; the decoder rejects larger positions, which
+// keeps t++ overflow unreachable.
+const maxStreamPos = 1 << 62
+
+// never is the scheduled position of an event that no stream reaches: a
+// draw beyond maxStreamPos, or the successor of an element when w = 1.
+const never = math.MaxUint64
+
 // chainElem is one candidate level-1 edge with its own level-2 state.
 type chainElem struct {
-	e     graph.Edge
-	pos   uint64  // arrival position, 1-based
-	rho   float64 // random priority; chain is increasing in (pos, rho)
-	c     uint64  // |N(e)| among edges after pos
-	r2    graph.Edge
-	hasR2 bool
-	hasT  bool
+	e       graph.Edge
+	pos     uint64 // arrival position, 1-based
+	c       uint64 // |N(e)| among edges after pos
+	r2      graph.Edge
+	hasR2   bool
+	hasT    bool
+	dropped bool // left its chain; skipped until its vertex lists compact
 }
 
 // closesWedge reports whether f joins the outer endpoints of (e, r2).
@@ -42,57 +61,32 @@ func (el *chainElem) closesWedge(f graph.Edge) bool {
 	return (f.U == o1 && f.V == o2) || (f.U == o2 && f.V == o1)
 }
 
+// observe applies Algorithm 1's level-2 step for an adjacent edge f that
+// arrived after el.
+func (el *chainElem) observe(f graph.Edge, rng *randx.Source) {
+	el.c++
+	if rng.CoinOneIn(el.c) {
+		el.r2, el.hasR2, el.hasT = f, true, false
+		return
+	}
+	if el.hasR2 && !el.hasT && el.closesWedge(f) {
+		el.hasT = true
+	}
+}
+
 // estimator is one windowed neighborhood-sampling instance.
 type estimator struct {
-	chain []chainElem
+	chain   []*chainElem // head first, positions increasing
+	next    uint64       // arrival position of the tail's successor, or never
+	replace uint64       // position of the next chain replacement, or never
 }
 
-// process advances the estimator with edge e at time t over window size w.
-func (est *estimator) process(e graph.Edge, t, w uint64, rng *randx.Source) {
-	// Expire chain elements that left the window. The age test is in
-	// subtraction form (t-pos >= w, with pos <= t always) because the
-	// addition form pos+w <= t wraps for w near MaxUint64 and would
-	// expire every element on arrival.
-	expired := 0
-	for expired < len(est.chain) && t-est.chain[expired].pos >= w {
-		expired++
-	}
-	if expired > 0 {
-		est.chain = est.chain[:copy(est.chain, est.chain[expired:])]
-	}
-
-	// Update every candidate's level-2 state (Algorithm 1 relative to
-	// that candidate as level-1 edge).
-	for i := range est.chain {
-		el := &est.chain[i]
-		if !e.Adjacent(el.e) {
-			continue
-		}
-		el.c++
-		if rng.CoinOneIn(el.c) {
-			el.r2, el.hasR2, el.hasT = e, true, false
-			continue
-		}
-		if el.hasR2 && !el.hasT && el.closesWedge(e) {
-			el.hasT = true
-		}
-	}
-
-	// Insert the new edge into the suffix-minima chain: pop every tail
-	// element with a priority not smaller than the new one.
-	rho := rng.Float64()
-	for len(est.chain) > 0 && est.chain[len(est.chain)-1].rho >= rho {
-		est.chain = est.chain[:len(est.chain)-1]
-	}
-	est.chain = append(est.chain, chainElem{e: e, pos: t, rho: rho})
-}
-
-// head returns the current level-1 sample (the window minimum).
+// head returns the current level-1 sample.
 func (est *estimator) head() *chainElem {
 	if len(est.chain) == 0 {
 		return nil
 	}
-	return &est.chain[0]
+	return est.chain[0]
 }
 
 // Counter estimates the triangle count of the graph formed by the w most
@@ -102,6 +96,20 @@ type Counter struct {
 	t    uint64
 	ests []estimator
 	rng  *randx.Source
+
+	// Derived from ests, rebuilt on restore, never serialized.
+	cal calendar
+	adj map[graph.NodeID]*vertexList
+	due []int // scratch: estimators with an event at t
+}
+
+// vertexList holds the chain elements incident to one vertex in (pos,
+// estimator) order, the order in which the live engine indexes them.
+// Elements that left their chains stay, skipped, until they are half of
+// the list; then one pass drops them all, keeping the order.
+type vertexList struct {
+	elems []*chainElem
+	dead  int
 }
 
 // NewCounter returns a sliding-window triangle counter over windows of w
@@ -110,25 +118,210 @@ func NewCounter(r int, w uint64, seed uint64) *Counter {
 	if r < 1 || w < 1 {
 		panic(fmt.Sprintf("window: NewCounter needs r >= 1 and w >= 1, got r=%d w=%d", r, w))
 	}
-	return &Counter{w: w, ests: make([]estimator, r), rng: randx.New(seed)}
+	c := &Counter{w: w, ests: make([]estimator, r), rng: randx.New(seed)}
+	for i := range c.ests {
+		// The first edge replaces every chain: 1/min(1, w) = 1.
+		c.ests[i] = estimator{next: never, replace: 1}
+	}
+	c.rebuild()
+	return c
 }
 
-// Add processes one stream edge.
-func (c *Counter) Add(e graph.Edge) {
-	c.t++
+// rebuild derives the calendar and the vertex index from the chains.
+func (c *Counter) rebuild() {
+	c.cal = make(calendar, 0, len(c.ests))
+	c.adj = make(map[graph.NodeID]*vertexList)
+	type ref struct {
+		el  *chainElem
+		est int
+	}
+	var live []ref
 	for i := range c.ests {
-		c.ests[i].process(e, c.t, c.w, c.rng)
+		c.cal = append(c.cal, event{at: c.dueAt(i), est: i})
+		for _, el := range c.ests[i].chain {
+			live = append(live, ref{el, i})
+		}
+	}
+	c.cal.init()
+	// The live engine indexes elements as they arrive, in (pos,
+	// estimator) order; rebuilding in that order reproduces its lists.
+	slices.SortFunc(live, func(a, b ref) int {
+		return cmp.Or(cmp.Compare(a.el.pos, b.el.pos), cmp.Compare(a.est, b.est))
+	})
+	for _, x := range live {
+		c.index(x.el)
 	}
 }
 
-// AddBatch processes a batch of stream edges in order. The windowed
-// estimator has no bulk shortcut — every edge must visit every chain to
-// keep expiry and the level-2 reservoirs exact — so this is the per-edge
-// loop, hoisted here so callers (and the pipeline sink) have a single
-// batch entry point.
+// Add processes one stream edge. The work at position t runs in one
+// fixed order — head expiries, level-2 updates, replacements, successor
+// arrivals — and every phase visits estimators in index order and index
+// lists in (pos, estimator) order, so the random draws are a function of
+// the state and the edge alone: a restored counter continues exactly like
+// the one that wrote the checkpoint.
+func (c *Counter) Add(e graph.Edge) {
+	c.t++
+	t := c.t
+	c.due = c.due[:0]
+	for len(c.cal) > 0 && c.cal[0].at == t {
+		c.due = append(c.due, c.cal.pop().est)
+	}
+
+	// Expire heads that left the window. The successor of an element at
+	// pos arrives by pos+w−1, so the chain never empties here unless
+	// w = 1, where the edge at t replaces it below.
+	for _, i := range c.due {
+		est := &c.ests[i]
+		if h := est.head(); h != nil && t-h.pos >= c.w {
+			c.drop(h)
+			est.chain = slices.Delete(est.chain, 0, 1)
+		}
+	}
+
+	// Level-2 updates of every live element adjacent to e (Algorithm 1
+	// relative to that element as level-1 edge).
+	if l := c.adj[e.U]; l != nil {
+		for _, el := range l.elems {
+			if !el.dropped {
+				el.observe(e, c.rng)
+			}
+		}
+	}
+	if l := c.adj[e.V]; l != nil && e.V != e.U {
+		for _, el := range l.elems {
+			if !el.dropped && !el.e.Has(e.U) { // met through e.U already
+				el.observe(e, c.rng)
+			}
+		}
+	}
+
+	// Replacements: e becomes the whole chain.
+	for _, i := range c.due {
+		est := &c.ests[i]
+		if est.replace != t {
+			continue
+		}
+		for _, el := range est.chain {
+			c.drop(el)
+		}
+		clear(est.chain)
+		est.chain = append(est.chain[:0], &chainElem{e: e, pos: t})
+		est.next = c.successor(t)
+		est.replace = c.nextReplacement(t)
+	}
+
+	// Successor arrivals: e joins the chain and schedules its own.
+	for _, i := range c.due {
+		est := &c.ests[i]
+		if est.next != t {
+			continue
+		}
+		est.chain = append(est.chain, &chainElem{e: e, pos: t})
+		est.next = c.successor(t)
+	}
+
+	for _, i := range c.due {
+		if ch := c.ests[i].chain; ch[len(ch)-1].pos == t {
+			c.index(ch[len(ch)-1])
+		}
+		c.cal.push(event{at: c.dueAt(i), est: i})
+	}
+}
+
+// AddBatch processes a batch of stream edges in order, exactly as the
+// same sequence of Add calls would.
 func (c *Counter) AddBatch(batch []graph.Edge) {
 	for _, e := range batch {
 		c.Add(e)
+	}
+}
+
+// successor draws the arrival position of the successor of an element
+// at pos: uniform over (pos, pos+w−1], never when w = 1.
+func (c *Counter) successor(pos uint64) uint64 {
+	if c.w == 1 {
+		return never
+	}
+	return after(pos, 1+c.rng.Uint64N(c.w-1))
+}
+
+// nextReplacement draws the position of the next chain replacement after
+// t, where the edge at s replaces with probability 1/min(s, w).
+func (c *Counter) nextReplacement(t uint64) uint64 {
+	if t < c.w {
+		// P(no replacement in (t, j]) = t/j for j ≤ w, so with U uniform
+		// on (0, 1] the next replacement is ⌊t/U⌋+1 if that is ≤ w.
+		x := math.Floor(float64(t)/(1-c.rng.Float64())) + 1
+		if x <= float64(min(c.w, maxStreamPos)) {
+			return max(uint64(x), t+1) // float64(t) rounds beyond 2^53
+		}
+		if c.w >= maxStreamPos {
+			return never
+		}
+		// No replacement through w; from there on the rate is 1/w.
+		t = c.w
+	}
+	return after(t+1, c.rng.Geometric(1/float64(c.w)))
+}
+
+// after returns pos+d, or never if that lies beyond maxStreamPos. It
+// never wraps.
+func after(pos, d uint64) uint64 {
+	if pos > maxStreamPos || d > maxStreamPos-pos {
+		return never
+	}
+	return pos + d
+}
+
+// dueAt returns the first position at which estimator i has work: its
+// head's expiry, its successor's arrival or its next replacement.
+func (c *Counter) dueAt(i int) uint64 {
+	est := &c.ests[i]
+	at := min(est.next, est.replace)
+	if h := est.head(); h != nil {
+		at = min(at, after(h.pos, c.w))
+	}
+	return at
+}
+
+// index appends el to the lists of its endpoints.
+func (c *Counter) index(el *chainElem) {
+	c.list(el.e.U).elems = append(c.list(el.e.U).elems, el)
+	if el.e.V != el.e.U {
+		c.list(el.e.V).elems = append(c.list(el.e.V).elems, el)
+	}
+}
+
+func (c *Counter) list(v graph.NodeID) *vertexList {
+	l := c.adj[v]
+	if l == nil {
+		l = &vertexList{}
+		c.adj[v] = l
+	}
+	return l
+}
+
+// drop marks el, which has left its chain, as dead in the lists of its
+// endpoints.
+func (c *Counter) drop(el *chainElem) {
+	el.dropped = true
+	c.release(el.e.U)
+	if el.e.V != el.e.U {
+		c.release(el.e.V)
+	}
+}
+
+// release counts one more dead element in v's list and compacts the list
+// once the dead are half of it, so removal costs O(1) amortized.
+func (c *Counter) release(v graph.NodeID) {
+	l := c.adj[v]
+	if l.dead++; 2*l.dead < len(l.elems) {
+		return
+	}
+	l.elems = slices.DeleteFunc(l.elems, func(el *chainElem) bool { return el.dropped })
+	l.dead = 0
+	if len(l.elems) == 0 {
+		delete(c.adj, v)
 	}
 }
 
@@ -159,8 +352,9 @@ func (c *Counter) EstimateTriangles() float64 {
 	return sum / float64(len(c.ests))
 }
 
-// MeanChainLength returns the average chain length across estimators —
-// the per-estimator space factor, Θ(log w) in expectation.
+// MeanChainLength returns the average number of arrived chain elements
+// per estimator — the per-estimator space factor, e−1 ≈ 1.72 in
+// expectation once t ≥ w, for large w.
 func (c *Counter) MeanChainLength() float64 {
 	var sum int
 	for i := range c.ests {
@@ -169,29 +363,166 @@ func (c *Counter) MeanChainLength() float64 {
 	return float64(sum) / float64(len(c.ests))
 }
 
-// checkChainInvariant verifies that positions are strictly increasing,
-// priorities strictly increasing, and all positions inside the window.
-// Exported for white-box tests via export_test.go.
+// checkElem verifies one element's own fields: a 1-based position and a
+// level-2 state the reservoir can hold.
+func checkElem(el *chainElem) error {
+	switch {
+	case el.pos == 0:
+		return fmt.Errorf("position 0 outside stream")
+	case el.hasR2 != (el.c > 0):
+		return fmt.Errorf("level-2 state inconsistent (hasR2=%v, c=%d)", el.hasR2, el.c)
+	case el.hasT && !el.hasR2:
+		return fmt.Errorf("holds a triangle without a level-2 edge")
+	case !el.hasR2 && el.r2 != (graph.Edge{}):
+		return fmt.Errorf("carries a level-2 edge marked unset")
+	}
+	return nil
+}
+
+// checkChainInvariant verifies every estimator against the chain-sampling
+// invariants — elements inside the window, each successor within
+// (pos, pos+w−1] of its predecessor, the tail's successor and the next
+// replacement still to come — and that the calendar and the vertex index
+// agree with the chains. Exported for white-box tests via export_test.go.
 func (c *Counter) checkChainInvariant() error {
-	for idx := range c.ests {
-		ch := c.ests[idx].chain
-		for i := range ch {
-			// Subtraction form, like process: pos+c.w wraps for huge w.
-			if ch[i].pos > c.t || c.t-ch[i].pos >= c.w {
-				return fmt.Errorf("estimator %d: chain[%d] expired (pos=%d, t=%d, w=%d)", idx, i, ch[i].pos, c.t, c.w)
+	seen := make(map[*chainElem]int)
+	for v, l := range c.adj {
+		dead := 0
+		for k, el := range l.elems {
+			if !el.e.Has(v) || (k > 0 && l.elems[k-1].pos > el.pos) {
+				return fmt.Errorf("vertex index list of %d out of order or holding a non-incident edge", v)
 			}
-			if i > 0 {
-				if ch[i-1].pos >= ch[i].pos {
-					return fmt.Errorf("estimator %d: positions not increasing", idx)
-				}
-				if ch[i-1].rho >= ch[i].rho {
-					return fmt.Errorf("estimator %d: priorities not increasing", idx)
-				}
+			if el.dropped {
+				dead++
+			} else {
+				seen[el]++
 			}
 		}
-		if c.t > 0 && len(ch) == 0 {
+		if dead != l.dead || 2*dead >= len(l.elems) {
+			return fmt.Errorf("vertex index list of %d holds %d dead of %d elements, counted %d", v, dead, len(l.elems), l.dead)
+		}
+	}
+	for idx := range c.ests {
+		est := &c.ests[idx]
+		ch := est.chain
+		if c.t == 0 {
+			if len(ch) != 0 || est.next != never || est.replace != 1 {
+				return fmt.Errorf("estimator %d: not fresh at stream position 0", idx)
+			}
+			continue
+		}
+		if len(ch) == 0 {
 			return fmt.Errorf("estimator %d: empty chain on non-empty window", idx)
+		}
+		for i, el := range ch {
+			if err := checkElem(el); err != nil {
+				return fmt.Errorf("estimator %d: chain[%d]: %w", idx, i, err)
+			}
+			// Subtraction form: pos+w wraps for huge w.
+			if el.pos > c.t {
+				return fmt.Errorf("estimator %d: chain[%d] position %d outside stream of length %d", idx, i, el.pos, c.t)
+			}
+			if c.t-el.pos >= c.w {
+				return fmt.Errorf("estimator %d: chain[%d] expired (pos=%d, t=%d, w=%d)", idx, i, el.pos, c.t, c.w)
+			}
+			// Inside the window, every gap is within a successor range.
+			if i > 0 && ch[i-1].pos >= el.pos {
+				return fmt.Errorf("estimator %d: positions not increasing at chain[%d]", idx, i)
+			}
+			want := 2
+			if el.e.V == el.e.U {
+				want = 1
+			}
+			if seen[el] != want {
+				return fmt.Errorf("estimator %d: chain[%d] indexed %d times, want %d", idx, i, seen[el], want)
+			}
+			delete(seen, el)
+		}
+		tail := ch[len(ch)-1]
+		if est.next == never {
+			if c.w > 1 && c.w-1 <= maxStreamPos-tail.pos {
+				return fmt.Errorf("estimator %d: no successor scheduled for position %d", idx, tail.pos)
+			}
+		} else if est.next <= c.t || est.next > maxStreamPos || est.next-tail.pos > c.w-1 {
+			return fmt.Errorf("estimator %d: scheduled successor %d outside (t, pos+w-1] = (%d, %d+%d]", idx, est.next, c.t, tail.pos, c.w-1)
+		}
+		if est.replace <= c.t || (est.replace > maxStreamPos && est.replace != never) {
+			return fmt.Errorf("estimator %d: next replacement %d not after t=%d", idx, est.replace, c.t)
+		}
+		if c.w == 1 && est.replace != after(c.t, 1) {
+			return fmt.Errorf("estimator %d: next replacement %d, but at w=1 every edge replaces", idx, est.replace)
+		}
+	}
+	if len(seen) != 0 {
+		return fmt.Errorf("vertex index holds %d elements outside every chain", len(seen))
+	}
+	if len(c.cal) != len(c.ests) {
+		return fmt.Errorf("calendar holds %d entries for %d estimators", len(c.cal), len(c.ests))
+	}
+	for _, ev := range c.cal {
+		if ev.at != c.dueAt(ev.est) {
+			return fmt.Errorf("estimator %d: calendar entry %d, next event at %d", ev.est, ev.at, c.dueAt(ev.est))
 		}
 	}
 	return nil
+}
+
+// event is a calendar entry: estimator est has work at position at.
+type event struct {
+	at  uint64
+	est int
+}
+
+// calendar is a binary min-heap of events ordered by (at, est), one entry
+// per estimator, so the estimators due at a position pop in index order
+// however the heap is laid out.
+type calendar []event
+
+func (h calendar) less(i, j int) bool {
+	return h[i].at < h[j].at || (h[i].at == h[j].at && h[i].est < h[j].est)
+}
+
+func (h calendar) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+func (h *calendar) push(ev event) {
+	*h = append(*h, ev)
+	q := *h
+	for i := len(q) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !q.less(i, p) {
+			break
+		}
+		q[i], q[p] = q[p], q[i]
+		i = p
+	}
+}
+
+func (h *calendar) pop() event {
+	q := *h
+	top, n := q[0], len(q)-1
+	q[0] = q[n]
+	*h = q[:n]
+	h.down(0)
+	return top
+}
+
+func (h calendar) down(i int) {
+	for {
+		m := 2*i + 1
+		if m >= len(h) {
+			return
+		}
+		if r := m + 1; r < len(h) && h.less(r, m) {
+			m = r
+		}
+		if !h.less(m, i) {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
 }

@@ -82,6 +82,7 @@ func TestHeadIsUniformOverWindow(t *testing.T) {
 	const r = 40000
 	for _, w := range []uint64{1, 2, 3, 16} {
 		checkHeadUniform(t, NewCounter(r, w, 100+w), r, w, headCheckpoints(w))
+		checkHeadUniform(t, newRefCounter(r, w, 100+w), r, w, headCheckpoints(w))
 	}
 }
 
@@ -116,17 +117,20 @@ func TestWholeStreamWindowMatchesPlainCounter(t *testing.T) {
 	}
 }
 
-func TestMeanChainLengthLogarithmic(t *testing.T) {
-	// Expected chain length is ≈ H(w) ≈ ln w + γ. For w=256, ln w ≈ 5.5;
-	// allow a generous band.
-	edges := gen.Path(2000)
-	c := NewCounter(400, 256, 8)
-	for _, e := range edges {
-		c.Add(e)
-	}
-	got := c.MeanChainLength()
-	if got < 2 || got > 12 {
-		t.Fatalf("mean chain length = %v, want ≈ ln(256)+γ ≈ 6.1", got)
+func TestMeanChainLengthConstant(t *testing.T) {
+	// Once t ≥ w the head's age is uniform over the window and each
+	// successor lies a uniform (0, w) step further, so the arrived chain
+	// has 1 + ∫₀¹(eˣ−1)dx = e−1 ≈ 1.72 elements on average for large w,
+	// whatever w is. r = 4000 puts the mean within ±0.04 (3 s.e.).
+	const r = 4000
+	for _, w := range []uint64{256, 65536} {
+		c := NewCounter(r, w, 8)
+		for _, e := range gen.Path(3*int(w) + 1) {
+			c.Add(e)
+		}
+		if got := c.MeanChainLength(); math.Abs(got-(math.E-1)) > 0.1 {
+			t.Errorf("w=%d: mean chain length = %v, want e−1 ≈ 1.72", w, got)
+		}
 	}
 }
 
@@ -146,27 +150,37 @@ func TestWindowSmallerThanStreamInvariants(t *testing.T) {
 func TestHugeWindowNeverExpires(t *testing.T) {
 	// Regression: the expiry test used the addition form pos+w <= t,
 	// which wraps for w near MaxUint64 and expired every chain element
-	// on arrival (chains pinned at length 1, estimate collapsed to the
-	// newest edge's state). A window larger than the stream must behave
-	// exactly like any other such window, no matter how large.
+	// on arrival. For windows this large nothing ever expires, the window
+	// is the whole stream, and no scheduled position may wrap below the
+	// element that scheduled it: a draw beyond the stream-position bound
+	// becomes "never".
 	edges := stream.Shuffle(gen.HolmeKim(randx.New(11), 300, 3, 0.6), randx.New(12))
-	huge := NewCounter(40, math.MaxUint64, 13)
-	ref := NewCounter(40, uint64(len(edges))+1, 13)
-	for _, e := range edges {
-		huge.Add(e)
-		ref.Add(e)
-	}
-	if err := huge.CheckChainInvariant(); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := huge.MeanChainLength(), ref.MeanChainLength(); got != want {
-		t.Fatalf("mean chain length with w=MaxUint64 is %v, want %v (same seed, window never fills)", got, want)
-	}
-	if got, want := huge.EstimateTriangles(), ref.EstimateTriangles(); got != want {
-		t.Fatalf("estimate with w=MaxUint64 is %v, want %v", got, want)
-	}
-	if got := huge.WindowEdges(); got != uint64(len(edges)) {
-		t.Fatalf("WindowEdges = %d, want the whole stream %d", got, len(edges))
+	for _, w := range []uint64{math.MaxUint64, 1 << 63} {
+		c := NewCounter(40, w, 13)
+		prev := make([]uint64, len(c.ests))
+		for _, e := range edges {
+			c.Add(e)
+			for i := range c.ests {
+				est := &c.ests[i]
+				h, tail := est.chain[0], est.chain[len(est.chain)-1]
+				if h.pos != prev[i] && h.pos != c.t {
+					t.Fatalf("w=%d t=%d: estimator %d lost head %d without a replacement", w, c.t, i, prev[i])
+				}
+				prev[i] = h.pos
+				if after(h.pos, w) != never {
+					t.Fatalf("w=%d t=%d: estimator %d head at %d has an expiry", w, c.t, i, h.pos)
+				}
+				if est.next <= tail.pos || est.replace <= c.t {
+					t.Fatalf("w=%d t=%d: estimator %d schedules next=%d replace=%d behind its tail %d", w, c.t, i, est.next, est.replace, tail.pos)
+				}
+			}
+			if err := c.CheckChainInvariant(); err != nil {
+				t.Fatalf("w=%d: %v", w, err)
+			}
+		}
+		if got := c.WindowEdges(); got != uint64(len(edges)) {
+			t.Fatalf("w=%d: WindowEdges = %d, want the whole stream %d", w, got, len(edges))
+		}
 	}
 }
 

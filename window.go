@@ -8,8 +8,8 @@ import (
 
 // SlidingWindowCounter estimates the number of triangles among the w most
 // recent stream edges (Section 5.2, Theorem 5.8). Each of its r
-// estimators keeps an O(log w)-expected-length chain of candidate level-1
-// edges so the sample stays uniform as old edges expire.
+// estimators keeps a chain of candidate level-1 edges, of expected length
+// below 2 whatever w is, so the sample stays uniform as old edges expire.
 type SlidingWindowCounter struct {
 	c     *window.Counter
 	w     int
@@ -38,7 +38,7 @@ func (s *SlidingWindowCounter) AddBatch(batch []Edge) { s.c.AddBatch(batch) }
 // CountStream consumes src to exhaustion, decoding batches on a
 // dedicated goroutine so I/O+parsing overlaps the window updates, in
 // constant memory — the window state itself is the only thing that
-// grows, and only to O(r·log w). The windowed estimator is inherently
+// grows, and only to O(r). The windowed estimator is inherently
 // order-sensitive (the window is defined by arrival sequence), so the
 // multi-source variant, CountStreams, requires timestamped sources: a
 // first-come merge of plain sources would make the window contents
@@ -82,5 +82,6 @@ func (s *SlidingWindowCounter) StreamLength() uint64 { return s.c.StreamLength()
 func (s *SlidingWindowCounter) EstimateTriangles() float64 { return s.c.EstimateTriangles() }
 
 // MeanChainLength reports the average per-estimator chain length — the
-// O(log w) space factor of Theorem 5.8; exposed for diagnostics.
+// per-estimator space factor, an expected e−1 ≈ 1.72 once the window has
+// filled, for large w; exposed for diagnostics.
 func (s *SlidingWindowCounter) MeanChainLength() float64 { return s.c.MeanChainLength() }
