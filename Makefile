@@ -54,9 +54,11 @@ race:
 # FuzzOrderedMergeMatchesReference (the ordered merge over up to 8
 # v2/slice/text sources with arbitrary timestamps must equal the naive
 # reference merge), FuzzWindowCheckpointDecode (the NSTW
-# sliding-window checkpoint decoder: accepted bytes must decode to a
-# reachable estimator state and re-encode identically; everything else
-# is rejected by name), and FuzzCounterCheckpointDecode (the NSTC/NSTS
+# sliding-window checkpoint decoder, both versions: accepted bytes must
+# decode to a reachable estimator state; version 2 re-encodes
+# identically, version 1 converts to a state whose version-2 encoding
+# decodes back to it; everything else is rejected by name), and
+# FuzzCounterCheckpointDecode (the NSTC/NSTS
 # decoders: no panic or runaway allocation, and decode → WriteTo →
 # decode must keep the state). Entries are package:Target pairs so targets can
 # live next to the code they fuzz. `go test` alone already replays the

@@ -36,7 +36,7 @@ func TestPropertyChainInvariant(t *testing.T) {
 		c := NewCounter(10, w, seed)
 		for _, e := range edges {
 			c.Add(e)
-			if c.checkChainInvariant() != nil {
+			if c.CheckChainInvariant() != nil {
 				return false
 			}
 		}
