@@ -166,14 +166,25 @@ func gateCheck(est []float64, truth windowTruth, r int) string {
 	return ""
 }
 
-// runGate runs the whole grid against the engine that mk builds for a
-// case, checking the positions after `from`.
-func runGate(t *testing.T, trials func(gateCase) int, from func(gateCase) int, mk func(tc gateCase, seed uint64) windowEngine) {
+// runGate runs the whole grid on the chain-sampling engine. With
+// converted, each trial instead starts on the reference engine, restores
+// its version-1 checkpoint at the case's convertAt and continues on the
+// converted Counter; only the positions after convertAt are checked,
+// over half the trials (the reference prefix is slow).
+func runGate(t *testing.T, converted bool) {
 	for _, tc := range gateCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			est := runGateTrials(tc, trials(tc), func(seed uint64) windowEngine { return mk(tc, seed) })
+			trials, from := tc.trials, 0
+			mk := func(seed uint64) windowEngine { return NewCounter(tc.r, tc.w, seed) }
+			if converted {
+				trials, from = tc.trials/2, tc.convertAt
+				mk = func(seed uint64) windowEngine {
+					return &convertingEngine{tb: t, t0: uint64(tc.convertAt), ref: newRefCounter(tc.r, tc.w, seed)}
+				}
+			}
+			est := runGateTrials(tc, trials, mk)
 			for i, pos := range tc.at {
-				if pos <= from(tc) {
+				if pos <= from {
 					continue
 				}
 				truth := truthAt(tc.edges, tc.w, pos)
@@ -185,10 +196,7 @@ func runGate(t *testing.T, trials func(gateCase) int, from func(gateCase) int, m
 	}
 }
 
-func TestWindowAccuracyGate(t *testing.T) {
-	runGate(t, func(tc gateCase) int { return tc.trials }, func(gateCase) int { return 0 },
-		func(tc gateCase, seed uint64) windowEngine { return NewCounter(tc.r, tc.w, seed) })
-}
+func TestWindowAccuracyGate(t *testing.T) { runGate(t, false) }
 
 // convertingEngine runs the reference priority engine for the first t0
 // edges, then restores its version-1 checkpoint and continues on the
@@ -219,15 +227,8 @@ func (e *convertingEngine) EstimateTriangles() float64 {
 }
 
 // TestWindowAccuracyGateConvertedV1 runs the gate's checks on states
-// restored from version-1 checkpoints: the reference engine counts up to
-// convertAt, the checkpoint converts, and the positions after it are
-// checked over half the case's trials (the reference prefix is slow).
-func TestWindowAccuracyGateConvertedV1(t *testing.T) {
-	runGate(t, func(tc gateCase) int { return tc.trials / 2 }, func(tc gateCase) int { return tc.convertAt },
-		func(tc gateCase, seed uint64) windowEngine {
-			return &convertingEngine{tb: t, t0: uint64(tc.convertAt), ref: newRefCounter(tc.r, tc.w, seed)}
-		})
-}
+// restored from version-1 checkpoints of the reference engine.
+func TestWindowAccuracyGateConvertedV1(t *testing.T) { runGate(t, true) }
 
 // ksDistance returns the two-sample Kolmogorov–Smirnov statistic
 // sup |F_a − F_b|.
