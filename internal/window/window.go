@@ -287,19 +287,19 @@ func (c *Counter) dueAt(i int) uint64 {
 
 // index appends el to the lists of its endpoints.
 func (c *Counter) index(el *chainElem) {
-	c.list(el.e.U).elems = append(c.list(el.e.U).elems, el)
+	c.link(el.e.U, el)
 	if el.e.V != el.e.U {
-		c.list(el.e.V).elems = append(c.list(el.e.V).elems, el)
+		c.link(el.e.V, el)
 	}
 }
 
-func (c *Counter) list(v graph.NodeID) *vertexList {
+func (c *Counter) link(v graph.NodeID, el *chainElem) {
 	l := c.adj[v]
 	if l == nil {
 		l = &vertexList{}
 		c.adj[v] = l
 	}
-	return l
+	l.elems = append(l.elems, el)
 }
 
 // drop marks el, which has left its chain, as dead in the lists of its
