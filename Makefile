@@ -112,8 +112,9 @@ bench-check:
 # shard with a v2 shard), check that trict's estimate does not depend on
 # how many CPUs it may use (one run unrestricted, one pinned to CPU 0
 # with taskset; the shard count, which fixes the shard seeds, must not
-# follow the CPU count), and run every example — exercising the
-# "[no test files]" packages.
+# follow the CPU count, and the two-input merge must not follow the
+# scheduler), and run every example — exercising the "[no test files]"
+# packages.
 smoke:
 	rm -rf bin && mkdir -p bin
 	$(GO) build -o bin ./cmd/...
@@ -158,6 +159,9 @@ smoke:
 	./bin/trict -r 4096 bin/smoke-hk.txt | grep 'triangles ≈' > bin/smoke-cpus-all.txt
 	taskset -c 0 ./bin/trict -r 4096 bin/smoke-hk.txt | grep 'triangles ≈' > bin/smoke-cpus-one.txt
 	diff bin/smoke-cpus-all.txt bin/smoke-cpus-one.txt
+	./bin/trict -r 4096 -w 2048 -i bin/smoke-a.txt -i bin/smoke-b.txt | grep 'triangles ≈' > bin/smoke-merge-all.txt
+	taskset -c 0 ./bin/trict -r 4096 -w 2048 -i bin/smoke-a.txt -i bin/smoke-b.txt | grep 'triangles ≈' > bin/smoke-merge-one.txt
+	diff bin/smoke-merge-all.txt bin/smoke-merge-one.txt
 	set -e; for ex in examples/*/ ; do echo "== $$ex"; $(GO) run ./$$ex >/dev/null; done
 
 # End-to-end smoke of the trictd serving daemon: two tenants ingesting

@@ -54,7 +54,7 @@ func main() {
 	shuffle := flag.Bool("shuffle", false, "randomize the arrival order")
 	format := flag.String("format", "text", "output format: text|binary|binary2 (binary is cmd/trict's fast path; binary2 is the block-structured checksummed v2 format, always timestamped)")
 	timestamps := flag.Bool("timestamps", false, "emit temporal streams: strictly increasing synthetic timestamps as the third text column, or the versioned timestamped binary format (feeds trict -window multi-input runs; implied by -format binary2)")
-	shards := flag.Int("shards", 1, "deal the stream round-robin into this many pre-sharded output files (needs -o; with -timestamps the ordered merge of the shards reproduces the stream exactly, without it the shards feed first-come multi-file ingestion)")
+	shards := flag.Int("shards", 1, "deal the stream round-robin into this many pre-sharded output files (needs -o; with -timestamps the ordered merge of the shards reproduces the stream exactly, without it the shards feed whole-stream multi-file ingestion)")
 	outPath := flag.String("o", "", "output file (default stdout); with -shards k > 1, the prefix of k files named <o>.000 … <o>.NNN")
 	flag.Parse()
 

@@ -23,16 +23,15 @@
 // binary2 emit them).
 //
 // Ingestion is pipelined and constant-memory: each input's decoder runs
-// on its own goroutine, filling fixed-size batch buffers from a shared
-// recycle ring, while the estimators absorb batches in the main
+// on its own goroutine while the estimators absorb batches in the main
 // goroutine — so files larger than RAM stream fine, and I/O+decode time
 // overlaps processing. -p splits the estimators into that many shards;
 // it fixes the shard seeds, so the estimate depends on it, but not on
 // the machine: an unset -p means one shard. With several -i inputs the
-// decoders also overlap each other (parallel ingestion); edges from one
-// file keep their order, but the interleaving across files is
-// scheduler-dependent, which the arbitrary-order stream model
-// tolerates. The report prices I/O+decode separately from wall time,
+// decoders also overlap each other (parallel ingestion), and a
+// deterministic merge takes the files in blocks of min(w, 4096) edges
+// (w the batch size), round-robin in input order, so multi-file runs are
+// bit-for-bit reproducible. The report prices I/O+decode separately from wall time,
 // in the style of the paper's Table 3 (for multiple inputs the decode
 // figure aggregates all decoders and can exceed wall time, and a
 // per-source breakdown shows skewed shards).
@@ -43,10 +42,9 @@
 // "u v ts" timestamp column, or the versioned timestamped binary format
 // (graphgen -timestamps emits both) — because the files are merged by a
 // deterministic k-way timestamp merge (ties break by input order) before
-// the window sees any edge; unlike the first-come whole-stream merge,
-// windowed multi-file runs are bit-for-bit reproducible. That merge
-// holds a fixed few blocks per input, so -depth, which sizes the batch
-// ring, is rejected on windowed runs that go through it (several
+// the window sees any edge. Either merge holds a fixed few blocks per
+// input, so -depth, which sizes the batch ring of a single-input run,
+// is rejected on every run that goes through a merge (several streamed
 // inputs, or -lateness).
 //
 // Dirty input: -max-bad-records N skips up to N malformed records per
@@ -92,7 +90,7 @@ func main() {
 	r := flag.Int("r", 1<<17, "number of estimators (accuracy grows with r)")
 	p := flag.Int("p", 0, "number of shards the estimators are split into; it fixes the shard seeds, so the estimate depends on it (0 = unset, one shard)")
 	w := flag.Int("w", 0, "batch size (0 = the paper's w = 8r)")
-	depth := flag.Int("depth", 0, "pipeline buffers in flight (0 = default)")
+	depth := flag.Int("depth", 0, "pipeline buffers in flight on single-input runs (0 = default)")
 	format := flag.String("format", "text", "input format: text|binary (applies to every input; binary flavors — plain, timestamped v1, block v2 — are sniffed per input)")
 	seed := flag.Uint64("seed", 1, "random seed")
 	samples := flag.Int("samples", 0, "also draw this many uniform triangle samples")
@@ -127,8 +125,8 @@ func main() {
 	if *onLate != "count" && *onLate != "drop" && *onLate != "print" {
 		fatal(fmt.Errorf("unknown -on-late %q (want count, drop, or print)", *onLate))
 	}
-	if set["depth"] && *windowSize > 0 && (len(inputs) > 1 || *lateness >= 0) {
-		fatal(fmt.Errorf("-depth has no effect on a -window run over several inputs or with -lateness (the timestamp merge holds a fixed few blocks per input, not a ring of batch buffers); drop the flag"))
+	if set["depth"] && ((len(inputs) > 1 && !*exactFlag && !*dedup) || *lateness >= 0) {
+		fatal(fmt.Errorf("-depth has no effect on a run that merges several streamed inputs or uses -lateness (the merge holds a fixed few blocks per input, not a ring of batch buffers); drop the flag"))
 	}
 	if set["on-late"] && *lateness < 0 {
 		fatal(fmt.Errorf("-on-late only applies together with -lateness (without a watermark no edge is ever late); drop the flag or add -lateness"))
@@ -321,7 +319,7 @@ func makeTimestampedSource(in io.Reader, format string) streamtri.TimestampedSou
 
 // runWindowed is the -window mode: the sliding-window estimator over one
 // plain input, or over several timestamped inputs merged in timestamp
-// order (deterministic, unlike the first-come whole-stream merge). With
+// order. With
 // -lateness every input — including a single one — goes through the
 // timestamped decoder and the bounded-lateness watermark stage, so
 // out-of-order temporal data is re-sequenced instead of silently

@@ -17,11 +17,9 @@
 //   - SlidingWindowCounter — the triangle count of the most recent w
 //     edges.
 //
-// All types are deterministic given their seed (first-come multi-source
-// ingestion via CountStreams on the whole-stream counters is the one
-// documented exception — see below; the timestamp-ordered merge behind
-// SlidingWindowCounter.CountStreams is deterministic). Streams
-// must be simple: no self loops and no duplicate edges (use ReadEdgeList
+// All types are deterministic given their seed, multi-source ingestion
+// included: both merges behind CountStreams are pure functions of their
+// inputs (see below). Streams must be simple: no self loops and no duplicate edges (use ReadEdgeList
 // with dedup for raw data). The underlying technique is neighborhood
 // sampling: sample a uniform level-1 edge from the stream, a uniform
 // level-2 edge among the later edges adjacent to it, and wait for the
@@ -182,34 +180,43 @@
 // CountStreams (on TriangleCounter, ParallelTriangleCounter, and
 // TriangleSampler) ingests several Sources at once — typically one per
 // input file, and formats can mix. Each source decodes on its own
-// goroutine, all drawing batch buffers from one shared recycle ring, so
-// ingestion itself parallelizes across files the way partitioned-ingest
-// systems scale I/O with hardware. The contract: edges of one source
-// keep that source's order, the interleaving across sources is
-// scheduler-dependent, and the union of the inputs must be a simple
-// stream (no duplicate edges across files). The adjacency-stream model
-// admits arbitrary order, so estimates keep their distribution; what
-// multi-source runs give up is bit-for-bit reproducibility (a single
-// source, including CountStreams with one argument, remains fully
-// deterministic). Shutdown is first-error-wins,
-// StreamStats.DecodeSeconds aggregates every decoder, so it can exceed
-// wall time, and StreamStats.PerSource attributes edges and decode time
-// to each input so skewed shards are visible. cmd/trict exposes all of
-// this through repeatable -i flags.
+// goroutine, so decoding parallelizes across files, and the block merge
+// (see Merge scaling) interleaves them: each source fills blocks of
+// min(w, 4096) edges, w the batch size, and the merge takes block 0 of
+// every source in argument order, then block 1, and so on, a source
+// leaving the rotation when it runs out. The merged stream is a pure
+// function of the inputs and w, so multi-source runs are bit-for-bit
+// reproducible for any scheduler interleaving; CountStreams with one
+// argument is exactly CountStream. The adjacency-stream model admits
+// arbitrary order, so the block order costs the estimates nothing. The
+// union of the inputs must be a simple stream (no duplicate edges across
+// files). Shutdown is first-error-wins, StreamStats.DecodeSeconds
+// aggregates every decoder, so it can exceed wall time, and
+// StreamStats.PerSource attributes edges and decode time to each input
+// so skewed shards are visible. cmd/trict exposes all of this through
+// repeatable -i flags.
+//
+// The trade-off: a first-come merge keeps draining the other sources
+// while one stalls, whereas the block merge waits for the slowest
+// source's next block, and it pays CPU for determinism — every record is
+// encoded into a block and copied out again (the MultiPipelinedCount
+// cell of BENCH_core.json tracks it). For file inputs a stall does not
+// arise; multi-source ingest comes from cmd/trict's repeated -i and
+// examples/multifile, while cmd/trictd sends each request body through
+// the single-source CountStream.
 //
 // # Temporal streams and ordered multi-file ingestion
 //
-// The first-come merge above is the wrong tool for the sliding-window
-// counter: its window is defined by arrival sequence, so a
-// scheduler-dependent interleaving would make the window contents — and
-// the estimate — non-reproducible. SlidingWindowCounter.CountStreams
-// therefore takes TimestampedSources and re-sequences their records
-// with a k-way merge on the per-edge timestamp before the window
-// sees any edge: smallest timestamp first, ties broken by source index,
-// then intra-file order. The merged stream is a pure function of the
-// inputs, so windowed multi-file runs are bit-for-bit reproducible for
-// any scheduler interleaving — the determinism the first-come funnel
-// gives up.
+// The block round-robin above is the wrong order for the sliding-window
+// counter: its window is defined by arrival sequence, so the window
+// contents — and the estimate — would follow the file layout rather than
+// time. SlidingWindowCounter.CountStreams therefore takes
+// TimestampedSources and re-sequences their records with the same k-way
+// merge keyed on the per-edge timestamp before the window sees any edge:
+// smallest timestamp first, ties broken by source index, then intra-file
+// order. The merged stream is a pure function of the inputs, so windowed
+// multi-file runs are bit-for-bit reproducible for any scheduler
+// interleaving.
 //
 // # Merge scaling
 //
@@ -221,6 +228,8 @@
 // header's bound, and any other source — v1, text, a slice, the
 // watermark stage — fills pooled blocks of up to min(w, 4096) records
 // through its bulk decoder, computing their exact maximum as it fills.
+// A plain source of the whole-stream CountStreams fills the same blocks,
+// every record keyed by its block's index instead of a timestamp.
 // The comparison engine is a loser tree over flat key arrays — a
 // tournament tree whose replay costs one comparison per level,
 // ⌈log2 k⌉ per emitted edge (a single one at k = 2, the most common
@@ -238,10 +247,10 @@
 // source-tagged ring, flow-controlled by per-source credits, rather
 // than one channel per source.
 //
-// Guidance on k: overhead over the first-come merge is tracked in
-// BENCH_core.json on worst-case (perfectly alternating, run length 1)
-// shards — the OrderedMergedCount cells against MultiPipelinedCount —
-// and grows by only a few ns/edge per tournament level out to k=64,
+// Guidance on k: the merge's cost is tracked in BENCH_core.json on
+// worst-case (perfectly alternating, run length 1) timestamped shards —
+// the OrderedMergedCount cells at k = 2, 8 and 64 — and grows by only a
+// few ns/edge per tournament level out to k=64,
 // i.e. sublinearly in log k and far sublinearly in k. Sorted shards
 // with real runs merge at nearly copy speed at any k. Prefer fewer,
 // larger shards when you control the layout; when you do not, wide
@@ -264,13 +273,12 @@
 // exports qualify); the determinism guarantee holds either way, since
 // the merge never reorders within a source.
 //
-// Prefer ordered ingestion (timestamped sources + the k-way merge) when
-// the estimator is order-sensitive — the sliding window — or when
-// reproducible runs matter more than peak ingest; prefer the first-come
-// merge (CountStreams on the whole-stream counters) when order is
-// irrelevant to the estimate and the lowest merge overhead wins.
-// cmd/trict selects the ordered path automatically for multi-input
-// -window runs.
+// Both multi-file paths are deterministic; the estimator picks one. The
+// sliding window needs timestamped sources and the timestamp merge,
+// because its window follows arrival time; the whole-stream counters
+// take plain sources in block round-robin order, which the
+// adjacency-stream model tolerates like any other order. cmd/trict
+// selects the ordered path automatically for multi-input -window runs.
 //
 // # Binary formats
 //
@@ -366,21 +374,21 @@
 // format or header mismatches stay fatal, so the budget cannot mask a
 // wrong file.
 //
-// Dying sources. WithContinueOnSourceFailure makes the first-come
-// multi-source funnel (CountStreams on the whole-stream counters)
-// abandon a source that fails mid-stream — after absorbing the edges
-// it delivered — and let the survivors finish, recording each
-// source's terminal error in StreamStats.PerSource; the run only fails
-// if every source dies. The ordered merge deliberately ignores this
-// option and stays fail-fast: its output is a pure function of the
-// complete inputs, so completing without a dead source's remaining
-// edges would silently change the merged sequence — and the
-// window estimate — rather than visibly fail. First-come estimates
-// survive a lost source with their distribution intact because the
-// adjacency-stream model admits arbitrary order, which is exactly the
-// property the ordered path does not have.
+// Dying sources. WithContinueOnSourceFailure makes CountStreams on the
+// whole-stream counters abandon a source that fails mid-stream — after
+// absorbing the edges it delivered — and let the survivors finish,
+// recording each source's terminal error in StreamStats.PerSource; the
+// run only fails if every source dies. The merge takes the dead source
+// out of the rotation, so the run stays a pure function of the inputs.
+// Whole-stream estimates survive a lost source with their distribution
+// intact, for the edges absorbed, because the adjacency-stream model
+// admits arbitrary order. SlidingWindowCounter.CountStreams stays
+// fail-fast even with the option set: its window is defined by the
+// complete timestamp-ordered sequence, so completing without a dead
+// source's remaining edges would silently compute the window of a
+// different stream rather than visibly fail.
 //
-// cmd/trict exposes all three as -lateness/-on-late and
+// cmd/trict exposes two of the three: -lateness/-on-late and
 // -max-bad-records.
 //
 // # Serving

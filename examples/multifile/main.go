@@ -1,11 +1,11 @@
 // Multi-source parallel ingestion: count triangles across SEVERAL edge
-// files at once, one decoder goroutine per file, all feeding a shared
-// buffer ring — the ingest-partitioning pattern large survey systems use
-// to scale I/O with hardware, applied to the streaming triangle counter.
-// Edges within one file keep their order; the interleaving across files
-// is arbitrary, which the adjacency-stream model explicitly tolerates
-// (the paper admits adversarial order), so the estimate distribution is
-// unchanged while ingestion runs as wide as the inputs allow.
+// files at once, one decoder goroutine per file — the ingest-partitioning
+// pattern large survey systems use to scale I/O with hardware, applied to
+// the streaming triangle counter. A deterministic merge takes the files
+// in blocks, round-robin, so the run reproduces bit for bit; the
+// adjacency-stream model admits any arrival order (the paper allows
+// adversarial order), so the block order leaves the estimate's
+// distribution unchanged while decoding runs as wide as the inputs allow.
 package main
 
 import (

@@ -4,12 +4,12 @@
 // timestamp-ordered merge.
 //
 // The windowed estimator is order-defined (the window IS the last w
-// arrivals), so the first-come multi-file funnel the whole-stream
-// counters use would make its answer scheduler-dependent. The ordered
-// merge re-sequences batches by per-edge timestamp (ties break by input
-// index) before the window sees any edge, so the sharded run reproduces
-// the unsharded run bit for bit — demonstrated below by comparing both,
-// twice.
+// arrivals), so the block round-robin the whole-stream counters merge
+// files with would make its window follow the file layout, not time. The
+// ordered merge re-sequences records by per-edge timestamp (ties break by
+// input index) before the window sees any edge, so the sharded run
+// reproduces the unsharded run bit for bit — demonstrated below by
+// comparing both, twice.
 package main
 
 import (

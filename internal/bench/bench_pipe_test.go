@@ -160,7 +160,7 @@ func TestMultiPipelineBenchPlumbing(t *testing.T) {
 		stream.NewBinarySource(bytes.NewReader(data[:half])),
 		stream.NewBinarySource(bytes.NewReader(data[half:])),
 	}
-	p, err := stream.NewMultiPipeline(context.Background(), srcs, 512, 0)
+	p, err := stream.NewMergedPipeline(context.Background(), srcs, 512)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -136,7 +136,7 @@ func benchRow(name, impl string, m, r, w, p int, res testing.BenchmarkResult) Co
 
 // RunPipelineBenchCells measures the binary ingestion cells appended to
 // the BENCH_core.json report: slurp vs pipelined on the flat counter,
-// the pipelined sharded counter, the 2-file first-come merged pipeline
+// the pipelined sharded counter, the 2-file block merge of plain sources
 // over the same edges split into halves, and the 2-file timestamp-ordered
 // merge over the same edges dealt round-robin. Acceptance for the pipelined design is
 // edges/sec(pipeline) / edges/sec(slurp) — the decode/count overlap plus
@@ -145,11 +145,10 @@ func benchRow(name, impl string, m, r, w, p int, res testing.BenchmarkResult) Co
 // single-source pipeline cells use the minimum ring depth (2), which is
 // all a steady-state consumer needs.
 //
-// On a single-CPU runner (this repo's bench environment) the multi-file
-// cell measures the merge layer's overhead, not I/O parallelism: decoder
-// goroutines interleave on one core, so the win to expect from
-// MultiPipeline there is bulk decode + shared-ring recycling holding up
-// across sources, not a files× speedup.
+// On a runner with few CPUs the multi-file cell measures the merge
+// layer's overhead, not I/O parallelism: decoder goroutines share the
+// cores with the merger and the counter, so what to expect there is bulk
+// decode holding up across sources, not a files× speedup.
 func RunPipelineBenchCells(r, w, shards int) []CoreBenchRow {
 	data := EncodeBinaryEdges(CoreBenchStream(PipeBenchEdges))
 	tsShards := EncodeTimestampedShards(CoreBenchStream(PipeBenchEdges), 2)
@@ -203,7 +202,7 @@ func RunPipelineBenchCells(r, w, shards int) []CoreBenchRow {
 // sources on every single edge (contiguous halves would degenerate to
 // concatenation). The merge of these shards reproduces the original
 // stream exactly, so the ordered cell counts the same work as the
-// first-come cell.
+// MultiPipelinedCount cell.
 func EncodeTimestampedShards(edges []graph.Edge, k int) [][]byte {
 	shards := make([][]stream.TimestampedEdge, k)
 	for i, e := range edges {
@@ -224,11 +223,8 @@ func EncodeTimestampedShards(edges []graph.Edge, k int) [][]byte {
 // BenchOrderedPipelined measures timestamp-ordered multi-file ingestion:
 // one bulk timestamped decoder per v1 shard filling pooled blocks, the
 // k-way loser-tree merge re-sequencing their records, drained into
-// sink. The
-// acceptance bar at k=2 is staying within 1.15x of the first-come
-// MultiPipelinedCount cell (the binary-heap merge sat at 1.23x):
-// determinism is the point, the tournament replays and the extra buffer
-// hop are the price, and that price must stay small.
+// sink. Determinism is the point; the tournament replays and the extra
+// buffer hop are the price, and that price must stay small.
 func BenchOrderedPipelined(b *testing.B, shards [][]byte, w int, sink stream.Sink) {
 	m := 0
 	for _, d := range shards {
@@ -306,8 +302,9 @@ func BenchWatermarkedPipelined(b *testing.B, shards [][]byte, w int, sink stream
 	reportEdgesPerSec(b, m)
 }
 
-// BenchMultiPipelined measures merged multi-file ingestion: one bulk
-// decoder per shard feeding the shared recycle ring, drained into sink.
+// BenchMultiPipelined measures merged multi-file ingestion of plain
+// sources: one bulk decoder per shard filling blocks for the block merge
+// (NewMergedPipeline), drained into sink.
 func BenchMultiPipelined(b *testing.B, shards [][]byte, w int, sink stream.Sink) {
 	m := 0
 	for _, d := range shards {
@@ -318,7 +315,7 @@ func BenchMultiPipelined(b *testing.B, shards [][]byte, w int, sink stream.Sink)
 		for i, d := range shards {
 			srcs[i] = stream.NewBinarySource(bytes.NewReader(d))
 		}
-		p, err := stream.NewMultiPipeline(context.Background(), srcs, w, 0)
+		p, err := stream.NewMergedPipeline(context.Background(), srcs, w)
 		if err != nil {
 			b.Fatal(err)
 		}

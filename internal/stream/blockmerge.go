@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"strings"
 	"time"
 
 	"streamtri/internal/graph"
@@ -157,10 +156,30 @@ func asBlockSource(src TimestampedSource, records int) blockSource {
 	return &filledBlockSource{fill: tsSourceFill(src), scratch: make([]TimestampedEdge, records)}
 }
 
-// filledBlockSource adapts any TimestampedSource to the block merge:
-// each view is a pooled buffer of v1-layout records filled through the
-// source's FillTimestamped (per-edge NextTimestamped otherwise), with
-// maxTS computed over exactly the records it holds.
+// keyedFill is a plain source's fill function for filledBlockSource: it
+// decodes through sourceFill and keys every record of the source's j-th
+// block with j, so the merge takes block j of every source, in source
+// order, before any block j+1 — and, a block's records sharing one key,
+// gallops whole blocks.
+func keyedFill(src Source, records int) func([]TimestampedEdge) (int, error) {
+	fill, edges, key := sourceFill(src), make([]graph.Edge, records), int64(0)
+	return func(buf []TimestampedEdge) (int, error) {
+		n, err := fill(edges[:len(buf)])
+		for i, e := range edges[:n] {
+			buf[i] = TimestampedEdge{E: e, TS: key}
+		}
+		if n > 0 {
+			key++
+		}
+		return n, err
+	}
+}
+
+// filledBlockSource adapts any TimestampedSource, or through keyedFill
+// any plain Source, to the block merge: each view is a pooled buffer of
+// v1-layout records filled through the source's bulk fill (per-edge
+// Next otherwise), with maxTS computed over exactly the records it
+// holds.
 type filledBlockSource struct {
 	fill    func([]TimestampedEdge) (int, error)
 	scratch []TimestampedEdge
@@ -200,52 +219,66 @@ func (s *filledBlockSource) nextBlockView() (*blockView, error) {
 
 // decodeBlocks is one source's decoder goroutine: it pulls views from
 // the source, applies the per-source decode-error budget, and hands
-// each view to the merger through the credit-gated hand-off. A clean
-// EOF sends the nil-view marker — the merger's signal that this source
-// is exhausted; an error shuts the whole pipeline down
-// (first-error-wins), named by source index. Edges, blocks, and decode
-// time are counted per source here; the aggregate counts merged
-// deliveries at the merger.
+// each view to the merger through the credit-gated hand-off. The
+// source's end — a clean EOF, or a failure sourceFailed lets the run
+// survive — sends the nil-view marker, the merger's signal that this
+// source is exhausted. Edges, blocks, and decode time are counted per
+// source here; the aggregate counts merged deliveries at the merger.
 func (p *OrderedMultiPipeline) decodeBlocks(i int, src blockSource) {
 	defer p.wg.Done()
-	fail := func(err error) {
-		if err != errPipelineClosed && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-			err = fmt.Errorf("source %d: %w", i, err)
-		}
-		p.fail(err)
-	}
 	for {
 		v, err := p.nextBudgetedView(i, src)
-		if err == io.EOF {
-			// Clean end; the marker carries no view, so no credit is
-			// needed (the hand-off ring reserves a slot for it).
-			sendOrQuit(p.ctx, p.quit, p.blockHandoff, srcBlock{src: i}, fail)
-			return
-		}
 		if err != nil {
-			fail(err)
+			if err == io.EOF || p.sourceFailed(i, err) {
+				// The marker carries no view, so no credit is needed (the
+				// hand-off ring reserves a slot for it).
+				sendOrQuit(p.ctx, p.quit, p.blockHandoff, srcBlock{src: i}, p.fail)
+			}
 			return
 		}
 		p.perSource[i].edges.Add(uint64(v.count))
 		p.perSource[i].batches.Add(1)
-		if _, ok := recvOrQuit(p.ctx, p.quit, p.credits[i], fail); !ok {
+		if _, ok := recvOrQuit(p.ctx, p.quit, p.credits[i], p.fail); !ok {
 			v.release()
 			return
 		}
-		if !sendOrQuit(p.ctx, p.quit, p.blockHandoff, srcBlock{src: i, view: v}, fail) {
+		if !sendOrQuit(p.ctx, p.quit, p.blockHandoff, srcBlock{src: i, view: v}, p.fail) {
 			v.release()
 			return
 		}
 	}
 }
 
+// sourceFailed settles source i's terminal error and reports whether
+// the run goes on without the source. The error is named by source
+// index and fails the run (first-error-wins), unless
+// continue-on-source-failure confines it to the source: then it lands
+// in the source's stats, and the run fails only once every source has
+// failed. Cancellation errors pass through untouched.
+func (p *OrderedMultiPipeline) sourceFailed(i int, err error) bool {
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		p.fail(err)
+		return false
+	}
+	err = fmt.Errorf("source %d: %w", i, err)
+	if p.cfg.continueOnSourceFailure {
+		p.perSource[i].setTerminal(err)
+		k := len(p.perSource)
+		if int(p.failed.Add(1)) < k {
+			return true
+		}
+		err = fmt.Errorf("stream: all %d sources failed; last: %w", k, err)
+	}
+	p.fail(err)
+	return false
+}
+
 // nextBudgetedView is budgetedFill over views: each skippable
 // RecordError the source returns — a malformed record from an adapted
 // source, a damaged or truncated block from a v2 reader (one charge
 // however many records it carried; the reader has already resynced at
-// the next header) — is counted and sampled against the per-source
-// budget with budgetedFill's exceeded message; with no budget the first
-// failure is terminal.
+// the next header) — is charged against the per-source budget by
+// chargeBadRecord; with no budget the first failure is terminal.
 func (p *OrderedMultiPipeline) nextBudgetedView(i int, src blockSource) (*blockView, error) {
 	prog := &p.perSource[i]
 	for {
@@ -255,15 +288,8 @@ func (p *OrderedMultiPipeline) nextBudgetedView(i int, src blockSource) (*blockV
 		if err == nil || err == io.EOF {
 			return v, err
 		}
-		var rec *RecordError
-		if p.cfg.maxBadRecords <= 0 || !errors.As(err, &rec) {
+		if err = chargeBadRecord(err, p.cfg.maxBadRecords, prog); err != nil {
 			return nil, err
-		}
-		bad := prog.badRecords.Add(1)
-		prog.addBadSample(err.Error())
-		if bad > uint64(p.cfg.maxBadRecords) {
-			return nil, fmt.Errorf("stream: decode-error budget exceeded: %d malformed records over budget %d: %w (samples: %s)",
-				bad, p.cfg.maxBadRecords, err, strings.Join(prog.badSampleSnapshot(), " | "))
 		}
 	}
 }

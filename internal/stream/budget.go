@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"strings"
+
+	"streamtri/internal/graph"
 )
 
 // RecordError marks a decode failure that is confined to one record and
@@ -52,16 +54,13 @@ func WithMaxBadRecords(n int) PipeOption {
 	return func(c *pipeCfg) { c.maxBadRecords = n }
 }
 
-// WithContinueOnSourceFailure makes MultiPipeline abandon a failing
-// source instead of stopping the whole run: the failed source's
-// terminal error is recorded in its SourceStats entry and the surviving
-// decoders run to completion. The run fails only when every source has
-// failed. OrderedMultiPipeline ignores this option and stays
-// fail-fast: its merged stream is a pure function of the source
-// contents, and silently completing without a mid-merge-dead source
-// would emit a stream missing an unpredictable subset — an
-// order-sensitive window estimate would then be silently wrong rather
-// than deterministic.
+// WithContinueOnSourceFailure confines a source's failure to that
+// source in a multi-source merge: the blocks it delivered stay in the
+// merged stream, its terminal error is recorded in its SourceStats
+// entry, and the merge runs the other sources to completion. The run
+// fails only when every source has failed. The merged stream then lacks
+// the failed source's remainder, so a caller whose answer depends on
+// the complete sequence (the sliding window) leaves the option off.
 func WithContinueOnSourceFailure() PipeOption {
 	return func(c *pipeCfg) { c.continueOnSourceFailure = true }
 }
@@ -74,34 +73,48 @@ func buildPipeCfg(opts []PipeOption) pipeCfg {
 	return c
 }
 
-// budgetedFill wraps a decodeLoop fill function with a skip-and-count
+// budgetedFill wraps a Pipeline fill function with a skip-and-count
 // retry loop over RecordErrors, charged against prog's per-source
 // budget. Non-record errors, io.EOF, and clean fills pass through
 // untouched; with no budget the fill function is returned as-is, so the
 // default path costs nothing. Termination is guaranteed: every retry
 // either ends the loop or spends one unit of a finite budget.
-func budgetedFill[T any](fill func([]T) (int, error), budget int, prog *pipeProgress) func([]T) (int, error) {
+func budgetedFill(fill func([]graph.Edge) (int, error), budget int, prog *pipeProgress) func([]graph.Edge) (int, error) {
 	if budget <= 0 {
 		return fill
 	}
-	return func(buf []T) (int, error) {
+	return func(buf []graph.Edge) (int, error) {
 		total := 0
 		for {
 			n, err := fill(buf[total:])
 			total += n
-			var rec *RecordError
-			if err == nil || err == io.EOF || !errors.As(err, &rec) {
+			if err == nil || err == io.EOF {
 				return total, err
 			}
-			bad := prog.badRecords.Add(1)
-			prog.addBadSample(err.Error())
-			if bad > uint64(budget) {
-				return total, fmt.Errorf("stream: decode-error budget exceeded: %d malformed records over budget %d: %w (samples: %s)",
-					bad, budget, err, strings.Join(prog.badSampleSnapshot(), " | "))
+			if err = chargeBadRecord(err, budget, prog); err != nil {
+				return total, err
 			}
 			if total == len(buf) {
 				return total, nil
 			}
 		}
 	}
+}
+
+// chargeBadRecord charges a skippable RecordError against prog's budget,
+// sampling its message, and returns nil while the budget lasts. Any
+// other error, an exceeded budget (the error then carries the retained
+// samples), and every error when budget <= 0 come back terminal.
+func chargeBadRecord(err error, budget int, prog *pipeProgress) error {
+	var rec *RecordError
+	if budget <= 0 || !errors.As(err, &rec) {
+		return err
+	}
+	bad := prog.badRecords.Add(1)
+	prog.addBadSample(err.Error())
+	if bad > uint64(budget) {
+		return fmt.Errorf("stream: decode-error budget exceeded: %d malformed records over budget %d: %w (samples: %s)",
+			bad, budget, err, strings.Join(prog.badSampleSnapshot(), " | "))
+	}
+	return nil
 }

@@ -187,7 +187,7 @@ func TestMultiPipelineContinueOnSourceFailure(t *testing.T) {
 		&errorSource{n: failAt},
 		NewSliceSource(sourceEdges(2, perSource)),
 	}
-	p, err := NewMultiPipeline(t.Context(), srcs, 64, 6, WithContinueOnSourceFailure())
+	p, err := NewMergedPipeline(t.Context(), srcs, 64, WithContinueOnSourceFailure())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestMultiPipelineIsolatesMidStreamIOError(t *testing.T) {
 		NewBinarySource(bytes.NewReader(healthy.Bytes())),
 		NewBinarySource(&flakyReader{r: bytes.NewReader(doomed.Bytes()), n: doomed.Len() / 2, err: injected}),
 	}
-	p, err := NewMultiPipeline(t.Context(), srcs, 128, 4, WithContinueOnSourceFailure())
+	p, err := NewMergedPipeline(t.Context(), srcs, 128, WithContinueOnSourceFailure())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestMultiPipelineIsolatesMidStreamIOError(t *testing.T) {
 func TestMultiPipelineAllSourcesFailed(t *testing.T) {
 	base := goroutineBaseline()
 	srcs := []Source{&errorSource{n: 10}, &errorSource{n: 20}, &errorSource{n: 30}}
-	p, err := NewMultiPipeline(t.Context(), srcs, 16, 4, WithContinueOnSourceFailure())
+	p, err := NewMergedPipeline(t.Context(), srcs, 16, WithContinueOnSourceFailure())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestMultiPipelineBudgetExhaustionIsolated(t *testing.T) {
 		NewSliceSource(sourceEdges(0, perSource)),
 		NewTextSource(bytes.NewReader(dirty)),
 	}
-	p, err := NewMultiPipeline(t.Context(), srcs, 64, 4,
+	p, err := NewMergedPipeline(t.Context(), srcs, 64,
 		WithContinueOnSourceFailure(), WithMaxBadRecords(bad/2))
 	if err != nil {
 		t.Fatal(err)
@@ -308,28 +308,6 @@ func TestMultiPipelineBudgetExhaustionIsolated(t *testing.T) {
 	}
 	if agg := p.Stats(); agg.BadRecords != stats[1].BadRecords {
 		t.Fatalf("aggregate BadRecords = %d, want %d", agg.BadRecords, stats[1].BadRecords)
-	}
-	assertNoLeak(t, base)
-}
-
-// The ordered merge deliberately ignores continue-on-source-failure: a
-// mid-merge death means the merged sequence can no longer be produced,
-// so the run must fail even with the option set (determinism over
-// availability — see NewOrderedMultiPipeline).
-func TestOrderedMultiPipelineStaysFailFast(t *testing.T) {
-	base := goroutineBaseline()
-	srcs := []TimestampedSource{
-		NewTimestampedSliceSource(tsEdges(2000, 0)),
-		&tsErrorSource{n: 100},
-	}
-	p, err := NewOrderedMultiPipeline(t.Context(), srcs, 64, WithContinueOnSourceFailure())
-	if err != nil {
-		t.Fatal(err)
-	}
-	runErr := p.Run(func([]graph.Edge) error { return nil })
-	p.Close()
-	if runErr == nil || !strings.Contains(runErr.Error(), "temporal decoder exploded") {
-		t.Fatalf("ordered run error = %v, want fail-fast decoder failure", runErr)
 	}
 	assertNoLeak(t, base)
 }

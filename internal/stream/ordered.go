@@ -5,26 +5,31 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 
 	"streamtri/internal/graph"
 )
 
-// OrderedMultiPipeline merges several timestamped sources into ONE
-// deterministic stream: one decoder goroutine per source hands blocks
-// of raw records to a merger goroutine, which re-sequences them by a
-// k-way loser-tree merge on the per-edge timestamp before they reach
-// the consumer — smallest timestamp first, ties broken by source index
-// (then intra-source order, which each decoder preserves). The merged
-// stream is therefore a pure function of the source contents: any
-// scheduler interleaving of the decoders yields the same edge sequence,
-// which is what the sequence-defined sliding-window estimator needs
-// from a multi-file ingest. The merge engine lives in blockmerge.go.
+// OrderedMultiPipeline merges several sources into ONE deterministic
+// stream: one decoder goroutine per source hands blocks of raw records
+// to a merger goroutine, which re-sequences them by a k-way loser-tree
+// merge on a per-record key before they reach the consumer — smallest
+// key first, ties broken by source index (then intra-source order,
+// which each decoder preserves). NewOrderedMultiPipeline keys each
+// record by its timestamp; NewMergedPipeline, for plain sources, keys
+// every record of a source's j-th block by j. The merged stream is
+// therefore a pure function of the source contents and w: any scheduler
+// interleaving of the decoders yields the same edge sequence, which is
+// what the sequence-defined sliding-window estimator needs from a
+// multi-file ingest and what makes whole-stream multi-file runs
+// reproducible. The merge engine lives in blockmerge.go.
 //
 // Contract: the merged output is globally nondecreasing in timestamp iff
 // every source is; the merge is deterministic either way (it never
-// reorders within a source). Shutdown mirrors MultiPipeline:
-// first-error-wins across decoders, context cancellation stops
-// everything, and batches delivered before an error are valid.
+// reorders within a source). Shutdown is first-error-wins across
+// decoders (unless WithContinueOnSourceFailure confines a failure to its
+// source), context cancellation stops everything, and batches delivered
+// before an error are valid.
 type OrderedMultiPipeline struct {
 	out     chan []graph.Edge // merged batches to the consumer
 	recycle chan []graph.Edge // consumer-side ring of merged buffers
@@ -66,6 +71,10 @@ type OrderedMultiPipeline struct {
 	closeOnce sync.Once
 
 	cfg pipeCfg
+	// failed counts sources ended by a failure under
+	// continue-on-source-failure; when it reaches len(perSource) the run
+	// fails.
+	failed atomic.Int32
 
 	pipeProgress // aggregate: merged edges/batches (decode time lives per source)
 	perSource    []pipeProgress
@@ -95,23 +104,42 @@ const srcCredits = 2
 // skips is a pure function of that source's bytes, so the merged stream
 // stays deterministic); it is charged once per malformed record, except
 // for v2 readers, where a damaged block is one charge however many
-// records it lost. WithContinueOnSourceFailure is deliberately ignored:
-// the merged stream is a pure function of the source contents, and
-// completing without a mid-merge-dead source would silently emit a
-// stream missing an unpredictable timestamp-interleaved subset — an
-// order-sensitive consumer (the sliding window) would get a wrong
-// answer instead of an error, so the ordered merge stays fail-fast.
+// records it lost. WithContinueOnSourceFailure ends a failed source
+// after the blocks it delivered (see its doc).
 func NewOrderedMultiPipeline(ctx context.Context, srcs []TimestampedSource, w int, opts ...PipeOption) (*OrderedMultiPipeline, error) {
+	return newBlockMerge(ctx, len(srcs), w, opts, func(i, records int) blockSource {
+		return asBlockSource(srcs[i], records)
+	})
+}
+
+// NewMergedPipeline is NewOrderedMultiPipeline for plain sources, which
+// carry no timestamps. Each source fills blocks of min(w,
+// DefaultBlockRecords) edges through its bulk Fill (Next otherwise), and
+// every record of its j-th block is keyed j, so the merged stream is the
+// round-robin interleave of the sources' blocks: block 0 of sources
+// 0…k−1, then block 1, and so on, a source leaving the rotation when it
+// runs out. Unlike a first-come merge, which keeps draining the other
+// sources while one stalls, the merge waits for the slowest source's
+// next block. Options and shutdown are NewOrderedMultiPipeline's.
+func NewMergedPipeline(ctx context.Context, srcs []Source, w int, opts ...PipeOption) (*OrderedMultiPipeline, error) {
+	return newBlockMerge(ctx, len(srcs), w, opts, func(i, records int) blockSource {
+		return &filledBlockSource{fill: keyedFill(srcs[i], records), scratch: make([]TimestampedEdge, records)}
+	})
+}
+
+// newBlockMerge is the constructors' shared body: source(i, records)
+// adapts source i of k to blocks of up to records edges, and each runs
+// on its own decoder goroutine next to the merger.
+func newBlockMerge(ctx context.Context, k, w int, opts []PipeOption, source func(i, records int) blockSource) (*OrderedMultiPipeline, error) {
 	if w <= 0 {
 		return nil, fmt.Errorf("stream: pipeline batch size %d must be positive", w)
 	}
-	if len(srcs) == 0 {
-		return nil, fmt.Errorf("stream: ordered multi pipeline needs at least one source")
+	if k == 0 {
+		return nil, fmt.Errorf("stream: multi-source pipeline needs at least one source")
 	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	k := len(srcs)
 	p := &OrderedMultiPipeline{
 		out:     make(chan []graph.Edge, DefaultPipelineDepth),
 		recycle: make(chan []graph.Edge, DefaultPipelineDepth),
@@ -136,8 +164,8 @@ func NewOrderedMultiPipeline(ctx context.Context, srcs []TimestampedSource, w in
 		}
 	}
 	p.wg.Add(k + 1)
-	for i, src := range srcs {
-		go p.decodeBlocks(i, asBlockSource(src, min(w, DefaultBlockRecords)))
+	for i := 0; i < k; i++ {
+		go p.decodeBlocks(i, source(i, min(w, DefaultBlockRecords)))
 	}
 	go p.mergeBlocks()
 	// out is closed exactly once, after the decoders and the merger have

@@ -161,73 +161,8 @@ func recvOrQuit[T any](ctx context.Context, quit <-chan struct{}, ch <-chan T, f
 	}
 }
 
-// decodeLoop is the decoder state machine shared by the batch pipeline
-// flavors — Pipeline (one instance) and MultiPipeline (one per source):
-// acquire a buffer from the ring, fill it (the caller curries the bulk
-// Fill path when the source supports it), send it downstream — until
-// the source ends, filling fails, the context is cancelled, or quit
-// closes. send delivers a filled buffer and reports false when shutdown
-// won instead (having already recorded the terminal condition); other
-// terminal conditions are reported through fail (errPipelineClosed for
-// a quit-initiated shutdown). The return value is nil exactly for a
-// clean EOF. Progress — decode time, then edges and batches on each
-// successful send — is recorded into every counter in progs.
-func decodeLoop[T any](ctx context.Context, quit <-chan struct{}, recycle chan []T, w int,
-	fill func([]T) (int, error), send func([]T) bool, progs []*pipeProgress, fail func(error)) error {
-	for {
-		// Cancellation wins over available work: a select with a ready
-		// recycle buffer AND a done context picks randomly, which would
-		// let a short stream race past an already-cancelled context.
-		select {
-		case <-ctx.Done():
-			fail(ctx.Err())
-			return ctx.Err()
-		case <-quit:
-			fail(errPipelineClosed)
-			return errPipelineClosed
-		default:
-		}
-		buf, ok := recvOrQuit(ctx, quit, recycle, fail)
-		if !ok {
-			return errPipelineClosed
-		}
-
-		start := time.Now()
-		n, err := fill(buf[:w])
-		elapsed := time.Since(start).Nanoseconds()
-		for _, prog := range progs {
-			prog.decodeNs.Add(elapsed)
-		}
-
-		if n > 0 {
-			if !send(buf[:n]) {
-				return errPipelineClosed
-			}
-			for _, prog := range progs {
-				prog.edges.Add(uint64(n))
-				prog.batches.Add(1)
-			}
-		} else if err != nil {
-			// The buffer never left this goroutine; give it back so an exit
-			// doesn't shrink the ring — under source-failure isolation the
-			// surviving decoders still need every buffer.
-			select {
-			case recycle <- buf[:cap(buf)]:
-			default:
-			}
-		}
-		if err == io.EOF {
-			return nil // clean end of this source
-		}
-		if err != nil {
-			fail(err)
-			return err
-		}
-	}
-}
-
-// sourceFill curries a Source into decodeLoop's fill function,
-// selecting the bulk BatchFiller path when the source implements it.
+// sourceFill curries a Source into a fill function, selecting the bulk
+// BatchFiller path when the source implements it.
 func sourceFill(src Source) func([]graph.Edge) (int, error) {
 	if filler, bulk := src.(BatchFiller); bulk {
 		return filler.Fill
@@ -301,15 +236,48 @@ func NewPipeline(ctx context.Context, src Source, w, depth int, opts ...PipeOpti
 	return p, nil
 }
 
-// decode is the decoder goroutine: it runs the shared decodeLoop and
-// always closes out on exit (after err is recorded), so the consumer
-// side never blocks forever.
+// decode is the decoder goroutine: acquire a buffer from the ring, fill
+// it, send it downstream — until the source ends, filling fails, the
+// context is cancelled, or Close. It always closes out on exit (after
+// err is recorded), so the consumer side never blocks forever.
 func (p *Pipeline) decode(src Source) {
 	defer close(p.out)
-	send := func(b []graph.Edge) bool { return sendOrQuit(p.ctx, p.quit, p.out, b, p.fail) }
 	fill := budgetedFill(sourceFill(src), p.cfg.maxBadRecords, &p.pipeProgress)
-	decodeLoop(p.ctx, p.quit, p.recycle, p.w, fill, send,
-		[]*pipeProgress{&p.pipeProgress}, p.fail)
+	for {
+		// Cancellation wins over available work: a select with a ready
+		// recycle buffer AND a done context picks randomly, which would
+		// let a short stream race past an already-cancelled context.
+		select {
+		case <-p.ctx.Done():
+			p.fail(p.ctx.Err())
+			return
+		case <-p.quit:
+			p.fail(errPipelineClosed)
+			return
+		default:
+		}
+		buf, ok := recvOrQuit(p.ctx, p.quit, p.recycle, p.fail)
+		if !ok {
+			return
+		}
+		start := time.Now()
+		n, err := fill(buf[:p.w])
+		p.decodeNs.Add(time.Since(start).Nanoseconds())
+		if n > 0 {
+			if !sendOrQuit(p.ctx, p.quit, p.out, buf[:n], p.fail) {
+				return
+			}
+			p.edges.Add(uint64(n))
+			p.batches.Add(1)
+		}
+		if err == io.EOF {
+			return
+		}
+		if err != nil {
+			p.fail(err)
+			return
+		}
+	}
 }
 
 // fail records the decoder's terminal error. A single decoder makes the
@@ -399,7 +367,7 @@ func (p *Pipeline) Run(fn func(batch []graph.Edge) error) error { return runPipe
 func (p *Pipeline) Drain(sink Sink) (uint64, error) { return drainPipe(p, sink) }
 
 // batchPipe is the consumer-side surface shared by Pipeline and
-// MultiPipeline; runPipe and drainPipe drive either through it.
+// OrderedMultiPipeline; runPipe and drainPipe drive either through it.
 type batchPipe interface {
 	Next() ([]graph.Edge, error)
 	Recycle([]graph.Edge)

@@ -249,26 +249,19 @@ func countStream(ctx context.Context, src Source, w, depth int, ing ingest, sink
 }
 
 // countStreams is countStream over several sources: one decoder
-// goroutine per source, all filling batch buffers from one shared
-// recycle ring, merged into a single batch stream for the sink. A single
-// source degenerates to the plain (deterministic) pipeline.
+// goroutine per source, their blocks interleaved round-robin by the
+// block merge into one deterministic batch stream for the sink. A single
+// source goes through countStream, so CountStreams with one argument is
+// exactly CountStream.
 func countStreams(ctx context.Context, srcs []Source, w, depth int, ing ingest, sink stream.Sink) (StreamStats, error) {
 	if len(srcs) == 1 {
 		return countStream(ctx, srcs[0], w, depth, ing, sink)
 	}
-	p, err := stream.NewMultiPipeline(ctx, srcs, w, depth, ing.pipeOpts(true)...)
+	p, err := stream.NewMergedPipeline(ctx, srcs, w, ing.pipeOpts(true)...)
 	if err != nil {
 		return StreamStats{}, err
 	}
-	n, err := p.Drain(sink)
-	st := p.Stats()
-	return StreamStats{
-		Edges:         n,
-		Batches:       st.Batches,
-		DecodeSeconds: st.DecodeSeconds,
-		BadRecords:    st.BadRecords,
-		PerSource:     perSourceStats(p.SourceStats()),
-	}, err
+	return drainMerge(p, sink)
 }
 
 // countOrderedStreams is the timestamp-merged flavor of countStreams:
@@ -295,15 +288,7 @@ func countOrderedStreams(ctx context.Context, srcs []TimestampedSource, w int, i
 	if err != nil {
 		return StreamStats{}, err
 	}
-	n, err := p.Drain(sink)
-	st := p.Stats()
-	out := StreamStats{
-		Edges:         n,
-		Batches:       st.Batches,
-		DecodeSeconds: st.DecodeSeconds,
-		BadRecords:    st.BadRecords,
-		PerSource:     perSourceStats(p.SourceStats()),
-	}
+	out, err := drainMerge(p, sink)
 	for i, wm := range wms {
 		late := wm.LateEdges()
 		out.LateEdges += late
@@ -312,6 +297,20 @@ func countOrderedStreams(ctx context.Context, srcs []TimestampedSource, w int, i
 		}
 	}
 	return out, err
+}
+
+// drainMerge feeds every merged batch to sink and reports the run,
+// attributed per source.
+func drainMerge(p *stream.OrderedMultiPipeline, sink stream.Sink) (StreamStats, error) {
+	n, err := p.Drain(sink)
+	st := p.Stats()
+	return StreamStats{
+		Edges:         n,
+		Batches:       st.Batches,
+		DecodeSeconds: st.DecodeSeconds,
+		BadRecords:    st.BadRecords,
+		PerSource:     perSourceStats(p.SourceStats()),
+	}, err
 }
 
 // perSourceStats converts the pipeline's per-source snapshots to the
@@ -357,16 +356,17 @@ func (t *ParallelTriangleCounter) CountStream(ctx context.Context, src Source) (
 }
 
 // CountStreams consumes several sources (typically one per input file)
-// to exhaustion, decoding each on its own goroutine against a shared
-// buffer ring — parallelizing ingestion itself, not just
-// decode-vs-count. Edges from one source arrive in that source's order;
-// the interleaving across sources is scheduler-dependent, which the
-// arbitrary-order stream model tolerates (the estimate distribution is
-// unchanged) but which makes multi-source runs non-reproducible
-// bit-for-bit. With a single source it is exactly CountStream.
+// to exhaustion, decoding each on its own goroutine, so the decoders
+// overlap each other and the counting. The sources are merged in blocks
+// of min(w, 4096) edges, w the batch size: block 0 of every source in
+// argument order, then block 1, and so on. The merged stream, and so
+// the estimate, is a pure function of the inputs, w and the seed,
+// whatever the scheduler does. The merge waits for the slowest source's
+// next block. With a single source it is exactly CountStream.
 // StreamStats.DecodeSeconds aggregates all decoders and can exceed wall
-// time. On error (first decoder failure wins) the counter remains valid
-// and reflects exactly the edges reported in StreamStats.
+// time. On error (the first source failure wins, unless
+// WithContinueOnSourceFailure) the counter remains valid and reflects
+// exactly the edges reported in StreamStats.
 func (t *TriangleCounter) CountStreams(ctx context.Context, srcs ...Source) (StreamStats, error) {
 	if len(srcs) == 0 {
 		return StreamStats{}, nil
@@ -378,9 +378,9 @@ func (t *TriangleCounter) CountStreams(ctx context.Context, srcs ...Source) (Str
 }
 
 // CountStreams is the multi-source CountStream: each source decodes on
-// its own goroutine into a shared buffer ring while the shards absorb
-// merged batches. See TriangleCounter.CountStreams for the ordering and
-// determinism contract.
+// its own goroutine while the shards absorb the merged batches. See
+// TriangleCounter.CountStreams for the ordering and determinism
+// contract.
 func (t *ParallelTriangleCounter) CountStreams(ctx context.Context, srcs ...Source) (StreamStats, error) {
 	if len(srcs) == 0 {
 		return StreamStats{}, nil

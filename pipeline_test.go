@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
 	"streamtri"
+	"streamtri/internal/gen"
+	"streamtri/internal/randx"
 )
 
 // CountStream must produce bit-identical estimator state to the Add
@@ -173,9 +176,9 @@ func TestCountStreamsSingleSourceMatchesCountStream(t *testing.T) {
 	}
 }
 
-// Multi-source ingestion must absorb the union of the inputs; the
-// interleaving is scheduler-dependent, so the check is edge accounting
-// plus a statistically sane estimate (the stream model is order-free).
+// Multi-source ingestion must absorb the union of the inputs; the check
+// is edge accounting plus a statistically sane estimate (the stream
+// model is order-free).
 func TestCountStreamsMergesSources(t *testing.T) {
 	edges := syn3regStream(22)
 	third := len(edges) / 3
@@ -196,6 +199,82 @@ func TestCountStreamsMergesSources(t *testing.T) {
 	// must be in the right regime whatever the interleaving.
 	if got := tc.EstimateTriangles(); got < 300 || got > 3000 {
 		t.Fatalf("estimate %v, want within [300, 3000] of true 1000", got)
+	}
+}
+
+// blockInterleave is the merge CountStreams performs: block j of every
+// part, in part order, before any block j+1, in blocks of b edges.
+func blockInterleave(parts [][]streamtri.Edge, b int) []streamtri.Edge {
+	var out []streamtri.Edge
+	for lo, more := 0, true; more; lo += b {
+		more = false
+		for _, p := range parts {
+			if lo < len(p) {
+				out = append(out, p[lo:min(lo+b, len(p))]...)
+				more = true
+			}
+		}
+	}
+	return out
+}
+
+// Multi-source runs are deterministic: CountStreams over a slice, a
+// binary and a text source gives the estimate CountStream gives over the
+// round-robin interleave of their blocks of min(w, 4096) edges, bit for
+// bit, on every repeat and at GOMAXPROCS 1 and 2.
+func TestCountStreamsDeterministicBlockInterleave(t *testing.T) {
+	const r = 200 // w = 8r = 1600, so each source spans several blocks
+	edges := gen.HolmeKim(randx.New(61), 4000, 3, 0.6)
+	parts := [][]streamtri.Edge{edges[:5000], edges[5000:7000], edges[7000:]}
+	interleaved := blockInterleave(parts, min(8*r, 4096))
+	srcs := func(t *testing.T) []streamtri.Source {
+		var bin, text bytes.Buffer
+		if err := streamtri.WriteBinaryEdges(&bin, parts[1]); err != nil {
+			t.Fatal(err)
+		}
+		if err := streamtri.WriteEdgeList(&text, parts[2]); err != nil {
+			t.Fatal(err)
+		}
+		return []streamtri.Source{
+			streamtri.NewSliceSource(parts[0]),
+			streamtri.NewBinaryEdgeSource(&bin),
+			streamtri.NewEdgeListSource(&text),
+		}
+	}
+	type counter interface {
+		CountStream(context.Context, streamtri.Source) (streamtri.StreamStats, error)
+		CountStreams(context.Context, ...streamtri.Source) (streamtri.StreamStats, error)
+		EstimateTriangles() float64
+	}
+	kinds := map[string]func() counter{
+		"flat":     func() counter { return streamtri.NewTriangleCounter(r, streamtri.WithSeed(5)) },
+		"parallel": func() counter { return streamtri.NewParallelTriangleCounter(r, 2, streamtri.WithSeed(5)) },
+		"sampler":  func() counter { return streamtri.NewTriangleSampler(r, streamtri.WithSeed(5)) },
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for name, newCounter := range kinds {
+		ref := newCounter()
+		if _, err := ref.CountStream(context.Background(), streamtri.NewSliceSource(interleaved)); err != nil {
+			t.Fatal(err)
+		}
+		want := ref.EstimateTriangles()
+		for _, procs := range []int{1, 2} {
+			runtime.GOMAXPROCS(procs)
+			for rep := 0; rep < 5; rep++ {
+				c := newCounter()
+				st, err := c.CountStreams(context.Background(), srcs(t)...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.Edges != uint64(len(edges)) {
+					t.Fatalf("%s: streamed %d of %d edges", name, st.Edges, len(edges))
+				}
+				if got := c.EstimateTriangles(); got != want {
+					t.Fatalf("%s, GOMAXPROCS=%d, repeat %d: estimate %v, want %v (CountStream over the block interleave)",
+						name, procs, rep, got, want)
+				}
+			}
+		}
 	}
 }
 

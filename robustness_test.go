@@ -282,6 +282,41 @@ func TestCountStreamsContinueOnSourceFailure(t *testing.T) {
 	tc.Flush()
 }
 
+// failingTimestampedSource is failingSource for the windowed merge.
+type failingTimestampedSource struct {
+	edges []streamtri.TimestampedEdge
+	n     int
+	pos   int
+}
+
+func (s *failingTimestampedSource) NextTimestamped() (streamtri.TimestampedEdge, error) {
+	if s.pos >= s.n {
+		return streamtri.TimestampedEdge{}, fmt.Errorf("temporal source died at edge %d", s.pos)
+	}
+	e := s.edges[s.pos]
+	s.pos++
+	return e, nil
+}
+
+// The windowed merge stays fail-fast even with continue-on-source-failure
+// set: without the dead source's remainder the window would cover a
+// different stream, so the run must fail instead of completing.
+func TestSlidingWindowCountStreamsStaysFailFast(t *testing.T) {
+	shards := shardTemporal(temporalStream(44, 3000), 2, 9)
+	sw := streamtri.NewSlidingWindowCounter(256, 2000, streamtri.WithSeed(13),
+		streamtri.WithContinueOnSourceFailure())
+	st, err := sw.CountStreams(context.Background(),
+		streamtri.NewTimestampedSliceSource(shards[0]),
+		&failingTimestampedSource{edges: shards[1], n: len(shards[1]) / 2},
+	)
+	if err == nil || !strings.Contains(err.Error(), "temporal source died") {
+		t.Fatalf("windowed run error = %v, want the dead source's failure", err)
+	}
+	if sw.StreamLength() != st.Edges {
+		t.Fatalf("window absorbed %d edges but stats report %d", sw.StreamLength(), st.Edges)
+	}
+}
+
 // Checkpoint-resume across a mid-stream failure: interrupt CountStream,
 // checkpoint the counter, restore it (as another process would), resume
 // from the first unabsorbed edge, and land on the uninterrupted run's

@@ -81,7 +81,7 @@ func (s *TriangleSampler) CountStream(ctx context.Context, src Source) (StreamSt
 }
 
 // CountStreams is the multi-source CountStream: each source decodes on
-// its own goroutine into a shared buffer ring. See
+// its own goroutine and the block merge interleaves them. See
 // TriangleCounter.CountStreams for the ordering and determinism
 // contract.
 func (s *TriangleSampler) CountStreams(ctx context.Context, srcs ...Source) (StreamStats, error) {

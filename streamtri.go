@@ -39,8 +39,9 @@ type ingest struct {
 }
 
 // pipeOpts converts the ingest knobs to stream-layer options. multi
-// gates the continue-on-source-failure policy to the call sites where
-// it is meaningful (the first-come multi-source pipeline).
+// passes the continue-on-source-failure policy on; only the whole-stream
+// multi-source runs set it, so SlidingWindowCounter.CountStreams stays
+// fail-fast (see WithContinueOnSourceFailure).
 func (g ingest) pipeOpts(multi bool) []stream.PipeOption {
 	var opts []stream.PipeOption
 	if g.maxBad > 0 {
@@ -70,12 +71,12 @@ func WithBatchSize(w int) Option {
 }
 
 // WithPipelineDepth sets the number of batch buffers circulating in the
-// CountStream decode pipeline (default stream.DefaultPipelineDepth).
-// Larger depths absorb burstier decode/process speed mismatches at the
-// cost of depth×w edges of buffer memory; 2 is the minimum that still
-// overlaps decoding with processing. SlidingWindowCounter.CountStreams
-// ignores it: its timestamp merge holds a fixed few blocks per source,
-// not a ring of w-edge buffers.
+// single-source CountStream decode pipeline (default
+// stream.DefaultPipelineDepth). Larger depths absorb burstier
+// decode/process speed mismatches at the cost of depth×w edges of buffer
+// memory; 2 is the minimum that still overlaps decoding with processing.
+// CountStreams over several sources ignores it: the merge holds a fixed
+// few blocks per source, not a ring of w-edge buffers.
 func WithPipelineDepth(depth int) Option {
 	return func(c *config) { c.pipeDepth = depth }
 }
@@ -93,17 +94,17 @@ func WithDecodeErrorPolicy(maxBadRecords int) Option {
 	return func(c *config) { c.ing.maxBad = maxBadRecords }
 }
 
-// WithContinueOnSourceFailure makes the first-come multi-source
-// CountStreams methods abandon a source that dies mid-stream (I/O
-// error, decode failure past any budget) instead of aborting the whole
-// run: the dead source's terminal error is recorded in its
+// WithContinueOnSourceFailure makes CountStreams on the whole-stream
+// counters abandon a source that dies mid-stream (I/O error, decode
+// failure past any budget) instead of aborting the whole run: the edges
+// it delivered stay counted, its terminal error is recorded in its
 // StreamStats.PerSource entry (SourceStats.Err), the surviving sources
-// run to completion, and the call returns nil error unless every
-// source failed. It does not apply to the timestamp-ordered
-// SlidingWindowCounter.CountStreams, which stays fail-fast: its merged
-// stream is a pure function of the inputs, and completing without a
-// mid-merge-dead source would silently compute a wrong window estimate
-// rather than a deterministic one.
+// run to completion, and the call returns nil error unless every source
+// failed. It does not apply to SlidingWindowCounter.CountStreams, which
+// stays fail-fast: its window is defined by the complete
+// timestamp-ordered sequence, and completing without a dead source's
+// remaining edges would silently compute a wrong window estimate rather
+// than fail.
 func WithContinueOnSourceFailure() Option {
 	return func(c *config) { c.ing.isolate = true }
 }

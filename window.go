@@ -40,9 +40,9 @@ func (s *SlidingWindowCounter) AddBatch(batch []Edge) { s.c.AddBatch(batch) }
 // constant memory — the window state itself is the only thing that
 // grows, and only to O(r). The windowed estimator is inherently
 // order-sensitive (the window is defined by arrival sequence), so the
-// multi-source variant, CountStreams, requires timestamped sources: a
-// first-come merge of plain sources would make the window contents
-// scheduler-dependent.
+// multi-source variant, CountStreams, requires timestamped sources: the
+// block round-robin that merges plain sources for the whole-stream
+// counters would make the window follow the file layout, not time.
 func (s *SlidingWindowCounter) CountStream(ctx context.Context, src Source) (StreamStats, error) {
 	return countStream(ctx, src, s.w, s.depth, s.ing, s.c)
 }
@@ -54,15 +54,15 @@ func (s *SlidingWindowCounter) CountStream(ctx context.Context, src Source) (Str
 // loser-tree merge re-sequences them by per-edge timestamp — smallest
 // first, ties broken by source index, then intra-file order.
 // The merged arrival sequence, and therefore the window contents and
-// the estimate, is a pure function of the inputs and the seed: unlike
-// the first-come CountStreams on the whole-stream counters, ordered
-// runs are bit-for-bit reproducible for any scheduler interleaving.
+// the estimate, is a pure function of the inputs and the seed, so runs
+// are bit-for-bit reproducible for any scheduler interleaving.
 // Sources must individually be timestamp-nondecreasing for the merged
 // stream to be globally timestamp-ordered (SNAP temporal exports are);
-// the determinism guarantee holds either way. On error (first decoder
-// failure wins, ctx cancellation included) the counter remains valid
-// and reflects exactly the edges reported in StreamStats, whose
-// PerSource field attributes edges and decode time to each input.
+// the determinism guarantee holds either way. On error (the first
+// source failure wins, even under WithContinueOnSourceFailure; ctx
+// cancellation included) the counter remains valid and reflects exactly
+// the edges reported in StreamStats, whose PerSource field attributes
+// edges and decode time to each input.
 func (s *SlidingWindowCounter) CountStreams(ctx context.Context, srcs ...TimestampedSource) (StreamStats, error) {
 	if len(srcs) == 0 {
 		return StreamStats{}, nil
