@@ -19,12 +19,12 @@
 //
 // All types are deterministic given their seed, multi-source ingestion
 // included: both merges behind CountStreams are pure functions of their
-// inputs (see below). Streams must be simple: no self loops and no duplicate edges (use ReadEdgeList
-// with dedup for raw data). The underlying technique is neighborhood
-// sampling: sample a uniform level-1 edge from the stream, a uniform
-// level-2 edge among the later edges adjacent to it, and wait for the
-// closing edge; the sampling bias 1/(m·c) is known exactly and divides
-// out.
+// inputs (see below). Streams must be simple: no self loops and no
+// duplicate edges (use ReadEdgeList with dedup for raw data). The
+// underlying technique is neighborhood sampling: sample a uniform
+// level-1 edge from the stream, a uniform level-2 edge among the later
+// edges adjacent to it, and wait for the closing edge; the sampling bias
+// 1/(m·c) is known exactly and divides out.
 //
 // # Performance
 //
@@ -188,9 +188,10 @@
 // function of the inputs and w, so multi-source runs are bit-for-bit
 // reproducible for any scheduler interleaving; CountStreams with one
 // argument is exactly CountStream. The adjacency-stream model admits
-// arbitrary order, so the block order costs the estimates nothing. The
-// union of the inputs must be a simple stream (no duplicate edges across
-// files). Shutdown is first-error-wins, StreamStats.DecodeSeconds
+// arbitrary order, so the estimates keep their guarantees under the
+// block order. The union of the inputs must be a simple stream (no
+// duplicate edges across files). Shutdown is first-error-wins (see
+// Dying sources for the exception), StreamStats.DecodeSeconds
 // aggregates every decoder, so it can exceed wall time, and
 // StreamStats.PerSource attributes edges and decode time to each input
 // so skewed shards are visible. cmd/trict exposes all of this through
@@ -200,10 +201,10 @@
 // while one stalls, whereas the block merge waits for the slowest
 // source's next block, and it pays CPU for determinism — every record is
 // encoded into a block and copied out again (the MultiPipelinedCount
-// cell of BENCH_core.json tracks it). For file inputs a stall does not
-// arise; multi-source ingest comes from cmd/trict's repeated -i and
-// examples/multifile, while cmd/trictd sends each request body through
-// the single-source CountStream.
+// cell of BENCH_core.json tracks it). That does not matter for the
+// multi-source traffic that exists: cmd/trict's repeated -i and
+// examples/multifile read files, and cmd/trictd sends each request body
+// through the single-source CountStream.
 //
 // # Temporal streams and ordered multi-file ingestion
 //
