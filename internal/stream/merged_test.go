@@ -2,8 +2,13 @@ package stream
 
 import (
 	"bytes"
+	"context"
+	"errors"
+	"io"
 	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"streamtri/internal/graph"
 )
@@ -97,6 +102,129 @@ func TestMergedPipelineMatchesBlockInterleave(t *testing.T) {
 				t.Fatalf("k=%d w=%d: merged %d edges, want %d; first difference at edge %d", k, w, len(got), len(want), i)
 			}
 		}
+	}
+	assertNoLeak(t, base)
+}
+
+// The shutdown tests below drive plain sources, so they cover the
+// keyed fill path that the ordered merge's tests, over timestamped
+// sources, do not reach.
+
+func TestMultiPipelineBadArgs(t *testing.T) {
+	if _, err := NewMergedPipeline(context.Background(), []Source{NewSliceSource(nil)}, 0); err == nil {
+		t.Fatal("want error for w=0")
+	}
+	if _, err := NewMergedPipeline(context.Background(), nil, 8); err == nil {
+		t.Fatal("want error for zero sources")
+	}
+}
+
+// One of N sources failing mid-stream must stop the whole merge and
+// surface that source's error (first-error-wins); the healthy sources'
+// pre-error batches remain valid.
+func TestMultiPipelineFirstErrorPropagates(t *testing.T) {
+	base := goroutineBaseline()
+	srcs := []Source{
+		NewSliceSource(sourceEdges(0, 500)),
+		&errorSource{n: 25},
+		NewSliceSource(sourceEdges(2, 500)),
+	}
+	p, err := NewMergedPipeline(context.Background(), srcs, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got error
+	for {
+		b, err := p.Next()
+		if err != nil {
+			got = err
+			break
+		}
+		p.Recycle(b)
+	}
+	if got == io.EOF || got == nil {
+		t.Fatalf("want the failing source's error, got %v", got)
+	}
+	if !strings.Contains(got.Error(), "decoder exploded") {
+		t.Fatalf("error = %v, want the errorSource failure", got)
+	}
+	if cerr := p.Close(); cerr == nil || !strings.Contains(cerr.Error(), "decoder exploded") {
+		t.Fatalf("Close = %v, want the first decoder error", cerr)
+	}
+	assertNoLeak(t, base)
+}
+
+// A failing source must also interrupt sibling decoders that are mid
+// stream (not let them run to EOF): infinite sources would otherwise
+// spin forever.
+func TestMultiPipelineErrorStopsSiblingDecoders(t *testing.T) {
+	base := goroutineBaseline()
+	srcs := []Source{
+		&infiniteSource{},
+		&errorSource{n: 5},
+	}
+	p, err := NewMergedPipeline(context.Background(), srcs, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		b, err := p.Next()
+		if err != nil {
+			if err == io.EOF {
+				t.Fatal("want decoder error, got clean EOF")
+			}
+			break
+		}
+		p.Recycle(b)
+	}
+	p.Close()
+	assertNoLeak(t, base)
+}
+
+// Context cancellation must free decoders that are all parked on
+// exhausted credits (nobody consuming, every block filled and queued).
+func TestMultiPipelineCancelWithDecodersParked(t *testing.T) {
+	base := goroutineBaseline()
+	ctx, cancel := context.WithCancel(context.Background())
+	srcs := []Source{&infiniteSource{}, &infiniteSource{i: 1 << 20}, &infiniteSource{i: 1 << 21}}
+	p, err := NewMergedPipeline(ctx, srcs, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Let every decoder and the merger wedge with the consumer absent.
+	time.Sleep(20 * time.Millisecond)
+	cancel()
+	var got error
+	for {
+		b, err := p.Next()
+		if err != nil {
+			got = err
+			break
+		}
+		p.Recycle(b)
+	}
+	if !errors.Is(got, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", got)
+	}
+	if cerr := p.Close(); !errors.Is(cerr, context.Canceled) {
+		t.Fatalf("Close = %v, want context.Canceled", cerr)
+	}
+	assertNoLeak(t, base)
+}
+
+func TestMultiPipelineCloseWithoutDraining(t *testing.T) {
+	base := goroutineBaseline()
+	srcs := []Source{&infiniteSource{}, &infiniteSource{i: 1 << 20}}
+	p, err := NewMergedPipeline(context.Background(), srcs, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(10 * time.Millisecond)
+	if cerr := p.Close(); cerr != nil {
+		t.Fatalf("Close = %v, want nil for caller-initiated shutdown", cerr)
+	}
+	if cerr := p.Close(); cerr != nil {
+		t.Fatalf("second Close = %v", cerr)
 	}
 	assertNoLeak(t, base)
 }
