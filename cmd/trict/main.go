@@ -31,10 +31,10 @@
 // decoders also overlap each other (parallel ingestion), and a
 // deterministic merge takes the files in blocks of min(w, 4096) edges
 // (w the batch size), round-robin in input order, so multi-file runs are
-// bit-for-bit reproducible. The report prices I/O+decode separately from wall time,
-// in the style of the paper's Table 3 (for multiple inputs the decode
-// figure aggregates all decoders and can exceed wall time, and a
-// per-source breakdown shows skewed shards).
+// bit-for-bit reproducible. The report prices I/O+decode separately
+// from wall time, in the style of the paper's Table 3 (for multiple
+// inputs the decode figure aggregates all decoders and can exceed wall
+// time, and a per-source breakdown shows skewed shards).
 //
 // Windowed runs (-window N) use the sliding-window estimator. A single
 // input streams as-is (the window is defined by arrival order). Several
@@ -319,10 +319,9 @@ func makeTimestampedSource(in io.Reader, format string) streamtri.TimestampedSou
 
 // runWindowed is the -window mode: the sliding-window estimator over one
 // plain input, or over several timestamped inputs merged in timestamp
-// order. With
-// -lateness every input — including a single one — goes through the
-// timestamped decoder and the bounded-lateness watermark stage, so
-// out-of-order temporal data is re-sequenced instead of silently
+// order. With -lateness every input — including a single one — goes
+// through the timestamped decoder and the bounded-lateness watermark
+// stage, so out-of-order temporal data is re-sequenced instead of silently
 // corrupting the window.
 func runWindowed(ctx context.Context, readers []io.Reader, inputs []string, name, format string, r int, w uint64, lateness int64, onLate string, maxBad int, opts []streamtri.Option) {
 	var latePrinted atomic.Uint64
