@@ -106,6 +106,108 @@ func TestMergedPipelineMatchesBlockInterleave(t *testing.T) {
 	assertNoLeak(t, base)
 }
 
+func TestMultiPipelineMergesAllSourcesPreservingPerSourceOrder(t *testing.T) {
+	base := goroutineBaseline()
+	const nsrc, per = 3, 157
+	srcs := make([]Source, nsrc)
+	for i := range srcs {
+		srcs[i] = NewSliceSource(sourceEdges(i, per))
+	}
+	p, err := NewMergedPipeline(context.Background(), srcs, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perSource := make([][]graph.Edge, nsrc)
+	rerr := p.Run(func(b []graph.Edge) error {
+		for _, e := range b {
+			id := int(e.U) / 1_000_000
+			perSource[id] = append(perSource[id], e)
+		}
+		return nil
+	})
+	if rerr != nil {
+		t.Fatal(rerr)
+	}
+	for i := range perSource {
+		want := sourceEdges(i, per)
+		if len(perSource[i]) != per {
+			t.Fatalf("source %d delivered %d of %d edges", i, len(perSource[i]), per)
+		}
+		for j := range want {
+			if perSource[i][j] != want[j] {
+				t.Fatalf("source %d edge %d out of order: %v != %v", i, j, perSource[i][j], want[j])
+			}
+		}
+	}
+	st := p.Stats()
+	if st.Edges != nsrc*per || st.Batches == 0 {
+		t.Fatalf("stats = %+v", st)
+	}
+	assertNoLeak(t, base)
+}
+
+func TestMultiPipelineSingleSourceIsOrdered(t *testing.T) {
+	in := edges(200)
+	p, err := NewMergedPipeline(context.Background(), []Source{NewSliceSource(in)}, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []graph.Edge
+	if err := p.Run(func(b []graph.Edge) error { got = append(got, b...); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(in) {
+		t.Fatalf("delivered %d of %d edges", len(got), len(in))
+	}
+	for i := range in {
+		if got[i] != in[i] {
+			t.Fatalf("edge %d out of order", i)
+		}
+	}
+}
+
+// Drain over several binary shards: the merge feeds the sink the union
+// of the shards, each shard's edges in order.
+func TestMultiPipelineDrainBinaryShards(t *testing.T) {
+	base := goroutineBaseline()
+	const nsrc, per = 2, 5000
+	srcs := make([]Source, nsrc)
+	for i := range srcs {
+		var buf bytes.Buffer
+		if err := WriteBinaryEdges(&buf, sourceEdges(i, per)); err != nil {
+			t.Fatal(err)
+		}
+		srcs[i] = NewBinarySource(&buf)
+	}
+	p, err := NewMergedPipeline(context.Background(), srcs, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := &recordingSink{}
+	n, derr := p.Drain(sink)
+	if derr != nil {
+		t.Fatal(derr)
+	}
+	if n != nsrc*per || len(sink.got) != nsrc*per {
+		t.Fatalf("drained %d edges, sink saw %d, want %d", n, len(sink.got), nsrc*per)
+	}
+	bySrc := make([][]graph.Edge, nsrc)
+	for _, e := range sink.got {
+		i := int(e.U) / 1_000_000
+		bySrc[i] = append(bySrc[i], e)
+	}
+	for i := range bySrc {
+		if !slices.Equal(bySrc[i], sourceEdges(i, per)) {
+			t.Fatalf("source %d's edges did not reach the sink in order", i)
+		}
+	}
+	st := p.Stats()
+	if st.Edges != nsrc*per {
+		t.Fatalf("stats = %+v", st)
+	}
+	assertNoLeak(t, base)
+}
+
 // The shutdown tests below drive plain sources, so they cover the
 // keyed fill path that the ordered merge's tests, over timestamped
 // sources, do not reach.
