@@ -33,7 +33,7 @@ test:
 
 # The pattern also covers the fault-injection and watermark suites
 # (Pipeline/Watermark/CountStream names), the block-granular merge
-# suites (BlockMerge and LoserTree: refcounted views flowing
+# suites (BlockMerge and LoserTree: single-owner views handed
 # decoder→merger), the snapshot readers-during-ingest suites, and the
 # serving layer's concurrent HTTP tests, so source-failure isolation,
 # the reorder stage, and the lock-free estimate read path all run under
@@ -172,9 +172,11 @@ smoke-serve:
 	GO=$(GO) ./scripts/smoke-serve.sh
 
 # Crash-consistency smoke against the real daemon: SIGKILL at rest must
-# leave every estimate byte-identical, and repeated SIGKILLs mid-ingest
+# leave every estimate byte-identical, repeated SIGKILLs mid-ingest
 # must never lose an acked edge (the WAL ack contract under
-# -wal-sync always) nor recover two different states for one position.
+# -wal-sync always) nor recover two different states for one position,
+# and a POST whose client dies mid-body must leave a state that a
+# SIGKILL and restart reproduce byte for byte.
 smoke-crash:
 	GO=$(GO) ./scripts/smoke-crash.sh
 

@@ -1,7 +1,8 @@
 // Command trictd ("triangle count daemon") is the resident serving
 // process: it hosts many named triangle counters (one per tenant/graph)
-// behind an HTTP JSON API, ingests edges concurrently through the
-// library's decode pipeline, and answers estimate queries while
+// behind an HTTP JSON API, ingests each POST in its request handler
+// (every batch decoded from the body is logged, then absorbed; different
+// counters ingest concurrently), and answers estimate queries while
 // ingesting — estimate reads go through the counters' lock-free
 // published snapshots, so a slow query never stalls an ingest and an
 // ingest burst never stalls queries.

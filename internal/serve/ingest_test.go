@@ -1,0 +1,227 @@
+package serve
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"io"
+	"net"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+
+	"streamtri"
+)
+
+// logAndCounterPos reads a tenant's WAL position and its counter's
+// stream position under the tenant lock.
+func logAndCounterPos(t *testing.T, s *Server, name string) (wal, counter uint64) {
+	t.Helper()
+	tn := s.lookup(name)
+	if tn == nil {
+		t.Fatalf("tenant %q missing", name)
+	}
+	tn.mu.Lock()
+	defer tn.mu.Unlock()
+	if tn.pc != nil {
+		return tn.wal.pos, tn.pc.Edges()
+	}
+	return tn.wal.pos, tn.sw.StreamLength()
+}
+
+// verifyRecoveredAt restarts a durable server from dir after the kill
+// -9 that abandonServer models, and asserts that ct's tenant recovers to
+// exactly pos edges, bit-identical to an uncrashed oracle fed ct's
+// bodies in batches of the tenant's size.
+func verifyRecoveredAt(t *testing.T, s *Server, dir string, ct crashTenant, pos uint64) {
+	t.Helper()
+	abandonServer(s)
+	s2, err := NewServer(dir, WithLogf(t.Logf))
+	if err != nil {
+		t.Fatalf("recovery: %v", err)
+	}
+	defer abandonServer(s2)
+	tn := s2.lookup(ct.name)
+	if tn == nil {
+		t.Fatalf("tenant %q lost across restart", ct.name)
+	}
+	var blob bytes.Buffer
+	var got uint64
+	if tn.pc != nil {
+		got = tn.pc.Edges()
+		_, err = tn.pc.WriteTo(&blob)
+	} else {
+		got = tn.sw.StreamLength()
+		_, err = tn.sw.WriteTo(&blob)
+	}
+	if err != nil {
+		t.Fatalf("WriteTo after recovery: %v", err)
+	}
+	if got != pos {
+		t.Fatalf("tenant %q recovered to %d edges, want %d", ct.name, got, pos)
+	}
+	if !bytes.Equal(blob.Bytes(), oracleBlob(t, ct, pos)) {
+		t.Fatalf("tenant %q at %d edges: recovered state differs from uncrashed oracle", ct.name, pos)
+	}
+}
+
+// TestServeWALAppendFailureIsServerError: a WAL append that fails
+// mid-body answers 5xx, not the 400 a malformed body gets, and reports
+// the edges absorbed before it; the batch the log refused never reaches
+// the counter, so recovery lands on the last logged batch boundary.
+func TestServeWALAppendFailureIsServerError(t *testing.T) {
+	dir := t.TempDir()
+	s, err := NewServer(dir, WithLogf(t.Logf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	appends := 0
+	s.faults.hook = func(point string) bool {
+		if point == "wal-append" {
+			appends++
+			return appends == 2
+		}
+		return false
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	cfg := CounterConfig{R: 48, P: 2, Seed: 9, BatchSize: 128}
+	w := cfg.effectiveBatchSize()
+	edges := testEdges(t, 131, 3*w)
+	if code := createCounter(t, ts.URL, "ws", cfg); code != http.StatusCreated {
+		t.Fatalf("create: status %d", code)
+	}
+	resp, err := http.Post(ts.URL+"/v1/counters/ws/edges", "application/octet-stream", binaryBody(t, edges))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode < 500 {
+		t.Fatalf("WAL append failure: status %d (%s), want 5xx", resp.StatusCode, msg)
+	}
+	if want := fmt.Sprintf("after %d edges", w); !strings.Contains(string(msg), want) {
+		t.Fatalf("WAL append failure: body %s does not name %q", msg, want)
+	}
+	verifyRecoveredAt(t, s, dir, crashTenant{name: "ws", cfg: cfg, bodies: [][]streamtri.Edge{edges}}, uint64(w))
+}
+
+// cancelAfter is a request body that delivers one chunk per Read and
+// cancels the request's context as it hands over the end of chunk
+// number cut, while more of the body remains.
+type cancelAfter struct {
+	chunks [][]byte
+	cut    int
+	cancel context.CancelFunc
+}
+
+func (c *cancelAfter) Read(p []byte) (int, error) {
+	if len(c.chunks) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, c.chunks[0])
+	if c.chunks[0] = c.chunks[0][n:]; len(c.chunks[0]) == 0 {
+		c.chunks = c.chunks[1:]
+		if c.cut--; c.cut == 0 {
+			c.cancel()
+		}
+	}
+	return n, nil
+}
+
+// TestServeFailedIngestLeavesLogAtCounter: a POST that ends early — a
+// malformed line, a dropped connection, a cancelled context — leaves
+// the WAL exactly at the counter's position, and a restart recovers
+// that position bit-identically: no logged batch was left unabsorbed.
+func TestServeFailedIngestLeavesLogAtCounter(t *testing.T) {
+	cfg := CounterConfig{R: 48, P: 2, Seed: 9, BatchSize: 128}
+	w := cfg.effectiveBatchSize()
+	edges := testEdges(t, 137, 5*w)
+	batchText := func(lo, hi int) []byte { return textBody(t, edges[lo:hi]).Bytes() }
+
+	for _, tc := range []struct {
+		name string
+		// post sends the failing request and returns once the handler is
+		// done, which must leave between lo and hi edges absorbed.
+		post   func(t *testing.T, s *Server, done <-chan struct{}, base string)
+		lo, hi int
+	}{
+		{
+			name: "malformed-line-in-third-batch",
+			post: func(t *testing.T, s *Server, done <-chan struct{}, base string) {
+				body := append(batchText(0, 2*w+5), "not an edge\n"...)
+				body = append(body, batchText(2*w+5, 5*w)...)
+				if code := doJSON(t, http.MethodPost, base+"/v1/counters/ws/edges", bytes.NewReader(body), nil); code != http.StatusBadRequest {
+					t.Fatalf("malformed body: status %d, want 400", code)
+				}
+				<-done
+			},
+			lo: 2*w + 5, hi: 2*w + 5,
+		},
+		{
+			name: "client-drops-connection",
+			post: func(t *testing.T, s *Server, done <-chan struct{}, base string) {
+				conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				fmt.Fprintf(conn, "POST /v1/counters/ws/edges HTTP/1.1\r\nHost: trictd\r\nContent-Length: %d\r\n\r\n",
+					len(batchText(0, 5*w)))
+				conn.Write(batchText(0, 2*w))
+				conn.Close()
+				<-done
+			},
+			lo: 2 * w, hi: 2 * w,
+		},
+		{
+			// Cancellation stops at a batch boundary, at most the second.
+			name: "context-cancelled",
+			post: func(t *testing.T, s *Server, done <-chan struct{}, base string) {
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				body := &cancelAfter{cut: 2, cancel: cancel}
+				for b := 0; b < 5; b++ {
+					body.chunks = append(body.chunks, batchText(b*w, (b+1)*w))
+				}
+				req := httptest.NewRequestWithContext(ctx, http.MethodPost, "/v1/counters/ws/edges", body)
+				rec := httptest.NewRecorder()
+				s.Handler().ServeHTTP(rec, req)
+				if rec.Code == http.StatusOK {
+					t.Fatalf("cancelled ingest acked: %s", rec.Body)
+				}
+			},
+			lo: w, hi: 2 * w,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := NewServer(dir, WithLogf(t.Logf))
+			if err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan struct{}, 1)
+			ts := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+				s.Handler().ServeHTTP(rw, r)
+				if r.Method == http.MethodPost {
+					done <- struct{}{}
+				}
+			}))
+			defer ts.Close()
+			if code := createCounter(t, ts.URL, "ws", cfg); code != http.StatusCreated {
+				t.Fatalf("create: status %d", code)
+			}
+			tc.post(t, s, done, ts.URL)
+
+			walPos, pos := logAndCounterPos(t, s, "ws")
+			if walPos != pos {
+				t.Fatalf("WAL at %d edges, counter at %d", walPos, pos)
+			}
+			if pos < uint64(tc.lo) || pos > uint64(tc.hi) {
+				t.Fatalf("counter at %d edges, want %d..%d", pos, tc.lo, tc.hi)
+			}
+			verifyRecoveredAt(t, s, dir, crashTenant{name: "ws", cfg: cfg, bodies: [][]streamtri.Edge{edges[:pos]}}, pos)
+		})
+	}
+}

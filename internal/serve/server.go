@@ -1,9 +1,10 @@
 // Package serve is the resident serving layer behind cmd/trictd: a
 // registry of named counters (one per tenant/graph) exposed over an
-// HTTP JSON API, with ingestion through the existing decode pipeline,
-// lock-free estimate reads via the counters' published snapshots, and
-// crash-consistent durability: every ingest is written ahead to a
-// per-tenant segmented log (wal.go) before it is acked, periodic
+// HTTP JSON API, with ingestion in the request handler (each batch
+// decoded from the body is logged, then absorbed), lock-free estimate
+// reads via the counters' published snapshots, and crash-consistent
+// durability: every ingest batch is written ahead to a per-tenant
+// segmented log (wal.go) before the counter sees it, periodic
 // checkpoint generations bound replay time (checkpoint.go), and
 // recovery restores the newest valid generation plus the WAL tail
 // (recover.go) — bit-identical to a process that never crashed.
@@ -92,10 +93,11 @@ func (c CounterConfig) options() []streamtri.Option {
 	return opts
 }
 
-// effectiveBatchSize is the batch size w the pipeline will actually
-// use, mirroring the library default (min(8·R, 1<<23)). The WAL logs
-// one block per batch, so durable tenants must keep w within the block
-// format's record limit.
+// effectiveBatchSize is the batch size w the ingest handler fills,
+// mirroring the library default (min(8·R, 1<<23)), so a body is cut
+// into the batches CountStream would cut. The WAL logs one block per
+// batch, so durable tenants must keep w within the block format's
+// record limit.
 func (c CounterConfig) effectiveBatchSize() int {
 	if c.BatchSize > 0 {
 		return c.BatchSize
@@ -385,73 +387,68 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "no counter %q", name)
 		return
 	}
-	if t.wal != nil {
-		if werr := t.wal.beginRequest(); werr != nil {
-			httpError(w, http.StatusServiceUnavailable, "wal unavailable: %v", werr)
-			return
+	// Absorb the body one batch at a time: log the batch as one WAL block,
+	// then hand the same slice to the counter. The log's block boundaries
+	// are the counter's AddBatch boundaries by construction — what makes
+	// replay bit-identical — and a batch the log refused never reaches the
+	// counter. A cancelled request stops at a batch boundary.
+	var edges uint64
+	buf := make([]streamtri.Edge, t.cfg.effectiveBatchSize())
+	for err == nil {
+		if err = r.Context().Err(); err != nil {
+			break
 		}
-		// Log every decoded batch before the counter sees it; the block
-		// boundaries written here are the AddBatch boundaries recovery
-		// replays.
-		src = newWALTee(src, t.wal)
-	}
-	var (
-		st    streamtri.StreamStats
-		total uint64
-	)
-	if t.pc != nil {
-		st, err = t.pc.CountStream(r.Context(), src)
-		// Publish before acking: once the client sees this response, a
-		// GET estimate must be able to reflect every edge it sent.
-		t.pc.Flush()
-		total = t.pc.Edges()
-	} else {
-		st, err = t.sw.CountStream(r.Context(), src)
-		total = t.sw.StreamLength()
-	}
-	if t.wal != nil {
-		// A request that died between decoder and counter leaves logged
-		// blocks the counter never absorbed; cut them off so the log
-		// stays in lockstep at POST boundaries. (After a crash the fault
-		// layer skips this — recovery owns reconciliation.)
-		if rerr := t.wal.endRequest(total); rerr != nil {
-			s.logf("serve: tenant %q: %v", name, rerr)
-			if err == nil {
-				httpError(w, http.StatusInternalServerError, "ingest not durable after %d edges: %v", st.Edges, rerr)
+		var n int
+		n, err = src.Fill(buf)
+		if n == 0 {
+			continue
+		}
+		if t.wal != nil {
+			if werr := t.wal.append(buf[:n]); werr != nil {
+				httpError(w, http.StatusInternalServerError, "ingest failed after %d edges: wal: %v", edges, werr)
 				return
 			}
 		}
-		if err == nil && s.policy == FsyncAlways {
-			// The ack-durability contract: the response leaves only after
-			// this request's blocks are on stable storage.
-			if serr := t.wal.sync(); serr != nil {
-				httpError(w, http.StatusInternalServerError, "ingest not durable after %d edges: %v", st.Edges, serr)
-				return
-			}
+		if t.pc != nil {
+			t.pc.AddBatch(buf[:n])
+		} else {
+			t.sw.AddBatch(buf[:n])
 		}
+		edges += uint64(n)
 	}
-	if err != nil {
-		// The counter remains valid and reflects exactly st.Edges edges;
+	if err != io.EOF {
+		// The counter remains valid and reflects exactly the edges absorbed;
 		// report how far ingestion got alongside the failure.
-		httpError(w, http.StatusBadRequest, "ingest failed after %d edges: %v", st.Edges, err)
+		httpError(w, http.StatusBadRequest, "ingest failed after %d edges: %v", edges, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, IngestResult{
-		Edges:      st.Edges,
-		BadRecords: st.BadRecords,
-		TotalEdges: total,
-	})
+	if t.wal != nil && s.policy == FsyncAlways {
+		// The ack-durability contract: the response leaves only after this
+		// request's blocks are on stable storage.
+		if serr := t.wal.sync(); serr != nil {
+			httpError(w, http.StatusInternalServerError, "ingest not durable after %d edges: %v", edges, serr)
+			return
+		}
+	}
+	res := IngestResult{Edges: edges}
+	if t.pc != nil {
+		res.TotalEdges = t.pc.Edges()
+	} else {
+		res.TotalEdges = t.sw.StreamLength()
+	}
+	writeJSON(w, http.StatusOK, res)
 }
 
-// bodySource builds a decoder Source over the request body. The format
+// bodySource builds a bulk decoder over the request body. The format
 // is chosen by the ?format query parameter (text|binary), defaulting by
 // Content-Type: application/octet-stream means binary, anything else
 // text. Binary bodies may be any flavor — the 8-byte plain format, the
 // timestamped 16-byte v1 format, or the block-structured v2 format —
 // dispatched by the shared magic sniff, with timestamps stripped
 // (arrival order is the stream order either way). Text bodies already
-// tolerate a numeric third column natively.
-func bodySource(r *http.Request) (streamtri.Source, error) {
+// tolerate a numeric third column natively. Every one of these sources
+// decodes in bulk.
+func bodySource(r *http.Request) (stream.BatchFiller, error) {
 	format := r.URL.Query().Get("format")
 	if format == "" {
 		if r.Header.Get("Content-Type") == "application/octet-stream" {
@@ -460,9 +457,10 @@ func bodySource(r *http.Request) (streamtri.Source, error) {
 			format = "text"
 		}
 	}
+	var src streamtri.Source
 	switch format {
 	case "text":
-		return streamtri.NewEdgeListSource(r.Body), nil
+		src = streamtri.NewEdgeListSource(r.Body)
 	case "binary":
 		br := bufio.NewReader(r.Body)
 		prefix, err := br.Peek(8)
@@ -471,14 +469,16 @@ func bodySource(r *http.Request) (streamtri.Source, error) {
 		}
 		switch streamtri.SniffFormat(prefix) {
 		case streamtri.FormatTimestampedBinary:
-			return streamtri.StripTimestamps(streamtri.NewTimestampedBinaryEdgeSource(br)), nil
+			src = streamtri.StripTimestamps(streamtri.NewTimestampedBinaryEdgeSource(br))
 		case streamtri.FormatBlockBinary:
-			return streamtri.StripTimestamps(streamtri.NewBlockBinaryEdgeSource(br)), nil
+			src = streamtri.StripTimestamps(streamtri.NewBlockBinaryEdgeSource(br))
+		default:
+			src = streamtri.NewBinaryEdgeSource(br)
 		}
-		return streamtri.NewBinaryEdgeSource(br), nil
 	default:
 		return nil, fmt.Errorf("unknown format %q (want text or binary)", format)
 	}
+	return src.(stream.BatchFiller), nil
 }
 
 // EstimateResult is the GET .../estimate response: one consistent

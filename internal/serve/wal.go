@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -10,16 +9,19 @@ import (
 	"strings"
 	"sync"
 
-	"streamtri"
 	"streamtri/internal/graph"
 	"streamtri/internal/stream"
 )
 
-// Per-tenant segmented write-ahead log. Every decoded ingest batch is
-// appended to the tenant's current segment as exactly one STRTSB02
-// block before the batch reaches the counter, so an acked POST's edges
-// are on disk (under FsyncAlways, fsynced) even if the process dies
-// before the next checkpoint. Segment files are named
+// Per-tenant segmented write-ahead log. The ingest handler fills one
+// batch of the tenant's batch size from the request body, appends it to
+// the tenant's current segment as exactly one STRTSB02 block, and only
+// then hands the same slice to the counter's AddBatch. The log's block
+// boundaries are therefore the counter's batch boundaries, which is
+// what makes replay bit-identical (batch boundaries feed the
+// estimators' randomness), and an acked POST's edges are on disk
+// (under FsyncAlways, fsynced) even if the process dies before the next
+// checkpoint. Segment files are named
 //
 //	<name>.wal.<start>
 //
@@ -110,16 +112,9 @@ func listWALSegments(dir, name string) ([]walSegment, error) {
 	return segs, nil
 }
 
-// walMark records the WAL state just before one appended block, so the
-// blocks of a failed request can be truncated back off.
-type walMark struct {
-	pos  uint64 // stream position before the block
-	size int64  // segment byte size before the block
-}
-
-// countingWriter tracks the segment's byte size (the truncation
-// coordinate for marks) and models process death: once the fault
-// injector is down, no byte reaches the file.
+// countingWriter tracks the segment's byte size (where a failed append
+// cuts back to) and models process death: once the fault injector is
+// down, no byte reaches the file.
 type countingWriter struct {
 	f      *os.File
 	n      int64
@@ -138,7 +133,10 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 // walWriter is one tenant's log. Appends and rotation run under the
 // tenant's ingest lock; mu additionally serializes them against the
 // background interval-sync loop, which must not wait on an in-flight
-// POST.
+// POST. The handler appends each batch just before the counter absorbs
+// it and absorbs nothing the log refused, so between requests the log's
+// position is the counter's; only a crash between the two leaves the
+// log ahead, the superset case recovery replays.
 type walWriter struct {
 	dir    string
 	name   string
@@ -152,7 +150,6 @@ type walWriter struct {
 	segStart uint64 // stream position of the current segment's first edge
 	pos      uint64 // stream position after the last appended block
 	dirty    bool   // unsynced appends
-	marks    []walMark
 }
 
 func newWALWriter(dir, name string, start uint64, policy FsyncPolicy, faults *faultInjector) *walWriter {
@@ -161,7 +158,7 @@ func newWALWriter(dir, name string, start uint64, policy FsyncPolicy, faults *fa
 
 // openSegment starts the segment whose first edge is the current
 // position. O_TRUNC makes reopening a position idempotent (a dead
-// predecessor at the same position held only orphaned or torn bytes);
+// predecessor at the same position held only unacked or torn bytes);
 // O_APPEND keeps writes at EOF across truncations. The directory is
 // fsynced so the new name survives power loss before anything in the
 // segment is acked.
@@ -187,7 +184,8 @@ func (w *walWriter) openSegment() error {
 // advances only when the block is fully written, so the WAL and the
 // counter stay in lockstep at block granularity; on a write failure the
 // torn bytes are cut back off and the segment retired (the next append
-// starts a fresh segment), leaving every segment a clean prefix.
+// starts a fresh segment at the unchanged position), leaving every
+// segment a clean prefix.
 func (w *walWriter) append(batch []graph.Edge) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -199,9 +197,9 @@ func (w *walWriter) append(batch []graph.Edge) error {
 			return err
 		}
 	}
-	mark := walMark{pos: w.pos, size: w.cw.n}
+	size := w.cw.n
 	if err := w.bw.AppendEdgeBlock(batch); err != nil {
-		w.retireLocked(mark)
+		w.retireLocked(size)
 		return err
 	}
 	// Crash site between the block hitting the OS and the position
@@ -212,69 +210,23 @@ func (w *walWriter) append(batch []graph.Edge) error {
 	}
 	w.pos += uint64(len(batch))
 	w.dirty = true
-	w.marks = append(w.marks, mark)
 	return nil
 }
 
-// retireLocked cuts the current segment back to a mark and closes it;
-// the next append starts a fresh segment at the restored position.
-// (Truncating alone is not enough: cutting back to zero bytes would
-// desynchronize the block writer's already-written stream header.)
-// Best-effort by design — if the truncate fails the segment keeps bytes
-// past the position, exactly the tail recovery already truncates.
-func (w *walWriter) retireLocked(m walMark) {
-	if w.f == nil {
-		return
-	}
+// retireLocked cuts the current segment back to size bytes, its length
+// before a failed append, and closes it; the next append starts a fresh
+// segment. (Truncating alone is not enough: cutting back to zero bytes
+// would desynchronize the block writer's already-written stream
+// header.) Best-effort by design — if the truncate fails the segment
+// keeps bytes past the position, exactly the tail recovery already
+// truncates.
+func (w *walWriter) retireLocked(size int64) {
 	if w.faults.failed() == nil {
-		if err := w.f.Truncate(m.size); err == nil {
-			w.pos = m.pos
-		}
+		w.f.Truncate(size)
 	}
 	w.f.Close()
 	w.f, w.cw, w.bw = nil, nil, nil
 	w.dirty = false
-	w.marks = nil
-}
-
-// beginRequest opens a POST's append window: marks accumulated for a
-// previous request no longer describe truncatable state.
-func (w *walWriter) beginRequest() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if err := w.faults.failed(); err != nil {
-		return err
-	}
-	w.marks = w.marks[:0]
-	return nil
-}
-
-// endRequest reconciles the log with how far the counter actually got.
-// A decoded batch can be logged and then dropped between the decoder
-// and the counter (client disconnect, context cancellation), leaving
-// orphaned blocks past the counter's position; truncating them keeps a
-// graceful restart bit-identical to never restarting. delivered is the
-// tenant's total stream position after the request; on a fully
-// successful POST it equals the WAL position and this is a no-op.
-func (w *walWriter) endRequest(delivered uint64) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if err := w.faults.failed(); err != nil {
-		return err // crashed mid-request: recovery owns reconciliation
-	}
-	if w.pos == delivered {
-		return nil
-	}
-	for i := len(w.marks) - 1; i >= 0; i-- {
-		if w.marks[i].pos == delivered {
-			w.retireLocked(w.marks[i])
-			if w.pos != delivered {
-				return fmt.Errorf("wal: could not truncate orphaned blocks (wal at %d, counter at %d)", w.pos, delivered)
-			}
-			return nil
-		}
-	}
-	return fmt.Errorf("wal: no block boundary at position %d (wal at %d)", delivered, w.pos)
 }
 
 // sync flushes unsynced appends to stable storage.
@@ -321,7 +273,6 @@ func (w *walWriter) rotate() error {
 	w.f, w.cw, w.bw = nil, nil, nil
 	w.segStart = w.pos
 	w.dirty = false
-	w.marks = nil
 	return err
 }
 
@@ -341,74 +292,4 @@ func (w *walWriter) close() error {
 	}
 	w.f, w.cw, w.bw = nil, nil, nil
 	return err
-}
-
-// walTee interposes the WAL between the decoder and the counter: each
-// decoded batch is logged as exactly one block before the pipeline sees
-// it, so the log's block boundaries are the counter's AddBatch
-// boundaries — the property that makes replay bit-identical (batch
-// boundaries feed the estimators' randomness consumption, so replaying
-// the same edges in different batches would be a different state). A
-// batch that cannot be logged never reaches the counter: the WAL is
-// always at or ahead of the counter, never behind.
-type walTee struct {
-	src streamtri.Source
-	bf  stream.BatchFiller // non-nil when src decodes in bulk
-	wal *walWriter
-}
-
-func newWALTee(src streamtri.Source, wal *walWriter) *walTee {
-	t := &walTee{src: src, wal: wal}
-	if bf, ok := src.(stream.BatchFiller); ok {
-		t.bf = bf
-	}
-	return t
-}
-
-// Fill implements stream.BatchFiller, the path the decode pipeline
-// always takes (it prefers bulk filling, and walTee is bulk-capable by
-// construction). The underlying sources fill completely until EOF, so
-// the batch boundaries logged here are a pure function of the body
-// bytes and the batch size — independent of network chunking.
-func (t *walTee) Fill(out []graph.Edge) (int, error) {
-	var n int
-	var err error
-	if t.bf != nil {
-		n, err = t.bf.Fill(out)
-	} else {
-		for n < len(out) {
-			e, nerr := t.src.Next()
-			if nerr != nil {
-				err = nerr
-				break
-			}
-			out[n] = e
-			n++
-		}
-		if err == io.EOF && n > 0 {
-			err = nil
-		}
-	}
-	if n > 0 {
-		if werr := t.wal.append(out[:n]); werr != nil {
-			return 0, fmt.Errorf("wal: %w", werr)
-		}
-	}
-	return n, err
-}
-
-// Next satisfies streamtri.Source. The pipeline never calls it (it
-// takes the Fill path), but a caller that did gets single-edge blocks —
-// correct, just inefficient.
-func (t *walTee) Next() (graph.Edge, error) {
-	var one [1]graph.Edge
-	for {
-		n, err := t.Fill(one[:])
-		if n == 1 {
-			return one[0], nil
-		}
-		if err != nil {
-			return graph.Edge{}, err
-		}
-	}
 }

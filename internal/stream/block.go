@@ -9,7 +9,6 @@ import (
 	"io"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"streamtri/internal/graph"
 )
@@ -326,26 +325,22 @@ func putBlockBuf(b []byte) {
 // bound on their timestamps that the merge's block gallop relies on.
 // It is the unit the ordered merge works in —
 // handed from decoder to merger by reference, never re-materialized as
-// []TimestampedEdge. Views are refcounted: release returns the backing
-// buffer to the shared pool once the last holder lets go, after which
-// the view's contents are undefined. Allocation contract: a view's
-// bytes are owned by the pipeline; a consumer that needs records past
-// release must copy them out (FillTimestamped does exactly that).
+// []TimestampedEdge. A view has one owner at a time: release returns
+// the backing buffer to the shared pool, after which the view's
+// contents are undefined, and a second release is a no-op. Allocation
+// contract: a view's bytes are owned by the pipeline; a consumer that
+// needs records past release must copy them out (FillTimestamped does
+// exactly that).
 type blockView struct {
 	data  []byte // 16 * count bytes of raw v1-layout records
 	buf   []byte // the pooled allocation backing data (data may be a trimmed tail)
 	count int
 	maxTS int64
-	refs  atomic.Int32
 }
 
-func (v *blockView) retain() { v.refs.Add(1) }
-
 func (v *blockView) release() {
-	if v.refs.Add(-1) == 0 {
-		putBlockBuf(v.buf)
-		v.buf, v.data = nil, nil
-	}
+	putBlockBuf(v.buf)
+	v.buf, v.data = nil, nil
 }
 
 // ts returns record i's timestamp.
@@ -372,9 +367,7 @@ func (v *blockView) tail(i int) *blockView {
 	if i == 0 {
 		return v
 	}
-	t := &blockView{data: v.data[16*i:], buf: v.buf, count: v.count - i, maxTS: v.maxTS}
-	t.refs.Store(v.refs.Load())
-	return t
+	return &blockView{data: v.data[16*i:], buf: v.buf, count: v.count - i, maxTS: v.maxTS}
 }
 
 // BlockBinarySource streams timestamped edges from the v2 block format.
@@ -545,9 +538,7 @@ func (s *BlockBinarySource) nextBlock() (*blockView, error) {
 			putBlockBuf(raw)
 			continue // every record was a self loop; try the next block
 		}
-		v := &blockView{data: raw[:16*out], buf: raw, count: out, maxTS: maxTS}
-		v.refs.Store(1)
-		return v, nil
+		return &blockView{data: raw[:16*out], buf: raw, count: out, maxTS: maxTS}, nil
 	}
 }
 
@@ -647,7 +638,7 @@ func (s *BlockBinarySource) FillTimestamped(out []TimestampedEdge) (int, error) 
 }
 
 // blockSource is what the ordered merge consumes: a source of
-// refcounted block views whose maxTS bounds every record. io.EOF ends
+// single-owner block views whose maxTS bounds every record. io.EOF ends
 // the source; a *RecordError is skippable under a decode-error budget.
 // BlockBinarySource implements it with its validated zero-copy blocks;
 // every other TimestampedSource — wrappers like the watermark stage

@@ -13,7 +13,7 @@ import (
 )
 
 // The ordered k-way merge engine. Every source of an
-// OrderedMultiPipeline reaches the merger as a sequence of refcounted
+// OrderedMultiPipeline reaches the merger as a sequence of single-owner
 // block views — raw 16-byte v1-layout records plus the maximum of their
 // timestamps — handed over by reference, never re-materialized as
 // []TimestampedEdge: a v2 reader passes its validated zero-copy blocks,
@@ -212,9 +212,7 @@ func (s *filledBlockSource) nextBlockView() (*blockView, error) {
 		binary.LittleEndian.PutUint64(rec[8:16], uint64(e.TS))
 		maxTS = max(maxTS, e.TS)
 	}
-	v := &blockView{data: buf, buf: buf, count: n, maxTS: maxTS}
-	v.refs.Store(1)
-	return v, nil
+	return &blockView{data: buf, buf: buf, count: n, maxTS: maxTS}, nil
 }
 
 // decodeBlocks is one source's decoder goroutine: it pulls views from

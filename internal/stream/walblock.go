@@ -6,11 +6,12 @@ import (
 	"streamtri/internal/graph"
 )
 
-// Block-granular access for write-ahead logging. The serving layer's WAL
-// (internal/serve) logs each decoded ingest batch as exactly one v2
-// block before the batch reaches the counter, so the log's block
-// boundaries ARE the counter's AddBatch boundaries — the property that
-// makes replay bit-identical to the original ingest. The per-block
+// Block-granular access for write-ahead logging. The serving layer's
+// ingest handler (internal/serve) logs each batch it decodes from a
+// request body as exactly one v2 block and then hands the same batch to
+// the counter, so the log's block boundaries ARE the counter's AddBatch
+// boundaries — the property that makes replay bit-identical to the
+// original ingest. The per-block
 // CRC-32C gives torn-tail detection for free: a segment cut mid-block
 // by a crash decodes as a clean prefix of whole blocks followed by one
 // skippable RecordError.

@@ -13,6 +13,15 @@
 # on a previously observed position its estimate must be byte-identical
 # to the one observed there — recovery is a prefix of the same stream,
 # never a divergent state.
+#
+# Leg 3 (abandoned POST, then kill): stream a body of about three
+# batches from a pipe that stalls after two and a half, kill the client
+# mid-body, read the estimate, SIGKILL the daemon and restart it. The
+# tenant must hold every edge sent, the half batch decoded before the
+# read error included, and the estimate must come back byte-identical:
+# the handler logs each batch just before absorbing it, so the failed
+# request leaves the WAL exactly at the counter and replay rebuilds the
+# same state.
 set -euo pipefail
 
 GO=${GO:-go}
@@ -32,9 +41,11 @@ $GO build -o "$WORK/bin" ./cmd/trictd ./cmd/graphgen
 split -n l/6 "$WORK/edges-crash.txt" "$WORK/chunk-"
 
 start_daemon() {
+	# Extra arguments are trictd flags; a repeated flag overrides the
+	# default given here.
 	rm -f "$WORK/addr"
 	"$WORK/bin/trictd" -addr 127.0.0.1:0 -addr-file "$WORK/addr" \
-		-data "$WORK/data" -checkpoint-interval 1s -wal-sync always &
+		-data "$WORK/data" -checkpoint-interval 1s -wal-sync always "$@" &
 	PID=$!
 	for _ in $(seq 1 100); do
 		if [ -s "$WORK/addr" ] && curl -fsS "http://$(cat "$WORK/addr")/healthz" >/dev/null 2>&1; then
@@ -56,6 +67,18 @@ kill_daemon() {
 edges_of() {
 	# Pull the "edges" field out of an estimate JSON body.
 	sed -n 's/.*"edges":\([0-9]*\).*/\1/p' <<<"$1"
+}
+
+wait_edges() {
+	# Poll tenant $1's estimate until it reflects $2 edges.
+	for _ in $(seq 1 100); do
+		if [ "$(edges_of "$(curl -fsS "http://$ADDR/v1/counters/$1/estimate")")" = "$2" ]; then
+			return
+		fi
+		sleep 0.1
+	done
+	echo "smoke-crash: FAIL — tenant $1 never reached $2 edges" >&2
+	exit 1
 }
 
 # ---- Leg 1: SIGKILL at rest -------------------------------------------
@@ -135,4 +158,41 @@ if [ "$FINAL" != "$AFTER" ]; then
 	exit 1
 fi
 kill_daemon
-echo "smoke-crash: OK — acked edges survived $iter mid-ingest SIGKILLs; recovered positions prefix-consistent"
+echo "smoke-crash: leg 2 OK — acked edges survived $iter mid-ingest SIGKILLs; recovered positions prefix-consistent"
+
+# ---- Leg 3: abandoned POST, then SIGKILL -------------------------------
+# No timed checkpoint may run, so recovery replays the failed POST's
+# batches from the WAL instead of restoring them from a checkpoint.
+start_daemon -checkpoint-interval 1h
+# r=256 makes the batch size w=2048; the body stalls after 2.5 batches.
+curl -fsS -X PUT -d '{"r":256,"p":2,"seed":34}' "http://$ADDR/v1/counters/ca" >/dev/null
+head -n 5120 "$WORK/edges-crash.txt" >"$WORK/partial.txt"
+mkfifo "$WORK/stall"
+curl -sS -X POST -T - "http://$ADDR/v1/counters/ca/edges" <"$WORK/stall" >/dev/null 2>&1 &
+CURL=$!
+exec 3>"$WORK/stall"
+cat "$WORK/partial.txt" >&3
+wait_edges ca 4096
+sleep 0.5 # let curl send the half batch it holds
+kill -KILL "$CURL"
+wait "$CURL" 2>/dev/null || true
+exec 3>&-
+# An empty POST queues behind the abandoned one on the tenant lock, so
+# once it answers the abandoned handler has finished.
+curl -fsS -X POST --data-binary @/dev/null "http://$ADDR/v1/counters/ca/edges" >/dev/null
+E=$(curl -fsS "http://$ADDR/v1/counters/ca/estimate")
+if [ "$(edges_of "$E")" != 5120 ]; then
+	echo "smoke-crash: FAIL — abandoned POST left $(edges_of "$E") edges, want the 5120 sent" >&2
+	exit 1
+fi
+kill_daemon
+start_daemon
+AFTER=$(curl -fsS "http://$ADDR/v1/counters/ca/estimate")
+if [ "$E" != "$AFTER" ]; then
+	echo "smoke-crash: FAIL — estimate after an abandoned POST changed across SIGKILL:" >&2
+	echo "  before: $E" >&2
+	echo "  after:  $AFTER" >&2
+	exit 1
+fi
+kill_daemon
+echo "smoke-crash: OK — abandoned POST's 5120 edges recovered byte-identically across SIGKILL"
