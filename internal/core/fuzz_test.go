@@ -7,17 +7,21 @@ import (
 	"testing"
 
 	"streamtri/internal/gen"
+	"streamtri/internal/graph"
 	"streamtri/internal/randx"
 	"streamtri/internal/stream"
 )
 
 // FuzzCounterCheckpointDecode holds the NSTC and NSTS decoders to the
 // durability contract: no input of any shape may panic them or exhaust
-// memory, and every input one accepts must decode into a state that
+// memory, every input one accepts must decode into a state that
 // survives a re-encode, i.e. decode → WriteTo → decode gives the same
-// state. The seed corpus is real flat and sharded checkpoints, truncated
-// and header-corrupted variants, and headers claiming 2^32−1 estimators
-// with no estimator data after them.
+// state, and that state must then absorb the seed stream in batches
+// without panicking, as trictd's WAL replay makes a restored counter
+// do. The seed corpus is real flat and sharded checkpoints, truncated
+// and header-corrupted variants, headers claiming 2^32−1 estimators
+// with no estimator data after them, and a checkpoint whose every
+// estimator claims c = 2^64−1.
 func FuzzCounterCheckpointDecode(f *testing.F) {
 	edges := stream.Shuffle(gen.HolmeKim(randx.New(3), 60, 3, 0.6), randx.New(4))
 	encode := func(c io.WriterTo) []byte {
@@ -51,6 +55,24 @@ func FuzzCounterCheckpointDecode(f *testing.F) {
 	binary.LittleEndian.PutUint64(huge[8:16], 1<<32-1)
 	f.Add(huge)
 	f.Add(append(append([]byte(nil), sckpt[:20]...), huge...))
+	// Every estimator of a 40-estimator checkpoint claims c = 2^64−1.
+	// A record is r1, r2 (4 × u32), r1Pos, r2Pos, c (3 × u64) and a state
+	// byte, so c is bytes 32..40 of it. c⁻ + c⁺ wraps to 0 when a batch
+	// touches one of those level-1 edges exactly once.
+	const recLen = 41
+	wide := NewCounter(40, 1)
+	wide.AddBatch(edges)
+	wrapC := encode(wide)
+	for off := 29 + int(binary.LittleEndian.Uint32(wrapC[25:29])); off+recLen <= len(wrapC); off += recLen {
+		binary.LittleEndian.PutUint64(wrapC[off+32:off+40], 1<<64-1)
+	}
+	f.Add(wrapC)
+	// The same with m = 2^64−1 and the level-1 skip off: 4m overflows, so
+	// only the bound on m keeps these records from the c⁻ + c⁺ wrap.
+	wrapM := append([]byte(nil), wrapC...)
+	binary.LittleEndian.PutUint64(wrapM[16:24], 1<<64-1)
+	wrapM[24] = 0
+	f.Add(wrapM)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if c, err := ReadCounterFrom(bytes.NewReader(data)); err == nil {
@@ -61,6 +83,7 @@ func FuzzCounterCheckpointDecode(f *testing.F) {
 			if !bytes.Equal(encodeState(t, again), encodeState(t, c)) || *again.Snapshot() != *c.Snapshot() {
 				t.Fatal("decode → WriteTo → decode changed the counter's state")
 			}
+			absorbInBatches(c, edges)
 		}
 		if sc, err := ReadShardedCounterFrom(bytes.NewReader(data)); err == nil {
 			again, err := ReadShardedCounterFrom(bytes.NewReader(encodeState(t, sc)))
@@ -70,8 +93,17 @@ func FuzzCounterCheckpointDecode(f *testing.F) {
 			if !bytes.Equal(encodeState(t, again), encodeState(t, sc)) || *again.Snapshot() != *sc.Snapshot() {
 				t.Fatal("decode → WriteTo → decode changed the sharded counter's state")
 			}
+			absorbInBatches(sc, edges)
 		}
 	})
+}
+
+// absorbInBatches feeds edges to c in batches of 16, so that a restored
+// state meets batches that touch its level-1 edges only lightly.
+func absorbInBatches(c interface{ AddBatch([]graph.Edge) }, edges []graph.Edge) {
+	for lo := 0; lo < len(edges); lo += 16 {
+		c.AddBatch(edges[lo:min(lo+16, len(edges))])
+	}
 }
 
 // encodeState returns c's checkpoint bytes.

@@ -3,6 +3,7 @@ package core
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 
@@ -21,7 +22,9 @@ import (
 //
 //	r1.U r1.V r2.U r2.V (u32) | r1Pos r2Pos c (u64) | state u8
 //
-// and state packs hasR1/hasR2/hasT into bits 0..2.
+// and state packs hasR1/hasR2/hasT into bits 0..2. The decoder rejects
+// a record that no stream of m edges can produce and that a later
+// AddBatch could not absorb (see checkRecord).
 //
 // A ShardedCounter checkpoint is a thin envelope over p counter blocks:
 //
@@ -166,6 +169,9 @@ func readCounter(br *bufio.Reader) (*Counter, error) {
 	if rCount == 0 || rCount > maxEstimators {
 		return nil, fmt.Errorf("core: implausible estimator count %d", rCount)
 	}
+	if m > maxEdges {
+		return nil, fmt.Errorf("core: implausible edge count %d", m)
+	}
 	var flags uint8
 	if err := read(&flags); err != nil {
 		return nil, err
@@ -210,10 +216,39 @@ func readCounter(br *bufio.Reader) (*Counter, error) {
 		est.hasR1 = st&stHasR1 != 0
 		est.hasR2 = st&stHasR2 != 0
 		est.hasT = st&stHasT != 0
+		if err := checkRecord(&est, m); err != nil {
+			return nil, fmt.Errorf("core: estimator %d: %w", i, err)
+		}
 		c.ests = append(c.ests, est)
 	}
 	c.publish()
 	return c, nil
+}
+
+// maxEdges bounds a checkpoint's edge count m. With c ≤ 4m it keeps
+// m + w and c⁻ + c⁺ in a later AddBatch far from wrapping.
+const maxEdges = 1 << 60
+
+// checkRecord rejects an estimator record that no stream of m edges
+// produces, naming the field at fault. Each edge after r1 raises c by at
+// most 4, so c ≤ 4m: a self loop raises its vertex's degree twice, and
+// when r1 is a loop on the same vertex both of r1's endpoint degrees
+// count it. The rules are no tighter than that: when r1 is a self loop
+// the bulk path can leave r2Pos = r1Pos, so r2Pos > r1Pos is not one.
+func checkRecord(est *Estimator, m uint64) error {
+	switch {
+	case est.hasR2 && !est.hasR1:
+		return errors.New("hasR2 set without hasR1")
+	case est.hasT && !est.hasR2:
+		return errors.New("hasT set without hasR2")
+	case est.hasR1 && (est.r1Pos == 0 || est.r1Pos > m):
+		return fmt.Errorf("r1Pos %d outside [1, m=%d]", est.r1Pos, m)
+	case est.hasR2 && est.r2Pos > m:
+		return fmt.Errorf("r2Pos %d beyond m=%d", est.r2Pos, m)
+	case est.c/4 > m || (est.c/4 == m && est.c%4 != 0):
+		return fmt.Errorf("c %d beyond 4m=4×%d", est.c, m)
+	}
+	return nil
 }
 
 // WriteTo serializes the sharded counter (the NSTS envelope) at its

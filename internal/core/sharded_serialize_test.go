@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"streamtri/internal/gen"
+	"streamtri/internal/graph"
 	"streamtri/internal/randx"
 	"streamtri/internal/stream"
 )
@@ -178,5 +179,78 @@ func TestSerializeErrors(t *testing.T) {
 	trunc := buf.Bytes()[:buf.Len()-5]
 	if _, err := ReadCounterFrom(bytes.NewReader(trunc)); err == nil {
 		t.Fatal("truncated input must error")
+	}
+}
+
+// TestSerializeRejectsImpossibleRecords: the decoder refuses, and names
+// the field of, every estimator record no stream of m edges produces, so
+// that recovery falls back to an older generation instead of handing
+// AddBatch a state it cannot absorb. The boundary values are accepted.
+func TestSerializeRejectsImpossibleRecords(t *testing.T) {
+	edges := gen.Complete(8)
+	cases := []struct {
+		name   string
+		damage func(est *Estimator, c *Counter)
+		field  string // "" = accepted
+	}{
+		{"hasR2 without hasR1", func(est *Estimator, _ *Counter) { est.hasR1 = false }, "hasR2"},
+		{"hasT without hasR2", func(est *Estimator, _ *Counter) { est.hasR2, est.hasT = false, true }, "hasT"},
+		{"r1Pos zero", func(est *Estimator, _ *Counter) { est.r1Pos = 0 }, "r1Pos"},
+		{"r1Pos beyond m", func(est *Estimator, c *Counter) { est.r1Pos = c.m + 1 }, "r1Pos"},
+		{"r1Pos at m", func(est *Estimator, c *Counter) { est.r1Pos = c.m }, ""},
+		{"r2Pos beyond m", func(est *Estimator, c *Counter) { est.r2Pos = c.m + 1 }, "r2Pos"},
+		{"r2Pos before r1Pos", func(est *Estimator, _ *Counter) { est.r2Pos = est.r1Pos - 1 }, ""},
+		{"c beyond 4m", func(est *Estimator, c *Counter) { est.c = 4*c.m + 1 }, "c "},
+		{"c at 4m", func(est *Estimator, c *Counter) { est.c = 4 * c.m }, ""},
+		{"c = 2^64-1", func(est *Estimator, _ *Counter) { est.c = 1<<64 - 1 }, "c "},
+		{"m beyond 2^60", func(est *Estimator, c *Counter) { c.m = maxEdges + 1 }, "edge count"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewCounter(3, 5)
+			c.AddBatch(edges)
+			est := &c.ests[1]
+			if !est.hasR2 || est.r1Pos < 2 {
+				t.Fatalf("setup: estimator holds %+v, want a wedge with r1Pos ≥ 2", *est)
+			}
+			tc.damage(est, c)
+			_, err := ReadCounterFrom(bytes.NewReader(encodeState(t, c)))
+			switch {
+			case tc.field == "" && err != nil:
+				t.Fatalf("rejected: %v", err)
+			case tc.field != "" && err == nil:
+				t.Fatal("accepted")
+			case tc.field != "" && !strings.Contains(err.Error(), tc.field):
+				t.Fatalf("error %q does not name %q", err, tc.field)
+			}
+		})
+	}
+}
+
+// TestSerializeAcceptsSelfLoopCounts: a stream of self loops on one
+// vertex is outside the simple-stream contract, but AddBatch accepts it
+// and each loop after r1 raises c by 4. Such states exceed c ≤ 2m and
+// must still restore, which is why the decoder's bound is 4m.
+func TestSerializeAcceptsSelfLoopCounts(t *testing.T) {
+	c := NewCounter(64, 9)
+	loop := []graph.Edge{{U: 1, V: 1}}
+	for range 40 {
+		c.AddBatch(loop)
+	}
+	over := 0
+	for i := range c.ests {
+		if c.ests[i].c > 2*c.m {
+			over++
+		}
+	}
+	if over == 0 {
+		t.Fatal("no estimator exceeds c = 2m; the 4m bound is untested")
+	}
+	restored, err := ReadCounterFrom(bytes.NewReader(encodeState(t, c)))
+	if err != nil {
+		t.Fatalf("%d estimators with c > 2m: %v", over, err)
+	}
+	if !bytes.Equal(encodeState(t, restored), encodeState(t, c)) {
+		t.Fatal("restored state re-encodes differently")
 	}
 }

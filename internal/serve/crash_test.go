@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -312,6 +313,42 @@ func TestServeWALReplayWithoutCheckpoint(t *testing.T) {
 // provably via the older generation (the recovered checkpoint position
 // is the older generation's).
 func TestServeCheckpointGenerationFallback(t *testing.T) {
+	checkGenerationFallback(t, func(data []byte) []byte { return data[:len(data)/3] })
+}
+
+// TestServeCheckpointGenerationImpossibleState: a newest generation that
+// decodes but holds states no stream produces — every estimator claims
+// c = 2^64−1 — is rejected like a truncated one, and recovery falls back
+// to the older generation. Restoring it instead would make the WAL
+// replay's AddBatch wrap c⁻ + c⁺ and panic NewServer.
+func TestServeCheckpointGenerationImpossibleState(t *testing.T) {
+	checkGenerationFallback(t, func(data []byte) []byte {
+		// The batch size (u64), then the NSTS envelope: magic, version,
+		// p (u32), m (u64); then p NSTC blobs of magic, version, r (u64),
+		// m (u64), flags (u8), rng length (u32), rng bytes and r records
+		// of 41 bytes, whose c is at bytes 32..40.
+		p := int(binary.LittleEndian.Uint32(data[16:20]))
+		off := 28
+		for i := 0; i < p; i++ {
+			r := int(binary.LittleEndian.Uint64(data[off+8 : off+16]))
+			off += 29 + int(binary.LittleEndian.Uint32(data[off+25:off+29]))
+			for j := 0; j < r; j, off = j+1, off+41 {
+				binary.LittleEndian.PutUint64(data[off+32:off+40], 1<<64-1)
+			}
+		}
+		if off != len(data) {
+			t.Fatalf("walked %d of %d checkpoint bytes", off, len(data))
+		}
+		return data
+	})
+}
+
+// checkGenerationFallback writes two generations and a WAL tail for the
+// whole-stream crash tenant, rewrites the newest generation's bytes
+// with damage, and requires recovery from the older generation that is
+// bit-identical to the uncrashed oracle.
+func checkGenerationFallback(t *testing.T, damage func([]byte) []byte) {
+	t.Helper()
 	dir := t.TempDir()
 	ct := crashWorkloadTenants(t)[0] // the whole-stream tenant
 	s, err := NewServer(dir, WithLogf(t.Logf), WithCheckpointRetention(3))
@@ -347,7 +384,7 @@ func TestServeCheckpointGenerationFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(newest.path, data[:len(data)/3], 0o644); err != nil {
+	if err := os.WriteFile(newest.path, damage(data), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
