@@ -4,7 +4,8 @@ import "streamtri/internal/graph"
 
 // AddBatch advances all estimators as if the batch's edges had been
 // played one at a time after the stream so far (the bulkTC algorithm of
-// Theorem 3.5). Cost is O(r + w) time and O(r + w) extra space per call;
+// Theorem 3.5). Cost is O(r + w) time per call, and the extra space
+// beyond streaming the batch past the estimators' queries is O(min(r, w));
 // with w = Θ(r) the whole stream costs O(m + r).
 //
 // The resulting estimator states are identically distributed to those
@@ -15,25 +16,45 @@ func (c *Counter) AddBatch(batch []graph.Edge) {
 	if len(batch) == 0 {
 		return
 	}
-	c.own.build(batch)
-	c.absorb(batch, &c.own)
-	c.publish()
+	absorb(&c.own, batch, c)
 }
 
-// absorb advances every estimator over batch, whose index x has already
-// been built. It draws every random number of the batch and only reads
-// x, so the shards of a ShardedCounter can share one index. Draws happen
-// in a fixed order — the level-1 step, then one draw per touched
-// estimator in estimator order — which is what keeps states
-// bit-identical across implementations of the index.
-func (c *Counter) absorb(batch []graph.Edge, x *batchIndex) {
+// absorb advances every estimator of cs over batch and publishes each
+// counter's snapshot. The counters share one index x, built from the
+// queries of all of them. Each counter draws from its own RNG in a fixed
+// order — its level-1 step, then one draw per touched estimator in
+// estimator order — and the index draws nothing, so every counter's
+// states are the ones it would reach alone, bit for bit.
+func absorb(x *batchIndex, batch []graph.Edge, cs ...*Counter) {
+	r := 0
+	for _, c := range cs {
+		r += len(c.ests)
+	}
+	x.begin(batch, r)
+	for _, c := range cs {
+		c.level1(batch)
+		x.query(c, batch)
+	}
+	x.scan(batch)
+	lo := 0
+	for k, c := range cs {
+		c.level2(batch, x, x.touched[lo:x.ends[k]])
+		lo = x.ends[k]
+	}
+	x.closeWedges(batch)
+	for _, c := range cs {
+		c.m += uint64(len(batch))
+		c.publish()
+	}
+}
+
+// level1 is Step 1: resample level-1 edges. Each estimator keeps its
+// current r1 with probability m/(m+w); otherwise it adopts a uniform
+// batch edge. One uniform draw over [1, m+w] implements both choices.
+func (c *Counter) level1(batch []graph.Edge) {
 	w := uint64(len(batch))
 	mOld := c.m
 	total := mOld + w
-
-	// --- Step 1: resample level-1 edges. Each estimator keeps its
-	// current r1 with probability m/(m+w); otherwise it adopts a uniform
-	// batch edge. One uniform draw over [1, m+w] implements both choices.
 	assign := func(idx int, bi uint64) {
 		est := &c.ests[idx]
 		est.r1, est.r1Pos, est.hasR1 = batch[bi], mOld+bi+1, true
@@ -47,38 +68,42 @@ func (c *Counter) absorb(batch []graph.Edge, x *batchIndex) {
 		c.rng.SkipSequence(uint64(len(c.ests)), p, func(i uint64) {
 			assign(int(i), c.rng.Uint64N(w))
 		})
-	} else {
-		for idx := range c.ests {
-			if v := c.rng.RandInt(1, total); v > mOld {
-				assign(idx, v-mOld-1)
-			}
+		return
+	}
+	for idx := range c.ests {
+		if v := c.rng.RandInt(1, total); v > mOld {
+			assign(idx, v-mOld-1)
 		}
 	}
+}
 
-	// --- Step 2: choose each estimator's level-2 edge as either the
-	// retained old r2 or an EVENTB subscription (Algorithm 3), using
-	// c⁻ = |N(r1) \ B| (the inherited counter) and c⁺ = |N(r1) ∩ B|
-	// derived from Observation 3.6. A subscription EVENTB(v, d) fires at
-	// the batch edge where v reaches degree d, which the occurrence list
-	// names directly; the new level-2 edge's wedge is then closed by one
-	// read of the batch-edge table.
-	for idx := range c.ests {
-		est := &c.ests[idx]
-		if !est.hasR1 {
-			continue
-		}
-		// ix, iy are r1's interned endpoints, dx, dy their final batch
-		// degrees, and bx, by their degrees when r1 arrived (β; 0 when r1
-		// predates the batch). The upper bound on r1Pos only matters for a
-		// damaged restored state; it keeps such a state inside the index.
-		var ix, iy, dx, dy, bx, by uint32
+// level2 is Step 2: choose each estimator's level-2 edge as either the
+// retained old r2 or an EVENTB subscription (Algorithm 3), using
+// c⁻ = |N(r1) \ B| (the inherited counter) and c⁺ = |N(r1) ∩ B| derived
+// from Observation 3.6. A subscription EVENTB(v, d) fires at the batch
+// edge where v reaches degree d, which the occurrence list names
+// directly. Every wedge left open is handed to the index, which closes
+// it once the batch has been streamed past all of them (closeWedges).
+// Step 2 visits only c's touched estimators, in estimator order; every
+// other one has c⁺ = 0 and draws nothing.
+func (c *Counter) level2(batch []graph.Edge, x *batchIndex, ts []touched) {
+	mOld := c.m
+	total := mOld + uint64(len(batch))
+	for _, t := range ts {
+		est := t.est
+		// ix, iy are r1's query ids, dx, dy their final batch degrees,
+		// and bx, by their degrees when r1 arrived (β; 0 when r1 predates
+		// the batch). The upper bound on r1Pos only matters for a damaged
+		// restored state; it keeps such a state inside the index.
+		ix, iy := t.u, t.v
+		dx, dy := x.degree(ix), x.degree(iy)
+		var bx, by uint32
 		if est.r1Pos > mOld && est.r1Pos <= total {
-			e := &x.edges[est.r1Pos-mOld-1]
-			ix, iy, bx, by = e.u, e.v, e.du, e.dv
-			dx, dy = x.verts[ix].deg, x.verts[iy].deg
-		} else {
-			ix, dx = x.degree(est.r1.U)
-			iy, dy = x.degree(est.r1.V)
+			bi := uint32(est.r1Pos - mOld - 1)
+			bx, by = x.rank(ix, bi)+1, x.rank(iy, bi)+1
+			if ix == iy {
+				by++ // a self loop's second endpoint increment
+			}
 		}
 		a := uint64(dx - bx)
 		b := uint64(dy - by)
@@ -88,48 +113,31 @@ func (c *Counter) absorb(batch []graph.Edge, x *batchIndex) {
 		if cPlus == 0 {
 			// No batch edge touches r1: state unchanged except that an
 			// existing open wedge may still be closed by a batch edge.
-			c.closeRetainedWedge(idx, x)
+			x.watchRetained(est)
 			continue
 		}
 		phi := c.rng.RandInt(1, cMinus+cPlus)
 		switch {
 		case phi <= cMinus:
 			// Keep the current level-2 edge (and triangle, if any).
-			c.closeRetainedWedge(idx, x)
+			x.watchRetained(est)
 		case phi <= cMinus+a:
-			c.setLevel2(idx, batch, x, x.reach(ix, bx+uint32(phi-cMinus)))
+			c.setLevel2(est, batch, x, x.reach(ix, bx+uint32(phi-cMinus)))
 		default:
-			c.setLevel2(idx, batch, x, x.reach(iy, by+uint32(phi-cMinus-a)))
+			c.setLevel2(est, batch, x, x.reach(iy, by+uint32(phi-cMinus-a)))
 		}
 	}
-	c.m = total
 }
 
-// setLevel2 installs batch edge bi as estimator idx's level-2 edge, then
-// resolves the wedge against the batch-edge table: the wedge closes iff
-// its closing edge occurs in the batch strictly after bi. r2 cannot
-// change again within this batch, so the check is final — equivalent to
-// the subscription table Q firing on a later edge.
-func (c *Counter) setLevel2(idx int, batch []graph.Edge, x *batchIndex, bi uint32) {
-	est := &c.ests[idx]
+// setLevel2 installs batch edge bi as est's level-2 edge and asks the
+// index to close its wedge if the closing edge occurs in the batch
+// strictly after bi. r2 cannot change again within this batch, so the
+// answer is final — equivalent to the subscription table Q firing on a
+// later edge.
+func (c *Counter) setLevel2(est *Estimator, batch []graph.Edge, x *batchIndex, bi uint32) {
 	est.r2, est.r2Pos, est.hasR2 = batch[bi], c.m+uint64(bi)+1, true
 	est.hasT = false
 	if sh, ok := est.r1.SharedVertex(est.r2); ok {
-		est.hasT = x.closes(est.r1.Other(sh), est.r2.Other(sh), int32(bi))
-	}
-}
-
-// closeRetainedWedge resolves the open wedge of an estimator that kept
-// its pre-batch level-2 edge: any occurrence of the closing edge in the
-// batch arrives after r2 and closes the wedge. One read of the batch-edge
-// table replaces the per-batch re-subscription into table Q — usually
-// rejected by the vertex bitmap without a hash probe.
-func (c *Counter) closeRetainedWedge(idx int, x *batchIndex) {
-	est := &c.ests[idx]
-	if !est.hasR2 || est.hasT {
-		return
-	}
-	if sh, ok := est.r1.SharedVertex(est.r2); ok {
-		est.hasT = x.closes(est.r1.Other(sh), est.r2.Other(sh), -1)
+		x.watch(est, est.r1.Other(sh), est.r2.Other(sh), int32(bi))
 	}
 }

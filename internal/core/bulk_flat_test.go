@@ -180,34 +180,45 @@ func TestInternerGrowth(t *testing.T) {
 func TestPairTableLastIndexAndEpochs(t *testing.T) {
 	var tb pairTable
 	tb.begin(3000)
-	tb.put(packPair(7, 3), 1)
-	tb.put(packPair(3, 7), 2) // same undirected pair: the later position wins
-	tb.put(packPair(1, 1<<31), 3)
-	if got := tb.get(packPair(3, 7)); got != 2 {
-		t.Fatalf("get(3,7) = %d, want 2", got)
+	s73 := tb.register(packPair(7, 3))
+	if got := tb.register(packPair(3, 7)); got != s73 {
+		t.Fatalf("register(3,7) = slot %d, want the slot %d of (7,3)", got, s73)
 	}
-	if got := tb.get(packPair(1<<31, 1)); got != 3 {
-		t.Fatalf("get(1<<31,1) = %d, want 3", got)
+	sBig := tb.register(packPair(1, 1<<31))
+	tb.see(packPair(7, 3), 1)
+	tb.see(packPair(3, 7), 2) // same undirected pair: the later position wins
+	tb.see(packPair(1<<31, 1), 3)
+	tb.see(packPair(3, 8), 4) // not registered: ignored
+	if got := tb.last(s73); got != 2 {
+		t.Fatalf("last(3,7) = %d, want 2", got)
 	}
-	if tb.get(packPair(3, 8)) != -1 {
+	if got := tb.last(sBig); got != 3 {
+		t.Fatalf("last(1<<31,1) = %d, want 3", got)
+	}
+	if tb.last(tb.register(packPair(3, 8))) != -1 {
 		t.Fatal("absent pair has a position")
 	}
 	// Fill to the sized capacity (load factor 1/2) and re-check every pair,
 	// including the early ones whose probe runs the later keys lengthen.
-	for k := uint32(100); k < 3097; k++ {
-		tb.put(packPair(k, k+1), int32(k))
+	slots := make(map[uint32]uint32)
+	for k := uint32(100); k < 3096; k++ {
+		slots[k] = tb.register(packPair(k, k+1))
 	}
-	for k := uint32(100); k < 3097; k++ {
-		if got := tb.get(packPair(k+1, k)); got != int32(k) {
-			t.Fatalf("get(%d,%d) = %d, want %d", k+1, k, got, k)
+	for k := uint32(100); k < 3096; k++ {
+		tb.see(packPair(k+1, k), int32(k))
+	}
+	for k := uint32(100); k < 3096; k++ {
+		if got := tb.last(slots[k]); got != int32(k) {
+			t.Fatalf("last(%d,%d) = %d, want %d", k+1, k, got, k)
 		}
 	}
-	if got := tb.get(packPair(7, 3)); got != 2 {
-		t.Fatalf("get(7,3) = %d after filling, want 2", got)
+	if got := tb.last(s73); got != 2 {
+		t.Fatalf("last(7,3) = %d after filling, want 2", got)
 	}
 	// A new epoch forgets everything.
 	tb.begin(2)
-	if tb.get(packPair(3, 7)) != -1 || tb.get(packPair(200, 201)) != -1 {
+	tb.see(packPair(200, 201), 9)
+	if tb.last(tb.register(packPair(3, 7))) != -1 || tb.last(tb.register(packPair(200, 201))) != -1 {
 		t.Fatal("stale pairs survived epoch bump")
 	}
 }

@@ -40,9 +40,9 @@ type Counter struct {
 	// the direct per-estimator coin; cheaper once m ≫ w.
 	useSkip bool
 
-	// own is the batch index AddBatch builds for this counter. The shards
-	// of a ShardedCounter read their owner's index instead and never
-	// build this one.
+	// own is the batch index AddBatch builds from this counter's queries.
+	// The shards of a ShardedCounter add their queries to their owner's
+	// index instead and never use this one.
 	own batchIndex
 }
 

@@ -2,13 +2,15 @@ package core
 
 import "streamtri/internal/graph"
 
-// interner densely remaps the distinct vertices touched by one batch to
-// consecutive ids in [0, k). It is the allocation-free replacement for the
-// per-batch `map[graph.NodeID]uint32` the bulk algorithm would otherwise
-// rebuild: the hash index is epoch-stamped, so starting a new batch is a
-// single counter bump instead of a table clear, and every slice is reused
-// across batches. Footprint is O(k) where k ≤ 2w: only the batch's own
-// endpoints are interned. That is within the Theorem 3.5 space bound.
+// interner densely remaps the query vertices of one batch — the level-1
+// endpoints that may be batch vertices — to consecutive ids in [0, k). It
+// is the allocation-free replacement for the per-batch
+// `map[graph.NodeID]uint32` the bulk algorithm would otherwise rebuild:
+// the hash index is epoch-stamped, so starting a new batch is a single
+// counter bump instead of a table clear, and every slice is reused across
+// batches. Footprint is O(k) where k ≤ 2r, and since only vertices that
+// pass the batch-vertex bitmap are interned, k is about 2w at most as
+// well. That is within the Theorem 3.5 space bound.
 type interner struct {
 	epoch uint32
 	mask  uint32
@@ -119,7 +121,7 @@ func hash32(v uint32) uint32 {
 }
 
 // hash64 is splitmix64's finalizer, used for the packed vertex-pair keys
-// of the batch-edge table.
+// of the pair table.
 func hash64(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
