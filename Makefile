@@ -59,8 +59,9 @@ race:
 # identically, version 1 converts to a state whose version-2 encoding
 # decodes back to it; everything else is rejected by name), and
 # FuzzCounterCheckpointDecode (the NSTC/NSTS
-# decoders: no panic or runaway allocation, and decode → WriteTo →
-# decode must keep the state). Entries are package:Target pairs so targets can
+# decoders: no panic or runaway allocation, decode → WriteTo → decode
+# must keep the state, and every accepted state must then absorb a
+# stream in batches without panicking). Entries are package:Target pairs so targets can
 # live next to the code they fuzz. `go test` alone already replays the
 # seed corpus; this target actually mutates.
 FUZZTIME ?= 20s

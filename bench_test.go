@@ -1,7 +1,7 @@
 package streamtri_test
 
 // One benchmark per table and figure of the paper's evaluation
-// (Section 4) plus the Section 5 extensions and the DESIGN.md ablations.
+// (Section 4) plus the Section 5 extensions and the ablations.
 // Each benchmark processes the full stand-in stream per iteration and
 // reports the achieved throughput (Medges/s) and, where meaningful, the
 // relative error against the exact count, so `go test -bench` regenerates

@@ -1,7 +1,7 @@
 // Command experiments regenerates every table and figure from the
 // evaluation of "Counting and Sampling Triangles from a Graph Stream"
-// (PVLDB 2013), using the synthetic stand-in datasets documented in
-// DESIGN.md.
+// (PVLDB 2013), using the synthetic stand-in datasets that
+// internal/bench defines.
 //
 // Usage:
 //

@@ -1,6 +1,7 @@
 // Package gen produces synthetic edge streams. The paper evaluates on SNAP
 // social graphs, which are not redistributable here; these generators are
-// the substitutes documented in DESIGN.md §4. They are parameterized so
+// the substitutes, and internal/bench builds one stand-in per evaluation
+// graph from them. They are parameterized so
 // that each stand-in matches the regime that drives the algorithms'
 // behaviour: edge count m, maximum degree Δ, triangle count τ, and the
 // m·Δ/τ ratio that governs estimator count requirements (Theorem 3.3).
