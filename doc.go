@@ -29,31 +29,48 @@
 // # Performance
 //
 // The batch hot path is map-free and allocation-free at steady state.
-// AddBatch runs in two parts. The first builds a batch index from the
-// batch alone: its vertices are interned to dense ids through an
-// epoch-stamped hash index, each vertex's final batch degree and each
-// edge's running endpoint degrees land in flat slices, a batch-vertex
-// bitmap records the batch's vertices, a batch-edge table maps each
-// vertex pair to its last batch position, and a per-vertex occurrence
-// list (a CSR over the interned ids) names the batch position at which
-// each vertex reaches each batch degree. The second part draws every
-// random number and only reads the index: an estimator that adopted a
-// batch edge takes its β from that edge's running degrees, an EVENTB
-// subscription resolves with one read of the occurrence list, and a
-// wedge is closed by one probe of the batch-edge table (usually
-// rejected by the bitmap first) instead of re-subscribing every open
-// wedge. All storage is reused across batches — the only steady-state
-// heap allocation per AddBatch is the fixed-size estimate snapshot
-// published for lock-free readers (see Serving). ParallelTriangleCounter
-// splits the estimators into p shards, builds the index once per batch,
-// and runs the shards one after another in the caller's goroutine, each
-// reading that one index. p is a partition of the estimators, not a
-// parallelism setting: it fixes the shard seeds, so estimates and
-// checkpoints depend on it. Running the shards concurrently does not
-// pay: with the index shared, only the O(r/p) estimator pass could run
-// in parallel, and on two cores that gave no wall-time speedup while
-// costing more CPU per edge. Cells tracked in BENCH_core.json measure
-// these paths; regenerate with `make bench-core`.
+// AddBatch keys its per-batch index the way the paper's Algorithm 3 keys
+// its tables: by what the estimators wait for, not by the batch. Only
+// the endpoints of the level-1 edges (at most 2r vertices) and the
+// closing pairs of the open wedges (at most r) are ever asked about, so
+// every hash table is sized by min(r, w) and the batch is only streamed
+// past them. A first pass marks the batch's vertices in a bitmap. After
+// Step 1 has resampled the level-1 edges, the endpoints that pass the
+// bitmap are interned through an epoch-stamped hash index. A pass over
+// the batch then gives each of these query vertices its batch degree
+// and its occurrence list, a CSR naming the batch position at which it
+// reaches each degree. Step 2 draws every random number, in estimator
+// order, and visits only the estimators with a level-1 endpoint in the
+// index: an estimator that adopted a batch edge takes its β from the
+// rank of that edge's position in the list, an EVENTB subscription
+// resolves with one read of the list, and every open wedge registers its
+// closing pair in a table of at most r pairs. A last pass over the batch
+// records each registered pair's last position, which settles every
+// wedge at once. All storage is reused across batches — the only
+// steady-state heap allocation per AddBatch is the fixed-size estimate
+// snapshot published for lock-free readers (see Serving).
+//
+// At trictd's default shape, r = 16,384 and w = 8r = 131,072, an index
+// built from the batch itself needed two hash tables of 4w and 2w slots,
+// about 10 MB against 2 MiB of L2 per core, and its build was most of
+// AddBatch. The query-keyed tables and lists that are probed at random
+// take under 2 MB there. On the repository benchmark's bulk-load
+// workload (two r = 16,384, p = 2 tenants fed one-batch POSTs, 2 vCPUs)
+// that raised trictd's edges per CPU second from 3.9M to 9.6M (medians
+// of ten interleaved pairs), and cut its setup time from 0.60 s to
+// 0.27 s and its peak RSS from 98 to 53 MiB. Down to w = r/4 AddBatch
+// costs no more CPU per edge than the batch-keyed index did.
+//
+// ParallelTriangleCounter splits the estimators into p shards. Every
+// shard runs Step 1 and adds its queries to one index before any shard's
+// Step 2, and the shards run one after another in the caller's
+// goroutine. p is a partition of the estimators, not a parallelism
+// setting: it fixes the shard seeds, so estimates and checkpoints depend
+// on it. Running the shards concurrently does not pay: with the index
+// shared, only the O(r/p) estimator passes could run in parallel, and on
+// two cores that gave no wall-time speedup while costing more CPU per
+// edge. Cells tracked in BENCH_core.json measure these paths; regenerate
+// with `make bench-core`.
 //
 // # The windowed estimator
 //

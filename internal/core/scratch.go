@@ -17,13 +17,15 @@ import (
 //
 //   - begin:  vbits, a bitmap over the batch's endpoint hashes that
 //     answers "not a batch vertex" without a hash probe;
-//   - query:  in, the interner over the level-1 endpoints that pass the
-//     bitmap, after Step 1 has fixed every r1;
+//   - query:  after each counter's Step 1 has fixed its r1s, the level-1
+//     endpoints that pass vbits are interned (in, with a bitmap of their
+//     own, qbits), and the estimators with such an endpoint are listed
+//     for Step 2 (touched);
 //   - scan:   one pass over the batch gives each query vertex its final
 //     batch degree (verts) and its occurrence list, a CSR (occ) holding
 //     the batch positions at which it reaches each degree, so an EVENTB
 //     subscription resolves with one read;
-//   - Step 2 registers each open wedge's closing pair in pairs;
+//   - Step 2 (level2) registers each open wedge's closing pair in pairs;
 //   - closeWedges: a second pass over the batch records each registered
 //     pair's last batch position, which settles every wedge.
 //
@@ -191,9 +193,9 @@ type openWedge struct {
 }
 
 // batchIndex is the query-keyed index of one batch; see the file
-// comment. Apart from the batch-length hit list and the occurrence
-// lists, which are written and read in batch order, its footprint is
-// O(min(r, w)), the batch share of Theorem 3.5's O(r + w).
+// comment. Its footprint is O(min(r, w)), the batch share of Theorem
+// 3.5's O(r + w), apart from the hit list and the occurrence lists: they
+// hold one entry per batch endpoint that is a query vertex, at most 2w.
 type batchIndex struct {
 	// vbits holds the batch vertices and qbits the query vertices, each
 	// with 16 bits per vertex for up to 2·min(r, w) vertices. Most

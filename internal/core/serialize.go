@@ -225,16 +225,17 @@ func readCounter(br *bufio.Reader) (*Counter, error) {
 	return c, nil
 }
 
-// maxEdges bounds a checkpoint's edge count m. With c ≤ 4m it keeps
+// maxEdges bounds a checkpoint's edge count m. With c ≤ 4m it keeps 4m,
 // m + w and c⁻ + c⁺ in a later AddBatch far from wrapping.
 const maxEdges = 1 << 60
 
-// checkRecord rejects an estimator record that no stream of m edges
-// produces, naming the field at fault. Each edge after r1 raises c by at
-// most 4, so c ≤ 4m: a self loop raises its vertex's degree twice, and
-// when r1 is a loop on the same vertex both of r1's endpoint degrees
-// count it. The rules are no tighter than that: when r1 is a self loop
-// the bulk path can leave r2Pos = r1Pos, so r2Pos > r1Pos is not one.
+// checkRecord rejects an estimator record that no stream of m ≤ maxEdges
+// edges produces, naming the field at fault. Each edge after r1 raises c
+// by at most 4, so c ≤ 4m: a self loop raises its vertex's degree twice,
+// and when r1 is a loop on the same vertex both of r1's endpoint degrees
+// count it. Every rule holds for every state the library writes,
+// out-of-contract streams included; r2Pos > r1Pos is not a rule, since
+// the bulk path can leave r2Pos = r1Pos when r1 is a self loop.
 func checkRecord(est *Estimator, m uint64) error {
 	switch {
 	case est.hasR2 && !est.hasR1:
@@ -245,7 +246,7 @@ func checkRecord(est *Estimator, m uint64) error {
 		return fmt.Errorf("r1Pos %d outside [1, m=%d]", est.r1Pos, m)
 	case est.hasR2 && est.r2Pos > m:
 		return fmt.Errorf("r2Pos %d beyond m=%d", est.r2Pos, m)
-	case est.c/4 > m || (est.c/4 == m && est.c%4 != 0):
+	case est.c > 4*m:
 		return fmt.Errorf("c %d beyond 4m=4×%d", est.c, m)
 	}
 	return nil
