@@ -4,9 +4,9 @@ import "streamtri/internal/graph"
 
 // AddBatch advances all estimators as if the batch's edges had been
 // played one at a time after the stream so far (the bulkTC algorithm of
-// Theorem 3.5). Cost is O(r + w) time per call, and the extra space
-// beyond streaming the batch past the estimators' queries is O(min(r, w));
-// with w = Θ(r) the whole stream costs O(m + r).
+// Theorem 3.5). Cost is O(r + w) time and extra space per call, and
+// every hash table holds O(min(r, w)) entries; with w = Θ(r) the whole
+// stream costs O(m + r).
 //
 // The resulting estimator states are identically distributed to those
 // produced by calling Add on each edge in order. The implementation is

@@ -20,8 +20,8 @@ import (
 // without panicking, as trictd's WAL replay makes a restored counter
 // do. The seed corpus is real flat and sharded checkpoints, truncated
 // and header-corrupted variants, headers claiming 2^32−1 estimators
-// with no estimator data after them, and a checkpoint whose every
-// estimator claims c = 2^64−1.
+// with no estimator data after them, and checkpoints whose every
+// estimator claims c = 2^64−1, one of them with m = 2^64−1 as well.
 func FuzzCounterCheckpointDecode(f *testing.F) {
 	edges := stream.Shuffle(gen.HolmeKim(randx.New(3), 60, 3, 0.6), randx.New(4))
 	encode := func(c io.WriterTo) []byte {

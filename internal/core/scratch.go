@@ -198,10 +198,13 @@ type openWedge struct {
 // hold one entry per batch endpoint that is a query vertex, at most 2w.
 type batchIndex struct {
 	// vbits holds the batch vertices and qbits the query vertices, each
-	// with 16 bits per vertex for up to 2·min(r, w) vertices. Most
-	// level-1 endpoints are untouched once m ≫ w, and vbits rejects them
-	// in one probe; most batch endpoints are not query vertices, and
-	// qbits rejects them in one probe.
+	// sized at 16 bits per vertex for 2·min(r, w) vertices. Most level-1
+	// endpoints are untouched once m ≫ w, and vbits rejects them in one
+	// probe; most batch endpoints are not query vertices, and qbits
+	// rejects them in one probe. When w > r the batch has more vertices
+	// than vbits is sized for; its extra false positives only intern a
+	// few more query vertices (never more than 2r) and watch a few more
+	// wedges, and the smaller bitmap stays in cache.
 	vbits bitset
 	qbits bitset
 	in    interner
