@@ -114,8 +114,9 @@ bench-check:
 # how many CPUs it may use (one run unrestricted, one pinned to CPU 0
 # with taskset; the shard count, which fixes the shard seeds, must not
 # follow the CPU count, and the two-input merge must not follow the
-# scheduler), and run every example — exercising the "[no test files]"
-# packages.
+# scheduler), check that trict rejects -p together with -samples (the
+# sampler has no shards), and run every example — exercising the
+# "[no test files]" packages.
 smoke:
 	rm -rf bin && mkdir -p bin
 	$(GO) build -o bin ./cmd/...
@@ -126,6 +127,10 @@ smoke:
 	./bin/graphgen -kind holmekim -n 4000 -mper 3 -ptriad 0.5 -seed 11 > bin/smoke-a.txt
 	./bin/graphgen -kind holmekim -n 4000 -mper 3 -ptriad 0.5 -seed 12 > bin/smoke-b.txt
 	./bin/trict -r 4096 -p 2 -i bin/smoke-a.txt -i bin/smoke-b.txt
+	if ./bin/trict -r 4096 -p 2 -samples 2 bin/smoke-a.txt > bin/smoke-p-samples.txt 2>&1; then \
+		echo "trict accepted -p together with -samples"; exit 1; \
+	fi
+	grep -q -- '-p has no effect with -samples' bin/smoke-p-samples.txt
 	./bin/graphgen -kind holmekim -n 4000 -mper 3 -ptriad 0.5 -seed 13 -format binary > bin/smoke-a.bin
 	./bin/graphgen -kind holmekim -n 4000 -mper 3 -ptriad 0.5 -seed 14 -format binary > bin/smoke-b.bin
 	./bin/trict -r 4096 -p 2 -format binary -i bin/smoke-a.bin -i bin/smoke-b.bin

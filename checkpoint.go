@@ -10,52 +10,54 @@ import (
 )
 
 // WriteTo checkpoints the counter's full state (estimators, stream
-// position, random-generator state) so processing can resume later —
-// possibly in another process — bit-identically. Buffered edges are
-// flushed first. It implements io.WriterTo.
-func (t *TriangleCounter) WriteTo(w io.Writer) (int64, error) {
+// position, random-generator state; on a sharded counter, each shard's)
+// so processing can resume later — possibly in another process —
+// bit-identically. Buffered edges are flushed first. It implements
+// io.WriterTo.
+func (t *wholeStream[E]) WriteTo(w io.Writer) (int64, error) {
 	t.Flush()
+	return writeCheckpoint(w, t.w, t.eng)
+}
+
+// writeCheckpoint writes the header every public checkpoint starts
+// with, the batch size w as 8 little-endian bytes, and then state.
+func writeCheckpoint(w io.Writer, batch int, state io.WriterTo) (int64, error) {
 	var hdr [8]byte
-	binary.LittleEndian.PutUint64(hdr[:], uint64(t.w))
+	binary.LittleEndian.PutUint64(hdr[:], uint64(batch))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return 0, err
 	}
-	n, err := t.c.WriteTo(w)
+	n, err := state.WriteTo(w)
 	return n + 8, err
+}
+
+// readCheckpointHeader reads the header writeCheckpoint writes and
+// returns the batch size, which must lie in (0, 2^32].
+func readCheckpointHeader(r io.Reader) (int, error) {
+	var hdr [8]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return 0, fmt.Errorf("streamtri: reading checkpoint header: %w", err)
+	}
+	w := binary.LittleEndian.Uint64(hdr[:])
+	if w == 0 || w > 1<<32 {
+		return 0, fmt.Errorf("streamtri: implausible checkpoint batch size %d", w)
+	}
+	return int(w), nil
 }
 
 // RestoreTriangleCounter reads a checkpoint written by
 // TriangleCounter.WriteTo and returns a counter that continues exactly
 // where the original left off.
 func RestoreTriangleCounter(r io.Reader) (*TriangleCounter, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("streamtri: reading checkpoint header: %w", err)
-	}
-	w := binary.LittleEndian.Uint64(hdr[:])
-	if w == 0 || w > 1<<32 {
-		return nil, fmt.Errorf("streamtri: implausible checkpoint batch size %d", w)
+	w, err := readCheckpointHeader(r)
+	if err != nil {
+		return nil, err
 	}
 	c, err := core.ReadCounterFrom(r)
 	if err != nil {
 		return nil, err
 	}
-	return &TriangleCounter{c: c, w: int(w), added: c.Edges()}, nil
-}
-
-// WriteTo checkpoints the parallel counter: buffered edges are flushed,
-// and the full sharded state (per-shard estimators, stream position,
-// random-generator states) is written so a restore resumes
-// bit-identically. It implements io.WriterTo.
-func (t *ParallelTriangleCounter) WriteTo(w io.Writer) (int64, error) {
-	t.Flush()
-	var hdr [8]byte
-	binary.LittleEndian.PutUint64(hdr[:], uint64(t.w))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return 0, err
-	}
-	n, err := t.c.WriteTo(w)
-	return n + 8, err
+	return &TriangleCounter{wholeStream[*core.Counter]{eng: c, w: w, added: c.Edges()}}, nil
 }
 
 // RestoreParallelTriangleCounter reads a checkpoint written by
@@ -64,19 +66,15 @@ func (t *ParallelTriangleCounter) WriteTo(w io.Writer) (int64, error) {
 // Snapshot and Estimate queries immediately, bit-identically to the
 // checkpointed state.
 func RestoreParallelTriangleCounter(r io.Reader) (*ParallelTriangleCounter, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("streamtri: reading checkpoint header: %w", err)
-	}
-	w := binary.LittleEndian.Uint64(hdr[:])
-	if w == 0 || w > 1<<32 {
-		return nil, fmt.Errorf("streamtri: implausible checkpoint batch size %d", w)
+	w, err := readCheckpointHeader(r)
+	if err != nil {
+		return nil, err
 	}
 	c, err := core.ReadShardedCounterFrom(r)
 	if err != nil {
 		return nil, err
 	}
-	return &ParallelTriangleCounter{c: c, w: int(w), added: c.Edges()}, nil
+	return &ParallelTriangleCounter{wholeStream[*core.ShardedCounter]{eng: c, w: w, added: c.Edges()}}, nil
 }
 
 // WriteTo checkpoints the sliding-window counter's full state — every
@@ -89,13 +87,7 @@ func RestoreParallelTriangleCounter(r io.Reader) (*ParallelTriangleCounter, erro
 // intake buffer), so the checkpoint always reflects every edge Added so
 // far. It implements io.WriterTo.
 func (s *SlidingWindowCounter) WriteTo(w io.Writer) (int64, error) {
-	var hdr [8]byte
-	binary.LittleEndian.PutUint64(hdr[:], uint64(s.w))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return 0, err
-	}
-	n, err := s.c.WriteTo(w)
-	return n + 8, err
+	return writeCheckpoint(w, s.w, s.c)
 }
 
 // RestoreSlidingWindowCounter reads a checkpoint written by
@@ -105,17 +97,13 @@ func (s *SlidingWindowCounter) WriteTo(w io.Writer) (int64, error) {
 // Corrupt or truncated checkpoints are rejected with an error naming the
 // damage — never restored into undefined estimator state.
 func RestoreSlidingWindowCounter(r io.Reader) (*SlidingWindowCounter, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("streamtri: reading checkpoint header: %w", err)
-	}
-	w := binary.LittleEndian.Uint64(hdr[:])
-	if w == 0 || w > 1<<32 {
-		return nil, fmt.Errorf("streamtri: implausible checkpoint batch size %d", w)
+	w, err := readCheckpointHeader(r)
+	if err != nil {
+		return nil, err
 	}
 	c, err := window.ReadCounterFrom(r)
 	if err != nil {
 		return nil, err
 	}
-	return &SlidingWindowCounter{c: c, w: int(w)}, nil
+	return &SlidingWindowCounter{c: c, w: w}, nil
 }

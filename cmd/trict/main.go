@@ -27,14 +27,16 @@
 // goroutine — so files larger than RAM stream fine, and I/O+decode time
 // overlaps processing. -p splits the estimators into that many shards;
 // it fixes the shard seeds, so the estimate depends on it, but not on
-// the machine: an unset -p means one shard. With several -i inputs the
-// decoders also overlap each other (parallel ingestion), and a
-// deterministic merge takes the files in blocks of min(w, 4096) edges
-// (w the batch size), round-robin in input order, so multi-file runs are
-// bit-for-bit reproducible. The report prices I/O+decode separately
-// from wall time, in the style of the paper's Table 3 (for multiple
-// inputs the decode figure aggregates all decoders and can exceed wall
-// time, and a per-source breakdown shows skewed shards).
+// the machine: an unset -p means one shard. The triangle sampler
+// (-samples) and the windowed estimator have no shards and reject -p.
+// With several -i inputs the decoders also overlap each other (parallel
+// ingestion), and a deterministic merge takes the files in blocks of
+// min(w, 4096) edges (w the batch size), round-robin in input order, so
+// multi-file runs are bit-for-bit reproducible. The report prices
+// I/O+decode separately from wall time, in the style of the paper's
+// Table 3 (for multiple inputs the decode figure aggregates all decoders
+// and can exceed wall time, and a per-source breakdown shows skewed
+// shards).
 //
 // Windowed runs (-window N) use the sliding-window estimator. A single
 // input streams as-is (the window is defined by arrival order). Several
@@ -118,6 +120,9 @@ func main() {
 	}
 	if *windowSize > 0 && *p > 0 {
 		fatal(fmt.Errorf("-p has no effect with -window (the sliding-window estimator has no shards); drop one of the flags"))
+	}
+	if *samples > 0 && *p > 0 {
+		fatal(fmt.Errorf("-p has no effect with -samples (the triangle sampler has no shards); drop one of the flags"))
 	}
 	if *lateness >= 0 && *windowSize == 0 {
 		fatal(fmt.Errorf("-lateness only applies to -window runs (the whole-stream counters are order-insensitive, so out-of-order input needs no repair there)"))
@@ -242,7 +247,11 @@ func main() {
 		// stream); the streaming default requires simple input, so say so.
 		fmt.Printf("dedup:        off — input must be a simple stream (use -dedup for raw data)\n")
 	}
-	fmt.Printf("estimators:   %d across %d shards\n", *r, *p)
+	if *samples > 0 {
+		fmt.Printf("estimators:   %d\n", *r)
+	} else {
+		fmt.Printf("estimators:   %d across %d shards\n", *r, *p)
+	}
 	decodeNote := "overlapped with processing"
 	if len(srcs) > 1 {
 		decodeNote = fmt.Sprintf("summed over %d parallel decoders, overlapped with processing", len(srcs))

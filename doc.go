@@ -17,6 +17,13 @@
 //   - SlidingWindowCounter — the triangle count of the most recent w
 //     edges.
 //
+// TriangleCounter, TriangleSampler and ParallelTriangleCounter (below)
+// share one intake over different engines: the batch buffer, AddBatch,
+// the CountStream pipelines, the estimates and, on the two counters,
+// Snapshot and the checkpoint are one implementation, in front of the
+// flat estimators, the estimators plus an exact degree tracker, or the
+// estimators split into shards.
+//
 // All types are deterministic given their seed, multi-source ingestion
 // included: both merges behind CountStreams are pure functions of their
 // inputs (see below). Streams must be simple: no self loops and no
@@ -61,16 +68,17 @@
 // 0.27 s and its peak RSS from 98 to 53 MiB. Down to w = r/4 AddBatch
 // costs no more CPU per edge than the batch-keyed index did.
 //
-// ParallelTriangleCounter splits the estimators into p shards. Every
-// shard runs Step 1 and adds its queries to one index before any shard's
-// Step 2, and the shards run one after another in the caller's
-// goroutine. p is a partition of the estimators, not a parallelism
-// setting: it fixes the shard seeds, so estimates and checkpoints depend
-// on it. Running the shards concurrently does not pay: with the index
-// shared, only the O(r/p) estimator passes could run in parallel, and on
-// two cores that gave no wall-time speedup while costing more CPU per
-// edge. Cells tracked in BENCH_core.json measure these paths; regenerate
-// with `make bench-core`.
+// ParallelTriangleCounter is TriangleCounter's intake over a sharded
+// engine: it splits the estimators into p shards. Every shard runs
+// Step 1 and adds its queries to one index before any shard's Step 2,
+// and the shards run one after another in the caller's goroutine. p is
+// a partition of the estimators, not a parallelism setting: it fixes
+// the shard seeds, so estimates and checkpoints depend on it. Running
+// the shards concurrently does not pay: with the index shared, only the
+// O(r/p) estimator passes could run in parallel, and on two cores that
+// gave no wall-time speedup while costing more CPU per edge. Cells
+// tracked in BENCH_core.json measure these paths; regenerate with
+// `make bench-core`.
 //
 // # The windowed estimator
 //

@@ -336,21 +336,9 @@ func perSourceStats(per []stream.PipelineStats) []SourceStats {
 // buffered by earlier Add calls are flushed first, so stream order is
 // preserved. On error (including ctx cancellation) the counter remains
 // valid and reflects exactly the edges reported in StreamStats.
-func (t *TriangleCounter) CountStream(ctx context.Context, src Source) (StreamStats, error) {
+func (t *wholeStream[E]) CountStream(ctx context.Context, src Source) (StreamStats, error) {
 	t.Flush()
-	st, err := countStream(ctx, src, t.w, t.depth, t.ing, t.c)
-	t.added += st.Edges
-	return st, err
-}
-
-// CountStream consumes src to exhaustion, decoding batches on a
-// dedicated goroutine so I/O overlaps shard processing. Edges buffered
-// by earlier Add calls are flushed first, so stream order is preserved.
-// On error the counter remains valid and reflects exactly the edges
-// reported in StreamStats.
-func (t *ParallelTriangleCounter) CountStream(ctx context.Context, src Source) (StreamStats, error) {
-	t.Flush()
-	st, err := countStream(ctx, src, t.w, t.depth, t.ing, t.c)
+	st, err := countStream(ctx, src, t.w, t.depth, t.ing, t.eng)
 	t.added += st.Edges
 	return st, err
 }
@@ -367,26 +355,12 @@ func (t *ParallelTriangleCounter) CountStream(ctx context.Context, src Source) (
 // time. On error (the first source failure wins, unless
 // WithContinueOnSourceFailure) the counter remains valid and reflects
 // exactly the edges reported in StreamStats.
-func (t *TriangleCounter) CountStreams(ctx context.Context, srcs ...Source) (StreamStats, error) {
+func (t *wholeStream[E]) CountStreams(ctx context.Context, srcs ...Source) (StreamStats, error) {
 	if len(srcs) == 0 {
 		return StreamStats{}, nil
 	}
 	t.Flush()
-	st, err := countStreams(ctx, srcs, t.w, t.depth, t.ing, t.c)
-	t.added += st.Edges
-	return st, err
-}
-
-// CountStreams is the multi-source CountStream: each source decodes on
-// its own goroutine while the shards absorb the merged batches. See
-// TriangleCounter.CountStreams for the ordering and determinism
-// contract.
-func (t *ParallelTriangleCounter) CountStreams(ctx context.Context, srcs ...Source) (StreamStats, error) {
-	if len(srcs) == 0 {
-		return StreamStats{}, nil
-	}
-	t.Flush()
-	st, err := countStreams(ctx, srcs, t.w, t.depth, t.ing, t.c)
+	st, err := countStreams(ctx, srcs, t.w, t.depth, t.ing, t.eng)
 	t.added += st.Edges
 	return st, err
 }

@@ -19,26 +19,14 @@ type EstimateSnapshot struct {
 	Transitivity float64
 }
 
-// Snapshot returns the estimates at the last completed batch boundary.
-// Unlike the Estimate* methods it does not flush; it never blocks and is
-// safe to call from any goroutine while the owner goroutine keeps
-// calling Add/AddBatch — the read path a serving process queries between
-// ingest batches (see doc.go, "Serving").
-func (t *TriangleCounter) Snapshot() EstimateSnapshot {
-	s := t.c.Snapshot()
-	return EstimateSnapshot{
-		Edges:        s.Edges(),
-		Triangles:    s.Triangles(),
-		Wedges:       s.Wedges(),
-		Transitivity: s.Transitivity(),
-	}
-}
-
-// Snapshot returns the estimates at the last batch boundary every shard
-// has completed. Lock-free and safe to call concurrently with the
-// owner's ingestion; see TriangleCounter.Snapshot.
-func (t *ParallelTriangleCounter) Snapshot() EstimateSnapshot {
-	s := t.c.Snapshot()
+// Snapshot returns the estimates at the last completed batch boundary,
+// which on a sharded counter every shard has completed. Unlike the
+// Estimate* methods it does not flush; it never blocks and is safe to
+// call from any goroutine while the owner goroutine keeps calling
+// Add/AddBatch — the read path a serving process queries between ingest
+// batches (see doc.go, "Serving").
+func (t *wholeStream[E]) Snapshot() EstimateSnapshot {
+	s := t.eng.Snapshot()
 	return EstimateSnapshot{
 		Edges:        s.Edges(),
 		Triangles:    s.Triangles(),

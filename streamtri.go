@@ -64,8 +64,12 @@ func WithSeed(seed uint64) Option {
 
 // WithBatchSize sets the internal batch size w for bulk processing.
 // The default is w = 8·r, the paper's setting; processing a stream of m
-// edges then costs O(m + r) total time (Theorem 3.5). Set w = 1 to force
-// purely sequential per-edge processing.
+// edges then costs O(m + r) total time (Theorem 3.5). At w = 1,
+// TriangleCounter.Add and TriangleSampler.Add run Algorithm 1 on each
+// edge as it arrives. AddBatch still takes the bulk path on the batch it
+// is given, CountStream on one-edge batches, and ParallelTriangleCounter
+// takes it at every w; the two paths reach identically distributed
+// states, not identical ones.
 func WithBatchSize(w int) Option {
 	return func(c *config) { c.batchSize = w }
 }
@@ -157,6 +161,103 @@ func buildConfig(r int, opts []Option) config {
 	return cfg
 }
 
+// engine is what the whole-stream intake calls on the estimators behind
+// it: *core.Counter under TriangleCounter, *core.ShardedCounter under
+// ParallelTriangleCounter, and samplerEngine under TriangleSampler.
+type engine interface {
+	Add(Edge)
+	AddBatch([]Edge)
+	Snapshot() *core.EstimateSnapshot
+	EstimateTrianglesMedianOfMeans(groups int) float64
+	WriteTo(io.Writer) (int64, error)
+}
+
+// wholeStream is the intake the three whole-stream types share: it
+// buffers added edges into batches of w, hands batches and decoded
+// streams to its engine in stream order, and counts the edges it was
+// given.
+type wholeStream[E engine] struct {
+	eng   E
+	buf   []Edge
+	w     int
+	depth int
+	ing   ingest
+	added uint64
+}
+
+func newWholeStream[E engine](eng E, cfg config) wholeStream[E] {
+	return wholeStream[E]{eng: eng, w: cfg.batchSize, depth: cfg.pipeDepth, ing: cfg.ing}
+}
+
+// Add appends one stream edge (amortized O(1 + r/w) time). At w = 1 it
+// runs Algorithm 1 on the edge at once; otherwise it buffers the edge
+// and absorbs each full buffer through the bulk path. AddBatch and
+// CountStream take the bulk path at every w, so at w = 1 a stream fed
+// through Add reaches a different state than the same stream fed
+// through AddBatch, with the same distribution.
+func (t *wholeStream[E]) Add(e Edge) {
+	if t.w == 1 {
+		t.eng.Add(e)
+		t.added++
+		return
+	}
+	t.buf = append(t.buf, e)
+	if len(t.buf) >= t.w {
+		t.Flush()
+	}
+	t.added++
+}
+
+// AddBatch appends a batch of stream edges, processing buffered edges
+// first so stream order is preserved. The edge count is advanced only
+// after the batch has been processed.
+func (t *wholeStream[E]) AddBatch(batch []Edge) {
+	t.Flush()
+	t.eng.AddBatch(batch)
+	t.added += uint64(len(batch))
+}
+
+// Flush processes any buffered edges immediately.
+func (t *wholeStream[E]) Flush() {
+	if len(t.buf) > 0 {
+		t.eng.AddBatch(t.buf)
+		t.buf = t.buf[:0]
+	}
+}
+
+// Edges returns the number of edges added so far, including edges still
+// buffered; estimates incorporate them because every Estimate method
+// flushes first.
+func (t *wholeStream[E]) Edges() uint64 { return t.added }
+
+// EstimateTriangles returns the estimate τ̂ as the mean of the
+// per-estimator unbiased estimates (Theorem 3.3).
+func (t *wholeStream[E]) EstimateTriangles() float64 {
+	t.Flush()
+	return t.eng.Snapshot().Triangles()
+}
+
+// EstimateTrianglesMedianOfMeans returns τ̂ aggregated as a median of
+// `groups` group means (Theorem 3.4); more robust on streams with a large
+// tangle coefficient.
+func (t *wholeStream[E]) EstimateTrianglesMedianOfMeans(groups int) float64 {
+	t.Flush()
+	return t.eng.EstimateTrianglesMedianOfMeans(groups)
+}
+
+// EstimateWedges returns the estimate ζ̂ of the number of connected
+// vertex triples (Lemma 3.11).
+func (t *wholeStream[E]) EstimateWedges() float64 {
+	t.Flush()
+	return t.eng.Snapshot().Wedges()
+}
+
+// EstimateTransitivity returns κ̂ = 3τ̂/ζ̂ (Theorem 3.12).
+func (t *wholeStream[E]) EstimateTransitivity() float64 {
+	t.Flush()
+	return t.eng.Snapshot().Transitivity()
+}
+
 // TriangleCounter maintains approximate triangle, wedge, and transitivity
 // statistics of an edge stream using r neighborhood-sampling estimators
 // (Sections 3.1–3.3 and 3.5 of the paper). Accuracy grows with r: the
@@ -166,90 +267,17 @@ func buildConfig(r int, opts []Option) config {
 // Add buffers edges and processes them in batches internally; call Flush
 // (or any Estimate method, which flushes first) to force processing.
 type TriangleCounter struct {
-	c     *core.Counter
-	buf   []Edge
-	w     int
-	depth int
-	ing   ingest
-	added uint64
+	wholeStream[*core.Counter]
 }
 
 // NewTriangleCounter returns a TriangleCounter with r estimators.
 func NewTriangleCounter(r int, opts ...Option) *TriangleCounter {
 	cfg := buildConfig(r, opts)
-	return &TriangleCounter{
-		c:     core.NewCounter(r, cfg.seed),
-		w:     cfg.batchSize,
-		depth: cfg.pipeDepth,
-		ing:   cfg.ing,
-	}
+	return &TriangleCounter{newWholeStream(core.NewCounter(r, cfg.seed), cfg)}
 }
-
-// Add appends one stream edge (amortized O(1 + r/w) time).
-func (t *TriangleCounter) Add(e Edge) {
-	if t.w == 1 {
-		t.c.Add(e)
-		t.added++
-		return
-	}
-	t.buf = append(t.buf, e)
-	if len(t.buf) >= t.w {
-		t.c.AddBatch(t.buf)
-		t.buf = t.buf[:0]
-	}
-	t.added++
-}
-
-// AddBatch appends a batch of stream edges, processing buffered edges
-// first so stream order is preserved. The edge count is advanced only
-// after the batch has been processed.
-func (t *TriangleCounter) AddBatch(batch []Edge) {
-	t.Flush()
-	t.c.AddBatch(batch)
-	t.added += uint64(len(batch))
-}
-
-// Flush processes any buffered edges immediately.
-func (t *TriangleCounter) Flush() {
-	if len(t.buf) > 0 {
-		t.c.AddBatch(t.buf)
-		t.buf = t.buf[:0]
-	}
-}
-
-// Edges returns the number of edges added so far.
-func (t *TriangleCounter) Edges() uint64 { return t.added }
 
 // NumEstimators returns r.
-func (t *TriangleCounter) NumEstimators() int { return t.c.NumEstimators() }
-
-// EstimateTriangles returns the estimate τ̂ as the mean of the
-// per-estimator unbiased estimates (Theorem 3.3).
-func (t *TriangleCounter) EstimateTriangles() float64 {
-	t.Flush()
-	return t.c.EstimateTriangles()
-}
-
-// EstimateTrianglesMedianOfMeans returns τ̂ aggregated as a median of
-// `groups` group means (Theorem 3.4); more robust on streams with a large
-// tangle coefficient.
-func (t *TriangleCounter) EstimateTrianglesMedianOfMeans(groups int) float64 {
-	t.Flush()
-	return t.c.EstimateTrianglesMedianOfMeans(groups)
-}
-
-// EstimateWedges returns the estimate ζ̂ of the number of connected
-// vertex triples (Lemma 3.11).
-func (t *TriangleCounter) EstimateWedges() float64 {
-	t.Flush()
-	return t.c.EstimateWedges()
-}
-
-// EstimateTransitivity returns κ̂ = 3τ̂/ζ̂ (Theorem 3.12).
-func (t *TriangleCounter) EstimateTransitivity() float64 {
-	t.Flush()
-	return t.c.EstimateTransitivity()
-}
+func (t *TriangleCounter) NumEstimators() int { return t.eng.NumEstimators() }
 
 // TheoreticalEstimators returns the Theorem 3.3 sufficient estimator
 // count for an (ε,δ)-approximation on a graph with the given parameters.
