@@ -159,7 +159,8 @@ func TestPublicCounterGolden(t *testing.T) {
 				for _, e := range a {
 					s.Add(e)
 				}
-				// Read between the Add and AddBatch segments.
+				// MaxDegree flushes the Add buffer, as the AddBatch after
+				// it does, so reading it here moves no batch boundary.
 				fmt.Fprintf(h, "add edges=%d maxdeg=%d\n", s.Edges(), s.MaxDegree())
 				s.AddBatch(b)
 				fmt.Fprintf(h, "addbatch edges=%d\n", s.Edges())

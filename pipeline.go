@@ -248,23 +248,7 @@ func countStream(ctx context.Context, src Source, w, depth int, ing ingest, sink
 	}, err
 }
 
-// countStreams is countStream over several sources: one decoder
-// goroutine per source, their blocks interleaved round-robin by the
-// block merge into one deterministic batch stream for the sink. A single
-// source goes through countStream, so CountStreams with one argument is
-// exactly CountStream.
-func countStreams(ctx context.Context, srcs []Source, w, depth int, ing ingest, sink stream.Sink) (StreamStats, error) {
-	if len(srcs) == 1 {
-		return countStream(ctx, srcs[0], w, depth, ing, sink)
-	}
-	p, err := stream.NewMergedPipeline(ctx, srcs, w, ing.pipeOpts(true)...)
-	if err != nil {
-		return StreamStats{}, err
-	}
-	return drainMerge(p, sink)
-}
-
-// countOrderedStreams is the timestamp-merged flavor of countStreams:
+// countOrderedStreams is the timestamp-merged flavor of CountStreams:
 // one decoder per timestamped source, records re-sequenced by the k-way
 // merge before the sink sees them, so the merged stream — and any
 // order-sensitive estimator consuming it — is deterministic for any
@@ -356,11 +340,18 @@ func (t *wholeStream[E]) CountStream(ctx context.Context, src Source) (StreamSta
 // WithContinueOnSourceFailure) the counter remains valid and reflects
 // exactly the edges reported in StreamStats.
 func (t *wholeStream[E]) CountStreams(ctx context.Context, srcs ...Source) (StreamStats, error) {
-	if len(srcs) == 0 {
+	switch len(srcs) {
+	case 0:
 		return StreamStats{}, nil
+	case 1:
+		return t.CountStream(ctx, srcs[0])
 	}
 	t.Flush()
-	st, err := countStreams(ctx, srcs, t.w, t.depth, t.ing, t.eng)
+	p, err := stream.NewMergedPipeline(ctx, srcs, t.w, t.ing.pipeOpts(true)...)
+	if err != nil {
+		return StreamStats{}, err
+	}
+	st, err := drainMerge(p, t.eng)
 	t.added += st.Edges
 	return st, err
 }
