@@ -32,24 +32,29 @@ func writeCheckpoint(w io.Writer, batch int, state io.WriterTo) (int64, error) {
 }
 
 // readCheckpointHeader reads the header writeCheckpoint writes and
-// returns the batch size, which must lie in (0, 2^32].
-func readCheckpointHeader(r io.Reader) (int, error) {
+// returns the restored counter's configuration: opts, with the batch
+// size from the header, which must lie in (0, 2^32].
+func readCheckpointHeader(r io.Reader, opts []Option) (config, error) {
 	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, fmt.Errorf("streamtri: reading checkpoint header: %w", err)
+		return config{}, fmt.Errorf("streamtri: reading checkpoint header: %w", err)
 	}
 	w := binary.LittleEndian.Uint64(hdr[:])
 	if w == 0 || w > 1<<32 {
-		return 0, fmt.Errorf("streamtri: implausible checkpoint batch size %d", w)
+		return config{}, fmt.Errorf("streamtri: implausible checkpoint batch size %d", w)
 	}
-	return int(w), nil
+	cfg := buildConfig(0, opts)
+	cfg.batchSize = int(w)
+	return cfg, nil
 }
 
 // RestoreTriangleCounter reads a checkpoint written by
 // TriangleCounter.WriteTo and returns a counter that continues exactly
-// where the original left off.
-func RestoreTriangleCounter(r io.Reader) (*TriangleCounter, error) {
-	w, err := readCheckpointHeader(r)
+// where the original left off. The ingest options are not checkpointed,
+// so pass them again in opts; WithSeed and WithBatchSize do not apply,
+// as the checkpoint carries the random-generator state and w.
+func RestoreTriangleCounter(r io.Reader, opts ...Option) (*TriangleCounter, error) {
+	cfg, err := readCheckpointHeader(r, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -57,16 +62,16 @@ func RestoreTriangleCounter(r io.Reader) (*TriangleCounter, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &TriangleCounter{wholeStream[*core.Counter]{eng: c, w: w, added: c.Edges()}}, nil
+	return &TriangleCounter{newWholeStream(c, cfg)}, nil
 }
 
 // RestoreParallelTriangleCounter reads a checkpoint written by
 // ParallelTriangleCounter.WriteTo and returns a counter that continues
 // exactly where the original left off. The restored counter answers
 // Snapshot and Estimate queries immediately, bit-identically to the
-// checkpointed state.
-func RestoreParallelTriangleCounter(r io.Reader) (*ParallelTriangleCounter, error) {
-	w, err := readCheckpointHeader(r)
+// checkpointed state. opts are as for RestoreTriangleCounter.
+func RestoreParallelTriangleCounter(r io.Reader, opts ...Option) (*ParallelTriangleCounter, error) {
+	cfg, err := readCheckpointHeader(r, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -74,7 +79,7 @@ func RestoreParallelTriangleCounter(r io.Reader) (*ParallelTriangleCounter, erro
 	if err != nil {
 		return nil, err
 	}
-	return &ParallelTriangleCounter{wholeStream[*core.ShardedCounter]{eng: c, w: w, added: c.Edges()}}, nil
+	return &ParallelTriangleCounter{newWholeStream(c, cfg)}, nil
 }
 
 // WriteTo checkpoints the sliding-window counter's full state — every
@@ -95,9 +100,10 @@ func (s *SlidingWindowCounter) WriteTo(w io.Writer) (int64, error) {
 // exactly where the original left off. Checkpoints written before the
 // windowed estimator moved to chain sampling convert exactly on restore.
 // Corrupt or truncated checkpoints are rejected with an error naming the
-// damage — never restored into undefined estimator state.
-func RestoreSlidingWindowCounter(r io.Reader) (*SlidingWindowCounter, error) {
-	w, err := readCheckpointHeader(r)
+// damage — never restored into undefined estimator state. opts are as
+// for RestoreTriangleCounter.
+func RestoreSlidingWindowCounter(r io.Reader, opts ...Option) (*SlidingWindowCounter, error) {
+	cfg, err := readCheckpointHeader(r, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -105,5 +111,5 @@ func RestoreSlidingWindowCounter(r io.Reader) (*SlidingWindowCounter, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &SlidingWindowCounter{c: c, w: w}, nil
+	return newSlidingWindow(c, cfg), nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 	"sync"
@@ -383,6 +384,66 @@ func TestCountStreamCheckpointRejectsTruncation(t *testing.T) {
 		if _, err := streamtri.RestoreTriangleCounter(bytes.NewReader(ckpt.Bytes()[:cut])); err == nil {
 			t.Fatalf("restoring a checkpoint truncated to %d bytes succeeded", cut)
 		}
+	}
+}
+
+// Ingest options are not checkpointed, so each Restore function takes
+// them again: restored with WithDecodeErrorPolicy, every checkpointed
+// type skips a malformed line of a text source; restored without it,
+// it fails on that line.
+func TestCountStreamRestoreTakesIngestOptions(t *testing.T) {
+	edges := syn3regStream(43)[:300]
+	var dirty bytes.Buffer
+	for i, e := range edges {
+		if i == 250 {
+			dirty.WriteString("not an edge\n")
+		}
+		fmt.Fprintf(&dirty, "%d\t%d\n", e.U, e.V)
+	}
+	type restorable interface {
+		CountStream(context.Context, streamtri.Source) (streamtri.StreamStats, error)
+		WriteTo(io.Writer) (int64, error)
+	}
+	budget := streamtri.WithDecodeErrorPolicy(5)
+	for _, tc := range []struct {
+		name    string
+		c       restorable
+		restore func(io.Reader, ...streamtri.Option) (restorable, error)
+	}{
+		{"TriangleCounter", streamtri.NewTriangleCounter(64, budget),
+			func(r io.Reader, opts ...streamtri.Option) (restorable, error) {
+				return streamtri.RestoreTriangleCounter(r, opts...)
+			}},
+		{"ParallelTriangleCounter", streamtri.NewParallelTriangleCounter(64, 2, budget),
+			func(r io.Reader, opts ...streamtri.Option) (restorable, error) {
+				return streamtri.RestoreParallelTriangleCounter(r, opts...)
+			}},
+		{"SlidingWindowCounter", streamtri.NewSlidingWindowCounter(64, 100, budget),
+			func(r io.Reader, opts ...streamtri.Option) (restorable, error) {
+				return streamtri.RestoreSlidingWindowCounter(r, opts...)
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var ckpt bytes.Buffer
+			if _, err := tc.c.WriteTo(&ckpt); err != nil {
+				t.Fatal(err)
+			}
+			count := func(opts ...streamtri.Option) (streamtri.StreamStats, error) {
+				c, err := tc.restore(bytes.NewReader(ckpt.Bytes()), opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return c.CountStream(context.Background(), streamtri.NewEdgeListSource(bytes.NewReader(dirty.Bytes())))
+			}
+			st, err := count(budget)
+			if err != nil || st.Edges != uint64(len(edges)) || st.BadRecords != 1 {
+				t.Fatalf("restored with the budget: %d edges, %d bad records, %v; want %d, 1, nil",
+					st.Edges, st.BadRecords, err, len(edges))
+			}
+			if _, err := count(); err == nil || !strings.Contains(err.Error(), "line 251") {
+				t.Fatalf("restored without the budget: %v, want a failure at line 251", err)
+			}
+		})
 	}
 }
 

@@ -185,8 +185,10 @@ type wholeStream[E engine] struct {
 	added uint64
 }
 
+// newWholeStream puts the intake in front of eng, which starts at its
+// stream position: 0, or a restored checkpoint's.
 func newWholeStream[E engine](eng E, cfg config) wholeStream[E] {
-	return wholeStream[E]{eng: eng, w: cfg.batchSize, depth: cfg.pipeDepth, ing: cfg.ing}
+	return wholeStream[E]{eng: eng, w: cfg.batchSize, depth: cfg.pipeDepth, ing: cfg.ing, added: eng.Snapshot().Edges()}
 }
 
 // Add appends one stream edge (amortized O(1 + r/w) time). At w = 1 it

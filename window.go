@@ -21,12 +21,11 @@ type SlidingWindowCounter struct {
 // edges with r estimators.
 func NewSlidingWindowCounter(r int, w uint64, opts ...Option) *SlidingWindowCounter {
 	cfg := buildConfig(r, opts)
-	return &SlidingWindowCounter{
-		c:     window.NewCounter(r, w, cfg.seed),
-		w:     cfg.batchSize,
-		depth: cfg.pipeDepth,
-		ing:   cfg.ing,
-	}
+	return newSlidingWindow(window.NewCounter(r, w, cfg.seed), cfg)
+}
+
+func newSlidingWindow(c *window.Counter, cfg config) *SlidingWindowCounter {
+	return &SlidingWindowCounter{c: c, w: cfg.batchSize, depth: cfg.pipeDepth, ing: cfg.ing}
 }
 
 // Add appends one stream edge.
