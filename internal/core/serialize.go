@@ -56,57 +56,43 @@ const (
 	stHasT  = 1 << 2
 )
 
+// recordLen is the length of one NSTC estimator record, and headerLen
+// that of the NSTC header up to its rng bytes.
+const (
+	recordLen = 4*4 + 3*8 + 1
+	headerLen = 4 + 4 + 8 + 8 + 1 + 4
+)
+
 // WriteTo serializes the counter. It implements io.WriterTo.
 func (c *Counter) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	n, err := c.writeTo(bw)
+	rng, err := c.rng.MarshalBinary()
 	if err != nil {
-		return n, err
+		return 0, err
 	}
-	return n, bw.Flush()
+	n, err := w.Write(c.appendTo(make([]byte, 0, c.blobLen(rng)), rng))
+	return int64(n), err
 }
 
-// writeTo emits the NSTC block onto an existing buffered writer without
-// flushing, so several counters can share one writer (the sharded
-// envelope below).
-func (c *Counter) writeTo(bw *bufio.Writer) (int64, error) {
-	n := int64(0)
-	write := func(v any) error {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
-		}
-		n += int64(binary.Size(v))
-		return nil
-	}
-	if err := write(serMagic); err != nil {
-		return n, err
-	}
-	if err := write(uint32(serVersion)); err != nil {
-		return n, err
-	}
-	if err := write(uint64(len(c.ests))); err != nil {
-		return n, err
-	}
-	if err := write(c.m); err != nil {
-		return n, err
-	}
+// blobLen is the length of c's NSTC block with rng as its rng state.
+func (c *Counter) blobLen(rng []byte) int {
+	return headerLen + len(rng) + recordLen*len(c.ests)
+}
+
+// appendTo appends c's NSTC block, with rng as its rng state, to b, so
+// several counters can share one buffer (the sharded envelope below).
+func (c *Counter) appendTo(b, rng []byte) []byte {
+	le := binary.LittleEndian
+	b = append(b, serMagic[:]...)
+	b = le.AppendUint32(b, serVersion)
+	b = le.AppendUint64(b, uint64(len(c.ests)))
+	b = le.AppendUint64(b, c.m)
 	var flags uint8
 	if c.useSkip {
 		flags |= flagUseSkip
 	}
-	if err := write(flags); err != nil {
-		return n, err
-	}
-	rngBytes, err := c.rng.MarshalBinary()
-	if err != nil {
-		return n, err
-	}
-	if err := write(uint32(len(rngBytes))); err != nil {
-		return n, err
-	}
-	if err := write(rngBytes); err != nil {
-		return n, err
-	}
+	b = append(b, flags)
+	b = le.AppendUint32(b, uint32(len(rng)))
+	b = append(b, rng...)
 	for i := range c.ests {
 		est := &c.ests[i]
 		var st uint8
@@ -119,17 +105,16 @@ func (c *Counter) writeTo(bw *bufio.Writer) (int64, error) {
 		if est.hasT {
 			st |= stHasT
 		}
-		rec := []any{
-			est.r1.U, est.r1.V, est.r2.U, est.r2.V,
-			est.r1Pos, est.r2Pos, est.c, st,
-		}
-		for _, v := range rec {
-			if err := write(v); err != nil {
-				return n, err
-			}
-		}
+		b = le.AppendUint32(b, est.r1.U)
+		b = le.AppendUint32(b, est.r1.V)
+		b = le.AppendUint32(b, est.r2.U)
+		b = le.AppendUint32(b, est.r2.V)
+		b = le.AppendUint64(b, est.r1Pos)
+		b = le.AppendUint64(b, est.r2Pos)
+		b = le.AppendUint64(b, est.c)
+		b = append(b, st)
 	}
-	return n, nil
+	return b
 }
 
 // ReadCounterFrom deserializes a counter previously written by WriteTo.
@@ -201,18 +186,17 @@ func readCounter(br *bufio.Reader) (*Counter, error) {
 		rng:     rng,
 		useSkip: flags&flagUseSkip != 0,
 	}
+	var rec [recordLen]byte
+	le := binary.LittleEndian
 	for i := uint64(0); i < rCount; i++ {
+		if _, err := io.ReadFull(br, rec[:]); err != nil {
+			return nil, fmt.Errorf("core: reading estimator %d: %w", i, err)
+		}
 		var est Estimator
-		var st uint8
-		fields := []any{
-			&est.r1.U, &est.r1.V, &est.r2.U, &est.r2.V,
-			&est.r1Pos, &est.r2Pos, &est.c, &st,
-		}
-		for _, f := range fields {
-			if err := read(f); err != nil {
-				return nil, fmt.Errorf("core: reading estimator %d: %w", i, err)
-			}
-		}
+		est.r1.U, est.r1.V = le.Uint32(rec[0:]), le.Uint32(rec[4:])
+		est.r2.U, est.r2.V = le.Uint32(rec[8:]), le.Uint32(rec[12:])
+		est.r1Pos, est.r2Pos, est.c = le.Uint64(rec[16:]), le.Uint64(rec[24:]), le.Uint64(rec[32:])
+		st := rec[40]
 		est.hasR1 = st&stHasR1 != 0
 		est.hasR2 = st&stHasR2 != 0
 		est.hasT = st&stHasT != 0
@@ -255,35 +239,26 @@ func checkRecord(est *Estimator, m uint64) error {
 // WriteTo serializes the sharded counter (the NSTS envelope) at its
 // current batch boundary. Owner-only, like the mutating methods.
 func (sc *ShardedCounter) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	n := int64(0)
-	write := func(v any) error {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
-		}
-		n += int64(binary.Size(v))
-		return nil
-	}
-	if err := write(serShardedMagic); err != nil {
-		return n, err
-	}
-	if err := write(uint32(serShardedVersion)); err != nil {
-		return n, err
-	}
-	if err := write(uint32(len(sc.shards))); err != nil {
-		return n, err
-	}
-	if err := write(sc.m); err != nil {
-		return n, err
-	}
-	for _, s := range sc.shards {
-		sn, err := s.writeTo(bw)
-		n += sn
+	rngs := make([][]byte, len(sc.shards))
+	size := 4 + 4 + 4 + 8
+	for i, s := range sc.shards {
+		rng, err := s.rng.MarshalBinary()
 		if err != nil {
-			return n, err
+			return 0, err
 		}
+		rngs[i] = rng
+		size += s.blobLen(rng)
 	}
-	return n, bw.Flush()
+	le := binary.LittleEndian
+	b := append(make([]byte, 0, size), serShardedMagic[:]...)
+	b = le.AppendUint32(b, serShardedVersion)
+	b = le.AppendUint32(b, uint32(len(sc.shards)))
+	b = le.AppendUint64(b, sc.m)
+	for i, s := range sc.shards {
+		b = s.appendTo(b, rngs[i])
+	}
+	n, err := w.Write(b)
+	return int64(n), err
 }
 
 // ReadShardedCounterFrom deserializes a sharded counter previously
