@@ -426,17 +426,24 @@ func printPerSource(inputs []string, st streamtri.StreamStats) {
 	}
 }
 
-// slurpAll reads every input into one edge slice (inputs concatenate in
-// order) for the buffered modes, deduplicating across files when asked —
-// a duplicate is a duplicate no matter which file it arrived in.
+// slurpAll drains every input's streaming decoder into one edge slice
+// (inputs concatenate in order) for the buffered modes, deduplicating
+// across files when asked — a duplicate is a duplicate no matter which
+// file it arrived in.
 func slurpAll(readers []io.Reader, format string, dedup bool) ([]streamtri.Edge, error) {
 	var all []streamtri.Edge
 	for _, rd := range readers {
-		edges, err := slurp(rd, format)
-		if err != nil {
-			return nil, err
+		src := makeSource(rd, format)
+		for {
+			e, err := src.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				return nil, err
+			}
+			all = append(all, e)
 		}
-		all = append(all, edges...)
 	}
 	if !dedup {
 		return all, nil
@@ -450,34 +457,6 @@ func slurpAll(readers []io.Reader, format string, dedup bool) ([]streamtri.Edge,
 		}
 		seen[c] = struct{}{}
 		out = append(out, e)
-	}
-	return out, nil
-}
-
-// slurp reads one whole stream into memory, sniffing binary flavors so
-// the buffered modes accept temporal exports too (timestamps dropped).
-func slurp(in io.Reader, format string) ([]streamtri.Edge, error) {
-	if format == "binary" {
-		br, f := sniffBinary(in)
-		switch f {
-		case streamtri.FormatTimestampedBinary:
-			return stripTimestampSlice(streamtri.ReadTimestampedBinaryEdges(br))
-		case streamtri.FormatBlockBinary:
-			return stripTimestampSlice(streamtri.ReadBlockBinaryEdges(br))
-		}
-		return streamtri.ReadBinaryEdges(br)
-	}
-	return streamtri.ReadEdgeList(in, false)
-}
-
-// stripTimestampSlice drops the timestamps off a slurped temporal slice.
-func stripTimestampSlice(ts []streamtri.TimestampedEdge, err error) ([]streamtri.Edge, error) {
-	if err != nil {
-		return nil, err
-	}
-	out := make([]streamtri.Edge, len(ts))
-	for i, e := range ts {
-		out[i] = e.E
 	}
 	return out, nil
 }
