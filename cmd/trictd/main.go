@@ -3,9 +3,10 @@
 // behind an HTTP JSON API, ingests each POST in its request handler
 // (every batch decoded from the body is logged, then absorbed; different
 // counters ingest concurrently), and answers estimate queries while
-// ingesting — estimate reads go through the counters' lock-free
-// published snapshots, so a slow query never stalls an ingest and an
-// ingest burst never stalls queries.
+// ingesting — estimate reads load, without a lock, the estimates each
+// counter publishes at every batch boundary, windowed ones included, so
+// a slow query never stalls an ingest and an ingest burst never stalls
+// queries.
 //
 // Usage:
 //

@@ -441,6 +441,14 @@
 // BENCH_core.json tracks ingest throughput with concurrent readers
 // polling.
 //
+// trictd publishes every tenant's estimates at each batch boundary,
+// windowed tenants included, behind one atomic pointer per tenant; the
+// estimate GET and the tenant listing only load it, so they never wait
+// for a POST, a stalled one included. For a windowed tenant that costs
+// one O(r) pass per batch. SlidingWindowCounter has no Snapshot of its
+// own: its Add absorbs one edge at a time, and republishing on every
+// edge would cost O(r) per edge.
+//
 // Durability: with a data directory configured, trictd's contract is
 // that an acked ingest survives any crash. The ingest handler reads a
 // POST body one batch of w edges (the tenant's batch size) at a time,

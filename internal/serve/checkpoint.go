@@ -133,23 +133,13 @@ func (s *Server) checkpointTenant(t *tenant) (bool, error) {
 		t.mu.Unlock()
 		return false, nil
 	}
-	var edges uint64
-	if t.pc != nil {
-		edges = t.pc.Edges()
-	} else {
-		edges = t.sw.StreamLength()
-	}
+	edges := t.edges()
 	if edges == t.ckptEdges {
 		t.mu.Unlock()
 		return false, nil
 	}
 	var blob bytes.Buffer
-	var err error
-	if t.pc != nil {
-		_, err = t.pc.WriteTo(&blob)
-	} else {
-		_, err = t.sw.WriteTo(&blob)
-	}
+	_, err := t.c.WriteTo(&blob)
 	if err == nil {
 		t.ckptEdges = edges
 	}

@@ -164,6 +164,18 @@ func oracleBlob(t *testing.T, ct crashTenant, n uint64) []byte {
 	return blob.Bytes()
 }
 
+// counterEdges reads a tenant's stream position from its counter
+// itself, not from the estimates the tenant published.
+func counterEdges(tn *tenant) uint64 {
+	switch c := tn.c.(type) {
+	case *streamtri.ParallelTriangleCounter:
+		return c.Edges()
+	case *streamtri.SlidingWindowCounter:
+		return c.StreamLength()
+	}
+	panic(fmt.Sprintf("tenant %q holds a %T", tn.name, tn.c))
+}
+
 // verifyRecovered asserts the crash-consistency contract for every
 // tenant whose create was acked: the tenant exists, its stream position
 // covers every acked edge, and its serialized state is bit-identical to
@@ -179,17 +191,9 @@ func verifyRecovered(t *testing.T, s *Server, acked map[string]uint64) {
 		if tn == nil {
 			t.Fatalf("tenant %q lost after crash (acked through %d)", ct.name, ackedPos)
 		}
-		var pos uint64
+		pos := counterEdges(tn)
 		var blob bytes.Buffer
-		var err error
-		if tn.pc != nil {
-			pos = tn.pc.Edges()
-			_, err = tn.pc.WriteTo(&blob)
-		} else {
-			pos = tn.sw.StreamLength()
-			_, err = tn.sw.WriteTo(&blob)
-		}
-		if err != nil {
+		if _, err := tn.c.WriteTo(&blob); err != nil {
 			t.Fatalf("tenant %q: WriteTo after recovery: %v", ct.name, err)
 		}
 		if pos < ackedPos {
@@ -294,13 +298,7 @@ func TestServeWALReplayWithoutCheckpoint(t *testing.T) {
 		if tn == nil {
 			t.Fatalf("tenant %q lost", name)
 		}
-		var pos uint64
-		if tn.pc != nil {
-			pos = tn.pc.Edges()
-		} else {
-			pos = tn.sw.StreamLength()
-		}
-		if pos != want {
+		if pos := counterEdges(tn); pos != want {
 			t.Fatalf("tenant %q recovered to %d, want %d", name, pos, want)
 		}
 	}
@@ -400,11 +398,11 @@ func checkGenerationFallback(t *testing.T, damage func([]byte) []byte) {
 	if tn.ckptEdges != older.pos {
 		t.Fatalf("recovered from generation at %d, want fallback to %d", tn.ckptEdges, older.pos)
 	}
-	if got := tn.pc.Edges(); got != acked {
+	if got := counterEdges(tn); got != acked {
 		t.Fatalf("recovered to %d edges, want %d", got, acked)
 	}
 	var blob bytes.Buffer
-	if _, err := tn.pc.WriteTo(&blob); err != nil {
+	if _, err := tn.c.WriteTo(&blob); err != nil {
 		t.Fatal(err)
 	}
 	if want := oracleBlob(t, ct, acked); !bytes.Equal(blob.Bytes(), want) {
@@ -434,7 +432,7 @@ func TestServeRecoveryQuarantineOneBadTenant(t *testing.T) {
 	goodBlob := func(srv *Server) []byte {
 		tn := srv.lookup("ws")
 		var blob bytes.Buffer
-		if _, err := tn.pc.WriteTo(&blob); err != nil {
+		if _, err := tn.c.WriteTo(&blob); err != nil {
 			t.Fatal(err)
 		}
 		return blob.Bytes()
@@ -554,12 +552,12 @@ func TestServeWALTornTailRecovery(t *testing.T) {
 				wantEdges = b.edges
 			}
 		}
-		if got := tn.pc.Edges(); got != wantEdges {
+		if got := counterEdges(tn); got != wantEdges {
 			abandonServer(s2)
 			t.Fatalf("truncation at %d: recovered %d edges, want %d", off, got, wantEdges)
 		}
 		var blob bytes.Buffer
-		if _, err := tn.pc.WriteTo(&blob); err != nil {
+		if _, err := tn.c.WriteTo(&blob); err != nil {
 			t.Fatal(err)
 		}
 		if want := oracleBlob(t, ct, wantEdges); !bytes.Equal(blob.Bytes(), want) {

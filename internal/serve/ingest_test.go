@@ -24,10 +24,7 @@ func logAndCounterPos(t *testing.T, s *Server, name string) (wal, counter uint64
 	}
 	tn.mu.Lock()
 	defer tn.mu.Unlock()
-	if tn.pc != nil {
-		return tn.wal.pos, tn.pc.Edges()
-	}
-	return tn.wal.pos, tn.sw.StreamLength()
+	return tn.wal.pos, counterEdges(tn)
 }
 
 // verifyRecoveredAt restarts a durable server from dir after the kill
@@ -46,16 +43,9 @@ func verifyRecoveredAt(t *testing.T, s *Server, dir string, ct crashTenant, pos 
 	if tn == nil {
 		t.Fatalf("tenant %q lost across restart", ct.name)
 	}
+	got := counterEdges(tn)
 	var blob bytes.Buffer
-	var got uint64
-	if tn.pc != nil {
-		got = tn.pc.Edges()
-		_, err = tn.pc.WriteTo(&blob)
-	} else {
-		got = tn.sw.StreamLength()
-		_, err = tn.sw.WriteTo(&blob)
-	}
-	if err != nil {
+	if _, err := tn.c.WriteTo(&blob); err != nil {
 		t.Fatalf("WriteTo after recovery: %v", err)
 	}
 	if got != pos {

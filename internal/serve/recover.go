@@ -117,14 +117,9 @@ func (s *Server) recoverTenant(name string) (*tenant, error) {
 // restoreAndReplay builds the tenant from one checkpoint candidate (nil
 // = fresh counter at position zero) plus the WAL tail.
 func (s *Server) restoreAndReplay(name string, cfg CounterConfig, gen *generation) (*tenant, error) {
-	t := &tenant{name: name, cfg: cfg}
-	var base uint64
+	var c counter
 	if gen == nil {
-		if cfg.Window > 0 {
-			t.sw = streamtri.NewSlidingWindowCounter(cfg.R, cfg.Window, cfg.options()...)
-		} else {
-			t.pc = streamtri.NewParallelTriangleCounter(cfg.R, cfg.P, cfg.options()...)
-		}
+		c = newCounter(cfg)
 	} else {
 		f, err := os.Open(gen.path)
 		if err != nil {
@@ -134,36 +129,26 @@ func (s *Server) restoreAndReplay(name string, cfg CounterConfig, gen *generatio
 		// blob holds; both decoders reject the other's magic by name, so a
 		// meta/blob mismatch fails this candidate loudly.
 		if cfg.Window > 0 {
-			t.sw, err = streamtri.RestoreSlidingWindowCounter(f)
-			if err == nil {
-				base = t.sw.StreamLength()
-			}
+			c, err = streamtri.RestoreSlidingWindowCounter(f)
 		} else {
-			t.pc, err = streamtri.RestoreParallelTriangleCounter(f)
-			if err == nil {
-				base = t.pc.Edges()
-			}
+			c, err = streamtri.RestoreParallelTriangleCounter(f)
 		}
 		f.Close()
 		if err != nil {
 			return nil, err
 		}
-		if !gen.legacy && base != gen.pos {
-			return nil, fmt.Errorf("generation file claims position %d but blob holds %d edges", gen.pos, base)
-		}
+	}
+	t := newTenant(name, cfg, c)
+	base := t.edges()
+	if gen != nil && !gen.legacy && base != gen.pos {
+		return nil, fmt.Errorf("generation file claims position %d but blob holds %d edges", gen.pos, base)
 	}
 	if err := s.replayWAL(t, base); err != nil {
 		return nil, fmt.Errorf("replaying wal past position %d: %w", base, err)
 	}
 	t.ckptEdges = base
 	if s.dataDir != "" {
-		var pos uint64
-		if t.pc != nil {
-			pos = t.pc.Edges()
-		} else {
-			pos = t.sw.StreamLength()
-		}
-		t.wal = newWALWriter(s.dataDir, name, pos, s.policy, s.faults)
+		t.wal = newWALWriter(s.dataDir, name, t.edges(), s.policy, s.faults)
 	}
 	return t, nil
 }
@@ -258,11 +243,7 @@ func (s *Server) replaySegment(t *tenant, path string, pos, base uint64, bufp *[
 				// but feed the uncovered tail rather than double-counting.
 				feed = edges[base-pos:]
 			}
-			if t.pc != nil {
-				t.pc.AddBatch(feed)
-			} else {
-				t.sw.AddBatch(feed)
-			}
+			t.absorb(feed)
 		}
 		pos = next
 	}

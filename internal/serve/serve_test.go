@@ -8,9 +8,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"streamtri"
 	"streamtri/internal/gen"
@@ -262,6 +264,42 @@ func TestServeWindowedTenant(t *testing.T) {
 	}
 }
 
+// TestServeWindowedConfigIgnoresP: p has no effect on a windowed tenant,
+// so it is normalized to 1 — at create, where it then cannot make two
+// equal windows conflict, and at recovery, where an older metadata file
+// may still carry whatever p a create sent.
+func TestServeWindowedConfigIgnoresP(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "old.json"), []byte(`{"name":"old","config":{"r":64,"p":-7,"window":100}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, dir)
+	for _, tc := range []struct {
+		name, cfg string
+		want      int
+	}{
+		{"w1", `{"r":64,"window":100,"p":3}`, http.StatusCreated},
+		{"w1", `{"r":64,"window":100}`, http.StatusOK},
+		{"w2", `{"r":64,"window":100,"p":-7}`, http.StatusCreated},
+	} {
+		if code := doJSON(t, http.MethodPut, ts.URL+"/v1/counters/"+tc.name, strings.NewReader(tc.cfg), nil); code != tc.want {
+			t.Fatalf("PUT %s %s: status %d, want %d", tc.name, tc.cfg, code, tc.want)
+		}
+	}
+	var list []CounterInfo
+	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/counters", nil, &list); code != http.StatusOK {
+		t.Fatalf("list: status %d", code)
+	}
+	if len(list) != 3 {
+		t.Fatalf("list = %+v, want old, w1 and w2", list)
+	}
+	for _, info := range list {
+		if info.Config.P != 1 {
+			t.Fatalf("windowed tenant %s listed with p = %d, want 1", info.Name, info.Config.P)
+		}
+	}
+}
+
 // TestServeIngestErrorReportsProgress: a malformed body fails the POST
 // but leaves the tenant valid and still serving.
 func TestServeIngestErrorReportsProgress(t *testing.T) {
@@ -283,13 +321,16 @@ func TestServeIngestErrorReportsProgress(t *testing.T) {
 }
 
 // TestServeQueriesDuringIngest is the serving story under -race: several
-// goroutines POST edge chunks to two tenants while others poll
-// estimates; estimate reads must never block on or race with ingestion.
+// goroutines POST edge chunks to two whole-stream tenants and a windowed
+// one while others poll estimates; estimate reads must never block on
+// or race with ingestion.
 func TestServeQueriesDuringIngest(t *testing.T) {
 	_, ts := newTestServer(t, "")
 	edges := testEdges(t, 79, 4000)
-	for _, name := range []string{"a", "b"} {
-		if code := createCounter(t, ts.URL, name, CounterConfig{R: 128, P: 2, Seed: 21}); code != http.StatusCreated {
+	names := []string{"a", "b", "w"}
+	cfgs := []CounterConfig{{R: 128, P: 2, Seed: 21}, {R: 128, P: 2, Seed: 21}, {R: 128, Window: 1000, Seed: 21}}
+	for i, name := range names {
+		if code := createCounter(t, ts.URL, name, cfgs[i]); code != http.StatusCreated {
 			t.Fatalf("create %s: status %d", name, code)
 		}
 	}
@@ -297,7 +338,7 @@ func TestServeQueriesDuringIngest(t *testing.T) {
 	const chunks = 8
 	total := uint64(len(edges) / chunks * chunks)
 	var writers sync.WaitGroup
-	for _, name := range []string{"a", "b"} {
+	for _, name := range names {
 		writers.Add(1)
 		go func(name string) {
 			defer writers.Done()
@@ -314,11 +355,11 @@ func TestServeQueriesDuringIngest(t *testing.T) {
 	}
 	var readers sync.WaitGroup
 	done := make(chan struct{})
-	for g := 0; g < 4; g++ {
+	for g := 0; g < 6; g++ {
 		readers.Add(1)
 		go func(g int) {
 			defer readers.Done()
-			name := []string{"a", "b"}[g%2]
+			name := names[g%len(names)]
 			var last uint64
 			for {
 				select {
@@ -339,10 +380,81 @@ func TestServeQueriesDuringIngest(t *testing.T) {
 	close(done)
 	readers.Wait()
 
-	for _, name := range []string{"a", "b"} {
+	for _, name := range names {
 		if est := getEstimate(t, ts.URL, name); est.Edges != total {
 			t.Fatalf("tenant %s final edges = %d, want %d", name, est.Edges, total)
 		}
+	}
+}
+
+// TestServeReadsDuringStalledPost: a POST whose body stalls mid-batch
+// holds a windowed tenant's ingest lock, yet the estimate and the
+// listing answer at once, from the last batch boundary.
+func TestServeReadsDuringStalledPost(t *testing.T) {
+	_, ts := newTestServer(t, "")
+	cfg := CounterConfig{R: 64, Window: 1000, Seed: 5, BatchSize: 64}
+	if code := createCounter(t, ts.URL, "win", cfg); code != http.StatusCreated {
+		t.Fatalf("create: status %d", code)
+	}
+	edges := testEdges(t, 83, 100)[:200]
+
+	body, stall := io.Pipe()
+	defer stall.Close() // lets the POST finish if the test fails early
+	type posted struct {
+		code int
+		res  IngestResult
+		err  error
+	}
+	done := make(chan posted, 1)
+	go func() {
+		var p posted
+		resp, err := http.Post(ts.URL+"/v1/counters/win/edges", "text/plain", body)
+		if p.err = err; err == nil {
+			p.code = resp.StatusCode
+			p.err = json.NewDecoder(resp.Body).Decode(&p.res)
+			resp.Body.Close()
+		}
+		done <- p
+	}()
+	if _, err := stall.Write(textBody(t, edges).Bytes()); err != nil {
+		t.Fatal(err)
+	}
+
+	// 200 edges are three full batches of 64 and 8 edges of a fourth,
+	// which waits for the rest of the body.
+	client := &http.Client{Timeout: 2 * time.Second}
+	get := func(path string, out any) {
+		t.Helper()
+		resp, err := client.Get(ts.URL + path)
+		if err != nil {
+			t.Fatalf("GET %s during a stalled POST: %v", path, err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s during a stalled POST: status %d", path, resp.StatusCode)
+		}
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const boundary = 3 * 64
+	var est EstimateResult
+	for deadline := time.Now().Add(10 * time.Second); est.Edges != boundary; {
+		if est.Edges > boundary || time.Now().After(deadline) {
+			t.Fatalf("estimate during a stalled POST at %d edges, want %d", est.Edges, boundary)
+		}
+		get("/v1/counters/win/estimate", &est)
+	}
+	var list []CounterInfo
+	get("/v1/counters", &list)
+	if len(list) != 1 || list[0].Edges != boundary {
+		t.Fatalf("listing during a stalled POST = %+v, want win at %d edges", list, boundary)
+	}
+
+	stall.Close()
+	p := <-done
+	if p.err != nil || p.code != http.StatusOK || p.res.Edges != 200 || p.res.TotalEdges != 200 {
+		t.Fatalf("POST after the stall: status %d, %+v, %v; want 200 edges", p.code, p.res, p.err)
 	}
 }
 

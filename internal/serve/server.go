@@ -1,10 +1,10 @@
 // Package serve is the resident serving layer behind cmd/trictd: a
 // registry of named counters (one per tenant/graph) exposed over an
 // HTTP JSON API, with ingestion in the request handler (each batch
-// decoded from the body is logged, then absorbed), lock-free estimate
-// reads via the counters' published snapshots, and crash-consistent
-// durability: every ingest batch is written ahead to a per-tenant
-// segmented log (wal.go) before the counter sees it, periodic
+// decoded from the body is logged, then absorbed), lock-free reads of
+// the estimates each tenant publishes at every batch boundary, and
+// crash-consistent durability: every ingest batch is written ahead to a
+// per-tenant segmented log (wal.go) before the counter sees it, periodic
 // checkpoint generations bound replay time (checkpoint.go), and
 // recovery restores the newest valid generation plus the WAL tail
 // (recover.go) — bit-identical to a process that never crashed.
@@ -23,8 +23,9 @@
 //
 // Concurrency model: each tenant has one ingest lock, so concurrent
 // edge POSTs to the same tenant serialize (different tenants ingest in
-// parallel); estimate GETs on whole-stream tenants read the published
-// snapshot and never wait on ingestion.
+// parallel). Every tenant, whole-stream or windowed, publishes its
+// estimates at each batch boundary; estimate GETs and the tenant
+// listing read them and never wait on ingestion.
 package serve
 
 import (
@@ -37,6 +38,7 @@ import (
 	"regexp"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"streamtri"
@@ -50,8 +52,8 @@ type CounterConfig struct {
 	// P is the number of shards the R estimators are split into
 	// (default 1; must satisfy 1 <= P <= R). It fixes the shard seeds,
 	// so the tenant's estimates and checkpoints depend on it; the shards
-	// run one after another in the ingesting goroutine. Ignored for
-	// windowed tenants.
+	// run one after another in the ingesting goroutine. Windowed tenants
+	// have no shards, and their P is always 1.
 	P int `json:"p,omitempty"`
 	// Window, when nonzero, makes the tenant a sliding-window counter
 	// over the last Window edges instead of a whole-stream counter.
@@ -70,10 +72,12 @@ func (c *CounterConfig) normalize() error {
 	if c.R < 1 {
 		return fmt.Errorf("r must be >= 1, got %d", c.R)
 	}
-	if c.P == 0 {
+	if c.P == 0 || c.Window > 0 {
+		// A windowed tenant's p has no effect, so it takes the value an
+		// omitted p gets and cannot make two equal windows conflict.
 		c.P = 1
 	}
-	if c.Window == 0 && (c.P < 1 || c.P > c.R) {
+	if c.P < 1 || c.P > c.R {
 		return fmt.Errorf("p must satisfy 1 <= p <= r, got r=%d p=%d", c.R, c.P)
 	}
 	if c.Seed == 0 {
@@ -109,27 +113,75 @@ func (c CounterConfig) effectiveBatchSize() int {
 	return w
 }
 
-// tenant is one named counter plus its ingest lock. Exactly one of pc
-// (whole-stream) and sw (windowed) is non-nil; both are durable.
+// counter is what a tenant calls on its counter, whichever kind it is:
+// *streamtri.ParallelTriangleCounter for a whole-stream tenant,
+// *streamtri.SlidingWindowCounter for a windowed one.
+type counter interface {
+	AddBatch([]streamtri.Edge)
+	WriteTo(io.Writer) (int64, error)
+}
+
+// newCounter builds a fresh counter of the kind cfg names.
+func newCounter(cfg CounterConfig) counter {
+	if cfg.Window > 0 {
+		return streamtri.NewSlidingWindowCounter(cfg.R, cfg.Window, cfg.options()...)
+	}
+	return streamtri.NewParallelTriangleCounter(cfg.R, cfg.P, cfg.options()...)
+}
+
+// tenant is one named counter, its ingest lock, and the estimates it
+// published at its last batch boundary; both kinds are durable.
 type tenant struct {
 	name string
 	cfg  CounterConfig
 
-	// mu serializes ingestion, checkpointing, windowed estimates, and
-	// teardown. Whole-stream estimate reads deliberately do NOT take it:
-	// they go through the counter's atomically-published snapshot.
+	// mu serializes ingestion, checkpointing, and teardown. Reads do NOT
+	// take it: they load est.
 	mu     sync.Mutex
 	closed bool
-	pc     *streamtri.ParallelTriangleCounter
-	sw     *streamtri.SlidingWindowCounter
+	c      counter
+	est    atomic.Pointer[EstimateResult]
 
 	// wal is the tenant's write-ahead log; nil on volatile servers.
 	wal *walWriter
 
 	// ckptEdges is the edge count captured by the last checkpoint
-	// (under mu); checkpoints are skipped while it matches Edges().
+	// (under mu); checkpoints are skipped while it matches edges().
 	ckptEdges uint64
 }
+
+// newTenant wraps c and publishes its estimates before any read can come.
+func newTenant(name string, cfg CounterConfig, c counter) *tenant {
+	t := &tenant{name: name, cfg: cfg, c: c}
+	t.publish()
+	return t
+}
+
+// absorb feeds one batch, from an ingest POST or a WAL replay, to the
+// counter and publishes the estimates at the new batch boundary. The
+// caller holds mu or has not registered the tenant yet.
+func (t *tenant) absorb(batch []streamtri.Edge) {
+	t.c.AddBatch(batch)
+	t.publish()
+}
+
+// publish stores the counter's estimates for lock-free readers; for a
+// windowed counter that is one pass over its r chain heads.
+func (t *tenant) publish() {
+	var est EstimateResult
+	switch c := t.c.(type) {
+	case *streamtri.ParallelTriangleCounter:
+		s := c.Snapshot()
+		est = EstimateResult{Edges: s.Edges, Triangles: s.Triangles, Wedges: s.Wedges, Transitivity: s.Transitivity}
+	case *streamtri.SlidingWindowCounter:
+		est = EstimateResult{Edges: c.StreamLength(), Triangles: c.EstimateTriangles(), WindowEdges: c.WindowEdges()}
+	}
+	t.est.Store(&est)
+}
+
+// edges is the stream length at the last batch boundary. Under mu it is
+// the counter's own length: every batch is published as it is absorbed.
+func (t *tenant) edges() uint64 { return t.est.Load().Edges }
 
 // Server is the tenant registry. Create with NewServer (which recovers
 // checkpointed tenants from dataDir) and mount Handler on an
@@ -249,15 +301,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 
 	out := make([]CounterInfo, 0, len(tenants))
 	for _, t := range tenants {
-		info := CounterInfo{Name: t.name, Config: t.cfg}
-		if t.pc != nil {
-			info.Edges = t.pc.Snapshot().Edges
-		} else {
-			t.mu.Lock()
-			info.Edges = t.sw.StreamLength()
-			t.mu.Unlock()
-		}
-		out = append(out, info)
+		out = append(out, CounterInfo{Name: t.name, Config: t.cfg, Edges: t.edges()})
 	}
 	writeJSON(w, http.StatusOK, out)
 }
@@ -298,12 +342,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusConflict, "counter %q exists with different config", name)
 		return
 	}
-	t := &tenant{name: name, cfg: cfg}
-	if cfg.Window > 0 {
-		t.sw = streamtri.NewSlidingWindowCounter(cfg.R, cfg.Window, cfg.options()...)
-	} else {
-		t.pc = streamtri.NewParallelTriangleCounter(cfg.R, cfg.P, cfg.options()...)
-	}
+	t := newTenant(name, cfg, newCounter(cfg))
 	if s.dataDir != "" {
 		// Persist the metadata before acking the create: recovery keys
 		// off it, so an acked tenant must exist after a crash even before
@@ -409,11 +448,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
-		if t.pc != nil {
-			t.pc.AddBatch(buf[:n])
-		} else {
-			t.sw.AddBatch(buf[:n])
-		}
+		t.absorb(buf[:n])
 		edges += uint64(n)
 	}
 	if err != io.EOF {
@@ -430,13 +465,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	res := IngestResult{Edges: edges}
-	if t.pc != nil {
-		res.TotalEdges = t.pc.Edges()
-	} else {
-		res.TotalEdges = t.sw.StreamLength()
-	}
-	writeJSON(w, http.StatusOK, res)
+	writeJSON(w, http.StatusOK, IngestResult{Edges: edges, TotalEdges: t.edges()})
 }
 
 // bodySource builds a bulk decoder over the request body. The format
@@ -485,8 +514,8 @@ func bodySource(r *http.Request) (stream.BatchFiller, error) {
 // snapshot of the tenant's estimates.
 type EstimateResult struct {
 	// Edges is the stream prefix the estimates reflect: the last batch
-	// boundary for whole-stream tenants (edges of an in-flight POST may
-	// not be included yet), the full stream for windowed ones.
+	// boundary, for both kinds of tenant (edges of an in-flight POST may
+	// not be included yet).
 	Edges uint64 `json:"edges"`
 	// Triangles is τ̂. For windowed tenants it covers the current window.
 	Triangles float64 `json:"triangles"`
@@ -504,31 +533,9 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "no counter %q", name)
 		return
 	}
-	if t.pc != nil {
-		// The serving read path: no locks, never blocked by an in-flight
-		// ingest — the snapshot published at the last batch boundary.
-		snap := t.pc.Snapshot()
-		writeJSON(w, http.StatusOK, EstimateResult{
-			Edges:        snap.Edges,
-			Triangles:    snap.Triangles,
-			Wedges:       snap.Wedges,
-			Transitivity: snap.Transitivity,
-		})
-		return
-	}
-	// The window estimator has no snapshot read path; estimates take the
-	// ingest lock and wait for any in-flight POST.
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		httpError(w, http.StatusNotFound, "no counter %q", name)
-		return
-	}
-	writeJSON(w, http.StatusOK, EstimateResult{
-		Edges:       t.sw.StreamLength(),
-		Triangles:   t.sw.EstimateTriangles(),
-		WindowEdges: t.sw.WindowEdges(),
-	})
+	// The serving read path: no locks, never blocked by an in-flight
+	// ingest — the estimates published at the last batch boundary.
+	writeJSON(w, http.StatusOK, t.est.Load())
 }
 
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {

@@ -11,7 +11,10 @@
 # byte-identical to the pre-kill one for every tenant, windowed
 # included (the NSTW checkpoint path). This is the durability claim
 # the serve tests make, proven against the real binary, real sockets,
-# and a real kill.
+# and a real kill. A last leg streams a POST into a fifth, windowed
+# tenant from a pipe that stalls mid-batch, and asserts that its
+# estimate keeps answering, from the last batch boundary, while the
+# POST holds the tenant's ingest lock.
 set -euo pipefail
 
 GO=${GO:-go}
@@ -134,5 +137,39 @@ check_recovered tb "$EST_B"
 check_recovered tc "$EST_C"
 check_recovered tw "$EST_W"
 
+# Reads never wait on ingestion: r=64 makes the batch size w=512, and
+# the body stalls after 2.5 batches, inside the third, so the tenant
+# holds two batches while the POST holds its ingest lock.
+curl -fsS -X PUT -d '{"r":64,"window":4000,"seed":28}' "http://$ADDR/v1/counters/ts" >/dev/null
+head -n 1280 "$WORK/edges-a.txt" >"$WORK/partial.txt"
+mkfifo "$WORK/stall"
+curl -fsS -X POST -T - "http://$ADDR/v1/counters/ts/edges" <"$WORK/stall" >"$WORK/ingest-s.json" &
+INGEST_S=$!
+exec 3>"$WORK/stall"
+cat "$WORK/partial.txt" >&3
+for i in $(seq 1 100); do
+	if ! EST_S=$(curl -fsS --max-time 2 "http://$ADDR/v1/counters/ts/estimate"); then
+		echo "smoke-serve: FAIL — estimate did not answer within 2s behind a stalled POST" >&2
+		exit 1
+	fi
+	case "$EST_S" in *'"edges":1024,'*) break ;; esac
+	if [ "$i" = 100 ]; then
+		echo "smoke-serve: FAIL — estimate behind a stalled POST never reached two batches: $EST_S" >&2
+		exit 1
+	fi
+	sleep 0.1
+done
+curl -fsS --max-time 2 "http://$ADDR/v1/counters" >/dev/null
+echo "smoke-serve: estimate behind a stalled POST: $EST_S"
+exec 3>&-
+wait "$INGEST_S"
+case "$(cat "$WORK/ingest-s.json")" in
+*'"edges":1280,'*) ;;
+*)
+	echo "smoke-serve: FAIL — stalled POST answered $(cat "$WORK/ingest-s.json"), want 1280 edges" >&2
+	exit 1
+	;;
+esac
+
 stop_daemon
-echo "smoke-serve: OK — recovered estimates bit-identical across restart (SIGTERM and SIGKILL, windowed included)"
+echo "smoke-serve: OK — recovered estimates bit-identical across restart (SIGTERM and SIGKILL, windowed included); reads answered behind a stalled POST"
