@@ -334,6 +334,13 @@
 // 64 KiB uncompressed payload); a final partial block is normal. An
 // empty stream is the bare magic.
 //
+// trictd's write-ahead log is a v2 stream too. Its writer
+// (BlockWriter.AppendEdgeBlock in internal/stream) logs each batch as
+// one block in that same delta layout, with every timestamp zero:
+// minTS = maxTS = 0 and each record u32 U, u32 V and the one-byte
+// varint of a zero delta, 9 bytes where the uncompressed layout takes
+// 16. It is no new layout, so every v2 reader decodes it.
+//
 // The declared bounds are load-bearing: the reader verifies every
 // timestamp lies within [minTS, maxTS] and fails the stream on a lying
 // header, because the ordered merge trusts maxTS to skip comparisons
@@ -453,14 +460,17 @@
 // that an acked ingest survives any crash. The ingest handler reads a
 // POST body one batch of w edges (the tenant's batch size) at a time,
 // appends the batch to a per-tenant segmented write-ahead log as one
-// self-checksummed block (the v2 block format), and only then hands the
-// same batch to the counter. The log's blocks are thus the counter's
-// batches, and a batch the log refused never reaches the counter; a
-// request that fails mid-body (a malformed record, a dropped client)
-// leaves both at the same batch boundary. Under the default -wal-sync
-// always the segment is fsynced before the ack, so the 200 means "on
-// disk", not "in page cache". -wal-sync interval trades that for one
-// background fsync per -wal-sync-interval (bounding loss to the
+// self-checksummed block (the v2 block format, 9 bytes per edge in its
+// delta layout; see Binary formats), and only then hands the same batch
+// to the counter. The log's blocks are thus the counter's batches, and
+// a batch the log refused never reaches the counter; a request that
+// fails mid-body (a malformed record, a dropped client) leaves both at
+// the same batch boundary. Every v2 reader reads both block layouts, so
+// recovery also replays logs that earlier builds wrote at 16 bytes per
+// edge, and earlier builds replay the 9-byte log. Under the default
+// -wal-sync always the segment is fsynced before the ack, so the 200
+// means "on disk", not "in page cache". -wal-sync interval trades that
+// for one background fsync per -wal-sync-interval (bounding loss to the
 // interval on power failure; a plain process kill still loses nothing
 // the OS accepted), and -wal-sync none leaves flushing entirely to the
 // OS — the policy is the knob between ack latency and the power-loss

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"streamtri"
+	"streamtri/internal/stream"
 )
 
 // abandonServer models kill -9: the fault injector latches down (so no
@@ -500,7 +501,8 @@ func TestServeWALTornTailRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Layout: 8-byte magic, then one block per 100-edge ingest batch
-	// (short final batch), each a 32-byte header + 16 bytes per record.
+	// (short final batch), each a 32-byte header +
+	// stream.EdgeBlockRecordBytes per record.
 	type boundary struct {
 		off   int    // byte offset where the block ends
 		edges uint64 // stream position at that boundary
@@ -513,7 +515,7 @@ func TestServeWALTornTailRecovery(t *testing.T) {
 		}
 		got += n
 		prev := bounds[len(bounds)-1]
-		bounds = append(bounds, boundary{prev.off + 32 + 16*n, prev.edges + uint64(n)})
+		bounds = append(bounds, boundary{prev.off + 32 + stream.EdgeBlockRecordBytes*n, prev.edges + uint64(n)})
 	}
 	if want := bounds[len(bounds)-1].off; len(whole) != want {
 		t.Fatalf("segment is %d bytes, want %d (%d edges)", len(whole), want, len(edges))
@@ -566,6 +568,97 @@ func TestServeWALTornTailRecovery(t *testing.T) {
 		}
 		abandonServer(s2)
 	}
+}
+
+// TestServeRecoversSixteenByteWAL: a data dir whose WAL holds the
+// 16-byte uncompressed records that earlier builds logged (one block per
+// ingest batch, zero timestamps) recovers bit-identically; later bodies
+// go to a new segment in AppendEdgeBlock's layout, and a second
+// recovery replays both segments bit-identically too.
+func TestServeRecoversSixteenByteWAL(t *testing.T) {
+	dir := t.TempDir()
+	tenants := crashWorkloadTenants(t)
+	s, ts := newTestServer(t, dir)
+	for _, ct := range tenants {
+		if code := createCounter(t, ts.URL, ct.name, ct.cfg); code != http.StatusCreated {
+			t.Fatalf("create %s: %d", ct.name, code)
+		}
+	}
+	abandonServer(s)
+
+	// Each tenant's first body, logged the earlier way: the writer cuts a
+	// block every batch-size records and Close writes the short final
+	// one, so the blocks are the ingest batches.
+	acked := make(map[string]uint64)
+	for _, ct := range tenants {
+		body, w := ct.bodies[0], ct.cfg.effectiveBatchSize()
+		f, err := os.Create(walSegPath(dir, ct.name, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bw := stream.NewBlockWriter(f, stream.WithBlockRecords(w))
+		for _, e := range body {
+			if err := bw.Write(stream.TimestampedEdge{E: e}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := bw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		blocks := (len(body) + w - 1) / w
+		if fi, err := os.Stat(walSegPath(dir, ct.name, 0)); err != nil || fi.Size() != int64(8+32*blocks+16*len(body)) {
+			t.Fatalf("%s: hand-written segment is not %d blocks of 16-byte records: %v, %v", ct.name, blocks, fi, err)
+		}
+		acked[ct.name] = uint64(len(body))
+	}
+
+	recoverAt := func(acked map[string]uint64) *Server {
+		t.Helper()
+		s, err := NewServer(dir, WithLogf(t.Logf))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, want := range acked {
+			tn := s.lookup(name)
+			if tn == nil {
+				t.Fatalf("tenant %q lost", name)
+			}
+			if pos := counterEdges(tn); pos != want {
+				t.Fatalf("tenant %q recovered to %d, want %d", name, pos, want)
+			}
+		}
+		verifyRecovered(t, s, acked)
+		return s
+	}
+	s2 := recoverAt(acked)
+	ts2 := httptest.NewServer(s2.Handler())
+	defer ts2.Close()
+	for _, ct := range tenants {
+		for _, body := range ct.bodies[1:] {
+			var res IngestResult
+			if code := doJSON(t, http.MethodPost, ts2.URL+"/v1/counters/"+ct.name+"/edges?format=binary",
+				binaryBody(t, body), &res); code != http.StatusOK {
+				t.Fatalf("ingest %s: %d", ct.name, code)
+			}
+			acked[ct.name] = res.TotalEdges
+		}
+		segs, err := listWALSegments(dir, ct.name)
+		if err != nil || len(segs) != 2 || segs[1].start != uint64(len(ct.bodies[0])) {
+			t.Fatalf("%s: want the old segment and a new one at %d, got %v (%v)", ct.name, len(ct.bodies[0]), segs, err)
+		}
+		w, want := ct.cfg.effectiveBatchSize(), 8
+		for _, body := range ct.bodies[1:] {
+			want += 32*((len(body)+w-1)/w) + stream.EdgeBlockRecordBytes*len(body)
+		}
+		if fi, err := os.Stat(segs[1].path); err != nil || fi.Size() != int64(want) {
+			t.Fatalf("%s: new segment is not %d bytes of AppendEdgeBlock blocks: %v, %v", ct.name, want, fi, err)
+		}
+	}
+	abandonServer(s2)
+	defer abandonServer(recoverAt(acked))
 }
 
 // TestServeWALRotationAndPruning: checkpoints rotate the log and prune

@@ -21,7 +21,11 @@ import (
 // what makes replay bit-identical (batch boundaries feed the
 // estimators' randomness), and an acked POST's edges are on disk
 // (under FsyncAlways, fsynced) even if the process dies before the next
-// checkpoint. Segment files are named
+// checkpoint. The block is stream.BlockWriter.AppendEdgeBlock's: the
+// format's varint-delta layout with zero timestamps, 9 bytes per edge.
+// Replay reads it and the 16-byte uncompressed blocks earlier builds
+// logged alike, so a data dir moves between the two builds in either
+// direction. Segment files are named
 //
 //	<name>.wal.<start>
 //

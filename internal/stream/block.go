@@ -249,17 +249,12 @@ func (w *BlockWriter) flushBlock() error {
 	}
 	w.scratch = payload[:0]
 
-	var hdr [blockHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(recs)))
 	flags := uint32(0)
 	if w.cfg.deltaTS {
 		flags |= blockFlagDeltaTS
 	}
-	binary.LittleEndian.PutUint32(hdr[4:8], flags)
-	binary.LittleEndian.PutUint32(hdr[8:12], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[12:16], crc32.Checksum(payload, crcBlockTable))
-	binary.LittleEndian.PutUint64(hdr[16:24], uint64(minTS))
-	binary.LittleEndian.PutUint64(hdr[24:32], uint64(maxTS))
+	var hdr [blockHeaderSize]byte
+	putBlockHeader(hdr[:], len(recs), flags, payload, minTS, maxTS)
 	if _, err := w.bw.Write(hdr[:]); err != nil {
 		return err
 	}
@@ -268,6 +263,18 @@ func (w *BlockWriter) flushBlock() error {
 	}
 	w.pending = w.pending[:0]
 	return nil
+}
+
+// putBlockHeader fills hdr, at least blockHeaderSize bytes, with the
+// header of a block of count records carrying payload: the one place
+// the header layout is written.
+func putBlockHeader(hdr []byte, count int, flags uint32, payload []byte, minTS, maxTS int64) {
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(count))
+	binary.LittleEndian.PutUint32(hdr[4:8], flags)
+	binary.LittleEndian.PutUint32(hdr[8:12], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[12:16], crc32.Checksum(payload, crcBlockTable))
+	binary.LittleEndian.PutUint64(hdr[16:24], uint64(minTS))
+	binary.LittleEndian.PutUint64(hdr[24:32], uint64(maxTS))
 }
 
 // WriteBlockBinaryEdges writes edges in the v2 block format read by
@@ -506,33 +513,33 @@ func (s *BlockBinarySource) nextBlock() (*blockView, error) {
 			// this block and skippable under a decode-error budget.
 			return nil, recordErrorf("stream: block checksum mismatch (got %#08x, want %#08x; %d records lost)", got, wantCRC, count)
 		}
-		if compressed {
-			var err error
-			raw, err = expandDeltaBlock(payload, count, minTS)
-			if err != nil {
-				return nil, err
-			}
-		}
-
 		// Validate every record against the declared bounds — the merge
 		// copies whole blocks through on the strength of maxTS, so a lying
-		// bound is terminal, not skippable — and compact self loops.
+		// bound is terminal, not skippable — and compact self loops. The
+		// delta decoder does both as it expands.
 		out := 0
-		for i := 0; i < count; i++ {
-			ts := int64(binary.LittleEndian.Uint64(raw[16*i+8 : 16*i+16]))
-			if ts < minTS || ts > maxTS {
-				putBlockBuf(raw)
-				return nil, fmt.Errorf("stream: block record %d timestamp %d outside declared bounds [%d, %d]", i, ts, minTS, maxTS)
+		if compressed {
+			var err error
+			if raw, out, err = expandDeltaBlock(payload, count, minTS, maxTS); err != nil {
+				return nil, err
 			}
-			u := binary.LittleEndian.Uint32(raw[16*i : 16*i+4])
-			v := binary.LittleEndian.Uint32(raw[16*i+4 : 16*i+8])
-			if u == v {
-				continue // drop self loops, matching the other decoders
+		} else {
+			for i := 0; i < count; i++ {
+				ts := int64(binary.LittleEndian.Uint64(raw[16*i+8 : 16*i+16]))
+				if ts < minTS || ts > maxTS {
+					putBlockBuf(raw)
+					return nil, boundsError(i, ts, minTS, maxTS)
+				}
+				u := binary.LittleEndian.Uint32(raw[16*i : 16*i+4])
+				v := binary.LittleEndian.Uint32(raw[16*i+4 : 16*i+8])
+				if u == v {
+					continue // drop self loops, matching the other decoders
+				}
+				if out != i {
+					copy(raw[16*out:16*out+16], raw[16*i:16*i+16])
+				}
+				out++
 			}
-			if out != i {
-				copy(raw[16*out:16*out+16], raw[16*i:16*i+16])
-			}
-			out++
 		}
 		if out == 0 {
 			putBlockBuf(raw)
@@ -543,34 +550,60 @@ func (s *BlockBinarySource) nextBlock() (*blockView, error) {
 }
 
 // expandDeltaBlock decodes a varint-delta payload into a pooled raw
-// record buffer. The payload has already passed its checksum, so any
-// inconsistency here means the block was written wrong — terminal.
-func expandDeltaBlock(payload []byte, count int, minTS int64) ([]byte, error) {
+// record buffer, checking each timestamp against [minTS, maxTS] and
+// dropping self loops as it goes; it returns the buffer and how many
+// records it kept. The payload has already passed its checksum, so any
+// inconsistency here means the block was written wrong — terminal. A
+// block with several defects reports the first in record order.
+func expandDeltaBlock(payload []byte, count int, minTS, maxTS int64) ([]byte, int, error) {
 	raw := getBlockBuf(16 * count)
+	span := uint64(maxTS - minTS) // ts is in bounds iff uint64(ts-minTS) <= span
 	prev := minTS
-	p := 0
+	p, out := 0, 0
 	for i := 0; i < count; i++ {
-		if p+8 > len(payload) {
+		rec := payload[p:]
+		if len(rec) < 8 {
 			putBlockBuf(raw)
-			return nil, fmt.Errorf("stream: compressed block record %d overruns the payload", i)
+			return nil, 0, fmt.Errorf("stream: compressed block record %d overruns the payload", i)
 		}
-		copy(raw[16*i:16*i+8], payload[p:p+8])
-		p += 8
-		delta, n := binary.Varint(payload[p:])
-		if n <= 0 {
+		uv := binary.LittleEndian.Uint64(rec) // U | V<<32
+		if len(rec) > 8 && rec[8] < 0x80 {
+			// One-byte varint, the common case: zigzag-decode inline.
+			b := rec[8]
+			prev += int64(b>>1) ^ -int64(b&1)
+			p += 9
+		} else {
+			delta, n := binary.Varint(rec[8:])
+			if n <= 0 {
+				putBlockBuf(raw)
+				return nil, 0, fmt.Errorf("stream: compressed block record %d has a malformed timestamp delta", i)
+			}
+			prev += delta
+			p += 8 + n
+		}
+		if uint64(prev-minTS) > span {
 			putBlockBuf(raw)
-			return nil, fmt.Errorf("stream: compressed block record %d has a malformed timestamp delta", i)
+			return nil, 0, boundsError(i, prev, minTS, maxTS)
 		}
-		p += n
-		ts := prev + delta
-		binary.LittleEndian.PutUint64(raw[16*i+8:16*i+16], uint64(ts))
-		prev = ts
+		if uint32(uv) == uint32(uv>>32) {
+			continue // drop self loops, matching the other decoders
+		}
+		dst := (*[16]byte)(raw[16*out:])
+		binary.LittleEndian.PutUint64(dst[0:8], uv)
+		binary.LittleEndian.PutUint64(dst[8:16], uint64(prev))
+		out++
 	}
 	if p != len(payload) {
 		putBlockBuf(raw)
-		return nil, fmt.Errorf("stream: compressed block has %d trailing payload bytes after %d records", len(payload)-p, count)
+		return nil, 0, fmt.Errorf("stream: compressed block has %d trailing payload bytes after %d records", len(payload)-p, count)
 	}
-	return raw, nil
+	return raw, out, nil
+}
+
+// boundsError reports record i of a block whose timestamp ts escapes
+// the header's declared bounds.
+func boundsError(i int, ts, minTS, maxTS int64) error {
+	return fmt.Errorf("stream: block record %d timestamp %d outside declared bounds [%d, %d]", i, ts, minTS, maxTS)
 }
 
 // nextBlockView hands the merge layer the next validated block,

@@ -131,6 +131,41 @@ func TestBlockBinaryDropsSelfLoopsOnWriteAndRead(t *testing.T) {
 	if len(got) != 1 || got[0] != want {
 		t.Fatalf("got %+v, want [%+v]", got, want)
 	}
+
+	// The same for compressed blocks (flags bit 0), whose decoder drops
+	// loops as it expands the deltas: an all-loops block, then a loop
+	// before an edge.
+	buf.Reset()
+	buf.Write(blockBinaryMagic[:])
+	for _, blk := range []struct {
+		payload      []byte
+		count        int
+		minTS, maxTS int64
+	}{
+		{[]byte{9, 0, 0, 0, 9, 0, 0, 0, 0}, 1, 3, 3},
+		{[]byte{
+			7, 0, 0, 0, 7, 0, 0, 0, 0, // (7, 7) at min_ts
+			7, 0, 0, 0, 8, 0, 0, 0, 2, // (7, 8), delta +1
+		}, 2, 7, 8},
+	} {
+		var hdr [blockHeaderSize]byte
+		binary.LittleEndian.PutUint32(hdr[0:4], uint32(blk.count))
+		binary.LittleEndian.PutUint32(hdr[4:8], blockFlagDeltaTS)
+		binary.LittleEndian.PutUint32(hdr[8:12], uint32(len(blk.payload)))
+		binary.LittleEndian.PutUint32(hdr[12:16], crc32Checksum(blk.payload))
+		binary.LittleEndian.PutUint64(hdr[16:24], uint64(blk.minTS))
+		binary.LittleEndian.PutUint64(hdr[24:32], uint64(blk.maxTS))
+		buf.Write(hdr[:])
+		buf.Write(blk.payload)
+	}
+	got, err = ReadBlockBinaryEdges(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = TimestampedEdge{E: graph.Edge{U: 7, V: 8}, TS: 8}
+	if len(got) != 1 || got[0] != want {
+		t.Fatalf("compressed: got %+v, want [%+v]", got, want)
+	}
 }
 
 // writeRawBlock emits one uncompressed block with explicit bounds —
@@ -347,6 +382,9 @@ func TestBlockBinaryCompressedStructuralErrors(t *testing.T) {
 		// The last record's delta is a dangling continuation byte: the
 		// varint runs off the end of the payload.
 		"malformed varint": mk(func(p []byte) []byte { p[len(p)-1] = 0x80; return p }, 4),
+		// The last record's delta is +2, not +1: its timestamp lands one
+		// past max_ts, and the checksum still matches.
+		"timestamp outside declared bounds": mk(func(p []byte) []byte { p[len(p)-1] = 4; return p }, 4),
 	}
 	for name, data := range cases {
 		_, err := ReadBlockBinaryEdges(bytes.NewReader(data))

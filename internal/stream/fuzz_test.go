@@ -321,6 +321,14 @@ func blockFuzzSeeds() [][]byte {
 	}
 	v2 := encBlock(edges, WithBlockRecords(3))
 	v2delta := encBlock(edges[:4], WithBlockRecords(2), WithBlockDeltaTimestamps())
+	// A WAL segment: two AppendEdgeBlock batches, one holding a self loop.
+	var wal bytes.Buffer
+	bw := NewBlockWriter(&wal)
+	for _, batch := range [][]graph.Edge{{{U: 1, V: 2}, {U: 3, V: 3}, {U: 2, V: 3}}, {{U: 4, V: 5}}} {
+		if err := bw.AppendEdgeBlock(batch); err != nil {
+			panic(err)
+		}
+	}
 	mut := func(base []byte, off int, b byte) []byte {
 		d := append([]byte(nil), base...)
 		d[off] ^= b
@@ -338,6 +346,8 @@ func blockFuzzSeeds() [][]byte {
 		mut(v2, 8+16+7, 0x80),               // minTS sign flip: min/max inversion
 		mut(v2, 8+4, 0x80),                  // unknown flag bit
 		mut(v2, 8+blockHeaderSize+12, 0xff), // record ts flip: outside declared bounds
+		wal.Bytes(),
+		wal.Bytes()[:wal.Len()-4], // torn WAL tail
 		append([]byte("STRTSB01"), v2[8:]...),
 		append([]byte("STRTSB99"), v2[8:]...),
 		bytes.Repeat([]byte{0}, 48),
@@ -348,7 +358,9 @@ func blockFuzzSeeds() [][]byte {
 // binary targets' standard: FillTimestamped bit-identical to
 // NextTimestamped on arbitrary bytes — same records, same terminal
 // error message — across batch sizes, no panics, corruption either
-// cleanly skippable or cleanly terminal.
+// cleanly skippable or cleanly terminal. NextEdgeBlock, the decoder WAL
+// recovery runs, is held to NextTimestamped too: the same edges with
+// the timestamps dropped, and the same terminal error.
 func FuzzBlockBinarySourceFill(f *testing.F) {
 	for _, s := range blockFuzzSeeds() {
 		f.Add(s)
@@ -357,6 +369,30 @@ func FuzzBlockBinarySourceFill(f *testing.F) {
 		tsNext, tsNextErr := tsCollect(NewBlockBinarySource(bytes.NewReader(data)))
 		if tsNextErr == io.EOF {
 			t.Fatal("NextTimestamped leaked raw io.EOF through the error path")
+		}
+		var blocks []graph.Edge
+		blockSrc := NewBlockBinarySource(bytes.NewReader(data))
+		var buf []graph.Edge
+		var blockErr error
+		for {
+			if buf, blockErr = blockSrc.NextEdgeBlock(buf); blockErr != nil {
+				break
+			}
+			blocks = append(blocks, buf...)
+		}
+		if blockErr == io.EOF {
+			blockErr = nil
+		}
+		if (blockErr == nil) != (tsNextErr == nil) || blockErr != nil && blockErr.Error() != tsNextErr.Error() {
+			t.Fatalf("NextEdgeBlock err %v, Next err %v", blockErr, tsNextErr)
+		}
+		if len(blocks) != len(tsNext) {
+			t.Fatalf("NextEdgeBlock decoded %d edges, Next %d", len(blocks), len(tsNext))
+		}
+		for i := range blocks {
+			if blocks[i] != tsNext[i].E {
+				t.Fatalf("edge %d: NextEdgeBlock %+v != Next %+v", i, blocks[i], tsNext[i].E)
+			}
 		}
 		for _, w := range []int{1, 3, 64} {
 			tsFill, tsFillErr := tsFillAll(NewBlockBinarySource(bytes.NewReader(data)), w)

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"streamtri/internal/graph"
@@ -21,15 +22,23 @@ import (
 // map one batch to one block must bound their batch size by it.
 const MaxBlockRecords = maxBlockRecords
 
+// EdgeBlockRecordBytes is the size of one record in a block written by
+// AppendEdgeBlock: u32 U, u32 V, and the one-byte zigzag varint of a
+// zero timestamp delta.
+const EdgeBlockRecordBytes = minCompressedRecord
+
 // AppendEdgeBlock encodes batch as exactly one v2 block — bypassing the
 // writer's records-per-block target — and flushes it through to the
 // underlying writer, so after a nil return the block's bytes have left
-// the process (durability is the caller's fsync). The edges carry zero
-// timestamps; self loops are dropped, matching every other encoder
-// (callers feeding decoded batches never contain any, so the block's
-// record count equals len(batch)). Must not be interleaved with
-// Write/WriteBatch: those buffer toward the block target, and mixing
-// the two would tear a buffered block in half.
+// the process (durability is the caller's fsync). The block uses the
+// format's existing varint-delta layout (flags bit 0) with every
+// timestamp zero and min_ts = max_ts = 0, so a record takes
+// EdgeBlockRecordBytes instead of 16; every v2 reader decodes it. Self
+// loops are dropped, matching every other encoder (callers feeding
+// decoded batches never contain any, so the block's record count equals
+// len(batch)). Must not be interleaved with Write/WriteBatch: those
+// buffer toward the block target, and mixing the two would tear a
+// buffered block in half.
 func (w *BlockWriter) AppendEdgeBlock(batch []graph.Edge) error {
 	if len(w.pending) > 0 {
 		return fmt.Errorf("stream: AppendEdgeBlock with %d records buffered by Write", len(w.pending))
@@ -37,22 +46,32 @@ func (w *BlockWriter) AppendEdgeBlock(batch []graph.Edge) error {
 	if len(batch) > maxBlockRecords {
 		return fmt.Errorf("stream: batch of %d records exceeds the %d per-block limit", len(batch), maxBlockRecords)
 	}
+	if err := w.writeHeaderOnce(); err != nil {
+		return err
+	}
+	// Header and records share one reused buffer; the header is filled
+	// last, since its checksum covers the records.
+	need := blockHeaderSize + EdgeBlockRecordBytes*len(batch)
+	if cap(w.scratch) < need {
+		w.scratch = make([]byte, 0, need)
+	}
+	buf := w.scratch[:need]
+	p := blockHeaderSize
 	for _, e := range batch {
 		if e.U == e.V {
 			continue
 		}
-		w.pending = append(w.pending, TimestampedEdge{E: e})
+		rec := buf[p : p+EdgeBlockRecordBytes]
+		binary.LittleEndian.PutUint32(rec[0:4], e.U)
+		binary.LittleEndian.PutUint32(rec[4:8], e.V)
+		rec[8] = 0 // zigzag varint of the zero delta
+		p += EdgeBlockRecordBytes
 	}
-	if len(w.pending) == 0 {
-		if err := w.writeHeaderOnce(); err != nil {
+	if n := (p - blockHeaderSize) / EdgeBlockRecordBytes; n > 0 {
+		putBlockHeader(buf, n, blockFlagDeltaTS, buf[blockHeaderSize:p], 0, 0)
+		if _, err := w.bw.Write(buf[:p]); err != nil {
 			return err
 		}
-		return w.bw.Flush()
-	}
-	err := w.flushBlock()
-	w.pending = w.pending[:0]
-	if err != nil {
-		return err
 	}
 	return w.bw.Flush()
 }

@@ -3,7 +3,10 @@ package stream
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
+	"math/rand"
+	"os"
 	"testing"
 
 	"streamtri/internal/graph"
@@ -126,10 +129,10 @@ func TestNextEdgeBlockTornTailPrefix(t *testing.T) {
 		{{U: 6, V: 7}, {U: 8, V: 9}, {U: 9, V: 10}},
 	}
 	whole := appendBlocks(t, batches)
-	// Block end offsets: magic, then 32-byte header + 16 bytes/record.
+	// Block end offsets: magic, then 32-byte header + EdgeBlockRecordBytes/record.
 	ends := []int{8}
 	for _, b := range batches {
-		ends = append(ends, ends[len(ends)-1]+32+16*len(b))
+		ends = append(ends, ends[len(ends)-1]+32+EdgeBlockRecordBytes*len(b))
 	}
 	if ends[len(ends)-1] != len(whole) {
 		t.Fatalf("stream is %d bytes, want %d", len(whole), ends[len(ends)-1])
@@ -193,7 +196,7 @@ func TestNextEdgeBlockChecksumMismatch(t *testing.T) {
 	// Flip one payload byte in the second block: the first must still
 	// decode, the second must fail as a skippable RecordError.
 	corrupt := append([]byte(nil), whole...)
-	corrupt[8+48+32+3] ^= 0xff
+	corrupt[8+32+EdgeBlockRecordBytes+32+3] ^= 0xff
 	src := NewBlockBinarySource(bytes.NewReader(corrupt))
 	edges, err := src.NextEdgeBlock(nil)
 	if err != nil || len(edges) != 1 || edges[0] != (graph.Edge{U: 1, V: 2}) {
@@ -225,5 +228,112 @@ func TestNextEdgeBlockReusesBuffer(t *testing.T) {
 	}
 	if len(second) != 1 || second[0] != (graph.Edge{U: 5, V: 6}) {
 		t.Fatalf("second block = %v", second)
+	}
+}
+
+// walBenchBatch is w random edges with no self loops, the shape of one
+// trictd ingest batch.
+func walBenchBatch(w int) []graph.Edge {
+	rng := rand.New(rand.NewSource(int64(w)))
+	batch := make([]graph.Edge, w)
+	for i := range batch {
+		u := uint32(rng.Intn(1 << 20))
+		batch[i] = graph.Edge{U: u, V: u + 1 + uint32(rng.Intn(1<<20))}
+	}
+	return batch
+}
+
+// walBenchSizes are the batch sizes of perfbench's two workloads:
+// window-reads posts 512-edge batches, bulk-load one 131072-edge batch.
+var walBenchSizes = []int{512, 131072}
+
+// writeCounter counts the bytes written through it.
+type writeCounter struct {
+	w io.Writer
+	n int64
+}
+
+func (c *writeCounter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
+}
+
+// BenchmarkAppendEdgeBlock logs one batch per iteration to a temp file,
+// the WAL append trictd runs before every AddBatch. B/edge is the log
+// bytes written per edge, the stream magic excluded.
+func BenchmarkAppendEdgeBlock(b *testing.B) {
+	for _, w := range walBenchSizes {
+		b.Run(fmt.Sprintf("w=%d", w), func(b *testing.B) {
+			batch := walBenchBatch(w)
+			f, err := os.CreateTemp(b.TempDir(), "wal")
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer f.Close()
+			out := &writeCounter{w: f}
+			bw := NewBlockWriter(out)
+			cut := int64(0) // bytes written when the file was last cut back
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := bw.AppendEdgeBlock(batch); err != nil {
+					b.Fatal(err)
+				}
+				// Keep the file small: cut it back every 64 MiB, off the clock.
+				if out.n-cut > 64<<20 {
+					b.StopTimer()
+					if err := f.Truncate(0); err != nil {
+						b.Fatal(err)
+					}
+					if _, err := f.Seek(0, io.SeekStart); err != nil {
+						b.Fatal(err)
+					}
+					cut = out.n
+					b.StartTimer()
+				}
+			}
+			b.StopTimer()
+			edges := float64(b.N) * float64(w)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/edges, "ns/edge")
+			b.ReportMetric(float64(out.n-int64(len(blockBinaryMagic)))/edges, "B/edge")
+		})
+	}
+}
+
+// BenchmarkNextEdgeBlock decodes 8 logged batches per iteration from
+// memory, the WAL replay recovery runs. B/edge is the log bytes read
+// per edge, the stream magic excluded.
+func BenchmarkNextEdgeBlock(b *testing.B) {
+	const blocks = 8
+	for _, w := range walBenchSizes {
+		b.Run(fmt.Sprintf("w=%d", w), func(b *testing.B) {
+			var log bytes.Buffer
+			bw := NewBlockWriter(&log)
+			batch := walBenchBatch(w)
+			for i := 0; i < blocks; i++ {
+				if err := bw.AppendEdgeBlock(batch); err != nil {
+					b.Fatal(err)
+				}
+			}
+			data := log.Bytes()
+			var buf []graph.Edge
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				src := NewBlockBinarySource(bytes.NewReader(data))
+				for {
+					var err error
+					if buf, err = src.NextEdgeBlock(buf); err == io.EOF {
+						break
+					} else if err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			edges := float64(b.N) * float64(blocks*w)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/edges, "ns/edge")
+			b.ReportMetric(float64(len(data)-len(blockBinaryMagic))/float64(blocks*w), "B/edge")
+		})
 	}
 }
