@@ -82,8 +82,11 @@ fuzz-smoke:
 
 # A fast sanity pass over every benchmark (100 iterations each), catching
 # bit-rot in the bench harness without paying for full measurement runs.
+# The stream and window packages' own benchmarks (the WAL block append
+# and replay, the v2 body decode, the window engine's AddBatch) run here
+# too, and nowhere else in CI.
 bench-smoke:
-	$(GO) test -run xxx -bench . -benchtime 100x ./internal/bench/
+	$(GO) test -run xxx -bench . -benchtime 100x ./internal/bench/ ./internal/stream/ ./internal/window/
 
 # Full measurement run of the core hot-path and ingestion cells; writes
 # BENCH_core.json at the repo root. Commit the result so the perf

@@ -129,8 +129,15 @@
 // calendar (a heap with one entry per estimator), and a vertex index
 // over the live chain elements finds the elements adjacent to an
 // arriving edge. An edge costs O(1 + adjacent elements + events due at
-// its position). Scheduled positions beyond 2^62, the stream-position
-// bound, never arrive, so no schedule wraps for huge w.
+// its position). Most endpoints have no element: a counting filter over
+// the index's keys, at least eight slots per key, answers those with one
+// probe of a cache-resident table instead of a map lookup, so an edge
+// that touches no live chain element costs a filter probe per endpoint
+// and, for ids the hash spreads evenly, at least seven times in eight
+// nothing more. The filter has no false negatives and draws no random
+// number, so it changes no estimate. Scheduled positions beyond 2^62,
+// the stream-position bound, never arrive, so no schedule wraps for
+// huge w.
 //
 // Determinism. The work at position t runs in one fixed order — head
 // expiries, level-2 updates, replacements, successor arrivals — with
@@ -465,11 +472,15 @@
 // to the counter. The log's blocks are thus the counter's batches, and
 // a batch the log refused never reaches the counter; a request that
 // fails mid-body (a malformed record, a dropped client) leaves both at
-// the same batch boundary. Every v2 reader reads both block layouts, so
-// recovery also replays logs that earlier builds wrote at 16 bytes per
-// edge, and earlier builds replay the 9-byte log. Under the default
-// -wal-sync always the segment is fsynced before the ack, so the 200
-// means "on disk", not "in page cache". -wal-sync interval trades that
+// the same batch boundary. The handler takes its 64 KiB read buffer
+// and its batch of w edges from pools, one of each per POST in flight,
+// so ingest allocates nothing per POST that scales with w; a v2 block
+// that fits in the batch decodes straight into it. Every v2 reader
+// reads both block layouts, so recovery also replays logs that earlier
+// builds wrote at 16 bytes per edge, and earlier builds replay the
+// 9-byte log. Under the default -wal-sync always the segment is fsynced
+// before the ack, so the 200 means "on disk", not "in page cache".
+// -wal-sync interval trades that
 // for one background fsync per -wal-sync-interval (bounding loss to the
 // interval on power failure; a plain process kill still loses nothing
 // the OS accepted), and -wal-sync none leaves flushing entirely to the

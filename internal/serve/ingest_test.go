@@ -3,7 +3,10 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net"
 	"net/http"
@@ -214,4 +217,101 @@ func TestServeFailedIngestLeavesLogAtCounter(t *testing.T) {
 			verifyRecoveredAt(t, s, dir, crashTenant{name: "ws", cfg: cfg, bodies: [][]streamtri.Edge{edges[:pos]}}, pos)
 		})
 	}
+}
+
+// TestServeReusedBuffersCarryNothingOver: the ingest handler reuses its
+// read buffer and its batch buffer across POSTs, so a body that fails
+// mid-block must leave nothing behind for the next one. Each tenant gets
+// a v2 body whose eighth 10-record block fails its bounds check at
+// record 5, after the edges before it were decoded straight into the
+// batch; then a good v2 body; then a plain-binary body. Each ack must be
+// exact, and the tenant must end bit-identical to a library counter fed
+// each body's decoded prefix in batches of w.
+func TestServeReusedBuffersCarryNothingOver(t *testing.T) {
+	s, ts := newTestServer(t, t.TempDir())
+	edges := testEdges(t, 81, 200)
+	bad, good, plain := v2Body(t, edges[:250]), v2Body(t, edges[250:400]), binaryBody(t, edges[400:500]).Bytes()
+	// Block 7 holds records 70..79 with timestamps 70..79; give record 75
+	// the timestamp 80 and recompute the block's checksum.
+	const k, block, rec = 10, 7, 5
+	off := 8 + block*(32+16*k)
+	binary.LittleEndian.PutUint64(bad[off+32+16*rec+8:], block*k+k)
+	binary.LittleEndian.PutUint32(bad[off+12:], crc32.Checksum(bad[off+32:off+32+16*k], crc32.MakeTable(crc32.Castagnoli)))
+
+	for _, cfg := range []CounterConfig{{R: 32, Seed: 5, BatchSize: 64}, {R: 16, Window: 500, Seed: 6, BatchSize: 64}} {
+		name := fmt.Sprintf("w%d", cfg.Window)
+		if code := createCounter(t, ts.URL, name, cfg); code != http.StatusCreated {
+			t.Fatalf("%s: create status %d", name, code)
+		}
+		url := ts.URL + "/v1/counters/" + name + "/edges"
+		resp, err := http.Post(url, "application/octet-stream", bytes.NewReader(bad))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fail map[string]string
+		if err := json.NewDecoder(resp.Body).Decode(&fail); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		wantErr := "ingest failed after 70 edges: stream: block record 5 timestamp 80 outside declared bounds [70, 79]"
+		if resp.StatusCode != http.StatusBadRequest || fail["error"] != wantErr {
+			t.Fatalf("%s: failing body answered %d %q, want 400 %q", name, resp.StatusCode, fail["error"], wantErr)
+		}
+		for i, tc := range []struct {
+			body io.Reader
+			want IngestResult
+		}{
+			{bytes.NewReader(good), IngestResult{Edges: 150, TotalEdges: 220}},
+			{bytes.NewReader(plain), IngestResult{Edges: 100, TotalEdges: 320}},
+		} {
+			var res IngestResult
+			if code := doJSON(t, http.MethodPost, url+"?format=binary", tc.body, &res); code != http.StatusOK || res != tc.want {
+				t.Fatalf("%s: body %d answered %d %+v, want 200 %+v", name, i+2, code, res, tc.want)
+			}
+		}
+
+		var ref interface {
+			AddBatch([]streamtri.Edge)
+			WriteTo(io.Writer) (int64, error)
+		}
+		if cfg.Window > 0 {
+			ref = streamtri.NewSlidingWindowCounter(cfg.R, cfg.Window, cfg.options()...)
+		} else {
+			ref = streamtri.NewParallelTriangleCounter(cfg.R, 1, cfg.options()...)
+		}
+		for _, body := range [][]streamtri.Edge{edges[:70], edges[250:400], edges[400:500]} {
+			for lo := 0; lo < len(body); lo += cfg.BatchSize {
+				ref.AddBatch(body[lo:min(lo+cfg.BatchSize, len(body))])
+			}
+		}
+		var want, got bytes.Buffer
+		if _, err := ref.WriteTo(&want); err != nil {
+			t.Fatal(err)
+		}
+		tn := s.lookup(name)
+		tn.mu.Lock()
+		_, err = tn.c.WriteTo(&got)
+		tn.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("%s: counter differs from the library fed the same batches", name)
+		}
+	}
+}
+
+// v2Body encodes edges as a v2 body of uncompressed 10-record blocks,
+// the edge at index i carrying timestamp i.
+func v2Body(t *testing.T, edges []streamtri.Edge) []byte {
+	t.Helper()
+	ts := make([]streamtri.TimestampedEdge, len(edges))
+	for i, e := range edges {
+		ts[i] = streamtri.TimestampedEdge{E: e, TS: int64(i)}
+	}
+	var buf bytes.Buffer
+	if err := streamtri.WriteBlockBinaryEdges(&buf, ts, streamtri.WithBlockRecords(10)); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }

@@ -148,11 +148,19 @@ type tenant struct {
 	// ckptEdges is the edge count captured by the last checkpoint
 	// (under mu); checkpoints are skipped while it matches edges().
 	ckptEdges uint64
+
+	// batches recycles the ingest handler's batch buffers of w edges
+	// across POSTs, one per POST in flight.
+	batches sync.Pool
 }
 
 // newTenant wraps c and publishes its estimates before any read can come.
 func newTenant(name string, cfg CounterConfig, c counter) *tenant {
 	t := &tenant{name: name, cfg: cfg, c: c}
+	t.batches.New = func() any {
+		b := make([]streamtri.Edge, cfg.effectiveBatchSize())
+		return &b
+	}
 	t.publish()
 	return t
 }
@@ -414,7 +422,13 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "no counter %q", name)
 		return
 	}
-	src, err := bodySource(r)
+	br := bodyReaders.Get().(*bufio.Reader)
+	br.Reset(r.Body)
+	defer func() {
+		br.Reset(nil)
+		bodyReaders.Put(br)
+	}()
+	src, err := bodySource(r, br)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -432,7 +446,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// replay bit-identical — and a batch the log refused never reaches the
 	// counter. A cancelled request stops at a batch boundary.
 	var edges uint64
-	buf := make([]streamtri.Edge, t.cfg.effectiveBatchSize())
+	bufp := t.batches.Get().(*[]streamtri.Edge)
+	defer t.batches.Put(bufp)
+	buf := *bufp
 	for err == nil {
 		if err = r.Context().Err(); err != nil {
 			break
@@ -468,16 +484,22 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, IngestResult{Edges: edges, TotalEdges: t.edges()})
 }
 
-// bodySource builds a bulk decoder over the request body. The format
-// is chosen by the ?format query parameter (text|binary), defaulting by
-// Content-Type: application/octet-stream means binary, anything else
-// text. Binary bodies may be any flavor — the 8-byte plain format, the
-// timestamped 16-byte v1 format, or the block-structured v2 format —
-// dispatched by the shared magic sniff, with timestamps stripped
-// (arrival order is the stream order either way). Text bodies already
-// tolerate a numeric third column natively. Every one of these sources
-// decodes in bulk.
-func bodySource(r *http.Request) (stream.BatchFiller, error) {
+// bodyReaders recycles the 64 KiB read buffers of ingest bodies across
+// POSTs. Every body decoder reads through the one it is given as is:
+// the text, plain and v1 decoders want a 64 KiB window, the v2 decoder
+// takes any size.
+var bodyReaders = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 1<<16) }}
+
+// bodySource builds a bulk decoder over the request body, read through
+// br. The format is chosen by the ?format query parameter
+// (text|binary), defaulting by Content-Type: application/octet-stream
+// means binary, anything else text. Binary bodies may be any flavor —
+// the 8-byte plain format, the timestamped 16-byte v1 format, or the
+// block-structured v2 format — dispatched by the shared magic sniff,
+// with timestamps stripped (arrival order is the stream order either
+// way). Text bodies already tolerate a numeric third column natively.
+// Every one of these sources decodes in bulk.
+func bodySource(r *http.Request, br *bufio.Reader) (stream.BatchFiller, error) {
 	format := r.URL.Query().Get("format")
 	if format == "" {
 		if r.Header.Get("Content-Type") == "application/octet-stream" {
@@ -489,9 +511,8 @@ func bodySource(r *http.Request) (stream.BatchFiller, error) {
 	var src streamtri.Source
 	switch format {
 	case "text":
-		src = streamtri.NewEdgeListSource(r.Body)
+		src = streamtri.NewEdgeListSource(br)
 	case "binary":
-		br := bufio.NewReader(r.Body)
 		prefix, err := br.Peek(8)
 		if err != nil && err != io.EOF {
 			return nil, fmt.Errorf("reading body: %w", err)

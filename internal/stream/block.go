@@ -357,10 +357,8 @@ func (v *blockView) ts(i int) int64 {
 
 // edge returns record i's edge.
 func (v *blockView) edge(i int) graph.Edge {
-	return graph.Edge{
-		U: binary.LittleEndian.Uint32(v.data[16*i : 16*i+4]),
-		V: binary.LittleEndian.Uint32(v.data[16*i+4 : 16*i+8]),
-	}
+	rec := (*[8]byte)(v.data[16*i:])
+	return graph.Edge{U: binary.LittleEndian.Uint32(rec[0:4]), V: binary.LittleEndian.Uint32(rec[4:8])}
 }
 
 // record returns record i as a TimestampedEdge.
@@ -382,7 +380,8 @@ func (v *blockView) tail(i int) *blockView {
 // paths are bit-identical, built on the same block validator — and
 // additionally exposes whole validated blocks to the ordered merge
 // through nextBlockView, the zero-copy fast path that skips per-edge
-// materialization entirely.
+// materialization entirely. Fill and NextEdgeBlock, the edges-only
+// paths, decode a checked block straight into edges.
 type BlockBinarySource struct {
 	br       *bufio.Reader
 	hdrDone  bool
@@ -390,15 +389,20 @@ type BlockBinarySource struct {
 
 	view *blockView // current block, partially consumed by the record paths
 	pos  int
-
-	compScratch []byte // reusable buffer for compressed payloads
 }
 
 // NewBlockBinarySource returns a TimestampedSource reading the v2 block
 // format from r. The magic is validated on first use; a missing or
-// wrong-version header is a terminal decode error.
+// wrong-version header is a terminal decode error. A *bufio.Reader is
+// used as is, whatever its size: the source reads whole headers and
+// payloads with io.ReadFull, which reads a payload larger than the
+// buffer straight into its destination.
 func NewBlockBinarySource(r io.Reader) *BlockBinarySource {
-	return &BlockBinarySource{br: bufio.NewReaderSize(r, 1<<16)}
+	br, ok := r.(*bufio.Reader)
+	if !ok {
+		br = bufio.NewReaderSize(r, 1<<16)
+	}
+	return &BlockBinarySource{br: br}
 }
 
 // checkHeader consumes and validates the magic once; a bad header is
@@ -426,127 +430,143 @@ func (s *BlockBinarySource) checkHeader() error {
 	return s.hdrError
 }
 
-// nextBlock reads, validates, and (if compressed) expands the next
-// block, returning it as a view. Errors are either skippable
-// RecordErrors — a checksum mismatch (the whole block is damaged but
-// delimited; the reader has already advanced past it) or a truncated
-// trailing block/header (io.ErrUnexpectedEOF, the stream simply ends) —
-// or terminal: structural header lies (zero or absurd counts, unknown
-// flags, payload length inconsistent with the record count, inverted
-// min/max bounds) and records whose timestamps escape the declared
-// bounds, which would break the merge's gallop contract and mean the
-// writer, not the wire, was wrong. Self loops are compacted out of the
-// returned view, matching every other decoder; a block left empty by
-// compaction is skipped. io.EOF is returned exactly at a clean end.
-func (s *BlockBinarySource) nextBlock() (*blockView, error) {
+// rawBlock is one block whose header structure and checksum have been
+// checked, but not yet its records. Its payload comes from blockBufPool;
+// the decoder that consumes the block returns it or hands it on.
+type rawBlock struct {
+	payload      []byte
+	count        int
+	compressed   bool
+	minTS, maxTS int64
+}
+
+// readBlock reads the next block and checks it as a whole. Errors are
+// either skippable RecordErrors — a checksum mismatch (the whole block
+// is damaged but delimited; the reader has already advanced past it) or
+// a truncated trailing block/header (io.ErrUnexpectedEOF, the stream
+// simply ends) — or terminal: structural header lies (zero or absurd
+// counts, unknown flags, payload length inconsistent with the record
+// count, inverted min/max bounds). io.EOF is returned exactly at a clean
+// end. The records are checked by the decoder that consumes the block:
+// view for the record paths and the merge, appendEdges for the
+// edges-only paths.
+func (s *BlockBinarySource) readBlock() (rawBlock, error) {
 	if err := s.checkHeader(); err != nil {
-		return nil, err
+		return rawBlock{}, err
 	}
+	var hdr [blockHeaderSize]byte
+	n, err := io.ReadFull(s.br, hdr[:])
+	if err == io.EOF {
+		return rawBlock{}, io.EOF
+	}
+	if err != nil {
+		werr := fmt.Errorf("stream: truncated block header (%d bytes): %w", n, err)
+		if err == io.ErrUnexpectedEOF {
+			return rawBlock{}, &RecordError{Err: werr}
+		}
+		return rawBlock{}, werr
+	}
+	count := int(binary.LittleEndian.Uint32(hdr[0:4]))
+	flags := binary.LittleEndian.Uint32(hdr[4:8])
+	payloadLen := int(binary.LittleEndian.Uint32(hdr[8:12]))
+	wantCRC := binary.LittleEndian.Uint32(hdr[12:16])
+	minTS := int64(binary.LittleEndian.Uint64(hdr[16:24]))
+	maxTS := int64(binary.LittleEndian.Uint64(hdr[24:32]))
+
+	if count == 0 {
+		return rawBlock{}, fmt.Errorf("stream: block with zero records")
+	}
+	if count > maxBlockRecords {
+		return rawBlock{}, fmt.Errorf("stream: block record count %d exceeds the %d limit", count, maxBlockRecords)
+	}
+	if flags&^uint32(blockKnownFlags) != 0 {
+		return rawBlock{}, fmt.Errorf("stream: unknown block flags %#x", flags)
+	}
+	if minTS > maxTS {
+		return rawBlock{}, fmt.Errorf("stream: block timestamp bounds inverted (min %d > max %d)", minTS, maxTS)
+	}
+	compressed := flags&blockFlagDeltaTS != 0
+	if compressed {
+		if payloadLen < minCompressedRecord*count || payloadLen > maxCompressedRecord*count {
+			return rawBlock{}, fmt.Errorf("stream: block payload length %d inconsistent with %d compressed records", payloadLen, count)
+		}
+	} else if payloadLen != 16*count {
+		return rawBlock{}, fmt.Errorf("stream: block payload length %d does not match %d records (want %d)", payloadLen, count, 16*count)
+	}
+
+	payload := getBlockBuf(payloadLen)
+	if n, err := io.ReadFull(s.br, payload); err != nil {
+		putBlockBuf(payload)
+		werr := fmt.Errorf("stream: truncated block payload (%d of %d bytes): %w", n, payloadLen, err)
+		if err == io.ErrUnexpectedEOF || err == io.EOF {
+			return rawBlock{}, &RecordError{Err: werr}
+		}
+		return rawBlock{}, werr
+	}
+	if got := crc32.Checksum(payload, crcBlockTable); got != wantCRC {
+		putBlockBuf(payload)
+		// The block's bytes are fully consumed, so the reader is
+		// positioned at the next header: corruption is confined to this
+		// block and skippable under a decode-error budget.
+		return rawBlock{}, recordErrorf("stream: block checksum mismatch (got %#08x, want %#08x; %d records lost)", got, wantCRC, count)
+	}
+	return rawBlock{payload: payload, count: count, compressed: compressed, minTS: minTS, maxTS: maxTS}, nil
+}
+
+// nextBlock reads, validates, and (if compressed) expands the next
+// block, returning it as a view. Its errors are readBlock's and view's.
+// A block left empty by the self-loop drop is skipped.
+func (s *BlockBinarySource) nextBlock() (*blockView, error) {
 	for {
-		var hdr [blockHeaderSize]byte
-		n, err := io.ReadFull(s.br, hdr[:])
-		if err == io.EOF {
-			return nil, io.EOF
-		}
+		b, err := s.readBlock()
 		if err != nil {
-			werr := fmt.Errorf("stream: truncated block header (%d bytes): %w", n, err)
-			if err == io.ErrUnexpectedEOF {
-				return nil, &RecordError{Err: werr}
-			}
-			return nil, werr
+			return nil, err
 		}
-		count := int(binary.LittleEndian.Uint32(hdr[0:4]))
-		flags := binary.LittleEndian.Uint32(hdr[4:8])
-		payloadLen := int(binary.LittleEndian.Uint32(hdr[8:12]))
-		wantCRC := binary.LittleEndian.Uint32(hdr[12:16])
-		minTS := int64(binary.LittleEndian.Uint64(hdr[16:24]))
-		maxTS := int64(binary.LittleEndian.Uint64(hdr[24:32]))
-
-		if count == 0 {
-			return nil, fmt.Errorf("stream: block with zero records")
+		if v, err := b.view(); v != nil || err != nil {
+			return v, err
 		}
-		if count > maxBlockRecords {
-			return nil, fmt.Errorf("stream: block record count %d exceeds the %d limit", count, maxBlockRecords)
-		}
-		if flags&^uint32(blockKnownFlags) != 0 {
-			return nil, fmt.Errorf("stream: unknown block flags %#x", flags)
-		}
-		if minTS > maxTS {
-			return nil, fmt.Errorf("stream: block timestamp bounds inverted (min %d > max %d)", minTS, maxTS)
-		}
-		compressed := flags&blockFlagDeltaTS != 0
-		if compressed {
-			if payloadLen < minCompressedRecord*count || payloadLen > maxCompressedRecord*count {
-				return nil, fmt.Errorf("stream: block payload length %d inconsistent with %d compressed records", payloadLen, count)
-			}
-		} else if payloadLen != 16*count {
-			return nil, fmt.Errorf("stream: block payload length %d does not match %d records (want %d)", payloadLen, count, 16*count)
-		}
-
-		var raw []byte // destination: 16*count raw record bytes
-		var payload []byte
-		if compressed {
-			if cap(s.compScratch) < payloadLen {
-				s.compScratch = make([]byte, payloadLen)
-			}
-			payload = s.compScratch[:payloadLen]
-		} else {
-			raw = getBlockBuf(16 * count)
-			payload = raw
-		}
-		if n, err := io.ReadFull(s.br, payload); err != nil {
-			if !compressed {
-				putBlockBuf(raw)
-			}
-			werr := fmt.Errorf("stream: truncated block payload (%d of %d bytes): %w", n, payloadLen, err)
-			if err == io.ErrUnexpectedEOF || err == io.EOF {
-				return nil, &RecordError{Err: werr}
-			}
-			return nil, werr
-		}
-		if got := crc32.Checksum(payload, crcBlockTable); got != wantCRC {
-			if !compressed {
-				putBlockBuf(raw)
-			}
-			// The block's bytes are fully consumed, so the reader is
-			// positioned at the next header: corruption is confined to
-			// this block and skippable under a decode-error budget.
-			return nil, recordErrorf("stream: block checksum mismatch (got %#08x, want %#08x; %d records lost)", got, wantCRC, count)
-		}
-		// Validate every record against the declared bounds — the merge
-		// copies whole blocks through on the strength of maxTS, so a lying
-		// bound is terminal, not skippable — and compact self loops. The
-		// delta decoder does both as it expands.
-		out := 0
-		if compressed {
-			var err error
-			if raw, out, err = expandDeltaBlock(payload, count, minTS, maxTS); err != nil {
-				return nil, err
-			}
-		} else {
-			for i := 0; i < count; i++ {
-				ts := int64(binary.LittleEndian.Uint64(raw[16*i+8 : 16*i+16]))
-				if ts < minTS || ts > maxTS {
-					putBlockBuf(raw)
-					return nil, boundsError(i, ts, minTS, maxTS)
-				}
-				u := binary.LittleEndian.Uint32(raw[16*i : 16*i+4])
-				v := binary.LittleEndian.Uint32(raw[16*i+4 : 16*i+8])
-				if u == v {
-					continue // drop self loops, matching the other decoders
-				}
-				if out != i {
-					copy(raw[16*out:16*out+16], raw[16*i:16*i+16])
-				}
-				out++
-			}
-		}
-		if out == 0 {
-			putBlockBuf(raw)
-			continue // every record was a self loop; try the next block
-		}
-		return &blockView{data: raw[:16*out], buf: raw, count: out, maxTS: maxTS}, nil
 	}
+}
+
+// view validates every record against the declared bounds — the merge
+// copies whole blocks through on the strength of maxTS, so a lying
+// bound is terminal, not skippable — compacts self loops out, matching
+// every other decoder, and returns the records as a view of 16-byte
+// records (nil if none is left). An uncompressed payload becomes the
+// view's buffer; a compressed one is expanded into a new buffer and
+// returned to the pool.
+func (b rawBlock) view() (*blockView, error) {
+	raw, out := b.payload, 0
+	if b.compressed {
+		var err error
+		raw, out, err = expandDeltaBlock(b.payload, b.count, b.minTS, b.maxTS)
+		putBlockBuf(b.payload)
+		if err != nil {
+			return nil, err
+		}
+	} else {
+		span := uint64(b.maxTS - b.minTS) // ts is in bounds iff uint64(ts-minTS) <= span
+		for i := 0; i < b.count; i++ {
+			rec := (*[16]byte)(raw[16*i:])
+			ts := int64(binary.LittleEndian.Uint64(rec[8:16]))
+			if uint64(ts-b.minTS) > span {
+				putBlockBuf(raw)
+				return nil, boundsError(i, ts, b.minTS, b.maxTS)
+			}
+			if binary.LittleEndian.Uint32(rec[0:4]) == binary.LittleEndian.Uint32(rec[4:8]) {
+				continue // drop self loops, matching the other decoders
+			}
+			if out != i {
+				*(*[16]byte)(raw[16*out:]) = *rec
+			}
+			out++
+		}
+	}
+	if out == 0 {
+		putBlockBuf(raw)
+		return nil, nil
+	}
+	return &blockView{data: raw[:16*out], buf: raw, count: out, maxTS: b.maxTS}, nil
 }
 
 // expandDeltaBlock decodes a varint-delta payload into a pooled raw
@@ -562,24 +582,18 @@ func expandDeltaBlock(payload []byte, count int, minTS, maxTS int64) ([]byte, in
 	p, out := 0, 0
 	for i := 0; i < count; i++ {
 		rec := payload[p:]
-		if len(rec) < 8 {
-			putBlockBuf(raw)
-			return nil, 0, fmt.Errorf("stream: compressed block record %d overruns the payload", i)
-		}
-		uv := binary.LittleEndian.Uint64(rec) // U | V<<32
+		var uv uint64 // U | V<<32
 		if len(rec) > 8 && rec[8] < 0x80 {
 			// One-byte varint, the common case: zigzag-decode inline.
-			b := rec[8]
-			prev += int64(b>>1) ^ -int64(b&1)
-			p += 9
+			uv, prev, p = binary.LittleEndian.Uint64(rec), prev+(int64(rec[8]>>1)^-int64(rec[8]&1)), p+9
 		} else {
-			delta, n := binary.Varint(rec[8:])
-			if n <= 0 {
+			var delta int64
+			var n int
+			if uv, delta, n = deltaRecord(rec); n <= 0 {
 				putBlockBuf(raw)
-				return nil, 0, fmt.Errorf("stream: compressed block record %d has a malformed timestamp delta", i)
+				return nil, 0, deltaError(i, n)
 			}
-			prev += delta
-			p += 8 + n
+			prev, p = prev+delta, p+n
 		}
 		if uint64(prev-minTS) > span {
 			putBlockBuf(raw)
@@ -595,9 +609,74 @@ func expandDeltaBlock(payload []byte, count int, minTS, maxTS int64) ([]byte, in
 	}
 	if p != len(payload) {
 		putBlockBuf(raw)
-		return nil, 0, fmt.Errorf("stream: compressed block has %d trailing payload bytes after %d records", len(payload)-p, count)
+		return nil, 0, trailingError(len(payload)-p, count)
 	}
 	return raw, out, nil
+}
+
+// appendEdges appends the block's edges to dst with the record checks
+// view makes — every timestamp within the declared bounds, self loops
+// dropped — and the same errors, without materializing 16-byte records.
+// It does not return the payload to the pool.
+func (b rawBlock) appendEdges(dst []graph.Edge) ([]graph.Edge, error) {
+	span := uint64(b.maxTS - b.minTS) // ts is in bounds iff uint64(ts-minTS) <= span
+	ts, p := b.minTS, 0
+	for i := 0; i < b.count; i++ {
+		var uv uint64
+		if rec := b.payload[p:]; !b.compressed {
+			uv, ts, p = binary.LittleEndian.Uint64(rec[0:8]), int64(binary.LittleEndian.Uint64(rec[8:16])), p+16
+		} else if len(rec) > 8 && rec[8] < 0x80 {
+			// One-byte varint, the common case: zigzag-decode inline.
+			uv, ts, p = binary.LittleEndian.Uint64(rec), ts+(int64(rec[8]>>1)^-int64(rec[8]&1)), p+9
+		} else {
+			var delta int64
+			var n int
+			if uv, delta, n = deltaRecord(rec); n <= 0 {
+				return dst, deltaError(i, n)
+			}
+			ts, p = ts+delta, p+n
+		}
+		if uint64(ts-b.minTS) > span {
+			return dst, boundsError(i, ts, b.minTS, b.maxTS)
+		}
+		if u, v := uint32(uv), uint32(uv>>32); u != v {
+			dst = append(dst, graph.Edge{U: u, V: v})
+		}
+	}
+	if p != len(b.payload) {
+		return dst, trailingError(len(b.payload)-p, b.count)
+	}
+	return dst, nil
+}
+
+// deltaRecord decodes the compressed record at the front of rec: it
+// returns U | V<<32, the record's timestamp delta and its length n, which
+// is 0 if the record overruns rec and negative if its varint is
+// malformed. The decoders zigzag-decode a one-byte varint, the common
+// case, inline and call it for the rest.
+func deltaRecord(rec []byte) (uv uint64, delta int64, n int) {
+	if len(rec) < 8 {
+		return 0, 0, 0
+	}
+	if delta, n = binary.Varint(rec[8:]); n <= 0 {
+		return 0, 0, -1
+	}
+	return binary.LittleEndian.Uint64(rec), delta, 8 + n
+}
+
+// deltaError reports compressed record i, which deltaRecord found
+// overrunning the payload (n = 0) or with a malformed varint (n < 0).
+func deltaError(i, n int) error {
+	if n == 0 {
+		return fmt.Errorf("stream: compressed block record %d overruns the payload", i)
+	}
+	return fmt.Errorf("stream: compressed block record %d has a malformed timestamp delta", i)
+}
+
+// trailingError reports a compressed payload with bytes left after its
+// count records.
+func trailingError(extra, count int) error {
+	return fmt.Errorf("stream: compressed block has %d trailing payload bytes after %d records", extra, count)
 }
 
 // boundsError reports record i of a block whose timestamp ts escapes
@@ -666,6 +745,52 @@ func (s *BlockBinarySource) FillTimestamped(out []TimestampedEdge) (int, error) 
 			total++
 			s.pos++
 		}
+	}
+	return total, nil
+}
+
+// Fill implements BatchFiller, the edges-only path: the same edges as
+// NextTimestamped with the timestamps dropped, and the same errors. A
+// block that fits in the room left in out is decoded straight into it;
+// a larger one is held as a view, as FillTimestamped holds it, and
+// copied out over as many calls as it takes. n may be positive
+// alongside a non-nil err (the edges decoded before a damaged or
+// truncated block).
+func (s *BlockBinarySource) Fill(out []graph.Edge) (int, error) {
+	total := 0
+	for total < len(out) {
+		if s.view != nil && s.pos < s.view.count {
+			for total < len(out) && s.pos < s.view.count {
+				out[total] = s.view.edge(s.pos)
+				total++
+				s.pos++
+			}
+			continue
+		}
+		if s.view != nil {
+			s.view.release()
+			s.view = nil
+		}
+		b, err := s.readBlock()
+		if err != nil {
+			if err == io.EOF && total > 0 {
+				return total, nil
+			}
+			return total, err
+		}
+		if b.count > len(out)-total {
+			if s.view, err = b.view(); err != nil {
+				return total, err
+			}
+			s.pos = 0
+			continue
+		}
+		edges, err := b.appendEdges(out[total:total])
+		putBlockBuf(b.payload)
+		if err != nil {
+			return total, err
+		}
+		total += len(edges)
 	}
 	return total, nil
 }

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -432,4 +433,36 @@ func TestV1TimestampedSourceRejectsBlockStream(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "decode it with the block reader") {
 		t.Fatalf("v1 decoder accepted a v2 stream: %v", err)
 	}
+}
+
+// BenchmarkBlockBodyFill decodes one 1024-edge v2 body per iteration in
+// 512-edge fills: trictd's path for window-reads' bodies, one
+// uncompressed block through StripTimestamps over a BlockBinarySource
+// on a reused 64 KiB reader.
+func BenchmarkBlockBodyFill(b *testing.B) {
+	batch := walBenchBatch(1024)
+	recs := make([]TimestampedEdge, len(batch))
+	for i, e := range batch {
+		recs[i] = TimestampedEdge{E: e, TS: int64(i)}
+	}
+	var body bytes.Buffer
+	if err := WriteBlockBinaryEdges(&body, recs); err != nil {
+		b.Fatal(err)
+	}
+	br := bufio.NewReaderSize(nil, 1<<16)
+	out := make([]graph.Edge, 512)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		br.Reset(bytes.NewReader(body.Bytes()))
+		src := StripTimestamps(NewBlockBinarySource(br)).(BatchFiller)
+		for {
+			if _, err := src.Fill(out); err == io.EOF {
+				break
+			} else if err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(batch)), "ns/edge")
 }

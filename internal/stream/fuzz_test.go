@@ -358,9 +358,12 @@ func blockFuzzSeeds() [][]byte {
 // binary targets' standard: FillTimestamped bit-identical to
 // NextTimestamped on arbitrary bytes — same records, same terminal
 // error message — across batch sizes, no panics, corruption either
-// cleanly skippable or cleanly terminal. NextEdgeBlock, the decoder WAL
-// recovery runs, is held to NextTimestamped too: the same edges with
-// the timestamps dropped, and the same terminal error.
+// cleanly skippable or cleanly terminal. The edges-only decoders are
+// held to NextTimestamped too, the same edges with the timestamps
+// dropped and the same terminal error: NextEdgeBlock, which WAL
+// recovery runs, and Fill, alone and under StripTimestamps (trictd's
+// v2 body path), with out lengths below, between and above block
+// sizes.
 func FuzzBlockBinarySourceFill(f *testing.F) {
 	for _, s := range blockFuzzSeeds() {
 		f.Add(s)
@@ -392,6 +395,26 @@ func FuzzBlockBinarySourceFill(f *testing.F) {
 		for i := range blocks {
 			if blocks[i] != tsNext[i].E {
 				t.Fatalf("edge %d: NextEdgeBlock %+v != Next %+v", i, blocks[i], tsNext[i].E)
+			}
+		}
+		for _, w := range []int{1, 7, 4096} {
+			fillers := map[string]BatchFiller{
+				"Fill":            NewBlockBinarySource(bytes.NewReader(data)),
+				"StripTimestamps": StripTimestamps(NewBlockBinarySource(bytes.NewReader(data))).(BatchFiller),
+			}
+			for name, f := range fillers {
+				got, err := fillAll(t, f, w)
+				if (err == nil) != (tsNextErr == nil) || err != nil && err.Error() != tsNextErr.Error() {
+					t.Fatalf("%s w=%d: err %v, Next err %v", name, w, err, tsNextErr)
+				}
+				if len(got) != len(tsNext) {
+					t.Fatalf("%s w=%d: decoded %d edges, Next %d", name, w, len(got), len(tsNext))
+				}
+				for i := range got {
+					if got[i] != tsNext[i].E {
+						t.Fatalf("%s w=%d: edge %d: %+v != Next %+v", name, w, i, got[i], tsNext[i].E)
+					}
+				}
 			}
 		}
 		for _, w := range []int{1, 3, 64} {

@@ -303,8 +303,9 @@ func parseTimestampField(b []byte) (int64, []byte, error) {
 // StripTimestamps adapts a TimestampedSource to a plain Source by
 // discarding each edge's timestamp — the bridge for feeding temporal
 // data to consumers that only care about arrival order (the source's
-// own order is preserved). It implements BatchFiller, bulk-decoding
-// through the source's FillTimestamped when available.
+// own order is preserved). It implements BatchFiller: a source with an
+// edges-only Fill of its own (BlockBinarySource) decodes through it,
+// any other through its FillTimestamped when available.
 func StripTimestamps(src TimestampedSource) Source { return &timestampStripper{src: src} }
 
 type timestampStripper struct {
@@ -320,6 +321,9 @@ func (s *timestampStripper) Next() (graph.Edge, error) {
 
 // Fill implements BatchFiller.
 func (s *timestampStripper) Fill(out []graph.Edge) (int, error) {
+	if edges, ok := s.src.(BatchFiller); ok {
+		return edges.Fill(out)
+	}
 	filler, bulk := s.src.(TimestampedBatchFiller)
 	if !bulk {
 		return fillFromSource(s, out)

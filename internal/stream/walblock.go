@@ -78,18 +78,33 @@ func (w *BlockWriter) AppendEdgeBlock(batch []graph.Edge) error {
 
 // NextEdgeBlock returns the next whole block's edges with timestamps
 // dropped, appended to buf[:0] (pass the previous return value to
-// reuse its capacity). Errors follow nextBlock's taxonomy: io.EOF at a
-// clean end, a skippable *RecordError for a torn tail or a checksum
-// mismatch, terminal errors for structural corruption.
+// reuse its capacity). It decodes a block straight into buf, as Fill
+// does, and returns the unconsumed tail of a block the record paths
+// started first. Errors follow readBlock's and view's taxonomy: io.EOF
+// at a clean end, a skippable *RecordError for a torn tail or a
+// checksum mismatch, terminal errors for structural corruption.
 func (s *BlockBinarySource) NextEdgeBlock(buf []graph.Edge) ([]graph.Edge, error) {
-	v, err := s.nextBlockView()
-	if err != nil {
-		return buf[:0], err
-	}
-	defer v.release()
 	buf = buf[:0]
-	for i := 0; i < v.count; i++ {
-		buf = append(buf, v.edge(i))
+	if v := s.view; v != nil {
+		for i := s.pos; i < v.count; i++ {
+			buf = append(buf, v.edge(i))
+		}
+		v.release()
+		s.view, s.pos = nil, 0
+		if len(buf) > 0 {
+			return buf, nil
+		}
+	}
+	for len(buf) == 0 {
+		b, err := s.readBlock()
+		if err != nil {
+			return buf, err
+		}
+		buf, err = b.appendEdges(buf)
+		putBlockBuf(b.payload)
+		if err != nil {
+			return buf[:0], err
+		}
 	}
 	return buf, nil
 }

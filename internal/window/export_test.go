@@ -1,15 +1,27 @@
 package window
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // CheckChainInvariant checks the chain invariant the decoder enforces and
-// that the calendar and the vertex index, which the engine derives from
-// the chains, agree with them: every live element listed under each of
-// its endpoints once, lists in position order with their dead counted,
-// and one calendar entry per estimator at its next event.
+// that the calendar, the vertex index and its filter, which the engine
+// derives from the chains, agree with them: every live element listed
+// under each of its endpoints once, lists in position order with their
+// dead counted, each filter slot counting the index keys that hash to it
+// with at least eight slots per key, and one calendar entry per estimator
+// at its next event.
 func (c *Counter) CheckChainInvariant() error {
 	if err := c.checkChainInvariant(); err != nil {
 		return err
+	}
+	counts := make([]uint16, len(c.filter.counts))
+	for v := range c.adj {
+		counts[c.filter.slot(v)]++
+	}
+	if !slices.Equal(counts, c.filter.counts) || 8*len(c.adj) > len(counts) {
+		return fmt.Errorf("vertex filter of %d slots does not count the index's %d keys by slot", len(counts), len(c.adj))
 	}
 	seen := make(map[*chainElem]int)
 	for v, l := range c.adj {

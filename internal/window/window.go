@@ -18,7 +18,10 @@
 // vertex index over the live chain elements finds the elements adjacent
 // to an arriving edge. An edge costs O(1 + adjacent elements + events due
 // at its position); the expected chain length is e−1 < 2 for large w, so
-// the state is O(r).
+// the state is O(r). A counting filter in front of the index answers most
+// endpoints, those with no live element, so an edge that touches no live
+// chain element costs one filter probe per endpoint and, mostly, no map
+// lookup.
 package window
 
 import (
@@ -26,6 +29,7 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"streamtri/internal/graph"
@@ -99,9 +103,10 @@ type Counter struct {
 	rng  *randx.Source
 
 	// Derived from ests, rebuilt on restore, never serialized.
-	cal calendar
-	adj map[graph.NodeID]*vertexList
-	due []int // scratch: estimators with an event at t
+	cal    calendar
+	adj    map[graph.NodeID]*vertexList
+	filter vertexFilter // counts adj's keys by hash, in front of adj
+	due    []int        // scratch: estimators with an event at t
 }
 
 // vertexList holds the chain elements incident to one vertex in (pos,
@@ -132,6 +137,7 @@ func NewCounter(r int, w uint64, seed uint64) *Counter {
 func (c *Counter) rebuild() {
 	c.cal = make(calendar, 0, len(c.ests))
 	c.adj = make(map[graph.NodeID]*vertexList)
+	c.filter = newVertexFilter(c.adj)
 	type ref struct {
 		el  *chainElem
 		est int
@@ -181,14 +187,14 @@ func (c *Counter) Add(e graph.Edge) {
 
 	// Level-2 updates of every live element adjacent to e (Algorithm 1
 	// relative to that element as level-1 edge).
-	if l := c.adj[e.U]; l != nil {
+	if l := c.list(e.U); l != nil {
 		for _, el := range l.elems {
 			if !el.dropped {
 				el.observe(e, c.rng)
 			}
 		}
 	}
-	if l := c.adj[e.V]; l != nil && e.V != e.U {
+	if l := c.list(e.V); l != nil && e.V != e.U {
 		for _, el := range l.elems {
 			if !el.dropped && !el.e.Has(e.U) { // met through e.U already
 				el.observe(e, c.rng)
@@ -293,11 +299,25 @@ func (c *Counter) index(el *chainElem) {
 	}
 }
 
+// list returns v's vertex list, or nil. Most endpoints of a stream edge
+// have none, and the filter answers those without the map lookup.
+func (c *Counter) list(v graph.NodeID) *vertexList {
+	if c.filter.counts[c.filter.slot(v)] == 0 {
+		return nil
+	}
+	return c.adj[v]
+}
+
 func (c *Counter) link(v graph.NodeID, el *chainElem) {
 	l := c.adj[v]
 	if l == nil {
 		l = &vertexList{}
 		c.adj[v] = l
+		if 8*len(c.adj) > len(c.filter.counts) {
+			c.filter = newVertexFilter(c.adj)
+		} else {
+			c.filter.counts[c.filter.slot(v)]++
+		}
 	}
 	l.elems = append(l.elems, el)
 }
@@ -323,8 +343,51 @@ func (c *Counter) release(v graph.NodeID) {
 	l.dead = 0
 	if len(l.elems) == 0 {
 		delete(c.adj, v)
+		c.filter.counts[c.filter.slot(v)]--
 	}
 }
+
+// vertexFilter counts the vertex index's keys by hash: counts[slot(v)] is
+// the number of keys of c.adj that hash to v's slot, so a vertex whose
+// slot is zero has no list. A count is never below the keys it stands
+// for, so the filter has no false negatives, and it draws no random
+// number: it skips only map lookups that would return nil.
+//
+// The table keeps at least eight slots per key, so at most one probe in
+// eight for a vertex with no list finds its slot taken and falls through
+// to the map. Its size follows the key count, which follows the random
+// chain lengths, and stays O(r).
+//
+// No count can overflow, whatever ids a client sends: a count is at most
+// the key count, at most 2^(b−3) in a table of 2^b slots, and the hash is
+// a bijection on the 2^32 vertex ids followed by a shift, so at most
+// 2^(32−b) ids share a slot. Both bounds meet at 2^14.
+type vertexFilter struct {
+	counts []uint16
+	shift  uint // 32 − log2(len(counts))
+}
+
+// newVertexFilter returns a filter over adj's keys with at least sixteen
+// slots per key.
+func newVertexFilter(adj map[graph.NodeID]*vertexList) vertexFilter {
+	n := 64
+	for n < 16*len(adj) {
+		n *= 2
+	}
+	f := vertexFilter{counts: make([]uint16, n), shift: uint(32 - bits.TrailingZeros(uint(n)))}
+	for v := range adj {
+		f.counts[f.slot(v)]++
+	}
+	return f
+}
+
+// slot returns v's slot: the top bits of a Fibonacci hash of v.
+func (f *vertexFilter) slot(v graph.NodeID) uint32 {
+	return vertexHash(v) >> f.shift
+}
+
+// vertexHash multiplies by an odd constant, a bijection on uint32.
+func vertexHash(v graph.NodeID) uint32 { return v * 0x9E3779B9 }
 
 // WindowEdges returns the number of edges currently in the window,
 // min(t, w).

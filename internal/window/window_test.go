@@ -196,3 +196,76 @@ func TestNewCounterPanics(t *testing.T) {
 		}()
 	}
 }
+
+func TestVertexFilterOneSlot(t *testing.T) {
+	// Vertex ids whose hashes share their top 16 bits, found by searching
+	// over the hash, land in one filter slot at every table size up to
+	// 2^16 slots, so that slot counts every key of the index. A filter
+	// that lost count of them would skip level-2 observations, which no
+	// accuracy test is sharp enough to see. Every live chain element's c
+	// must equal the number of later edges adjacent to it, and the counter
+	// must track one fed the same stream on the ids 0..23.
+	var ids []graph.NodeID
+	for v := graph.NodeID(1); len(ids) < 24; v++ {
+		if vertexHash(v)>>16 == vertexHash(1)>>16 {
+			ids = append(ids, v)
+		}
+	}
+	plain := stream.Shuffle(gen.ER(randx.New(21), 24, 180), randx.New(22))
+	edges := make([]graph.Edge, len(plain))
+	for i, e := range plain {
+		edges[i] = graph.Edge{U: ids[e.U], V: ids[e.V]}
+	}
+	for _, w := range []uint64{1, 7, 40, 1000} {
+		c, ref := NewCounter(15, w, 23), NewCounter(15, w, 23)
+		for i, e := range edges {
+			c.Add(e)
+			ref.Add(plain[i])
+			if err := c.CheckChainInvariant(); err != nil {
+				t.Fatalf("w=%d t=%d: %v", w, c.t, err)
+			}
+			if got, want := c.EstimateTriangles(), ref.EstimateTriangles(); got != want {
+				t.Fatalf("w=%d t=%d: estimate %v on one-slot ids, %v on ids 0..23", w, c.t, got, want)
+			}
+			for idx := range c.ests {
+				for _, el := range c.ests[idx].chain {
+					var want uint64
+					for _, f := range edges[el.pos:c.t] {
+						if f.Adjacent(el.e) {
+							want++
+						}
+					}
+					if el.c != want {
+						t.Fatalf("w=%d t=%d: element at %d observed %d later adjacent edges, want %d", w, c.t, el.pos, el.c, want)
+					}
+				}
+			}
+		}
+		for _, v := range ids {
+			if c.filter.slot(v) != c.filter.slot(ids[0]) {
+				t.Fatalf("w=%d: ids %d and %d in different slots of %d", w, v, ids[0], len(c.filter.counts))
+			}
+		}
+	}
+}
+
+// BenchmarkWindowAddBatch prices the engine per edge at window-reads'
+// shape: r = 64 over a window of 100000, in 512-edge batches of a
+// Holme–Kim stream, after a first window has filled.
+func BenchmarkWindowAddBatch(b *testing.B) {
+	const batch = 512
+	edges := gen.HolmeKim(randx.New(31), 120000, 3, 0.6)
+	c := NewCounter(64, 100000, 32)
+	warm := 200000
+	c.AddBatch(edges[:warm])
+	b.SetBytes(8 * batch)
+	b.ResetTimer()
+	for i, lo := 0, warm; i < b.N; i++ {
+		if lo+batch > len(edges) {
+			lo = 0
+		}
+		c.AddBatch(edges[lo : lo+batch])
+		lo += batch
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/edge")
+}
