@@ -473,14 +473,13 @@
 // a batch the log refused never reaches the counter; a request that
 // fails mid-body (a malformed record, a dropped client) leaves both at
 // the same batch boundary. The handler takes its 64 KiB read buffer
-// and its batch of w edges from pools, one of each per POST in flight,
-// so ingest allocates nothing per POST that scales with w; a v2 block
-// that fits in the batch decodes straight into it. Every v2 reader
-// reads both block layouts, so recovery also replays logs that earlier
-// builds wrote at 16 bytes per edge, and earlier builds replay the
-// 9-byte log. Under the default -wal-sync always the segment is fsynced
-// before the ack, so the 200 means "on disk", not "in page cache".
-// -wal-sync interval trades that
+// from a pool and fills the tenant's one batch of w edges, allocated by
+// its first POST, so ingest allocates nothing per POST that scales with
+// w. Every v2 reader reads both block layouts, so recovery also replays
+// logs that earlier builds wrote at 16 bytes per edge, and earlier
+// builds replay the 9-byte log. Under the default -wal-sync always the
+// segment is fsynced before the ack, so the 200 means "on disk", not
+// "in page cache". -wal-sync interval trades that
 // for one background fsync per -wal-sync-interval (bounding loss to the
 // interval on power failure; a plain process kill still loses nothing
 // the OS accepted), and -wal-sync none leaves flushing entirely to the

@@ -223,8 +223,8 @@ func TestServeFailedIngestLeavesLogAtCounter(t *testing.T) {
 // read buffer and its batch buffer across POSTs, so a body that fails
 // mid-block must leave nothing behind for the next one. Each tenant gets
 // a v2 body whose eighth 10-record block fails its bounds check at
-// record 5, after the edges before it were decoded straight into the
-// batch; then a good v2 body; then a plain-binary body. Each ack must be
+// record 5, after the edges before it were copied into the batch;
+// then a good v2 body; then a plain-binary body. Each ack must be
 // exact, and the tenant must end bit-identical to a library counter fed
 // each body's decoded prefix in batches of w.
 func TestServeReusedBuffersCarryNothingOver(t *testing.T) {

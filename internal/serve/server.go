@@ -149,18 +149,14 @@ type tenant struct {
 	// (under mu); checkpoints are skipped while it matches edges().
 	ckptEdges uint64
 
-	// batches recycles the ingest handler's batch buffers of w edges
-	// across POSTs, one per POST in flight.
-	batches sync.Pool
+	// batch is the ingest handler's buffer of w edges (under mu),
+	// allocated by the tenant's first POST and reused by every later one.
+	batch []streamtri.Edge
 }
 
 // newTenant wraps c and publishes its estimates before any read can come.
 func newTenant(name string, cfg CounterConfig, c counter) *tenant {
 	t := &tenant{name: name, cfg: cfg, c: c}
-	t.batches.New = func() any {
-		b := make([]streamtri.Edge, cfg.effectiveBatchSize())
-		return &b
-	}
 	t.publish()
 	return t
 }
@@ -446,9 +442,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// replay bit-identical — and a batch the log refused never reaches the
 	// counter. A cancelled request stops at a batch boundary.
 	var edges uint64
-	bufp := t.batches.Get().(*[]streamtri.Edge)
-	defer t.batches.Put(bufp)
-	buf := *bufp
+	if t.batch == nil {
+		t.batch = make([]streamtri.Edge, t.cfg.effectiveBatchSize())
+	}
+	buf := t.batch
 	for err == nil {
 		if err = r.Context().Err(); err != nil {
 			break

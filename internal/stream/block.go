@@ -380,8 +380,8 @@ func (v *blockView) tail(i int) *blockView {
 // paths are bit-identical, built on the same block validator — and
 // additionally exposes whole validated blocks to the ordered merge
 // through nextBlockView, the zero-copy fast path that skips per-edge
-// materialization entirely. Fill and NextEdgeBlock, the edges-only
-// paths, decode a checked block straight into edges.
+// materialization entirely. Fill and NextEdgeBlock are the edges-only
+// paths; NextEdgeBlock decodes a checked block straight into edges.
 type BlockBinarySource struct {
 	br       *bufio.Reader
 	hdrDone  bool
@@ -448,8 +448,8 @@ type rawBlock struct {
 // counts, unknown flags, payload length inconsistent with the record
 // count, inverted min/max bounds). io.EOF is returned exactly at a clean
 // end. The records are checked by the decoder that consumes the block:
-// view for the record paths and the merge, appendEdges for the
-// edges-only paths.
+// view for the record paths, Fill and the merge, appendEdges for
+// NextEdgeBlock.
 func (s *BlockBinarySource) readBlock() (rawBlock, error) {
 	if err := s.checkHeader(); err != nil {
 		return rawBlock{}, err
@@ -726,19 +726,11 @@ func (s *BlockBinarySource) NextTimestamped() (TimestampedEdge, error) {
 func (s *BlockBinarySource) FillTimestamped(out []TimestampedEdge) (int, error) {
 	total := 0
 	for total < len(out) {
-		if s.view == nil || s.pos >= s.view.count {
-			if s.view != nil {
-				s.view.release()
-				s.view = nil
+		if err := s.advance(); err != nil {
+			if err == io.EOF && total > 0 {
+				return total, nil
 			}
-			v, err := s.nextBlock()
-			if err != nil {
-				if err == io.EOF && total > 0 {
-					return total, nil
-				}
-				return total, err
-			}
-			s.view, s.pos = v, 0
+			return total, err
 		}
 		for total < len(out) && s.pos < s.view.count {
 			out[total] = s.view.record(s.pos)
@@ -749,50 +741,44 @@ func (s *BlockBinarySource) FillTimestamped(out []TimestampedEdge) (int, error) 
 	return total, nil
 }
 
-// Fill implements BatchFiller, the edges-only path: the same edges as
-// NextTimestamped with the timestamps dropped, and the same errors. A
-// block that fits in the room left in out is decoded straight into it;
-// a larger one is held as a view, as FillTimestamped holds it, and
-// copied out over as many calls as it takes. n may be positive
-// alongside a non-nil err (the edges decoded before a damaged or
-// truncated block).
+// Fill implements BatchFiller, the edges-only path: FillTimestamped with
+// the timestamps dropped, so the same edges as NextTimestamped and the
+// same errors, and n may likewise be positive alongside a non-nil err.
 func (s *BlockBinarySource) Fill(out []graph.Edge) (int, error) {
 	total := 0
 	for total < len(out) {
-		if s.view != nil && s.pos < s.view.count {
-			for total < len(out) && s.pos < s.view.count {
-				out[total] = s.view.edge(s.pos)
-				total++
-				s.pos++
-			}
-			continue
-		}
-		if s.view != nil {
-			s.view.release()
-			s.view = nil
-		}
-		b, err := s.readBlock()
-		if err != nil {
+		if err := s.advance(); err != nil {
 			if err == io.EOF && total > 0 {
 				return total, nil
 			}
 			return total, err
 		}
-		if b.count > len(out)-total {
-			if s.view, err = b.view(); err != nil {
-				return total, err
-			}
-			s.pos = 0
-			continue
+		for total < len(out) && s.pos < s.view.count {
+			out[total] = s.view.edge(s.pos)
+			total++
+			s.pos++
 		}
-		edges, err := b.appendEdges(out[total:total])
-		putBlockBuf(b.payload)
-		if err != nil {
-			return total, err
-		}
-		total += len(edges)
 	}
 	return total, nil
+}
+
+// advance leaves s.view holding records not yet read, releasing a used
+// up view and reading the next block if need be. Its errors are
+// nextBlock's.
+func (s *BlockBinarySource) advance() error {
+	if s.view != nil {
+		if s.pos < s.view.count {
+			return nil
+		}
+		s.view.release()
+		s.view = nil
+	}
+	v, err := s.nextBlock()
+	if err != nil {
+		return err
+	}
+	s.view, s.pos = v, 0
+	return nil
 }
 
 // blockSource is what the ordered merge consumes: a source of

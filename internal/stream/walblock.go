@@ -78,9 +78,9 @@ func (w *BlockWriter) AppendEdgeBlock(batch []graph.Edge) error {
 
 // NextEdgeBlock returns the next whole block's edges with timestamps
 // dropped, appended to buf[:0] (pass the previous return value to
-// reuse its capacity). It decodes a block straight into buf, as Fill
-// does, and returns the unconsumed tail of a block the record paths
-// started first. Errors follow readBlock's and view's taxonomy: io.EOF
+// reuse its capacity). It decodes a block straight into buf, and
+// returns the unconsumed tail of a block the record paths started
+// first. Errors follow readBlock's and view's taxonomy: io.EOF
 // at a clean end, a skippable *RecordError for a torn tail or a
 // checksum mismatch, terminal errors for structural corruption.
 func (s *BlockBinarySource) NextEdgeBlock(buf []graph.Edge) ([]graph.Edge, error) {

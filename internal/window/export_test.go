@@ -10,17 +10,17 @@ import (
 // derives from the chains, agree with them: every live element listed
 // under each of its endpoints once, lists in position order with their
 // dead counted, each filter slot counting the index keys that hash to it
-// with at least eight slots per key, and one calendar entry per estimator
-// at its next event.
+// with at least filterSlotsPerKey slots per key, and one calendar entry
+// per estimator at its next event.
 func (c *Counter) CheckChainInvariant() error {
 	if err := c.checkChainInvariant(); err != nil {
 		return err
 	}
-	counts := make([]uint16, len(c.filter.counts))
+	counts := make([]uint32, len(c.filter.counts))
 	for v := range c.adj {
 		counts[c.filter.slot(v)]++
 	}
-	if !slices.Equal(counts, c.filter.counts) || 8*len(c.adj) > len(counts) {
+	if !slices.Equal(counts, c.filter.counts) || filterSlotsPerKey*len(c.adj) > len(counts) {
 		return fmt.Errorf("vertex filter of %d slots does not count the index's %d keys by slot", len(counts), len(c.adj))
 	}
 	seen := make(map[*chainElem]int)

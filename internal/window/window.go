@@ -313,7 +313,7 @@ func (c *Counter) link(v graph.NodeID, el *chainElem) {
 	if l == nil {
 		l = &vertexList{}
 		c.adj[v] = l
-		if 8*len(c.adj) > len(c.filter.counts) {
+		if filterSlotsPerKey*len(c.adj) > len(c.filter.counts) {
 			c.filter = newVertexFilter(c.adj)
 		} else {
 			c.filter.counts[c.filter.slot(v)]++
@@ -353,28 +353,31 @@ func (c *Counter) release(v graph.NodeID) {
 // for, so the filter has no false negatives, and it draws no random
 // number: it skips only map lookups that would return nil.
 //
-// The table keeps at least eight slots per key, so at most one probe in
-// eight for a vertex with no list finds its slot taken and falls through
-// to the map. Its size follows the key count, which follows the random
-// chain lengths, and stays O(r).
-//
-// No count can overflow, whatever ids a client sends: a count is at most
-// the key count, at most 2^(b−3) in a table of 2^b slots, and the hash is
-// a bijection on the 2^32 vertex ids followed by a shift, so at most
-// 2^(32−b) ids share a slot. Both bounds meet at 2^14.
+// The table keeps at least filterSlotsPerKey slots per key, so at most
+// one probe in that many for a vertex with no list finds its slot taken
+// and falls through to the map. Its size follows the key count, which
+// follows the random chain lengths, and stays O(r).
 type vertexFilter struct {
-	counts []uint16
+	counts []uint32
 	shift  uint // 32 − log2(len(counts))
 }
 
-// newVertexFilter returns a filter over adj's keys with at least sixteen
-// slots per key.
+// filterSlotsPerKey is the fewest slots per key the vertex filter keeps;
+// link rebuilds it at twice that when the keys outgrow it. At r = 64 on
+// a Holme–Kim stream of 8 edges per vertex (BenchmarkWindowAddBatch)
+// the index holds about 210 keys, so the table has 4096 slots and 5% of
+// probes pass it; at four slots per key it has 1024, 18% pass, and an
+// edge costs more.
+const filterSlotsPerKey = 8
+
+// newVertexFilter returns a filter over adj's keys with at least
+// 2·filterSlotsPerKey slots per key.
 func newVertexFilter(adj map[graph.NodeID]*vertexList) vertexFilter {
 	n := 64
-	for n < 16*len(adj) {
+	for n < 2*filterSlotsPerKey*len(adj) {
 		n *= 2
 	}
-	f := vertexFilter{counts: make([]uint16, n), shift: uint(32 - bits.TrailingZeros(uint(n)))}
+	f := vertexFilter{counts: make([]uint32, n), shift: uint(32 - bits.TrailingZeros(uint(n)))}
 	for v := range adj {
 		f.counts[f.slot(v)]++
 	}

@@ -251,10 +251,11 @@ func TestVertexFilterOneSlot(t *testing.T) {
 
 // BenchmarkWindowAddBatch prices the engine per edge at window-reads'
 // shape: r = 64 over a window of 100000, in 512-edge batches of a
-// Holme–Kim stream, after a first window has filled.
+// Holme–Kim stream with perfbench's 8 edges per vertex and triad
+// probability 0.5, after a first window has filled.
 func BenchmarkWindowAddBatch(b *testing.B) {
 	const batch = 512
-	edges := gen.HolmeKim(randx.New(31), 120000, 3, 0.6)
+	edges := gen.HolmeKim(randx.New(31), 45000, 8, 0.5)
 	c := NewCounter(64, 100000, 32)
 	warm := 200000
 	c.AddBatch(edges[:warm])
