@@ -25,28 +25,7 @@ import (
 // parallel edges and self loops, which trictd and NewSliceSource pass
 // through. Every state must also restore from its own bytes.
 func TestBulkStateGolden(t *testing.T) {
-	hkRNG := randx.New(101)
-	growth := gen.HolmeKim(hkRNG, 300, 3, 0.7)
-	streams := []struct {
-		name  string
-		edges []graph.Edge
-	}{
-		{"holmekim-growth", growth},
-		{"holmekim-shuffled", stream.Shuffle(growth, randx.New(102))},
-		{"complete", gen.Complete(24)},
-		{"multigraph", multigraph(growth)},
-	}
-	kinds := []struct {
-		name string
-		p    int // 0 = flat Counter
-		opts []Option
-	}{
-		{"flat-skip", 0, nil},
-		{"flat-noskip", 0, []Option{WithoutLevel1Skip()}},
-		{"sharded-p1", 1, nil},
-		{"sharded-p2", 2, nil},
-		{"sharded-p3", 3, nil},
-	}
+	streams, kinds := goldenStreams(), goldenKinds()
 	want := map[string]string{
 		"holmekim-growth/flat-skip":     "57969039fa312e3736fd941e462070e7af7e54dc5c99093ed514d5e6b3e00b15",
 		"holmekim-growth/flat-noskip":   "8790a16fad596e92d0ab8c16e9e1f10fd0475dcc4d19089522a0ab6a33eae307",
@@ -109,6 +88,45 @@ func multigraph(edges []graph.Edge) []graph.Edge {
 	return out
 }
 
+// goldenStream is one stream of the golden tests.
+type goldenStream struct {
+	name  string
+	edges []graph.Edge
+}
+
+// goldenKind is one counter kind of the golden tests: flat when p is 0,
+// sharded into p shards otherwise.
+type goldenKind struct {
+	name string
+	p    int
+	opts []Option
+}
+
+// goldenStreams returns the golden tests' four streams: a Holme–Kim
+// graph in growth order and shuffled, a complete graph, and the
+// multigraph variant of the first.
+func goldenStreams() []goldenStream {
+	hkRNG := randx.New(101)
+	growth := gen.HolmeKim(hkRNG, 300, 3, 0.7)
+	return []goldenStream{
+		{"holmekim-growth", growth},
+		{"holmekim-shuffled", stream.Shuffle(growth, randx.New(102))},
+		{"complete", gen.Complete(24)},
+		{"multigraph", multigraph(growth)},
+	}
+}
+
+// goldenKinds returns the golden tests' five counter kinds.
+func goldenKinds() []goldenKind {
+	return []goldenKind{
+		{"flat-skip", 0, nil},
+		{"flat-noskip", 0, []Option{WithoutLevel1Skip()}},
+		{"sharded-p1", 1, nil},
+		{"sharded-p2", 2, nil},
+		{"sharded-p3", 3, nil},
+	}
+}
+
 // goldenState feeds edges in batches of w to a fresh counter (flat when
 // p is 0, sharded otherwise) and returns its checkpoint bytes, after
 // checking that they restore to the same bytes.
@@ -144,4 +162,159 @@ func goldenState(t *testing.T, edges []graph.Edge, r, w, p int, opts []Option) [
 		t.Fatalf("r=%d w=%d: restored state re-encodes differently", r, w)
 	}
 	return buf.Bytes()
+}
+
+// TestBulkStateGoldenPaths pins the bulk path's states on the intakes
+// TestBulkStateGolden leaves out, where a batch starts from a state
+// that no earlier fixed-width batch left behind:
+//
+//   - resume: the counter is restored from its own checkpoint at every
+//     batch boundary, and the restored counter is fed on;
+//   - mixed: one Add of the next edge after every third AddBatch;
+//   - cycled: batch widths cycle through 1, 64, 3 and 1000 within one
+//     stream.
+//
+// The streams, counter kinds and digest scheme are TestBulkStateGolden's:
+// one SHA-256 per path, stream and kind over the final WriteTo bytes of
+// every r and width cycle in order.
+func TestBulkStateGoldenPaths(t *testing.T) {
+	paths := []struct {
+		name     string
+		cycles   [][]int // batch widths, cycled within the stream
+		addEvery int     // one Add after every addEvery-th AddBatch; 0 for none
+		resume   bool
+	}{
+		{"resume", [][]int{{1}, {3}, {64}}, 0, true},
+		{"mixed", [][]int{{1}, {3}, {64}}, 3, false},
+		{"cycled", [][]int{{1, 64, 3, 1000}}, 0, false},
+	}
+	want := map[string]string{
+		"resume/holmekim-growth/flat-skip":     "89cfec09170b8ca9511f85b9407e34e844bd72066083f473d9c000bbaee152f9",
+		"resume/holmekim-growth/flat-noskip":   "6446b62731b7c159452cc4ba6164f10e92cf0e1ab3a93cae13f0afe6f442ba9d",
+		"resume/holmekim-growth/sharded-p1":    "315903a2acc72e0cd3ed7f370516a30e93251d2a3480ae6891f4a860a19abbcf",
+		"resume/holmekim-growth/sharded-p2":    "479d6518f9072c752974edb0157beff909759937ca766e3560c47c77111c812a",
+		"resume/holmekim-growth/sharded-p3":    "bfb28021a6a2c8a27c0a57a163c4735a48aef30435ef1fdfad24378beb47eb98",
+		"resume/holmekim-shuffled/flat-skip":   "b2b82d1bb74340e824f3aba90dc6b6d88545f262d9e70610afaf29cac946c075",
+		"resume/holmekim-shuffled/flat-noskip": "6335e80916c4041d89423ea50c2300a5436302f96dfe7d3f50bbf934c70c0c7a",
+		"resume/holmekim-shuffled/sharded-p1":  "2d22df49af43b725adac9947786898d8a670d4aa5dcb97491577d0733a7ad3fd",
+		"resume/holmekim-shuffled/sharded-p2":  "a00704385f113acd38e048bb2fed979b30753a4e87d7f78acd0718eaef18c1d4",
+		"resume/holmekim-shuffled/sharded-p3":  "5d697509974bafe86cd1f0e0356f608e448159bcfb4f08828f0117b761498b95",
+		"resume/complete/flat-skip":            "3fd5d6b88b1aad655719bca4a5a2beee2099a304c9c625056ada07393dcfd7bb",
+		"resume/complete/flat-noskip":          "d7c52e46457c5350105e125855a61647b9cc1890e58ba8c01a82dd0aab0be3a5",
+		"resume/complete/sharded-p1":           "b5a922c07ed69325025e796fece6f88f14cdecac3417df1ad14372e2606baa48",
+		"resume/complete/sharded-p2":           "91f0423a991e8d489a65cda5abc27c184b47985b3156395fa6b78883a378930f",
+		"resume/complete/sharded-p3":           "8e7fc59d32e77b52e0bc24d4f7c27fdcfee61ad4e19d1230932256d35f4d2daf",
+		"resume/multigraph/flat-skip":          "9630d3f316c19f77e6095086704cf603b859cd1a81637a3c74fba51247619962",
+		"resume/multigraph/flat-noskip":        "f4fb5ca2643cc4755898f36e409b2990650347307abb1a9d1d06e02afb40af5e",
+		"resume/multigraph/sharded-p1":         "edfd2219e7ed205dc57e1c65734eaf4d690044317f2ff5d920f536ec6ae326e1",
+		"resume/multigraph/sharded-p2":         "7ec9fc66248f5eabe2fbe2d396feea4fc01909c366b9b536457ecff399d9449e",
+		"resume/multigraph/sharded-p3":         "b60f89e570c2e69a4bcdaa164027bdaac411d51619e28c97a6e273a501880d96",
+		"mixed/holmekim-growth/flat-skip":      "2f3a24e754ecda6ff4d9e452eda5f08f89444b6bcc57b27edf0add95b0638749",
+		"mixed/holmekim-growth/flat-noskip":    "dfb733c33fe90768fa0982b8f7a8b3eed2cf16eb304d5ef766648de933f8c6d5",
+		"mixed/holmekim-growth/sharded-p1":     "9096043924de8e24d3bb66519bb9db09a796eb10e84971a0e12c7a07cded670c",
+		"mixed/holmekim-growth/sharded-p2":     "1269d6c454704b275cf5788f7bcbc397a2686d44b1c30725dc298a1546a4c91e",
+		"mixed/holmekim-growth/sharded-p3":     "c3c5bdf7f865b654d65b23ad4e64cc671cf9b051ce1a4467145b85cfbf75f4fb",
+		"mixed/holmekim-shuffled/flat-skip":    "c654787521c6ce3fc1bd0df88ff58970f2634ad09f2752291ad6dabd06b5f909",
+		"mixed/holmekim-shuffled/flat-noskip":  "ae5a974e36d8562fbcd355d06231cb30c0be22209b387ca4e7a2a5bc9abd3088",
+		"mixed/holmekim-shuffled/sharded-p1":   "2b62b901e5eb0f12db486cfb7149a87473d6d3cd6ef86585f00856cca0446f4c",
+		"mixed/holmekim-shuffled/sharded-p2":   "c609c9e35bcbedefc59eb433c8d54a1f7a0c8f9a0399fd84f1e0d0a534f08ced",
+		"mixed/holmekim-shuffled/sharded-p3":   "bba91f26a78e34ed41fbaf15cf67b6583c66fbbbdf8393fa5f78d59106548deb",
+		"mixed/complete/flat-skip":             "92a4352f99a1271265929aff2d54a7640929c12b73ae952df4155569a22ab8ac",
+		"mixed/complete/flat-noskip":           "86184589482cf9749fc8970e1efcc7dbf3479de0bde22709e548c90e2789e752",
+		"mixed/complete/sharded-p1":            "0c3120fe39e556252647e376aa759a58be529ab7f0f7e0424dff9f09fab2fcdb",
+		"mixed/complete/sharded-p2":            "98b73e2f5e038363636bba2d9e5791e71b12a407dd643bb04cadb5e8b504bff7",
+		"mixed/complete/sharded-p3":            "a065dc9a4988030da6d9725f870b66268297156cc1ccd37d452adce99ffe2d62",
+		"mixed/multigraph/flat-skip":           "d7c22d9272afa721698b51507a304a79d4c4eac316b9a0b8213df2d9e83da482",
+		"mixed/multigraph/flat-noskip":         "9f7c2fffdf908e477190eb5d185f7d178b48f7b71708308c4dbab083d260eaf8",
+		"mixed/multigraph/sharded-p1":          "26fc0e316fcb69ca2d347891de2663fd2f1e4793fd84516e63a8d496c75cbcd3",
+		"mixed/multigraph/sharded-p2":          "c20cfc47181fdabb3aaba3dc203d11c0416579878d17dcb72cbf481cff613048",
+		"mixed/multigraph/sharded-p3":          "269ebd1faced63ed7f67acbab99bcf1f081ef944899b9dfaf136c31a7a4ed692",
+		"cycled/holmekim-growth/flat-skip":     "c60e70be0938454a48970e24cb349e9fd63fc40896632b62f7217d4b248b2bcd",
+		"cycled/holmekim-growth/flat-noskip":   "713a5be0f0d29885572c7020b3fbbe623bff90a96ef941f5095c19c2d7796c53",
+		"cycled/holmekim-growth/sharded-p1":    "111ce5c3efe11c41b25b57283bb9b47d694dde25438bc48a33d2d5a284fe693f",
+		"cycled/holmekim-growth/sharded-p2":    "075b7680cf74d115cf286c58612754bd1cb2c92a8fcde4bad2c3e841ef683e4e",
+		"cycled/holmekim-growth/sharded-p3":    "e37292b4dba3c47c79d427edaf333f59800536d6bbc5434a1554d145d1ccfba4",
+		"cycled/holmekim-shuffled/flat-skip":   "e8431acde41f001b296d0ceddc31ab98483e209f3fe27923bae63ef80aa8d4cb",
+		"cycled/holmekim-shuffled/flat-noskip": "17aa651722c44884c61742bf41a9c591e4ed077b5e3b6ae72b9dc8f93838d3aa",
+		"cycled/holmekim-shuffled/sharded-p1":  "3695fc9f6fccd1077d5c51e99073fb00f9d9b836a4996f2ab73900386cb7efaa",
+		"cycled/holmekim-shuffled/sharded-p2":  "bf795252fdbdf6d4def537957671c2523868f4735ba60ee6efdce68d8278c840",
+		"cycled/holmekim-shuffled/sharded-p3":  "28457e164767ec12b4013392ae755e80f290dab1ed894d415a66ef9ba393223e",
+		"cycled/complete/flat-skip":            "9e70c5cb10485af85ac169f58888a715ed52dc3f07b30963da406e19fe161a95",
+		"cycled/complete/flat-noskip":          "f543babea157c31715609d538572bd375ce87676bd36a98f018ab5c7c9effa1b",
+		"cycled/complete/sharded-p1":           "ac24fb481d51f53e3068c3e0d764932fe4fbf2fe22ce6fad0f842e5e4113d5d4",
+		"cycled/complete/sharded-p2":           "7ee9020ba0ca7047ace9b4d4fc647953fbe8ee8fc62ba617de26fe89dbbea0f1",
+		"cycled/complete/sharded-p3":           "083752cddc96060be0f714f7b751de9b0652f82a0cb4f7120d800d1483272814",
+		"cycled/multigraph/flat-skip":          "77f47869a1f2ee5b8313818ebd9799196b66360c01db166a557957a6b7d12b20",
+		"cycled/multigraph/flat-noskip":        "5acbf44d708f1107e151dd604b345a534b58dcc409f60ef28f296bcc22f75fdf",
+		"cycled/multigraph/sharded-p1":         "122bf61d065d72c9ed17625333e9d6bf3082a37c607a2211e45000a7f7efd977",
+		"cycled/multigraph/sharded-p2":         "87b2e97ffd9cd30644040bda84c93a1f03898f6faa13f5365d357d4a85621be2",
+		"cycled/multigraph/sharded-p3":         "5f1cc5d4d8b8ee00523b805a9a4c4201200c57f104f02b43a654876f7d456a97",
+	}
+	for _, path := range paths {
+		for _, s := range goldenStreams() {
+			for _, k := range goldenKinds() {
+				name := path.name + "/" + s.name + "/" + k.name
+				t.Run(name, func(t *testing.T) {
+					h := sha256.New()
+					for _, r := range []int{1, 7, 300} {
+						if k.p > r {
+							continue
+						}
+						for _, widths := range path.cycles {
+							fmt.Fprintf(h, "r=%d w=%v\n", r, widths)
+							h.Write(goldenPathState(t, s.edges, r, k, widths, path.addEvery, path.resume))
+						}
+					}
+					if got := hex.EncodeToString(h.Sum(nil)); got != want[name] {
+						t.Errorf("state digest %s, want %s", got, want[name])
+					}
+				})
+			}
+		}
+	}
+}
+
+// goldenCounter is the intake the golden paths drive, common to Counter
+// and ShardedCounter.
+type goldenCounter interface {
+	Add(graph.Edge)
+	AddBatch([]graph.Edge)
+	WriteTo(io.Writer) (int64, error)
+}
+
+// goldenPathState feeds edges to a fresh counter of kind k in batches
+// whose widths cycle through widths, with an Add of the next edge after
+// every addEvery-th batch (none when addEvery is 0). When resume is set,
+// the counter is replaced at every batch boundary by one restored from
+// its checkpoint. It returns the final checkpoint bytes.
+func goldenPathState(t *testing.T, edges []graph.Edge, r int, k goldenKind, widths []int, addEvery int, resume bool) []byte {
+	t.Helper()
+	var c goldenCounter
+	if k.p == 0 {
+		c = NewCounter(r, 7, k.opts...)
+	} else {
+		c = NewShardedCounter(r, k.p, 7, k.opts...)
+	}
+	for lo, n := 0, 1; lo < len(edges); n++ {
+		hi := min(lo+widths[(n-1)%len(widths)], len(edges))
+		c.AddBatch(edges[lo:hi])
+		lo = hi
+		if addEvery > 0 && n%addEvery == 0 && lo < len(edges) {
+			c.Add(edges[lo])
+			lo++
+		}
+		if !resume {
+			continue
+		}
+		var err error
+		if k.p == 0 {
+			c, err = ReadCounterFrom(bytes.NewReader(encodeState(t, c)))
+		} else {
+			c, err = ReadShardedCounterFrom(bytes.NewReader(encodeState(t, c)))
+		}
+		if err != nil {
+			t.Fatalf("r=%d: restoring at edge %d: %v", r, lo, err)
+		}
+	}
+	return encodeState(t, c)
 }
