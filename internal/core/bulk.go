@@ -4,9 +4,9 @@ import "streamtri/internal/graph"
 
 // AddBatch advances all estimators as if the batch's edges had been
 // played one at a time after the stream so far (the bulkTC algorithm of
-// Theorem 3.5). Cost is O(r + w) time and extra space per call, and
-// every hash table holds O(min(r, w)) entries; with w = Θ(r) the whole
-// stream costs O(m + r).
+// Theorem 3.5). Cost is O(r + w) time and extra space per call, every
+// hash table holds O(r) entries however large w is, and the batch is
+// streamed once; with w = Θ(r) the whole stream costs O(m + r).
 //
 // The resulting estimator states are identically distributed to those
 // produced by calling Add on each edge in order. The implementation is
@@ -20,26 +20,29 @@ func (c *Counter) AddBatch(batch []graph.Edge) {
 }
 
 // absorb advances every estimator of cs over batch and publishes each
-// counter's snapshot. The counters share one index x, built from the
-// queries of all of them. Each counter draws from its own RNG in a fixed
-// order — its level-1 step, then one draw per touched estimator in
-// estimator order — and the index draws nothing, so every counter's
-// states are the ones it would reach alone, bit for bit.
+// counter's snapshot. The counters share one index x, which holds the
+// level-1 endpoints of all of them. Each counter draws from its own RNG
+// in a fixed order — its level-1 step, then one draw per estimator with
+// a level-1 endpoint in the batch, in estimator order — and the index
+// draws nothing, so every counter's states are the ones it would reach
+// alone, bit for bit, however the index was built.
 func absorb(x *batchIndex, batch []graph.Edge, cs ...*Counter) {
 	r := 0
 	for _, c := range cs {
 		r += len(c.ests)
+		if !x.current(c) {
+			x.stale = true
+		}
 	}
-	x.begin(batch, r)
 	for _, c := range cs {
-		c.level1(batch)
-		x.query(c, batch)
+		c.level1(batch, x)
 	}
-	x.scan(batch)
-	lo := 0
-	for k, c := range cs {
-		c.level2(batch, x, x.touched[lo:x.ends[k]])
-		lo = x.ends[k]
+	if x.stale {
+		x.rebuild(r, cs)
+	}
+	x.scan(batch, r)
+	for _, c := range cs {
+		c.level2(batch, x)
 	}
 	x.closeWedges(batch)
 	for _, c := range cs {
@@ -50,8 +53,9 @@ func absorb(x *batchIndex, batch []graph.Edge, cs ...*Counter) {
 
 // level1 is Step 1: resample level-1 edges. Each estimator keeps its
 // current r1 with probability m/(m+w); otherwise it adopts a uniform
-// batch edge. One uniform draw over [1, m+w] implements both choices.
-func (c *Counter) level1(batch []graph.Edge) {
+// batch edge, whose endpoints the index interns. One uniform draw over
+// [1, m+w] implements both choices.
+func (c *Counter) level1(batch []graph.Edge, x *batchIndex) {
 	w := uint64(len(batch))
 	mOld := c.m
 	total := mOld + w
@@ -59,6 +63,7 @@ func (c *Counter) level1(batch []graph.Edge) {
 		est := &c.ests[idx]
 		est.r1, est.r1Pos, est.hasR1 = batch[bi], mOld+bi+1, true
 		est.c, est.hasR2, est.hasT = 0, false, false
+		x.adopt(c, idx, est.r1)
 	}
 	if c.useSkip {
 		// Section 4 optimization: the replacement indicator vector is
@@ -84,19 +89,27 @@ func (c *Counter) level1(batch []graph.Edge) {
 // edge where v reaches degree d, which the occurrence list names
 // directly. Every wedge left open is handed to the index, which closes
 // it once the batch has been streamed past all of them (closeWedges).
-// Step 2 visits only c's touched estimators, in estimator order; every
-// other one has c⁺ = 0 and draws nothing.
-func (c *Counter) level2(batch []graph.Edge, x *batchIndex, ts []touched) {
+// Step 2 walks c's estimators in order through their cached ids; one
+// whose level-1 endpoints both have batch degree 0 has c⁺ = 0, draws
+// nothing, and holds no wedge the batch can close.
+func (c *Counter) level2(batch []graph.Edge, x *batchIndex) {
 	mOld := c.m
 	total := mOld + uint64(len(batch))
-	for _, t := range ts {
-		est := t.est
-		// ix, iy are r1's query ids, dx, dy their final batch degrees,
-		// and bx, by their degrees when r1 arrived (β; 0 when r1 predates
+	for idx := range c.ests {
+		est := &c.ests[idx]
+		if !est.hasR1 {
+			continue
+		}
+		// ix, iy are r1's ids, dx, dy their final batch degrees, and
+		// bx, by their degrees when r1 arrived (β; 0 when r1 predates
 		// the batch). The upper bound on r1Pos only matters for a damaged
 		// restored state; it keeps such a state inside the index.
-		ix, iy := t.u, t.v
+		ids := c.ids[idx]
+		ix, iy := ids.u, ids.v
 		dx, dy := x.degree(ix), x.degree(iy)
+		if dx == 0 && dy == 0 {
+			continue
+		}
 		var bx, by uint32
 		if est.r1Pos > mOld && est.r1Pos <= total {
 			bi := uint32(est.r1Pos - mOld - 1)
@@ -111,20 +124,20 @@ func (c *Counter) level2(batch []graph.Edge, x *batchIndex, ts []touched) {
 		cPlus := a + b
 		est.c = cMinus + cPlus
 		if cPlus == 0 {
-			// No batch edge touches r1: state unchanged except that an
-			// existing open wedge may still be closed by a batch edge.
-			x.watchRetained(est)
+			// No later batch edge touches r1: state unchanged except that
+			// an existing open wedge may still be closed by a batch edge.
+			x.watchRetained(est, ids)
 			continue
 		}
 		phi := c.rng.RandInt(1, cMinus+cPlus)
 		switch {
 		case phi <= cMinus:
 			// Keep the current level-2 edge (and triangle, if any).
-			x.watchRetained(est)
+			x.watchRetained(est, ids)
 		case phi <= cMinus+a:
-			c.setLevel2(est, batch, x, x.reach(ix, bx+uint32(phi-cMinus)))
+			c.setLevel2(est, ids, batch, x, x.reach(ix, bx+uint32(phi-cMinus)))
 		default:
-			c.setLevel2(est, batch, x, x.reach(iy, by+uint32(phi-cMinus-a)))
+			c.setLevel2(est, ids, batch, x, x.reach(iy, by+uint32(phi-cMinus-a)))
 		}
 	}
 }
@@ -134,10 +147,8 @@ func (c *Counter) level2(batch []graph.Edge, x *batchIndex, ts []touched) {
 // strictly after bi. r2 cannot change again within this batch, so the
 // answer is final — equivalent to the subscription table Q firing on a
 // later edge.
-func (c *Counter) setLevel2(est *Estimator, batch []graph.Edge, x *batchIndex, bi uint32) {
+func (c *Counter) setLevel2(est *Estimator, ids vertexIDs, batch []graph.Edge, x *batchIndex, bi uint32) {
 	est.r2, est.r2Pos, est.hasR2 = batch[bi], c.m+uint64(bi)+1, true
 	est.hasT = false
-	if sh, ok := est.r1.SharedVertex(est.r2); ok {
-		x.watch(est, est.r1.Other(sh), est.r2.Other(sh), int32(bi))
-	}
+	x.watch(est, ids, int32(bi))
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"testing"
@@ -89,12 +90,18 @@ func TestAddBatchZeroAllocsSteadyState(t *testing.T) {
 		c.AddBatch(edges[i*w : (i+1)*w])
 	}
 	i := 0
+	before := c.own.build
 	avg := testing.AllocsPerRun(batches-1, func() {
 		c.AddBatch(edges[i*w : (i+1)*w])
 		i = (i + 1) % batches
 	})
 	if avg > 1 {
 		t.Fatalf("Counter.AddBatch allocates %.2f allocs/op at steady state, want <= 1 (the published snapshot)", avg)
+	}
+	// AllocsPerRun makes one unmeasured run first, so two rebuilds put
+	// at least one inside the measured runs.
+	if n := c.own.build - before; n < 2 {
+		t.Fatalf("the batch index rebuilt %d times during the runs, want at least 2", n)
 	}
 }
 
@@ -114,6 +121,7 @@ func TestShardedAddBatchZeroAllocsSteadyState(t *testing.T) {
 		sc.AddBatch(edges[i*w : (i+1)*w])
 	}
 	i := 0
+	before := sc.idx.build
 	avg := testing.AllocsPerRun(batches-1, func() {
 		sc.AddBatch(edges[i*w : (i+1)*w])
 		i = (i + 1) % batches
@@ -121,6 +129,108 @@ func TestShardedAddBatchZeroAllocsSteadyState(t *testing.T) {
 	if avg > p+1 {
 		t.Fatalf("ShardedCounter.AddBatch allocates %.2f allocs/op at steady state, want <= %d (p shard snapshots + 1 combined)", avg, p+1)
 	}
+	if n := sc.idx.build - before; n < 2 {
+		t.Fatalf("the batch index rebuilt %d times during the runs, want at least 2", n)
+	}
+}
+
+// TestBatchIndexRebuildTriggers drives the kept batch index through
+// every reason to rebuild it: the first batch, a batch with many
+// adoptions (m small, w ≫ m), keys piling up past the bound over small
+// batches, an Add between batches and a restore, on a flat counter and
+// on a p = 3 sharded one whose shards share the index. After every
+// batch the states must equal those of a twin restored from its
+// checkpoint before each batch, whose index is therefore built afresh
+// every time, and the state and index invariants must hold.
+func TestBatchIndexRebuildTriggers(t *testing.T) {
+	edges := stream.Shuffle(gen.HolmeKim(randx.New(61), 200, 3, 0.6), randx.New(62))
+	const r = 64
+	for _, k := range []goldenKind{{"flat", 0, nil}, {"sharded-p3", 3, nil}} {
+		t.Run(k.name, func(t *testing.T) {
+			newCounter := func() goldenCounter {
+				if k.p == 0 {
+					return NewCounter(r, 5)
+				}
+				return NewShardedCounter(r, k.p, 5)
+			}
+			c, twin := newCounter(), newCounter()
+			lo := 0
+			// feed adds the next w edges to both counters and reports
+			// whether c's index was rebuilt.
+			feed := func(w int) bool {
+				t.Helper()
+				x, _ := indexOf(c)
+				before := x.build
+				batch := edges[lo : lo+w]
+				lo += w
+				c.AddBatch(batch)
+				twin = restoreState(t, twin)
+				twin.AddBatch(batch)
+				if !bytes.Equal(encodeState(t, c), encodeState(t, twin)) {
+					t.Fatalf("after edge %d: state differs from the twin's, whose index was rebuilt", lo)
+				}
+				x, cs := indexOf(c)
+				checkIndexInvariants(t, x, cs...)
+				for _, s := range cs {
+					checkStateInvariants(t, edges[:lo], s)
+				}
+				return x.build != before
+			}
+			if !feed(4) {
+				t.Fatal("the first batch did not build the index")
+			}
+			if !feed(296) {
+				t.Fatal("a batch with many adoptions did not rebuild the index")
+			}
+			kept, rebuilt := 0, 0
+			for range 20 {
+				if feed(8) {
+					rebuilt++
+				} else {
+					kept++
+				}
+			}
+			if kept == 0 || rebuilt == 0 {
+				t.Fatalf("over 20 small batches the index was kept %d times and rebuilt %d times; want both", kept, rebuilt)
+			}
+			c.Add(edges[lo])
+			twin.Add(edges[lo])
+			lo++
+			if !feed(8) {
+				t.Fatal("the batch after an Add did not rebuild the index")
+			}
+			c = restoreState(t, c)
+			if !feed(8) {
+				t.Fatal("the first batch after a restore did not build the index")
+			}
+			feed(len(edges) - lo)
+		})
+	}
+}
+
+// indexOf returns the batch index of c and the counters that share it.
+func indexOf(c goldenCounter) (*batchIndex, []*Counter) {
+	if sc, ok := c.(*ShardedCounter); ok {
+		return &sc.idx, sc.shards
+	}
+	flat := c.(*Counter)
+	return &flat.own, []*Counter{flat}
+}
+
+// restoreState returns a counter restored from c's checkpoint.
+func restoreState(t *testing.T, c goldenCounter) goldenCounter {
+	t.Helper()
+	var restored goldenCounter
+	var err error
+	if _, ok := c.(*ShardedCounter); ok {
+		restored, err = ReadShardedCounterFrom(bytes.NewReader(encodeState(t, c)))
+	} else {
+		restored, err = ReadCounterFrom(bytes.NewReader(encodeState(t, c)))
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return restored
 }
 
 // --- interner unit tests ------------------------------------------------

@@ -1,110 +1,110 @@
 package core
 
-import "streamtri/internal/graph"
+import (
+	"slices"
 
-// interner densely remaps the query vertices of one batch — the level-1
-// endpoints that may be batch vertices — to consecutive ids in [0, k). It
-// is the allocation-free replacement for the per-batch
-// `map[graph.NodeID]uint32` the bulk algorithm would otherwise rebuild:
-// the hash index is epoch-stamped, so starting a new batch is a single
-// counter bump instead of a table clear, and every slice is reused across
-// batches. Footprint is O(k) where k ≤ 2r, and since only vertices that
-// pass the batch-vertex bitmap are interned, k is about 2w at most as
-// well. That is within the Theorem 3.5 space bound.
+	"streamtri/internal/graph"
+)
+
+// interner densely remaps vertices to consecutive ids in [0, k). The
+// bulk path keeps one across batches for the endpoints of every
+// estimator's level-1 edge (batchIndex, scratch.go), so k is about 2r,
+// within the Theorem 3.5 space bound. It is the allocation-free
+// replacement for a `map[graph.NodeID]uint32`: every slice is reused,
+// and a slot is 8 bytes, so the randomly probed table stays small.
 type interner struct {
-	epoch uint32
 	mask  uint32
 	slots []internSlot
 	// keys maps dense id -> original vertex; len(keys) is the number of
-	// vertices interned this epoch.
+	// vertices interned since begin.
 	keys []graph.NodeID
 }
 
+// internSlot holds one key and its id plus one; 0 marks an empty slot.
 type internSlot struct {
-	epoch uint32
-	key   graph.NodeID
-	id    uint32
+	key graph.NodeID
+	id1 uint32
 }
 
-// begin starts a new batch expected to intern about `capacity` distinct
-// vertices. The hash index is kept at load factor ≤ 1/2 and grows
-// geometrically, so a long stream of same-sized batches allocates nothing
+// begin empties the interner for about `capacity` distinct vertices:
+// the hash index gets at least 2·capacity slots and grows only past load
+// 3/4, so a rebuild's keys plus the batch index's allowance of later
+// ones fit without growth, and same-sized rebuilds allocate nothing
 // after the first.
 func (in *interner) begin(capacity int) {
 	need := nextPow2(2*capacity, 16)
 	if need > len(in.slots) {
 		in.slots = make([]internSlot, need)
 		in.mask = uint32(need - 1)
-		in.epoch = 0
-	}
-	in.epoch++
-	if in.epoch == 0 { // epoch counter wrapped: stale stamps could collide
+	} else {
 		clear(in.slots)
-		in.epoch = 1
 	}
-	in.keys = in.keys[:0]
+	in.keys = slices.Grow(in.keys[:0], in.capacity())
 }
 
+// capacity returns how many keys the hash index takes before it grows.
+func (in *interner) capacity() int { return len(in.slots) / 4 * 3 }
+
 // intern returns the dense id of v, assigning the next free id on first
-// sight. Ids are stable for the rest of the batch, including across table
+// sight. Ids are stable until the next begin, including across table
 // growth.
 func (in *interner) intern(v graph.NodeID) uint32 {
 	return in.internHashed(v, hash32(v))
 }
 
 // internHashed is intern with the hash precomputed (callers that also
-// feed the hash to the batch-vertex bitmap compute it once).
+// feed the hash to a filter compute it once).
 func (in *interner) internHashed(v graph.NodeID, hash uint32) uint32 {
 	h := hash & in.mask
 	for {
 		s := &in.slots[h]
-		if s.epoch != in.epoch {
-			if 2*len(in.keys) >= len(in.slots) {
+		if s.id1 == 0 {
+			if len(in.keys) >= in.capacity() {
 				in.grow()
 				return in.internHashed(v, hash)
 			}
 			id := uint32(len(in.keys))
-			*s = internSlot{epoch: in.epoch, key: v, id: id}
+			*s = internSlot{key: v, id1: id + 1}
 			in.keys = append(in.keys, v)
 			return id
 		}
 		if s.key == v {
-			return s.id
+			return s.id1 - 1
 		}
 		h = (h + 1) & in.mask
 	}
 }
 
 // lookupHashed returns the dense id of v, whose hash32 is hash, and
-// whether v was interned this batch.
+// whether v was interned since begin.
 func (in *interner) lookupHashed(v graph.NodeID, hash uint32) (uint32, bool) {
 	h := hash & in.mask
 	for {
 		s := &in.slots[h]
-		if s.epoch != in.epoch {
+		if s.id1 == 0 {
 			return 0, false
 		}
 		if s.key == v {
-			return s.id, true
+			return s.id1 - 1, true
 		}
 		h = (h + 1) & in.mask
 	}
 }
 
-// size returns the number of vertices interned this batch.
+// size returns the number of vertices interned since begin.
 func (in *interner) size() int { return len(in.keys) }
 
-// grow doubles the hash index and reinserts the current epoch's keys.
-// Dense ids are preserved because they live in in.keys, not in slot order.
+// grow doubles the hash index and reinserts the keys. Dense ids are
+// preserved because they live in in.keys, not in slot order.
 func (in *interner) grow() {
 	in.slots = make([]internSlot, 2*len(in.slots))
 	in.mask = uint32(len(in.slots) - 1)
 	for id, v := range in.keys {
 		h := hash32(v) & in.mask
-		for in.slots[h].epoch == in.epoch {
+		for in.slots[h].id1 != 0 {
 			h = (h + 1) & in.mask
 		}
-		in.slots[h] = internSlot{epoch: in.epoch, key: v, id: uint32(id)}
+		in.slots[h] = internSlot{key: v, id1: uint32(id) + 1}
 	}
 }
 

@@ -6,31 +6,34 @@ import (
 	"streamtri/internal/graph"
 )
 
-// The bulk algorithm's per-batch index, keyed like Algorithm 3's tables
-// by what the estimators wait for: the endpoints of their level-1 edges
-// (at most 2r vertices) and the closing pairs of their open wedges (at
-// most r pairs). The batch itself is only streamed past these tables,
-// so every hash table holds O(min(r, w)) entries however large w is.
+// The bulk algorithm's index, keyed like Algorithm 3's tables by what
+// the estimators wait for: the endpoints of their level-1 edges (at most
+// 2r vertices) and the closing pairs of their open wedges (at most r
+// pairs). The batch itself is only streamed past these tables, once.
 // The index draws no random number, so the shards of a ShardedCounter
-// add their queries to one index and pay each pass over the batch once.
-// absorb (bulk.go) builds it in phases around the estimator passes:
+// share one and pay each pass over the batch once. absorb (bulk.go)
+// drives it in phases around the estimator passes:
 //
-//   - begin:  vbits, a bitmap over the batch's endpoint hashes that
-//     answers "not a batch vertex" without a hash probe;
-//   - query:  after each counter's Step 1 has fixed its r1s, the level-1
-//     endpoints that pass vbits are interned (in, with a bitmap of their
-//     own, qbits), and the estimators with such an endpoint are listed
-//     for Step 2 (touched);
-//   - scan:   one pass over the batch gives each query vertex its final
-//     batch degree (verts) and its occurrence list, a CSR (occ) holding
-//     the batch positions at which it reaches each degree, so an EVENTB
-//     subscription resolves with one read;
-//   - Step 2 (level2) registers each open wedge's closing pair in pairs;
-//   - closeWedges: a second pass over the batch records each registered
-//     pair's last batch position, which settles every wedge.
+//   - Step 1 (level1): the endpoints of every batch edge an estimator
+//     adopts are interned (in, with a filter over their hashes, qbits),
+//     and the estimator's cached ids (Counter.ids) name them. The keys
+//     stay across batches, so the index always holds every r1 endpoint;
+//   - rebuild: when a counter's cached ids are not from the current
+//     build, or more than r/4 keys were interned since the last rebuild,
+//     the keys are interned afresh from the estimators' r1s;
+//   - scan:   one pass over the batch gives each key its final batch
+//     degree (verts) and its occurrence list, a CSR (occ) holding the
+//     batch positions at which it reaches each degree, so an EVENTB
+//     subscription resolves with one read. The hits it records on the
+//     way are every batch position holding a key;
+//   - Step 2 (level2) walks the estimators in order and registers each
+//     open wedge's closing pair in pairs;
+//   - closeWedges: the hit positions are streamed past the registered
+//     pairs, which records each pair's last batch position and settles
+//     every wedge.
 //
-// Everything is epoch-stamped or length-reset, so steady-state batches
-// perform zero heap allocations.
+// Everything is kept, epoch-stamped or length-reset, so steady-state
+// batches, rebuilds included, perform zero heap allocations.
 
 // nextPow2 returns the smallest power of two >= max(n, floor); floor must
 // itself be a power of two. Shared by every scratch table's sizing.
@@ -160,28 +163,23 @@ func (t *pairTable) see(key uint64, i int32) {
 // -1 if the pair does not occur in the batch.
 func (t *pairTable) last(s uint32) int32 { return t.slots[s].last }
 
-// batchVertex is one query vertex: its final batch degree and where its
+// batchVertex is one key: its final batch degree and where its
 // occurrences start in batchIndex.occ.
 type batchVertex struct {
 	deg, start uint32
 }
 
-// vertexHit is one batch endpoint that is a query vertex: the batch
-// position and the vertex's interned id.
+// vertexHit is one batch endpoint that is a key: the batch position and
+// the key's id.
 type vertexHit struct {
 	pos, id uint32
 }
 
-// touched is an estimator Step 2 must visit because one of its level-1
-// endpoints is a query vertex, with the query ids of both endpoints
-// (noVertex for one outside the batch).
-type touched struct {
-	est  *Estimator
+// vertexIDs are the index's ids of an estimator's two level-1
+// endpoints, in r1's order.
+type vertexIDs struct {
 	u, v uint32
 }
-
-// noVertex is the query id of a level-1 endpoint outside the batch.
-const noVertex = ^uint32(0)
 
 // openWedge is an estimator's wedge waiting for its closing pair, which
 // is registered in slot; the wedge closes if the pair occurs in the
@@ -192,93 +190,98 @@ type openWedge struct {
 	after int32
 }
 
-// batchIndex is the query-keyed index of one batch; see the file
-// comment. Its footprint is O(min(r, w)), the batch share of Theorem
-// 3.5's O(r + w), apart from the hit list and the occurrence lists: they
-// hold one entry per batch endpoint that is a query vertex, at most 2w.
+// batchIndex is the estimator-keyed index; see the file comment. Its
+// keys are the level-1 endpoints of the r estimators of every counter
+// that shares it, at most 2r live ones plus at most r/4 interned since
+// the last rebuild whose estimators have moved on, so its footprint is
+// O(r), the estimator share of Theorem 3.5's O(r + w). The hit list and
+// the occurrence lists hold one entry per batch endpoint that is a key,
+// at most 2w.
 type batchIndex struct {
-	// vbits holds the batch vertices and qbits the query vertices, each
-	// sized at 16 bits per vertex for 2·min(r, w) vertices. Most level-1
-	// endpoints are untouched once m ≫ w, and vbits rejects them in one
-	// probe; most batch endpoints are not query vertices, and qbits
-	// rejects them in one probe. When w > r the batch has more vertices
-	// than vbits is sized for; its extra false positives only intern a
-	// few more query vertices (never more than 2r) and watch a few more
-	// wedges, and the smaller bitmap stays in cache.
-	vbits bitset
-	qbits bitset
+	// in holds the keys and qbits a filter over their hashes, 16 bits
+	// per key at a rebuild, which rejects most batch endpoints in one
+	// probe. Both are kept across batches until the next rebuild.
 	in    interner
-	// touched lists, counter by counter, the estimators Step 2 visits;
-	// ends[k] is where the k-th counter's entries end.
-	touched []touched
-	ends    []int
-	verts   []batchVertex
-	hits    []vertexHit
-	occ     []uint32
-	pairs   pairTable
-	wedges  []openWedge
+	qbits bitset
+	// build counts rebuilds; a counter's cached ids are current while
+	// its build equals this one. built is in's size at the last rebuild
+	// and limit the number of keys it may intern after that; stale marks
+	// a rebuild as due before the next scan.
+	build  uint64
+	built  int
+	limit  int
+	stale  bool
+	verts  []batchVertex
+	hits   []vertexHit
+	occ    []uint32
+	pairs  pairTable
+	wedges []openWedge
 }
 
-// begin starts the index of batch for r estimators in all: it builds
-// the batch-vertex bitmap and empties the query tables.
-func (x *batchIndex) begin(batch []graph.Edge, r int) {
-	k := 2 * min(r, len(batch))
-	x.vbits.reset(nextPow2(16*k, 1024))
-	for _, e := range batch {
-		x.vbits.add(hash32(e.U))
-		x.vbits.add(hash32(e.V))
-	}
-	x.qbits.reset(nextPow2(16*k, 1024))
-	x.in.begin(k)
-	x.touched, x.ends = x.touched[:0], x.ends[:0]
-	x.pairs.begin(r)
-	x.wedges = x.wedges[:0]
+// current reports whether c's cached ids come from x's current build.
+func (x *batchIndex) current(c *Counter) bool {
+	return x.build != 0 && c.build == x.build
 }
 
-// query runs after c's Step 1 and interns the level-1 endpoints of c's
-// estimators that may be batch vertices. An estimator with such an
-// endpoint goes on the touched list, in estimator order. Any other
-// estimator has c⁺ = 0, so Step 2 would draw nothing for it and only
-// watch its open wedge; query watches the wedge itself. An estimator
-// that adopted a batch edge in Step 1 has its r1 at a batch position;
-// the endpoints of that batch edge are interned, so that even a damaged
-// restored state stays inside the index.
-func (x *batchIndex) query(c *Counter, batch []graph.Edge) {
-	mOld := c.m
-	total := mOld + uint64(len(batch))
-	for idx := range c.ests {
-		est := &c.ests[idx]
-		if !est.hasR1 {
-			continue
-		}
-		r1 := est.r1
-		if est.r1Pos > mOld && est.r1Pos <= total {
-			r1 = batch[est.r1Pos-mOld-1]
-		}
-		u, v := x.intern(r1.U), x.intern(r1.V)
-		if u == noVertex && v == noVertex {
-			x.watchRetained(est)
-			continue
-		}
-		x.touched = append(x.touched, touched{est: est, u: u, v: v})
-	}
-	x.ends = append(x.ends, len(x.touched))
-}
-
-// intern returns v's query id, interning v if it may be a batch vertex,
-// or noVertex if it is not one.
+// intern returns v's id, interning v and adding it to the filter.
 func (x *batchIndex) intern(v graph.NodeID) uint32 {
-	if h := hash32(v); x.vbits.has(h) {
-		x.qbits.add(h)
-		return x.in.internHashed(v, h)
-	}
-	return noVertex
+	h := hash32(v)
+	x.qbits.add(h)
+	return x.in.internHashed(v, h)
 }
 
-// scan streams the batch past the query vertices: it counts each one's
-// batch degree, then lays its occurrence list out in occ. A self loop
-// on a query vertex counts twice, at the same position.
-func (x *batchIndex) scan(batch []graph.Edge) {
+// endpoints returns the ids of e's endpoints, interning them.
+func (x *batchIndex) endpoints(e graph.Edge) vertexIDs {
+	return vertexIDs{x.intern(e.U), x.intern(e.V)}
+}
+
+// adopt interns e, the batch edge c's estimator idx adopted in Step 1,
+// and caches its endpoints' ids. Once more than limit keys were interned
+// since the last rebuild it marks the index stale and interns no more:
+// the rebuild after Step 1 re-interns every r1, so one batch with many
+// adoptions cannot grow the table.
+func (x *batchIndex) adopt(c *Counter, idx int, e graph.Edge) {
+	if x.stale {
+		return
+	}
+	c.ids[idx] = x.endpoints(e)
+	if x.in.size()-x.built > x.limit {
+		x.stale = true
+	}
+}
+
+// rebuild empties the index and interns the level-1 endpoints of every
+// estimator of cs, r in all, making every counter's cached ids current.
+// It costs O(r), and apart from fresh or restored counters and Add it
+// follows more than r/4 interned keys, at least r/8 adoptions, so it is
+// O(1) per adoption. Stale keys stay until here; exact reference counts
+// with deletion would drop them sooner, at a cost on every adoption.
+func (x *batchIndex) rebuild(r int, cs []*Counter) {
+	x.in.begin(2 * r)
+	x.qbits.reset(nextPow2(32*r, 1024))
+	x.build++
+	for _, c := range cs {
+		if len(c.ids) != len(c.ests) {
+			c.ids = make([]vertexIDs, len(c.ests))
+		}
+		for i := range c.ests {
+			if est := &c.ests[i]; est.hasR1 {
+				c.ids[i] = x.endpoints(est.r1)
+			}
+		}
+		c.build = x.build
+	}
+	x.built, x.limit, x.stale = x.in.size(), r/4, false
+	// verts holds one entry per key; sizing it for every key the table
+	// takes before it would grow keeps scan from allocating.
+	x.verts = slices.Grow(x.verts[:0], x.in.capacity())
+}
+
+// scan streams the batch past the keys: it counts each one's batch
+// degree, then lays its occurrence list out in occ. A self loop on a
+// key counts twice, at the same position. It also empties the pair
+// table for at most r open wedges.
+func (x *batchIndex) scan(batch []graph.Edge, r int) {
 	n := x.in.size()
 	x.verts = slices.Grow(x.verts[:0], n)[:n]
 	clear(x.verts)
@@ -301,9 +304,11 @@ func (x *batchIndex) scan(batch []graph.Edge) {
 		x.verts[h.id].start--
 		x.occ[x.verts[h.id].start] = h.pos
 	}
+	x.pairs.begin(r)
+	x.wedges = x.wedges[:0]
 }
 
-// hit counts batch endpoint v, at position i, if it is a query vertex.
+// hit counts batch endpoint v, at position i, if it is a key.
 func (x *batchIndex) hit(v graph.NodeID, i uint32) {
 	h := hash32(v)
 	if !x.qbits.has(h) {
@@ -315,62 +320,72 @@ func (x *batchIndex) hit(v graph.NodeID, i uint32) {
 	}
 }
 
-// degree returns the final batch degree of the query vertex with id
-// id, or 0 for noVertex.
-func (x *batchIndex) degree(id uint32) uint32 {
-	if id == noVertex {
-		return 0
-	}
-	return x.verts[id].deg
-}
+// degree returns the final batch degree of the key with id id.
+func (x *batchIndex) degree(id uint32) uint32 { return x.verts[id].deg }
 
-// rank returns how many occurrences of query vertex v precede batch
-// position bi: v's batch degree just before the edge at bi.
+// rank returns how many occurrences of key v precede batch position bi:
+// v's batch degree just before the edge at bi.
 func (x *batchIndex) rank(v, bi uint32) uint32 {
 	vt := x.verts[v]
 	k, _ := slices.BinarySearch(x.occ[vt.start:vt.start+vt.deg], bi)
 	return uint32(k)
 }
 
-// reach returns the batch position at which query vertex v reaches
-// batch degree d (1 ≤ d ≤ v's final batch degree): where EVENTB(v, d)
-// fires.
+// reach returns the batch position at which key v reaches batch degree
+// d (1 ≤ d ≤ v's final batch degree): where EVENTB(v, d) fires.
 func (x *batchIndex) reach(v, d uint32) uint32 {
 	return x.occ[x.verts[v].start+d-1]
 }
 
-// watch registers est's wedge, whose outer endpoints are u and v, to
-// close if the batch holds the edge {u, v} at a position after `after`.
-// A wedge with an endpoint outside the batch cannot close, and the
-// bitmap drops most of those without a hash probe.
-func (x *batchIndex) watch(est *Estimator, u, v graph.NodeID, after int32) {
-	if !x.vbits.has(hash32(u)) || !x.vbits.has(hash32(v)) {
+// watch registers est's open wedge to close if the batch holds its
+// closing edge at a position after `after`. ids are the ids of r1's
+// endpoints. The closing edge joins r1's outer endpoint, the one r2
+// does not share, to r2's; when the outer endpoint has batch degree 0
+// the closing edge is not in the batch, and the wedge stays open.
+func (x *batchIndex) watch(est *Estimator, ids vertexIDs, after int32) {
+	sh, ok := est.r1.SharedVertex(est.r2)
+	if !ok {
 		return
 	}
-	x.wedges = append(x.wedges, openWedge{est: est, slot: x.pairs.register(packPair(u, v)), after: after})
+	outer, id := est.r1.V, ids.v
+	if sh != est.r1.U {
+		outer, id = est.r1.U, ids.u
+	}
+	if x.degree(id) == 0 {
+		return
+	}
+	x.wedges = append(x.wedges, openWedge{est: est, slot: x.pairs.register(packPair(outer, est.r2.Other(sh))), after: after})
 }
 
 // watchRetained registers the open wedge of an estimator that keeps its
 // pre-batch level-2 edge: any occurrence of the closing edge in the
 // batch arrives after r2 and closes the wedge. This replaces the
 // per-batch re-subscription into table Q.
-func (x *batchIndex) watchRetained(est *Estimator) {
-	if !est.hasR2 || est.hasT {
-		return
-	}
-	if sh, ok := est.r1.SharedVertex(est.r2); ok {
-		x.watch(est, est.r1.Other(sh), est.r2.Other(sh), -1)
+func (x *batchIndex) watchRetained(est *Estimator, ids vertexIDs) {
+	if est.hasR2 && !est.hasT {
+		x.watch(est, ids, -1)
 	}
 }
 
-// closeWedges streams the batch past the registered closing pairs and
-// settles every open wedge.
+// closeWedges streams the batch positions in the hit list past the
+// registered closing pairs and settles every open wedge. Every
+// registered pair contains r1's outer endpoint, a key (watch), so every
+// batch position that holds a registered pair holds a hit of that key.
+// The hits come in batch order, so their distinct positions are every
+// position that can hold a registered pair, in increasing order, and
+// each pair's stored position is its last one.
 func (x *batchIndex) closeWedges(batch []graph.Edge) {
 	if len(x.wedges) == 0 {
 		return
 	}
-	for i, e := range batch {
-		x.pairs.see(packPair(e.U, e.V), int32(i))
+	prev := ^uint32(0)
+	for _, h := range x.hits {
+		if h.pos == prev {
+			continue
+		}
+		prev = h.pos
+		e := batch[h.pos]
+		x.pairs.see(packPair(e.U, e.V), int32(h.pos))
 	}
 	for _, ow := range x.wedges {
 		ow.est.hasT = x.pairs.last(ow.slot) > ow.after
