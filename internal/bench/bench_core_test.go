@@ -38,6 +38,15 @@ func BenchmarkShardedAddBatch(b *testing.B) {
 	}
 }
 
+// BenchmarkBulkLoadAddBatch prices ShardedCounter.AddBatch per batch at
+// perfbench's bulk-load shape (BenchCoreBulkLoad).
+func BenchmarkBulkLoadAddBatch(b *testing.B) {
+	edges := BulkLoadStream()
+	b.Run(fmt.Sprintf("r=%d/w=%d/p=%d", BulkLoadR, BulkLoadW, BulkLoadP), func(b *testing.B) {
+		BenchCoreBulkLoad(b, edges)
+	})
+}
+
 func BenchmarkServeIngestUnderReaders(b *testing.B) {
 	data := EncodeBinaryEdges(CoreBenchStream(coreBenchEdges))
 	r, w, p := PipeBenchR, 8*PipeBenchR, BenchShards

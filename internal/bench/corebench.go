@@ -1,11 +1,13 @@
 package bench
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
 	"runtime"
 	"testing"
+	"time"
 
 	"streamtri/internal/core"
 	"streamtri/internal/gen"
@@ -83,33 +85,119 @@ func streamInBatches(c counterSink, edges []graph.Edge, w int) {
 	}
 }
 
+// cpuMeter sums the process CPU time of a benchmark's timed stretches,
+// as the benchmark's timer sums their wall time.
+type cpuMeter struct {
+	since, sum time.Duration
+	ok         bool
+}
+
+func (m *cpuMeter) start() { m.since, m.ok = processCPU() }
+
+func (m *cpuMeter) stop() {
+	now, ok := processCPU()
+	m.sum += now - m.since
+	m.ok = m.ok && ok
+}
+
+// report gives the timed stretches' wall rate in Medges/s and, where the
+// platform reads process CPU time, their CPU ns per edge, for `edges`
+// edges in all.
+func (m *cpuMeter) report(b *testing.B, edges float64) {
+	b.ReportMetric(edges/b.Elapsed().Seconds()/1e6, "Medges/s")
+	if m.ok {
+		b.ReportMetric(float64(m.sum.Nanoseconds())/edges, "cpu-ns/edge")
+	}
+}
+
 // BenchCoreAddBatch is the shared body of BenchmarkAddBatchFlat (and of
 // the JSON suite): b.N full passes of the stream through one persistent
 // counter, so scratch tables reach steady state and the reported B/op
 // reflects the per-batch allocation behavior.
 func BenchCoreAddBatch(b *testing.B, edges []graph.Edge, r, w int, opts ...core.Option) {
-	c := core.NewCounter(r, 1, opts...)
-	streamInBatches(c, edges, w) // warm the scratch tables untimed
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		streamInBatches(c, edges, w)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(len(edges))*float64(b.N)/b.Elapsed().Seconds()/1e6, "Medges/s")
+	benchPasses(b, core.NewCounter(r, 1, opts...), edges, w)
 }
 
 // BenchCoreShardedAddBatch is BenchCoreAddBatch for the ShardedCounter.
 func BenchCoreShardedAddBatch(b *testing.B, edges []graph.Edge, r, p, w int) {
-	sc := core.NewShardedCounter(r, p, 1)
-	streamInBatches(sc, edges, w)
+	benchPasses(b, core.NewShardedCounter(r, p, 1), edges, w)
+}
+
+// benchPasses times b.N passes of edges through c in batches of w, after
+// one untimed pass that warms the scratch tables.
+func benchPasses(b *testing.B, c counterSink, edges []graph.Edge, w int) {
+	streamInBatches(c, edges, w)
 	b.ReportAllocs()
+	var cpu cpuMeter
 	b.ResetTimer()
+	cpu.start()
 	for i := 0; i < b.N; i++ {
-		streamInBatches(sc, edges, w)
+		streamInBatches(c, edges, w)
 	}
+	cpu.stop()
 	b.StopTimer()
-	b.ReportMetric(float64(len(edges))*float64(b.N)/b.Elapsed().Seconds()/1e6, "Medges/s")
+	cpu.report(b, float64(len(edges))*float64(b.N))
+}
+
+// Bulk-load's shape: perfbench's bulk-load workload feeds each tenant, a
+// ShardedCounter with r = 16,384 and p = 2, one-batch POSTs of w = 8r
+// edges of a Holme–Kim stream in growth order, with 8 edges per vertex
+// and triad probability 0.5. Its timed phase starts at the 17th batch.
+const (
+	BulkLoadR         = 16384
+	BulkLoadP         = 2
+	BulkLoadW         = 8 * BulkLoadR
+	BulkLoadWarmup    = 16 // batches before the timed phase
+	bulkLoadTimed     = 16 // distinct timed batches; the loop cycles them
+	bulkLoadPerVertex = 8
+	bulkLoadTriadProb = 0.5
+)
+
+// BulkLoadStream returns the stream of BenchCoreBulkLoad: the first
+// (BulkLoadWarmup+16)·BulkLoadW edges of a Holme–Kim graph, in growth
+// order.
+func BulkLoadStream() []graph.Edge {
+	m := (BulkLoadWarmup + bulkLoadTimed) * BulkLoadW
+	return gen.HolmeKim(randx.New(0xB01D), m/bulkLoadPerVertex+bulkLoadPerVertex+1, bulkLoadPerVertex, bulkLoadTriadProb)[:m]
+}
+
+// BenchCoreBulkLoad prices ShardedCounter.AddBatch at bulk-load's shape:
+// one batch per op, after BulkLoadWarmup untimed batches. When the
+// stream runs out, the counter restarts, untimed, from its checkpoint
+// at the end of the warm-up, so every timed batch is one of the 16
+// after it, and the first after each restart rebuilds the batch index,
+// as it does in trictd after a recovery.
+func BenchCoreBulkLoad(b *testing.B, edges []graph.Edge) {
+	w := BulkLoadW
+	sc := core.NewShardedCounter(BulkLoadR, BulkLoadP, 1)
+	for k := 0; k < BulkLoadWarmup; k++ {
+		sc.AddBatch(edges[k*w : (k+1)*w])
+	}
+	var warm bytes.Buffer
+	if _, err := sc.WriteTo(&warm); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	var cpu cpuMeter
+	b.ResetTimer()
+	cpu.start()
+	for i, k := 0, BulkLoadWarmup; i < b.N; i, k = i+1, k+1 {
+		if (k+1)*w > len(edges) {
+			cpu.stop()
+			b.StopTimer()
+			var err error
+			if sc, err = core.ReadShardedCounterFrom(bytes.NewReader(warm.Bytes())); err != nil {
+				b.Fatal(err)
+			}
+			k = BulkLoadWarmup
+			b.StartTimer()
+			cpu.start()
+		}
+		sc.AddBatch(edges[k*w : (k+1)*w])
+	}
+	cpu.stop()
+	b.StopTimer()
+	cpu.report(b, float64(w)*float64(b.N))
 }
 
 // RunCoreBenchSuite measures every cell with testing.Benchmark and
