@@ -35,27 +35,36 @@
 //
 // # Performance
 //
-// The batch hot path is map-free and allocation-free at steady state.
-// AddBatch keys its per-batch index the way the paper's Algorithm 3 keys
-// its tables: by what the estimators wait for, not by the batch. Only
-// the endpoints of the level-1 edges (at most 2r vertices) and the
-// closing pairs of the open wedges (at most r) are ever asked about, so
-// every hash table is sized by min(r, w) and the batch is only streamed
-// past them. A first pass marks the batch's vertices in a bitmap. After
-// Step 1 has resampled the level-1 edges, the endpoints that pass the
-// bitmap are interned through an epoch-stamped hash index. A pass over
-// the batch then gives each of these query vertices its batch degree
-// and its occurrence list, a CSR naming the batch position at which it
-// reaches each degree. Step 2 draws every random number, in estimator
-// order, and visits only the estimators with a level-1 endpoint in the
-// index: an estimator that adopted a batch edge takes its β from the
-// rank of that edge's position in the list, an EVENTB subscription
-// resolves with one read of the list, and every open wedge registers its
-// closing pair in a table of at most r pairs. A last pass over the batch
-// records each registered pair's last position, which settles every
-// wedge at once. All storage is reused across batches — the only
-// steady-state heap allocation per AddBatch is the fixed-size estimate
-// snapshot published for lock-free readers (see Serving).
+// The batch hot path is map-free, allocation-free at steady state, and
+// streams each batch once. AddBatch keys its index the way the paper's
+// Algorithm 3 keys its tables: by what the estimators wait for, not by
+// the batch. Only the endpoints of the level-1 edges (at most 2r
+// vertices) and the closing pairs of the open wedges (at most r) are
+// ever asked about, so every hash table holds O(r) entries and the
+// batch is only streamed past them. The endpoint index is kept across
+// batches. Step 1 interns the endpoints of each batch edge an estimator
+// adopts, about r·w/(m+w) per batch, and every estimator caches the ids
+// of its two endpoints. A key whose estimators have moved on stays until
+// the next rebuild, which re-interns every level-1 endpoint in O(r). It
+// runs after a fresh or restored counter or an Add, and once more than
+// r/4 keys were interned since the last one, so it costs O(1) per
+// adoption and the hash table stays at 4r slots of 8 bytes. When w < r
+// the index holds 2r keys where one built per batch held 2w: still
+// O(r), the estimator share of Theorem 3.5's O(r + w) space. One pass
+// over the batch gives each key its batch degree and its occurrence
+// list, a CSR naming the batch position at which it reaches each
+// degree, and records the positions that hold a key. Step 2 walks the
+// estimators in order and draws every random number. An estimator whose
+// two endpoints both have batch degree 0 draws nothing; one that adopted
+// a batch edge takes its β from the rank of that edge's position in the
+// list; an EVENTB subscription resolves with one read of the list; and
+// an open wedge whose outer level-1 endpoint occurs in the batch
+// registers its closing pair in a table of at most r pairs. Every such
+// pair contains that endpoint, so streaming the recorded positions past
+// the table settles every wedge at once. All storage is reused across
+// batches — the only steady-state heap allocation per AddBatch is the
+// fixed-size estimate snapshot published for lock-free readers (see
+// Serving).
 //
 // At trictd's default shape, r = 16,384 and w = 8r = 131,072, an index
 // built from the batch itself needed two hash tables of 4w and 2w slots,
@@ -68,9 +77,18 @@
 // 0.27 s and its peak RSS from 98 to 53 MiB. Down to w = r/4 AddBatch
 // costs no more CPU per edge than the batch-keyed index did.
 //
+// That index was still rebuilt for every batch: a pass over the batch
+// marked its vertices, all 2r level-1 endpoints were interned again, and
+// a second pass settled the wedges. Keeping it across batches, with the
+// scan the only pass left, raised bulk-load's edges per CPU second from
+// 39.1M to 54.2M (medians of ten interleaved pairs, 2 vCPUs) and cut its
+// setup time from 84 to 72 ms; peak RSS held at 37.5 MiB. The kept hash
+// table there has 4r = 65,536 slots of 8 bytes, 512 KiB, against the
+// 768 KiB of the per-batch table's 12-byte slots.
+//
 // ParallelTriangleCounter is TriangleCounter's intake over a sharded
-// engine: it splits the estimators into p shards. Every shard runs
-// Step 1 and adds its queries to one index before any shard's Step 2,
+// engine: it splits the estimators into p shards. The shards share one
+// endpoint index; every shard runs Step 1 before any shard's Step 2,
 // and the shards run one after another in the caller's goroutine. p is
 // a partition of the estimators, not a parallelism setting: it fixes
 // the shard seeds, so estimates and checkpoints depend on it. Running
@@ -78,7 +96,9 @@
 // O(r/p) estimator passes could run in parallel, and on two cores that
 // gave no wall-time speedup while costing more CPU per edge. Cells
 // tracked in BENCH_core.json measure these paths; regenerate with
-// `make bench-core`.
+// `make bench-core`. BenchmarkBulkLoadAddBatch in internal/bench prices
+// ShardedCounter.AddBatch at bulk-load's shape, and the AddBatch cells
+// report process CPU ns per edge beside wall time.
 //
 // # The windowed estimator
 //

@@ -42,7 +42,7 @@ func BenchmarkShardedAddBatch(b *testing.B) {
 // perfbench's bulk-load shape (BenchCoreBulkLoad).
 func BenchmarkBulkLoadAddBatch(b *testing.B) {
 	edges := BulkLoadStream()
-	b.Run(fmt.Sprintf("r=%d/w=%d/p=%d", BulkLoadR, BulkLoadW, BulkLoadP), func(b *testing.B) {
+	b.Run(fmt.Sprintf("r=%d/w=%d/p=%d", bulkLoadR, bulkLoadW, bulkLoadP), func(b *testing.B) {
 		BenchCoreBulkLoad(b, edges)
 	})
 }

@@ -86,26 +86,29 @@ func streamInBatches(c counterSink, edges []graph.Edge, w int) {
 }
 
 // cpuMeter sums the process CPU time of a benchmark's timed stretches,
-// as the benchmark's timer sums their wall time.
+// as the benchmark's timer sums their wall time. failed records a
+// reading the platform could not give.
 type cpuMeter struct {
 	since, sum time.Duration
-	ok         bool
+	failed     bool
 }
 
-func (m *cpuMeter) start() { m.since, m.ok = processCPU() }
-
-func (m *cpuMeter) stop() {
-	now, ok := processCPU()
-	m.sum += now - m.since
-	m.ok = m.ok && ok
+func (m *cpuMeter) read() time.Duration {
+	t, ok := processCPU()
+	m.failed = m.failed || !ok
+	return t
 }
 
-// report gives the timed stretches' wall rate in Medges/s and, where the
-// platform reads process CPU time, their CPU ns per edge, for `edges`
-// edges in all.
+func (m *cpuMeter) start() { m.since = m.read() }
+
+func (m *cpuMeter) stop() { m.sum += m.read() - m.since }
+
+// report gives the timed stretches' wall rate in Medges/s and, when
+// every reading succeeded, their CPU ns per edge, for `edges` edges in
+// all.
 func (m *cpuMeter) report(b *testing.B, edges float64) {
 	b.ReportMetric(edges/b.Elapsed().Seconds()/1e6, "Medges/s")
-	if m.ok {
+	if !m.failed {
 		b.ReportMetric(float64(m.sum.Nanoseconds())/edges, "cpu-ns/edge")
 	}
 }
@@ -144,33 +147,33 @@ func benchPasses(b *testing.B, c counterSink, edges []graph.Edge, w int) {
 // edges of a Holme–Kim stream in growth order, with 8 edges per vertex
 // and triad probability 0.5. Its timed phase starts at the 17th batch.
 const (
-	BulkLoadR         = 16384
-	BulkLoadP         = 2
-	BulkLoadW         = 8 * BulkLoadR
-	BulkLoadWarmup    = 16 // batches before the timed phase
+	bulkLoadR         = 16384
+	bulkLoadP         = 2
+	bulkLoadW         = 8 * bulkLoadR
+	bulkLoadWarmup    = 16 // batches before the timed phase
 	bulkLoadTimed     = 16 // distinct timed batches; the loop cycles them
 	bulkLoadPerVertex = 8
 	bulkLoadTriadProb = 0.5
 )
 
 // BulkLoadStream returns the stream of BenchCoreBulkLoad: the first
-// (BulkLoadWarmup+16)·BulkLoadW edges of a Holme–Kim graph, in growth
-// order.
+// (bulkLoadWarmup+bulkLoadTimed)·bulkLoadW edges of a Holme–Kim graph,
+// in growth order.
 func BulkLoadStream() []graph.Edge {
-	m := (BulkLoadWarmup + bulkLoadTimed) * BulkLoadW
+	m := (bulkLoadWarmup + bulkLoadTimed) * bulkLoadW
 	return gen.HolmeKim(randx.New(0xB01D), m/bulkLoadPerVertex+bulkLoadPerVertex+1, bulkLoadPerVertex, bulkLoadTriadProb)[:m]
 }
 
 // BenchCoreBulkLoad prices ShardedCounter.AddBatch at bulk-load's shape:
-// one batch per op, after BulkLoadWarmup untimed batches. When the
+// one batch per op, after bulkLoadWarmup untimed batches. When the
 // stream runs out, the counter restarts, untimed, from its checkpoint
 // at the end of the warm-up, so every timed batch is one of the 16
 // after it, and the first after each restart rebuilds the batch index,
 // as it does in trictd after a recovery.
 func BenchCoreBulkLoad(b *testing.B, edges []graph.Edge) {
-	w := BulkLoadW
-	sc := core.NewShardedCounter(BulkLoadR, BulkLoadP, 1)
-	for k := 0; k < BulkLoadWarmup; k++ {
+	w := bulkLoadW
+	sc := core.NewShardedCounter(bulkLoadR, bulkLoadP, 1)
+	for k := 0; k < bulkLoadWarmup; k++ {
 		sc.AddBatch(edges[k*w : (k+1)*w])
 	}
 	var warm bytes.Buffer
@@ -181,7 +184,7 @@ func BenchCoreBulkLoad(b *testing.B, edges []graph.Edge) {
 	var cpu cpuMeter
 	b.ResetTimer()
 	cpu.start()
-	for i, k := 0, BulkLoadWarmup; i < b.N; i, k = i+1, k+1 {
+	for i, k := 0, bulkLoadWarmup; i < b.N; i, k = i+1, k+1 {
 		if (k+1)*w > len(edges) {
 			cpu.stop()
 			b.StopTimer()
@@ -189,7 +192,7 @@ func BenchCoreBulkLoad(b *testing.B, edges []graph.Edge) {
 			if sc, err = core.ReadShardedCounterFrom(bytes.NewReader(warm.Bytes())); err != nil {
 				b.Fatal(err)
 			}
-			k = BulkLoadWarmup
+			k = bulkLoadWarmup
 			b.StartTimer()
 			cpu.start()
 		}

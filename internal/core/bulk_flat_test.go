@@ -141,10 +141,12 @@ func TestShardedAddBatchZeroAllocsSteadyState(t *testing.T) {
 // on a p = 3 sharded one whose shards share the index. After every
 // batch the states must equal those of a twin restored from its
 // checkpoint before each batch, whose index is therefore built afresh
-// every time, and the state and index invariants must hold.
+// every time, and the state and index invariants must hold. r is small
+// against the graph's 1,000 vertices, so keys left to pile up past the
+// bound would outgrow the table.
 func TestBatchIndexRebuildTriggers(t *testing.T) {
-	edges := stream.Shuffle(gen.HolmeKim(randx.New(61), 200, 3, 0.6), randx.New(62))
-	const r = 64
+	edges := stream.Shuffle(gen.HolmeKim(randx.New(61), 1000, 3, 0.6), randx.New(62))
+	const r = 16
 	for _, k := range []goldenKind{{"flat", 0, nil}, {"sharded-p3", 3, nil}} {
 		t.Run(k.name, func(t *testing.T) {
 			newCounter := func() goldenCounter {
@@ -177,13 +179,13 @@ func TestBatchIndexRebuildTriggers(t *testing.T) {
 				return x.build != before
 			}
 			if !feed(4) {
-				t.Fatal("the first batch did not build the index")
+				t.Error("the first batch did not build the index")
 			}
 			if !feed(296) {
-				t.Fatal("a batch with many adoptions did not rebuild the index")
+				t.Error("a batch with many adoptions did not rebuild the index")
 			}
 			kept, rebuilt := 0, 0
-			for range 20 {
+			for range 40 {
 				if feed(8) {
 					rebuilt++
 				} else {
@@ -191,17 +193,17 @@ func TestBatchIndexRebuildTriggers(t *testing.T) {
 				}
 			}
 			if kept == 0 || rebuilt == 0 {
-				t.Fatalf("over 20 small batches the index was kept %d times and rebuilt %d times; want both", kept, rebuilt)
+				t.Errorf("over 40 small batches the index was kept %d times and rebuilt %d times; want both", kept, rebuilt)
 			}
 			c.Add(edges[lo])
 			twin.Add(edges[lo])
 			lo++
 			if !feed(8) {
-				t.Fatal("the batch after an Add did not rebuild the index")
+				t.Error("the batch after an Add did not rebuild the index")
 			}
 			c = restoreState(t, c)
 			if !feed(8) {
-				t.Fatal("the first batch after a restore did not build the index")
+				t.Error("the first batch after a restore did not build the index")
 			}
 			feed(len(edges) - lo)
 		})

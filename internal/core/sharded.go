@@ -18,11 +18,12 @@ import (
 // the estimates and the NSTS checkpoint, while the shards run one after
 // another in the caller's goroutine.
 //
-// Shards split only the per-estimator work. The batch index — the query
-// vertices' batch degrees and occurrence lists, and the closing pairs of
-// the open wedges — draws no random number, so every shard adds its
-// queries to one index and AddBatch streams each batch past it once. At
-// steady state AddBatch allocates only the p + 1 published snapshots.
+// Shards split only the per-estimator work. The batch index — the
+// level-1 endpoints of every shard's estimators, kept across batches,
+// their batch degrees and occurrence lists, and the closing pairs of the
+// open wedges — draws no random number, so the shards share one index
+// and AddBatch streams each batch past it once. At steady state AddBatch
+// allocates only the p + 1 published snapshots.
 //
 // All estimates equal the weighted combination of per-shard estimates and
 // are deterministic given the seed (shard seeds are derived, and shard
@@ -37,7 +38,7 @@ import (
 type ShardedCounter struct {
 	shards []*Counter
 	m      uint64
-	// idx is the batch index the shards share during AddBatch.
+	// idx is the batch index the shards share, kept across batches.
 	idx batchIndex
 
 	// snap is the cross-shard estimate snapshot republished by the owner
@@ -80,11 +81,11 @@ func (sc *ShardedCounter) NumShards() int { return len(sc.shards) }
 // Edges returns the number of edges observed.
 func (sc *ShardedCounter) Edges() uint64 { return sc.m }
 
-// AddBatch runs every shard's Step 1 and adds its queries to the shared
-// batch index before any shard's Step 2, streams the batch past the
-// index, runs Step 2 shard by shard, settles the open wedges and
-// publishes the combined snapshot. Each shard draws from its own RNG, so
-// its draws are the ones it would make alone.
+// AddBatch runs every shard's Step 1, which interns its adopted level-1
+// endpoints in the shared batch index, rebuilds the index if it is due,
+// streams the batch past it, runs Step 2 shard by shard, settles the
+// open wedges and publishes the combined snapshot. Each shard draws from
+// its own RNG, so its draws are the ones it would make alone.
 func (sc *ShardedCounter) AddBatch(batch []graph.Edge) {
 	if len(batch) == 0 {
 		return

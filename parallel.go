@@ -8,9 +8,9 @@ import "streamtri/internal/core"
 // leaves the estimate distribution unchanged. p fixes each shard's
 // derived seed, so the estimates and checkpoints depend on it, but it is
 // not a thread count: the shards run one after another in the caller's
-// goroutine. Every shard adds its queries to one batch index, so each
-// batch is streamed past the estimators' queries once, not once per
-// shard.
+// goroutine. The shards share one index of their estimators' level-1
+// endpoints, kept across batches, so each batch is streamed past it
+// once, not once per shard.
 //
 // Add buffers edges and processes them in batches internally; call Flush
 // (or any Estimate method, which flushes first) to force processing.
