@@ -184,31 +184,31 @@ func TestBulkStateGoldenPaths(t *testing.T) {
 		addEvery int     // one Add after every addEvery-th AddBatch; 0 for none
 		resume   bool
 	}{
-		{"resume", [][]int{{1}, {3}, {64}}, 0, true},
+		{"resume", [][]int{{3}, {64}}, 0, true},
 		{"mixed", [][]int{{1}, {3}, {64}}, 3, false},
 		{"cycled", [][]int{{1, 64, 3, 1000}}, 0, false},
 	}
 	want := map[string]string{
-		"resume/holmekim-growth/flat-skip":     "89cfec09170b8ca9511f85b9407e34e844bd72066083f473d9c000bbaee152f9",
-		"resume/holmekim-growth/flat-noskip":   "6446b62731b7c159452cc4ba6164f10e92cf0e1ab3a93cae13f0afe6f442ba9d",
-		"resume/holmekim-growth/sharded-p1":    "315903a2acc72e0cd3ed7f370516a30e93251d2a3480ae6891f4a860a19abbcf",
-		"resume/holmekim-growth/sharded-p2":    "479d6518f9072c752974edb0157beff909759937ca766e3560c47c77111c812a",
-		"resume/holmekim-growth/sharded-p3":    "bfb28021a6a2c8a27c0a57a163c4735a48aef30435ef1fdfad24378beb47eb98",
-		"resume/holmekim-shuffled/flat-skip":   "b2b82d1bb74340e824f3aba90dc6b6d88545f262d9e70610afaf29cac946c075",
-		"resume/holmekim-shuffled/flat-noskip": "6335e80916c4041d89423ea50c2300a5436302f96dfe7d3f50bbf934c70c0c7a",
-		"resume/holmekim-shuffled/sharded-p1":  "2d22df49af43b725adac9947786898d8a670d4aa5dcb97491577d0733a7ad3fd",
-		"resume/holmekim-shuffled/sharded-p2":  "a00704385f113acd38e048bb2fed979b30753a4e87d7f78acd0718eaef18c1d4",
-		"resume/holmekim-shuffled/sharded-p3":  "5d697509974bafe86cd1f0e0356f608e448159bcfb4f08828f0117b761498b95",
-		"resume/complete/flat-skip":            "3fd5d6b88b1aad655719bca4a5a2beee2099a304c9c625056ada07393dcfd7bb",
-		"resume/complete/flat-noskip":          "d7c52e46457c5350105e125855a61647b9cc1890e58ba8c01a82dd0aab0be3a5",
-		"resume/complete/sharded-p1":           "b5a922c07ed69325025e796fece6f88f14cdecac3417df1ad14372e2606baa48",
-		"resume/complete/sharded-p2":           "91f0423a991e8d489a65cda5abc27c184b47985b3156395fa6b78883a378930f",
-		"resume/complete/sharded-p3":           "8e7fc59d32e77b52e0bc24d4f7c27fdcfee61ad4e19d1230932256d35f4d2daf",
-		"resume/multigraph/flat-skip":          "9630d3f316c19f77e6095086704cf603b859cd1a81637a3c74fba51247619962",
-		"resume/multigraph/flat-noskip":        "f4fb5ca2643cc4755898f36e409b2990650347307abb1a9d1d06e02afb40af5e",
-		"resume/multigraph/sharded-p1":         "edfd2219e7ed205dc57e1c65734eaf4d690044317f2ff5d920f536ec6ae326e1",
-		"resume/multigraph/sharded-p2":         "7ec9fc66248f5eabe2fbe2d396feea4fc01909c366b9b536457ecff399d9449e",
-		"resume/multigraph/sharded-p3":         "b60f89e570c2e69a4bcdaa164027bdaac411d51619e28c97a6e273a501880d96",
+		"resume/holmekim-growth/flat-skip":     "58cd77228be8e94f91bac2fa597d0173929b262d6410bd435d28f6faa2488836",
+		"resume/holmekim-growth/flat-noskip":   "e8107794ed1e0f3dcce6c3559402bcd882f86c4ddbeb703dcda3c0ced8d344de",
+		"resume/holmekim-growth/sharded-p1":    "40a4982c142f1458f1c93e898478a715c6392307bb75735fa650152cfa7ebdc6",
+		"resume/holmekim-growth/sharded-p2":    "b4920f6655616ee9ce3d7ec40e53c083a1ac2b965e7a0690002c63cda5e1f65d",
+		"resume/holmekim-growth/sharded-p3":    "824ac2fc9bc16cb226b8a774b89b4108aad39327d1590877313988b9aa2fe780",
+		"resume/holmekim-shuffled/flat-skip":   "4b2cc1563e4252ef050d545b1c1a65ab69459ffca75897c3af3ac50eb6f4d906",
+		"resume/holmekim-shuffled/flat-noskip": "e15d0b222b0dc6dbd5ef578c7c58cddd9a8e693e30e9b23ee13e11ccb0b87081",
+		"resume/holmekim-shuffled/sharded-p1":  "6ba79797dc6f36bfd7c5593332e2adda2b2d594eba583881e494d5a36f3e90b4",
+		"resume/holmekim-shuffled/sharded-p2":  "0cec876b8f5bb822ce5e00028735895c84accbb8a94415f9d4e1d262c2f99151",
+		"resume/holmekim-shuffled/sharded-p3":  "11aae46008edd47d95361498ec6a4683ea8fb5c9c4be1e53dab8062c322e6288",
+		"resume/complete/flat-skip":            "b042dbe83ab54fcbfd1e899e93d66f5c52e39a49d7795a269cc33bee6377bae5",
+		"resume/complete/flat-noskip":          "c69649b87cf2e2696e764cd55ef3345324a9f3c295c6b2a7da841101e9be87f9",
+		"resume/complete/sharded-p1":           "776dd627850ab6efff9b5662c8a4a4313cb93d5812987e38c7680f004efb03ff",
+		"resume/complete/sharded-p2":           "01c4f3be2d1df6256639a52664424873a8d6578a9c77b50fa64a2e876247b691",
+		"resume/complete/sharded-p3":           "c66a681570ae9519feae72c837abbd4eef9a9e290e4f7d1c69097bc846793654",
+		"resume/multigraph/flat-skip":          "7b2d3ab2af61d0bf7bd5366fafd9455424af94debbb2e7f872674c8dc4bca229",
+		"resume/multigraph/flat-noskip":        "f264786ee8042d98ce44a68a070366be3008b5d6b1088ba7575e3725178096ab",
+		"resume/multigraph/sharded-p1":         "9b044e3b5fd48a6bfd1ed4c5eb0b1fe8f26a26e5e14f376625bf3a152b45109a",
+		"resume/multigraph/sharded-p2":         "23da2b0a7c665a9e65b7a0e32870a4d5e61ac3ba12a15c1b7b043683e7bb1063",
+		"resume/multigraph/sharded-p3":         "12d008361da1b7ad24aaf379617c8c7f53a45382f93205b53b9f77c0179f7987",
 		"mixed/holmekim-growth/flat-skip":      "2f3a24e754ecda6ff4d9e452eda5f08f89444b6bcc57b27edf0add95b0638749",
 		"mixed/holmekim-growth/flat-noskip":    "dfb733c33fe90768fa0982b8f7a8b3eed2cf16eb304d5ef766648de933f8c6d5",
 		"mixed/holmekim-growth/sharded-p1":     "9096043924de8e24d3bb66519bb9db09a796eb10e84971a0e12c7a07cded670c",
