@@ -303,17 +303,8 @@ func goldenPathState(t *testing.T, edges []graph.Edge, r int, k goldenKind, widt
 			c.Add(edges[lo])
 			lo++
 		}
-		if !resume {
-			continue
-		}
-		var err error
-		if k.p == 0 {
-			c, err = ReadCounterFrom(bytes.NewReader(encodeState(t, c)))
-		} else {
-			c, err = ReadShardedCounterFrom(bytes.NewReader(encodeState(t, c)))
-		}
-		if err != nil {
-			t.Fatalf("r=%d: restoring at edge %d: %v", r, lo, err)
+		if resume {
+			c = restoreState(t, c)
 		}
 	}
 	return encodeState(t, c)
