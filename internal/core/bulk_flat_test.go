@@ -260,7 +260,7 @@ func TestInternerDenseIdsAndEpochReuse(t *testing.T) {
 	if _, ok := in.lookupHashed(999, hash32(999)); ok {
 		t.Fatal("lookup of unseen vertex succeeded")
 	}
-	// New epoch: all previous keys must be forgotten, ids restart at 0.
+	// begin again: all previous keys must be forgotten, ids restart at 0.
 	in.begin(4)
 	if _, ok := in.lookupHashed(10, hash32(10)); ok {
 		t.Fatal("stale key survived epoch bump")
