@@ -1,6 +1,10 @@
 package gen
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
 	"testing"
 
 	"streamtri/internal/exact"
@@ -223,5 +227,42 @@ func TestGeneratorsAreDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("edge %d differs: %v vs %v", i, a[i], b[i])
 		}
+	}
+}
+
+// TestHolmeKimGolden pins HolmeKim's output against digests recorded
+// from an earlier build, so that a change to how it keeps its adjacency
+// or its per-vertex targets cannot move an edge unnoticed. The golden
+// tests of the counters, the benchmarks' streams and the experiments all
+// generate their graphs with it. Each digest is SHA-256 over the edges
+// as little-endian u32 pairs.
+func TestHolmeKimGolden(t *testing.T) {
+	for _, tc := range []struct {
+		seed    uint64
+		n, mPer int
+		pTriad  float64
+		m       int
+		want    string
+	}{
+		{101, 300, 3, 0.7, 894, "6b72fce7b6dc5dd068326134b69b6f901dfdfd4e2215c08e27fbfe56ab510d2b"},
+		{7, 2000, 2, 0.9, 3997, "5e0acbf3e7939842f1c3a044dc0b87acdf38b23563605ef109ba39a83bc2d3f8"},
+		{0xB01D, 20000, 8, 0.5, 159964, "55c3aab28b32e15d41bd45ab50bf4fb072049d97e154b2cb69eb92d5779f08b6"},
+	} {
+		t.Run(fmt.Sprintf("seed=%d/n=%d/mPer=%d/p=%v", tc.seed, tc.n, tc.mPer, tc.pTriad), func(t *testing.T) {
+			edges := HolmeKim(randx.New(tc.seed), tc.n, tc.mPer, tc.pTriad)
+			if len(edges) != tc.m {
+				t.Fatalf("%d edges, want %d", len(edges), tc.m)
+			}
+			h := sha256.New()
+			var b [8]byte
+			for _, e := range edges {
+				binary.LittleEndian.PutUint32(b[:4], e.U)
+				binary.LittleEndian.PutUint32(b[4:], e.V)
+				h.Write(b[:])
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
+				t.Errorf("digest %s, want %s", got, tc.want)
+			}
+		})
 	}
 }

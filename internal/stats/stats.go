@@ -142,3 +142,29 @@ func Variance(xs []float64) float64 {
 	}
 	return sum / float64(len(xs))
 }
+
+// ChiSquareZ tests observed category counts against the probabilities
+// p of a fully specified law (Σp = 1, every p > 0) with Pearson's χ²
+// statistic, X² = Σ (o − n·p)²/(n·p) over n = Σ observed draws, on
+// df = len(p) − 1 degrees of freedom. It returns the statistic
+// standardized by the χ² law's mean and variance, z = (X² − df)/√(2·df),
+// which is about standard normal for large df, so a test can hold it to
+// a fixed bound whatever the number of categories. It panics when the
+// slices differ in length or hold fewer than two categories.
+func ChiSquareZ(observed []int, p []float64) (z float64, df int) {
+	if len(observed) != len(p) || len(p) < 2 {
+		panic("stats: ChiSquareZ needs two or more categories, one probability each")
+	}
+	n := 0
+	for _, o := range observed {
+		n += o
+	}
+	var x2 float64
+	for i, o := range observed {
+		e := float64(n) * p[i]
+		d := float64(o) - e
+		x2 += d * d / e
+	}
+	df = len(p) - 1
+	return (x2 - float64(df)) / math.Sqrt(2*float64(df)), df
+}
