@@ -9,6 +9,7 @@ package gen
 
 import (
 	"fmt"
+	"slices"
 
 	"streamtri/internal/graph"
 	"streamtri/internal/randx"
@@ -135,25 +136,25 @@ func HolmeKim(rng *randx.Source, n, mPer int, pTriad float64) []graph.Edge {
 	// contributes both endpoints, so sampling a uniform entry is sampling
 	// a vertex with probability deg(v)/2m.
 	endpoints := make([]graph.NodeID, 0, 2*(n-m0)*mPer+2*len(edges))
-	adj := make(map[graph.NodeID][]graph.NodeID, n)
-	addEdge := func(u, v graph.NodeID) {
-		edges = append(edges, graph.Edge{U: u, V: v})
+	// adj[v] lists v's neighbours; vertex ids are 0..n-1.
+	adj := make([][]graph.NodeID, n)
+	link := func(u, v graph.NodeID) {
 		endpoints = append(endpoints, u, v)
 		adj[u] = append(adj[u], v)
 		adj[v] = append(adj[v], u)
 	}
-	for _, e := range Complete(m0) {
-		endpoints = append(endpoints, e.U, e.V)
-		adj[e.U] = append(adj[e.U], e.V)
-		adj[e.V] = append(adj[e.V], e.U)
+	for _, e := range edges {
+		link(e.U, e.V)
 	}
 
-	linked := make(map[graph.NodeID]bool, mPer)
+	// linked holds the targets of the current vertex, at most mPer, so
+	// a linear scan finds a repeat.
+	linked := make([]graph.NodeID, 0, mPer)
 	for v := graph.NodeID(m0); v < graph.NodeID(n); v++ {
-		clear(linked)
+		linked = linked[:0]
 		var prev graph.NodeID
 		havePrev := false
-		for added := 0; added < mPer; {
+		for len(linked) < mPer {
 			var target graph.NodeID
 			if havePrev && rng.Float64() < pTriad {
 				// Triad step: random neighbor of the previous target.
@@ -163,16 +164,16 @@ func HolmeKim(rng *randx.Source, n, mPer int, pTriad float64) []graph.Edge {
 				// Preferential attachment step.
 				target = endpoints[rng.Uint64N(uint64(len(endpoints)))]
 			}
-			if target == v || linked[target] {
+			if target == v || slices.Contains(linked, target) {
 				// Collision: resample. Termination is guaranteed because
 				// mPer < m0 ≤ number of existing vertices, so an unlinked
 				// target always exists and PA steps reach it.
 				continue
 			}
-			linked[target] = true
-			addEdge(v, target)
+			linked = append(linked, target)
+			edges = append(edges, graph.Edge{U: v, V: target})
+			link(v, target)
 			prev, havePrev = target, true
-			added++
 		}
 	}
 	return edges
