@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -567,6 +569,96 @@ func TestServeWALTornTailRecovery(t *testing.T) {
 			t.Fatalf("truncation at %d: recovered state differs from oracle", off)
 		}
 		abandonServer(s2)
+	}
+}
+
+// TestServeRecoversShardedCheckpoint: a data dir whose newest
+// generation is an NSTS envelope of two shards, the checkpoint builds
+// that split a tenant's estimators into p shards wrote at p = 2, plus a
+// WAL tail, recovers from that generation with no fallback and no
+// quarantine, to the checkpoint's position plus the WAL's edges, in the
+// state the library reaches by restoring the same checkpoint and
+// absorbing the same batches. The envelope is built here from two
+// counters' NSTC blobs: the 8-byte batch size, then magic, version, p
+// and m, then the blobs in shard order.
+func TestServeRecoversShardedCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	const name, ckptPos = "ws", 600
+	cfg := CounterConfig{R: 48, P: 2, Seed: 9, BatchSize: 128}
+	edges := testEdges(t, 103, 1000)
+	s, ts := newTestServer(t, dir)
+	if code := createCounter(t, ts.URL, name, cfg); code != http.StatusCreated {
+		t.Fatalf("create: %d", code)
+	}
+	abandonServer(s)
+
+	le := binary.LittleEndian
+	ckpt := le.AppendUint64(nil, uint64(cfg.BatchSize))
+	ckpt = append(ckpt, "NSTS"...)
+	ckpt = le.AppendUint32(ckpt, 1)
+	ckpt = le.AppendUint32(ckpt, 2)
+	ckpt = le.AppendUint64(ckpt, ckptPos)
+	for shard := uint64(0); shard < 2; shard++ {
+		c := streamtri.NewTriangleCounter(cfg.R/2, streamtri.WithSeed(shard+1), streamtri.WithBatchSize(cfg.BatchSize))
+		c.AddBatch(edges[:ckptPos])
+		var blob bytes.Buffer
+		if _, err := c.WriteTo(&blob); err != nil {
+			t.Fatal(err)
+		}
+		ckpt = append(ckpt, blob.Bytes()[8:]...)
+	}
+	if err := os.WriteFile(s.genPath(name, ckptPos), ckpt, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	wal := newWALWriter(dir, name, ckptPos, FsyncAlways, &faultInjector{})
+	ref, err := streamtri.RestoreParallelTriangleCounter(bytes.NewReader(ckpt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for lo := ckptPos; lo < len(edges); lo += cfg.BatchSize {
+		batch := edges[lo:min(lo+cfg.BatchSize, len(edges))]
+		if err := wal.append(batch); err != nil {
+			t.Fatal(err)
+		}
+		ref.AddBatch(batch)
+	}
+	if err := wal.close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var logs bytes.Buffer
+	var logMu sync.Mutex
+	s2, err := NewServer(dir, WithLogf(func(format string, args ...any) {
+		logMu.Lock()
+		defer logMu.Unlock()
+		fmt.Fprintf(&logs, format+"\n", args...)
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	tn := s2.lookup(name)
+	if tn == nil {
+		t.Fatalf("tenant lost; log:\n%s", logs.String())
+	}
+	if strings.Contains(logs.String(), "fallback") || strings.Contains(logs.String(), "quarantin") {
+		t.Fatalf("recovery fell back or quarantined:\n%s", logs.String())
+	}
+	if corrupt, _ := filepath.Glob(filepath.Join(dir, name+".corrupt*")); len(corrupt) > 0 {
+		t.Fatalf("quarantined files: %v", corrupt)
+	}
+	if pos, est := counterEdges(tn), tn.est.Load().Edges; pos != uint64(len(edges)) || est != pos {
+		t.Fatalf("recovered to %d edges, published %d; want %d", pos, est, len(edges))
+	}
+	var got, want bytes.Buffer
+	if _, err := tn.c.WriteTo(&got); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ref.WriteTo(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatal("recovered state differs from the library's restore of the same checkpoint and batches")
 	}
 }
 
