@@ -218,28 +218,24 @@ func BenchmarkLevel1Skip(b *testing.B) {
 
 // --- Map-free bulk path: public-API view of the core rewrite ----------
 
-// BenchmarkParallelAddBatch measures the sharded intake path end to end
-// (shared batch index + flat scratch tables); the
-// per-implementation cells live in internal/bench (BenchmarkAddBatchFlat,
-// BenchmarkShardedAddBatch) and are committed as BENCH_core.json.
+// BenchmarkParallelAddBatch measures the ParallelTriangleCounter intake
+// end to end: Add buffers every edge and each full buffer takes the bulk
+// path. The per-implementation cells live in internal/bench
+// (BenchmarkAddBatchFlat) and are committed as BENCH_core.json.
 func BenchmarkParallelAddBatch(b *testing.B) {
 	d := bench.Get("livejournal-sim")
 	edges := bench.ShuffledTrialStream(d, 0)
 	const r = 1 << 14
-	for _, p := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
-			pc := streamtri.NewParallelTriangleCounter(r, p, streamtri.WithSeed(1))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, e := range edges {
-					pc.Add(e)
-				}
-				pc.Flush()
-			}
-			b.StopTimer()
-			reportAccuracy(b, len(edges), 0, 0)
-		})
+	pc := streamtri.NewParallelTriangleCounter(r, 1, streamtri.WithSeed(1))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, e := range edges {
+			pc.Add(e)
+		}
+		pc.Flush()
 	}
+	b.StopTimer()
+	reportAccuracy(b, len(edges), 0, 0)
 }
 
 // --- X1: 4-clique counting (Theorem 5.5) ------------------------------

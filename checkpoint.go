@@ -10,10 +10,9 @@ import (
 )
 
 // WriteTo checkpoints the counter's full state (estimators, stream
-// position, random-generator state; on a sharded counter, each shard's)
-// so processing can resume later — possibly in another process —
-// bit-identically. Buffered edges are flushed first. It implements
-// io.WriterTo.
+// position, random-generator state) so processing can resume later —
+// possibly in another process — bit-identically. Buffered edges are
+// flushed first. It implements io.WriterTo.
 func (t *wholeStream[E]) WriteTo(w io.Writer) (int64, error) {
 	t.Flush()
 	return writeCheckpoint(w, t.w, t.eng)
@@ -52,7 +51,9 @@ func readCheckpointHeader(r io.Reader, opts []Option) (config, error) {
 // TriangleCounter.WriteTo and returns a counter that continues exactly
 // where the original left off. The ingest options are not checkpointed,
 // so pass them again in opts; WithSeed and WithBatchSize do not apply,
-// as the checkpoint carries the random-generator state and w.
+// as the checkpoint carries the random-generator state and w. It also
+// reads ParallelTriangleCounter checkpoints (see
+// RestoreParallelTriangleCounter).
 func RestoreTriangleCounter(r io.Reader, opts ...Option) (*TriangleCounter, error) {
 	cfg, err := readCheckpointHeader(r, opts)
 	if err != nil {
@@ -66,16 +67,23 @@ func RestoreTriangleCounter(r io.Reader, opts ...Option) (*TriangleCounter, erro
 }
 
 // RestoreParallelTriangleCounter reads a checkpoint written by
-// ParallelTriangleCounter.WriteTo and returns a counter that continues
-// exactly where the original left off. The restored counter answers
-// Snapshot and Estimate queries immediately, bit-identically to the
-// checkpointed state. opts are as for RestoreTriangleCounter.
+// ParallelTriangleCounter.WriteTo, TriangleCounter.WriteTo, or an
+// earlier build's ParallelTriangleCounter, whose checkpoints held p
+// shards in an envelope. The restored counter answers Snapshot and
+// Estimate queries immediately, bit-identically to the checkpointed
+// state, and continues exactly where the original left off, except
+// after a checkpoint of p > 1 shards: it holds their estimators in
+// shard order and continues on shard 0's random generator, so its later
+// estimates have the law the sharded counter's had, but not its values.
+// opts are as for RestoreTriangleCounter.
+//
+// Deprecated: Use RestoreTriangleCounter.
 func RestoreParallelTriangleCounter(r io.Reader, opts ...Option) (*ParallelTriangleCounter, error) {
 	cfg, err := readCheckpointHeader(r, opts)
 	if err != nil {
 		return nil, err
 	}
-	c, err := core.ReadShardedCounterFrom(r)
+	c, err := core.ReadCounterFrom(r)
 	if err != nil {
 		return nil, err
 	}

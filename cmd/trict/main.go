@@ -7,7 +7,7 @@
 // Usage:
 //
 //	trict -r 131072 graph.txt
-//	trict -r 131072 -format binary -p 8 graph.bin
+//	trict -r 131072 -format binary graph.bin
 //	trict -r 131072 -i part1.txt -i part2.txt -i part3.txt
 //	trict -r 65536 -window 1000000 temporal.txt
 //	trict -r 65536 -window 1000000 -i part1.txt -i part2.txt
@@ -25,11 +25,11 @@
 // Ingestion is pipelined and constant-memory: each input's decoder runs
 // on its own goroutine while the estimators absorb batches in the main
 // goroutine — so files larger than RAM stream fine, and I/O+decode time
-// overlaps processing. -p splits the estimators into that many shards;
-// it fixes the shard seeds, so the estimate depends on it, but not on
-// the machine: an unset -p means one shard. The triangle sampler
-// (-samples) and the windowed estimator have no shards and reject -p.
-// With several -i inputs the decoders also overlap each other (parallel
+// overlaps processing. The estimate depends on the seed and the input,
+// not on the machine. -p, which split the estimators into shards, has
+// no effect and is kept so that existing command lines still run; the
+// whole-stream estimate is the one an unset -p gave. As before, -p is
+// rejected together with -samples or -window. With several -i inputs the decoders also overlap each other (parallel
 // ingestion), and a deterministic merge takes the files in blocks of
 // min(w, 4096) edges (w the batch size), round-robin in input order, so
 // multi-file runs are bit-for-bit reproducible. The report prices
@@ -90,7 +90,7 @@ func (m *multiFlag) Set(v string) error {
 
 func main() {
 	r := flag.Int("r", 1<<17, "number of estimators (accuracy grows with r)")
-	p := flag.Int("p", 0, "number of shards the estimators are split into; it fixes the shard seeds, so the estimate depends on it (0 = unset, one shard)")
+	p := flag.Int("p", 0, "no effect; it split the estimators into shards, and is accepted for existing command lines")
 	w := flag.Int("w", 0, "batch size (0 = the paper's w = 8r)")
 	depth := flag.Int("depth", 0, "pipeline buffers in flight on single-input runs (0 = default)")
 	format := flag.String("format", "text", "input format: text|binary (applies to every input; binary flavors — plain, timestamped v1, block v2 — are sniffed per input)")
@@ -203,13 +203,6 @@ func main() {
 		}
 	}
 
-	if *p <= 0 {
-		*p = 1
-	}
-	if *p > *r {
-		*p = *r
-	}
-
 	start := time.Now()
 	var (
 		st      streamtri.StreamStats
@@ -231,7 +224,9 @@ func main() {
 			fmt.Fprintf(os.Stderr, "trict: only %d of %d samples accepted; increase -r\n", len(sampled), *samples)
 		}
 	} else {
-		tc := streamtri.NewParallelTriangleCounter(*r, *p, opts...)
+		// The deprecated wrapper keeps the seeding of earlier builds, so
+		// trict's estimates do not change.
+		tc := streamtri.NewParallelTriangleCounter(*r, 1, opts...)
 		st, err = tc.CountStreams(ctx, srcs...)
 		if err != nil {
 			fatal(err)
@@ -247,11 +242,7 @@ func main() {
 		// stream); the streaming default requires simple input, so say so.
 		fmt.Printf("dedup:        off — input must be a simple stream (use -dedup for raw data)\n")
 	}
-	if *samples > 0 {
-		fmt.Printf("estimators:   %d\n", *r)
-	} else {
-		fmt.Printf("estimators:   %d across %d shards\n", *r, *p)
-	}
+	fmt.Printf("estimators:   %d\n", *r)
 	decodeNote := "overlapped with processing"
 	if len(srcs) > 1 {
 		decodeNote = fmt.Sprintf("summed over %d parallel decoders, overlapped with processing", len(srcs))

@@ -17,12 +17,12 @@
 //   - SlidingWindowCounter — the triangle count of the most recent w
 //     edges.
 //
-// TriangleCounter, TriangleSampler and ParallelTriangleCounter (below)
-// share one intake over different engines: the batch buffer, AddBatch,
-// the CountStream pipelines, the estimates and, on the two counters,
-// Snapshot and the checkpoint are one implementation, in front of the
-// flat estimators, the estimators plus an exact degree tracker, or the
-// estimators split into shards.
+// TriangleCounter, TriangleSampler and the deprecated
+// ParallelTriangleCounter (below) share one intake over one engine: the
+// batch buffer, AddBatch, the CountStream pipelines, the estimates and,
+// on the two counters, Snapshot and the checkpoint are one
+// implementation, in front of the estimators, or of the estimators plus
+// an exact degree tracker on the sampler.
 //
 // All types are deterministic given their seed, multi-source ingestion
 // included: both merges behind CountStreams are pure functions of their
@@ -86,19 +86,25 @@
 // table there has 4r = 65,536 slots of 8 bytes, 512 KiB, against the
 // 768 KiB of the per-batch table's 12-byte slots.
 //
-// ParallelTriangleCounter is TriangleCounter's intake over a sharded
-// engine: it splits the estimators into p shards. The shards share one
-// endpoint index; every shard runs Step 1 before any shard's Step 2,
-// and the shards run one after another in the caller's goroutine. p is
-// a partition of the estimators, not a parallelism setting: it fixes
-// the shard seeds, so estimates and checkpoints depend on it. Running
-// the shards concurrently does not pay: with the index shared, only the
-// O(r/p) estimator passes could run in parallel, and on two cores that
-// gave no wall-time speedup while costing more CPU per edge. Cells
-// tracked in BENCH_core.json measure these paths; regenerate with
-// `make bench-core`. BenchmarkBulkLoadAddBatch in internal/bench prices
-// ShardedCounter.AddBatch at bulk-load's shape, and the AddBatch cells
-// report process CPU ns per edge beside wall time.
+// ParallelTriangleCounter is deprecated. It split the estimators into p
+// shards with derived seeds, which ran one after another in the
+// caller's goroutine and bought no speed: one counter's AddBatch costs
+// what the shards' did, within the host's spread. Estimators are
+// independent, so the split did not change the estimates' law either.
+// It is now TriangleCounter's intake over one counter seeded as shard 0
+// was: a p = 1 counter keeps its states, estimates and checkpoint bytes
+// (less the 20-byte shard envelope), and p > 1 equals p = 1. Shard
+// checkpoints of any p still restore (see Serving). The exact-law
+// oracle (TestExactLaw in internal/core) is what licenses giving up
+// bit-identity for p > 1: on tiny streams it checks every estimator's
+// end state against Lemma 3.1's closed-form law, for AddBatch at
+// several widths, Add, and counters restored from shard checkpoints. A
+// many-core deployment that wants the estimator passes in parallel
+// should measure against this sequential baseline first. Cells tracked
+// in BENCH_core.json measure these paths; regenerate with `make
+// bench-core`. BenchmarkBulkLoadAddBatch in internal/bench prices
+// Counter.AddBatch at bulk-load's shape, and the AddBatch cells report
+// process CPU ns per edge beside wall time.
 //
 // # The windowed estimator
 //
@@ -523,7 +529,11 @@
 // atomic rename, directory fsync), the newest -checkpoint-retain
 // generations are kept, and WAL segments covered by the oldest retained
 // generation are pruned. Whole-stream tenants serialize through
-// WriteTo/RestoreParallelTriangleCounter (the NSTS sharded envelope);
+// WriteTo/RestoreParallelTriangleCounter (an NSTC blob; restore also
+// reads the NSTS envelope of p shards that tenants wrote while p split
+// the estimators, as one counter that holds the shards' estimators in
+// shard order and continues on shard 0's random generator: its later
+// estimates keep their law but not their values when p > 1);
 // windowed tenants through SlidingWindowCounter.WriteTo /
 // RestoreSlidingWindowCounter (the NSTW envelope, whose version-1
 // checkpoints convert on restore). Recovery restores

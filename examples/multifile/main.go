@@ -53,7 +53,7 @@ func main() {
 		srcs[i] = streamtri.NewBinaryEdgeSource(f)
 	}
 
-	tc := streamtri.NewParallelTriangleCounter(1<<14, 2,
+	tc := streamtri.NewTriangleCounter(1<<14,
 		streamtri.WithSeed(5), streamtri.WithBatchSize(1<<14))
 
 	start := time.Now()

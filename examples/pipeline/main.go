@@ -1,7 +1,7 @@
 // Pipelined ingestion: count triangles in an edge file WITHOUT ever
 // holding the graph in memory. The decode pipeline reads fixed-size
 // batches on its own goroutine (backpressured by a small recycle ring)
-// while the sharded counter absorbs them — so I/O+decode time overlaps
+// while the counter absorbs them — so I/O+decode time overlaps
 // processing, the way the paper's Table 3 prices them separately, and
 // the resident set stays a few batch buffers regardless of file size.
 package main
@@ -36,7 +36,7 @@ func main() {
 	check(err)
 	defer in.Close()
 
-	tc := streamtri.NewParallelTriangleCounter(1<<14, 2,
+	tc := streamtri.NewTriangleCounter(1<<14,
 		streamtri.WithSeed(5), streamtri.WithBatchSize(1<<14))
 
 	start := time.Now()

@@ -8,11 +8,10 @@ import (
 	"streamtri/internal/core"
 )
 
-// Benchmarks for the map-free AddBatch hot path and the sharded
-// counter, across w ∈ {r/4, r, 4r}. `make bench-core` runs the
-// same cells through RunCoreBenchSuite and commits the results as
-// BENCH_core.json. (The map-based baseline cells were retired together
-// with the WithMapScratch path itself.)
+// Benchmarks for the map-free AddBatch hot path across w ∈ {r/4, r, 4r}.
+// `make bench-core` runs the same cells through RunCoreBenchSuite and
+// commits the results as BENCH_core.json. (The map-based baseline cells
+// were retired together with the WithMapScratch path itself.)
 
 const (
 	coreBenchR     = 4096
@@ -28,30 +27,20 @@ func BenchmarkAddBatchFlat(b *testing.B) {
 	}
 }
 
-func BenchmarkShardedAddBatch(b *testing.B) {
-	edges := CoreBenchStream(coreBenchEdges)
-	p := BenchShards
-	for _, w := range CoreBatchWidths(coreBenchR) {
-		b.Run(fmt.Sprintf("r=%d/w=%d/p=%d", coreBenchR, w, p), func(b *testing.B) {
-			BenchCoreShardedAddBatch(b, edges, coreBenchR, p, w)
-		})
-	}
-}
-
-// BenchmarkBulkLoadAddBatch prices ShardedCounter.AddBatch per batch at
+// BenchmarkBulkLoadAddBatch prices Counter.AddBatch per batch at
 // perfbench's bulk-load shape (BenchCoreBulkLoad).
 func BenchmarkBulkLoadAddBatch(b *testing.B) {
 	edges := BulkLoadStream()
-	b.Run(fmt.Sprintf("r=%d/w=%d/p=%d", bulkLoadR, bulkLoadW, bulkLoadP), func(b *testing.B) {
+	b.Run(fmt.Sprintf("r=%d/w=%d", bulkLoadR, bulkLoadW), func(b *testing.B) {
 		BenchCoreBulkLoad(b, edges)
 	})
 }
 
 func BenchmarkServeIngestUnderReaders(b *testing.B) {
 	data := EncodeBinaryEdges(CoreBenchStream(coreBenchEdges))
-	r, w, p := PipeBenchR, 8*PipeBenchR, BenchShards
-	b.Run(fmt.Sprintf("readers=%d/r=%d/w=%d/p=%d", ServeBenchReaders, r, w, p), func(b *testing.B) {
-		BenchServeIngestUnderReaders(b, data, w, 2, ServeBenchReaders, core.NewShardedCounter(r, p, 1))
+	r, w := PipeBenchR, 8*PipeBenchR
+	b.Run(fmt.Sprintf("readers=%d/r=%d/w=%d", ServeBenchReaders, r, w), func(b *testing.B) {
+		BenchServeIngestUnderReaders(b, data, w, 2, ServeBenchReaders, core.NewCounter(r, 1))
 	})
 }
 
@@ -71,8 +60,8 @@ func TestWriteCoreBenchJSON(t *testing.T) {
 }
 
 // TestCoreBenchPlumbing keeps the benchmark helpers honest under plain
-// `go test`: the shared stream is deterministic and both batch consumers
-// absorb it fully.
+// `go test`: the shared stream is deterministic and the counter absorbs
+// it fully.
 func TestCoreBenchPlumbing(t *testing.T) {
 	edges := CoreBenchStream(1 << 10)
 	if len(edges) != 1<<10 {
@@ -92,11 +81,6 @@ func TestCoreBenchPlumbing(t *testing.T) {
 	if c.Edges() != uint64(len(edges)) {
 		t.Fatalf("counter absorbed %d of %d edges", c.Edges(), len(edges))
 	}
-	sc := core.NewShardedCounter(32, 2, 1)
-	streamInBatches(sc, edges, 100)
-	if sc.Edges() != uint64(len(edges)) {
-		t.Fatalf("sharded counter absorbed %d of %d edges", sc.Edges(), len(edges))
-	}
 }
 
 // TestServeBenchPlumbing spins the serving cell's harness once at toy
@@ -106,7 +90,7 @@ func TestCoreBenchPlumbing(t *testing.T) {
 func TestServeBenchPlumbing(t *testing.T) {
 	data := EncodeBinaryEdges(CoreBenchStream(1 << 12))
 	res := testing.Benchmark(func(b *testing.B) {
-		BenchServeIngestUnderReaders(b, data, 256, 2, 2, core.NewShardedCounter(64, 2, 1))
+		BenchServeIngestUnderReaders(b, data, 256, 2, 2, core.NewCounter(64, 1))
 	})
 	if res.N < 1 {
 		t.Fatalf("serving benchmark did not run: %+v", res)

@@ -29,14 +29,6 @@ func BenchmarkPipelinedCount(b *testing.B) {
 	})
 }
 
-func BenchmarkPipelinedShardedCount(b *testing.B) {
-	data := EncodeBinaryEdges(CoreBenchStream(PipeBenchEdges))
-	p := BenchShards
-	b.Run(fmt.Sprintf("r=%d/w=%d/p=%d", PipeBenchR, 8*PipeBenchR, p), func(b *testing.B) {
-		BenchPipePipelined(b, data, 8*PipeBenchR, 2, core.NewShardedCounter(PipeBenchR, p, 1))
-	})
-}
-
 func BenchmarkMultiPipelinedCount(b *testing.B) {
 	data := EncodeBinaryEdges(CoreBenchStream(PipeBenchEdges))
 	half := (PipeBenchEdges / 2) * 8

@@ -16,8 +16,8 @@ import (
 	"streamtri/internal/stream"
 )
 
-// Core hot-path benchmarks: map-based vs flat AddBatch and the sharded
-// counter, across batch sizes w ∈ {r/4, r, 4r}. RunCoreBenchSuite
+// Core hot-path benchmarks: the flat AddBatch across batch sizes
+// w ∈ {r/4, r, 4r}. RunCoreBenchSuite
 // renders the results as a machine-readable report (BENCH_core.json) so
 // successive PRs can track the perf trajectory of the system's hottest
 // path.
@@ -25,10 +25,9 @@ import (
 // CoreBenchRow is one measured cell.
 type CoreBenchRow struct {
 	Name        string  `json:"name"`
-	Impl        string  `json:"impl"` // "flat", "map", or "sharded"
+	Impl        string  `json:"impl"`
 	R           int     `json:"r"`
 	W           int     `json:"w"`
-	Shards      int     `json:"shards,omitempty"`
 	EdgesPerSec float64 `json:"edges_per_sec"`
 	NsPerEdge   float64 `json:"ns_per_edge"`
 	BytesPerOp  int64   `json:"bytes_per_op"`  // per batch
@@ -43,14 +42,6 @@ type CoreBenchReport struct {
 	StreamEdges int            `json:"stream_edges"`
 	Rows        []CoreBenchRow `json:"rows"`
 }
-
-// BenchShards is the shard count of every sharded benchmark cell. It is
-// a constant, NOT derived from runtime.NumCPU(): cell names double as
-// the bench-regression gate's comparison keys, so the cell matrix must
-// be identical on every machine — a CPU-derived p would make the
-// committed baseline's cells "missing" on any runner with a different
-// core count and fail the gate spuriously.
-const BenchShards = 2
 
 // CoreBenchStream returns the deterministic edge stream shared by all
 // core benchmarks: an Erdős–Rényi graph streamed in shuffled order.
@@ -121,11 +112,6 @@ func BenchCoreAddBatch(b *testing.B, edges []graph.Edge, r, w int, opts ...core.
 	benchPasses(b, core.NewCounter(r, 1, opts...), edges, w)
 }
 
-// BenchCoreShardedAddBatch is BenchCoreAddBatch for the ShardedCounter.
-func BenchCoreShardedAddBatch(b *testing.B, edges []graph.Edge, r, p, w int) {
-	benchPasses(b, core.NewShardedCounter(r, p, 1), edges, w)
-}
-
 // benchPasses times b.N passes of edges through c in batches of w, after
 // one untimed pass that warms the scratch tables.
 func benchPasses(b *testing.B, c counterSink, edges []graph.Edge, w int) {
@@ -143,12 +129,12 @@ func benchPasses(b *testing.B, c counterSink, edges []graph.Edge, w int) {
 }
 
 // Bulk-load's shape: perfbench's bulk-load workload feeds each tenant, a
-// ShardedCounter with r = 16,384 and p = 2, one-batch POSTs of w = 8r
-// edges of a Holme–Kim stream in growth order, with 8 edges per vertex
-// and triad probability 0.5. Its timed phase starts at the 17th batch.
+// counter with r = 16,384 (created with p = 2, which no longer has an
+// effect), one-batch POSTs of w = 8r edges of a Holme–Kim stream in
+// growth order, with 8 edges per vertex and triad probability 0.5. Its
+// timed phase starts at the 17th batch.
 const (
 	bulkLoadR         = 16384
-	bulkLoadP         = 2
 	bulkLoadW         = 8 * bulkLoadR
 	bulkLoadWarmup    = 16 // batches before the timed phase
 	bulkLoadTimed     = 16 // distinct timed batches; the loop cycles them
@@ -164,7 +150,7 @@ func BulkLoadStream() []graph.Edge {
 	return gen.HolmeKim(randx.New(0xB01D), m/bulkLoadPerVertex+bulkLoadPerVertex+1, bulkLoadPerVertex, bulkLoadTriadProb)[:m]
 }
 
-// BenchCoreBulkLoad prices ShardedCounter.AddBatch at bulk-load's shape:
+// BenchCoreBulkLoad prices Counter.AddBatch at bulk-load's shape:
 // one batch per op, after bulkLoadWarmup untimed batches. When the
 // stream runs out, the counter restarts, untimed, from its checkpoint
 // at the end of the warm-up, so every timed batch is one of the 16
@@ -172,7 +158,7 @@ func BulkLoadStream() []graph.Edge {
 // as it does in trictd after a recovery.
 func BenchCoreBulkLoad(b *testing.B, edges []graph.Edge) {
 	w := bulkLoadW
-	sc := core.NewShardedCounter(bulkLoadR, bulkLoadP, 1)
+	sc := core.NewCounter(bulkLoadR, 1)
 	for k := 0; k < bulkLoadWarmup; k++ {
 		sc.AddBatch(edges[k*w : (k+1)*w])
 	}
@@ -189,7 +175,7 @@ func BenchCoreBulkLoad(b *testing.B, edges []graph.Edge) {
 			cpu.stop()
 			b.StopTimer()
 			var err error
-			if sc, err = core.ReadShardedCounterFrom(bytes.NewReader(warm.Bytes())); err != nil {
+			if sc, err = core.ReadCounterFrom(bytes.NewReader(warm.Bytes())); err != nil {
 				b.Fatal(err)
 			}
 			k = bulkLoadWarmup
@@ -214,7 +200,7 @@ func RunCoreBenchSuite(r, streamEdges int) CoreBenchReport {
 		NumCPU:      runtime.NumCPU(),
 		StreamEdges: len(edges),
 	}
-	cell := func(name, impl string, w, shards int, res testing.BenchmarkResult) {
+	cell := func(name, impl string, w int, res testing.BenchmarkResult) {
 		batches := (len(edges) + w - 1) / w
 		perPassNs := float64(res.NsPerOp())
 		rep.Rows = append(rep.Rows, CoreBenchRow{
@@ -222,26 +208,22 @@ func RunCoreBenchSuite(r, streamEdges int) CoreBenchReport {
 			Impl:        impl,
 			R:           r,
 			W:           w,
-			Shards:      shards,
 			EdgesPerSec: float64(len(edges)) / (perPassNs / 1e9),
 			NsPerEdge:   perPassNs / float64(len(edges)),
 			BytesPerOp:  res.AllocedBytesPerOp() / int64(batches),
 			AllocsPerOp: res.AllocsPerOp() / int64(batches),
 		})
 	}
-	shards := BenchShards
 	for _, w := range CoreBatchWidths(r) {
-		cell(fmt.Sprintf("AddBatchFlat/r=%d/w=%d", r, w), "flat", w, 0,
+		cell(fmt.Sprintf("AddBatchFlat/r=%d/w=%d", r, w), "flat", w,
 			testing.Benchmark(func(b *testing.B) { BenchCoreAddBatch(b, edges, r, w) }))
-		cell(fmt.Sprintf("ShardedAddBatch/r=%d/w=%d/p=%d", r, w, shards), "sharded", w, shards,
-			testing.Benchmark(func(b *testing.B) { BenchCoreShardedAddBatch(b, edges, r, shards, w) }))
 	}
 	// End-to-end ingestion: decode+count over the binary format (the
 	// pre-pipeline slurp architecture vs the streaming pipeline vs the
 	// 2-file merged pipeline) and the text format (per-edge vs bulk
 	// scanner), in the throughput regime (r = PipeBenchR, w = 8r,
 	// PipeBenchEdges-long stream; see pipebench.go).
-	rep.Rows = append(rep.Rows, RunPipelineBenchCells(PipeBenchR, 8*PipeBenchR, shards)...)
+	rep.Rows = append(rep.Rows, RunPipelineBenchCells(PipeBenchR, 8*PipeBenchR)...)
 	rep.Rows = append(rep.Rows, RunTextBenchCells(PipeBenchR, 8*PipeBenchR)...)
 	rep.Rows = append(rep.Rows, RunTsTextBenchCells(PipeBenchR, 8*PipeBenchR)...)
 	// The block-structured v2 binary format: decode-only cells against
@@ -249,9 +231,9 @@ func RunCoreBenchSuite(r, streamEdges int) CoreBenchReport {
 	// rerun on v2 shards through the block-granular merge path (see
 	// pipebench.go).
 	rep.Rows = append(rep.Rows, RunBlockBenchCells(PipeBenchR, 8*PipeBenchR)...)
-	// Serving: the same sharded ingest with concurrent snapshot readers
+	// Serving: the pipelined ingest with concurrent snapshot readers
 	// polling estimates mid-stream (see servebench.go).
-	rep.Rows = append(rep.Rows, RunServeBenchCells(PipeBenchR, 8*PipeBenchR, shards)...)
+	rep.Rows = append(rep.Rows, RunServeBenchCells(PipeBenchR, 8*PipeBenchR)...)
 	return rep
 }
 

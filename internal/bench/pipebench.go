@@ -73,8 +73,7 @@ func warmSlurp(c *core.Counter, data []byte, w int) {
 
 // BenchPipePipelined measures the pipelined ingestion over the same
 // bytes: bulk batch decoding on the decoder goroutine overlapping the
-// sink's AddBatch, zero steady-state allocation. sink is a *core.Counter
-// or *core.ShardedCounter.
+// sink's AddBatch, zero steady-state allocation.
 func BenchPipePipelined(b *testing.B, data []byte, w, depth int, sink stream.Sink) {
 	pipeOnePass(b, data, w, depth, sink) // warm scratch tables untimed
 	b.ReportAllocs()
@@ -118,7 +117,7 @@ func medianBenchmark(runs int, f func(b *testing.B)) testing.BenchmarkResult {
 }
 
 // benchRow converts one measured per-pass result into a report cell.
-func benchRow(name, impl string, m, r, w, p int, res testing.BenchmarkResult) CoreBenchRow {
+func benchRow(name, impl string, m, r, w int, res testing.BenchmarkResult) CoreBenchRow {
 	batches := (m + w - 1) / w
 	perPassNs := float64(res.NsPerOp())
 	return CoreBenchRow{
@@ -126,7 +125,6 @@ func benchRow(name, impl string, m, r, w, p int, res testing.BenchmarkResult) Co
 		Impl:        impl,
 		R:           r,
 		W:           w,
-		Shards:      p,
 		EdgesPerSec: float64(m) / (perPassNs / 1e9),
 		NsPerEdge:   perPassNs / float64(m),
 		BytesPerOp:  res.AllocedBytesPerOp() / int64(batches),
@@ -136,7 +134,7 @@ func benchRow(name, impl string, m, r, w, p int, res testing.BenchmarkResult) Co
 
 // RunPipelineBenchCells measures the binary ingestion cells appended to
 // the BENCH_core.json report: slurp vs pipelined on the flat counter,
-// the pipelined sharded counter, the 2-file block merge of plain sources
+// the 2-file block merge of plain sources
 // over the same edges split into halves, and the 2-file timestamp-ordered
 // merge over the same edges dealt round-robin. Acceptance for the pipelined design is
 // edges/sec(pipeline) / edges/sec(slurp) — the decode/count overlap plus
@@ -149,32 +147,28 @@ func benchRow(name, impl string, m, r, w, p int, res testing.BenchmarkResult) Co
 // layer's overhead, not I/O parallelism: decoder goroutines share the
 // cores with the merger and the counter, so what to expect there is bulk
 // decode holding up across sources, not a files× speedup.
-func RunPipelineBenchCells(r, w, shards int) []CoreBenchRow {
+func RunPipelineBenchCells(r, w int) []CoreBenchRow {
 	data := EncodeBinaryEdges(CoreBenchStream(PipeBenchEdges))
 	tsShards := EncodeTimestampedShards(CoreBenchStream(PipeBenchEdges), 2)
 	m := PipeBenchEdges
 	half := (m / 2) * 8 // byte offset splitting the stream into two files
 	const runs = 3
 	rows := []CoreBenchRow{
-		benchRow(fmt.Sprintf("SlurpThenCount/r=%d/w=%d", r, w), "slurp", m, r, w, 0,
+		benchRow(fmt.Sprintf("SlurpThenCount/r=%d/w=%d", r, w), "slurp", m, r, w,
 			medianBenchmark(runs, func(b *testing.B) { BenchPipeSlurp(b, data, r, w) })),
-		benchRow(fmt.Sprintf("PipelinedCount/r=%d/w=%d", r, w), "pipeline", m, r, w, 0,
+		benchRow(fmt.Sprintf("PipelinedCount/r=%d/w=%d", r, w), "pipeline", m, r, w,
 			medianBenchmark(runs, func(b *testing.B) {
 				BenchPipePipelined(b, data, w, 2, core.NewCounter(r, 1))
 			})),
-		benchRow(fmt.Sprintf("PipelinedShardedCount/r=%d/w=%d/p=%d", r, w, shards), "pipeline-sharded", m, r, w, shards,
-			medianBenchmark(runs, func(b *testing.B) {
-				BenchPipePipelined(b, data, w, 2, core.NewShardedCounter(r, shards, 1))
-			})),
-		benchRow(fmt.Sprintf("MultiPipelinedCount/files=2/r=%d/w=%d", r, w), "multi-pipeline", m, r, w, 0,
+		benchRow(fmt.Sprintf("MultiPipelinedCount/files=2/r=%d/w=%d", r, w), "multi-pipeline", m, r, w,
 			medianBenchmark(runs, func(b *testing.B) {
 				BenchMultiPipelined(b, [][]byte{data[:half], data[half:]}, w, core.NewCounter(r, 1))
 			})),
-		benchRow(fmt.Sprintf("OrderedMergedCount/files=2/r=%d/w=%d", r, w), "ordered-pipeline", m, r, w, 0,
+		benchRow(fmt.Sprintf("OrderedMergedCount/files=2/r=%d/w=%d", r, w), "ordered-pipeline", m, r, w,
 			medianBenchmark(runs, func(b *testing.B) {
 				BenchOrderedPipelined(b, tsShards, w, core.NewCounter(r, 1))
 			})),
-		benchRow(fmt.Sprintf("WatermarkedCount/files=2/r=%d/w=%d", r, w), "watermark-pipeline", m, r, w, 0,
+		benchRow(fmt.Sprintf("WatermarkedCount/files=2/r=%d/w=%d", r, w), "watermark-pipeline", m, r, w,
 			medianBenchmark(runs, func(b *testing.B) {
 				BenchWatermarkedPipelined(b, tsShards, w, core.NewCounter(r, 1))
 			})),
@@ -188,7 +182,7 @@ func RunPipelineBenchCells(r, w, shards int) []CoreBenchRow {
 	for _, k := range []int{8, 64} {
 		shards := EncodeTimestampedShards(CoreBenchStream(PipeBenchEdges), k)
 		rows = append(rows,
-			benchRow(fmt.Sprintf("OrderedMergedCount/files=%d/r=%d/w=%d", k, r, w), "ordered-pipeline", m, r, w, 0,
+			benchRow(fmt.Sprintf("OrderedMergedCount/files=%d/r=%d/w=%d", k, r, w), "ordered-pipeline", m, r, w,
 				medianBenchmark(runs, func(b *testing.B) {
 					BenchOrderedPipelined(b, shards, w, core.NewCounter(r, 1))
 				})))
@@ -378,13 +372,13 @@ func RunBlockBenchCells(r, w int) []CoreBenchRow {
 	v1 := EncodeTimestampedShards(edges, 1)[0]
 	v2 := EncodeBlockShards(edges, 1)[0]
 	rows := []CoreBenchRow{
-		benchRow(fmt.Sprintf("TsBinaryDecodeBulk/w=%d", w), "ts-binary-bulk", m, r, w, 0,
+		benchRow(fmt.Sprintf("TsBinaryDecodeBulk/w=%d", w), "ts-binary-bulk", m, r, w,
 			medianBenchmark(runs, func(b *testing.B) {
 				benchSourcePipelined(b, w, m, discardSink{}, func() stream.Source {
 					return stream.StripTimestamps(stream.NewTimestampedBinarySource(bytes.NewReader(v1)))
 				})
 			})),
-		benchRow(fmt.Sprintf("BlockDecodeBulk/w=%d", w), "block-bulk", m, r, w, 0,
+		benchRow(fmt.Sprintf("BlockDecodeBulk/w=%d", w), "block-bulk", m, r, w,
 			medianBenchmark(runs, func(b *testing.B) {
 				benchSourcePipelined(b, w, m, discardSink{}, func() stream.Source {
 					return stream.StripTimestamps(stream.NewBlockBinarySource(bytes.NewReader(v2)))
@@ -394,7 +388,7 @@ func RunBlockBenchCells(r, w int) []CoreBenchRow {
 	for _, k := range []int{2, 8, 64} {
 		shards := EncodeBlockShards(edges, k)
 		rows = append(rows,
-			benchRow(fmt.Sprintf("OrderedMergedCountV2/files=%d/r=%d/w=%d", k, r, w), "ordered-block-pipeline", m, r, w, 0,
+			benchRow(fmt.Sprintf("OrderedMergedCountV2/files=%d/r=%d/w=%d", k, r, w), "ordered-block-pipeline", m, r, w,
 				medianBenchmark(runs, func(b *testing.B) {
 					BenchOrderedBlockPipelined(b, shards, m, w, core.NewCounter(r, 1))
 				})))
@@ -472,11 +466,11 @@ func RunTextBenchCells(r, w int) []CoreBenchRow {
 	m := PipeBenchEdges
 	const runs = 3
 	return []CoreBenchRow{
-		benchRow(fmt.Sprintf("TextDecodePerEdge/w=%d", w), "text-per-edge", m, r, w, 0,
+		benchRow(fmt.Sprintf("TextDecodePerEdge/w=%d", w), "text-per-edge", m, r, w,
 			medianBenchmark(runs, func(b *testing.B) {
 				BenchTextPipelined(b, data, w, m, discardSink{}, false)
 			})),
-		benchRow(fmt.Sprintf("TextDecodeBulk/w=%d", w), "text-bulk", m, r, w, 0,
+		benchRow(fmt.Sprintf("TextDecodeBulk/w=%d", w), "text-bulk", m, r, w,
 			medianBenchmark(runs, func(b *testing.B) {
 				BenchTextPipelined(b, data, w, m, discardSink{}, true)
 			})),
@@ -553,11 +547,11 @@ func RunTsTextBenchCells(r, w int) []CoreBenchRow {
 	m := PipeBenchEdges
 	const runs = 3
 	return []CoreBenchRow{
-		benchRow(fmt.Sprintf("TsTextDecodePerEdge/w=%d", w), "ts-text-per-edge", m, r, w, 0,
+		benchRow(fmt.Sprintf("TsTextDecodePerEdge/w=%d", w), "ts-text-per-edge", m, r, w,
 			medianBenchmark(runs, func(b *testing.B) {
 				BenchTsTextPipelined(b, data, w, m, discardSink{}, false)
 			})),
-		benchRow(fmt.Sprintf("TsTextDecodeBulk/w=%d", w), "ts-text-bulk", m, r, w, 0,
+		benchRow(fmt.Sprintf("TsTextDecodeBulk/w=%d", w), "ts-text-bulk", m, r, w,
 			medianBenchmark(runs, func(b *testing.B) {
 				BenchTsTextPipelined(b, data, w, m, discardSink{}, true)
 			})),

@@ -13,26 +13,26 @@ import (
 // Serving benchmark: ingestion throughput while concurrent readers poll
 // the published estimate snapshot — the trictd steady state, where
 // estimate GETs land between batch boundaries of an active ingest. The
-// readers go through ShardedCounter.Snapshot (a single atomic pointer
-// load, the same path the server's estimate handler takes), so the cell
-// prices exactly what the snapshot design claims: queries that cost the
-// ingest path nothing beyond cache traffic on the published pointer.
-// The acceptance comparison is this cell against the reader-free
-// PipelinedShardedCount cell at the same (r, w, p) — the gap is the
-// total cost of serving reads during ingest.
+// readers go through Counter.Snapshot (a single atomic pointer load, the
+// path behind the estimates the server publishes), so the cell prices
+// exactly what the snapshot design claims: queries that cost the ingest
+// path nothing beyond cache traffic on the published pointer. The
+// acceptance comparison is this cell against the reader-free
+// PipelinedCount cell at the same (r, w) — the gap is the total cost of
+// serving reads during ingest.
 
 // ServeBenchReaders is the concurrent-reader count of the serving cell.
-// Like BenchShards it is a constant, not CPU-derived: the cell name is a
-// bench-gate comparison key and must be identical on every machine.
+// It is a constant, not CPU-derived: the cell name is a bench-gate
+// comparison key and must be identical on every machine.
 const ServeBenchReaders = 4
 
 // BenchServeIngestUnderReaders measures b.N binary-pipeline passes into
-// sc while `readers` goroutines poll sc.Snapshot in a paced loop
+// c while `readers` goroutines poll c.Snapshot in a paced loop
 // (~200µs between polls — a busy polling client, not a spin loop that
 // would just price scheduler contention on small runners). The readers
 // run untimed alongside the warm pass too, so the timed region starts
 // in steady state.
-func BenchServeIngestUnderReaders(b *testing.B, data []byte, w, depth, readers int, sc *core.ShardedCounter) {
+func BenchServeIngestUnderReaders(b *testing.B, data []byte, w, depth, readers int, c *core.Counter) {
 	var stop atomic.Bool
 	var polls atomic.Uint64
 	var wg sync.WaitGroup
@@ -42,7 +42,7 @@ func BenchServeIngestUnderReaders(b *testing.B, data []byte, w, depth, readers i
 			defer wg.Done()
 			var last uint64
 			for !stop.Load() {
-				s := sc.Snapshot()
+				s := c.Snapshot()
 				if e := s.Edges(); e < last {
 					b.Errorf("snapshot edges went backwards %d -> %d", last, e)
 					return
@@ -54,11 +54,11 @@ func BenchServeIngestUnderReaders(b *testing.B, data []byte, w, depth, readers i
 			}
 		}()
 	}
-	pipeOnePass(b, data, w, depth, sc) // warm scratch tables untimed
+	pipeOnePass(b, data, w, depth, c) // warm scratch tables untimed
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pipeOnePass(b, data, w, depth, sc)
+		pipeOnePass(b, data, w, depth, c)
 	}
 	b.StopTimer()
 	stop.Store(true)
@@ -68,17 +68,17 @@ func BenchServeIngestUnderReaders(b *testing.B, data []byte, w, depth, readers i
 }
 
 // RunServeBenchCells measures the serving cell appended to the
-// BENCH_core.json report, at the same (r, w, p) as the reader-free
-// PipelinedShardedCount cell so the two are directly comparable.
-func RunServeBenchCells(r, w, shards int) []CoreBenchRow {
+// BENCH_core.json report, at the same (r, w) as the reader-free
+// PipelinedCount cell so the two are directly comparable.
+func RunServeBenchCells(r, w int) []CoreBenchRow {
 	data := EncodeBinaryEdges(CoreBenchStream(PipeBenchEdges))
 	m := PipeBenchEdges
 	const runs = 3
 	return []CoreBenchRow{
-		benchRow(fmt.Sprintf("ServeIngestUnderReaders/readers=%d/r=%d/w=%d/p=%d", ServeBenchReaders, r, w, shards),
-			"serve-pipeline", m, r, w, shards,
+		benchRow(fmt.Sprintf("ServeIngestUnderReaders/readers=%d/r=%d/w=%d", ServeBenchReaders, r, w),
+			"serve-pipeline", m, r, w,
 			medianBenchmark(runs, func(b *testing.B) {
-				BenchServeIngestUnderReaders(b, data, w, 2, ServeBenchReaders, core.NewShardedCounter(r, shards, 1))
+				BenchServeIngestUnderReaders(b, data, w, 2, ServeBenchReaders, core.NewCounter(r, 1))
 			})),
 	}
 }

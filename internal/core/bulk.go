@@ -12,43 +12,26 @@ import "streamtri/internal/graph"
 // produced by calling Add on each edge in order. The implementation is
 // map-free; at steady state the only heap allocation per call is the
 // fixed-size estimate snapshot published for concurrent readers.
+//
+// The counter draws from its RNG in a fixed order — its level-1 step,
+// then one draw per estimator with a level-1 endpoint in the batch, in
+// estimator order — and its batch index draws nothing, so the states do
+// not depend on when or how often the index was rebuilt.
 func (c *Counter) AddBatch(batch []graph.Edge) {
 	if len(batch) == 0 {
 		return
 	}
-	absorb(&c.own, batch, c)
-}
-
-// absorb advances every estimator of cs over batch and publishes each
-// counter's snapshot. The counters share one index x, which holds the
-// level-1 endpoints of all of them. Each counter draws from its own RNG
-// in a fixed order — its level-1 step, then one draw per estimator with
-// a level-1 endpoint in the batch, in estimator order — and the index
-// draws nothing, so every counter's states are the ones it would reach
-// alone, bit for bit, however the index was built.
-func absorb(x *batchIndex, batch []graph.Edge, cs ...*Counter) {
-	r := 0
-	for _, c := range cs {
-		r += len(c.ests)
-		if !x.current(c) {
-			x.stale = true
-		}
-	}
-	for _, c := range cs {
-		c.level1(batch, x)
-	}
+	x := &c.idx
+	x.stale = x.stale || x.build == 0 // never built: a fresh or restored counter
+	c.level1(batch, x)
 	if x.stale {
-		x.rebuild(r, cs)
+		x.rebuild(c.ests)
 	}
-	x.scan(batch, r)
-	for _, c := range cs {
-		c.level2(batch, x)
-	}
+	x.scan(batch, len(c.ests))
+	c.level2(batch, x)
 	x.closeWedges(batch)
-	for _, c := range cs {
-		c.m += uint64(len(batch))
-		c.publish()
-	}
+	c.m += uint64(len(batch))
+	c.publish()
 }
 
 // level1 is Step 1: resample level-1 edges. Each estimator keeps its
@@ -63,7 +46,7 @@ func (c *Counter) level1(batch []graph.Edge, x *batchIndex) {
 		est := &c.ests[idx]
 		est.r1, est.r1Pos, est.hasR1 = batch[bi], mOld+bi+1, true
 		est.c, est.hasR2, est.hasT = 0, false, false
-		x.adopt(c, idx, est.r1)
+		x.adopt(idx, est.r1)
 	}
 	if c.useSkip {
 		// Section 4 optimization: the replacement indicator vector is
@@ -89,7 +72,7 @@ func (c *Counter) level1(batch []graph.Edge, x *batchIndex) {
 // edge where v reaches degree d, which the occurrence list names
 // directly. Every wedge left open is handed to the index, which closes
 // it once the batch has been streamed past all of them (closeWedges).
-// Step 2 walks c's estimators in order through their cached ids; one
+// Step 2 walks the estimators in order through their cached ids; one
 // whose level-1 endpoints both have batch degree 0 has c⁺ = 0, draws
 // nothing, and holds no wedge the batch can close.
 func (c *Counter) level2(batch []graph.Edge, x *batchIndex) {
@@ -104,7 +87,7 @@ func (c *Counter) level2(batch []graph.Edge, x *batchIndex) {
 		// bx, by their degrees when r1 arrived (β; 0 when r1 predates
 		// the batch). The upper bound on r1Pos only matters for a damaged
 		// restored state; it keeps such a state inside the index.
-		ids := c.ids[idx]
+		ids := x.ids[idx]
 		ix, iy := ids.u, ids.v
 		dx, dy := x.degree(ix), x.degree(iy)
 		if dx == 0 && dy == 0 {

@@ -90,7 +90,7 @@ func TestAddBatchZeroAllocsSteadyState(t *testing.T) {
 		c.AddBatch(edges[i*w : (i+1)*w])
 	}
 	i := 0
-	before := c.own.build
+	before := c.idx.build
 	avg := testing.AllocsPerRun(batches-1, func() {
 		c.AddBatch(edges[i*w : (i+1)*w])
 		i = (i + 1) % batches
@@ -100,15 +100,15 @@ func TestAddBatchZeroAllocsSteadyState(t *testing.T) {
 	}
 	// AllocsPerRun makes one unmeasured run first, so two rebuilds put
 	// at least one inside the measured runs.
-	if n := c.own.build - before; n < 2 {
+	if n := c.idx.build - before; n < 2 {
 		t.Fatalf("the batch index rebuilt %d times during the runs, want at least 2", n)
 	}
 }
 
-// TestShardedAddBatchZeroAllocsSteadyState: ShardedCounter.AddBatch
-// must reuse its shared batch index and every shard's scratch at steady
-// state; the allowed allocations are exactly the p per-shard snapshots
-// plus the one combined snapshot published for concurrent readers.
+// TestShardedAddBatchZeroAllocsSteadyState: a counter restored from a
+// four-shard checkpoint is a Counter like any other, so its AddBatch
+// must reach the same steady state, where the only allocation is the
+// one snapshot published for concurrent readers.
 func TestShardedAddBatchZeroAllocsSteadyState(t *testing.T) {
 	const r, p, w, batches = 256, 4, 2048, 16
 	rng := randx.New(19)
@@ -116,8 +116,10 @@ func TestShardedAddBatchZeroAllocsSteadyState(t *testing.T) {
 	for len(edges) < w*batches {
 		edges = append(edges, edges[:min(w, w*batches-len(edges))]...)
 	}
-	sc := NewShardedCounter(r, p, 23)
-	for i := 0; i < batches; i++ {
+	shards := newShardSet(r, p, 23)
+	shards.AddBatch(edges[:w])
+	sc := shards.convert(t)
+	for i := 1; i < batches; i++ {
 		sc.AddBatch(edges[i*w : (i+1)*w])
 	}
 	i := 0
@@ -126,8 +128,8 @@ func TestShardedAddBatchZeroAllocsSteadyState(t *testing.T) {
 		sc.AddBatch(edges[i*w : (i+1)*w])
 		i = (i + 1) % batches
 	})
-	if avg > p+1 {
-		t.Fatalf("ShardedCounter.AddBatch allocates %.2f allocs/op at steady state, want <= %d (p shard snapshots + 1 combined)", avg, p+1)
+	if avg > 1 {
+		t.Fatalf("AddBatch after a restore from shards allocates %.2f allocs/op at steady state, want <= 1 (the published snapshot)", avg)
 	}
 	if n := sc.idx.build - before; n < 2 {
 		t.Fatalf("the batch index rebuilt %d times during the runs, want at least 2", n)
@@ -138,7 +140,8 @@ func TestShardedAddBatchZeroAllocsSteadyState(t *testing.T) {
 // every reason to rebuild it: the first batch, a batch with many
 // adoptions (m small, w ≫ m), keys piling up past the bound over small
 // batches, an Add between batches and a restore, on a flat counter and
-// on a p = 3 sharded one whose shards share the index. After every
+// on one restored from a fresh three-shard checkpoint, whose estimators
+// and RNG come from the shards. After every
 // batch the states must equal those of a twin restored from its
 // checkpoint before each batch, whose index is therefore built afresh
 // every time, and the state and index invariants must hold. r is small
@@ -149,11 +152,11 @@ func TestBatchIndexRebuildTriggers(t *testing.T) {
 	const r = 16
 	for _, k := range []goldenKind{{"flat", 0, nil}, {"sharded-p3", 3, nil}} {
 		t.Run(k.name, func(t *testing.T) {
-			newCounter := func() goldenCounter {
+			newCounter := func() *Counter {
 				if k.p == 0 {
 					return NewCounter(r, 5)
 				}
-				return NewShardedCounter(r, k.p, 5)
+				return newShardSet(r, k.p, 5).convert(t)
 			}
 			c, twin := newCounter(), newCounter()
 			lo := 0
@@ -161,22 +164,17 @@ func TestBatchIndexRebuildTriggers(t *testing.T) {
 			// whether c's index was rebuilt.
 			feed := func(w int) bool {
 				t.Helper()
-				x, _ := indexOf(c)
-				before := x.build
+				before := c.idx.build
 				batch := edges[lo : lo+w]
 				lo += w
 				c.AddBatch(batch)
-				twin = restoreState(t, twin)
+				twin = restoreState(t, twin).(*Counter)
 				twin.AddBatch(batch)
 				if !bytes.Equal(encodeState(t, c), encodeState(t, twin)) {
 					t.Fatalf("after edge %d: state differs from the twin's, whose index was rebuilt", lo)
 				}
-				x, cs := indexOf(c)
-				checkIndexInvariants(t, x, cs...)
-				for _, s := range cs {
-					checkStateInvariants(t, edges[:lo], s)
-				}
-				return x.build != before
+				checkStateInvariants(t, edges[:lo], c)
+				return c.idx.build != before
 			}
 			if !feed(4) {
 				t.Error("the first batch did not build the index")
@@ -201,7 +199,7 @@ func TestBatchIndexRebuildTriggers(t *testing.T) {
 			if !feed(8) {
 				t.Error("the batch after an Add did not rebuild the index")
 			}
-			c = restoreState(t, c)
+			c = restoreState(t, c).(*Counter)
 			if !feed(8) {
 				t.Error("the first batch after a restore did not build the index")
 			}
@@ -210,25 +208,11 @@ func TestBatchIndexRebuildTriggers(t *testing.T) {
 	}
 }
 
-// indexOf returns the batch index of c and the counters that share it.
-func indexOf(c goldenCounter) (*batchIndex, []*Counter) {
-	if sc, ok := c.(*ShardedCounter); ok {
-		return &sc.idx, sc.shards
-	}
-	flat := c.(*Counter)
-	return &flat.own, []*Counter{flat}
-}
-
-// restoreState returns a counter restored from c's checkpoint.
+// restoreState returns the counter c's checkpoint restores as: one
+// Counter, also for a shardSet.
 func restoreState(t *testing.T, c goldenCounter) goldenCounter {
 	t.Helper()
-	var restored goldenCounter
-	var err error
-	if _, ok := c.(*ShardedCounter); ok {
-		restored, err = ReadShardedCounterFrom(bytes.NewReader(encodeState(t, c)))
-	} else {
-		restored, err = ReadCounterFrom(bytes.NewReader(encodeState(t, c)))
-	}
+	restored, err := ReadCounterFrom(bytes.NewReader(encodeState(t, c)))
 	if err != nil {
 		t.Fatal(err)
 	}

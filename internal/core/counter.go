@@ -40,16 +40,11 @@ type Counter struct {
 	// the direct per-estimator coin; cheaper once m ≫ w.
 	useSkip bool
 
-	// own is the index AddBatch keeps across batches for this counter's
-	// level-1 endpoints. The shards of a ShardedCounter share their
-	// owner's index instead and never use this one.
-	own batchIndex
-	// ids caches, per estimator, the index's ids of its level-1
-	// endpoints. They are current while build equals the index's build;
-	// a fresh or restored counter and Add leave them stale, and the next
-	// AddBatch rebuilds the index.
-	ids   []vertexIDs
-	build uint64
+	// idx is the index of the estimators' level-1 endpoints that
+	// AddBatch keeps across batches (scratch.go). A fresh or restored
+	// counter has not built it yet, and Add leaves it stale; the next
+	// AddBatch rebuilds it.
+	idx batchIndex
 }
 
 // Option configures a Counter.
@@ -89,7 +84,7 @@ func (c *Counter) Edges() uint64 { return c.m }
 // (Algorithm 1). Cost O(r); prefer AddBatch for long streams.
 func (c *Counter) Add(e graph.Edge) {
 	c.m++
-	c.build = 0 // r1s change outside AddBatch: the cached ids go stale
+	c.idx.stale = true // r1s change outside AddBatch
 	for i := range c.ests {
 		c.ests[i].process(e, c.m, c.rng)
 	}

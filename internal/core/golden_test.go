@@ -19,35 +19,38 @@ import (
 // that moves or reorders a random draw passes them; this test compares
 // against digests recorded from an earlier build instead. Each digest is
 // SHA-256 over the WriteTo bytes of one counter kind on one stream, for
-// every r and w of the grid in order, a sharded envelope without its
-// header (pinned). A mismatch means the bulk path is
+// every r and w of the grid in order. A mismatch means the bulk path is
 // no longer bit-identical to the build the digests came from. The
 // multigraph stream is outside the simple-stream contract: it carries
 // parallel edges and self loops, which trictd and NewSliceSource pass
-// through. Every state must also restore from its own bytes.
+// through. Every state must also restore from its own bytes. The
+// sharded kinds pin the restore of the checkpoints earlier builds wrote
+// for a counter split into shards: with one shard the state is the one
+// that counter reached, byte for byte (their digests were recorded from
+// the sharded counter's checkpoints without the envelope's header).
 func TestBulkStateGolden(t *testing.T) {
 	streams, kinds := goldenStreams(), goldenKinds()
 	want := map[string]string{
 		"holmekim-growth/flat-skip":     "57969039fa312e3736fd941e462070e7af7e54dc5c99093ed514d5e6b3e00b15",
 		"holmekim-growth/flat-noskip":   "8790a16fad596e92d0ab8c16e9e1f10fd0475dcc4d19089522a0ab6a33eae307",
 		"holmekim-growth/sharded-p1":    "d0320c8e811ec1a9de1155323e695086cd702fba08665d8264d841d43d15e310",
-		"holmekim-growth/sharded-p2":    "b988fe9ca0d612992e830b60d4a434926a20f49740971f36687e1ab500ea7b39",
-		"holmekim-growth/sharded-p3":    "0c9005c821b60496a8121e0ae54eec534bb003a29a14a202f6a4a68496aea68d",
+		"holmekim-growth/sharded-p2":    "7a9820029e69cd942e315adb9cbf3a8f9794672d9346a8f16b45d45f1f846c14",
+		"holmekim-growth/sharded-p3":    "57269eb2faf4c8a215207af945eaef9896500928f742455736f336817fa6b954",
 		"holmekim-shuffled/flat-skip":   "101008850e11eceaa8bce7d2a8a627eaee815db0bdefc756d61700b9f887f5c5",
 		"holmekim-shuffled/flat-noskip": "b5984b778e6ef58fda4bd8b55333fa7da7a33a93296f025d29f613a48eeb39a8",
 		"holmekim-shuffled/sharded-p1":  "cca5f304dbe1dad7100901f30fc207e3581ab1ad441050ea9a40e0c6d2bcf3ee",
-		"holmekim-shuffled/sharded-p2":  "8e6a4c15b0b994a1a69a379af6213845085f986812e260a6a7d233f2b2dd0a84",
-		"holmekim-shuffled/sharded-p3":  "a2bb96095675548efbb1df15e4d1de8e507000c0a814b583cbfe92cb4380e2f0",
+		"holmekim-shuffled/sharded-p2":  "de5f648f7b2943ffcf6b5fc663beef4d8b574fb69ad490eec297ee0f3b83f94e",
+		"holmekim-shuffled/sharded-p3":  "eba375b540d2bee071d35577a135e1e29ffca1a6fcf30abba9fca8c8492803a4",
 		"complete/flat-skip":            "11bd20fef934dd9b70eeb513f68fe7f26cd6c6071d082bcf6a07fa5fbb71df5b",
 		"complete/flat-noskip":          "42c4b9c72de351464eded2a6441c44653f2a50ab8b64a7d70b54758893df172c",
 		"complete/sharded-p1":           "6cc9e5f0bbed9e88decb7d4b9b67ee94415d1270d58e0fa9d00a03d67902f67a",
-		"complete/sharded-p2":           "eadffa710b9a7d6059553a07822092ab86aceddc7e58f2b6dce3c9175fe987f9",
-		"complete/sharded-p3":           "d3cfebe6e8f4fef4de2c9a3541e0d3fac123aa79557ae179f79e1eb763991ea0",
+		"complete/sharded-p2":           "4775d17ddd68b69746cab7b1e193defded5ef603a8a64faf50273a0f43706bb9",
+		"complete/sharded-p3":           "24e0df64130894c19e0e0aca0f3bfcd9f3af400b4c9a6522a9edb9807cf12d6a",
 		"multigraph/flat-skip":          "4179ae354e72afb0fe380d868cfaf129ecd845cfafc474b65be8e0c9fb4b66b6",
 		"multigraph/flat-noskip":        "274a89f1590109efcb85327ca29064d34ce61d1f619a3f7521ef5df6af12fb85",
 		"multigraph/sharded-p1":         "06cd4087b3b81bf401d6c60659e6b5dc49becf68172a79022bfdf0455746b004",
-		"multigraph/sharded-p2":         "d61f03fd0469bf82d51702b222be11bcca0f0e095b3933ee88bedd6b2137b39d",
-		"multigraph/sharded-p3":         "aafb1482252a5f53f2455f9200f783bee17b585f9ca6b751eb0f014fcf02dd51",
+		"multigraph/sharded-p2":         "d4fcf9d46883f2ba4b06717e927cd4055c58a47ea24f7b5101e6f15daa9d500f",
+		"multigraph/sharded-p3":         "5b4213d67ac532b040c90064bf20dca15a9d2a6725b516c536cf5afb1906a0a0",
 	}
 	for _, s := range streams {
 		for _, k := range kinds {
@@ -60,7 +63,7 @@ func TestBulkStateGolden(t *testing.T) {
 					}
 					for _, w := range []int{1, 3, 64, len(s.edges)} {
 						fmt.Fprintf(h, "r=%d w=%d\n", r, w)
-						h.Write(goldenState(t, s.edges, r, w, k.p, k.opts))
+						h.Write(goldenState(t, s.edges, r, w, k))
 					}
 				}
 				if got := hex.EncodeToString(h.Sum(nil)); got != want[name] {
@@ -95,8 +98,10 @@ type goldenStream struct {
 	edges []graph.Edge
 }
 
-// goldenKind is one counter kind of the golden tests: flat when p is 0,
-// sharded into p shards otherwise.
+// goldenKind is one counter kind of the golden tests: a Counter when p
+// is 0; otherwise p shards (shardSet) that take the first half of the
+// stream, and the one Counter their checkpoint restores as, which takes
+// the rest.
 type goldenKind struct {
 	name string
 	p    int
@@ -128,53 +133,45 @@ func goldenKinds() []goldenKind {
 	}
 }
 
-// goldenState feeds edges in batches of w to a fresh counter (flat when
-// p is 0, sharded otherwise) and returns its checkpoint bytes, without
-// the header of a sharded envelope (pinned), after checking that they
-// restore to the same bytes.
-func goldenState(t *testing.T, edges []graph.Edge, r, w, p int, opts []Option) []byte {
+// goldenState feeds edges in batches of w to a fresh counter of kind k
+// and returns its checkpoint bytes, after checking that they restore to
+// the same bytes.
+func goldenState(t *testing.T, edges []graph.Edge, r, w int, k goldenKind) []byte {
 	t.Helper()
-	var c interface {
-		AddBatch([]graph.Edge)
-		WriteTo(io.Writer) (int64, error)
+	c := newGoldenCounter(r, k)
+	for lo := 0; lo < len(edges); {
+		hi := min(lo+w, len(edges))
+		c.AddBatch(edges[lo:hi])
+		lo = hi
+		c = restoreShardsAtHalf(t, c, lo, len(edges))
 	}
-	if p == 0 {
-		c = NewCounter(r, 7, opts...)
-	} else {
-		c = NewShardedCounter(r, p, 7, opts...)
-	}
-	for lo := 0; lo < len(edges); lo += w {
-		c.AddBatch(edges[lo:min(lo+w, len(edges))])
-	}
-	var buf bytes.Buffer
-	if _, err := c.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var restored io.WriterTo
-	var err error
-	if p == 0 {
-		restored, err = ReadCounterFrom(bytes.NewReader(buf.Bytes()))
-	} else {
-		restored, err = ReadShardedCounterFrom(bytes.NewReader(buf.Bytes()))
-	}
+	ckpt := encodeState(t, c)
+	restored, err := ReadCounterFrom(bytes.NewReader(ckpt))
 	if err != nil {
 		t.Fatalf("r=%d w=%d: restoring the state: %v", r, w, err)
 	}
-	if !bytes.Equal(encodeState(t, restored), buf.Bytes()) {
+	if !bytes.Equal(encodeState(t, restored), ckpt) {
 		t.Fatalf("r=%d w=%d: restored state re-encodes differently", r, w)
 	}
-	return pinned(buf.Bytes())
+	return ckpt
 }
 
-// pinned returns the bytes of a checkpoint that the golden digests hash:
-// all of an NSTC blob, and a sharded NSTS envelope without its 20-byte
-// header (magic, version, p, m), so that a one-shard envelope hashes as
-// the one counter blob it holds.
-func pinned(ckpt []byte) []byte {
-	if bytes.HasPrefix(ckpt, serShardedMagic[:]) {
-		return ckpt[20:]
+// newGoldenCounter returns a fresh counter of kind k with r estimators.
+func newGoldenCounter(r int, k goldenKind) goldenCounter {
+	if k.p == 0 {
+		return NewCounter(r, 7, k.opts...)
 	}
-	return ckpt
+	return newShardSet(r, k.p, 7, k.opts...)
+}
+
+// restoreShardsAtHalf returns the Counter that c's checkpoint restores
+// as, if c is a shardSet fed lo edges, at least half of a stream of m;
+// otherwise c.
+func restoreShardsAtHalf(t *testing.T, c goldenCounter, lo, m int) goldenCounter {
+	if _, ok := c.(shardSet); ok && 2*lo >= m {
+		return restoreState(t, c)
+	}
+	return c
 }
 
 // TestBulkStateGoldenPaths pins the bulk path's states on the intakes
@@ -189,8 +186,7 @@ func pinned(ckpt []byte) []byte {
 //
 // The streams, counter kinds and digest scheme are TestBulkStateGolden's:
 // one SHA-256 per path, stream and kind over the final WriteTo bytes of
-// every r and width cycle in order, a sharded envelope without its
-// header (pinned).
+// every r and width cycle in order.
 func TestBulkStateGoldenPaths(t *testing.T) {
 	paths := []struct {
 		name     string
@@ -206,63 +202,63 @@ func TestBulkStateGoldenPaths(t *testing.T) {
 		"resume/holmekim-growth/flat-skip":     "58cd77228be8e94f91bac2fa597d0173929b262d6410bd435d28f6faa2488836",
 		"resume/holmekim-growth/flat-noskip":   "e8107794ed1e0f3dcce6c3559402bcd882f86c4ddbeb703dcda3c0ced8d344de",
 		"resume/holmekim-growth/sharded-p1":    "6e8d3768e0910f243cab65d591a3b912e2ce1c03c1f8c706f25fe1b8ea48a38e",
-		"resume/holmekim-growth/sharded-p2":    "9c8ae0aef1a23f8689595404b0e0528eb05e860f996b4fcaa6eccbae6bd38221",
-		"resume/holmekim-growth/sharded-p3":    "ad48f9169cc99e08ae035c2a9ffcfa38b76aa4106138dfe2d6b944b36bc41396",
+		"resume/holmekim-growth/sharded-p2":    "86d9ff0b7fe1b4367f1101747079f0f4014995bf34a9435170ca32f01d4207ca",
+		"resume/holmekim-growth/sharded-p3":    "c0fc426df970d1188589beea02603ba2fe5f2f423227f55e61a518568b4ef1d9",
 		"resume/holmekim-shuffled/flat-skip":   "4b2cc1563e4252ef050d545b1c1a65ab69459ffca75897c3af3ac50eb6f4d906",
 		"resume/holmekim-shuffled/flat-noskip": "e15d0b222b0dc6dbd5ef578c7c58cddd9a8e693e30e9b23ee13e11ccb0b87081",
 		"resume/holmekim-shuffled/sharded-p1":  "3ff4db675e315143807b61473d14b2e185305b99c6230ae8bdf4ec8a0d3db53a",
-		"resume/holmekim-shuffled/sharded-p2":  "0ccc6d04ba774ac18625970b1b3d92735720295c91058e12195c893b0ca9a1a1",
-		"resume/holmekim-shuffled/sharded-p3":  "5b1a99039e33311c6193b8b6ae42c34cf740a1bae1fdbb9c6976a19f9db2a82d",
+		"resume/holmekim-shuffled/sharded-p2":  "7d5ff3ec80aa2a24d7a522db760b68e073dc03b70a226ed4bae2816b7a188476",
+		"resume/holmekim-shuffled/sharded-p3":  "1ee2639e595337c574b0ac2cd3004cb0f2be9e7630bfa7d01cec138cc97d1cda",
 		"resume/complete/flat-skip":            "b042dbe83ab54fcbfd1e899e93d66f5c52e39a49d7795a269cc33bee6377bae5",
 		"resume/complete/flat-noskip":          "c69649b87cf2e2696e764cd55ef3345324a9f3c295c6b2a7da841101e9be87f9",
 		"resume/complete/sharded-p1":           "ce076106fb4a1461a34bc08c0f6a82426545127e3a4b647a309b2114304b78d1",
-		"resume/complete/sharded-p2":           "e03ccf0a01cb5d062c13b6957fa05f1f69f0556caab7a18aeb617184c345b722",
-		"resume/complete/sharded-p3":           "c9dd2f6725e8279f2d3fcfbb34e8b9a53289a1564e920aff2ac37ff11913a123",
+		"resume/complete/sharded-p2":           "51d8dd52412dd3dbb0b48c136514ca6198499b77e0d780ca9b9e106e0af10c82",
+		"resume/complete/sharded-p3":           "a2df7d79a823c76cf7759fa94c0fec67f746c0787d28a7a32a0ae3541b84e99f",
 		"resume/multigraph/flat-skip":          "7b2d3ab2af61d0bf7bd5366fafd9455424af94debbb2e7f872674c8dc4bca229",
 		"resume/multigraph/flat-noskip":        "f264786ee8042d98ce44a68a070366be3008b5d6b1088ba7575e3725178096ab",
 		"resume/multigraph/sharded-p1":         "024851545a09ad1529a99c157c91347ef99dfc43d6555d1607153c3e7fd0d118",
-		"resume/multigraph/sharded-p2":         "7229026482e5c05052526341374f50e8009ee12877eae13d02844288c6d94a9d",
-		"resume/multigraph/sharded-p3":         "3e341c57c4b9b1c0c13b1622ee653019fee7172524a565255a31d62f855afae6",
+		"resume/multigraph/sharded-p2":         "8dc52325ef95e7b2887e5bbe17860dbf3691b1428bc8e7e05a0751f2459e5641",
+		"resume/multigraph/sharded-p3":         "04710a55cf860f64e13c5eef8fc3da7531f4397299f8026485763720b38985cf",
 		"mixed/holmekim-growth/flat-skip":      "2f3a24e754ecda6ff4d9e452eda5f08f89444b6bcc57b27edf0add95b0638749",
 		"mixed/holmekim-growth/flat-noskip":    "dfb733c33fe90768fa0982b8f7a8b3eed2cf16eb304d5ef766648de933f8c6d5",
 		"mixed/holmekim-growth/sharded-p1":     "6fc9752944519ad09e49282d1d4925807553bfb9693ea3b09114aa687f414151",
-		"mixed/holmekim-growth/sharded-p2":     "db1b5aa454d87df45e72cc391d883fab7958b43fecace9c3a0157c0879f5e7e3",
-		"mixed/holmekim-growth/sharded-p3":     "bc79e756503081f4bbc3c9d31aa9b6033b994cde5f9f41656179bb574c743145",
+		"mixed/holmekim-growth/sharded-p2":     "3fbb875ecc655a94137fdb634699959b4b1ce8cd8d2d5b4c9c8ca96f17b3c65b",
+		"mixed/holmekim-growth/sharded-p3":     "04bf8266f895f52c53e1b31fbd5467682c273f1cf4ffa4202c2d26fee1fdac96",
 		"mixed/holmekim-shuffled/flat-skip":    "c654787521c6ce3fc1bd0df88ff58970f2634ad09f2752291ad6dabd06b5f909",
 		"mixed/holmekim-shuffled/flat-noskip":  "ae5a974e36d8562fbcd355d06231cb30c0be22209b387ca4e7a2a5bc9abd3088",
 		"mixed/holmekim-shuffled/sharded-p1":   "82628c4f4ed5e9f99e7997c1d44acaa557ff1cb4237a51b3feae94df9385047b",
-		"mixed/holmekim-shuffled/sharded-p2":   "cb73116ebfb86cc159e0ac1f988c13f86c0a0e8c77c1c1db5b98334d6bdce662",
-		"mixed/holmekim-shuffled/sharded-p3":   "8a364a672de564561259b5b528070174db1275c8a71bbd8139b101e8586e92ed",
+		"mixed/holmekim-shuffled/sharded-p2":   "4d8738a29c9c4c158486091fe3bd09945da1b2ebf9cd8fd8593648f9ac99b32b",
+		"mixed/holmekim-shuffled/sharded-p3":   "633f48dff65ebbeed525eb0b6fbf59d7b0af1817679af977bc07cf6236622c5b",
 		"mixed/complete/flat-skip":             "92a4352f99a1271265929aff2d54a7640929c12b73ae952df4155569a22ab8ac",
 		"mixed/complete/flat-noskip":           "86184589482cf9749fc8970e1efcc7dbf3479de0bde22709e548c90e2789e752",
 		"mixed/complete/sharded-p1":            "c9dae8d6b0f15544cd35e7964735674cec140e2861b0b495950504d992273c79",
-		"mixed/complete/sharded-p2":            "07523551a0efd3d4646afdbb05e5de0b68a36696d84c77554aa37a8180e94eb8",
-		"mixed/complete/sharded-p3":            "4db7668e7c04d236a70a73f3a31c096b3074e16e6732e2f64ef158c308308b78",
+		"mixed/complete/sharded-p2":            "27c528aaa0eb5eac8d0ebad2b14a90d3ae1ff9fb56647b72b99845632a0dbec4",
+		"mixed/complete/sharded-p3":            "15d18e190eb51d79a90d745614c12f39dbb7d35e190954916cacd0d6d8f0c91d",
 		"mixed/multigraph/flat-skip":           "d7c22d9272afa721698b51507a304a79d4c4eac316b9a0b8213df2d9e83da482",
 		"mixed/multigraph/flat-noskip":         "9f7c2fffdf908e477190eb5d185f7d178b48f7b71708308c4dbab083d260eaf8",
 		"mixed/multigraph/sharded-p1":          "05b3bc57f0620684ddb0f5da495e67e836f9322057d984d5a1257eab4f65c3c7",
-		"mixed/multigraph/sharded-p2":          "8181dd013795a8621840bec66078de5f3d08c5882ecc1f39a4959019db06f14c",
-		"mixed/multigraph/sharded-p3":          "cd4762cff62204b55e10be7966b15776cea992ab11c7b81304fde2b9e8dd8a49",
+		"mixed/multigraph/sharded-p2":          "396ed1358603d099909ce4d7818066abf0044b2003dd64860b428faaedfdb4ee",
+		"mixed/multigraph/sharded-p3":          "1c9be0719a1b340a4902e14f4e47d605ced26ff594d78942c0fcef17556e95da",
 		"cycled/holmekim-growth/flat-skip":     "c60e70be0938454a48970e24cb349e9fd63fc40896632b62f7217d4b248b2bcd",
 		"cycled/holmekim-growth/flat-noskip":   "713a5be0f0d29885572c7020b3fbbe623bff90a96ef941f5095c19c2d7796c53",
 		"cycled/holmekim-growth/sharded-p1":    "386343977808ac4214ac08e27d77a0357ff829ab4fe9fe65e543df8b4e55ed0a",
-		"cycled/holmekim-growth/sharded-p2":    "4b8313f9edca099b220c16cb97217a8d05c2133481e480263a6be20610fea5e9",
-		"cycled/holmekim-growth/sharded-p3":    "206bde510b29a323dffe1bc7f71cade3674fb94a9a7f3d2439c13ef96efd68ee",
+		"cycled/holmekim-growth/sharded-p2":    "2f53fb4a7a062b3f84704a8142f5f6457efb4ec149a4b61b8181b08c67585c72",
+		"cycled/holmekim-growth/sharded-p3":    "8d8b3074303ee938359e62301155967527eb511e7c1d72b1738f709a0b0a8bac",
 		"cycled/holmekim-shuffled/flat-skip":   "e8431acde41f001b296d0ceddc31ab98483e209f3fe27923bae63ef80aa8d4cb",
 		"cycled/holmekim-shuffled/flat-noskip": "17aa651722c44884c61742bf41a9c591e4ed077b5e3b6ae72b9dc8f93838d3aa",
 		"cycled/holmekim-shuffled/sharded-p1":  "59bbd36d7bd1bec79a45bf6f5eeff84485aa05697b47d76a4d74a7fd9eca6061",
-		"cycled/holmekim-shuffled/sharded-p2":  "079cffa57e2af9a85bcf4339da201aefc4b4e7c4a4a96db2314e0c112015112c",
-		"cycled/holmekim-shuffled/sharded-p3":  "30f804e399d4ff60c9c8add9a2164328e9e5428dd101e3e7781182b13b643b1c",
+		"cycled/holmekim-shuffled/sharded-p2":  "a91ce1b41a7282fd124822defc03153dfe10e57c844a29eadf47f603bedaa421",
+		"cycled/holmekim-shuffled/sharded-p3":  "add3cf465555759b4c495e12e3897cc30ee523c67bd0ab9f001deca64a10e8e2",
 		"cycled/complete/flat-skip":            "9e70c5cb10485af85ac169f58888a715ed52dc3f07b30963da406e19fe161a95",
 		"cycled/complete/flat-noskip":          "f543babea157c31715609d538572bd375ce87676bd36a98f018ab5c7c9effa1b",
 		"cycled/complete/sharded-p1":           "2daf0603b968c6d3525969fb1de28957ae847c77fadd7eee2a9346836743af4b",
-		"cycled/complete/sharded-p2":           "29a3647b25c4c51e9edd92fa2a43e0f3e2f8a70abab14e384cfb0dc4e69321bf",
-		"cycled/complete/sharded-p3":           "aaa038efa0ec680c734073d902f05c72737e878c4ba3b1f77b46b661081308f0",
+		"cycled/complete/sharded-p2":           "87753db93254238b0a8af272e9902046d461d32bdb4e3505e60e478acf2965ab",
+		"cycled/complete/sharded-p3":           "f48ba9822bd04cfeaff2b0a79623f00719ed8a48c6d8e76c7000418ae3b64486",
 		"cycled/multigraph/flat-skip":          "77f47869a1f2ee5b8313818ebd9799196b66360c01db166a557957a6b7d12b20",
 		"cycled/multigraph/flat-noskip":        "5acbf44d708f1107e151dd604b345a534b58dcc409f60ef28f296bcc22f75fdf",
 		"cycled/multigraph/sharded-p1":         "2929081422daab8a4ace4b18f9f2bf353f4d6d0f055680c310009c8251aa7069",
-		"cycled/multigraph/sharded-p2":         "1e2dd1997a9de4dbe83aaff9d489a31a5c8922240ebcce74661628c7258f4e73",
-		"cycled/multigraph/sharded-p3":         "d72e04421c031de0c68ece3c7034c501839c1b00bea2d0b5584d7de41cd2095d",
+		"cycled/multigraph/sharded-p2":         "7b3b84ec091060716a107e9b15ecbee64d6e99dfe3360d1da7797d60eaa96132",
+		"cycled/multigraph/sharded-p3":         "d19a751a813001187366a9267c7f6010ad34e04d461b740b94d54c9ad793eed4",
 	}
 	for _, path := range paths {
 		for _, s := range goldenStreams() {
@@ -289,7 +285,7 @@ func TestBulkStateGoldenPaths(t *testing.T) {
 }
 
 // goldenCounter is the intake the golden paths drive, common to Counter
-// and ShardedCounter.
+// and shardSet.
 type goldenCounter interface {
 	Add(graph.Edge)
 	AddBatch([]graph.Edge)
@@ -300,15 +296,11 @@ type goldenCounter interface {
 // whose widths cycle through widths, with an Add of the next edge after
 // every addEvery-th batch (none when addEvery is 0). When resume is set,
 // the counter is replaced at every batch boundary by one restored from
-// its checkpoint. It returns the final checkpoint bytes.
+// its checkpoint, so shards are restored as one Counter after the first
+// batch. It returns the final checkpoint bytes.
 func goldenPathState(t *testing.T, edges []graph.Edge, r int, k goldenKind, widths []int, addEvery int, resume bool) []byte {
 	t.Helper()
-	var c goldenCounter
-	if k.p == 0 {
-		c = NewCounter(r, 7, k.opts...)
-	} else {
-		c = NewShardedCounter(r, k.p, 7, k.opts...)
-	}
+	c := newGoldenCounter(r, k)
 	for lo, n := 0, 1; lo < len(edges); n++ {
 		hi := min(lo+widths[(n-1)%len(widths)], len(edges))
 		c.AddBatch(edges[lo:hi])
@@ -320,6 +312,7 @@ func goldenPathState(t *testing.T, edges []graph.Edge, r int, k goldenKind, widt
 		if resume {
 			c = restoreState(t, c)
 		}
+		c = restoreShardsAtHalf(t, c, lo, len(edges))
 	}
-	return pinned(encodeState(t, c))
+	return encodeState(t, c)
 }

@@ -81,39 +81,33 @@ func checkStateInvariants(t *testing.T, edges []graph.Edge, c *Counter) {
 				idx, est.HasTriangle(), wantT, closer, closerPos, r2Pos)
 		}
 	}
-	checkIndexInvariants(t, &c.own, c)
+	checkIndexInvariants(t, c)
 }
 
-// checkIndexInvariants verifies the batch index x that the counters cs
-// share, once it has been built:
+// checkIndexInvariants verifies c's batch index, once it has been
+// built:
 //
-//   - every estimator with an r1, of a counter whose cached ids come
-//     from x's current build, has ids that name r1's endpoints;
+//   - unless the index is stale, every estimator with an r1 has cached
+//     ids that name r1's endpoints;
 //   - every key's hash is set in the filter;
 //   - no more keys were interned since the last rebuild than its bound,
-//     r/4 for r estimators in all;
+//     r/4 for r estimators;
 //   - the hash table kept the size a rebuild gives it, 4r slots, so it
 //     never grew.
-func checkIndexInvariants(t *testing.T, x *batchIndex, cs ...*Counter) {
+func checkIndexInvariants(t *testing.T, c *Counter) {
 	t.Helper()
+	x, r := &c.idx, len(c.ests)
 	if x.build == 0 {
 		return
 	}
-	r := 0
-	for _, c := range cs {
-		r += len(c.ests)
-		if !x.current(c) {
+	for i := range c.ests {
+		est := &c.ests[i]
+		if x.stale || !est.hasR1 {
 			continue
 		}
-		for i := range c.ests {
-			est := &c.ests[i]
-			if !est.hasR1 {
-				continue
-			}
-			ids := c.ids[i]
-			if int(max(ids.u, ids.v)) >= x.in.size() || x.in.keys[ids.u] != est.r1.U || x.in.keys[ids.v] != est.r1.V {
-				t.Fatalf("estimator %d: cached ids %v do not name r1 %v", i, ids, est.r1)
-			}
+		ids := x.ids[i]
+		if int(max(ids.u, ids.v)) >= x.in.size() || x.in.keys[ids.u] != est.r1.U || x.in.keys[ids.v] != est.r1.V {
+			t.Fatalf("estimator %d: cached ids %v do not name r1 %v", i, ids, est.r1)
 		}
 	}
 	for id, v := range x.in.keys {

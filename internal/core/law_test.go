@@ -49,7 +49,9 @@ func lawStreams() []goldenStream {
 // state of positive probability whose c and triangle flag are the ones
 // its (r1, r2) fix, and must fit the law's probabilities with
 // |z| ≤ lawZBound. It covers AddBatch at several widths with the
-// level-1 skip on and off, Add, and the sharded counter at p = 2 and 3.
+// level-1 skip on and off, Add, and counters restored mid-stream from
+// the checkpoint of a counter split into p = 2 and 3 shards, which
+// continue on shard 0's RNG.
 // The fixed bands of the accuracy tests miss a bulk engine that is
 // measurably wrong; this test does not.
 func TestExactLaw(t *testing.T) {
@@ -82,15 +84,13 @@ func TestExactLaw(t *testing.T) {
 		}
 		check("add", c.ests)
 		for _, p := range []int{2, 3} {
-			sc := NewShardedCounter(r, p, seed)
+			var sc goldenCounter = newShardSet(r, p, seed)
 			for lo := 0; lo < len(s.edges); lo += 3 {
-				sc.AddBatch(s.edges[lo:min(lo+3, len(s.edges))])
+				hi := min(lo+3, len(s.edges))
+				sc.AddBatch(s.edges[lo:hi])
+				sc = restoreShardsAtHalf(t, sc, hi, len(s.edges))
 			}
-			var ests []Estimator
-			for _, sh := range sc.shards {
-				ests = append(ests, sh.ests...)
-			}
-			check(fmt.Sprintf("sharded-p%d/w=3", p), ests)
+			check(fmt.Sprintf("restored-p%d/w=3", p), sc.(*Counter).ests)
 		}
 	}
 }

@@ -87,12 +87,13 @@ func exactStateConsistent(edges []graph.Edge, c *Counter) bool {
 
 // Property: for ANY simple stream and ANY batch segmentation, the bulk
 // counter's final state is internally consistent with the stream — for a
-// flat counter and for every shard of a sharded one. Batches of up to 64
+// flat counter, and for the one a sharded checkpoint taken halfway
+// restores as, which continues on shard 0's RNG. Batches of up to 64
 // edges over 32 vertices give the batch index repeated high-degree
-// vertices within one batch. Each shard must also equal, byte for byte,
-// a flat counter with the shard's estimator count and derived seed that
-// built its own index for every batch: one shared index is exactly p own
-// indexes.
+// vertices within one batch. The restored counter's first batch rebuilds
+// its index, and it must equal, byte for byte, a twin restored from the
+// same checkpoint and then restored again before every batch, whose
+// index is built afresh every time.
 func TestPropertyBulkStateConsistency(t *testing.T) {
 	f := func(raw [256]uint16, n uint8, seed uint64, wRaw, pRaw, optRaw uint8) bool {
 		edges := randomSimpleStream(raw[:n])
@@ -102,29 +103,28 @@ func TestPropertyBulkStateConsistency(t *testing.T) {
 			opts = append(opts, WithoutLevel1Skip())
 		}
 		c := NewCounter(40, seed)
-		sc := NewShardedCounter(40, int(pRaw%4)+1, seed, opts...)
-		own := make([]*Counter, len(sc.shards))
-		for i, s := range sc.shards {
-			own[i] = NewCounter(s.NumEstimators(), randx.Split(seed, uint64(i)).Uint64N(1<<62)+1, opts...)
-		}
+		shards := newShardSet(40, int(pRaw%4)+1, seed, opts...)
+		var sc, twin *Counter
 		for lo := 0; lo < len(edges); lo += w {
 			hi := min(lo+w, len(edges))
 			c.AddBatch(edges[lo:hi])
+			if sc == nil {
+				shards.AddBatch(edges[lo:hi])
+				if 2*hi >= len(edges) {
+					sc, twin = shards.convert(t), shards.convert(t)
+				}
+				continue
+			}
 			sc.AddBatch(edges[lo:hi])
-			for _, o := range own {
-				o.AddBatch(edges[lo:hi])
-			}
+			twin = restoreState(t, twin).(*Counter)
+			twin.AddBatch(edges[lo:hi])
 		}
-		if c.Edges() != uint64(len(edges)) || !exactStateConsistent(edges, c) ||
-			sc.Edges() != uint64(len(edges)) {
-			return false
+		if sc == nil {
+			sc, twin = shards.convert(t), shards.convert(t)
 		}
-		for i, s := range sc.shards {
-			if !exactStateConsistent(edges, s) || !bytes.Equal(encodeState(t, s), encodeState(t, own[i])) {
-				return false
-			}
-		}
-		return true
+		return c.Edges() == uint64(len(edges)) && exactStateConsistent(edges, c) &&
+			sc.Edges() == uint64(len(edges)) && exactStateConsistent(edges, sc) &&
+			bytes.Equal(encodeState(t, sc), encodeState(t, twin))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
@@ -133,9 +133,9 @@ func TestPropertyBulkStateConsistency(t *testing.T) {
 
 // Property: self loops are outside the simple-stream contract, but
 // AddBatch and NewSliceSource pass them through, so a batch carrying one
-// must not panic a flat or sharded counter. A self loop raises its
-// vertex's batch degree twice in one edge; every degree it passes must
-// still resolve to a batch position.
+// must not panic a flat counter or one restored from a fresh sharded
+// checkpoint. A self loop raises its vertex's batch degree twice in one
+// edge; every degree it passes must still resolve to a batch position.
 func TestPropertyBulkSelfLoopsNoPanic(t *testing.T) {
 	f := func(raw []uint16, seed uint64, wRaw, pRaw uint8) bool {
 		var edges []graph.Edge
@@ -146,7 +146,7 @@ func TestPropertyBulkSelfLoopsNoPanic(t *testing.T) {
 		edges = append(edges, graph.Edge{U: 1, V: 2}, graph.Edge{U: 2, V: 2}, graph.Edge{U: 2, V: 3})
 		w := int(wRaw%16) + 1
 		c := NewCounter(500, seed)
-		sc := NewShardedCounter(500, int(pRaw%4)+1, seed)
+		sc := newShardSet(500, int(pRaw%4)+1, seed).convert(t)
 		if err := stream.Batches(stream.NewSliceSource(edges), w, func(b []graph.Edge) error {
 			c.AddBatch(b)
 			sc.AddBatch(b)

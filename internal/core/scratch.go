@@ -10,17 +10,17 @@ import (
 // the estimators wait for: the endpoints of their level-1 edges (at most
 // 2r vertices) and the closing pairs of their open wedges (at most r
 // pairs). The batch itself is only streamed past these tables, once.
-// The index draws no random number, so the shards of a ShardedCounter
-// share one and pay each pass over the batch once. absorb (bulk.go)
-// drives it in phases around the estimator passes:
+// The index draws no random number. Counter.AddBatch (bulk.go) drives
+// it in phases around the estimator passes:
 //
 //   - Step 1 (level1): the endpoints of every batch edge an estimator
 //     adopts are interned (in, with a filter over their hashes, qbits),
-//     and the estimator's cached ids (Counter.ids) name them. The keys
-//     stay across batches, so the index always holds every r1 endpoint;
-//   - rebuild: when a counter's cached ids are not from the current
-//     build, or more than r/4 keys were interned since the last rebuild,
-//     the keys are interned afresh from the estimators' r1s;
+//     and the estimator's cached ids (ids) name them. The keys stay
+//     across batches, so the index always holds every r1 endpoint;
+//   - rebuild: when the index is stale (a fresh or restored counter, an
+//     Add since the last batch, or more than r/4 keys interned since the
+//     last rebuild), the keys are interned afresh from the estimators'
+//     r1s;
 //   - scan:   one pass over the batch gives each key its final batch
 //     degree (verts) and its occurrence list, a CSR (occ) holding the
 //     batch positions at which it reaches each degree, so an EVENTB
@@ -191,9 +191,9 @@ type openWedge struct {
 }
 
 // batchIndex is the estimator-keyed index; see the file comment. Its
-// keys are the level-1 endpoints of the r estimators of every counter
-// that shares it, at most 2r live ones plus at most r/4 interned since
-// the last rebuild whose estimators have moved on, so its footprint is
+// keys are the level-1 endpoints of the counter's r estimators, at most
+// 2r live ones plus at most r/4 interned since the last rebuild whose
+// estimators have moved on, so its footprint is
 // O(r), the estimator share of Theorem 3.5's O(r + w). The hit list and
 // the occurrence lists hold one entry per batch endpoint that is a key,
 // at most 2w.
@@ -203,10 +203,12 @@ type batchIndex struct {
 	// probe. Both are kept across batches until the next rebuild.
 	in    interner
 	qbits bitset
-	// build counts rebuilds; a counter's cached ids are current while
-	// its build equals this one. built is in's size at the last rebuild
-	// and limit the number of keys it may intern after that; stale marks
-	// a rebuild as due before the next scan.
+	// ids caches, per estimator, the ids of its level-1 endpoints; they
+	// are current unless stale is set.
+	ids []vertexIDs
+	// build counts rebuilds, 0 before the first. built is in's size at
+	// the last rebuild and limit the number of keys it may intern after
+	// that; stale marks a rebuild as due before the next scan.
 	build  uint64
 	built  int
 	limit  int
@@ -216,11 +218,6 @@ type batchIndex struct {
 	occ    []uint32
 	pairs  pairTable
 	wedges []openWedge
-}
-
-// current reports whether c's cached ids come from x's current build.
-func (x *batchIndex) current(c *Counter) bool {
-	return x.build != 0 && c.build == x.build
 }
 
 // intern returns v's id, interning v and adding it to the filter.
@@ -235,41 +232,39 @@ func (x *batchIndex) endpoints(e graph.Edge) vertexIDs {
 	return vertexIDs{x.intern(e.U), x.intern(e.V)}
 }
 
-// adopt interns e, the batch edge c's estimator idx adopted in Step 1,
-// and caches its endpoints' ids. Once more than limit keys were interned
+// adopt interns e, the batch edge estimator idx adopted in Step 1, and
+// caches its endpoints' ids. Once more than limit keys were interned
 // since the last rebuild it marks the index stale and interns no more:
 // the rebuild after Step 1 re-interns every r1, so one batch with many
 // adoptions cannot grow the table.
-func (x *batchIndex) adopt(c *Counter, idx int, e graph.Edge) {
+func (x *batchIndex) adopt(idx int, e graph.Edge) {
 	if x.stale {
 		return
 	}
-	c.ids[idx] = x.endpoints(e)
+	x.ids[idx] = x.endpoints(e)
 	if x.in.size()-x.built > x.limit {
 		x.stale = true
 	}
 }
 
-// rebuild empties the index and interns the level-1 endpoints of every
-// estimator of cs, r in all, making every counter's cached ids current.
-// It costs O(r), and apart from fresh or restored counters and Add it
-// follows more than r/4 interned keys, at least r/8 adoptions, so it is
-// O(1) per adoption. Stale keys stay until here; exact reference counts
-// with deletion would drop them sooner, at a cost on every adoption.
-func (x *batchIndex) rebuild(r int, cs []*Counter) {
+// rebuild empties the index and interns the level-1 endpoints of the r
+// estimators ests, making every cached id current. It costs O(r), and
+// apart from fresh or restored counters and Add it follows more than r/4
+// interned keys, at least r/8 adoptions, so it is O(1) per adoption.
+// Stale keys stay until here; exact reference counts with deletion would
+// drop them sooner, at a cost on every adoption.
+func (x *batchIndex) rebuild(ests []Estimator) {
+	r := len(ests)
 	x.in.begin(2 * r)
 	x.qbits.reset(nextPow2(32*r, 1024))
 	x.build++
-	for _, c := range cs {
-		if len(c.ids) != len(c.ests) {
-			c.ids = make([]vertexIDs, len(c.ests))
+	if len(x.ids) != r {
+		x.ids = make([]vertexIDs, r)
+	}
+	for i := range ests {
+		if est := &ests[i]; est.hasR1 {
+			x.ids[i] = x.endpoints(est.r1)
 		}
-		for i := range c.ests {
-			if est := &c.ests[i]; est.hasR1 {
-				c.ids[i] = x.endpoints(est.r1)
-			}
-		}
-		c.build = x.build
 	}
 	x.built, x.limit, x.stale = x.in.size(), r/4, false
 	// verts holds one entry per key; sizing it for every key the table

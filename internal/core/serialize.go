@@ -26,14 +26,17 @@ import (
 // a record that no stream of m edges can produce and that a later
 // AddBatch could not absorb (see checkRecord).
 //
-// A ShardedCounter checkpoint is a thin envelope over p counter blocks:
+// Earlier builds could split a counter's estimators into p shards, each
+// with its own RNG, and checkpointed them in an envelope over p blobs:
 //
 //	magic "NSTS" | version u32 | p u32 | m u64 | p × counter blobs
 //
-// where each blob is exactly the NSTC layout above, written in shard
-// order. Restoring replays the blobs into fresh shards and republishes
-// the combined snapshot, so a restored counter's estimates are
-// bit-identical to the checkpointed ones.
+// where each blob is exactly the NSTC layout above, in shard order. The
+// decoder still reads it, as one Counter holding the shards' estimators
+// in shard order and continuing on shard 0's RNG. A one-shard envelope
+// therefore restores as its one counter, exactly. With more shards the
+// later draws differ from the sharded counter's, but not their law: each
+// estimator's future depends only on its own state and fresh coins.
 
 var (
 	serMagic        = [4]byte{'N', 'S', 'T', 'C'}
@@ -63,25 +66,15 @@ const (
 	headerLen = 4 + 4 + 8 + 8 + 1 + 4
 )
 
-// WriteTo serializes the counter. It implements io.WriterTo.
+// WriteTo serializes the counter as one NSTC block, built in one buffer
+// and written once. It implements io.WriterTo.
 func (c *Counter) WriteTo(w io.Writer) (int64, error) {
 	rng, err := c.rng.MarshalBinary()
 	if err != nil {
 		return 0, err
 	}
-	n, err := w.Write(c.appendTo(make([]byte, 0, c.blobLen(rng)), rng))
-	return int64(n), err
-}
-
-// blobLen is the length of c's NSTC block with rng as its rng state.
-func (c *Counter) blobLen(rng []byte) int {
-	return headerLen + len(rng) + recordLen*len(c.ests)
-}
-
-// appendTo appends c's NSTC block, with rng as its rng state, to b, so
-// several counters can share one buffer (the sharded envelope below).
-func (c *Counter) appendTo(b, rng []byte) []byte {
 	le := binary.LittleEndian
+	b := make([]byte, 0, headerLen+len(rng)+recordLen*len(c.ests))
 	b = append(b, serMagic[:]...)
 	b = le.AppendUint32(b, serVersion)
 	b = le.AppendUint64(b, uint64(len(c.ests)))
@@ -114,12 +107,18 @@ func (c *Counter) appendTo(b, rng []byte) []byte {
 		b = le.AppendUint64(b, est.c)
 		b = append(b, st)
 	}
-	return b
+	n, err := w.Write(b)
+	return int64(n), err
 }
 
-// ReadCounterFrom deserializes a counter previously written by WriteTo.
+// ReadCounterFrom deserializes a counter previously written by WriteTo,
+// or the NSTS envelope of a sharded counter (see the top of this file).
 func ReadCounterFrom(r io.Reader) (*Counter, error) {
-	return readCounter(bufio.NewReader(r))
+	br := bufio.NewReader(r)
+	if magic, err := br.Peek(4); err == nil && [4]byte(magic) == serShardedMagic {
+		return readShards(br)
+	}
+	return readCounter(br)
 }
 
 // readCounter consumes one NSTC block from a shared buffered reader.
@@ -236,45 +235,12 @@ func checkRecord(est *Estimator, m uint64) error {
 	return nil
 }
 
-// WriteTo serializes the sharded counter (the NSTS envelope) at its
-// current batch boundary. Owner-only, like the mutating methods.
-func (sc *ShardedCounter) WriteTo(w io.Writer) (int64, error) {
-	rngs := make([][]byte, len(sc.shards))
-	size := 4 + 4 + 4 + 8
-	for i, s := range sc.shards {
-		rng, err := s.rng.MarshalBinary()
-		if err != nil {
-			return 0, err
-		}
-		rngs[i] = rng
-		size += s.blobLen(rng)
-	}
-	le := binary.LittleEndian
-	b := append(make([]byte, 0, size), serShardedMagic[:]...)
-	b = le.AppendUint32(b, serShardedVersion)
-	b = le.AppendUint32(b, uint32(len(sc.shards)))
-	b = le.AppendUint64(b, sc.m)
-	for i, s := range sc.shards {
-		b = s.appendTo(b, rngs[i])
-	}
-	n, err := w.Write(b)
-	return int64(n), err
-}
-
-// ReadShardedCounterFrom deserializes a sharded counter previously
-// written by ShardedCounter.WriteTo. The restored counter continues
-// exactly as the original would have.
-func ReadShardedCounterFrom(r io.Reader) (*ShardedCounter, error) {
-	br := bufio.NewReader(r)
+// readShards reads an NSTS envelope as one Counter: the shards'
+// estimators in shard order, on shard 0's RNG and flags.
+func readShards(br *bufio.Reader) (*Counter, error) {
 	read := func(v any) error { return binary.Read(br, binary.LittleEndian, v) }
 
-	var magic [4]byte
-	if err := read(&magic); err != nil {
-		return nil, fmt.Errorf("core: reading sharded checkpoint header: %w", err)
-	}
-	if magic != serShardedMagic {
-		return nil, fmt.Errorf("core: bad sharded checkpoint magic %q", magic)
-	}
+	br.Discard(len(serShardedMagic)) // peeked by ReadCounterFrom
 	var version uint32
 	if err := read(&version); err != nil {
 		return nil, err
@@ -294,8 +260,8 @@ func ReadShardedCounterFrom(r io.Reader) (*ShardedCounter, error) {
 	if err := read(&m); err != nil {
 		return nil, err
 	}
-	sc := &ShardedCounter{shards: make([]*Counter, p), m: m}
-	for i := range sc.shards {
+	var c *Counter
+	for i := uint32(0); i < p; i++ {
 		s, err := readCounter(br)
 		if err != nil {
 			return nil, fmt.Errorf("core: reading shard %d: %w", i, err)
@@ -303,8 +269,12 @@ func ReadShardedCounterFrom(r io.Reader) (*ShardedCounter, error) {
 		if s.m != m {
 			return nil, fmt.Errorf("core: shard %d edge count %d disagrees with envelope %d", i, s.m, m)
 		}
-		sc.shards[i] = s
+		if c == nil {
+			c = s
+		} else {
+			c.ests = append(c.ests, s.ests...)
+		}
 	}
-	sc.publishCombined()
-	return sc, nil
+	c.publish()
+	return c, nil
 }

@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -12,10 +14,16 @@ import (
 	"streamtri/internal/stream"
 )
 
+// TestShardedMatchesUnshardedDistribution: a counter restored from a
+// four-shard checkpoint taken after the first batch holds all 8,000
+// estimators and, fed the rest of the stream, estimates within the
+// flat counter's accuracy band.
 func TestShardedMatchesUnshardedDistribution(t *testing.T) {
 	edges := stream.Shuffle(gen.Syn3RegPaper(), randx.New(1))
-	sc := NewShardedCounter(8000, 4, 2)
-	for lo := 0; lo < len(edges); lo += 1024 {
+	s := newShardSet(8000, 4, 2)
+	s.AddBatch(edges[:1024])
+	sc := s.convert(t)
+	for lo := 1024; lo < len(edges); lo += 1024 {
 		hi := lo + 1024
 		if hi > len(edges) {
 			hi = len(edges)
@@ -27,9 +35,6 @@ func TestShardedMatchesUnshardedDistribution(t *testing.T) {
 	}
 	if sc.NumEstimators() != 8000 {
 		t.Fatalf("NumEstimators = %d", sc.NumEstimators())
-	}
-	if sc.NumShards() != 4 {
-		t.Fatalf("NumShards = %d", sc.NumShards())
 	}
 	got := sc.EstimateTriangles()
 	if math.Abs(got-1000) > 200 {
@@ -43,36 +48,49 @@ func TestShardedMatchesUnshardedDistribution(t *testing.T) {
 	}
 }
 
+// TestShardedUnevenSplit: a checkpoint of shards of 4, 3 and 3
+// estimators restores as one counter of 10, holding the shards'
+// estimators in shard order.
 func TestShardedUnevenSplit(t *testing.T) {
-	sc := NewShardedCounter(10, 3, 3)
-	// 10 = 4 + 3 + 3.
+	s := newShardSet(10, 3, 3)
+	s.AddBatch(gen.Complete(6))
+	sc := s.convert(t)
 	if sc.NumEstimators() != 10 {
 		t.Fatalf("NumEstimators = %d", sc.NumEstimators())
 	}
 	sizes := map[int]int{}
-	for _, s := range sc.shards {
-		sizes[s.NumEstimators()]++
+	var want []Estimator
+	for _, sh := range s {
+		sizes[sh.NumEstimators()]++
+		want = append(want, sh.ests...)
 	}
 	if sizes[4] != 1 || sizes[3] != 2 {
 		t.Fatalf("shard sizes = %v", sizes)
+	}
+	if !slices.Equal(sc.ests, want) {
+		t.Fatal("restored estimators are not the shards' in shard order")
 	}
 }
 
 func TestShardedDeterministicAcrossRuns(t *testing.T) {
 	edges := stream.Shuffle(gen.Syn3Reg(10, 5), randx.New(4))
 	runOnce := func() float64 {
-		sc := NewShardedCounter(600, 3, 7)
-		sc.AddBatch(edges)
+		s := newShardSet(600, 3, 7)
+		s.AddBatch(edges[:len(edges)/2])
+		sc := s.convert(t)
+		sc.AddBatch(edges[len(edges)/2:])
 		return sc.EstimateTriangles()
 	}
 	if runOnce() != runOnce() {
-		t.Fatal("sharded counter not deterministic")
+		t.Fatal("a counter restored from shards is not deterministic")
 	}
 }
 
+// TestShardedSequentialAdd: a counter restored from a fresh two-shard
+// checkpoint takes Add, edge by edge.
 func TestShardedSequentialAdd(t *testing.T) {
 	edges := gen.Cycle(3)
-	sc := NewShardedCounter(50, 2, 5)
+	sc := newShardSet(50, 2, 5).convert(t)
 	for _, e := range edges {
 		sc.Add(e)
 	}
@@ -85,17 +103,36 @@ func TestShardedSequentialAdd(t *testing.T) {
 	}
 }
 
+// TestShardedPanicsOnBadParams: the sharded constructor panicked on
+// r = 5, p = 0 and on r = 2, p = 3 (a shard without estimators). The
+// shard count now lives only in checkpoints, and their reader rejects
+// both shapes with an error instead.
 func TestShardedPanicsOnBadParams(t *testing.T) {
-	for _, tc := range []struct{ r, p int }{{5, 0}, {2, 3}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("expected panic for r=%d p=%d", tc.r, tc.p)
-				}
-			}()
-			NewShardedCounter(tc.r, tc.p, 1)
-		}()
+	blob := func(r int) []byte {
+		if r > 0 {
+			return encodeState(t, NewCounter(r, 1))
+		}
+		b := encodeState(t, NewCounter(1, 1))
+		binary.LittleEndian.PutUint64(b[8:16], 0)
+		return b[:len(b)-recordLen]
 	}
+	for _, tc := range []struct{ r, p int }{{5, 0}, {2, 3}} {
+		var blobs [][]byte
+		for i := 0; i < tc.p; i++ {
+			blobs = append(blobs, blob(tc.r/tc.p+btoi(i < tc.r%tc.p)))
+		}
+		if _, err := ReadCounterFrom(bytes.NewReader(shardEnvelope(uint32(tc.p), 0, blobs...))); err == nil {
+			t.Fatalf("r=%d p=%d: checkpoint accepted", tc.r, tc.p)
+		}
+	}
+}
+
+// btoi is 1 for true and 0 for false.
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 func TestSerializeRoundTrip(t *testing.T) {

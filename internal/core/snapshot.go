@@ -60,24 +60,3 @@ func (c *Counter) publish() {
 // concurrently with the owner's Add/AddBatch; the returned value is
 // immutable and reflects the most recently completed mutation.
 func (c *Counter) Snapshot() *EstimateSnapshot { return c.snap.Load() }
-
-// publishCombined rebuilds the cross-shard snapshot from the shards'
-// own published snapshots. Called by the owner after every shard has
-// absorbed the mutation. The weighted-mean arithmetic — each shard's
-// mean scaled back up by its estimator count — replicates the direct
-// EstimateTriangles/EstimateWedges combination bit for bit.
-func (sc *ShardedCounter) publishCombined() {
-	s := &EstimateSnapshot{edges: sc.m, r: sc.NumEstimators()}
-	for _, sh := range sc.shards {
-		shs := sh.snap.Load()
-		s.triSum += shs.Triangles() * float64(shs.r)
-		s.wedgeSum += shs.Wedges() * float64(shs.r)
-	}
-	sc.snap.Store(s)
-}
-
-// Snapshot returns the current published cross-shard snapshot. Safe to
-// call concurrently with the owner's ingestion; it reflects the last
-// batch boundary, never a batch some shards have absorbed and others
-// have not.
-func (sc *ShardedCounter) Snapshot() *EstimateSnapshot { return sc.snap.Load() }

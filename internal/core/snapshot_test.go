@@ -63,8 +63,9 @@ func TestSnapshotReadersDuringCounterIngest(t *testing.T) {
 	}
 }
 
-// TestSnapshotReadersDuringShardedIngest is the ShardedCounter
-// counterpart: sharded AddBatch calls while 4 goroutines read estimates.
+// TestSnapshotReadersDuringShardedIngest is the same for a counter
+// restored from a four-shard checkpoint: its AddBatch calls while 4
+// goroutines read estimates.
 func TestSnapshotReadersDuringShardedIngest(t *testing.T) {
 	const r, p, w, batches, readers = 256, 4, 1024, 64, 4
 	rng := randx.New(103)
@@ -72,7 +73,7 @@ func TestSnapshotReadersDuringShardedIngest(t *testing.T) {
 	for len(edges) < w*batches {
 		edges = append(edges, edges[:min(w, w*batches-len(edges))]...)
 	}
-	sc := NewShardedCounter(r, p, 11)
+	sc := newShardSet(r, p, 11).convert(t)
 
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -129,25 +130,20 @@ func TestSnapshotBitIdenticalToDirectAggregation(t *testing.T) {
 	}
 }
 
-// TestShardedSnapshotBitIdenticalToDirectAggregation checks the
-// cross-shard combination the same way: the published combined snapshot
-// must reproduce the weighted mean over shards exactly.
+// TestShardedSnapshotBitIdenticalToDirectAggregation checks a counter
+// restored from a three-shard checkpoint the same way, from the restore
+// on: its snapshot must reproduce the direct mean over all the shards'
+// estimators exactly.
 func TestShardedSnapshotBitIdenticalToDirectAggregation(t *testing.T) {
 	rng := randx.New(31)
 	edges := stream.Shuffle(gen.HolmeKim(rng, 3000, 3, 0.6), rng)
-	sc := NewShardedCounter(300, 3, 5)
+	sc := newShardSet(300, 3, 5).convert(t)
 	for lo := 0; lo < len(edges); lo += 512 {
 		sc.AddBatch(edges[lo:min(lo+512, len(edges))])
 		var tri, wed float64
-		for _, s := range sc.shards {
-			var striSum, swedSum float64
-			for i := range s.ests {
-				striSum += s.ests[i].TriangleEstimate(s.m)
-				swedSum += s.ests[i].WedgeEstimate(s.m)
-			}
-			r := float64(len(s.ests))
-			tri += striSum / r * r
-			wed += swedSum / r * r
+		for i := range sc.ests {
+			tri += sc.ests[i].TriangleEstimate(sc.m)
+			wed += sc.ests[i].WedgeEstimate(sc.m)
 		}
 		r := float64(sc.NumEstimators())
 		if got := sc.EstimateTriangles(); got != tri/r {
@@ -160,15 +156,15 @@ func TestShardedSnapshotBitIdenticalToDirectAggregation(t *testing.T) {
 }
 
 // TestSnapshotExcludesInFlightBatch pins the consistency model: while
-// the owner runs sharded AddBatch calls, a concurrent reader only ever
-// sees a batch boundary — an edge count the owner reached, paired with
-// the estimates the owner saw there, never a batch that some shards
-// have absorbed and others have not.
+// the owner runs AddBatch calls, a concurrent reader only ever sees a
+// batch boundary — an edge count the owner reached, paired with the
+// estimates the owner saw there, never a batch some estimators have
+// absorbed and others have not.
 func TestSnapshotExcludesInFlightBatch(t *testing.T) {
 	const w, batches = 100, 40
 	rng := randx.New(37)
 	edges := stream.Shuffle(gen.HolmeKim(rng, 2000, 3, 0.6), rng)[:w*batches]
-	sc := NewShardedCounter(64, 3, 9)
+	sc := NewCounter(64, 9)
 
 	var stop atomic.Bool
 	var seen []*EstimateSnapshot
@@ -226,35 +222,40 @@ func TestSnapshotSurvivesSerializeRoundTrip(t *testing.T) {
 		t.Fatal("restored Counter estimates differ from checkpointed ones")
 	}
 
-	sc := NewShardedCounter(128, 3, 13)
+	// A three-shard checkpoint restores as one counter whose estimates
+	// are the mean over all the shards' estimators.
+	sc := newShardSet(128, 3, 13)
 	sc.AddBatch(edges)
-	var sbuf bytes.Buffer
-	if _, err := sc.WriteTo(&sbuf); err != nil {
-		t.Fatal(err)
+	rsc := sc.convert(t)
+	var tri, wed float64
+	for _, sh := range sc {
+		for i := range sh.ests {
+			tri += sh.ests[i].TriangleEstimate(sh.m)
+			wed += sh.ests[i].WedgeEstimate(sh.m)
+		}
 	}
-	rsc, err := ReadShardedCounterFrom(&sbuf)
-	if err != nil {
-		t.Fatal(err)
+	if rsc.EstimateTriangles() != tri/128 || rsc.EstimateWedges() != wed/128 {
+		t.Fatal("restored shards' estimates differ from the checkpointed estimators' mean")
 	}
-	if rsc.EstimateTriangles() != sc.EstimateTriangles() || rsc.EstimateWedges() != sc.EstimateWedges() {
-		t.Fatal("restored ShardedCounter estimates differ from checkpointed ones")
-	}
-	if rsc.Edges() != sc.Snapshot().Edges() {
-		t.Fatalf("restored edge count %d != %d", rsc.Edges(), sc.Snapshot().Edges())
+	if rsc.Edges() != sc[0].Edges() {
+		t.Fatalf("restored edge count %d != %d", rsc.Edges(), sc[0].Edges())
 	}
 }
 
-// TestShardedSerializeRoundTripContinues: a restored sharded counter is
-// a full peer of the original — further ingestion must track a
+// TestShardedSerializeRoundTripContinues: a counter restored from a
+// three-shard checkpoint is a full counter — checkpointed and restored
+// again halfway through the rest of the stream, it must then track its
 // never-checkpointed twin bit for bit.
 func TestShardedSerializeRoundTripContinues(t *testing.T) {
 	rng := randx.New(43)
 	edges := stream.Shuffle(gen.HolmeKim(rng, 3000, 3, 0.6), rng)
+	third := len(edges) / 3
 	half := len(edges) / 2
 
-	twin := NewShardedCounter(96, 3, 17)
-	sc := NewShardedCounter(96, 3, 17)
-	for lo := 0; lo < half; lo += 300 {
+	shards := newShardSet(96, 3, 17)
+	shards.AddBatch(edges[:third])
+	twin, sc := shards.convert(t), shards.convert(t)
+	for lo := third; lo < half; lo += 300 {
 		b := edges[lo:min(lo+300, half)]
 		twin.AddBatch(b)
 		sc.AddBatch(b)
@@ -263,7 +264,7 @@ func TestShardedSerializeRoundTripContinues(t *testing.T) {
 	if _, err := sc.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := ReadShardedCounterFrom(&buf)
+	restored, err := ReadCounterFrom(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,36 +282,39 @@ func TestShardedSerializeRoundTripContinues(t *testing.T) {
 	}
 }
 
-// TestReadShardedCounterFromErrors: the envelope rejects wrong magic,
-// bad shard counts, and cross-shard edge-count disagreement.
+// TestReadShardedCounterFromErrors: ReadCounterFrom rejects an NSTS
+// envelope with wrong magic, an unknown version, a truncated shard, or
+// shards whose edge counts disagree with the envelope's, and restores a
+// good one.
 func TestReadShardedCounterFromErrors(t *testing.T) {
-	sc := NewShardedCounter(16, 2, 3)
+	sc := newShardSet(16, 2, 3)
 	sc.Add(graph.Edge{U: 1, V: 2})
-	var buf bytes.Buffer
-	if _, err := sc.WriteTo(&buf); err != nil {
-		t.Fatal(err)
+	good := encodeState(t, sc)
+	if _, err := ReadCounterFrom(bytes.NewReader(good)); err != nil {
+		t.Fatalf("good envelope: %v", err)
 	}
-	good := buf.Bytes()
 
-	if _, err := ReadShardedCounterFrom(bytes.NewReader(nil)); err == nil {
+	if _, err := ReadCounterFrom(bytes.NewReader(nil)); err == nil {
 		t.Error("empty input: want error")
 	}
 	bad := append([]byte{}, good...)
 	bad[0] = 'X'
-	if _, err := ReadShardedCounterFrom(bytes.NewReader(bad)); err == nil {
+	if _, err := ReadCounterFrom(bytes.NewReader(bad)); err == nil {
 		t.Error("bad magic: want error")
 	}
+	bad = append([]byte{}, good...)
+	bad[4] = 9
+	if _, err := ReadCounterFrom(bytes.NewReader(bad)); err == nil {
+		t.Error("unknown version: want error")
+	}
 	trunc := good[:len(good)-5]
-	if _, err := ReadShardedCounterFrom(bytes.NewReader(trunc)); err == nil {
+	if _, err := ReadCounterFrom(bytes.NewReader(trunc)); err == nil {
 		t.Error("truncated input: want error")
 	}
-	// A plain Counter blob is not a sharded envelope.
-	c := NewCounter(4, 1)
-	var cbuf bytes.Buffer
-	if _, err := c.WriteTo(&cbuf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadShardedCounterFrom(&cbuf); err == nil {
-		t.Error("NSTC blob as NSTS envelope: want error")
+	// The envelope claims one more edge than its shards hold.
+	bad = append([]byte{}, good...)
+	bad[12]++
+	if _, err := ReadCounterFrom(bytes.NewReader(bad)); err == nil {
+		t.Error("shard edge counts disagreeing with the envelope: want error")
 	}
 }

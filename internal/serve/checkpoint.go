@@ -18,11 +18,11 @@ import (
 //	<name>.json         tenant metadata (name + CounterConfig), written
 //	                    durably at creation time — a created tenant
 //	                    exists after a crash even before its first edge
-//	<name>.ckpt.<pos>   checkpoint generations: the counter blob (NSTS
-//	                    sharded envelope for whole-stream tenants, NSTW
-//	                    windowed envelope for windowed ones) at stream
-//	                    position <pos>; the newest retain generations
-//	                    are kept as fallbacks
+//	<name>.ckpt.<pos>   checkpoint generations: the counter blob (NSTC
+//	                    for whole-stream tenants, which also restore the
+//	                    NSTS sharded envelope earlier builds wrote, NSTW
+//	                    for windowed ones) at stream position <pos>; the
+//	                    newest retain generations are kept as fallbacks
 //	<name>.wal.<start>  write-ahead log segments (see wal.go)
 //	<name>.ckpt         a legacy pre-generation checkpoint, still
 //	                    restorable as the oldest candidate

@@ -324,18 +324,14 @@ func TestServeCheckpointGenerationFallback(t *testing.T) {
 // replay's AddBatch wrap c⁻ + c⁺ and panic NewServer.
 func TestServeCheckpointGenerationImpossibleState(t *testing.T) {
 	checkGenerationFallback(t, func(data []byte) []byte {
-		// The batch size (u64), then the NSTS envelope: magic, version,
-		// p (u32), m (u64); then p NSTC blobs of magic, version, r (u64),
-		// m (u64), flags (u8), rng length (u32), rng bytes and r records
-		// of 41 bytes, whose c is at bytes 32..40.
-		p := int(binary.LittleEndian.Uint32(data[16:20]))
-		off := 28
-		for i := 0; i < p; i++ {
-			r := int(binary.LittleEndian.Uint64(data[off+8 : off+16]))
-			off += 29 + int(binary.LittleEndian.Uint32(data[off+25:off+29]))
-			for j := 0; j < r; j, off = j+1, off+41 {
-				binary.LittleEndian.PutUint64(data[off+32:off+40], 1<<64-1)
-			}
+		// The batch size (u64), then the NSTC blob: magic, version,
+		// r (u64), m (u64), flags (u8), rng length (u32), rng bytes and
+		// r records of 41 bytes, whose c is at bytes 32..40.
+		off := 8
+		r := int(binary.LittleEndian.Uint64(data[off+8 : off+16]))
+		off += 29 + int(binary.LittleEndian.Uint32(data[off+25:off+29]))
+		for j := 0; j < r; j, off = j+1, off+41 {
+			binary.LittleEndian.PutUint64(data[off+32:off+40], 1<<64-1)
 		}
 		if off != len(data) {
 			t.Fatalf("walked %d of %d checkpoint bytes", off, len(data))

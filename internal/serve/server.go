@@ -49,11 +49,12 @@ import (
 type CounterConfig struct {
 	// R is the estimator count (required, >= 1). Accuracy grows with R.
 	R int `json:"r"`
-	// P is the number of shards the R estimators are split into
-	// (default 1; must satisfy 1 <= P <= R). It fixes the shard seeds,
-	// so the tenant's estimates and checkpoints depend on it; the shards
-	// run one after another in the ingesting goroutine. Windowed tenants
-	// have no shards, and their P is always 1.
+	// P was the number of shards the R estimators were split into. It is
+	// still accepted, checked (1 <= P <= R, default 1) and reported, so
+	// configs and data dirs written with it keep working, but it has no
+	// effect: every whole-stream tenant runs one counter, seeded as
+	// shard 0 was, and restores checkpoints written with any P.
+	// Windowed tenants' P is always 1.
 	P int `json:"p,omitempty"`
 	// Window, when nonzero, makes the tenant a sliding-window counter
 	// over the last Window edges instead of a whole-stream counter.
@@ -121,7 +122,10 @@ type counter interface {
 	WriteTo(io.Writer) (int64, error)
 }
 
-// newCounter builds a fresh counter of the kind cfg names.
+// newCounter builds a fresh counter of the kind cfg names. Whole-stream
+// tenants keep the deprecated ParallelTriangleCounter for its seeding,
+// so their estimates and checkpoints stay those of tenants created with
+// p = 1 when p split the estimators into shards.
 func newCounter(cfg CounterConfig) counter {
 	if cfg.Window > 0 {
 		return streamtri.NewSlidingWindowCounter(cfg.R, cfg.Window, cfg.options()...)

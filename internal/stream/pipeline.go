@@ -44,8 +44,8 @@ type BatchFiller interface {
 }
 
 // Sink is the batch consumer Drain feeds: AddBatch absorbs the batch
-// before returning and keeps no reference to it. core.Counter,
-// core.ShardedCounter and window.Counter implement it.
+// before returning and keeps no reference to it. core.Counter and
+// window.Counter implement it.
 type Sink interface {
 	AddBatch(batch []graph.Edge)
 }

@@ -54,7 +54,7 @@ func TestParallelCounterMatchesAccuracy(t *testing.T) {
 	if pc.Edges() != 3000 {
 		t.Fatalf("Edges = %d", pc.Edges())
 	}
-	if pc.NumShards() != 4 {
+	if pc.NumShards() != 1 { // p no longer splits the estimators
 		t.Fatalf("NumShards = %d", pc.NumShards())
 	}
 	got := pc.EstimateTriangles()

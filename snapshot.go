@@ -19,12 +19,11 @@ type EstimateSnapshot struct {
 	Transitivity float64
 }
 
-// Snapshot returns the estimates at the last completed batch boundary,
-// which on a sharded counter every shard has completed. Unlike the
-// Estimate* methods it does not flush; it never blocks and is safe to
-// call from any goroutine while the owner goroutine keeps calling
-// Add/AddBatch — the read path a serving process queries between ingest
-// batches (see doc.go, "Serving").
+// Snapshot returns the estimates at the last completed batch boundary.
+// Unlike the Estimate* methods it does not flush; it never blocks and is
+// safe to call from any goroutine while the owner goroutine keeps
+// calling Add/AddBatch — the read path a serving process queries between
+// ingest batches (see doc.go, "Serving").
 func (t *wholeStream[E]) Snapshot() EstimateSnapshot {
 	s := t.eng.Snapshot()
 	return EstimateSnapshot{

@@ -91,9 +91,9 @@ func TestSnapshotReadersDuringParallelIngest(t *testing.T) {
 	}
 }
 
-// TestParallelCheckpointRoundTripPublic: the sharded counter checkpoint
-// must restore to a full peer — identical estimates immediately, and
-// identical evolution under further ingestion.
+// TestParallelCheckpointRoundTripPublic: the parallel counter's
+// checkpoint must restore to a full peer — identical estimates
+// immediately, and identical evolution under further ingestion.
 func TestParallelCheckpointRoundTripPublic(t *testing.T) {
 	edges := syn3regStream(47)
 	a := streamtri.NewParallelTriangleCounter(2000, 3, streamtri.WithSeed(48))
@@ -144,14 +144,19 @@ func TestParallelCheckpointErrorsPublic(t *testing.T) {
 	if _, err := streamtri.RestoreParallelTriangleCounter(bytes.NewReader(bad)); err == nil {
 		t.Fatal("zero batch size must error")
 	}
-	// A TriangleCounter checkpoint must not restore as a parallel one.
+	// The parallel counter runs a TriangleCounter's engine, so a
+	// TriangleCounter checkpoint restores as a parallel one, exactly.
 	tc := streamtri.NewTriangleCounter(64, streamtri.WithSeed(9))
 	tc.AddBatch(syn3regStream(49)[:100])
 	var buf bytes.Buffer
 	if _, err := tc.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := streamtri.RestoreParallelTriangleCounter(&buf); err == nil {
-		t.Fatal("plain counter checkpoint restored as parallel: want error")
+	pc, err := streamtri.RestoreParallelTriangleCounter(&buf)
+	if err != nil {
+		t.Fatalf("plain counter checkpoint as parallel: %v", err)
+	}
+	if pc.Snapshot() != tc.Snapshot() {
+		t.Fatal("plain counter checkpoint restored as parallel with other estimates")
 	}
 }

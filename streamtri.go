@@ -67,9 +67,9 @@ func WithSeed(seed uint64) Option {
 // edges then costs O(m + r) total time (Theorem 3.5). At w = 1,
 // TriangleCounter.Add and TriangleSampler.Add run Algorithm 1 on each
 // edge as it arrives. AddBatch still takes the bulk path on the batch it
-// is given, CountStream on one-edge batches, and ParallelTriangleCounter
-// takes it at every w; the two paths reach identically distributed
-// states, not identical ones.
+// is given, CountStream on one-edge batches, and the deprecated
+// ParallelTriangleCounter takes it at every w; the two paths reach
+// identically distributed states, not identical ones.
 func WithBatchSize(w int) Option {
 	return func(c *config) { c.batchSize = w }
 }
@@ -162,8 +162,8 @@ func buildConfig(r int, opts []Option) config {
 }
 
 // engine is what the whole-stream intake calls on the estimators behind
-// it: *core.Counter under TriangleCounter, *core.ShardedCounter under
-// ParallelTriangleCounter, and samplerEngine under TriangleSampler.
+// it: *core.Counter under TriangleCounter and ParallelTriangleCounter,
+// and samplerEngine under TriangleSampler.
 type engine interface {
 	Add(Edge)
 	AddBatch([]Edge)
