@@ -58,10 +58,10 @@ race:
 # decode to a reachable estimator state; version 2 re-encodes
 # identically, version 1 converts to a state whose version-2 encoding
 # decodes back to it; everything else is rejected by name), and
-# FuzzCounterCheckpointDecode (the NSTC/NSTS
-# decoders: no panic or runaway allocation, decode → WriteTo → decode
-# must keep the state, and every accepted state must then absorb a
-# stream in batches without panicking). Entries are package:Target pairs so targets can
+# FuzzCounterCheckpointDecode (the checkpoint decoder, over NSTC blobs
+# and NSTS shard envelopes: no panic or runaway allocation, decode →
+# WriteTo → decode must keep the state, and every accepted state must
+# then absorb a stream in batches without panicking). Entries are package:Target pairs so targets can
 # live next to the code they fuzz. `go test` alone already replays the
 # seed corpus; this target actually mutates.
 FUZZTIME ?= 20s
@@ -115,11 +115,10 @@ bench-check:
 # ordered merge — the block-gallop path — and a windowed merge of a v1
 # shard with a v2 shard), check that trict's estimate does not depend on
 # how many CPUs it may use (one run unrestricted, one pinned to CPU 0
-# with taskset; the shard count, which fixes the shard seeds, must not
-# follow the CPU count, and the two-input merge must not follow the
-# scheduler), check that trict rejects -p together with -samples (the
-# sampler has no shards), and run every example — exercising the
-# "[no test files]" packages.
+# with taskset; neither the estimate nor the two-input merge may follow
+# the scheduler), check that trict rejects -p together with -samples
+# (-p has no effect anywhere and was never accepted with the sampler),
+# and run every example — exercising the "[no test files]" packages.
 smoke:
 	rm -rf bin && mkdir -p bin
 	$(GO) build -o bin ./cmd/...
