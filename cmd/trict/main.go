@@ -29,10 +29,11 @@
 // not on the machine. -p, which split the estimators into shards, has
 // no effect and is kept so that existing command lines still run; the
 // whole-stream estimate is the one an unset -p gave. As before, -p is
-// rejected together with -samples or -window. With several -i inputs the decoders also overlap each other (parallel
-// ingestion), and a deterministic merge takes the files in blocks of
-// min(w, 4096) edges (w the batch size), round-robin in input order, so
-// multi-file runs are bit-for-bit reproducible. The report prices
+// rejected together with -samples or -window. With several -i inputs
+// the decoders also overlap each other (parallel ingestion), and a
+// deterministic merge takes the files in blocks of min(w, 4096) edges
+// (w the batch size), round-robin in input order, so multi-file runs
+// are bit-for-bit reproducible. The report prices
 // I/O+decode separately from wall time, in the style of the paper's
 // Table 3 (for multiple inputs the decode figure aggregates all decoders
 // and can exceed wall time, and a per-source breakdown shows skewed

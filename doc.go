@@ -86,19 +86,18 @@
 // table there has 4r = 65,536 slots of 8 bytes, 512 KiB, against the
 // 768 KiB of the per-batch table's 12-byte slots.
 //
-// ParallelTriangleCounter is deprecated. It split the estimators into p
-// shards with derived seeds, which ran one after another in the
-// caller's goroutine and bought no speed: one counter's AddBatch costs
-// what the shards' did, within the host's spread. Estimators are
+// ParallelTriangleCounter is deprecated: it is TriangleCounter's
+// intake over one counter, seeded as shard 0 was when p split the
+// estimators into shards. The shards ran one after another in the
+// caller's goroutine and bought no speed, and the estimators are
 // independent, so the split did not change the estimates' law either.
-// It is now TriangleCounter's intake over one counter seeded as shard 0
-// was: a p = 1 counter keeps its states, estimates and checkpoint bytes
-// (less the 20-byte shard envelope), and p > 1 equals p = 1. Shard
-// checkpoints of any p still restore (see Serving). The exact-law
-// oracle (TestExactLaw in internal/core) is what licenses giving up
+// A p = 1 counter keeps its states, estimates and checkpoint bytes (less
+// the 20-byte shard envelope), p > 1 equals p = 1, and shard checkpoints
+// of any p still restore (see Serving). The exact-law oracle
+// (TestExactLaw in internal/core) is what licenses giving up
 // bit-identity for p > 1: on tiny streams it checks every estimator's
-// end state against Lemma 3.1's closed-form law, for AddBatch at
-// several widths, Add, and counters restored from shard checkpoints. A
+// end state against Lemma 3.1's closed-form law, for AddBatch at several
+// widths, Add, and counters restored from shard checkpoints. A
 // many-core deployment that wants the estimator passes in parallel
 // should measure against this sequential baseline first. Cells tracked
 // in BENCH_core.json measure these paths; regenerate with `make

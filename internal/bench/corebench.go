@@ -17,10 +17,9 @@ import (
 )
 
 // Core hot-path benchmarks: the flat AddBatch across batch sizes
-// w ∈ {r/4, r, 4r}. RunCoreBenchSuite
-// renders the results as a machine-readable report (BENCH_core.json) so
-// successive PRs can track the perf trajectory of the system's hottest
-// path.
+// w ∈ {r/4, r, 4r}. RunCoreBenchSuite renders the results as a
+// machine-readable report (BENCH_core.json) so successive PRs can track
+// the perf trajectory of the system's hottest path.
 
 // CoreBenchRow is one measured cell.
 type CoreBenchRow struct {
@@ -60,13 +59,8 @@ func CoreBatchWidths(r int) []int {
 	return []int{r / 4, r, 4 * r}
 }
 
-// counterSink abstracts the two batch consumers under benchmark.
-type counterSink interface {
-	AddBatch([]graph.Edge)
-}
-
 // streamInBatches drives one full pass of edges through c.
-func streamInBatches(c counterSink, edges []graph.Edge, w int) {
+func streamInBatches(c *core.Counter, edges []graph.Edge, w int) {
 	for lo := 0; lo < len(edges); lo += w {
 		hi := lo + w
 		if hi > len(edges) {
@@ -114,7 +108,7 @@ func BenchCoreAddBatch(b *testing.B, edges []graph.Edge, r, w int, opts ...core.
 
 // benchPasses times b.N passes of edges through c in batches of w, after
 // one untimed pass that warms the scratch tables.
-func benchPasses(b *testing.B, c counterSink, edges []graph.Edge, w int) {
+func benchPasses(b *testing.B, c *core.Counter, edges []graph.Edge, w int) {
 	streamInBatches(c, edges, w)
 	b.ReportAllocs()
 	var cpu cpuMeter

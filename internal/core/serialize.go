@@ -238,36 +238,29 @@ func checkRecord(est *Estimator, m uint64) error {
 // readShards reads an NSTS envelope as one Counter: the shards'
 // estimators in shard order, on shard 0's RNG and flags.
 func readShards(br *bufio.Reader) (*Counter, error) {
-	read := func(v any) error { return binary.Read(br, binary.LittleEndian, v) }
-
-	br.Discard(len(serShardedMagic)) // peeked by ReadCounterFrom
-	var version uint32
-	if err := read(&version); err != nil {
-		return nil, err
+	var hdr struct {
+		Magic      [4]byte // checked by ReadCounterFrom
+		Version, P uint32
+		M          uint64
 	}
-	if version != serShardedVersion {
-		return nil, fmt.Errorf("core: unsupported sharded checkpoint version %d", version)
+	if err := binary.Read(br, binary.LittleEndian, &hdr); err != nil {
+		return nil, fmt.Errorf("core: reading sharded checkpoint header: %w", err)
 	}
-	var p uint32
-	if err := read(&p); err != nil {
-		return nil, err
+	if hdr.Version != serShardedVersion {
+		return nil, fmt.Errorf("core: unsupported sharded checkpoint version %d", hdr.Version)
 	}
 	const maxShards = 1 << 16
-	if p == 0 || p > maxShards {
-		return nil, fmt.Errorf("core: implausible shard count %d", p)
-	}
-	var m uint64
-	if err := read(&m); err != nil {
-		return nil, err
+	if hdr.P == 0 || hdr.P > maxShards {
+		return nil, fmt.Errorf("core: implausible shard count %d", hdr.P)
 	}
 	var c *Counter
-	for i := uint32(0); i < p; i++ {
+	for i := uint32(0); i < hdr.P; i++ {
 		s, err := readCounter(br)
 		if err != nil {
 			return nil, fmt.Errorf("core: reading shard %d: %w", i, err)
 		}
-		if s.m != m {
-			return nil, fmt.Errorf("core: shard %d edge count %d disagrees with envelope %d", i, s.m, m)
+		if s.m != hdr.M {
+			return nil, fmt.Errorf("core: shard %d edge count %d disagrees with envelope %d", i, s.m, hdr.M)
 		}
 		if c == nil {
 			c = s
