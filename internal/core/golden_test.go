@@ -168,6 +168,7 @@ func newGoldenCounter(r int, k goldenKind) goldenCounter {
 // as, if c is a shardSet fed lo edges, at least half of a stream of m;
 // otherwise c.
 func restoreShardsAtHalf(t *testing.T, c goldenCounter, lo, m int) goldenCounter {
+	t.Helper()
 	if _, ok := c.(shardSet); ok && 2*lo >= m {
 		return restoreState(t, c)
 	}
