@@ -118,6 +118,5 @@ func lawZ(t *testing.T, law *exact.SamplingLaw, ests []Estimator) float64 {
 		}
 		counts[k]++
 	}
-	z, _ := stats.ChiSquareZ(counts, law.Probabilities())
-	return z
+	return stats.ChiSquareZ(counts, law.Probabilities())
 }

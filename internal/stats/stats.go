@@ -151,7 +151,7 @@ func Variance(xs []float64) float64 {
 // which is about standard normal for large df, so a test can hold it to
 // a fixed bound whatever the number of categories. It panics when the
 // slices differ in length or hold fewer than two categories.
-func ChiSquareZ(observed []int, p []float64) (z float64, df int) {
+func ChiSquareZ(observed []int, p []float64) float64 {
 	if len(observed) != len(p) || len(p) < 2 {
 		panic("stats: ChiSquareZ needs two or more categories, one probability each")
 	}
@@ -165,6 +165,6 @@ func ChiSquareZ(observed []int, p []float64) (z float64, df int) {
 		d := float64(o) - e
 		x2 += d * d / e
 	}
-	df = len(p) - 1
-	return (x2 - float64(df)) / math.Sqrt(2*float64(df)), df
+	df := float64(len(p) - 1)
+	return (x2 - df) / math.Sqrt(2*df)
 }

@@ -122,6 +122,5 @@ func parallelLawZ(t *testing.T, law *exact.SamplingLaw, pc *streamtri.ParallelTr
 		}
 		counts[k]++
 	}
-	z, _ := stats.ChiSquareZ(counts, law.Probabilities())
-	return z
+	return stats.ChiSquareZ(counts, law.Probabilities())
 }
