@@ -67,6 +67,23 @@ import (
 	"streamtri/internal/serve"
 )
 
+// HTTP connection limits. A connection that has not sent a whole request
+// header readHeaderTimeout after it opened (or after its first byte of a
+// later request) is closed, and so is a keep-alive connection left idle
+// for idleTimeout between requests. Request bodies get no deadline here:
+// a large ingest POST may rightly take long to send.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer returns trictd's HTTP server for h, closing connections
+// that take longer than readHeader to send a request header or sit idle
+// longer than idle between requests.
+func newHTTPServer(h http.Handler, readHeader, idle time.Duration) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeader, IdleTimeout: idle}
+}
+
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "trictd:", err)
 	os.Exit(1)
@@ -138,7 +155,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()
 
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer(srv.Handler(), readHeaderTimeout, idleTimeout)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 

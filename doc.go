@@ -497,10 +497,16 @@
 // to the counter. The log's blocks are thus the counter's batches, and
 // a batch the log refused never reaches the counter; a request that
 // fails mid-body (a malformed record, a dropped client) leaves both at
-// the same batch boundary. The handler takes its 64 KiB read buffer
-// from a pool and fills the tenant's one batch of w edges, allocated by
-// its first POST, so ingest allocates nothing per POST that scales with
-// w. Every v2 reader reads both block layouts, so recovery also replays
+// the same batch boundary. Between POSTs a tenant holds its counter and
+// one ingest buffer of w edges, allocated with the tenant, and nothing
+// else that scales with r or w: the handler's 64 KiB body reader, each
+// WAL block's encode buffer and each checkpoint's serialization buffer
+// are borrowed from pools and returned when the request, the append or
+// the checkpoint's file write is done; a tenant's log keeps one block
+// writer (a 64 KiB write buffer) across segment rotations; and recovery
+// replays the log into the ingest buffer. So at steady state ingest,
+// checkpoints, rotations and recovery allocate nothing r- or w-sized.
+// Every v2 reader reads both block layouts, so recovery also replays
 // logs that earlier builds wrote at 16 bytes per edge, and earlier
 // builds replay the 9-byte log. Under the default -wal-sync always the
 // segment is fsynced before the ack, so the 200 means "on disk", not

@@ -67,14 +67,24 @@ const (
 )
 
 // WriteTo serializes the counter as one NSTC block, built in one buffer
-// and written once. It implements io.WriterTo.
+// and written once. The buffer is w's spare capacity when w offers room
+// for the whole block through AvailableBuffer (a bytes.Buffer or
+// bufio.Writer with room), so the write copies nothing new; otherwise it
+// is a fresh one of the block's size. It implements io.WriterTo.
 func (c *Counter) WriteTo(w io.Writer) (int64, error) {
 	rng, err := c.rng.MarshalBinary()
 	if err != nil {
 		return 0, err
 	}
 	le := binary.LittleEndian
-	b := make([]byte, 0, headerLen+len(rng)+recordLen*len(c.ests))
+	need := headerLen + len(rng) + recordLen*len(c.ests)
+	var b []byte
+	if ab, ok := w.(interface{ AvailableBuffer() []byte }); ok {
+		b = ab.AvailableBuffer()
+	}
+	if cap(b) < need {
+		b = make([]byte, 0, need)
+	}
 	b = append(b, serMagic[:]...)
 	b = le.AppendUint32(b, serVersion)
 	b = le.AppendUint64(b, uint64(len(c.ests)))

@@ -168,6 +168,34 @@ func TestSerializeRoundTrip(t *testing.T) {
 	checkStateInvariants(t, edges, restored)
 }
 
+// TestSerializeIntoSpareCapacity checks that WriteTo builds its blob in
+// the spare capacity of a destination with room for it, after the bytes
+// it already holds: the same bytes, and no allocation.
+func TestSerializeIntoSpareCapacity(t *testing.T) {
+	edges := stream.Shuffle(gen.Syn3RegPaper(), randx.New(5))
+	c := NewCounter(500, 6)
+	c.AddBatch(edges[:1500])
+	var want bytes.Buffer
+	if _, err := c.WriteTo(&want); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	buf.Grow(len("head") + want.Len())
+	buf.WriteString("head")
+	allocs := testing.AllocsPerRun(20, func() {
+		buf.Truncate(len("head"))
+		if _, err := c.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got := buf.Bytes(); string(got[:4]) != "head" || !bytes.Equal(got[4:], want.Bytes()) {
+		t.Fatal("WriteTo into spare capacity wrote different bytes")
+	}
+	if allocs > 0 {
+		t.Errorf("WriteTo into a buffer with room made %v allocations, want none", allocs)
+	}
+}
+
 func TestSerializeCheckpointEqualsUninterrupted(t *testing.T) {
 	// Checkpoint/restore mid-stream must equal an uninterrupted run with
 	// the same seed and batching.

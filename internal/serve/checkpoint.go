@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -127,6 +128,14 @@ func (s *Server) CheckpointAll() (int, error) {
 	return n, nil
 }
 
+// ckptBufs recycles the buffers checkpoint blobs are serialized into.
+// Each checkpointTenant call holds its own until the blob is on disk, so
+// concurrent CheckpointAll callers never share one; a counter's WriteTo
+// builds its blob in the buffer's spare capacity, so once a buffer has
+// held a blob of a tenant's size, checkpointing that tenant again
+// allocates nothing that scales with r.
+var ckptBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
 func (s *Server) checkpointTenant(t *tenant) (bool, error) {
 	t.mu.Lock()
 	if t.closed {
@@ -138,8 +147,10 @@ func (s *Server) checkpointTenant(t *tenant) (bool, error) {
 		t.mu.Unlock()
 		return false, nil
 	}
-	var blob bytes.Buffer
-	_, err := t.c.WriteTo(&blob)
+	blob := ckptBufs.Get().(*bytes.Buffer)
+	defer ckptBufs.Put(blob)
+	blob.Reset()
+	_, err := t.c.WriteTo(blob)
 	if err == nil {
 		t.ckptEdges = edges
 	}

@@ -155,7 +155,7 @@ func (s *Server) restoreAndReplay(name string, cfg CounterConfig, gen *generatio
 
 // replayWAL feeds the logged batches past base into the tenant's
 // counter, one AddBatch per block — the same boundaries the original
-// ingest used. A torn tail (truncated or checksum-failed block) ends a
+// ingest used — decoding each block into the tenant's ingest buffer. A torn tail (truncated or checksum-failed block) ends a
 // segment's valid prefix; it is acceptable exactly when a later segment
 // picks up at that position (the writer retired the segment after a
 // failed append) or when it is the newest segment (the crash tore the
@@ -184,7 +184,11 @@ func (s *Server) replayWAL(t *tenant, base uint64) error {
 	}
 	segs = segs[k:]
 	pos := segs[0].start
-	var buf []graph.Edge
+	// A block longer than w, which this build never logs, grows the
+	// decode buffer; ingest cuts its batches at len(t.batch), which must
+	// stay w.
+	buf := t.batch[:0]
+	defer func() { t.batch = buf[:len(t.batch)] }()
 	for i, seg := range segs {
 		if seg.start != pos {
 			return fmt.Errorf("segment %s does not continue from position %d", filepath.Base(seg.path), pos)

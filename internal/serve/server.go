@@ -153,14 +153,17 @@ type tenant struct {
 	// (under mu); checkpoints are skipped while it matches edges().
 	ckptEdges uint64
 
-	// batch is the ingest handler's buffer of w edges (under mu),
-	// allocated by the tenant's first POST and reused by every later one.
+	// batch is the tenant's one buffer of exactly w edges (under mu):
+	// recovery's WAL replay decodes into it and every ingest POST fills
+	// it. With the counter, it is all a tenant holds between POSTs;
+	// checkpoints and WAL appends borrow pooled buffers only while they
+	// run.
 	batch []streamtri.Edge
 }
 
 // newTenant wraps c and publishes its estimates before any read can come.
 func newTenant(name string, cfg CounterConfig, c counter) *tenant {
-	t := &tenant{name: name, cfg: cfg, c: c}
+	t := &tenant{name: name, cfg: cfg, c: c, batch: make([]streamtri.Edge, cfg.effectiveBatchSize())}
 	t.publish()
 	return t
 }
@@ -446,9 +449,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// replay bit-identical — and a batch the log refused never reaches the
 	// counter. A cancelled request stops at a batch boundary.
 	var edges uint64
-	if t.batch == nil {
-		t.batch = make([]streamtri.Edge, t.cfg.effectiveBatchSize())
-	}
 	buf := t.batch
 	for err == nil {
 		if err = r.Context().Err(); err != nil {

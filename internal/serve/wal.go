@@ -147,9 +147,12 @@ type walWriter struct {
 	policy FsyncPolicy
 	faults *faultInjector
 
-	mu       sync.Mutex
-	f        *os.File
-	cw       *countingWriter
+	mu sync.Mutex
+	f  *os.File // the current segment; nil between a rotation and the next append
+	cw countingWriter
+	// bw lives as long as the tenant and is reset onto each new segment;
+	// it holds its 64 KiB write buffer and borrows each block's buffer
+	// only for the append.
 	bw       *stream.BlockWriter
 	segStart uint64 // stream position of the current segment's first edge
 	pos      uint64 // stream position after the last appended block
@@ -157,7 +160,9 @@ type walWriter struct {
 }
 
 func newWALWriter(dir, name string, start uint64, policy FsyncPolicy, faults *faultInjector) *walWriter {
-	return &walWriter{dir: dir, name: name, policy: policy, faults: faults, segStart: start, pos: start}
+	w := &walWriter{dir: dir, name: name, policy: policy, faults: faults, segStart: start, pos: start}
+	w.bw = stream.NewBlockWriter(&w.cw)
+	return w
 }
 
 // openSegment starts the segment whose first edge is the current
@@ -178,8 +183,8 @@ func (w *walWriter) openSegment() error {
 		}
 	}
 	w.f = f
-	w.cw = &countingWriter{f: f, faults: w.faults}
-	w.bw = stream.NewBlockWriter(w.cw)
+	w.cw = countingWriter{f: f, faults: w.faults}
+	w.bw.Reset(&w.cw)
 	w.segStart = w.pos
 	return nil
 }
@@ -219,17 +224,18 @@ func (w *walWriter) append(batch []graph.Edge) error {
 
 // retireLocked cuts the current segment back to size bytes, its length
 // before a failed append, and closes it; the next append starts a fresh
-// segment. (Truncating alone is not enough: cutting back to zero bytes
-// would desynchronize the block writer's already-written stream
-// header.) Best-effort by design — if the truncate fails the segment
-// keeps bytes past the position, exactly the tail recovery already
-// truncates.
+// segment, and resetting the block writer onto it drops whatever the
+// failed append left buffered. (Truncating alone is not enough: cutting
+// back to zero bytes would desynchronize the block writer's
+// already-written stream header.) Best-effort by design — if the
+// truncate fails the segment keeps bytes past the position, exactly the
+// tail recovery already truncates.
 func (w *walWriter) retireLocked(size int64) {
 	if w.faults.failed() == nil {
 		w.f.Truncate(size)
 	}
 	w.f.Close()
-	w.f, w.cw, w.bw = nil, nil, nil
+	w.f = nil
 	w.dirty = false
 }
 
@@ -274,7 +280,7 @@ func (w *walWriter) rotate() error {
 		return err
 	}
 	err := w.f.Close()
-	w.f, w.cw, w.bw = nil, nil, nil
+	w.f = nil
 	w.segStart = w.pos
 	w.dirty = false
 	return err
@@ -294,6 +300,6 @@ func (w *walWriter) close() error {
 	if cerr := w.f.Close(); err == nil {
 		err = cerr
 	}
-	w.f, w.cw, w.bw = nil, nil, nil
+	w.f = nil
 	return err
 }

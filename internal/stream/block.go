@@ -156,6 +156,7 @@ func buildBlockConfig(opts []BlockOption) blockConfig {
 // block with its computed bounds and checksum. Self loops are dropped
 // at write time, matching every other encoder. Close flushes the final
 // (possibly partial) block; it does not close the underlying writer.
+// Reset starts a new stream over another writer, keeping the buffers.
 type BlockWriter struct {
 	bw      *bufio.Writer
 	cfg     blockConfig
@@ -167,6 +168,17 @@ type BlockWriter struct {
 // NewBlockWriter returns a BlockWriter over w.
 func NewBlockWriter(w io.Writer, opts ...BlockOption) *BlockWriter {
 	return &BlockWriter{bw: bufio.NewWriterSize(w, 1<<16), cfg: buildBlockConfig(opts)}
+}
+
+// Reset rebinds the writer to dst as the start of a new stream: records
+// buffered by Write and bytes not yet flushed, a failed write's included,
+// are discarded, and the next block is preceded by the stream magic
+// again. The writer's buffers are kept, so one BlockWriter can serve a
+// sequence of files (the serving layer's WAL segments).
+func (w *BlockWriter) Reset(dst io.Writer) {
+	w.bw.Reset(dst)
+	w.pending = w.pending[:0]
+	w.hdrDone = false
 }
 
 // Write buffers one edge, emitting a block when the target is reached.
@@ -303,10 +315,11 @@ func ReadBlockBinaryEdges(r io.Reader) ([]TimestampedEdge, error) {
 	}
 }
 
-// blockBufPool recycles block payload buffers across views: with the
-// per-source credit budget bounding views in flight, a k-way merge's
-// steady state circulates ~3 buffers per source through this pool,
-// whatever the source's format.
+// blockBufPool recycles block payload buffers across views and WAL
+// appends: with the per-source credit budget bounding views in flight, a
+// k-way merge's steady state circulates ~3 buffers per source through
+// this pool, whatever the source's format, and AppendEdgeBlock borrows
+// one per append.
 var blockBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 16*DefaultBlockRecords); return &b }}
 
 func getBlockBuf(n int) []byte {

@@ -63,14 +63,34 @@ func elemState(el *chainElem) uint8 {
 	return st
 }
 
-// WriteTo serializes the windowed counter (the NSTW envelope, version 2).
-// It implements io.WriterTo.
+// elemLen is the length of one version-2 chain element, and estTrailerLen
+// that of an estimator block's chainLen, next and replace fields.
+const (
+	elemLen       = 4 + 4 + 8 + 8 + 4 + 4 + 1
+	estTrailerLen = 4 + 8 + 8
+)
+
+// WriteTo serializes the windowed counter (the NSTW envelope, version 2)
+// in one buffer, written once: w's spare capacity when w offers room for
+// the whole envelope through AvailableBuffer (a bytes.Buffer or
+// bufio.Writer with room), so the write copies nothing new, else a fresh
+// one of the envelope's size. It implements io.WriterTo.
 func (c *Counter) WriteTo(w io.Writer) (int64, error) {
 	rngBytes, err := c.rng.MarshalBinary()
 	if err != nil {
 		return 0, err
 	}
+	need := 4 + 4 + 8 + 8 + 8 + 4 + len(rngBytes)
+	for i := range c.ests {
+		need += estTrailerLen + elemLen*len(c.ests[i].chain)
+	}
 	var buf []byte
+	if ab, ok := w.(interface{ AvailableBuffer() []byte }); ok {
+		buf = ab.AvailableBuffer()
+	}
+	if cap(buf) < need {
+		buf = make([]byte, 0, need)
+	}
 	le := binary.LittleEndian
 	buf = append(buf, serWindowMagic[:]...)
 	buf = le.AppendUint32(buf, serWindowVersion)

@@ -62,6 +62,31 @@ func TestSerializeRoundTripBitIdentical(t *testing.T) {
 	}
 }
 
+// TestSerializeIntoSpareCapacity checks that WriteTo builds its envelope
+// in the spare capacity of a destination with room for exactly it, after
+// the bytes it already holds: the same bytes, and no allocation, so its
+// size computation matches what it writes.
+func TestSerializeIntoSpareCapacity(t *testing.T) {
+	edges := stream.Shuffle(gen.HolmeKim(randx.New(3), 400, 3, 0.6), randx.New(4))
+	c := NewCounter(60, 150, 5)
+	c.AddBatch(edges[:len(edges)/2])
+	want := encode(t, c)
+	buf := bytes.NewBuffer(make([]byte, 0, len("head")+len(want)))
+	buf.WriteString("head")
+	allocs := testing.AllocsPerRun(20, func() {
+		buf.Truncate(len("head"))
+		if _, err := c.WriteTo(buf); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got := buf.Bytes(); string(got[:4]) != "head" || !bytes.Equal(got[4:], want) {
+		t.Fatal("WriteTo into spare capacity wrote different bytes")
+	}
+	if allocs > 0 {
+		t.Errorf("WriteTo into a buffer with room made %v allocations, want none", allocs)
+	}
+}
+
 func TestSerializeEmptyCounterRoundTrip(t *testing.T) {
 	c := NewCounter(5, 32, 9)
 	restored, err := ReadCounterFrom(bytes.NewReader(encode(t, c)))
