@@ -155,13 +155,14 @@ func (s *Server) restoreAndReplay(name string, cfg CounterConfig, gen *generatio
 
 // replayWAL feeds the logged batches past base into the tenant's
 // counter, one AddBatch per block — the same boundaries the original
-// ingest used — decoding each block into the tenant's ingest buffer. A torn tail (truncated or checksum-failed block) ends a
-// segment's valid prefix; it is acceptable exactly when a later segment
-// picks up at that position (the writer retired the segment after a
-// failed append) or when it is the newest segment (the crash tore the
-// end of the log). Anything else — a gap between segments, a segment
-// starting past the checkpoint with nothing bridging to it, structural
-// corruption mid-log — fails the candidate.
+// ingest used — decoding each block into the tenant's ingest buffer. A
+// torn tail (truncated or checksum-failed block) ends a segment's valid
+// prefix; it is acceptable exactly when a later segment picks up at that
+// position (the writer retired the segment after a failed append) or
+// when it is the newest segment (the crash tore the end of the log).
+// Anything else — a gap between segments, a segment starting past the
+// checkpoint with nothing bridging to it, structural corruption mid-log
+// — fails the candidate.
 func (s *Server) replayWAL(t *tenant, base uint64) error {
 	segs, err := listWALSegments(s.dataDir, t.name)
 	if err != nil {
@@ -184,11 +185,9 @@ func (s *Server) replayWAL(t *tenant, base uint64) error {
 	}
 	segs = segs[k:]
 	pos := segs[0].start
-	// A block longer than w, which this build never logs, grows the
-	// decode buffer; ingest cuts its batches at len(t.batch), which must
-	// stay w.
+	// Blocks decode into the ingest buffer's array; t.batch itself keeps
+	// its length w, where ingest cuts its batches.
 	buf := t.batch[:0]
-	defer func() { t.batch = buf[:len(t.batch)] }()
 	for i, seg := range segs {
 		if seg.start != pos {
 			return fmt.Errorf("segment %s does not continue from position %d", filepath.Base(seg.path), pos)
