@@ -326,7 +326,10 @@ func getBlockBuf(n int) []byte {
 	bp := blockBufPool.Get().(*[]byte)
 	b := *bp
 	if cap(b) < n {
-		return make([]byte, n)
+		// Room for a block header past n, so a buffer drawn for a
+		// block's payload also fits AppendEdgeBlock's header and records
+		// for a batch of as many edges.
+		return make([]byte, n, n+blockHeaderSize)
 	}
 	return b[:n]
 }

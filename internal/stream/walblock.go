@@ -40,11 +40,11 @@ const EdgeBlockRecordBytes = minCompressedRecord
 // buffer toward the block target, and mixing the two would tear a
 // buffered block in half.
 //
-// The records are encoded into a payload buffer borrowed from the pool
-// the block readers draw theirs from (a replayed block's buffer fits the
-// append of a batch of its size), and handed back before AppendEdgeBlock
-// returns, so between appends the writer holds only its 64 KiB write
-// buffer, nothing that scales with the batch.
+// The block is built in a buffer borrowed from the pool the block
+// readers draw their payloads from (a buffer a replayed block was read
+// into fits the append of a batch of its size), and handed back before
+// AppendEdgeBlock returns, so between appends the writer holds only its
+// 64 KiB write buffer, nothing that scales with the batch.
 func (w *BlockWriter) AppendEdgeBlock(batch []graph.Edge) error {
 	if len(w.pending) > 0 {
 		return fmt.Errorf("stream: AppendEdgeBlock with %d records buffered by Write", len(w.pending))
@@ -55,28 +55,24 @@ func (w *BlockWriter) AppendEdgeBlock(batch []graph.Edge) error {
 	if err := w.writeHeaderOnce(); err != nil {
 		return err
 	}
-	// The header goes out first but is filled last, since its checksum
-	// covers the records.
-	payload := getBlockBuf(EdgeBlockRecordBytes * len(batch))
-	defer putBlockBuf(payload)
-	p := 0
+	// Header and records share one pooled buffer; the header is filled
+	// last, since its checksum covers the records.
+	buf := getBlockBuf(blockHeaderSize + EdgeBlockRecordBytes*len(batch))
+	defer putBlockBuf(buf)
+	p := blockHeaderSize
 	for _, e := range batch {
 		if e.U == e.V {
 			continue
 		}
-		rec := payload[p : p+EdgeBlockRecordBytes]
+		rec := buf[p : p+EdgeBlockRecordBytes]
 		binary.LittleEndian.PutUint32(rec[0:4], e.U)
 		binary.LittleEndian.PutUint32(rec[4:8], e.V)
 		rec[8] = 0 // zigzag varint of the zero delta
 		p += EdgeBlockRecordBytes
 	}
-	if p > 0 {
-		var hdr [blockHeaderSize]byte
-		putBlockHeader(hdr[:], p/EdgeBlockRecordBytes, blockFlagDeltaTS, payload[:p], 0, 0)
-		if _, err := w.bw.Write(hdr[:]); err != nil {
-			return err
-		}
-		if _, err := w.bw.Write(payload[:p]); err != nil {
+	if n := (p - blockHeaderSize) / EdgeBlockRecordBytes; n > 0 {
+		putBlockHeader(buf, n, blockFlagDeltaTS, buf[blockHeaderSize:p], 0, 0)
+		if _, err := w.bw.Write(buf[:p]); err != nil {
 			return err
 		}
 	}
