@@ -502,10 +502,11 @@
 // else that scales with r or w: the handler's 64 KiB body reader, each
 // WAL block's encode buffer and each checkpoint's serialization buffer
 // are borrowed from pools and returned when the request, the append or
-// the checkpoint's file write is done; a tenant's log keeps one block
-// writer (a 64 KiB write buffer) across segment rotations; and recovery
-// replays the log into the ingest buffer. So at steady state ingest,
-// checkpoints, rotations and recovery allocate nothing r- or w-sized.
+// the checkpoint's file write is done, and a tenant's log keeps one
+// block writer (a 64 KiB write buffer) across segment rotations. So at
+// steady state ingest, checkpoints and rotations allocate nothing r- or
+// w-sized, and recovery allocates no more than the counter and the
+// ingest buffer: its WAL replay decodes into the latter.
 // Every v2 reader reads both block layouts, so recovery also replays
 // logs that earlier builds wrote at 16 bytes per edge, and earlier
 // builds replay the 9-byte log. Under the default -wal-sync always the

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -51,16 +52,16 @@ func allocatedDuring(f func()) uint64 {
 // TestServeSteadyStateAllocationBound holds a durable server's steady
 // state to what it must allocate anyway: the counters' own per-batch
 // allocations, the HTTP plumbing and the file operations, nothing that
-// scales with r or w. It runs one whole-stream tenant at r = w/8 (the
-// default batch size) and one windowed tenant at window-reads' r = 64
-// with a window of w edges (full from the first body on, so its engine
-// allocates only the chain elements it samples), at w = 8,192 and
-// w = 65,536. After one warm-up cycle, each cycle POSTs
-// one w-edge body per tenant and checkpoints; the mean allocation per
-// cycle must stay under steadyAllocBound. Then a WAL tail is left past
-// the last checkpoint, the server is abandoned as by kill -9, and the
-// first POST per tenant after recovery must stay under the same bound:
-// recovery replays into the ingest buffer the POST then fills.
+// scales with r or w. It runs one whole-stream tenant at r = w/8 (so w
+// is its default batch size) and one windowed tenant at window-reads'
+// r = 64 with a window of w edges (full from the first body on, so its
+// engine allocates only the chain elements it samples), at w = 8,192
+// and w = 65,536. After one warm-up cycle, each cycle POSTs one w-edge
+// body per tenant and checkpoints; the mean allocation per cycle must
+// stay under steadyAllocBound. Then a WAL tail is left past the last
+// checkpoint, the server is abandoned as by kill -9, and the first POST
+// per tenant after recovery must stay under the same bound: recovery
+// replays into the ingest buffer the POST then fills.
 //
 // GC is off for the measured stretches, so the pools the server borrows
 // from keep what the last cycle returned, and GOMAXPROCS is 1, so each
@@ -175,9 +176,9 @@ func checkSteadyStateAllocs(t *testing.T, w int) {
 
 // createCounterVia creates tenant name through h in process.
 func createCounterVia(h http.Handler, name string, cfg CounterConfig) int {
-	body := fmt.Sprintf(`{"r":%d,"window":%d,"seed":%d,"batch_size":%d}`, cfg.R, cfg.Window, cfg.Seed, cfg.BatchSize)
+	body, _ := json.Marshal(cfg)
 	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPut, "/v1/counters/"+name, bytes.NewBufferString(body)))
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPut, "/v1/counters/"+name, bytes.NewReader(body)))
 	return rec.Code
 }
 
