@@ -506,10 +506,10 @@
 // block writer (a 64 KiB write buffer) across segment rotations. So at
 // steady state ingest, checkpoints and rotations allocate nothing r- or
 // w-sized, and recovery allocates no more than the counter and the
-// ingest buffer: its WAL replay decodes into the latter.
-// Every v2 reader reads both block layouts, so recovery also replays
-// logs that earlier builds wrote at 16 bytes per edge, and earlier
-// builds replay the 9-byte log. Under the default -wal-sync always the
+// ingest buffer: its WAL replay decodes into the latter. Every v2
+// reader reads both block layouts, so recovery also replays logs that
+// earlier builds wrote at 16 bytes per edge, and earlier builds replay
+// the 9-byte log. Under the default -wal-sync always the
 // segment is fsynced before the ack, so the 200 means "on disk", not
 // "in page cache". -wal-sync interval trades that
 // for one background fsync per -wal-sync-interval (bounding loss to the
