@@ -238,11 +238,15 @@ func TestServeConcurrentCheckpointsDuringIngest(t *testing.T) {
 		}()
 	}
 	for _, ct := range tenants {
+		bodies := make([][]byte, len(ct.bodies))
+		for k, edges := range ct.bodies {
+			bodies[k] = binaryBody(t, edges).Bytes()
+		}
 		ingest.Add(1)
 		go func() {
 			defer ingest.Done()
-			for _, body := range ct.bodies {
-				if err := postBinary(h, ct.name, binaryBody(t, body).Bytes()); err != nil {
+			for _, body := range bodies {
+				if err := postBinary(h, ct.name, body); err != nil {
 					t.Error(err)
 					return
 				}
