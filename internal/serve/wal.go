@@ -148,7 +148,7 @@ type walWriter struct {
 	faults *faultInjector
 
 	mu sync.Mutex
-	f  *os.File // the current segment; nil between a rotation and the next append
+	f  *os.File // the current segment; nil until the next append opens one
 	cw countingWriter
 	// bw lives as long as the tenant and is reset onto each new segment;
 	// it holds its 64 KiB write buffer and borrows each block's buffer
