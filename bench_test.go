@@ -221,7 +221,7 @@ func BenchmarkLevel1Skip(b *testing.B) {
 // BenchmarkParallelAddBatch measures the ParallelTriangleCounter intake
 // end to end: Add buffers every edge and each full buffer takes the bulk
 // path. The per-implementation cells live in internal/bench
-// (BenchmarkAddBatchFlat) and are committed as BENCH_core.json.
+// (BenchmarkAddBatchFlat) and are recorded in BENCH_core.txt.
 func BenchmarkParallelAddBatch(b *testing.B) {
 	d := bench.Get("livejournal-sim")
 	edges := bench.ShuffledTrialStream(d, 0)

@@ -1,20 +1,20 @@
 // Command benchcheck is the CI bench-regression gate: it compares a
-// freshly measured benchmark report against the committed
-// BENCH_core.json baseline and exits non-zero when any cell's throughput
-// collapses below the failure tolerance.
+// fresh `go test -bench` run of internal/bench against the committed
+// BENCH_core.txt baseline, both in Go's benchmark text format, and exits
+// non-zero when any cell's median throughput collapses below the
+// failure tolerance.
 //
 // Usage (what `make bench-check` runs):
 //
-//	benchcheck -baseline BENCH_core.json -fresh BENCH_fresh.json
+//	benchcheck -baseline BENCH_core.txt -fresh BENCH_fresh.txt
 //
 // Tolerances are generous by design — CI hardware is noisy and slower
 // than the machine that recorded the baseline — so the gate trips on
-// architectural regressions, not jitter: by default a cell fails below
-// 0.5× the committed edges/sec and warns below 0.8×.
+// architectural regressions, not jitter: a cell fails below 0.5× the
+// committed edges/sec and warns below 0.8×.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -22,11 +22,14 @@ import (
 	"streamtri/internal/bench"
 )
 
+const (
+	failBelow = 0.5 // fail when fresh/baseline edges/sec falls below this
+	warnBelow = 0.8 // warn below this
+)
+
 func main() {
-	baselinePath := flag.String("baseline", "BENCH_core.json", "committed baseline report")
-	freshPath := flag.String("fresh", "BENCH_fresh.json", "freshly measured report")
-	failBelow := flag.Float64("fail", 0.5, "fail when fresh/baseline edges/sec falls below this ratio")
-	warnBelow := flag.Float64("warn", 0.8, "warn when fresh/baseline edges/sec falls below this ratio")
+	baselinePath := flag.String("baseline", "BENCH_core.txt", "committed baseline run")
+	freshPath := flag.String("fresh", "BENCH_fresh.txt", "freshly measured run")
 	flag.Parse()
 
 	baseline, err := readReport(*baselinePath)
@@ -38,13 +41,9 @@ func main() {
 		fatal(err)
 	}
 
-	rep := bench.CompareReports(baseline, fresh, *failBelow, *warnBelow)
+	rep := bench.CompareReports(baseline, fresh, failBelow, warnBelow)
 	fmt.Printf("bench-regression gate: %s (baseline) vs %s (fresh), fail < %.2fx, warn < %.2fx\n",
-		*baselinePath, *freshPath, *failBelow, *warnBelow)
-	if baseline.NumCPU != fresh.NumCPU || baseline.GoVersion != fresh.GoVersion {
-		fmt.Printf("note: baseline recorded on %s/%d CPUs, fresh on %s/%d CPUs\n",
-			baseline.GoVersion, baseline.NumCPU, fresh.GoVersion, fresh.NumCPU)
-	}
+		*baselinePath, *freshPath, failBelow, warnBelow)
 	rep.Format(os.Stdout)
 	if path := os.Getenv("GITHUB_STEP_SUMMARY"); path != "" {
 		if err := appendMarkdownSummary(path, rep); err != nil {
@@ -76,13 +75,14 @@ func appendMarkdownSummary(path string, rep bench.RegressReport) error {
 }
 
 func readReport(path string) (bench.CoreBenchReport, error) {
-	var rep bench.CoreBenchReport
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
-		return rep, err
+		return bench.CoreBenchReport{}, err
 	}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return rep, fmt.Errorf("%s: %v", path, err)
+	defer f.Close()
+	rep, err := bench.ParseBenchOutput(f)
+	if err != nil {
+		return rep, fmt.Errorf("%s: %w", path, err)
 	}
 	if len(rep.Rows) == 0 {
 		return rep, fmt.Errorf("%s: no benchmark rows", path)

@@ -100,7 +100,7 @@
 // widths, Add, and counters restored from shard checkpoints. A
 // many-core deployment that wants the estimator passes in parallel
 // should measure against this sequential baseline first. Cells tracked
-// in BENCH_core.json measure these paths; regenerate with `make
+// in BENCH_core.txt measure these paths; regenerate with `make
 // bench-core`. BenchmarkBulkLoadAddBatch in internal/bench prices
 // Counter.AddBatch at bulk-load's shape, and the AddBatch cells report
 // process CPU ns per edge beside wall time.
@@ -208,7 +208,7 @@
 // and the counter remains valid (reflecting exactly the edges absorbed)
 // after a failed or cancelled stream. StreamStats prices I/O+decode
 // separately from wall time, in the spirit of the paper's Table 3; the
-// end-to-end gain over slurp-then-count is tracked in BENCH_core.json
+// end-to-end gain over slurp-then-count is tracked in BENCH_core.txt
 // and gated in CI (`make bench-check`).
 //
 // # Text format and bulk decoding
@@ -223,7 +223,7 @@
 // interface and the bulk scanner the pipeline prefers, which scans
 // whole buffered windows in one fused loop — share one line parser and
 // are bit-identical on every input; the bulk path's throughput gain over
-// per-edge decoding is a tracked BENCH_core.json cell. The temporal
+// per-edge decoding is a tracked BENCH_core.txt cell. The temporal
 // three-column format has the same two paths, the same guarantee, and
 // its own fused window scanner; the plain and timestamped bulk decoders
 // share a single window-maintenance loop (refill, spill, unterminated
@@ -258,10 +258,10 @@
 // while one stalls, whereas the block merge waits for the slowest
 // source's next block, and it pays CPU for determinism — every record is
 // encoded into a block and copied out again (the MultiPipelinedCount
-// cell of BENCH_core.json tracks it). That does not matter for the
+// cell of BENCH_core.txt tracks it). That does not matter for the
 // multi-source traffic that exists: cmd/trict's repeated -i and
-// examples/multifile read files, and cmd/trictd sends each request body
-// through the single-source CountStream.
+// examples/multifile read files, and cmd/trictd's ingest handler fills
+// each tenant's batch straight from one request body.
 //
 // # Temporal streams and ordered multi-file ingestion
 //
@@ -305,7 +305,7 @@
 // source-tagged ring, flow-controlled by per-source credits, rather
 // than one channel per source.
 //
-// Guidance on k: the merge's cost is tracked in BENCH_core.json on
+// Guidance on k: the merge's cost is tracked in BENCH_core.txt on
 // worst-case (perfectly alternating, run length 1) timestamped shards —
 // the OrderedMergedCount cells at k = 2, 8 and 64 — and grows by only a
 // few ns/edge per tournament level out to k=64,
@@ -477,7 +477,7 @@
 // lock, queries never stall ingestion, and ingestion bursts never
 // stall queries. The cost to the ingest path is one fixed-size
 // allocation per batch; the ServeIngestUnderReaders cell in
-// BENCH_core.json tracks ingest throughput with concurrent readers
+// BENCH_core.txt tracks ingest throughput with concurrent readers
 // polling.
 //
 // trictd publishes every tenant's estimates at each batch boundary,

@@ -2,16 +2,14 @@ package bench
 
 import (
 	"fmt"
-	"os"
 	"testing"
 
 	"streamtri/internal/core"
 )
 
-// Benchmarks for the map-free AddBatch hot path across w ∈ {r/4, r, 4r}.
-// `make bench-core` runs the same cells through RunCoreBenchSuite and
-// commits the results as BENCH_core.json. (The map-based baseline cells
-// were retired together with the WithMapScratch path itself.)
+// Benchmarks for the map-free AddBatch hot path, across w ∈ {r/4, r, 4r}
+// and at bulk-load's shape. `make bench-core` records the AddBatchFlat
+// cells in BENCH_core.txt, the baseline of `make bench-check`.
 
 const (
 	coreBenchR     = 4096
@@ -34,29 +32,6 @@ func BenchmarkBulkLoadAddBatch(b *testing.B) {
 	b.Run(fmt.Sprintf("r=%d/w=%d", bulkLoadR, bulkLoadW), func(b *testing.B) {
 		BenchCoreBulkLoad(b, edges)
 	})
-}
-
-func BenchmarkServeIngestUnderReaders(b *testing.B) {
-	data := EncodeBinaryEdges(CoreBenchStream(coreBenchEdges))
-	r, w := PipeBenchR, 8*PipeBenchR
-	b.Run(fmt.Sprintf("readers=%d/r=%d/w=%d", ServeBenchReaders, r, w), func(b *testing.B) {
-		BenchServeIngestUnderReaders(b, data, w, 2, ServeBenchReaders, core.NewCounter(r, 1))
-	})
-}
-
-// TestWriteCoreBenchJSON regenerates BENCH_core.json when the
-// STREAMTRI_BENCH_JSON environment variable names the output path
-// (`make bench-core`). Skipped otherwise: full measurement runs do not
-// belong in the default test suite.
-func TestWriteCoreBenchJSON(t *testing.T) {
-	path := os.Getenv("STREAMTRI_BENCH_JSON")
-	if path == "" {
-		t.Skip("set STREAMTRI_BENCH_JSON=<path> to regenerate the core benchmark report")
-	}
-	if err := WriteCoreBenchJSON(path, coreBenchR, coreBenchEdges); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s", path)
 }
 
 // TestCoreBenchPlumbing keeps the benchmark helpers honest under plain

@@ -10,11 +10,19 @@ import (
 	"streamtri/internal/stream"
 )
 
-// Benchmarks for the pipelined ingestion subsystem: decode+count over
-// the binary edge format, slurp-then-count (the pre-pipeline
-// architecture) vs stream.Pipeline. `make bench-core` folds the same
-// cells into BENCH_core.json.
+// Benchmarks for the ingestion pipeline: decode+count over the binary
+// formats, slurp-then-count (the pre-pipeline architecture) against
+// stream.Pipeline and the multi-file merges, and the decoders alone.
+// Every cell here is gated: `make bench-core` records its Medges/s in
+// BENCH_core.txt. `go test -bench` runs them in file order, nearly the
+// order the baseline was recorded in; keep it, since the decode cells
+// read about 10% lower when they follow the v2 merge cells. The
+// single-source cells run the pipeline at the minimum ring depth, 2,
+// which is all a steady-state consumer needs.
 
+// BenchmarkSlurpThenCount is the bar for the pipeline cells: decoding
+// and counting overlapped, with the recycle ring's allocation-free
+// decode, must beat materializing the stream first.
 func BenchmarkSlurpThenCount(b *testing.B) {
 	data := EncodeBinaryEdges(CoreBenchStream(PipeBenchEdges))
 	b.Run(fmt.Sprintf("r=%d/w=%d", PipeBenchR, 8*PipeBenchR), func(b *testing.B) {
@@ -29,6 +37,11 @@ func BenchmarkPipelinedCount(b *testing.B) {
 	})
 }
 
+// BenchmarkMultiPipelinedCount merges the stream's two halves. On a
+// runner with few CPUs it measures the merge layer's overhead, not I/O
+// parallelism: the decoder goroutines share the cores with the merger
+// and the counter, so expect bulk decode to hold up across sources, not
+// a files× speedup.
 func BenchmarkMultiPipelinedCount(b *testing.B) {
 	data := EncodeBinaryEdges(CoreBenchStream(PipeBenchEdges))
 	half := (PipeBenchEdges / 2) * 8
@@ -37,6 +50,12 @@ func BenchmarkMultiPipelinedCount(b *testing.B) {
 	})
 }
 
+// BenchmarkOrderedMergedCount merges the stream dealt round-robin into
+// k timestamped shards, the worst case for the gallop (alternation on
+// every edge). At k = 8 and 64 it prices the loser tree's replay cost
+// growing with log k; the scaling claim is that ns/edge grows
+// sublinearly in log k (one comparison per tree level, against a binary
+// heap's two).
 func BenchmarkOrderedMergedCount(b *testing.B) {
 	for _, k := range []int{2, 8, 64} {
 		shards := EncodeTimestampedShards(CoreBenchStream(PipeBenchEdges), k)
@@ -53,15 +72,47 @@ func BenchmarkWatermarkedCount(b *testing.B) {
 	})
 }
 
-func BenchmarkOrderedMergedCountV2(b *testing.B) {
-	for _, k := range []int{2, 8, 64} {
-		shards := EncodeBlockShards(CoreBenchStream(PipeBenchEdges), k)
-		b.Run(fmt.Sprintf("files=%d/r=%d/w=%d", k, PipeBenchR, 8*PipeBenchR), func(b *testing.B) {
-			BenchOrderedBlockPipelined(b, shards, PipeBenchEdges, 8*PipeBenchR, core.NewCounter(PipeBenchR, 1))
-		})
-	}
+// BenchmarkTextDecodePerEdge and BenchmarkTextDecodeBulk price the text
+// decoder alone, into a discard sink: the counting cost is the same on
+// both paths and the binary cells track it. Acceptance for the bulk
+// window scanner: at least 1.3× the edges/s of the per-edge Next path.
+func BenchmarkTextDecodePerEdge(b *testing.B) {
+	data := EncodeTextEdges(CoreBenchStream(PipeBenchEdges))
+	b.Run(fmt.Sprintf("w=%d", 8*PipeBenchR), func(b *testing.B) {
+		BenchTextPipelined(b, data, 8*PipeBenchR, PipeBenchEdges, discardSink{}, false)
+	})
 }
 
+func BenchmarkTextDecodeBulk(b *testing.B) {
+	data := EncodeTextEdges(CoreBenchStream(PipeBenchEdges))
+	b.Run(fmt.Sprintf("w=%d", 8*PipeBenchR), func(b *testing.B) {
+		BenchTextPipelined(b, data, 8*PipeBenchR, PipeBenchEdges, discardSink{}, true)
+	})
+}
+
+// BenchmarkTsTextDecodePerEdge and BenchmarkTsTextDecodeBulk are the
+// text pair on temporal lines. Acceptance for the fused three-column
+// scanner: at least 1.8× the per-edge cell, and close to the plain bulk
+// cell (the gap being the third column's bytes).
+func BenchmarkTsTextDecodePerEdge(b *testing.B) {
+	data := EncodeTimestampedTextEdges(CoreBenchStream(PipeBenchEdges))
+	b.Run(fmt.Sprintf("w=%d", 8*PipeBenchR), func(b *testing.B) {
+		BenchTsTextPipelined(b, data, 8*PipeBenchR, PipeBenchEdges, discardSink{}, false)
+	})
+}
+
+func BenchmarkTsTextDecodeBulk(b *testing.B) {
+	data := EncodeTimestampedTextEdges(CoreBenchStream(PipeBenchEdges))
+	b.Run(fmt.Sprintf("w=%d", 8*PipeBenchR), func(b *testing.B) {
+		BenchTsTextPipelined(b, data, 8*PipeBenchR, PipeBenchEdges, discardSink{}, true)
+	})
+}
+
+// BenchmarkTsBinaryDecodeBulk and BenchmarkBlockDecodeBulk price the
+// binary formats' bulk decoders alone, timestamps stripped, into a
+// discard sink: the v1 16-byte-record Peek/Discard scan, and the v2
+// path, one CRC pass and bounds check per block and then batch fills
+// straight out of the validated view.
 func BenchmarkTsBinaryDecodeBulk(b *testing.B) {
 	data := EncodeTimestampedShards(CoreBenchStream(PipeBenchEdges), 1)[0]
 	b.Run(fmt.Sprintf("w=%d", 8*PipeBenchR), func(b *testing.B) {
@@ -80,32 +131,17 @@ func BenchmarkBlockDecodeBulk(b *testing.B) {
 	})
 }
 
-func BenchmarkTextDecodePerEdge(b *testing.B) {
-	data := EncodeTextEdges(CoreBenchStream(PipeBenchEdges))
-	b.Run(fmt.Sprintf("w=%d", 8*PipeBenchR), func(b *testing.B) {
-		BenchTextPipelined(b, data, 8*PipeBenchR, PipeBenchEdges, discardSink{}, false)
-	})
-}
-
-func BenchmarkTextDecodeBulk(b *testing.B) {
-	data := EncodeTextEdges(CoreBenchStream(PipeBenchEdges))
-	b.Run(fmt.Sprintf("w=%d", 8*PipeBenchR), func(b *testing.B) {
-		BenchTextPipelined(b, data, 8*PipeBenchR, PipeBenchEdges, discardSink{}, true)
-	})
-}
-
-func BenchmarkTsTextDecodePerEdge(b *testing.B) {
-	data := EncodeTimestampedTextEdges(CoreBenchStream(PipeBenchEdges))
-	b.Run(fmt.Sprintf("w=%d", 8*PipeBenchR), func(b *testing.B) {
-		BenchTsTextPipelined(b, data, 8*PipeBenchR, PipeBenchEdges, discardSink{}, false)
-	})
-}
-
-func BenchmarkTsTextDecodeBulk(b *testing.B) {
-	data := EncodeTimestampedTextEdges(CoreBenchStream(PipeBenchEdges))
-	b.Run(fmt.Sprintf("w=%d", 8*PipeBenchR), func(b *testing.B) {
-		BenchTsTextPipelined(b, data, 8*PipeBenchR, PipeBenchEdges, discardSink{}, true)
-	})
+// BenchmarkOrderedMergedCountV2 reruns BenchmarkOrderedMergedCount on v2
+// shards, whose zero-copy block views skip the decode and re-encode the
+// v1 shards pay to reach the merge. Acceptance: the k = 64 cell within
+// 1.25× the ns/edge of the k = 2 cell.
+func BenchmarkOrderedMergedCountV2(b *testing.B) {
+	for _, k := range []int{2, 8, 64} {
+		shards := EncodeBlockShards(CoreBenchStream(PipeBenchEdges), k)
+		b.Run(fmt.Sprintf("files=%d/r=%d/w=%d", k, PipeBenchR, 8*PipeBenchR), func(b *testing.B) {
+			BenchOrderedBlockPipelined(b, shards, PipeBenchEdges, 8*PipeBenchR, core.NewCounter(PipeBenchR, 1))
+		})
+	}
 }
 
 // TestTextBenchEquivalence keeps the text cells honest: per-edge and

@@ -7,8 +7,19 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"streamtri/internal/core"
 	"streamtri/internal/serve"
 )
+
+// BenchmarkServeIngestUnderReaders runs at the (r, w) and on the stream
+// of the reader-free PipelinedCount cell, so the two compare directly.
+func BenchmarkServeIngestUnderReaders(b *testing.B) {
+	data := EncodeBinaryEdges(CoreBenchStream(PipeBenchEdges))
+	r, w := PipeBenchR, 8*PipeBenchR
+	b.Run(fmt.Sprintf("readers=%d/r=%d/w=%d", ServeBenchReaders, r, w), func(b *testing.B) {
+		BenchServeIngestUnderReaders(b, data, w, 2, ServeBenchReaders, core.NewCounter(r, 1))
+	})
+}
 
 // BenchmarkServeIngestCheckpoint prices trictd's intake in process at
 // perfbench bulk-load's shape: a durable whole-stream tenant at

@@ -2,10 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
-	"fmt"
-	"os"
-	"runtime"
 	"testing"
 	"time"
 
@@ -17,30 +13,7 @@ import (
 )
 
 // Core hot-path benchmarks: the flat AddBatch across batch sizes
-// w ∈ {r/4, r, 4r}. RunCoreBenchSuite renders the results as a
-// machine-readable report (BENCH_core.json) so successive PRs can track
-// the perf trajectory of the system's hottest path.
-
-// CoreBenchRow is one measured cell.
-type CoreBenchRow struct {
-	Name        string  `json:"name"`
-	Impl        string  `json:"impl"`
-	R           int     `json:"r"`
-	W           int     `json:"w"`
-	EdgesPerSec float64 `json:"edges_per_sec"`
-	NsPerEdge   float64 `json:"ns_per_edge"`
-	BytesPerOp  int64   `json:"bytes_per_op"`  // per batch
-	AllocsPerOp int64   `json:"allocs_per_op"` // per batch
-}
-
-// CoreBenchReport is the BENCH_core.json schema.
-type CoreBenchReport struct {
-	GoVersion   string         `json:"go_version"`
-	GOARCH      string         `json:"goarch"`
-	NumCPU      int            `json:"num_cpu"`
-	StreamEdges int            `json:"stream_edges"`
-	Rows        []CoreBenchRow `json:"rows"`
-}
+// w ∈ {r/4, r, 4r}, and AddBatch at perfbench bulk-load's shape.
 
 // CoreBenchStream returns the deterministic edge stream shared by all
 // core benchmarks: an Erdős–Rényi graph streamed in shuffled order.
@@ -98,17 +71,12 @@ func (m *cpuMeter) report(b *testing.B, edges float64) {
 	}
 }
 
-// BenchCoreAddBatch is the shared body of BenchmarkAddBatchFlat (and of
-// the JSON suite): b.N full passes of the stream through one persistent
-// counter, so scratch tables reach steady state and the reported B/op
-// reflects the per-batch allocation behavior.
-func BenchCoreAddBatch(b *testing.B, edges []graph.Edge, r, w int, opts ...core.Option) {
-	benchPasses(b, core.NewCounter(r, 1, opts...), edges, w)
-}
-
-// benchPasses times b.N passes of edges through c in batches of w, after
-// one untimed pass that warms the scratch tables.
-func benchPasses(b *testing.B, c *core.Counter, edges []graph.Edge, w int) {
+// BenchCoreAddBatch is the body of BenchmarkAddBatchFlat: b.N full
+// passes of the stream in batches of w through one persistent counter,
+// after one untimed pass, so scratch tables reach steady state and the
+// reported B/op reflects the per-batch allocation behavior.
+func BenchCoreAddBatch(b *testing.B, edges []graph.Edge, r, w int) {
+	c := core.NewCounter(r, 1)
 	streamInBatches(c, edges, w)
 	b.ReportAllocs()
 	var cpu cpuMeter
@@ -181,62 +149,4 @@ func BenchCoreBulkLoad(b *testing.B, edges []graph.Edge) {
 	cpu.stop()
 	b.StopTimer()
 	cpu.report(b, float64(w)*float64(b.N))
-}
-
-// RunCoreBenchSuite measures every cell with testing.Benchmark and
-// returns the report. batchesPerPass converts the per-pass Benchmark
-// numbers into per-batch B/op and allocs/op.
-func RunCoreBenchSuite(r, streamEdges int) CoreBenchReport {
-	edges := CoreBenchStream(streamEdges)
-	rep := CoreBenchReport{
-		GoVersion:   runtime.Version(),
-		GOARCH:      runtime.GOARCH,
-		NumCPU:      runtime.NumCPU(),
-		StreamEdges: len(edges),
-	}
-	cell := func(name, impl string, w int, res testing.BenchmarkResult) {
-		batches := (len(edges) + w - 1) / w
-		perPassNs := float64(res.NsPerOp())
-		rep.Rows = append(rep.Rows, CoreBenchRow{
-			Name:        name,
-			Impl:        impl,
-			R:           r,
-			W:           w,
-			EdgesPerSec: float64(len(edges)) / (perPassNs / 1e9),
-			NsPerEdge:   perPassNs / float64(len(edges)),
-			BytesPerOp:  res.AllocedBytesPerOp() / int64(batches),
-			AllocsPerOp: res.AllocsPerOp() / int64(batches),
-		})
-	}
-	for _, w := range CoreBatchWidths(r) {
-		cell(fmt.Sprintf("AddBatchFlat/r=%d/w=%d", r, w), "flat", w,
-			testing.Benchmark(func(b *testing.B) { BenchCoreAddBatch(b, edges, r, w) }))
-	}
-	// End-to-end ingestion: decode+count over the binary format (the
-	// pre-pipeline slurp architecture vs the streaming pipeline vs the
-	// 2-file merged pipeline) and the text format (per-edge vs bulk
-	// scanner), in the throughput regime (r = PipeBenchR, w = 8r,
-	// PipeBenchEdges-long stream; see pipebench.go).
-	rep.Rows = append(rep.Rows, RunPipelineBenchCells(PipeBenchR, 8*PipeBenchR)...)
-	rep.Rows = append(rep.Rows, RunTextBenchCells(PipeBenchR, 8*PipeBenchR)...)
-	rep.Rows = append(rep.Rows, RunTsTextBenchCells(PipeBenchR, 8*PipeBenchR)...)
-	// The block-structured v2 binary format: decode-only cells against
-	// the v1 timestamped decoder, and the worst-case ordered-merge cells
-	// rerun on v2 shards through the block-granular merge path (see
-	// pipebench.go).
-	rep.Rows = append(rep.Rows, RunBlockBenchCells(PipeBenchR, 8*PipeBenchR)...)
-	// Serving: the pipelined ingest with concurrent snapshot readers
-	// polling estimates mid-stream (see servebench.go).
-	rep.Rows = append(rep.Rows, RunServeBenchCells(PipeBenchR, 8*PipeBenchR)...)
-	return rep
-}
-
-// WriteCoreBenchJSON runs the suite and writes the report to path.
-func WriteCoreBenchJSON(path string, r, streamEdges int) error {
-	rep := RunCoreBenchSuite(r, streamEdges)
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -3,8 +3,6 @@ package bench
 import (
 	"bytes"
 	"context"
-	"fmt"
-	"sort"
 	"testing"
 
 	"streamtri/internal/core"
@@ -101,93 +99,6 @@ func pipeOnePass(b *testing.B, data []byte, w, depth int, sink stream.Sink) {
 
 func reportEdgesPerSec(b *testing.B, edges int) {
 	b.ReportMetric(float64(edges)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Medges/s")
-}
-
-// medianBenchmark runs f several times and keeps the median-ns/op
-// result: single testing.Benchmark runs jitter several percent on busy
-// machines, and the committed baseline should record the typical cell,
-// not a lucky or unlucky draw.
-func medianBenchmark(runs int, f func(b *testing.B)) testing.BenchmarkResult {
-	results := make([]testing.BenchmarkResult, runs)
-	for i := range results {
-		results[i] = testing.Benchmark(f)
-	}
-	sort.Slice(results, func(i, j int) bool { return results[i].NsPerOp() < results[j].NsPerOp() })
-	return results[runs/2]
-}
-
-// benchRow converts one measured per-pass result into a report cell.
-func benchRow(name, impl string, m, r, w int, res testing.BenchmarkResult) CoreBenchRow {
-	batches := (m + w - 1) / w
-	perPassNs := float64(res.NsPerOp())
-	return CoreBenchRow{
-		Name:        name,
-		Impl:        impl,
-		R:           r,
-		W:           w,
-		EdgesPerSec: float64(m) / (perPassNs / 1e9),
-		NsPerEdge:   perPassNs / float64(m),
-		BytesPerOp:  res.AllocedBytesPerOp() / int64(batches),
-		AllocsPerOp: res.AllocsPerOp() / int64(batches),
-	}
-}
-
-// RunPipelineBenchCells measures the binary ingestion cells appended to
-// the BENCH_core.json report: slurp vs pipelined on the flat counter,
-// the 2-file block merge of plain sources
-// over the same edges split into halves, and the 2-file timestamp-ordered
-// merge over the same edges dealt round-robin. Acceptance for the pipelined design is
-// edges/sec(pipeline) / edges/sec(slurp) — the decode/count overlap plus
-// the recycle ring's zero-allocation decode must beat materializing the
-// stream. Each cell is the median of three measurement runs; the
-// single-source pipeline cells use the minimum ring depth (2), which is
-// all a steady-state consumer needs.
-//
-// On a runner with few CPUs the multi-file cell measures the merge
-// layer's overhead, not I/O parallelism: decoder goroutines share the
-// cores with the merger and the counter, so what to expect there is bulk
-// decode holding up across sources, not a files× speedup.
-func RunPipelineBenchCells(r, w int) []CoreBenchRow {
-	data := EncodeBinaryEdges(CoreBenchStream(PipeBenchEdges))
-	tsShards := EncodeTimestampedShards(CoreBenchStream(PipeBenchEdges), 2)
-	m := PipeBenchEdges
-	half := (m / 2) * 8 // byte offset splitting the stream into two files
-	const runs = 3
-	rows := []CoreBenchRow{
-		benchRow(fmt.Sprintf("SlurpThenCount/r=%d/w=%d", r, w), "slurp", m, r, w,
-			medianBenchmark(runs, func(b *testing.B) { BenchPipeSlurp(b, data, r, w) })),
-		benchRow(fmt.Sprintf("PipelinedCount/r=%d/w=%d", r, w), "pipeline", m, r, w,
-			medianBenchmark(runs, func(b *testing.B) {
-				BenchPipePipelined(b, data, w, 2, core.NewCounter(r, 1))
-			})),
-		benchRow(fmt.Sprintf("MultiPipelinedCount/files=2/r=%d/w=%d", r, w), "multi-pipeline", m, r, w,
-			medianBenchmark(runs, func(b *testing.B) {
-				BenchMultiPipelined(b, [][]byte{data[:half], data[half:]}, w, core.NewCounter(r, 1))
-			})),
-		benchRow(fmt.Sprintf("OrderedMergedCount/files=2/r=%d/w=%d", r, w), "ordered-pipeline", m, r, w,
-			medianBenchmark(runs, func(b *testing.B) {
-				BenchOrderedPipelined(b, tsShards, w, core.NewCounter(r, 1))
-			})),
-		benchRow(fmt.Sprintf("WatermarkedCount/files=2/r=%d/w=%d", r, w), "watermark-pipeline", m, r, w,
-			medianBenchmark(runs, func(b *testing.B) {
-				BenchWatermarkedPipelined(b, tsShards, w, core.NewCounter(r, 1))
-			})),
-	}
-	// Merge-scaling cells: the same stream dealt round-robin across 8 and
-	// 64 shards — still the worst case for the gallop (alternation on
-	// every edge), so what these cells price is the loser tree's replay
-	// cost growing with log k. The scaling claim: ns/edge grows
-	// sublinearly in log k (one comparison per tree level, against a
-	// binary heap's two).
-	for _, k := range []int{8, 64} {
-		shards := EncodeTimestampedShards(CoreBenchStream(PipeBenchEdges), k)
-		rows = append(rows,
-			benchRow(fmt.Sprintf("OrderedMergedCount/files=%d/r=%d/w=%d", k, r, w), "ordered-pipeline", m, r, w,
-				medianBenchmark(runs, func(b *testing.B) {
-					BenchOrderedPipelined(b, shards, w, core.NewCounter(r, 1))
-				})))
-	}
-	return rows
 }
 
 // EncodeTimestampedShards stamps edges with their stream index as the
@@ -355,47 +266,6 @@ func EncodeBlockShards(edges []graph.Edge, k int) [][]byte {
 	return out
 }
 
-// RunBlockBenchCells measures the block-structured v2 format against its
-// v1 counterparts. The decode pair prices the formats' bulk decoders
-// alone (discard sink, timestamps stripped): TsBinaryDecodeBulk is the
-// v1 16-byte-record Peek/Discard scan, BlockDecodeBulk the v2 path —
-// one CRC pass plus bounds validation per block, then batch fills
-// straight out of the validated view. The OrderedMergedCountV2 cells
-// rerun the worst-case round-robin merge cells on v2 shards, whose
-// zero-copy block views skip the decode-and-encode the v1 shards pay to
-// reach the merge; acceptance is the k=64 cell staying within 1.25× the
-// ns/edge of the k=2 cell.
-func RunBlockBenchCells(r, w int) []CoreBenchRow {
-	edges := CoreBenchStream(PipeBenchEdges)
-	m := PipeBenchEdges
-	const runs = 3
-	v1 := EncodeTimestampedShards(edges, 1)[0]
-	v2 := EncodeBlockShards(edges, 1)[0]
-	rows := []CoreBenchRow{
-		benchRow(fmt.Sprintf("TsBinaryDecodeBulk/w=%d", w), "ts-binary-bulk", m, r, w,
-			medianBenchmark(runs, func(b *testing.B) {
-				benchSourcePipelined(b, w, m, discardSink{}, func() stream.Source {
-					return stream.StripTimestamps(stream.NewTimestampedBinarySource(bytes.NewReader(v1)))
-				})
-			})),
-		benchRow(fmt.Sprintf("BlockDecodeBulk/w=%d", w), "block-bulk", m, r, w,
-			medianBenchmark(runs, func(b *testing.B) {
-				benchSourcePipelined(b, w, m, discardSink{}, func() stream.Source {
-					return stream.StripTimestamps(stream.NewBlockBinarySource(bytes.NewReader(v2)))
-				})
-			})),
-	}
-	for _, k := range []int{2, 8, 64} {
-		shards := EncodeBlockShards(edges, k)
-		rows = append(rows,
-			benchRow(fmt.Sprintf("OrderedMergedCountV2/files=%d/r=%d/w=%d", k, r, w), "ordered-block-pipeline", m, r, w,
-				medianBenchmark(runs, func(b *testing.B) {
-					BenchOrderedBlockPipelined(b, shards, m, w, core.NewCounter(r, 1))
-				})))
-	}
-	return rows
-}
-
 // BenchOrderedBlockPipelined is BenchOrderedPipelined over v2 shards:
 // every source is a block reader, so NewOrderedMultiPipeline merges its
 // validated views directly. The edge count cannot be derived from the byte
@@ -453,30 +323,6 @@ type discardSink struct{}
 
 func (discardSink) AddBatch([]graph.Edge) {}
 
-// RunTextBenchCells measures text-format decoding through the pipeline:
-// the per-edge Next path vs the bulk window scanner (TextSource.Fill),
-// both into a discard sink so the cells price exactly the decoder (the
-// counting cost is identical on both paths and tracked by the binary
-// ingestion cells; it would only dilute this comparison). Acceptance
-// for the bulk scanner is edges/sec(bulk) ≥ 1.3× the per-edge cell —
-// the fused whole-window line scan must decisively beat paying one
-// interface call and one ReadSlice per edge.
-func RunTextBenchCells(r, w int) []CoreBenchRow {
-	data := EncodeTextEdges(CoreBenchStream(PipeBenchEdges))
-	m := PipeBenchEdges
-	const runs = 3
-	return []CoreBenchRow{
-		benchRow(fmt.Sprintf("TextDecodePerEdge/w=%d", w), "text-per-edge", m, r, w,
-			medianBenchmark(runs, func(b *testing.B) {
-				BenchTextPipelined(b, data, w, m, discardSink{}, false)
-			})),
-		benchRow(fmt.Sprintf("TextDecodeBulk/w=%d", w), "text-bulk", m, r, w,
-			medianBenchmark(runs, func(b *testing.B) {
-				BenchTextPipelined(b, data, w, m, discardSink{}, true)
-			})),
-	}
-}
-
 // BenchTextPipelined measures pipelined text ingestion; bulk selects the
 // TextSource.Fill window scanner, otherwise the per-edge Next fallback.
 func BenchTextPipelined(b *testing.B, data []byte, w, m int, sink stream.Sink, bulk bool) {
@@ -532,30 +378,6 @@ func EncodeTimestampedTextEdges(edges []graph.Edge) []byte {
 		panic(err) // bytes.Buffer cannot fail
 	}
 	return buf.Bytes()
-}
-
-// RunTsTextBenchCells measures temporal text decoding through the
-// pipeline, mirroring the plain pair: the per-edge NextTimestamped path
-// vs the fused three-column window scanner (FillTimestamped), both
-// behind StripTimestamps into a discard sink so the cells price exactly
-// the decoder. Acceptance for the fused scanner is edges/sec(bulk) ≥
-// 1.8× the per-edge cell; the companion claim tracked against the plain
-// cells is temporal bulk decode approaching plain bulk decode (the
-// remaining gap being the third column's extra bytes).
-func RunTsTextBenchCells(r, w int) []CoreBenchRow {
-	data := EncodeTimestampedTextEdges(CoreBenchStream(PipeBenchEdges))
-	m := PipeBenchEdges
-	const runs = 3
-	return []CoreBenchRow{
-		benchRow(fmt.Sprintf("TsTextDecodePerEdge/w=%d", w), "ts-text-per-edge", m, r, w,
-			medianBenchmark(runs, func(b *testing.B) {
-				BenchTsTextPipelined(b, data, w, m, discardSink{}, false)
-			})),
-		benchRow(fmt.Sprintf("TsTextDecodeBulk/w=%d", w), "ts-text-bulk", m, r, w,
-			medianBenchmark(runs, func(b *testing.B) {
-				BenchTsTextPipelined(b, data, w, m, discardSink{}, true)
-			})),
-	}
 }
 
 // BenchTsTextPipelined measures pipelined temporal text ingestion; bulk

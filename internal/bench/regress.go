@@ -1,15 +1,81 @@
 package bench
 
 import (
+	"bufio"
 	"fmt"
 	"io"
+	"strconv"
+	"strings"
 )
 
-// Bench-regression gate: compare a freshly measured CoreBenchReport
-// against the committed BENCH_core.json baseline, cell by cell. The
-// tolerances are deliberately generous — CI machines are noisy and
-// heterogeneous — so the gate catches architectural regressions (a cell
-// collapsing to half its committed throughput), not jitter.
+// Bench-regression gate: compare a fresh `go test -bench` run against
+// the committed BENCH_core.txt baseline, cell by cell. The tolerances
+// are deliberately generous — CI machines are noisy and heterogeneous —
+// so the gate catches architectural regressions (a cell collapsing to
+// half its committed throughput), not jitter.
+
+// CoreBenchRow is one benchmark cell's throughput.
+type CoreBenchRow struct {
+	Name        string
+	EdgesPerSec float64
+}
+
+// CoreBenchReport is one benchmark run, a row per cell.
+type CoreBenchReport struct {
+	Rows []CoreBenchRow
+}
+
+// ParseBenchOutput reads `go test -bench` output. A cell is named as its
+// benchmark, less the "Benchmark" prefix and the "-N" GOMAXPROCS
+// suffix; its row holds the median Medges/s of its runs, in edges/s,
+// and rows keep the order in which cells first appear. Lines other
+// than results (goos:, pkg:, PASS, ok) are skipped, and a result
+// without Medges/s is an error naming its cell.
+func ParseBenchOutput(r io.Reader) (CoreBenchReport, error) {
+	var rep CoreBenchReport
+	runs := make(map[string][]float64)
+	sc := bufio.NewScanner(r)
+	for sc.Scan() {
+		f := strings.Fields(sc.Text())
+		if len(f) < 2 || !strings.HasPrefix(f[0], "Benchmark") {
+			continue
+		}
+		if _, err := strconv.Atoi(f[1]); err != nil {
+			continue // a name alone, as -v prints it; not a result
+		}
+		name := strings.TrimPrefix(f[0], "Benchmark")
+		if i := strings.LastIndexByte(name, '-'); i >= 0 {
+			if _, err := strconv.Atoi(name[i+1:]); err == nil {
+				name = name[:i]
+			}
+		}
+		mps, found := 0.0, false
+		for i := 3; i < len(f); i += 2 { // value-unit pairs follow the count
+			if f[i] == "Medges/s" {
+				var err error
+				if mps, err = strconv.ParseFloat(f[i-1], 64); err != nil {
+					return rep, fmt.Errorf("cell %s: %v", name, err)
+				}
+				found = true
+				break
+			}
+		}
+		if !found {
+			return rep, fmt.Errorf("cell %s reports no Medges/s", name)
+		}
+		if _, seen := runs[name]; !seen {
+			rep.Rows = append(rep.Rows, CoreBenchRow{Name: name})
+		}
+		runs[name] = append(runs[name], mps)
+	}
+	if err := sc.Err(); err != nil {
+		return rep, err
+	}
+	for i := range rep.Rows {
+		rep.Rows[i].EdgesPerSec = median(runs[rep.Rows[i].Name]) * 1e6
+	}
+	return rep, nil
+}
 
 // RegressStatus classifies one compared cell.
 type RegressStatus string

@@ -1,6 +1,9 @@
 package bench
 
 import (
+	"os"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -102,5 +105,100 @@ func TestCompareReportsZeroBaseline(t *testing.T) {
 	// a corrupt baseline is loud rather than silently green.
 	if !rep.Failed() {
 		t.Fatal("zero-baseline cell must fail")
+	}
+}
+
+func TestParseBenchOutput(t *testing.T) {
+	cases := []struct {
+		name, in string
+		want     []CoreBenchRow
+		err      string
+	}{
+		{
+			name: "GOMAXPROCS suffix",
+			in: "BenchmarkA/w=8-2   \t10\t100 ns/op\t2.5 Medges/s\t64 B/op\n" +
+				"BenchmarkB/w=8\t10\t100 ns/op\t3 Medges/s\n",
+			want: []CoreBenchRow{{"A/w=8", 2.5e6}, {"B/w=8", 3e6}},
+		},
+		{
+			name: "median of repeats",
+			in: "BenchmarkC-4\t1\t1 Medges/s\n" +
+				"BenchmarkC-4\t1\t5 Medges/s\n" +
+				"BenchmarkC-4\t1\t3 Medges/s\n",
+			want: []CoreBenchRow{{"C", 3e6}},
+		},
+		{
+			name: "other lines",
+			in: "goos: linux\ngoarch: amd64\npkg: streamtri/internal/bench\ncpu: Intel\n" +
+				"BenchmarkD-2\t7\t1.5 Medges/s\n" +
+				"PASS\nok  \tstreamtri/internal/bench\t12.3s\n",
+			want: []CoreBenchRow{{"D", 1.5e6}},
+		},
+		{
+			name: "no Medges/s",
+			in:   "BenchmarkE-2\t1\t1 Medges/s\nBenchmarkF/w=8-2\t10\t100 ns/op\t64 B/op\n",
+			err:  "cell F/w=8 reports no Medges/s",
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rep, err := ParseBenchOutput(strings.NewReader(tc.in))
+			if tc.err != "" {
+				if err == nil || err.Error() != tc.err {
+					t.Fatalf("err = %v, want %q", err, tc.err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(rep.Rows, tc.want) {
+				t.Fatalf("rows = %v, want %v", rep.Rows, tc.want)
+			}
+		})
+	}
+}
+
+// TestCommittedBaselineCells holds the committed baseline to the gated
+// cells, so regenerating it cannot drop one unnoticed.
+func TestCommittedBaselineCells(t *testing.T) {
+	f, err := os.Open("../../BENCH_core.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	rep, err := ParseBenchOutput(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, row := range rep.Rows {
+		got = append(got, row.Name)
+	}
+	sort.Strings(got)
+	want := []string{
+		"AddBatchFlat/r=4096/w=1024",
+		"AddBatchFlat/r=4096/w=16384",
+		"AddBatchFlat/r=4096/w=4096",
+		"BlockDecodeBulk/w=8192",
+		"MultiPipelinedCount/files=2/r=1024/w=8192",
+		"OrderedMergedCount/files=2/r=1024/w=8192",
+		"OrderedMergedCount/files=64/r=1024/w=8192",
+		"OrderedMergedCount/files=8/r=1024/w=8192",
+		"OrderedMergedCountV2/files=2/r=1024/w=8192",
+		"OrderedMergedCountV2/files=64/r=1024/w=8192",
+		"OrderedMergedCountV2/files=8/r=1024/w=8192",
+		"PipelinedCount/r=1024/w=8192",
+		"ServeIngestUnderReaders/readers=4/r=1024/w=8192",
+		"SlurpThenCount/r=1024/w=8192",
+		"TextDecodeBulk/w=8192",
+		"TextDecodePerEdge/w=8192",
+		"TsBinaryDecodeBulk/w=8192",
+		"TsTextDecodeBulk/w=8192",
+		"TsTextDecodePerEdge/w=8192",
+		"WatermarkedCount/files=2/r=1024/w=8192",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("BENCH_core.txt cells:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }

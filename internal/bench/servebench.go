@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -65,20 +64,4 @@ func BenchServeIngestUnderReaders(b *testing.B, data []byte, w, depth, readers i
 	wg.Wait()
 	reportEdgesPerSec(b, len(data)/8)
 	b.ReportMetric(float64(polls.Load())/b.Elapsed().Seconds(), "reads/s")
-}
-
-// RunServeBenchCells measures the serving cell appended to the
-// BENCH_core.json report, at the same (r, w) as the reader-free
-// PipelinedCount cell so the two are directly comparable.
-func RunServeBenchCells(r, w int) []CoreBenchRow {
-	data := EncodeBinaryEdges(CoreBenchStream(PipeBenchEdges))
-	m := PipeBenchEdges
-	const runs = 3
-	return []CoreBenchRow{
-		benchRow(fmt.Sprintf("ServeIngestUnderReaders/readers=%d/r=%d/w=%d", ServeBenchReaders, r, w),
-			"serve-pipeline", m, r, w,
-			medianBenchmark(runs, func(b *testing.B) {
-				BenchServeIngestUnderReaders(b, data, w, 2, ServeBenchReaders, core.NewCounter(r, 1))
-			})),
-	}
 }

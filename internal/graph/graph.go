@@ -84,9 +84,6 @@ func MakeTriangle(a, b, c NodeID) Triangle {
 	return Triangle{a, b, c}
 }
 
-// Vertices returns the triangle's vertices in sorted order.
-func (t Triangle) Vertices() [3]NodeID { return [3]NodeID{t.A, t.B, t.C} }
-
 // Graph is an undirected simple graph stored as sorted adjacency lists.
 // Build one with NewBuilder / FromEdges.
 type Graph struct {
@@ -154,9 +151,6 @@ func (b *Builder) Has(e Edge) bool {
 
 // Degree returns the current degree of v.
 func (b *Builder) Degree(v NodeID) int { return len(b.adj[v]) }
-
-// EdgeCount returns the number of edges added so far.
-func (b *Builder) EdgeCount() uint64 { return b.m }
 
 func (b *Builder) link(u, v NodeID) {
 	set, ok := b.adj[u]
