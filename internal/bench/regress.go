@@ -38,10 +38,7 @@ func ParseBenchOutput(r io.Reader) (CoreBenchReport, error) {
 	for sc.Scan() {
 		f := strings.Fields(sc.Text())
 		if len(f) < 2 || !strings.HasPrefix(f[0], "Benchmark") {
-			continue
-		}
-		if _, err := strconv.Atoi(f[1]); err != nil {
-			continue // a name alone, as -v prints it; not a result
+			continue // -v prints a cell's name alone before its result
 		}
 		name := strings.TrimPrefix(f[0], "Benchmark")
 		if i := strings.LastIndexByte(name, '-'); i >= 0 {
