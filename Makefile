@@ -37,10 +37,13 @@ test:
 # decoder→merger), the snapshot readers-during-ingest suites, and the
 # serving layer's concurrent HTTP tests, so source-failure isolation,
 # the reorder stage, and the lock-free estimate read path all run under
-# the race detector.
+# the race detector. It also runs the free list under concurrent
+# borrowing (TestListParallelGetPut) and counters sharing the bulk
+# engine's listed batch tables across goroutines
+# (TestSharedTablesInterleavedAndParallel).
 race:
 	$(GO) test -race -run 'Sharded|Parallel|Pipeline|CountStream|Watermark|Snapshot|Serve|BlockMerge|LoserTree' \
-		./internal/core/ ./internal/stream/ ./internal/serve/ ./
+		./internal/core/ ./internal/stream/ ./internal/serve/ ./internal/freelist/ ./
 
 # Fuzz the decoders for a short budget per target: FuzzTextSourceNext
 # (no panic on arbitrary bytes, plain and timestamped),

@@ -61,8 +61,14 @@
 // an open wedge whose outer level-1 endpoint occurs in the batch
 // registers its closing pair in a table of at most r pairs. Every such
 // pair contains that endpoint, so streaming the recorded positions past
-// the table settles every wedge at once. All storage is reused across
-// batches — the only steady-state heap allocation per AddBatch is the
+// the table settles every wedge at once. Only the endpoint index, O(r),
+// lives with the counter. The tables built over the batch (the degrees
+// and occurrence lists, the recorded positions, the pair table and the
+// open wedges) are O(w), and each AddBatch borrows a set from a
+// process-wide free list and hands it back before it returns: the O(w)
+// part of Theorem 3.5's space is per call, and a process holds one set
+// per AddBatch in flight however many counters it keeps. All storage is
+// reused — the only steady-state heap allocation per AddBatch is the
 // fixed-size estimate snapshot published for lock-free readers (see
 // Serving).
 //
@@ -284,7 +290,7 @@
 // records, each block carrying an upper bound on its timestamps: a v2
 // reader passes its validated blocks as zero-copy views with the
 // header's bound, and any other source — v1, text, a slice, the
-// watermark stage — fills pooled blocks of up to min(w, 4096) records
+// watermark stage — fills recycled blocks of up to min(w, 4096) records
 // through its bulk decoder, computing their exact maximum as it fills.
 // A plain source of the whole-stream CountStreams fills the same blocks,
 // every record keyed by its block's index instead of a timestamp.
@@ -313,7 +319,8 @@
 // with real runs merge at nearly copy speed at any k. Prefer fewer,
 // larger shards when you control the layout; when you do not, wide
 // merges are safe — the cost of k lives in buffer memory (about three
-// pooled blocks of up to 64 KiB per source), not in comparisons.
+// recycled blocks of up to 64 KiB per source, which a process-wide free
+// list keeps after the merge for the next one), not in comparisons.
 //
 // The timestamp column contract: temporal text files carry "u v ts"
 // lines, where ts is the third column — a decimal int64 — that the
@@ -402,7 +409,7 @@
 // depends only on the records, never on the formats or block
 // boundaries, so a v2 file, its v1 twin, and any mix of the two merge
 // to the same edges. Block views are reference-counted and recycled
-// through a pool — the merge's resident set stays a few blocks per
+// through a free list — the merge's resident set stays a few blocks per
 // source, and consumers of the public API never see a view: batches
 // handed to Next/Recycle remain plain owned slices.
 //
@@ -497,16 +504,25 @@
 // to the counter. The log's blocks are thus the counter's batches, and
 // a batch the log refused never reaches the counter; a request that
 // fails mid-body (a malformed record, a dropped client) leaves both at
-// the same batch boundary. Between POSTs a tenant holds its counter and
-// one ingest buffer of w edges, allocated with the tenant, and nothing
-// else that scales with r or w: the handler's 64 KiB body reader, each
-// WAL block's encode buffer and each checkpoint's serialization buffer
-// are borrowed from pools and returned when the request, the append or
-// the checkpoint's file write is done, and a tenant's log keeps one
-// block writer (a 64 KiB write buffer) across segment rotations. So at
-// steady state ingest, checkpoints and rotations allocate nothing r- or
-// w-sized, and recovery allocates no more than the counter and the
-// ingest buffer: its WAL replay decodes into the latter. Every v2
+// the same batch boundary. Between POSTs a tenant holds its counter's
+// own state (its estimators, their cached endpoint ids and, for a
+// whole-stream tenant, its endpoint index, all O(r)), its published
+// estimates and its WAL writer, and nothing that scales with w. Each
+// POST and each WAL replay borrows a buffer of w edges; the handler's
+// 64 KiB body reader, each WAL block's encode buffer, each checkpoint's
+// serialization buffer and each AddBatch's batch tables are borrowed
+// too, and all are handed back when the request, the replay, the
+// append, the checkpoint's file write or the AddBatch is done. A
+// tenant's log keeps one block writer across segment rotations, which
+// writes each block from its borrowed buffer in one call and holds no
+// buffer of its own. The buffers come from free lists, not sync.Pools:
+// any goroutine, on any P, gets any idle buffer that fits, and the
+// collector never empties a list. A free list keeps as many idle
+// buffers as were in use at once, each at the largest size it served,
+// also after the tenants that used them are deleted. So trictd's batch
+// memory is O(w) per ingest in flight, not per tenant; at steady state
+// ingest, checkpoints and rotations allocate nothing r- or w-sized, and
+// recovery allocates no more than the counter. Every v2
 // reader reads both block layouts, so recovery also replays logs that
 // earlier builds wrote at 16 bytes per edge, and earlier builds replay
 // the 9-byte log. Under the default -wal-sync always the

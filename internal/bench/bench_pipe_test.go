@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"sync"
 	"testing"
 
 	"streamtri/internal/core"
+	"streamtri/internal/graph"
 	"streamtri/internal/stream"
 )
 
@@ -20,18 +22,23 @@ import (
 // single-source cells run the pipeline at the minimum ring depth, 2,
 // which is all a steady-state consumer needs.
 
+// pipeBenchStream is CoreBenchStream(PipeBenchEdges), built once per
+// test process for every cell that encodes it: a build takes about half
+// a second, and `make bench-check` runs 17 such cells.
+var pipeBenchStream = sync.OnceValue(func() []graph.Edge { return CoreBenchStream(PipeBenchEdges) })
+
 // BenchmarkSlurpThenCount is the bar for the pipeline cells: decoding
 // and counting overlapped, with the recycle ring's allocation-free
 // decode, must beat materializing the stream first.
 func BenchmarkSlurpThenCount(b *testing.B) {
-	data := EncodeBinaryEdges(CoreBenchStream(PipeBenchEdges))
+	data := EncodeBinaryEdges(pipeBenchStream())
 	b.Run(fmt.Sprintf("r=%d/w=%d", PipeBenchR, 8*PipeBenchR), func(b *testing.B) {
 		BenchPipeSlurp(b, data, PipeBenchR, 8*PipeBenchR)
 	})
 }
 
 func BenchmarkPipelinedCount(b *testing.B) {
-	data := EncodeBinaryEdges(CoreBenchStream(PipeBenchEdges))
+	data := EncodeBinaryEdges(pipeBenchStream())
 	b.Run(fmt.Sprintf("r=%d/w=%d", PipeBenchR, 8*PipeBenchR), func(b *testing.B) {
 		BenchPipePipelined(b, data, 8*PipeBenchR, 2, core.NewCounter(PipeBenchR, 1))
 	})
@@ -43,7 +50,7 @@ func BenchmarkPipelinedCount(b *testing.B) {
 // and the counter, so expect bulk decode to hold up across sources, not
 // a files× speedup.
 func BenchmarkMultiPipelinedCount(b *testing.B) {
-	data := EncodeBinaryEdges(CoreBenchStream(PipeBenchEdges))
+	data := EncodeBinaryEdges(pipeBenchStream())
 	half := (PipeBenchEdges / 2) * 8
 	b.Run(fmt.Sprintf("files=2/r=%d/w=%d", PipeBenchR, 8*PipeBenchR), func(b *testing.B) {
 		BenchMultiPipelined(b, [][]byte{data[:half], data[half:]}, 8*PipeBenchR, core.NewCounter(PipeBenchR, 1))
@@ -58,7 +65,7 @@ func BenchmarkMultiPipelinedCount(b *testing.B) {
 // heap's two).
 func BenchmarkOrderedMergedCount(b *testing.B) {
 	for _, k := range []int{2, 8, 64} {
-		shards := EncodeTimestampedShards(CoreBenchStream(PipeBenchEdges), k)
+		shards := EncodeTimestampedShards(pipeBenchStream(), k)
 		b.Run(fmt.Sprintf("files=%d/r=%d/w=%d", k, PipeBenchR, 8*PipeBenchR), func(b *testing.B) {
 			BenchOrderedPipelined(b, shards, 8*PipeBenchR, core.NewCounter(PipeBenchR, 1))
 		})
@@ -66,7 +73,7 @@ func BenchmarkOrderedMergedCount(b *testing.B) {
 }
 
 func BenchmarkWatermarkedCount(b *testing.B) {
-	shards := EncodeTimestampedShards(CoreBenchStream(PipeBenchEdges), 2)
+	shards := EncodeTimestampedShards(pipeBenchStream(), 2)
 	b.Run(fmt.Sprintf("files=2/r=%d/w=%d", PipeBenchR, 8*PipeBenchR), func(b *testing.B) {
 		BenchWatermarkedPipelined(b, shards, 8*PipeBenchR, core.NewCounter(PipeBenchR, 1))
 	})
@@ -77,14 +84,14 @@ func BenchmarkWatermarkedCount(b *testing.B) {
 // both paths and the binary cells track it. Acceptance for the bulk
 // window scanner: at least 1.3× the edges/s of the per-edge Next path.
 func BenchmarkTextDecodePerEdge(b *testing.B) {
-	data := EncodeTextEdges(CoreBenchStream(PipeBenchEdges))
+	data := EncodeTextEdges(pipeBenchStream())
 	b.Run(fmt.Sprintf("w=%d", 8*PipeBenchR), func(b *testing.B) {
 		BenchTextPipelined(b, data, 8*PipeBenchR, PipeBenchEdges, discardSink{}, false)
 	})
 }
 
 func BenchmarkTextDecodeBulk(b *testing.B) {
-	data := EncodeTextEdges(CoreBenchStream(PipeBenchEdges))
+	data := EncodeTextEdges(pipeBenchStream())
 	b.Run(fmt.Sprintf("w=%d", 8*PipeBenchR), func(b *testing.B) {
 		BenchTextPipelined(b, data, 8*PipeBenchR, PipeBenchEdges, discardSink{}, true)
 	})
@@ -95,14 +102,14 @@ func BenchmarkTextDecodeBulk(b *testing.B) {
 // scanner: at least 1.8× the per-edge cell, and close to the plain bulk
 // cell (the gap being the third column's bytes).
 func BenchmarkTsTextDecodePerEdge(b *testing.B) {
-	data := EncodeTimestampedTextEdges(CoreBenchStream(PipeBenchEdges))
+	data := EncodeTimestampedTextEdges(pipeBenchStream())
 	b.Run(fmt.Sprintf("w=%d", 8*PipeBenchR), func(b *testing.B) {
 		BenchTsTextPipelined(b, data, 8*PipeBenchR, PipeBenchEdges, discardSink{}, false)
 	})
 }
 
 func BenchmarkTsTextDecodeBulk(b *testing.B) {
-	data := EncodeTimestampedTextEdges(CoreBenchStream(PipeBenchEdges))
+	data := EncodeTimestampedTextEdges(pipeBenchStream())
 	b.Run(fmt.Sprintf("w=%d", 8*PipeBenchR), func(b *testing.B) {
 		BenchTsTextPipelined(b, data, 8*PipeBenchR, PipeBenchEdges, discardSink{}, true)
 	})
@@ -114,7 +121,7 @@ func BenchmarkTsTextDecodeBulk(b *testing.B) {
 // path, one CRC pass and bounds check per block and then batch fills
 // straight out of the validated view.
 func BenchmarkTsBinaryDecodeBulk(b *testing.B) {
-	data := EncodeTimestampedShards(CoreBenchStream(PipeBenchEdges), 1)[0]
+	data := EncodeTimestampedShards(pipeBenchStream(), 1)[0]
 	b.Run(fmt.Sprintf("w=%d", 8*PipeBenchR), func(b *testing.B) {
 		benchSourcePipelined(b, 8*PipeBenchR, PipeBenchEdges, discardSink{}, func() stream.Source {
 			return stream.StripTimestamps(stream.NewTimestampedBinarySource(bytes.NewReader(data)))
@@ -123,7 +130,7 @@ func BenchmarkTsBinaryDecodeBulk(b *testing.B) {
 }
 
 func BenchmarkBlockDecodeBulk(b *testing.B) {
-	data := EncodeBlockShards(CoreBenchStream(PipeBenchEdges), 1)[0]
+	data := EncodeBlockShards(pipeBenchStream(), 1)[0]
 	b.Run(fmt.Sprintf("w=%d", 8*PipeBenchR), func(b *testing.B) {
 		benchSourcePipelined(b, 8*PipeBenchR, PipeBenchEdges, discardSink{}, func() stream.Source {
 			return stream.StripTimestamps(stream.NewBlockBinarySource(bytes.NewReader(data)))
@@ -137,7 +144,7 @@ func BenchmarkBlockDecodeBulk(b *testing.B) {
 // 1.25× the ns/edge of the k = 2 cell.
 func BenchmarkOrderedMergedCountV2(b *testing.B) {
 	for _, k := range []int{2, 8, 64} {
-		shards := EncodeBlockShards(CoreBenchStream(PipeBenchEdges), k)
+		shards := EncodeBlockShards(pipeBenchStream(), k)
 		b.Run(fmt.Sprintf("files=%d/r=%d/w=%d", k, PipeBenchR, 8*PipeBenchR), func(b *testing.B) {
 			BenchOrderedBlockPipelined(b, shards, PipeBenchEdges, 8*PipeBenchR, core.NewCounter(PipeBenchR, 1))
 		})

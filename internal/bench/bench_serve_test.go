@@ -14,7 +14,7 @@ import (
 // BenchmarkServeIngestUnderReaders runs at the (r, w) and on the stream
 // of the reader-free PipelinedCount cell, so the two compare directly.
 func BenchmarkServeIngestUnderReaders(b *testing.B) {
-	data := EncodeBinaryEdges(CoreBenchStream(PipeBenchEdges))
+	data := EncodeBinaryEdges(pipeBenchStream())
 	r, w := PipeBenchR, 8*PipeBenchR
 	b.Run(fmt.Sprintf("readers=%d/r=%d/w=%d", ServeBenchReaders, r, w), func(b *testing.B) {
 		BenchServeIngestUnderReaders(b, data, w, 2, ServeBenchReaders, core.NewCounter(r, 1))

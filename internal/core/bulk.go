@@ -27,9 +27,12 @@ func (c *Counter) AddBatch(batch []graph.Edge) {
 	if x.stale {
 		x.rebuild(c.ests)
 	}
+	x.batchTables = tableSets.Get(0)
 	x.scan(batch, len(c.ests))
 	c.level2(batch, x)
-	x.closeWedges(batch)
+	x.closeWedges(batch, c.ests)
+	tableSets.Put(x.batchTables)
+	x.batchTables = nil
 	c.m += uint64(len(batch))
 	c.publish()
 }
@@ -109,29 +112,30 @@ func (c *Counter) level2(batch []graph.Edge, x *batchIndex) {
 		if cPlus == 0 {
 			// No later batch edge touches r1: state unchanged except that
 			// an existing open wedge may still be closed by a batch edge.
-			x.watchRetained(est, ids)
+			x.watchRetained(est, idx, ids)
 			continue
 		}
 		phi := c.rng.RandInt(1, cMinus+cPlus)
 		switch {
 		case phi <= cMinus:
 			// Keep the current level-2 edge (and triangle, if any).
-			x.watchRetained(est, ids)
+			x.watchRetained(est, idx, ids)
 		case phi <= cMinus+a:
-			c.setLevel2(est, ids, batch, x, x.reach(ix, bx+uint32(phi-cMinus)))
+			c.setLevel2(idx, ids, batch, x, x.reach(ix, bx+uint32(phi-cMinus)))
 		default:
-			c.setLevel2(est, ids, batch, x, x.reach(iy, by+uint32(phi-cMinus-a)))
+			c.setLevel2(idx, ids, batch, x, x.reach(iy, by+uint32(phi-cMinus-a)))
 		}
 	}
 }
 
-// setLevel2 installs batch edge bi as est's level-2 edge and asks the
-// index to close its wedge if the closing edge occurs in the batch
-// strictly after bi. r2 cannot change again within this batch, so the
-// answer is final — equivalent to the subscription table Q firing on a
-// later edge.
-func (c *Counter) setLevel2(est *Estimator, ids vertexIDs, batch []graph.Edge, x *batchIndex, bi uint32) {
+// setLevel2 installs batch edge bi as estimator idx's level-2 edge and
+// asks the index to close its wedge if the closing edge occurs in the
+// batch strictly after bi. r2 cannot change again within this batch, so
+// the answer is final — equivalent to the subscription table Q firing
+// on a later edge.
+func (c *Counter) setLevel2(idx int, ids vertexIDs, batch []graph.Edge, x *batchIndex, bi uint32) {
+	est := &c.ests[idx]
 	est.r2, est.r2Pos, est.hasR2 = batch[bi], c.m+uint64(bi)+1, true
 	est.hasT = false
-	x.watch(est, ids, int32(bi))
+	x.watch(est, idx, ids, int32(bi))
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"slices"
 
+	"streamtri/internal/freelist"
 	"streamtri/internal/graph"
 )
 
@@ -10,8 +11,12 @@ import (
 // the estimators wait for: the endpoints of their level-1 edges (at most
 // 2r vertices) and the closing pairs of their open wedges (at most r
 // pairs). The batch itself is only streamed past these tables, once.
-// The index draws no random number. Counter.AddBatch (bulk.go) drives
-// it in phases around the estimator passes:
+// The index draws no random number. It comes in two parts. A counter
+// keeps the O(r) one, its keys (batchIndex), across batches. The tables
+// built over one batch (batchTables) are O(w), and each AddBatch call
+// borrows a set from a process-wide free list and hands it back before
+// it returns. Counter.AddBatch (bulk.go) drives the index in phases
+// around the estimator passes:
 //
 //   - Step 1 (level1): the endpoints of every batch edge an estimator
 //     adopts are interned (in, with a filter over their hashes, qbits),
@@ -32,8 +37,9 @@ import (
 //     pairs, which records each pair's last batch position and settles
 //     every wedge.
 //
-// Everything is kept, epoch-stamped or length-reset, so steady-state
-// batches, rebuilds included, perform zero heap allocations.
+// Everything is kept, epoch-stamped or length-reset, in the counter or
+// in the listed table sets, so steady-state batches, rebuilds included,
+// perform zero heap allocations.
 
 // nextPow2 returns the smallest power of two >= max(n, floor); floor must
 // itself be a power of two. Shared by every scratch table's sizing.
@@ -181,22 +187,22 @@ type vertexIDs struct {
 	u, v uint32
 }
 
-// openWedge is an estimator's wedge waiting for its closing pair, which
-// is registered in slot; the wedge closes if the pair occurs in the
-// batch at a position after `after` (-1: anywhere in the batch).
+// openWedge is estimator est's wedge waiting for its closing pair,
+// which is registered in slot; the wedge closes if the pair occurs in
+// the batch at a position after `after` (-1: anywhere in the batch).
+// The estimator is named by its index, so a listed table set points
+// into no counter.
 type openWedge struct {
-	est   *Estimator
+	est   uint32
 	slot  uint32
 	after int32
 }
 
-// batchIndex is the estimator-keyed index; see the file comment. Its
-// keys are the level-1 endpoints of the counter's r estimators, at most
-// 2r live ones plus at most r/4 interned since the last rebuild whose
-// estimators have moved on, so its footprint is
-// O(r), the estimator share of Theorem 3.5's O(r + w). The hit list and
-// the occurrence lists hold one entry per batch endpoint that is a key,
-// at most 2w.
+// batchIndex is the part of the index a counter keeps; see the file
+// comment. Its keys are the level-1 endpoints of the counter's r
+// estimators, at most 2r live ones plus at most r/4 interned since the
+// last rebuild whose estimators have moved on, so its footprint is
+// O(r), the estimator share of Theorem 3.5's O(r + w).
 type batchIndex struct {
 	// in holds the keys and qbits a filter over their hashes, 16 bits
 	// per key at a rebuild, which rejects most batch endpoints in one
@@ -209,16 +215,33 @@ type batchIndex struct {
 	// build counts rebuilds, 0 before the first. built is in's size at
 	// the last rebuild and limit the number of keys it may intern after
 	// that; stale marks a rebuild as due before the next scan.
-	build  uint64
-	built  int
-	limit  int
-	stale  bool
+	build uint64
+	built int
+	limit int
+	stale bool
+	// batchTables is the table set AddBatch borrowed for the batch in
+	// hand, nil between calls.
+	*batchTables
+}
+
+// batchTables are the tables built over one batch: the keys' batch
+// degrees and occurrence lists, the hits, and the open wedges with
+// their closing pairs. The hit list and the occurrence lists hold one
+// entry per batch endpoint that is a key, at most 2w, and the pair
+// table and the wedge list at most r entries: the O(w) share of
+// Theorem 3.5's space is needed for one call only. The sets live in
+// tableSets, each sized by the largest batch it has served.
+type batchTables struct {
 	verts  []batchVertex
 	hits   []vertexHit
 	occ    []uint32
 	pairs  pairTable
 	wedges []openWedge
 }
+
+// tableSets lists the idle table sets: as many as AddBatch calls ever
+// ran at once, in any counters.
+var tableSets = freelist.List[*batchTables]{New: func(int) *batchTables { return new(batchTables) }}
 
 // intern returns v's id, interning v and adding it to the filter.
 func (x *batchIndex) intern(v graph.NodeID) uint32 {
@@ -267,9 +290,6 @@ func (x *batchIndex) rebuild(ests []Estimator) {
 		}
 	}
 	x.built, x.limit, x.stale = x.in.size(), r/4, false
-	// verts holds one entry per key; sizing it for every key the table
-	// takes before it would grow keeps scan from allocating.
-	x.verts = slices.Grow(x.verts[:0], x.in.capacity())
 }
 
 // scan streams the batch past the keys: it counts each one's batch
@@ -277,8 +297,10 @@ func (x *batchIndex) rebuild(ests []Estimator) {
 // key counts twice, at the same position. It also empties the pair
 // table for at most r open wedges.
 func (x *batchIndex) scan(batch []graph.Edge, r int) {
+	// verts holds one entry per key; sizing it for every key the table
+	// takes before it would grow keeps a set from growing it again.
 	n := x.in.size()
-	x.verts = slices.Grow(x.verts[:0], n)[:n]
+	x.verts = slices.Grow(x.verts[:0], x.in.capacity())[:n]
 	clear(x.verts)
 	x.hits = x.hits[:0]
 	for i, e := range batch {
@@ -332,12 +354,13 @@ func (x *batchIndex) reach(v, d uint32) uint32 {
 	return x.occ[x.verts[v].start+d-1]
 }
 
-// watch registers est's open wedge to close if the batch holds its
-// closing edge at a position after `after`. ids are the ids of r1's
-// endpoints. The closing edge joins r1's outer endpoint, the one r2
-// does not share, to r2's; when the outer endpoint has batch degree 0
-// the closing edge is not in the batch, and the wedge stays open.
-func (x *batchIndex) watch(est *Estimator, ids vertexIDs, after int32) {
+// watch registers the open wedge of est, estimator idx, to close if the
+// batch holds its closing edge at a position after `after`. ids are the
+// ids of r1's endpoints. The closing edge joins r1's outer endpoint,
+// the one r2 does not share, to r2's; when the outer endpoint has batch
+// degree 0 the closing edge is not in the batch, and the wedge stays
+// open.
+func (x *batchIndex) watch(est *Estimator, idx int, ids vertexIDs, after int32) {
 	sh, ok := est.r1.SharedVertex(est.r2)
 	if !ok {
 		return
@@ -349,27 +372,28 @@ func (x *batchIndex) watch(est *Estimator, ids vertexIDs, after int32) {
 	if x.degree(id) == 0 {
 		return
 	}
-	x.wedges = append(x.wedges, openWedge{est: est, slot: x.pairs.register(packPair(outer, est.r2.Other(sh))), after: after})
+	x.wedges = append(x.wedges, openWedge{est: uint32(idx), slot: x.pairs.register(packPair(outer, est.r2.Other(sh))), after: after})
 }
 
 // watchRetained registers the open wedge of an estimator that keeps its
 // pre-batch level-2 edge: any occurrence of the closing edge in the
 // batch arrives after r2 and closes the wedge. This replaces the
 // per-batch re-subscription into table Q.
-func (x *batchIndex) watchRetained(est *Estimator, ids vertexIDs) {
+func (x *batchIndex) watchRetained(est *Estimator, idx int, ids vertexIDs) {
 	if est.hasR2 && !est.hasT {
-		x.watch(est, ids, -1)
+		x.watch(est, idx, ids, -1)
 	}
 }
 
 // closeWedges streams the batch positions in the hit list past the
-// registered closing pairs and settles every open wedge. Every
-// registered pair contains r1's outer endpoint, a key (watch), so every
-// batch position that holds a registered pair holds a hit of that key.
-// The hits come in batch order, so their distinct positions are every
-// position that can hold a registered pair, in increasing order, and
-// each pair's stored position is its last one.
-func (x *batchIndex) closeWedges(batch []graph.Edge) {
+// registered closing pairs and settles every open wedge of ests, the
+// estimators the wedges name. Every registered pair contains r1's
+// outer endpoint, a key (watch), so every batch position that holds a
+// registered pair holds a hit of that key. The hits come in batch
+// order, so their distinct positions are every position that can hold
+// a registered pair, in increasing order, and each pair's stored
+// position is its last one.
+func (x *batchIndex) closeWedges(batch []graph.Edge, ests []Estimator) {
 	if len(x.wedges) == 0 {
 		return
 	}
@@ -383,6 +407,6 @@ func (x *batchIndex) closeWedges(batch []graph.Edge) {
 		x.pairs.see(packPair(e.U, e.V), int32(h.pos))
 	}
 	for _, ow := range x.wedges {
-		ow.est.hasT = x.pairs.last(ow.slot) > ow.after
+		ests[ow.est].hasT = x.pairs.last(ow.slot) > ow.after
 	}
 }

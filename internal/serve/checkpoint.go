@@ -10,8 +10,9 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
+
+	"streamtri/internal/freelist"
 )
 
 // Durability: each tenant's on-disk state is
@@ -128,13 +129,13 @@ func (s *Server) CheckpointAll() (int, error) {
 	return n, nil
 }
 
-// ckptBufs recycles the buffers checkpoint blobs are serialized into.
-// Each checkpointTenant call holds its own until the blob is on disk, so
-// concurrent CheckpointAll callers never share one; a counter's WriteTo
-// builds its blob in the buffer's spare capacity, so once a buffer has
-// held a blob of a tenant's size, checkpointing that tenant again
-// allocates nothing that scales with r.
-var ckptBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// ckptBufs lists the idle buffers checkpoint blobs are serialized into.
+// Each checkpointTenant call borrows its own until the blob is on disk,
+// so concurrent CheckpointAll callers never share one; a counter's
+// WriteTo builds its blob in the buffer's spare capacity, so once a
+// buffer has held a blob of a tenant's size, checkpointing that tenant
+// again allocates nothing that scales with r.
+var ckptBufs = freelist.List[*bytes.Buffer]{New: func(int) *bytes.Buffer { return new(bytes.Buffer) }}
 
 func (s *Server) checkpointTenant(t *tenant) (bool, error) {
 	t.mu.Lock()
@@ -147,7 +148,7 @@ func (s *Server) checkpointTenant(t *tenant) (bool, error) {
 		t.mu.Unlock()
 		return false, nil
 	}
-	blob := ckptBufs.Get().(*bytes.Buffer)
+	blob := ckptBufs.Get(0)
 	defer ckptBufs.Put(blob)
 	blob.Reset()
 	_, err := t.c.WriteTo(blob)

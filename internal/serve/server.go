@@ -42,6 +42,7 @@ import (
 	"time"
 
 	"streamtri"
+	"streamtri/internal/freelist"
 	"streamtri/internal/stream"
 )
 
@@ -134,7 +135,12 @@ func newCounter(cfg CounterConfig) counter {
 }
 
 // tenant is one named counter, its ingest lock, and the estimates it
-// published at its last batch boundary; both kinds are durable.
+// published at its last batch boundary; both kinds are durable. Between
+// POSTs that is all it holds, with its WAL writer's file: every buffer
+// that scales with the batch or the counter (the ingest batch, the body
+// reader, WAL blocks, checkpoint blobs, the bulk engine's batch tables)
+// is borrowed from a free list per POST, replay or checkpoint and handed
+// back when it ends.
 type tenant struct {
 	name string
 	cfg  CounterConfig
@@ -152,18 +158,11 @@ type tenant struct {
 	// ckptEdges is the edge count captured by the last checkpoint
 	// (under mu); checkpoints are skipped while it matches edges().
 	ckptEdges uint64
-
-	// batch is the tenant's one buffer of exactly w edges (under mu):
-	// recovery's WAL replay decodes into it and every ingest POST fills
-	// it. With the counter, it is all a tenant holds between POSTs;
-	// checkpoints and WAL appends borrow pooled buffers only while they
-	// run.
-	batch []streamtri.Edge
 }
 
 // newTenant wraps c and publishes its estimates before any read can come.
 func newTenant(name string, cfg CounterConfig, c counter) *tenant {
-	t := &tenant{name: name, cfg: cfg, c: c, batch: make([]streamtri.Edge, cfg.effectiveBatchSize())}
+	t := &tenant{name: name, cfg: cfg, c: c}
 	t.publish()
 	return t
 }
@@ -425,7 +424,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "no counter %q", name)
 		return
 	}
-	br := bodyReaders.Get().(*bufio.Reader)
+	br := bodyReaders.Get(0)
 	br.Reset(r.Body)
 	defer func() {
 		br.Reset(nil)
@@ -449,7 +448,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// replay bit-identical — and a batch the log refused never reaches the
 	// counter. A cancelled request stops at a batch boundary.
 	var edges uint64
-	buf := t.batch
+	batchSize := t.cfg.effectiveBatchSize()
+	buf := edgeBufs.Get(batchSize)[:batchSize]
+	defer edgeBufs.Put(buf)
 	for err == nil {
 		if err = r.Context().Err(); err != nil {
 			break
@@ -485,11 +486,19 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, IngestResult{Edges: edges, TotalEdges: t.edges()})
 }
 
-// bodyReaders recycles the 64 KiB read buffers of ingest bodies across
-// POSTs. Every body decoder reads through the one it is given as is:
-// the text, plain and v1 decoders want a 64 KiB window, the v2 decoder
-// takes any size.
-var bodyReaders = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 1<<16) }}
+// bodyReaders lists the idle 64 KiB read buffers of ingest bodies, one
+// per POST in flight. Every body decoder reads through the one it is
+// given as is: the text, plain and v1 decoders want a 64 KiB window,
+// the v2 decoder takes any size.
+var bodyReaders = freelist.List[*bufio.Reader]{New: func(int) *bufio.Reader { return bufio.NewReaderSize(nil, 1<<16) }}
+
+// edgeBufs lists the idle batch buffers: each ingest POST and each WAL
+// replay borrows one of at least w edges, the tenant's batch size, for
+// as long as it runs.
+var edgeBufs = freelist.List[[]streamtri.Edge]{
+	New:  func(n int) []streamtri.Edge { return make([]streamtri.Edge, 0, n) },
+	Size: func(b []streamtri.Edge) int { return cap(b) },
+}
 
 // bodySource builds a bulk decoder over the request body, read through
 // br. The format is chosen by the ?format query parameter

@@ -12,8 +12,10 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"streamtri"
+	"streamtri/internal/core"
 )
 
 // steadyAllocBound is what one cycle of the allocation guard may
@@ -21,8 +23,8 @@ import (
 // below one r- or w-sized buffer at either shape the guard runs (a
 // 9-byte-per-edge WAL block of w = 65,536 edges is 576 KiB, a whole-stream
 // checkpoint at r = 8,192 is 328 KiB), so a checkpoint serialized twice,
-// a block writer rebuilt at every rotation or an ingest buffer allocated
-// by the first POST fails it.
+// a block buffer or batch table allocated anew on another P, or an
+// ingest buffer allocated by the first POST fails it.
 const steadyAllocBound = 128 << 10
 
 // postBinary POSTs one plain binary body to tenant name through h in
@@ -61,20 +63,23 @@ func allocatedDuring(f func()) uint64 {
 // stay under steadyAllocBound. Then a WAL tail is left past the last
 // checkpoint, the server is abandoned as by kill -9, and the first POST
 // per tenant after recovery must stay under the same bound: recovery
-// replays into the ingest buffer the POST then fills.
+// replays into a batch buffer it hands back for the POST to borrow.
 //
-// GC is off for the measured stretches, so the pools the server borrows
-// from keep what the last cycle returned, and GOMAXPROCS is 1, so each
-// pool Get runs on the P whose slot the last Put filled. With more Ps a
-// goroutine that migrates can miss that slot and allocate one buffer the
-// next cycle recycles; perfbench's peak_rss_mb prices that case.
+// Every r- or w-sized buffer the server uses comes from a free list,
+// which hands any idle buffer to a goroutine on any P, so the bound
+// holds at GOMAXPROCS 2 as at 1, and under the race detector, which
+// makes only sync.Pools drop items. GC is off for the measured
+// stretches, so the HTTP and JSON plumbing's own small sync.Pools keep
+// their items too.
 func TestServeSteadyStateAllocationBound(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector makes sync.Pool drop items at random")
-	}
 	for _, w := range []int{8192, 65536} {
 		t.Run(fmt.Sprintf("r=%d/w=%d", w/8, w), func(t *testing.T) {
-			checkSteadyStateAllocs(t, w)
+			for _, procs := range []int{1, 2} {
+				t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+					checkSteadyStateAllocs(t, w)
+				})
+			}
 		})
 	}
 }
@@ -103,7 +108,6 @@ func checkSteadyStateAllocs(t *testing.T, w int) {
 			bodies[i] = append(bodies[i], binaryBody(t, edges[k*w:(k+1)*w]).Bytes())
 		}
 	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 
 	dir := t.TempDir()
@@ -155,9 +159,6 @@ func checkSteadyStateAllocs(t *testing.T, w int) {
 		tn := s2.lookup(ct.name)
 		if got, want := counterEdges(tn), uint64((1+cycles+tailBodies)*w); got != want {
 			t.Fatalf("%s recovered to %d edges, want %d", ct.name, got, want)
-		}
-		if len(tn.batch) != w {
-			t.Fatalf("%s ingest buffer holds %d edges after replay, want w = %d", ct.name, len(tn.batch), w)
 		}
 	}
 	h2 := s2.Handler()
@@ -301,4 +302,104 @@ func TestServeConcurrentCheckpointsDuringIngest(t *testing.T) {
 		}
 		t.Logf("%s: %d generations match", ct.name, len(gens))
 	}
+}
+
+// TestServeTenantFootprint holds what a whole-stream tenant keeps
+// between POSTs to its own state: its estimators, their cached
+// endpoint ids and its key index, plus a fixed allowance for the
+// tenant, its WAL writer and its published estimates, with no term in
+// w. A durable server runs 16 tenants at r = 1,024 and w = 8,192, three
+// POSTs each. The live heap they add must stay under 16 such bounds.
+// Before them, a tenant that ran the same POSTs and a checkpoint is
+// deleted: its counter must be collected while the buffers it borrowed
+// stay listed for the next tenant, so the 16 allocate no new ones.
+func TestServeTenantFootprint(t *testing.T) {
+	const (
+		tenants = 16
+		r       = 1024
+		w       = 8 * r
+		posts   = 3
+	)
+	edges := testEdges(t, 90, posts*w/3+w)
+	if len(edges) < posts*w {
+		t.Fatalf("generated %d edges, want %d", len(edges), posts*w)
+	}
+	bodies := make([][]byte, posts)
+	for k := range bodies {
+		bodies[k] = binaryBody(t, edges[k*w:(k+1)*w]).Bytes()
+	}
+	s, err := NewServer(t.TempDir(), WithLogf(t.Logf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	h := s.Handler()
+	cfg := CounterConfig{R: r, Seed: 7}
+	load := func(name string) {
+		if code := createCounterVia(h, name, cfg); code != http.StatusCreated {
+			t.Fatalf("create %s: status %d", name, code)
+		}
+		for _, body := range bodies {
+			if err := postBinary(h, name, body); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	load("gone")
+	if _, err := s.CheckpointAll(); err != nil {
+		t.Fatal(err)
+	}
+	collected := make(chan struct{})
+	runtime.AddCleanup(s.lookup("gone").c.(*streamtri.ParallelTriangleCounter), func(ch chan struct{}) { close(ch) }, collected)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodDelete, "/v1/counters/gone", nil))
+	if rec.Code != http.StatusNoContent {
+		t.Fatalf("delete: status %d", rec.Code)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		runtime.GC()
+		select {
+		case <-collected:
+		case <-time.After(10 * time.Millisecond):
+			if time.Now().Before(deadline) {
+				continue
+			}
+			t.Fatal("the deleted tenant's counter was not collected")
+		}
+		break
+	}
+	for name, idle := range map[string]int{"batch": edgeBufs.Idle(), "body reader": bodyReaders.Idle(), "checkpoint": ckptBufs.Idle()} {
+		if idle == 0 {
+			t.Errorf("no %s buffer is listed after the tenant that used one was deleted", name)
+		}
+	}
+
+	base := liveHeap()
+	for i := 0; i < tenants; i++ {
+		load(fmt.Sprintf("t%02d", i))
+	}
+	perTenant := (liveHeap() - base) / tenants
+	// The key index: a hash table of 4r 8-byte slots, room for 3r
+	// 4-byte keys, and a filter of 32r bits.
+	own := r*core.EstimatorBytes() + 8*r + (4*8+3*4+32/8)*r
+	const allowance = 16 << 10
+	t.Logf("live heap per tenant: %.1f KiB; own state %.1f KiB", float64(perTenant)/1024, float64(own)/1024)
+	if perTenant >= own+allowance {
+		t.Errorf("each tenant holds %d B of live heap, want < %d (own state %d + %d)", perTenant, own+allowance, own, allowance)
+	}
+	runtime.KeepAlive(s)
+	runtime.KeepAlive(bodies) // live at base, so live through the last reading
+}
+
+// liveHeap returns the heap bytes still reachable after a collection.
+// It collects twice, since a sync.Pool (the HTTP and JSON plumbing keep
+// some) frees its items only at the second collection that finds them
+// idle.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }

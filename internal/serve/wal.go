@@ -150,8 +150,8 @@ type walWriter struct {
 	mu sync.Mutex
 	f  *os.File // the current segment; nil until the next append opens one
 	cw countingWriter
-	// bw lives as long as the tenant and is reset onto each new segment;
-	// it holds its 64 KiB write buffer and borrows each block's buffer
+	// bw lives as long as the tenant and is reset onto each new
+	// segment; it holds no byte buffer, and borrows each block's buffer
 	// only for the append.
 	bw       *stream.BlockWriter
 	segStart uint64 // stream position of the current segment's first edge
@@ -224,12 +224,12 @@ func (w *walWriter) append(batch []graph.Edge) error {
 
 // retireLocked cuts the current segment back to size bytes, its length
 // before a failed append, and closes it; the next append starts a fresh
-// segment, and resetting the block writer onto it drops whatever the
-// failed append left buffered. (Truncating alone is not enough: cutting
-// back to zero bytes would desynchronize the block writer's
-// already-written stream header.) Best-effort by design — if the
-// truncate fails the segment keeps bytes past the position, exactly the
-// tail recovery already truncates.
+// segment, and resetting the block writer onto it writes the stream
+// magic again. (Truncating alone is not enough: cutting back to zero
+// bytes would desynchronize the block writer's already-written stream
+// header.) Best-effort by design — if the truncate fails the segment
+// keeps bytes past the position, exactly the tail recovery already
+// truncates.
 func (w *walWriter) retireLocked(size int64) {
 	if w.faults.failed() == nil {
 		w.f.Truncate(size)

@@ -8,8 +8,8 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"sync"
 
+	"streamtri/internal/freelist"
 	"streamtri/internal/graph"
 )
 
@@ -154,11 +154,13 @@ func buildBlockConfig(opts []BlockOption) blockConfig {
 // BlockWriter streams timestamped edges into the v2 block format,
 // buffering up to the configured records-per-block and emitting each
 // block with its computed bounds and checksum. Self loops are dropped
-// at write time, matching every other encoder. Close flushes the final
-// (possibly partial) block; it does not close the underlying writer.
-// Reset starts a new stream over another writer, keeping the buffers.
+// at write time, matching every other encoder. Each block reaches the
+// underlying writer in one Write call, the stream magic ahead of the
+// first, so the writer holds no byte buffer of its own. Close emits
+// the final (possibly partial) block; it does not close the underlying
+// writer. Reset starts a new stream over another writer.
 type BlockWriter struct {
-	bw      *bufio.Writer
+	dst     io.Writer
 	cfg     blockConfig
 	pending []TimestampedEdge
 	hdrDone bool
@@ -167,16 +169,15 @@ type BlockWriter struct {
 
 // NewBlockWriter returns a BlockWriter over w.
 func NewBlockWriter(w io.Writer, opts ...BlockOption) *BlockWriter {
-	return &BlockWriter{bw: bufio.NewWriterSize(w, 1<<16), cfg: buildBlockConfig(opts)}
+	return &BlockWriter{dst: w, cfg: buildBlockConfig(opts)}
 }
 
 // Reset rebinds the writer to dst as the start of a new stream: records
-// buffered by Write and bytes not yet flushed, a failed write's included,
-// are discarded, and the next block is preceded by the stream magic
-// again. The writer's buffers are kept, so one BlockWriter can serve a
-// sequence of files (the serving layer's WAL segments).
+// buffered by Write are discarded, and the next block is preceded by
+// the stream magic again. One BlockWriter can so serve a sequence of
+// files (the serving layer's WAL segments).
 func (w *BlockWriter) Reset(dst io.Writer) {
-	w.bw.Reset(dst)
+	w.dst = dst
 	w.pending = w.pending[:0]
 	w.hdrDone = false
 }
@@ -203,34 +204,32 @@ func (w *BlockWriter) WriteBatch(edges []TimestampedEdge) error {
 	return nil
 }
 
-// Close emits the trailing partial block (if any) and flushes the
-// buffered writer. A stream with no edges is the bare magic.
+// Close emits the trailing partial block (if any). A stream with no
+// edges is the bare magic.
 func (w *BlockWriter) Close() error {
-	if err := w.writeHeaderOnce(); err != nil {
-		return err
-	}
 	if len(w.pending) > 0 {
-		if err := w.flushBlock(); err != nil {
-			return err
-		}
+		return w.flushBlock()
 	}
-	return w.bw.Flush()
-}
-
-func (w *BlockWriter) writeHeaderOnce() error {
 	if w.hdrDone {
 		return nil
 	}
-	w.hdrDone = true
-	_, err := w.bw.Write(blockBinaryMagic[:])
+	_, err := w.dst.Write(w.appendMagic(nil))
 	return err
 }
 
-// flushBlock encodes and emits the pending records as one block.
-func (w *BlockWriter) flushBlock() error {
-	if err := w.writeHeaderOnce(); err != nil {
-		return err
+// appendMagic appends the stream magic to buf if no block has been
+// started since the stream began.
+func (w *BlockWriter) appendMagic(buf []byte) []byte {
+	if w.hdrDone {
+		return buf
 	}
+	w.hdrDone = true
+	return append(buf, blockBinaryMagic[:]...)
+}
+
+// flushBlock encodes the pending records as one block, after the magic
+// if it is the stream's first, and writes it.
+func (w *BlockWriter) flushBlock() error {
 	recs := w.pending
 	minTS, maxTS := recs[0].TS, recs[0].TS
 	for _, e := range recs[1:] {
@@ -241,36 +240,32 @@ func (w *BlockWriter) flushBlock() error {
 			maxTS = e.TS
 		}
 	}
-	payload := w.scratch[:0]
+	buf := w.appendMagic(w.scratch[:0])
+	hdr := len(buf)
+	buf = append(buf, make([]byte, blockHeaderSize)...)
 	if w.cfg.deltaTS {
 		prev := minTS
-		var v [binary.MaxVarintLen64]byte
 		for _, e := range recs {
-			payload = binary.LittleEndian.AppendUint32(payload, e.E.U)
-			payload = binary.LittleEndian.AppendUint32(payload, e.E.V)
-			n := binary.PutVarint(v[:], e.TS-prev)
-			payload = append(payload, v[:n]...)
+			buf = binary.LittleEndian.AppendUint32(buf, e.E.U)
+			buf = binary.LittleEndian.AppendUint32(buf, e.E.V)
+			buf = binary.AppendVarint(buf, e.TS-prev)
 			prev = e.TS
 		}
 	} else {
 		for _, e := range recs {
-			payload = binary.LittleEndian.AppendUint32(payload, e.E.U)
-			payload = binary.LittleEndian.AppendUint32(payload, e.E.V)
-			payload = binary.LittleEndian.AppendUint64(payload, uint64(e.TS))
+			buf = binary.LittleEndian.AppendUint32(buf, e.E.U)
+			buf = binary.LittleEndian.AppendUint32(buf, e.E.V)
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(e.TS))
 		}
 	}
-	w.scratch = payload[:0]
+	w.scratch = buf[:0]
 
 	flags := uint32(0)
 	if w.cfg.deltaTS {
 		flags |= blockFlagDeltaTS
 	}
-	var hdr [blockHeaderSize]byte
-	putBlockHeader(hdr[:], len(recs), flags, payload, minTS, maxTS)
-	if _, err := w.bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := w.bw.Write(payload); err != nil {
+	putBlockHeader(buf[hdr:], len(recs), flags, buf[hdr+blockHeaderSize:], minTS, maxTS)
+	if _, err := w.dst.Write(buf); err != nil {
 		return err
 	}
 	w.pending = w.pending[:0]
@@ -315,31 +310,29 @@ func ReadBlockBinaryEdges(r io.Reader) ([]TimestampedEdge, error) {
 	}
 }
 
-// blockBufPool recycles block payload buffers across views and WAL
-// appends: with the per-source credit budget bounding views in flight, a
-// k-way merge's steady state circulates ~3 buffers per source through
-// this pool, whatever the source's format, and AppendEdgeBlock borrows
-// one per append.
-var blockBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 16*DefaultBlockRecords); return &b }}
-
-func getBlockBuf(n int) []byte {
-	bp := blockBufPool.Get().(*[]byte)
-	b := *bp
-	if cap(b) < n {
-		// Room for a block header past n, so a buffer drawn for a
-		// block's payload also fits AppendEdgeBlock's header and records
-		// for a batch of as many edges.
-		return make([]byte, n, n+blockHeaderSize)
-	}
-	return b[:n]
+// blockBufs lists the idle block buffers of views and WAL appends, for
+// any goroutine to borrow: with the per-source credit budget bounding
+// views in flight, a k-way merge's steady state circulates ~3 buffers
+// per source through it, whatever the source's format, and
+// AppendEdgeBlock borrows one per append. A new buffer has room for a
+// default block's 16-byte records, and blockBufSlack bytes past the
+// request.
+var blockBufs = freelist.List[[]byte]{
+	New:  func(n int) []byte { return make([]byte, 0, max(n+blockBufSlack, 16*DefaultBlockRecords)) },
+	Size: func(b []byte) int { return cap(b) },
 }
 
+// blockBufSlack is the stream magic and one block header: a buffer a
+// block's payload was read into then also fits AppendEdgeBlock's
+// magic, header and records for a batch of as many edges.
+const blockBufSlack = len(blockBinaryMagic) + blockHeaderSize
+
+func getBlockBuf(n int) []byte { return blockBufs.Get(n)[:n] }
+
 func putBlockBuf(b []byte) {
-	if cap(b) == 0 {
-		return
+	if cap(b) > 0 {
+		blockBufs.Put(b[:0])
 	}
-	b = b[:0]
-	blockBufPool.Put(&b)
 }
 
 // blockView is one validated block's records as raw bytes: count
@@ -349,14 +342,14 @@ func putBlockBuf(b []byte) {
 // It is the unit the ordered merge works in —
 // handed from decoder to merger by reference, never re-materialized as
 // []TimestampedEdge. A view has one owner at a time: release returns
-// the backing buffer to the shared pool, after which the view's
+// the backing buffer to the shared free list, after which the view's
 // contents are undefined, and a second release is a no-op. Allocation
 // contract: a view's bytes are owned by the pipeline; a consumer that
 // needs records past release must copy them out (FillTimestamped does
 // exactly that).
 type blockView struct {
 	data  []byte // 16 * count bytes of raw v1-layout records
-	buf   []byte // the pooled allocation backing data (data may be a trimmed tail)
+	buf   []byte // the listed allocation backing data (data may be a trimmed tail)
 	count int
 	maxTS int64
 }
@@ -447,7 +440,7 @@ func (s *BlockBinarySource) checkHeader() error {
 }
 
 // rawBlock is one block whose header structure and checksum have been
-// checked, but not yet its records. Its payload comes from blockBufPool;
+// checked, but not yet its records. Its payload comes from blockBufs;
 // the decoder that consumes the block returns it or hands it on.
 type rawBlock struct {
 	payload      []byte
@@ -550,7 +543,7 @@ func (s *BlockBinarySource) nextBlock() (*blockView, error) {
 // every other decoder, and returns the records as a view of 16-byte
 // records (nil if none is left). An uncompressed payload becomes the
 // view's buffer; a compressed one is expanded into a new buffer and
-// returned to the pool.
+// returned to the free list.
 func (b rawBlock) view() (*blockView, error) {
 	raw, out := b.payload, 0
 	if b.compressed {
@@ -585,7 +578,7 @@ func (b rawBlock) view() (*blockView, error) {
 	return &blockView{data: raw[:16*out], buf: raw, count: out, maxTS: b.maxTS}, nil
 }
 
-// expandDeltaBlock decodes a varint-delta payload into a pooled raw
+// expandDeltaBlock decodes a varint-delta payload into a listed raw
 // record buffer, checking each timestamp against [minTS, maxTS] and
 // dropping self loops as it goes; it returns the buffer and how many
 // records it kept. The payload has already passed its checksum, so any
@@ -633,7 +626,7 @@ func expandDeltaBlock(payload []byte, count int, minTS, maxTS int64) ([]byte, in
 // appendEdges appends the block's edges to dst with the record checks
 // view makes — every timestamp within the declared bounds, self loops
 // dropped — and the same errors, without materializing 16-byte records.
-// It does not return the payload to the pool.
+// It does not return the payload to the free list.
 func (b rawBlock) appendEdges(dst []graph.Edge) ([]graph.Edge, error) {
 	span := uint64(b.maxTS - b.minTS) // ts is in bounds iff uint64(ts-minTS) <= span
 	ts, p := b.minTS, 0

@@ -176,7 +176,7 @@ func keyedFill(src Source, records int) func([]TimestampedEdge) (int, error) {
 }
 
 // filledBlockSource adapts any TimestampedSource, or through keyedFill
-// any plain Source, to the block merge: each view is a pooled buffer of
+// any plain Source, to the block merge: each view is a listed buffer of
 // v1-layout records filled through the source's bulk fill (per-edge
 // Next otherwise), with maxTS computed over exactly the records it
 // holds.
@@ -323,7 +323,7 @@ func (p *OrderedMultiPipeline) nextView(i int) (v *blockView, ok, abort bool) {
 }
 
 // blockRefill releases the cursor's spent view (returning its buffer to
-// the pool once the last holder lets go), credits the decoder, and
+// the free list once the last holder lets go), credits the decoder, and
 // installs the source's next view. more is false when the source is
 // cleanly exhausted; abort is true on shutdown.
 func (p *OrderedMultiPipeline) blockRefill(c *blockCursor) (more, abort bool) {

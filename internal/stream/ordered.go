@@ -96,7 +96,7 @@ const srcCredits = 2
 // Every source feeds the same block-granular engine. A v2 block reader
 // (BlockBinarySource) hands over its validated zero-copy views; any
 // other source — a v1 or text reader, a slice, the watermark stage — is
-// adapted by filling pooled blocks of up to min(w, DefaultBlockRecords)
+// adapted by filling recycled blocks of up to min(w, DefaultBlockRecords)
 // records through its FillTimestamped, computing each block's exact
 // maximum timestamp as it fills. Each source holds at most srcCredits+1 blocks.
 //

@@ -28,23 +28,24 @@ const MaxBlockRecords = maxBlockRecords
 const EdgeBlockRecordBytes = minCompressedRecord
 
 // AppendEdgeBlock encodes batch as exactly one v2 block — bypassing the
-// writer's records-per-block target — and flushes it through to the
-// underlying writer, so after a nil return the block's bytes have left
-// the process (durability is the caller's fsync). The block uses the
+// writer's records-per-block target — and writes it to the underlying
+// writer in one call, preceded by the stream magic if it is the
+// stream's first, so after a nil return the block's bytes have left the
+// process (durability is the caller's fsync). The block uses the
 // format's existing varint-delta layout (flags bit 0) with every
 // timestamp zero and min_ts = max_ts = 0, so a record takes
 // EdgeBlockRecordBytes instead of 16; every v2 reader decodes it. Self
 // loops are dropped, matching every other encoder (callers feeding
 // decoded batches never contain any, so the block's record count equals
-// len(batch)). Must not be interleaved with Write/WriteBatch: those
-// buffer toward the block target, and mixing the two would tear a
-// buffered block in half.
+// len(batch)); a batch of self loops alone writes no block. Must not be
+// interleaved with Write/WriteBatch: those buffer toward the block
+// target, and mixing the two would tear a buffered block in half.
 //
-// The block is built in a buffer borrowed from the pool the block
-// readers draw their payloads from (a buffer a replayed block was read
-// into fits the append of a batch of its size), and handed back before
-// AppendEdgeBlock returns, so between appends the writer holds only its
-// 64 KiB write buffer, nothing that scales with the batch.
+// The bytes are built in a buffer borrowed from blockBufs, the list the
+// block readers draw their payloads from (a buffer a replayed block was
+// read into fits the append of a batch of its size), and handed back
+// before AppendEdgeBlock returns, so between appends the writer holds
+// nothing that scales with the batch.
 func (w *BlockWriter) AppendEdgeBlock(batch []graph.Edge) error {
 	if len(w.pending) > 0 {
 		return fmt.Errorf("stream: AppendEdgeBlock with %d records buffered by Write", len(w.pending))
@@ -52,14 +53,11 @@ func (w *BlockWriter) AppendEdgeBlock(batch []graph.Edge) error {
 	if len(batch) > maxBlockRecords {
 		return fmt.Errorf("stream: batch of %d records exceeds the %d per-block limit", len(batch), maxBlockRecords)
 	}
-	if err := w.writeHeaderOnce(); err != nil {
-		return err
-	}
-	// Header and records share one pooled buffer; the header is filled
-	// last, since its checksum covers the records.
-	buf := getBlockBuf(blockHeaderSize + EdgeBlockRecordBytes*len(batch))
+	buf := getBlockBuf(blockBufSlack + EdgeBlockRecordBytes*len(batch))
 	defer putBlockBuf(buf)
-	p := blockHeaderSize
+	hdr := len(w.appendMagic(buf[:0]))
+	// The header is filled last, since its checksum covers the records.
+	p := hdr + blockHeaderSize
 	for _, e := range batch {
 		if e.U == e.V {
 			continue
@@ -70,13 +68,16 @@ func (w *BlockWriter) AppendEdgeBlock(batch []graph.Edge) error {
 		rec[8] = 0 // zigzag varint of the zero delta
 		p += EdgeBlockRecordBytes
 	}
-	if n := (p - blockHeaderSize) / EdgeBlockRecordBytes; n > 0 {
-		putBlockHeader(buf, n, blockFlagDeltaTS, buf[blockHeaderSize:p], 0, 0)
-		if _, err := w.bw.Write(buf[:p]); err != nil {
-			return err
-		}
+	if n := (p - hdr - blockHeaderSize) / EdgeBlockRecordBytes; n > 0 {
+		putBlockHeader(buf[hdr:], n, blockFlagDeltaTS, buf[hdr+blockHeaderSize:p], 0, 0)
+	} else {
+		p = hdr
 	}
-	return w.bw.Flush()
+	if p == 0 {
+		return nil
+	}
+	_, err := w.dst.Write(buf[:p])
+	return err
 }
 
 // NextEdgeBlock returns the next whole block's edges with timestamps
