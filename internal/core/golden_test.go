@@ -74,6 +74,43 @@ func TestBulkStateGolden(t *testing.T) {
 	}
 }
 
+// TestBulkStateGoldenWide pins the bulk path's states on batches wider
+// than the other golden tests reach (about 900 edges there): a
+// Holme–Kim stream of about 20,000 edges, in growth order and shuffled,
+// at widths on either side of 2,048 and 8,192, and the whole stream in
+// one batch. The digest scheme is TestBulkStateGolden's, one per stream
+// and level-1 setting.
+func TestBulkStateGoldenWide(t *testing.T) {
+	growth := gen.HolmeKim(randx.New(103), 4000, 5, 0.6)
+	streams := []goldenStream{
+		{"holmekim-growth", growth},
+		{"holmekim-shuffled", stream.Shuffle(growth, randx.New(104))},
+	}
+	want := map[string]string{
+		"holmekim-growth/flat-skip":     "48ab83c42da732d3731d5003ec77f5f0ddcda7d352f33467ab7d96bd77dd181f",
+		"holmekim-growth/flat-noskip":   "95bed28b65f7e0be81e03bf67fe80301f5c853d50f9c83444ad1973c29a8754c",
+		"holmekim-shuffled/flat-skip":   "18fde8a7d1753b6e291148e6bb6584be8cffcc2e540ae4c6ed28db8d055c7099",
+		"holmekim-shuffled/flat-noskip": "48ff9566c0e50c83f3c0a625944de95a6f904214fb7a4ffdea1f93b26adebda3",
+	}
+	for _, s := range streams {
+		for _, k := range goldenKinds()[:2] {
+			name := s.name + "/" + k.name
+			t.Run(name, func(t *testing.T) {
+				h := sha256.New()
+				for _, r := range []int{7, 300, 4096} {
+					for _, w := range []int{2047, 2048, 2049, 8191, len(s.edges)} {
+						fmt.Fprintf(h, "r=%d w=%d\n", r, w)
+						h.Write(goldenState(t, s.edges, r, w, k))
+					}
+				}
+				if got := hex.EncodeToString(h.Sum(nil)); got != want[name] {
+					t.Errorf("state digest %s, want %s", got, want[name])
+				}
+			})
+		}
+	}
+}
+
 // multigraph returns edges with every 5th edge repeated 40 positions
 // later and a self loop on the first edge's first vertex after every
 // 50th edge.
