@@ -77,20 +77,28 @@ func TestBulkStateGolden(t *testing.T) {
 // TestBulkStateGoldenWide pins the bulk path's states on batches wider
 // than the other golden tests reach (about 900 edges there): a
 // Holme–Kim stream of about 20,000 edges, in growth order and shuffled,
-// at widths on either side of 2,048 and 8,192, and the whole stream in
-// one batch. The digest scheme is TestBulkStateGolden's, one per stream
-// and level-1 setting.
+// the multigraph variant of the first, and a complete graph on 100
+// vertices, at widths on either side of 2,048 and 8,192, and the whole
+// stream in one batch. On the last two, more than 2,048 positions of
+// one batch can hold a pair an open wedge waits for. The digest scheme
+// is TestBulkStateGolden's, one per stream and level-1 setting.
 func TestBulkStateGoldenWide(t *testing.T) {
 	growth := gen.HolmeKim(randx.New(103), 4000, 5, 0.6)
 	streams := []goldenStream{
 		{"holmekim-growth", growth},
 		{"holmekim-shuffled", stream.Shuffle(growth, randx.New(104))},
+		{"multigraph", multigraph(growth)},
+		{"complete", gen.Complete(100)},
 	}
 	want := map[string]string{
 		"holmekim-growth/flat-skip":     "48ab83c42da732d3731d5003ec77f5f0ddcda7d352f33467ab7d96bd77dd181f",
 		"holmekim-growth/flat-noskip":   "95bed28b65f7e0be81e03bf67fe80301f5c853d50f9c83444ad1973c29a8754c",
 		"holmekim-shuffled/flat-skip":   "18fde8a7d1753b6e291148e6bb6584be8cffcc2e540ae4c6ed28db8d055c7099",
 		"holmekim-shuffled/flat-noskip": "48ff9566c0e50c83f3c0a625944de95a6f904214fb7a4ffdea1f93b26adebda3",
+		"multigraph/flat-skip":          "229e80823f88dcd4025db682fa970e9e0cd0f115e27aa7d5ade7986494297913",
+		"multigraph/flat-noskip":        "cefdd6c838f6889f3b672c93400392e202fade3d56dce695934effa6e25c492a",
+		"complete/flat-skip":            "3383a9ea2e982a1f32345cd60fe6ffae2c70d6f2216dc33a8fbf1843fe981277",
+		"complete/flat-noskip":          "24ce8ac857774019f1e2806c95f0724753f312fd0d3a4279d419e34b5343989a",
 	}
 	for _, s := range streams {
 		for _, k := range goldenKinds()[:2] {
