@@ -94,9 +94,9 @@ bench-smoke:
 # One measurement run of the gated cells: each runs three times, and
 # the gate reads the median Medges/s, since single runs jitter several
 # percent on a busy machine. Every benchmark in internal/bench is gated
-# but BulkLoadAddBatch and ServeIngestCheckpoint: they came after the
-# baseline was recorded, and would add about a fifth to the run's wall
-# time.
+# but BulkLoadAddBatch, ServeIngestCheckpoint and ServeRecover: they
+# came after the baseline was recorded, and would add about a fifth to
+# the run's wall time.
 BENCH_GATE_RUN = $(GO) test -run '^$$' -benchmem -count 3 \
 	-bench '^Benchmark(AddBatchFlat|SlurpThenCount|PipelinedCount|MultiPipelinedCount|OrderedMergedCount|OrderedMergedCountV2|WatermarkedCount|TsBinaryDecodeBulk|BlockDecodeBulk|TextDecodePerEdge|TextDecodeBulk|TsTextDecodePerEdge|TsTextDecodeBulk|ServeIngestUnderReaders)$$' \
 	./internal/bench/

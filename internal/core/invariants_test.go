@@ -111,7 +111,7 @@ func checkIndexInvariants(t *testing.T, c *Counter) {
 		}
 	}
 	for id, v := range x.in.keys {
-		if !x.qbits.has(hash32(v)) {
+		if x.qbits.test(hash32(v)) == 0 {
 			t.Fatalf("key %d (vertex %d) is not in the filter", id, v)
 		}
 	}

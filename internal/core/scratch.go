@@ -37,6 +37,18 @@ import (
 //     pairs, which records each pair's last batch position and settles
 //     every wedge.
 //
+// scan, which probes the interner once per batch endpoint, runs over
+// chunks of the batch in two passes. The filter pass hashes every
+// endpoint and keeps the ones that pass qbits as candidates (probes),
+// advancing by the filter bit instead of branching on it; the probe
+// pass then looks the candidates up, in batch order. Probed one at a
+// time, each endpoint would be a branch the CPU cannot predict and a
+// cache miss it waits on; a chunk's probes are independent, so their
+// misses overlap. The candidates keep batch order, so the tables come
+// out as one pass would leave them. closeWedges probes the pair table
+// once per distinct hit position; the same two passes there measured
+// no gain beyond run-to-run spread, so it probes one position at a time.
+//
 // Everything is kept, epoch-stamped or length-reset, in the counter or
 // in the listed table sets, so steady-state batches, rebuilds included,
 // perform zero heap allocations.
@@ -82,9 +94,11 @@ func (b *bitset) add(hash uint32) {
 	b.words[i>>6] |= 1 << (i & 63)
 }
 
-func (b *bitset) has(hash uint32) bool {
+// test returns 1 if hash's bit is set and 0 if not: scan's filter pass
+// advances its candidate count by it instead of branching on it.
+func (b *bitset) test(hash uint32) int {
 	i := hash & b.mask
-	return b.words[i>>6]&(1<<(i&63)) != 0
+	return int(b.words[i>>6] >> (i & 63) & 1)
 }
 
 // pairTable holds the closing pairs the estimators wait for and, for
@@ -148,7 +162,7 @@ func (t *pairTable) register(key uint64) uint32 {
 // last.
 func (t *pairTable) see(key uint64, i int32) {
 	hash := hash64(key)
-	if !t.bits.has(uint32(hash)) {
+	if t.bits.test(uint32(hash)) == 0 {
 		return
 	}
 	h := uint32(hash>>32) & t.mask
@@ -198,6 +212,19 @@ type openWedge struct {
 	after int32
 }
 
+// probe is a candidate of scan's filter pass: a batch endpoint that
+// passed qbits, its hash32 and its batch position.
+type probe struct {
+	v         graph.NodeID
+	hash, pos uint32
+}
+
+// probeChunk is how many candidates scan's filter pass may collect, two
+// per edge, before the probe pass looks them up. It keeps the
+// candidates in L1 (24 KiB) and gives the probe pass enough independent
+// lookups for the CPU to overlap their cache misses.
+const probeChunk = 2048
+
 // batchIndex is the part of the index a counter keeps; see the file
 // comment. Its keys are the level-1 endpoints of the counter's r
 // estimators, at most 2r live ones plus at most r/4 interned since the
@@ -225,10 +252,11 @@ type batchIndex struct {
 }
 
 // batchTables are the tables built over one batch: the keys' batch
-// degrees and occurrence lists, the hits, and the open wedges with
-// their closing pairs. The hit list and the occurrence lists hold one
-// entry per batch endpoint that is a key, at most 2w, and the pair
-// table and the wedge list at most r entries: the O(w) share of
+// degrees and occurrence lists, the hits, the open wedges with their
+// closing pairs, and scan's candidates. The hit list and the
+// occurrence lists hold one entry per batch endpoint that is a key, at
+// most 2w, the pair table and the wedge list at most r entries, and the
+// candidates a fixed probeChunk (24 KiB): the O(w) share of
 // Theorem 3.5's space is needed for one call only. The sets live in
 // tableSets, each sized by the largest batch it has served.
 type batchTables struct {
@@ -237,11 +265,14 @@ type batchTables struct {
 	occ    []uint32
 	pairs  pairTable
 	wedges []openWedge
+	probes []probe // probeChunk candidates of scan's filter pass
 }
 
 // tableSets lists the idle table sets: as many as AddBatch calls ever
 // ran at once, in any counters.
-var tableSets = freelist.List[*batchTables]{New: func(int) *batchTables { return new(batchTables) }}
+var tableSets = freelist.List[*batchTables]{New: func(int) *batchTables {
+	return &batchTables{probes: make([]probe, probeChunk)}
+}}
 
 // intern returns v's id, interning v and adding it to the filter.
 func (x *batchIndex) intern(v graph.NodeID) uint32 {
@@ -295,46 +326,52 @@ func (x *batchIndex) rebuild(ests []Estimator) {
 // scan streams the batch past the keys: it counts each one's batch
 // degree, then lays its occurrence list out in occ. A self loop on a
 // key counts twice, at the same position. It also empties the pair
-// table for at most r open wedges.
+// table for at most r open wedges. The batch goes by in chunks of
+// probeChunk/2 edges, each in a filter pass over both endpoints of
+// every edge and a probe pass over the interner (see the file comment).
 func (x *batchIndex) scan(batch []graph.Edge, r int) {
 	// verts holds one entry per key; sizing it for every key the table
-	// takes before it would grow keeps a set from growing it again.
+	// takes before it would grow keeps a set from growing it again. The
+	// tables are held in locals for the loops: through the embedded
+	// pointer, every access would reload them.
 	n := x.in.size()
-	x.verts = slices.Grow(x.verts[:0], x.in.capacity())[:n]
-	clear(x.verts)
-	x.hits = x.hits[:0]
-	for i, e := range batch {
-		x.hit(e.U, uint32(i))
-		x.hit(e.V, uint32(i))
+	verts := slices.Grow(x.verts[:0], x.in.capacity())[:n]
+	clear(verts)
+	hits, cands, qbits := x.hits[:0], x.probes, x.qbits
+	for lo := 0; lo < len(batch); lo += probeChunk / 2 {
+		k := 0
+		for i, e := range batch[lo:min(lo+probeChunk/2, len(batch))] {
+			pos := uint32(lo + i)
+			hu, hv := hash32(e.U), hash32(e.V)
+			cands[k] = probe{v: e.U, hash: hu, pos: pos}
+			k += qbits.test(hu)
+			cands[k] = probe{v: e.V, hash: hv, pos: pos}
+			k += qbits.test(hv)
+		}
+		for _, c := range cands[:k] {
+			if id, ok := x.in.lookupHashed(c.v, c.hash); ok {
+				verts[id].deg++
+				hits = append(hits, vertexHit{pos: c.pos, id: id})
+			}
+		}
 	}
 	// Counting sort of the hits by vertex: each start first points one
 	// past the vertex's list and is walked back while the hits are
 	// placed in reverse, which leaves every list in batch order.
 	var end uint32
-	for id := range x.verts {
-		end += x.verts[id].deg
-		x.verts[id].start = end
+	for id := range verts {
+		end += verts[id].deg
+		verts[id].start = end
 	}
-	x.occ = slices.Grow(x.occ[:0], int(end))[:end]
-	for k := len(x.hits) - 1; k >= 0; k-- {
-		h := x.hits[k]
-		x.verts[h.id].start--
-		x.occ[x.verts[h.id].start] = h.pos
+	occ := slices.Grow(x.occ[:0], int(end))[:end]
+	for k := len(hits) - 1; k >= 0; k-- {
+		h := hits[k]
+		verts[h.id].start--
+		occ[verts[h.id].start] = h.pos
 	}
+	x.verts, x.hits, x.occ = verts, hits, occ
 	x.pairs.begin(r)
 	x.wedges = x.wedges[:0]
-}
-
-// hit counts batch endpoint v, at position i, if it is a key.
-func (x *batchIndex) hit(v graph.NodeID, i uint32) {
-	h := hash32(v)
-	if !x.qbits.has(h) {
-		return
-	}
-	if id, ok := x.in.lookupHashed(v, h); ok {
-		x.verts[id].deg++
-		x.hits = append(x.hits, vertexHit{pos: i, id: id})
-	}
 }
 
 // degree returns the final batch degree of the key with id id.

@@ -435,6 +435,11 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	if c, ok := src.(io.Closer); ok {
+		// A v2 body that fails or is cancelled mid-block leaves its
+		// block's buffer with the source; closing hands it back.
+		defer c.Close()
+	}
 
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 
 	"streamtri/internal/freelist"
 	"streamtri/internal/graph"
@@ -627,7 +628,36 @@ func expandDeltaBlock(payload []byte, count int, minTS, maxTS int64) ([]byte, in
 // view makes — every timestamp within the declared bounds, self loops
 // dropped — and the same errors, without materializing 16-byte records.
 // It does not return the payload to the free list.
+//
+// A block in AppendEdgeBlock's layout — delta-compressed, min_ts =
+// max_ts, and 9 bytes per record — is what WAL replay reads, and it
+// takes one tight loop: every record must then be 8 bytes of ids and a
+// zero delta byte. At the first record that is not, the general loop
+// below decodes the block afresh, so its edges and errors are the
+// general loop's.
 func (b rawBlock) appendEdges(dst []graph.Edge) ([]graph.Edge, error) {
+	if b.compressed && b.minTS == b.maxTS && len(b.payload) == minCompressedRecord*b.count {
+		base := len(dst)
+		out := slices.Grow(dst, b.count)[:base+b.count]
+		n := base
+		for p := 0; p < len(b.payload); p += minCompressedRecord {
+			rec := (*[minCompressedRecord]byte)(b.payload[p:])
+			if rec[8] != 0 {
+				return b.appendEdgesAny(out[:base])
+			}
+			u, v := binary.LittleEndian.Uint32(rec[0:4]), binary.LittleEndian.Uint32(rec[4:8])
+			out[n] = graph.Edge{U: u, V: v}
+			if u != v {
+				n++
+			}
+		}
+		return out[:n], nil
+	}
+	return b.appendEdgesAny(dst)
+}
+
+// appendEdgesAny is appendEdges for any block layout.
+func (b rawBlock) appendEdgesAny(dst []graph.Edge) ([]graph.Edge, error) {
 	span := uint64(b.maxTS - b.minTS) // ts is in bounds iff uint64(ts-minTS) <= span
 	ts, p := b.minTS, 0
 	for i := 0; i < b.count; i++ {
@@ -787,6 +817,20 @@ func (s *BlockBinarySource) advance() error {
 		return err
 	}
 	s.view, s.pos = v, 0
+	return nil
+}
+
+// Close hands the block the record paths left partly read back to the
+// free list it came from; its unread records are dropped. A source
+// abandoned mid-block keeps that buffer from the list until it is
+// collected, so a caller that stops reading early closes it. The
+// source stays usable and reads on from the next block. Close never
+// fails, and a second Close is a no-op.
+func (s *BlockBinarySource) Close() error {
+	if s.view != nil {
+		s.view.release()
+		s.view, s.pos = nil, 0
+	}
 	return nil
 }
 

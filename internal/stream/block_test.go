@@ -435,6 +435,44 @@ func TestV1TimestampedSourceRejectsBlockStream(t *testing.T) {
 	}
 }
 
+// TestBlockBinarySourceCloseHandsBackItsBlock drops a source after one
+// record, mid-block, alone and under StripTimestamps: closing it must
+// list the block's buffer again, so the list holds as many idle
+// buffers as before the read, and a second Close must change nothing.
+func TestBlockBinarySourceCloseHandsBackItsBlock(t *testing.T) {
+	recs := make([]TimestampedEdge, 12)
+	for i := range recs {
+		recs[i] = TimestampedEdge{E: graph.Edge{U: uint32(i), V: uint32(i + 1)}, TS: int64(i)}
+	}
+	for _, opts := range [][]BlockOption{{WithBlockRecords(4)}, {WithBlockRecords(4), WithBlockDeltaTimestamps()}} {
+		data := encodeBlockStream(t, recs, opts...)
+		if _, err := tsCollect(NewBlockBinarySource(bytes.NewReader(data))); err != nil {
+			t.Fatal(err) // leaves the buffers one block read needs listed
+		}
+		sources := map[string]BatchFiller{
+			"source":          NewBlockBinarySource(bytes.NewReader(data)),
+			"StripTimestamps": StripTimestamps(NewBlockBinarySource(bytes.NewReader(data))).(BatchFiller),
+		}
+		for name, src := range sources {
+			idle := blockBufs.Idle()
+			if n, err := src.Fill(make([]graph.Edge, 1)); n != 1 || err != nil {
+				t.Fatalf("%s: Fill read %d records: %v", name, n, err)
+			}
+			if blockBufs.Idle() != idle-1 {
+				t.Fatalf("%s: %d idle buffers mid-block, want %d", name, blockBufs.Idle(), idle-1)
+			}
+			for range 2 {
+				if err := src.(io.Closer).Close(); err != nil {
+					t.Fatal(err)
+				}
+				if blockBufs.Idle() != idle {
+					t.Fatalf("%s: %d idle buffers after Close, want %d", name, blockBufs.Idle(), idle)
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkBlockBodyFill decodes one 1024-edge v2 body per iteration in
 // 512-edge fills: trictd's path for window-reads' bodies, one
 // uncompressed block through StripTimestamps over a BlockBinarySource

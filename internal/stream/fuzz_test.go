@@ -3,6 +3,7 @@ package stream
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"io"
 	"math"
 	"testing"
@@ -334,6 +335,20 @@ func blockFuzzSeeds() [][]byte {
 		d[off] ^= b
 		return d
 	}
+	// walBlock is a one-block stream in AppendEdgeBlock's 9-byte record
+	// layout, with a valid checksum, whose records are (u, v, ninth byte)
+	// triples: it reaches the record decoder, however its records lie.
+	walBlock := func(minTS, maxTS int64, recs ...[3]uint32) []byte {
+		var payload []byte
+		for _, r := range recs {
+			payload = binary.LittleEndian.AppendUint32(payload, r[0])
+			payload = binary.LittleEndian.AppendUint32(payload, r[1])
+			payload = append(payload, byte(r[2]))
+		}
+		hdr := make([]byte, blockHeaderSize)
+		putBlockHeader(hdr, len(recs), blockFlagDeltaTS, payload, minTS, maxTS)
+		return append(append(append([]byte(nil), blockBinaryMagic[:]...), hdr...), payload...)
+	}
 	return [][]byte{
 		nil,
 		blockBinaryMagic[:], // bare header: a clean empty stream
@@ -348,6 +363,10 @@ func blockFuzzSeeds() [][]byte {
 		mut(v2, 8+blockHeaderSize+12, 0xff), // record ts flip: outside declared bounds
 		wal.Bytes(),
 		wal.Bytes()[:wal.Len()-4], // torn WAL tail
+		walBlock(0, 0, [3]uint32{1, 2, 0}, [3]uint32{3, 4, 0x02}, [3]uint32{5, 6, 0}), // a nonzero delta: ts outside [0, 0]
+		walBlock(0, 0, [3]uint32{1, 2, 0x80}, [3]uint32{3, 4, 0}, [3]uint32{5, 6, 0}), // a two-byte varint in a 9-byte-per-record payload
+		walBlock(0, 0, [3]uint32{1, 2, 0}, [3]uint32{7, 7, 0}, [3]uint32{2, 3, 0}),    // a self loop
+		walBlock(0, 5, [3]uint32{1, 2, 0}, [3]uint32{3, 4, 0}),                        // 9-byte records, min_ts != max_ts
 		append([]byte("STRTSB01"), v2[8:]...),
 		append([]byte("STRTSB99"), v2[8:]...),
 		bytes.Repeat([]byte{0}, 48),

@@ -305,7 +305,8 @@ func parseTimestampField(b []byte) (int64, []byte, error) {
 // data to consumers that only care about arrival order (the source's
 // own order is preserved). It implements BatchFiller: a source with an
 // edges-only Fill of its own (BlockBinarySource) decodes through it,
-// any other through its FillTimestamped when available.
+// any other through its FillTimestamped when available. Its Close
+// closes the wrapped source, if that is an io.Closer.
 func StripTimestamps(src TimestampedSource) Source { return &timestampStripper{src: src} }
 
 type timestampStripper struct {
@@ -336,6 +337,14 @@ func (s *timestampStripper) Fill(out []graph.Edge) (int, error) {
 		out[i] = s.scratch[i].E
 	}
 	return n, err
+}
+
+// Close closes the wrapped source if it is an io.Closer.
+func (s *timestampStripper) Close() error {
+	if c, ok := s.src.(io.Closer); ok {
+		return c.Close()
+	}
+	return nil
 }
 
 // tsFillFromSource is the per-edge fallback for timestamped sources
