@@ -330,3 +330,53 @@ func TestMultiPipelineCloseWithoutDraining(t *testing.T) {
 	}
 	assertNoLeak(t, base)
 }
+
+// With nobody consuming, the decoders and the merger wedge with a
+// bounded number of blocks decoded: each source holds at most three
+// (one its decoder filled, one handed to the merger, one the merger
+// reads), and every other block it decoded was emitted and released.
+// The count of decoded blocks must then stop at no more than 3k plus
+// the blocks the merger has emitted.
+func TestMergedPipelineHoldsThreeBlocksPerSource(t *testing.T) {
+	const w = 16
+	records := uint64(min(w, DefaultBlockRecords))
+	for _, k := range []int{2, 8, 64} {
+		base := goroutineBaseline()
+		srcs := make([]Source, k)
+		for i := range srcs {
+			srcs[i] = &infiniteSource{i: uint32(i) << 20}
+		}
+		p, err := NewMergedPipeline(context.Background(), srcs, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		decoded := func() (n uint64) {
+			for _, s := range p.SourceStats() {
+				n += s.Batches
+			}
+			return n
+		}
+		// Poll until the count has held still for 200 ms. Stopping early
+		// only reads a smaller count, so a slow machine cannot fail the
+		// bound, only test it less.
+		n, still := decoded(), time.Now()
+		for deadline := time.Now().Add(10 * time.Second); time.Since(still) < 200*time.Millisecond; {
+			if time.Now().After(deadline) {
+				t.Fatalf("k=%d: decoded blocks still growing after 10 s (%d)", k, n)
+			}
+			time.Sleep(5 * time.Millisecond)
+			if m := decoded(); m != n {
+				n, still = m, time.Now()
+			}
+		}
+		emitted := p.Stats().Edges / records
+		t.Logf("k=%d: %d blocks decoded, %d emitted", k, n, emitted)
+		if n > 3*uint64(k)+emitted {
+			t.Fatalf("k=%d: %d blocks decoded, want at most 3k + %d emitted = %d", k, n, emitted, 3*uint64(k)+emitted)
+		}
+		if err := p.Close(); err != nil {
+			t.Fatalf("k=%d: Close = %v", k, err)
+		}
+		assertNoLeak(t, base)
+	}
+}
