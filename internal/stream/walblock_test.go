@@ -303,37 +303,57 @@ func BenchmarkAppendEdgeBlock(b *testing.B) {
 
 // BenchmarkNextEdgeBlock decodes 8 logged batches per iteration from
 // memory, the WAL replay recovery runs. B/edge is the log bytes read
-// per edge, the stream magic excluded.
+// per edge, the stream magic excluded. The w=N cases read
+// AppendEdgeBlock's layout; the 16byte/w=N cases read the 16-byte
+// uncompressed records that builds before it logged, one block per
+// batch, written as BlockWriter.Write with WithBlockRecords(w) writes
+// them.
 func BenchmarkNextEdgeBlock(b *testing.B) {
 	const blocks = 8
-	for _, w := range walBenchSizes {
-		b.Run(fmt.Sprintf("w=%d", w), func(b *testing.B) {
-			var log bytes.Buffer
-			bw := NewBlockWriter(&log)
-			batch := walBenchBatch(w)
-			for i := 0; i < blocks; i++ {
-				if err := bw.AppendEdgeBlock(batch); err != nil {
-					b.Fatal(err)
-				}
-			}
-			data := log.Bytes()
-			var buf []graph.Edge
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				src := NewBlockBinarySource(bytes.NewReader(data))
-				for {
-					var err error
-					if buf, err = src.NextEdgeBlock(buf); err == io.EOF {
-						break
-					} else if err != nil {
+	for _, layout := range []string{"", "16byte/"} {
+		for _, w := range walBenchSizes {
+			b.Run(fmt.Sprintf("%sw=%d", layout, w), func(b *testing.B) {
+				var log bytes.Buffer
+				batch := walBenchBatch(w)
+				if layout == "" {
+					bw := NewBlockWriter(&log)
+					for i := 0; i < blocks; i++ {
+						if err := bw.AppendEdgeBlock(batch); err != nil {
+							b.Fatal(err)
+						}
+					}
+				} else {
+					bw := NewBlockWriter(&log, WithBlockRecords(w))
+					for i := 0; i < blocks; i++ {
+						for _, e := range batch {
+							if err := bw.Write(TimestampedEdge{E: e}); err != nil {
+								b.Fatal(err)
+							}
+						}
+					}
+					if err := bw.Close(); err != nil {
 						b.Fatal(err)
 					}
 				}
-			}
-			edges := float64(b.N) * float64(blocks*w)
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/edges, "ns/edge")
-			b.ReportMetric(float64(len(data)-len(blockBinaryMagic))/float64(blocks*w), "B/edge")
-		})
+				data := log.Bytes()
+				var buf []graph.Edge
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					src := NewBlockBinarySource(bytes.NewReader(data))
+					for {
+						var err error
+						if buf, err = src.NextEdgeBlock(buf); err == io.EOF {
+							break
+						} else if err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+				edges := float64(b.N) * float64(blocks*w)
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/edges, "ns/edge")
+				b.ReportMetric(float64(len(data)-len(blockBinaryMagic))/float64(blocks*w), "B/edge")
+			})
+		}
 	}
 }
