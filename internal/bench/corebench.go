@@ -71,23 +71,30 @@ func (m *cpuMeter) report(b *testing.B, edges float64) {
 	}
 }
 
+// timePasses runs pass once untimed, to warm scratch tables, then b.N
+// times on the benchmark's timer and a cpuMeter, and reports Medges/s
+// and the process's CPU ns per edge for m edges per pass.
+func timePasses(b *testing.B, m int, pass func()) {
+	pass()
+	b.ReportAllocs()
+	var cpu cpuMeter
+	b.ResetTimer()
+	cpu.start()
+	for i := 0; i < b.N; i++ {
+		pass()
+	}
+	cpu.stop()
+	b.StopTimer()
+	cpu.report(b, float64(m)*float64(b.N))
+}
+
 // BenchCoreAddBatch is the body of BenchmarkAddBatchFlat: b.N full
 // passes of the stream in batches of w through one persistent counter,
 // after one untimed pass, so scratch tables reach steady state and the
 // reported B/op reflects the per-batch allocation behavior.
 func BenchCoreAddBatch(b *testing.B, edges []graph.Edge, r, w int) {
 	c := core.NewCounter(r, 1)
-	streamInBatches(c, edges, w)
-	b.ReportAllocs()
-	var cpu cpuMeter
-	b.ResetTimer()
-	cpu.start()
-	for i := 0; i < b.N; i++ {
-		streamInBatches(c, edges, w)
-	}
-	cpu.stop()
-	b.StopTimer()
-	cpu.report(b, float64(len(edges))*float64(b.N))
+	timePasses(b, len(edges), func() { streamInBatches(c, edges, w) })
 }
 
 // Bulk-load's shape: perfbench's bulk-load workload feeds each tenant, a

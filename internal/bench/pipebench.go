@@ -47,40 +47,20 @@ func EncodeBinaryEdges(edges []graph.Edge) []byte {
 // slice through the counter in w-edge batches.
 func BenchPipeSlurp(b *testing.B, data []byte, r, w int) {
 	c := core.NewCounter(r, 1)
-	warmSlurp(c, data, w)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	timePasses(b, len(data)/8, func() {
 		edges, err := stream.ReadBinaryEdges(bytes.NewReader(data))
 		if err != nil {
 			b.Fatal(err)
 		}
 		streamInBatches(c, edges, w)
-	}
-	b.StopTimer()
-	reportEdgesPerSec(b, len(data)/8)
-}
-
-func warmSlurp(c *core.Counter, data []byte, w int) {
-	edges, err := stream.ReadBinaryEdges(bytes.NewReader(data))
-	if err != nil {
-		panic(err)
-	}
-	streamInBatches(c, edges, w)
+	})
 }
 
 // BenchPipePipelined measures the pipelined ingestion over the same
 // bytes: bulk batch decoding on the decoder goroutine overlapping the
 // sink's AddBatch, zero steady-state allocation.
 func BenchPipePipelined(b *testing.B, data []byte, w, depth int, sink stream.Sink) {
-	pipeOnePass(b, data, w, depth, sink) // warm scratch tables untimed
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pipeOnePass(b, data, w, depth, sink)
-	}
-	b.StopTimer()
-	reportEdgesPerSec(b, len(data)/8)
+	timePasses(b, len(data)/8, func() { pipeOnePass(b, data, w, depth, sink) })
 }
 
 func pipeOnePass(b *testing.B, data []byte, w, depth int, sink stream.Sink) {
@@ -95,10 +75,6 @@ func pipeOnePass(b *testing.B, data []byte, w, depth int, sink stream.Sink) {
 	if n != uint64(len(data)/8) {
 		b.Fatalf("drained %d of %d edges", n, len(data)/8)
 	}
-}
-
-func reportEdgesPerSec(b *testing.B, edges int) {
-	b.ReportMetric(float64(edges)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Medges/s")
 }
 
 // EncodeTimestampedShards stamps edges with their stream index as the
@@ -152,14 +128,7 @@ func BenchOrderedPipelined(b *testing.B, shards [][]byte, w int, sink stream.Sin
 			b.Fatalf("drained %d of %d edges", n, m)
 		}
 	}
-	onePass() // warm scratch tables untimed
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		onePass()
-	}
-	b.StopTimer()
-	reportEdgesPerSec(b, m)
+	timePasses(b, m, onePass)
 }
 
 // BenchWatermarkedPipelined is BenchOrderedPipelined with each shard
@@ -197,14 +166,7 @@ func BenchWatermarkedPipelined(b *testing.B, shards [][]byte, w int, sink stream
 			}
 		}
 	}
-	onePass() // warm scratch tables untimed
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		onePass()
-	}
-	b.StopTimer()
-	reportEdgesPerSec(b, m)
+	timePasses(b, m, onePass)
 }
 
 // BenchMultiPipelined measures merged multi-file ingestion of plain
@@ -232,14 +194,7 @@ func BenchMultiPipelined(b *testing.B, shards [][]byte, w int, sink stream.Sink)
 			b.Fatalf("drained %d of %d edges", n, m)
 		}
 	}
-	onePass() // warm scratch tables untimed
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		onePass()
-	}
-	b.StopTimer()
-	reportEdgesPerSec(b, m)
+	timePasses(b, m, onePass)
 }
 
 // EncodeBlockShards is EncodeTimestampedShards for the block-structured
@@ -289,14 +244,7 @@ func BenchOrderedBlockPipelined(b *testing.B, shards [][]byte, m, w int, sink st
 			b.Fatalf("drained %d of %d edges", n, m)
 		}
 	}
-	onePass() // warm scratch tables untimed
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		onePass()
-	}
-	b.StopTimer()
-	reportEdgesPerSec(b, m)
+	timePasses(b, m, onePass)
 }
 
 // EncodeTextEdges renders edges in the SNAP-style text format.
@@ -352,14 +300,7 @@ func benchSourcePipelined(b *testing.B, w, m int, sink stream.Sink, newSrc func(
 			b.Fatalf("drained %d of %d edges", n, m)
 		}
 	}
-	onePass() // warm scratch tables untimed
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		onePass()
-	}
-	b.StopTimer()
-	reportEdgesPerSec(b, m)
+	timePasses(b, m, onePass)
 }
 
 // EncodeTimestampedTextEdges renders edges as SNAP-style temporal

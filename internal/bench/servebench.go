@@ -30,7 +30,8 @@ const ServeBenchReaders = 4
 // (~200µs between polls — a busy polling client, not a spin loop that
 // would just price scheduler contention on small runners). The readers
 // run untimed alongside the warm pass too, so the timed region starts
-// in steady state.
+// in steady state. Its cpu-ns/edge is the whole process's, the readers'
+// polling included.
 func BenchServeIngestUnderReaders(b *testing.B, data []byte, w, depth, readers int, c *core.Counter) {
 	var stop atomic.Bool
 	var polls atomic.Uint64
@@ -53,15 +54,8 @@ func BenchServeIngestUnderReaders(b *testing.B, data []byte, w, depth, readers i
 			}
 		}()
 	}
-	pipeOnePass(b, data, w, depth, c) // warm scratch tables untimed
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pipeOnePass(b, data, w, depth, c)
-	}
-	b.StopTimer()
+	timePasses(b, len(data)/8, func() { pipeOnePass(b, data, w, depth, c) })
 	stop.Store(true)
 	wg.Wait()
-	reportEdgesPerSec(b, len(data)/8)
 	b.ReportMetric(float64(polls.Load())/b.Elapsed().Seconds(), "reads/s")
 }
