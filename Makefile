@@ -33,16 +33,17 @@ test:
 
 # The pattern also covers the fault-injection and watermark suites
 # (Pipeline/Watermark/CountStream names), the block-granular merge
-# suites (BlockMerge and LoserTree: single-owner views handed
-# decoder→merger), the snapshot readers-during-ingest suites, and the
-# serving layer's concurrent HTTP tests, so source-failure isolation,
-# the reorder stage, and the lock-free estimate read path all run under
-# the race detector. It also runs the free list under concurrent
-# borrowing (TestListParallelGetPut) and counters sharing the bulk
-# engine's listed batch tables across goroutines
-# (TestSharedTablesInterleavedAndParallel).
+# suites (Merge and LoserTree: single-owner views handed decoder→merger,
+# each source on its own channel, with the seed corpus of
+# FuzzOrderedMergeMatchesReference, up to 8 mixed v2, slice and text
+# sources), the snapshot readers-during-ingest suites, and the serving
+# layer's concurrent HTTP tests, so source-failure isolation, the
+# reorder stage, and the lock-free estimate read path all run under the
+# race detector. It also runs the free list under concurrent borrowing
+# (TestListParallelGetPut) and counters sharing the bulk engine's listed
+# batch tables across goroutines (TestSharedTablesInterleavedAndParallel).
 race:
-	$(GO) test -race -run 'Sharded|Parallel|Pipeline|CountStream|Watermark|Snapshot|Serve|BlockMerge|LoserTree' \
+	$(GO) test -race -run 'Sharded|Parallel|Pipeline|CountStream|Watermark|Snapshot|Serve|Merge|LoserTree' \
 		./internal/core/ ./internal/stream/ ./internal/serve/ ./internal/freelist/ ./
 
 # Fuzz the decoders for a short budget per target: FuzzTextSourceNext

@@ -221,13 +221,16 @@
 // I/O+decode overlaps counting and the resident set is a few batch
 // buffers regardless of stream length — a graph never has to fit in
 // memory to be counted, the property the adjacency-stream model
-// promises. Errors and context
-// cancellation propagate from the decoder to the CountStream caller,
-// and the counter remains valid (reflecting exactly the edges absorbed)
-// after a failed or cancelled stream. StreamStats prices I/O+decode
-// separately from wall time, in the spirit of the paper's Table 3; the
-// end-to-end gain over slurp-then-count is tracked in BENCH_core.txt
-// and gated in CI (`make bench-check`).
+// promises. The multi-source CountStreams puts a decoder per source and
+// a merger (see Merge scaling) in the decoder's place, in front of the
+// same kind of batch ring, four buffers deep, and the same shutdown:
+// the first error wins, and cancellation stops every goroutine. Errors
+// and context cancellation propagate to the CountStream caller, and the
+// counter remains valid (reflecting exactly the edges absorbed) after a
+// failed or cancelled stream. StreamStats prices I/O+decode separately
+// from wall time, in the spirit of the paper's Table 3; the end-to-end
+// gain over slurp-then-count is tracked in BENCH_core.txt and gated in
+// CI (`make bench-check`).
 //
 // # Text format and bulk decoding
 //
@@ -319,9 +322,12 @@
 // every bound holds for every record in its block, the gallop is sound
 // on unsorted sources too. Alternating inputs never trip the hysteresis
 // and stay on the per-edge tournament, so the worst case is never worse
-// than the tree. Decoders hand blocks to the merger through one shared
-// source-tagged ring, flow-controlled by per-source credits, rather
-// than one channel per source.
+// than the tree. The merger only ever waits on one named source's next
+// block, so each decoder hands its blocks over on a channel of its own
+// with room for one: a source holds at most three blocks (one its
+// decoder fills, one in the channel, one the merger reads), and a fast
+// source waits there instead of flooding the merger while it waits on a
+// slower one.
 //
 // Guidance on k: the merge's cost is tracked in BENCH_core.txt on
 // worst-case (perfectly alternating, run length 1) timestamped shards —

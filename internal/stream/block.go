@@ -312,9 +312,9 @@ func ReadBlockBinaryEdges(r io.Reader) ([]TimestampedEdge, error) {
 }
 
 // blockBufs lists the idle block buffers of views and WAL appends, for
-// any goroutine to borrow: with the per-source credit budget bounding
-// views in flight, a k-way merge's steady state circulates ~3 buffers
-// per source through it, whatever the source's format, and
+// any goroutine to borrow: with each source's one-view hand-off channel
+// bounding views in flight, a k-way merge's steady state circulates ~3
+// buffers per source through it, whatever the source's format, and
 // AppendEdgeBlock borrows one per append. A new buffer has room for a
 // default block's 16-byte records, and blockBufSlack bytes past the
 // request.
@@ -374,6 +374,14 @@ func (v *blockView) edge(i int) graph.Edge {
 // record returns record i as a TimestampedEdge.
 func (v *blockView) record(i int) TimestampedEdge {
 	return TimestampedEdge{E: v.edge(i), TS: v.ts(i)}
+}
+
+// appendEdges appends the edges of records i and on to dst.
+func (v *blockView) appendEdges(dst []graph.Edge, i int) []graph.Edge {
+	for ; i < v.count; i++ {
+		dst = append(dst, v.edge(i))
+	}
+	return dst
 }
 
 // tail returns the view from record i on, transferring ownership of the
@@ -626,15 +634,15 @@ func expandDeltaBlock(payload []byte, count int, minTS, maxTS int64) ([]byte, in
 
 // appendEdges appends the block's edges to dst with the record checks
 // view makes — every timestamp within the declared bounds, self loops
-// dropped — and the same errors, without materializing 16-byte records.
-// It does not return the payload to the free list.
+// dropped — and the same errors, and returns the payload to the free
+// list.
 //
 // A block in AppendEdgeBlock's layout — delta-compressed, min_ts =
 // max_ts, and 9 bytes per record — is what WAL replay reads, and it
-// takes one tight loop: every record must then be 8 bytes of ids and a
-// zero delta byte. At the first record that is not, the general loop
-// below decodes the block afresh, so its edges and errors are the
-// general loop's.
+// takes one tight loop without materializing 16-byte records: every
+// record must then be 8 bytes of ids and a zero delta byte. At the
+// first record that is not, and for any other layout, the block goes
+// through view instead, so its edges and errors are view's.
 func (b rawBlock) appendEdges(dst []graph.Edge) ([]graph.Edge, error) {
 	if b.compressed && b.minTS == b.maxTS && len(b.payload) == minCompressedRecord*b.count {
 		base := len(dst)
@@ -643,7 +651,7 @@ func (b rawBlock) appendEdges(dst []graph.Edge) ([]graph.Edge, error) {
 		for p := 0; p < len(b.payload); p += minCompressedRecord {
 			rec := (*[minCompressedRecord]byte)(b.payload[p:])
 			if rec[8] != 0 {
-				return b.appendEdgesAny(out[:base])
+				return b.appendViewEdges(out[:base])
 			}
 			u, v := binary.LittleEndian.Uint32(rec[0:4]), binary.LittleEndian.Uint32(rec[4:8])
 			out[n] = graph.Edge{U: u, V: v}
@@ -651,40 +659,21 @@ func (b rawBlock) appendEdges(dst []graph.Edge) ([]graph.Edge, error) {
 				n++
 			}
 		}
+		putBlockBuf(b.payload)
 		return out[:n], nil
 	}
-	return b.appendEdgesAny(dst)
+	return b.appendViewEdges(dst)
 }
 
-// appendEdgesAny is appendEdges for any block layout.
-func (b rawBlock) appendEdgesAny(dst []graph.Edge) ([]graph.Edge, error) {
-	span := uint64(b.maxTS - b.minTS) // ts is in bounds iff uint64(ts-minTS) <= span
-	ts, p := b.minTS, 0
-	for i := 0; i < b.count; i++ {
-		var uv uint64
-		if rec := b.payload[p:]; !b.compressed {
-			uv, ts, p = binary.LittleEndian.Uint64(rec[0:8]), int64(binary.LittleEndian.Uint64(rec[8:16])), p+16
-		} else if len(rec) > 8 && rec[8] < 0x80 {
-			// One-byte varint, the common case: zigzag-decode inline.
-			uv, ts, p = binary.LittleEndian.Uint64(rec), ts+(int64(rec[8]>>1)^-int64(rec[8]&1)), p+9
-		} else {
-			var delta int64
-			var n int
-			if uv, delta, n = deltaRecord(rec); n <= 0 {
-				return dst, deltaError(i, n)
-			}
-			ts, p = ts+delta, p+n
-		}
-		if uint64(ts-b.minTS) > span {
-			return dst, boundsError(i, ts, b.minTS, b.maxTS)
-		}
-		if u, v := uint32(uv), uint32(uv>>32); u != v {
-			dst = append(dst, graph.Edge{U: u, V: v})
-		}
+// appendViewEdges is appendEdges for any layout: view checks the records
+// and takes the payload, and the view's edges are copied out.
+func (b rawBlock) appendViewEdges(dst []graph.Edge) ([]graph.Edge, error) {
+	v, err := b.view()
+	if v == nil {
+		return dst, err
 	}
-	if p != len(b.payload) {
-		return dst, trailingError(len(b.payload)-p, b.count)
-	}
+	dst = v.appendEdges(dst, 0)
+	v.release()
 	return dst, nil
 }
 

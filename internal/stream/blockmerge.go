@@ -53,13 +53,6 @@ const (
 	gallopAbort
 )
 
-// srcBlock is one block-decoder→merger hand-off: a validated view
-// tagged with its source. A nil view is the end-of-source marker.
-type srcBlock struct {
-	src  int
-	view *blockView
-}
-
 // blockCursor is one source's position in the merge: the view being
 // consumed and the index of its next record. Exhaustion lives in the
 // tree's keys, not here.
@@ -216,31 +209,24 @@ func (s *filledBlockSource) nextBlockView() (*blockView, error) {
 }
 
 // decodeBlocks is one source's decoder goroutine: it pulls views from
-// the source, applies the per-source decode-error budget, and hands
-// each view to the merger through the credit-gated hand-off. The
-// source's end — a clean EOF, or a failure sourceFailed lets the run
-// survive — sends the nil-view marker, the merger's signal that this
-// source is exhausted. Edges, blocks, and decode time are counted per
-// source here; the aggregate counts merged deliveries at the merger.
+// the source, applies the per-source decode-error budget, and sends
+// each view on the source's own channel to the merger. The source's end
+// — a clean EOF, or a failure sourceFailed lets the run survive —
+// closes the channel, the merger's signal that this source is
+// exhausted. Edges, blocks, and decode time are counted per source
+// here; the aggregate counts merged deliveries at the merger.
 func (p *OrderedMultiPipeline) decodeBlocks(i int, src blockSource) {
-	defer p.wg.Done()
 	for {
 		v, err := p.nextBudgetedView(i, src)
 		if err != nil {
 			if err == io.EOF || p.sourceFailed(i, err) {
-				// The marker carries no view, so no credit is needed (the
-				// hand-off ring reserves a slot for it).
-				sendOrQuit(p.ctx, p.quit, p.blockHandoff, srcBlock{src: i}, p.fail)
+				close(p.views[i])
 			}
 			return
 		}
 		p.perSource[i].edges.Add(uint64(v.count))
 		p.perSource[i].batches.Add(1)
-		if _, ok := recvOrQuit(p.ctx, p.quit, p.credits[i], p.fail); !ok {
-			v.release()
-			return
-		}
-		if !sendOrQuit(p.ctx, p.quit, p.blockHandoff, srcBlock{src: i, view: v}, p.fail) {
+		if !sendOrQuit(p.ctx, p.quit, p.views[i], v, p.fail) {
 			v.release()
 			return
 		}
@@ -292,44 +278,28 @@ func (p *OrderedMultiPipeline) nextBudgetedView(i int, src blockSource) (*blockV
 	}
 }
 
-// nextView returns source i's next view, in source order. ok is false
-// when the source is cleanly exhausted; abort is true when the pipeline
-// is shutting down (error, cancellation, or Close). Views for other
-// sources encountered while draining the hand-off ring park in their
-// pending boxes (bounded by the credit budget) until their source's
-// turn comes.
+// nextView returns source i's next view. ok is false when the source is
+// cleanly exhausted; abort is true when the pipeline is shutting down
+// (error, cancellation, or Close).
 func (p *OrderedMultiPipeline) nextView(i int) (v *blockView, ok, abort bool) {
-	for {
-		if q := p.pendingViews[i]; len(q) > 0 {
-			v = q[0]
-			copy(q, q[1:])
-			q[len(q)-1] = nil
-			p.pendingViews[i] = q[:len(q)-1]
-			return v, true, false
-		}
-		if p.eof[i] {
-			return nil, false, false
-		}
-		m, open := recvOrQuit(p.ctx, p.quit, p.blockHandoff, p.fail)
-		if !open {
-			return nil, false, true
-		}
-		if m.view == nil {
-			p.eof[m.src] = true
-		} else {
-			p.pendingViews[m.src] = append(p.pendingViews[m.src], m.view)
-		}
+	select {
+	case v, ok = <-p.views[i]:
+		return v, ok, false
+	case <-p.ctx.Done():
+		p.fail(p.ctx.Err())
+	case <-p.quit:
+		p.fail(errPipelineClosed)
 	}
+	return nil, false, true
 }
 
 // blockRefill releases the cursor's spent view (returning its buffer to
-// the free list once the last holder lets go), credits the decoder, and
-// installs the source's next view. more is false when the source is
-// cleanly exhausted; abort is true on shutdown.
+// the free list once the last holder lets go) and installs the source's
+// next view. more is false when the source is cleanly exhausted; abort
+// is true on shutdown.
 func (p *OrderedMultiPipeline) blockRefill(c *blockCursor) (more, abort bool) {
 	c.view.release()
 	c.view = nil
-	p.credits[c.src] <- struct{}{}
 	v, more, abort := p.nextView(c.src)
 	if more {
 		c.view, c.idx = v, 0
@@ -372,7 +342,6 @@ func (p *OrderedMultiPipeline) emitViewRange(v *blockView, lo, hi int, cur []gra
 // boundaries, until the run ends and the tournament resumes. Exhausted
 // sources leave the tournament.
 func (p *OrderedMultiPipeline) mergeBlocks() {
-	defer p.wg.Done()
 	k := len(p.perSource)
 	cursors := make([]blockCursor, k)
 	t := &blockLoserTree{ts: make([]int64, k), rank: make([]int, k), node: make([]int, k), k: k}

@@ -283,8 +283,8 @@ func TestMultiPipelineErrorStopsSiblingDecoders(t *testing.T) {
 	assertNoLeak(t, base)
 }
 
-// Context cancellation must free decoders that are all parked on
-// exhausted credits (nobody consuming, every block filled and queued).
+// Context cancellation must free decoders that are all parked on full
+// hand-off channels (nobody consuming, every block filled and queued).
 func TestMultiPipelineCancelWithDecodersParked(t *testing.T) {
 	base := goroutineBaseline()
 	ctx, cancel := context.WithCancel(context.Background())

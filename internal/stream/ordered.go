@@ -3,11 +3,7 @@ package stream
 import (
 	"context"
 	"fmt"
-	"io"
-	"sync"
 	"sync/atomic"
-
-	"streamtri/internal/graph"
 )
 
 // OrderedMultiPipeline merges several sources into ONE deterministic
@@ -31,61 +27,26 @@ import (
 // source), context cancellation stops everything, and batches delivered
 // before an error are valid.
 type OrderedMultiPipeline struct {
-	out     chan []graph.Edge // merged batches to the consumer
-	recycle chan []graph.Edge // consumer-side ring of merged buffers
+	pipe
 
-	// blockHandoff is the single decoder→merger ring: every block view
-	// arrives here tagged with its source index (a nil view marks a
-	// cleanly exhausted source). Flow control is per-source credits — a
-	// decoder surrenders one credit per view sent and the merger returns
-	// it when it releases the view — so no source can flood the merger
-	// while it waits on a slower one.
-	blockHandoff chan srcBlock
-	credits      []chan struct{}
-
-	// pendingViews and eof are the merger goroutine's private reorder
-	// state: views popped from blockHandoff while looking for another
-	// source's next view wait here (bounded by the credit count), and eof
-	// marks sources whose nil marker has arrived. Only the merger touches
-	// them.
-	pendingViews [][]*blockView
-	eof          []bool
+	// views[i] is source i's hand-off: its decoder sends each view
+	// there, and closes it at the source's end — a clean EOF, or a
+	// failure continue-on-source-failure lets the run survive. With room
+	// for one view, a source holds at most three blocks: one its decoder
+	// fills, one in the channel, and one the merger reads.
+	views []chan *blockView
 
 	// replays counts the merger's tournament decisions (tree replays
 	// and exhausts), stored as the merger exits; the gallop tests read
 	// it after a full drain.
 	replays int
 
-	quit chan struct{}
-	ctx  context.Context
-
-	// err is the first terminal error; errOnce arbitrates the race
-	// between failing decoders, cancellation, and Close. out is closed
-	// only after every goroutine exits, so a consumer that observes out
-	// closed observes err too.
-	err      error
-	errOnce  sync.Once
-	quitOnce sync.Once
-
-	wg        sync.WaitGroup // decoders + merger
-	closeOnce sync.Once
-
-	cfg pipeCfg
 	// failed counts sources ended by a failure under
 	// continue-on-source-failure; when it reaches len(perSource) the run
 	// fails.
-	failed atomic.Int32
-
-	pipeProgress // aggregate: merged edges/batches (decode time lives per source)
-	perSource    []pipeProgress
+	failed    atomic.Int32
+	perSource []pipeProgress // decoded blocks, edges and decode time; the aggregate counts merged deliveries
 }
-
-// srcCredits is the per-source hand-off budget: how many views one
-// source may have queued at the merger (in the hand-off ring plus the
-// merger's pending box) before its decoder must wait for the merger to
-// release one. Two keeps a decoder filling its next view while the
-// merger holds the previous one.
-const srcCredits = 2
 
 // NewOrderedMultiPipeline starts one decoder goroutine per timestamped
 // source plus a merger goroutine, delivering merged batches of up to w
@@ -98,7 +59,7 @@ const srcCredits = 2
 // other source — a v1 or text reader, a slice, the watermark stage — is
 // adapted by filling recycled blocks of up to min(w, DefaultBlockRecords)
 // records through its FillTimestamped, computing each block's exact
-// maximum timestamp as it fills. Each source holds at most srcCredits+1 blocks.
+// maximum timestamp as it fills. Each source holds at most three blocks.
 //
 // Options: WithMaxBadRecords applies per source (which records a source
 // skips is a pure function of that source's bytes, so the merged stream
@@ -137,101 +98,19 @@ func newBlockMerge(ctx context.Context, k, w int, opts []PipeOption, source func
 	if k == 0 {
 		return nil, fmt.Errorf("stream: multi-source pipeline needs at least one source")
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	p := &OrderedMultiPipeline{
-		out:     make(chan []graph.Edge, DefaultPipelineDepth),
-		recycle: make(chan []graph.Edge, DefaultPipelineDepth),
-		// Capacity for every credit-gated view plus one end-of-source
-		// marker per source: hand-off sends effectively never block.
-		blockHandoff: make(chan srcBlock, (srcCredits+1)*k),
-		credits:      make([]chan struct{}, k),
-		pendingViews: make([][]*blockView, k),
-		eof:          make([]bool, k),
-		quit:         make(chan struct{}),
-		ctx:          ctx,
-		cfg:          buildPipeCfg(opts),
-		perSource:    make([]pipeProgress, k),
+		views:     make([]chan *blockView, k),
+		perSource: make([]pipeProgress, k),
 	}
-	for i := 0; i < DefaultPipelineDepth; i++ {
-		p.recycle <- make([]graph.Edge, 0, w)
+	p.init(ctx, w, DefaultPipelineDepth, opts)
+	producers := make([]func(), 0, k+1)
+	for i := range p.views {
+		p.views[i] = make(chan *blockView, 1)
+		src := source(i, min(w, DefaultBlockRecords))
+		producers = append(producers, func() { p.decodeBlocks(i, src) })
 	}
-	for i := range p.credits {
-		p.credits[i] = make(chan struct{}, srcCredits)
-		for j := 0; j < srcCredits; j++ {
-			p.credits[i] <- struct{}{}
-		}
-	}
-	p.wg.Add(k + 1)
-	for i := 0; i < k; i++ {
-		go p.decodeBlocks(i, source(i, min(w, DefaultBlockRecords)))
-	}
-	go p.mergeBlocks()
-	// out is closed exactly once, after the decoders and the merger have
-	// all exited; the consumer side can therefore never block forever,
-	// and err is always visible once out is closed.
-	go func() {
-		p.wg.Wait()
-		close(p.out)
-	}()
+	p.start(append(producers, p.mergeBlocks)...)
 	return p, nil
-}
-
-// fail records err as the pipeline's terminal error if it is the first,
-// and triggers the shutdown of every goroutine either way.
-func (p *OrderedMultiPipeline) fail(err error) {
-	p.errOnce.Do(func() { p.err = err })
-	p.quitOnce.Do(func() { close(p.quit) })
-}
-
-// acquireOut draws an empty merged-output buffer from the consumer ring.
-func (p *OrderedMultiPipeline) acquireOut() ([]graph.Edge, bool) {
-	b, ok := recvOrQuit(p.ctx, p.quit, p.recycle, p.fail)
-	if !ok {
-		return nil, false
-	}
-	return b[:0], true
-}
-
-// deliver hands one merged batch to the consumer and counts it in the
-// aggregate stats.
-func (p *OrderedMultiPipeline) deliver(b []graph.Edge) bool {
-	if !sendOrQuit(p.ctx, p.quit, p.out, b, p.fail) {
-		return false
-	}
-	p.edges.Add(uint64(len(b)))
-	p.batches.Add(1)
-	return true
-}
-
-// Next returns the next timestamp-merged batch. It returns io.EOF after
-// every source's last edge, the first decoder error if any decoding
-// failed, or ctx.Err() if the pipeline's context was cancelled. The
-// returned slice is owned by the caller until passed to Recycle.
-func (p *OrderedMultiPipeline) Next() ([]graph.Edge, error) {
-	b, ok := <-p.out
-	if !ok {
-		if p.err != nil && p.err != errPipelineClosed {
-			return nil, p.err
-		}
-		return nil, io.EOF
-	}
-	return b, nil
-}
-
-// Recycle returns a batch obtained from Next to the merged-output ring.
-// The caller must not touch the slice afterwards.
-func (p *OrderedMultiPipeline) Recycle(b []graph.Edge) {
-	if cap(b) == 0 {
-		return
-	}
-	select {
-	case p.recycle <- b[:0]:
-	default:
-		// Foreign or duplicate buffer with the ring already full; drop it
-		// rather than block.
-	}
 }
 
 // Stats returns a snapshot of the merged pipeline's progress. Edges and
@@ -261,31 +140,3 @@ func (p *OrderedMultiPipeline) SourceStats() []PipelineStats {
 	}
 	return out
 }
-
-// Close stops every goroutine, waits for all of them to exit, and
-// returns the first terminal error, if any. A clean end of all streams,
-// shutdown via Close itself, and repeated calls return nil; a context
-// cancellation returns the context's error. Close is safe whether or not
-// the pipeline was drained.
-func (p *OrderedMultiPipeline) Close() error {
-	p.closeOnce.Do(func() {
-		p.fail(errPipelineClosed)
-		// Unblock the merger and decoders, then wait for the closer
-		// goroutine: out closes only after every goroutine exits.
-		for range p.out {
-		}
-	})
-	if p.err == errPipelineClosed {
-		return nil
-	}
-	return p.err
-}
-
-// Run drives the merged pipeline to completion, invoking fn for every
-// batch and recycling buffers automatically; fn must not retain its
-// argument.
-func (p *OrderedMultiPipeline) Run(fn func(batch []graph.Edge) error) error { return runPipe(p, fn) }
-
-// Drain feeds every merged batch to sink like Pipeline.Drain, returning
-// the number of edges the sink absorbed.
-func (p *OrderedMultiPipeline) Drain(sink Sink) (uint64, error) { return drainPipe(p, sink) }

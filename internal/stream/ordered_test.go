@@ -191,8 +191,9 @@ func TestOrderedMultiPipelineFirstErrorStopsSiblings(t *testing.T) {
 	assertNoLeak(t, base)
 }
 
-// Context cancellation must free decoders parked on exhausted credits
-// and the merger with them (nobody consuming, every buffer in flight).
+// Context cancellation must free decoders parked on full hand-off
+// channels and the merger with them (nobody consuming, every buffer in
+// flight).
 func TestOrderedMultiPipelineCancelWithDecodersParked(t *testing.T) {
 	base := goroutineBaseline()
 	ctx, cancel := context.WithCancel(context.Background())

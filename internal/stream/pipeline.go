@@ -12,18 +12,19 @@ import (
 	"streamtri/internal/graph"
 )
 
-// The pipeline overlaps batch decoding with batch processing: a decoder
-// goroutine pulls fixed-size buffers from a small recycle ring, fills
-// them from a Source (using the BatchFiller bulk path when the source
-// supports it), and hands them downstream through a channel. The ring
-// provides backpressure — when the consumer falls behind, the decoder
-// blocks on an empty ring instead of buffering the stream — and zero
-// steady-state allocation: the same `depth` buffers circulate for the
-// pipeline's whole life. This is the missing link between the paper's
-// separate I/O and processing times (Table 3) and the counters in
-// internal/core: decoding batch i+1 overlaps the consumer's work on
-// batch i, and a graph never needs to be resident in memory to be
-// counted.
+// The pipelines overlap batch decoding with batch processing. Their
+// producers — one decoder goroutine for a Pipeline, one per source plus
+// a merger for an OrderedMultiPipeline — draw fixed-size buffers from a
+// small recycle ring, fill them, and hand them downstream through a
+// channel; the consumer side, shared as pipe, is those two rings and
+// the shutdown around them. The ring provides backpressure — when the
+// consumer falls behind, the producer blocks on an empty ring instead
+// of buffering the stream — and zero steady-state allocation: the same
+// buffers circulate for the pipeline's whole life. This is the missing
+// link between the paper's separate I/O and processing times (Table 3)
+// and the counters in internal/core: decoding batch i+1 overlaps the
+// consumer's work on batch i, and a graph never needs to be resident in
+// memory to be counted.
 
 // DefaultPipelineDepth is the recycle-ring size used when NewPipeline is
 // given depth <= 0: one buffer being filled by the decoder, one in the
@@ -32,7 +33,8 @@ import (
 const DefaultPipelineDepth = 4
 
 // errPipelineClosed marks a shutdown initiated by Close rather than by
-// the stream ending or failing; it is internal — Close folds it to nil.
+// the stream ending or failing; it is internal — Close folds it to nil
+// and Next to io.EOF.
 var errPipelineClosed = errors.New("stream: pipeline closed")
 
 // BatchFiller is implemented by sources that can decode many edges at
@@ -69,8 +71,8 @@ type PipelineStats struct {
 }
 
 // pipeProgress is the shared progress state behind PipelineStats,
-// updated by the decoder goroutines (and the decode-error budget) and
-// embedded by every pipeline flavor.
+// updated by the producer goroutines (and the decode-error budget): the
+// consumer side holds the aggregate, and the merge one more per source.
 type pipeProgress struct {
 	edges      atomic.Uint64
 	batches    atomic.Uint64
@@ -125,10 +127,9 @@ func (s *pipeProgress) setTerminal(err error) {
 	s.mu.Unlock()
 }
 
-// sendOrQuit is the canonical hand-off select shared by every decoder
-// and the ordered merge layer: deliver v on out, unless cancellation or
-// quit wins first — in which case the terminal condition is reported
-// through fail and false comes back.
+// sendOrQuit is the hand-off select shared by every producer: deliver v
+// on out, unless cancellation or quit wins first — in which case the
+// terminal condition is reported through fail and false comes back.
 func sendOrQuit[T any](ctx context.Context, quit <-chan struct{}, out chan<- T, v T, fail func(error)) bool {
 	select {
 	case out <- v:
@@ -139,25 +140,6 @@ func sendOrQuit[T any](ctx context.Context, quit <-chan struct{}, out chan<- T, 
 	case <-quit:
 		fail(errPipelineClosed)
 		return false
-	}
-}
-
-// recvOrQuit is sendOrQuit's receive-side twin: draw a value from ch,
-// unless shutdown wins first. A closed ch yields (zero, false) without
-// reporting anything — closure semantics belong to the caller.
-func recvOrQuit[T any](ctx context.Context, quit <-chan struct{}, ch <-chan T, fail func(error)) (v T, ok bool) {
-	select {
-	case v, open := <-ch:
-		if !open {
-			return v, false
-		}
-		return v, true
-	case <-ctx.Done():
-		fail(ctx.Err())
-		return v, false
-	case <-quit:
-		fail(errPipelineClosed)
-		return v, false
 	}
 }
 
@@ -178,139 +160,109 @@ func tsSourceFill(src TimestampedSource) func([]TimestampedEdge) (int, error) {
 	return func(buf []TimestampedEdge) (int, error) { return tsFillFromSource(src, buf) }
 }
 
-// Pipeline runs a Source's decoder on its own goroutine and delivers
-// fixed-size edge batches through Next/Recycle (or the Run and Drain
-// drivers). Exactly one consumer goroutine may use it; the parallelism
-// is internal.
-type Pipeline struct {
-	w       int
-	out     chan []graph.Edge
-	recycle chan []graph.Edge
+// pipe is the consumer side both pipelines share: the output ring of
+// filled batches and the recycle ring of spent buffers, first-error-wins
+// shutdown, and the Next/Recycle/Close/Run/Drain surface. Its producers
+// draw buffers through acquireOut and hand them over through deliver;
+// start runs them. Exactly one consumer goroutine may use it.
+type pipe struct {
+	out     chan []graph.Edge // filled batches, to the consumer
+	recycle chan []graph.Edge // the consumer's spent buffers, back to the producer
 	quit    chan struct{}
 	ctx     context.Context
 
-	// err is the decoder's terminal error; written before out is closed,
-	// so any read that observes out closed observes err too.
-	err error
-
+	// err is the first terminal error; errOnce arbitrates the race
+	// between failing producers, cancellation, and Close. out is closed
+	// only after every producer exits, so a consumer that observes out
+	// closed observes err too.
+	err       error
+	errOnce   sync.Once
 	quitOnce  sync.Once
 	closeOnce sync.Once
 
-	cfg pipeCfg
-	pipeProgress
+	cfg          pipeCfg
+	pipeProgress // batches and edges delivered to the consumer
 }
 
-// NewPipeline starts a decoding pipeline over src with batch size w and
-// a recycle ring of depth buffers (depth <= 0 selects
-// DefaultPipelineDepth; values below 2 are raised to 2, the minimum for
-// any decode/process overlap). Cancelling ctx stops the decoder and
-// surfaces ctx.Err() from Next. The caller must eventually drain the
-// pipeline to io.EOF or call Close, or the decoder goroutine leaks.
-// Options: WithMaxBadRecords (WithContinueOnSourceFailure is
-// meaningless with one source and ignored).
-func NewPipeline(ctx context.Context, src Source, w, depth int, opts ...PipeOption) (*Pipeline, error) {
-	if w <= 0 {
-		return nil, fmt.Errorf("stream: pipeline batch size %d must be positive", w)
-	}
-	if depth <= 0 {
-		depth = DefaultPipelineDepth
-	}
-	if depth < 2 {
-		depth = 2
-	}
+// init sets up the rings, depth buffers of capacity w each.
+func (p *pipe) init(ctx context.Context, w, depth int, opts []PipeOption) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	p := &Pipeline{
-		w:       w,
-		out:     make(chan []graph.Edge, depth),
-		recycle: make(chan []graph.Edge, depth),
-		quit:    make(chan struct{}),
-		ctx:     ctx,
-		cfg:     buildPipeCfg(opts),
-	}
+	p.out = make(chan []graph.Edge, depth)
+	p.recycle = make(chan []graph.Edge, depth)
+	p.quit = make(chan struct{})
+	p.ctx = ctx
+	p.cfg = buildPipeCfg(opts)
 	for i := 0; i < depth; i++ {
-		p.recycle <- make([]graph.Edge, w)
-	}
-	go p.decode(src)
-	return p, nil
-}
-
-// decode is the decoder goroutine: acquire a buffer from the ring, fill
-// it, send it downstream — until the source ends, filling fails, the
-// context is cancelled, or Close. It always closes out on exit (after
-// err is recorded), so the consumer side never blocks forever.
-func (p *Pipeline) decode(src Source) {
-	defer close(p.out)
-	fill := budgetedFill(sourceFill(src), p.cfg.maxBadRecords, &p.pipeProgress)
-	for {
-		// Cancellation wins over available work: a select with a ready
-		// recycle buffer AND a done context picks randomly, which would
-		// let a short stream race past an already-cancelled context.
-		select {
-		case <-p.ctx.Done():
-			p.fail(p.ctx.Err())
-			return
-		case <-p.quit:
-			p.fail(errPipelineClosed)
-			return
-		default:
-		}
-		buf, ok := recvOrQuit(p.ctx, p.quit, p.recycle, p.fail)
-		if !ok {
-			return
-		}
-		start := time.Now()
-		n, err := fill(buf[:p.w])
-		p.decodeNs.Add(time.Since(start).Nanoseconds())
-		if n > 0 {
-			if !sendOrQuit(p.ctx, p.quit, p.out, buf[:n], p.fail) {
-				return
-			}
-			p.edges.Add(uint64(n))
-			p.batches.Add(1)
-		}
-		if err == io.EOF {
-			return
-		}
-		if err != nil {
-			p.fail(err)
-			return
-		}
+		p.recycle <- make([]graph.Edge, 0, w)
 	}
 }
 
-// fail records the decoder's terminal error. A single decoder makes the
-// nil check a formality (only one fail call can happen), but it keeps
-// the first-error-wins contract spelled out in one place.
-func (p *Pipeline) fail(err error) {
-	if p.err == nil {
-		p.err = err
+// start runs every producer on its own goroutine and closes out once
+// all of them have returned, so the consumer side never blocks forever.
+func (p *pipe) start(producers ...func()) {
+	var wg sync.WaitGroup
+	wg.Add(len(producers))
+	for _, run := range producers {
+		go func() {
+			defer wg.Done()
+			run()
+		}()
 	}
+	go func() {
+		wg.Wait()
+		close(p.out)
+	}()
 }
 
-// fillFromSource is the per-edge fallback for sources without a bulk
-// Fill method.
-func fillFromSource(src Source, buf []graph.Edge) (int, error) {
-	for i := range buf {
-		e, err := src.Next()
-		if err != nil {
-			return i, err
-		}
-		buf[i] = e
-	}
-	return len(buf), nil
+// fail records err as the pipeline's terminal error if it is the first,
+// and triggers the shutdown of every producer either way.
+func (p *pipe) fail(err error) {
+	p.errOnce.Do(func() { p.err = err })
+	p.quitOnce.Do(func() { close(p.quit) })
 }
 
-// Next returns the next decoded batch. It returns io.EOF after the last
-// batch, the decoder's error if decoding failed, or ctx.Err() if the
-// pipeline's context was cancelled. The returned slice is owned by the
-// caller until passed to Recycle; failing to recycle is safe but costs
-// the ring a buffer.
-func (p *Pipeline) Next() ([]graph.Edge, error) {
+// acquireOut draws an empty buffer from the recycle ring. Cancellation
+// wins over a ready buffer: a select with both ready picks at random,
+// which would let a short stream race past an already-cancelled
+// context.
+func (p *pipe) acquireOut() ([]graph.Edge, bool) {
+	if err := p.ctx.Err(); err != nil {
+		p.fail(err)
+		return nil, false
+	}
+	select {
+	case b := <-p.recycle:
+		return b[:0], true
+	case <-p.ctx.Done():
+		p.fail(p.ctx.Err())
+	case <-p.quit:
+		p.fail(errPipelineClosed)
+	}
+	return nil, false
+}
+
+// deliver hands one filled batch to the consumer and counts it in the
+// aggregate stats.
+func (p *pipe) deliver(b []graph.Edge) bool {
+	if !sendOrQuit(p.ctx, p.quit, p.out, b, p.fail) {
+		return false
+	}
+	p.edges.Add(uint64(len(b)))
+	p.batches.Add(1)
+	return true
+}
+
+// Next returns the next batch. It returns io.EOF after the last batch
+// and after Close, the first producer error if decoding failed, or
+// ctx.Err() if the pipeline's context was cancelled. The returned slice
+// is owned by the caller until passed to Recycle; failing to recycle is
+// safe but costs the ring a buffer.
+func (p *pipe) Next() ([]graph.Edge, error) {
 	b, ok := <-p.out
 	if !ok {
-		if p.err != nil {
+		if p.err != nil && p.err != errPipelineClosed {
 			return nil, p.err
 		}
 		return nil, io.EOF
@@ -318,34 +270,30 @@ func (p *Pipeline) Next() ([]graph.Edge, error) {
 	return b, nil
 }
 
-// Recycle returns a batch obtained from Next to the ring so the decoder
+// Recycle returns a batch obtained from Next to the ring so a producer
 // can refill it. The caller must not touch the slice afterwards.
-func (p *Pipeline) Recycle(b []graph.Edge) {
+func (p *pipe) Recycle(b []graph.Edge) {
 	if cap(b) == 0 {
 		return
 	}
 	select {
-	case p.recycle <- b[:cap(b)]:
+	case p.recycle <- b[:0]:
 	default:
 		// Foreign or duplicate buffer with the ring already full; drop it
 		// rather than block.
 	}
 }
 
-// Stats returns a snapshot of the pipeline's progress. It may be called
-// concurrently with the consumer loop.
-func (p *Pipeline) Stats() PipelineStats { return p.snapshot() }
-
-// Close stops the decoder, waits for it to exit, and returns the
-// decoder's error, if any. A clean end of stream, cancellation via
-// Close itself, and repeated calls all return nil; a context
-// cancellation returns the context's error. Close is safe to call
-// whether or not the pipeline was drained.
-func (p *Pipeline) Close() error {
+// Close stops every producer, waits for all of them to exit, and
+// returns the first terminal error, if any. A clean end of stream,
+// shutdown via Close itself, and repeated calls return nil; a context
+// cancellation returns the context's error. Close is safe whether or
+// not the pipeline was drained.
+func (p *pipe) Close() error {
 	p.closeOnce.Do(func() {
-		p.quitOnce.Do(func() { close(p.quit) })
-		// Unblock a decoder parked on a full out channel and wait for it
-		// to exit: out is closed by the decoder as its last act.
+		p.fail(errPipelineClosed)
+		// Unblock producers parked on a full out channel, and wait for
+		// out to close: it closes only after every producer exits.
 		for range p.out {
 		}
 	})
@@ -357,25 +305,9 @@ func (p *Pipeline) Close() error {
 
 // Run drives the pipeline to completion, invoking fn for every batch and
 // recycling buffers automatically; fn must not retain its argument. It
-// returns the first error among the decoder's, the context's, and fn's,
-// and always shuts the pipeline down before returning.
-func (p *Pipeline) Run(fn func(batch []graph.Edge) error) error { return runPipe(p, fn) }
-
-// Drain feeds every batch to sink, recycling each buffer once AddBatch
-// returns, and returns the number of edges the sink absorbed. Decoding
-// batch i+1 overlaps the sink's work on batch i.
-func (p *Pipeline) Drain(sink Sink) (uint64, error) { return drainPipe(p, sink) }
-
-// batchPipe is the consumer-side surface shared by Pipeline and
-// OrderedMultiPipeline; runPipe and drainPipe drive either through it.
-type batchPipe interface {
-	Next() ([]graph.Edge, error)
-	Recycle([]graph.Edge)
-	Close() error
-}
-
-// runPipe is the shared Run implementation.
-func runPipe(p batchPipe, fn func(batch []graph.Edge) error) error {
+// returns the first error among the producers', the context's, and
+// fn's, and always shuts the pipeline down before returning.
+func (p *pipe) Run(fn func(batch []graph.Edge) error) error {
 	for {
 		b, err := p.Next()
 		if err == io.EOF {
@@ -393,13 +325,88 @@ func runPipe(p batchPipe, fn func(batch []graph.Edge) error) error {
 	}
 }
 
-// drainPipe is the shared Drain implementation.
-func drainPipe(p batchPipe, sink Sink) (uint64, error) {
+// Drain feeds every batch to sink, recycling each buffer once AddBatch
+// returns, and returns the number of edges the sink absorbed. Decoding
+// batch i+1 overlaps the sink's work on batch i.
+func (p *pipe) Drain(sink Sink) (uint64, error) {
 	var n uint64
-	err := runPipe(p, func(b []graph.Edge) error {
+	err := p.Run(func(b []graph.Edge) error {
 		sink.AddBatch(b)
 		n += uint64(len(b))
 		return nil
 	})
 	return n, err
 }
+
+// Pipeline runs a Source's decoder on its own goroutine and delivers
+// fixed-size edge batches through Next/Recycle (or the Run and Drain
+// drivers). Exactly one consumer goroutine may use it; the parallelism
+// is internal.
+type Pipeline struct {
+	pipe
+	w int
+}
+
+// NewPipeline starts a decoding pipeline over src with batch size w and
+// a recycle ring of depth buffers (depth <= 0 selects
+// DefaultPipelineDepth; values below 2 are raised to 2, the minimum for
+// any decode/process overlap). Cancelling ctx stops the decoder and
+// surfaces ctx.Err() from Next. The caller must eventually drain the
+// pipeline to io.EOF or call Close, or the decoder goroutine leaks.
+// Options: WithMaxBadRecords (WithContinueOnSourceFailure is
+// meaningless with one source and ignored).
+func NewPipeline(ctx context.Context, src Source, w, depth int, opts ...PipeOption) (*Pipeline, error) {
+	if w <= 0 {
+		return nil, fmt.Errorf("stream: pipeline batch size %d must be positive", w)
+	}
+	if depth <= 0 {
+		depth = DefaultPipelineDepth
+	}
+	p := &Pipeline{w: w}
+	p.init(ctx, w, max(depth, 2), opts)
+	p.start(func() { p.decode(src) })
+	return p, nil
+}
+
+// decode is the decoder goroutine: acquire a buffer from the ring, fill
+// it, deliver it — until the source ends, filling fails, the context is
+// cancelled, or Close.
+func (p *Pipeline) decode(src Source) {
+	fill := budgetedFill(sourceFill(src), p.cfg.maxBadRecords, &p.pipeProgress)
+	for {
+		buf, ok := p.acquireOut()
+		if !ok {
+			return
+		}
+		start := time.Now()
+		n, err := fill(buf[:p.w])
+		p.decodeNs.Add(time.Since(start).Nanoseconds())
+		if n > 0 && !p.deliver(buf[:n]) {
+			return
+		}
+		if err == io.EOF {
+			return
+		}
+		if err != nil {
+			p.fail(err)
+			return
+		}
+	}
+}
+
+// fillFromSource is the per-edge fallback for sources without a bulk
+// Fill method.
+func fillFromSource(src Source, buf []graph.Edge) (int, error) {
+	for i := range buf {
+		e, err := src.Next()
+		if err != nil {
+			return i, err
+		}
+		buf[i] = e
+	}
+	return len(buf), nil
+}
+
+// Stats returns a snapshot of the pipeline's progress. It may be called
+// concurrently with the consumer loop.
+func (p *Pipeline) Stats() PipelineStats { return p.snapshot() }

@@ -307,3 +307,40 @@ func TestPipelineDrainDecoderError(t *testing.T) {
 		t.Fatalf("sink absorbed %d/%d edges, want all 130 pre-error edges in order", len(sink.got), n)
 	}
 }
+
+// Next after Close reads io.EOF from every pipeline, the same as after
+// the last batch: Close ends the stream for the consumer, and its own
+// shutdown is no error.
+func TestPipelineNextAfterCloseIsEOF(t *testing.T) {
+	base := goroutineBaseline()
+	ctx := context.Background()
+	single, err := NewPipeline(ctx, &infiniteSource{}, 16, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged, err := NewMergedPipeline(ctx, []Source{&infiniteSource{}, &infiniteSource{i: 1 << 20}}, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ordered, err := NewOrderedMultiPipeline(ctx, []TimestampedSource{&tsInfiniteSource{}, &tsInfiniteSource{i: 1 << 20}}, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, p := range map[string]interface {
+		Next() ([]graph.Edge, error)
+		Close() error
+	}{"Pipeline": single, "NewMergedPipeline": merged, "NewOrderedMultiPipeline": ordered} {
+		if _, err := p.Next(); err != nil {
+			t.Fatalf("%s: first Next = %v", name, err)
+		}
+		if err := p.Close(); err != nil {
+			t.Fatalf("%s: Close = %v", name, err)
+		}
+		for i := 0; i < 2; i++ {
+			if b, err := p.Next(); b != nil || err != io.EOF {
+				t.Fatalf("%s: Next after Close = %d edges, %v; want io.EOF", name, len(b), err)
+			}
+		}
+	}
+	assertNoLeak(t, base)
+}

@@ -90,9 +90,7 @@ func (w *BlockWriter) AppendEdgeBlock(batch []graph.Edge) error {
 func (s *BlockBinarySource) NextEdgeBlock(buf []graph.Edge) ([]graph.Edge, error) {
 	buf = buf[:0]
 	if v := s.view; v != nil {
-		for i := s.pos; i < v.count; i++ {
-			buf = append(buf, v.edge(i))
-		}
+		buf = v.appendEdges(buf, s.pos)
 		v.release()
 		s.view, s.pos = nil, 0
 		if len(buf) > 0 {
@@ -104,9 +102,7 @@ func (s *BlockBinarySource) NextEdgeBlock(buf []graph.Edge) ([]graph.Edge, error
 		if err != nil {
 			return buf, err
 		}
-		buf, err = b.appendEdges(buf)
-		putBlockBuf(b.payload)
-		if err != nil {
+		if buf, err = b.appendEdges(buf); err != nil {
 			return buf[:0], err
 		}
 	}
