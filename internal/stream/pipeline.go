@@ -224,13 +224,18 @@ func (p *pipe) fail(err error) {
 }
 
 // acquireOut draws an empty buffer from the recycle ring. Cancellation
-// wins over a ready buffer: a select with both ready picks at random,
-// which would let a short stream race past an already-cancelled
-// context.
+// and Close win over a ready buffer: a select with both ready picks at
+// random, which would let a short stream race past an already-cancelled
+// context, and a producer fill up to depth more batches after Close.
 func (p *pipe) acquireOut() ([]graph.Edge, bool) {
-	if err := p.ctx.Err(); err != nil {
-		p.fail(err)
+	select {
+	case <-p.ctx.Done():
+		p.fail(p.ctx.Err())
 		return nil, false
+	case <-p.quit:
+		p.fail(errPipelineClosed)
+		return nil, false
+	default:
 	}
 	select {
 	case b := <-p.recycle:

@@ -8,6 +8,7 @@ import (
 	"io"
 	"runtime"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -340,6 +341,59 @@ func TestPipelineNextAfterCloseIsEOF(t *testing.T) {
 			if b, err := p.Next(); b != nil || err != io.EOF {
 				t.Fatalf("%s: Next after Close = %d edges, %v; want io.EOF", name, len(b), err)
 			}
+		}
+	}
+	assertNoLeak(t, base)
+}
+
+// gatedFiller is a Source whose second Fill blocks until open is
+// closed, after signalling entered; every other Fill returns one edge
+// at once. fills counts the calls.
+type gatedFiller struct {
+	fills   atomic.Int32
+	entered chan struct{}
+	open    chan struct{}
+}
+
+func (s *gatedFiller) Next() (graph.Edge, error) { panic("unused: Fill is the bulk path") }
+
+func (s *gatedFiller) Fill(out []graph.Edge) (int, error) {
+	if s.fills.Add(1) == 2 {
+		close(s.entered)
+		<-s.open
+	}
+	out[0] = graph.Edge{U: 1, V: 2}
+	return 1, nil
+}
+
+// TestPipelineStopsFillingAfterClose: once Close has begun, the decoder
+// starts no further Fill, although the recycle ring holds ready buffers
+// when the Fill in flight returns. A select that weighs those buffers
+// against the closed quit channel at random fills another batch on
+// about one run in four.
+func TestPipelineStopsFillingAfterClose(t *testing.T) {
+	base := goroutineBaseline()
+	for run := 0; run < 64; run++ {
+		src := &gatedFiller{entered: make(chan struct{}), open: make(chan struct{})}
+		p, err := NewPipeline(context.Background(), src, 1, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := p.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-src.entered
+		p.Recycle(b) // the ring now holds three idle buffers
+		closed := make(chan error)
+		go func() { closed <- p.Close() }()
+		<-p.quit
+		close(src.open)
+		if err := <-closed; err != nil {
+			t.Fatalf("run %d: Close = %v", run, err)
+		}
+		if n := src.fills.Load(); n != 2 {
+			t.Fatalf("run %d: %d Fill calls, want 2: the decoder filled on after Close", run, n)
 		}
 	}
 	assertNoLeak(t, base)
