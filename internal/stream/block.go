@@ -637,10 +637,11 @@ func expandDeltaBlock(payload []byte, count int, minTS, maxTS int64) ([]byte, in
 // dropped — and the same errors, and returns the payload to the free
 // list.
 //
-// A block in AppendEdgeBlock's layout — delta-compressed, min_ts =
-// max_ts, and 9 bytes per record — is what WAL replay reads, and it
-// takes one tight loop without materializing 16-byte records: every
-// record must then be 8 bytes of ids and a zero delta byte. At the
+// WAL replay reads two layouts, and each takes one tight loop without
+// a second pass. AppendEdgeBlock's — delta-compressed, min_ts =
+// max_ts, and 9 bytes per record — must then hold 8 bytes of ids and a
+// zero delta byte in every record; the uncompressed 16-byte records
+// that earlier builds logged need only be within the bounds. At the
 // first record that is not, and for any other layout, the block goes
 // through view instead, so its edges and errors are view's.
 func (b rawBlock) appendEdges(dst []graph.Edge) ([]graph.Edge, error) {
@@ -651,6 +652,25 @@ func (b rawBlock) appendEdges(dst []graph.Edge) ([]graph.Edge, error) {
 		for p := 0; p < len(b.payload); p += minCompressedRecord {
 			rec := (*[minCompressedRecord]byte)(b.payload[p:])
 			if rec[8] != 0 {
+				return b.appendViewEdges(out[:base])
+			}
+			u, v := binary.LittleEndian.Uint32(rec[0:4]), binary.LittleEndian.Uint32(rec[4:8])
+			out[n] = graph.Edge{U: u, V: v}
+			if u != v {
+				n++
+			}
+		}
+		putBlockBuf(b.payload)
+		return out[:n], nil
+	}
+	if !b.compressed {
+		span := uint64(b.maxTS - b.minTS) // ts is in bounds iff uint64(ts-minTS) <= span
+		base := len(dst)
+		out := slices.Grow(dst, b.count)[:base+b.count]
+		n := base
+		for p := 0; p < len(b.payload); p += 16 {
+			rec := (*[16]byte)(b.payload[p:])
+			if uint64(int64(binary.LittleEndian.Uint64(rec[8:16]))-b.minTS) > span {
 				return b.appendViewEdges(out[:base])
 			}
 			u, v := binary.LittleEndian.Uint32(rec[0:4]), binary.LittleEndian.Uint32(rec[4:8])

@@ -349,6 +349,20 @@ func blockFuzzSeeds() [][]byte {
 		putBlockHeader(hdr, len(recs), blockFlagDeltaTS, payload, minTS, maxTS)
 		return append(append(append([]byte(nil), blockBinaryMagic[:]...), hdr...), payload...)
 	}
+	// block16 is a one-block stream of uncompressed 16-byte records, the
+	// layout earlier builds logged to the WAL, with a valid checksum;
+	// its records are (u, v, ts) triples, however they lie.
+	block16 := func(minTS, maxTS int64, recs ...[3]int64) []byte {
+		var payload []byte
+		for _, r := range recs {
+			payload = binary.LittleEndian.AppendUint32(payload, uint32(r[0]))
+			payload = binary.LittleEndian.AppendUint32(payload, uint32(r[1]))
+			payload = binary.LittleEndian.AppendUint64(payload, uint64(r[2]))
+		}
+		hdr := make([]byte, blockHeaderSize)
+		putBlockHeader(hdr, len(recs), 0, payload, minTS, maxTS)
+		return append(append(append([]byte(nil), blockBinaryMagic[:]...), hdr...), payload...)
+	}
 	return [][]byte{
 		nil,
 		blockBinaryMagic[:], // bare header: a clean empty stream
@@ -367,6 +381,9 @@ func blockFuzzSeeds() [][]byte {
 		walBlock(0, 0, [3]uint32{1, 2, 0x80}, [3]uint32{3, 4, 0}, [3]uint32{5, 6, 0}), // a two-byte varint in a 9-byte-per-record payload
 		walBlock(0, 0, [3]uint32{1, 2, 0}, [3]uint32{7, 7, 0}, [3]uint32{2, 3, 0}),    // a self loop
 		walBlock(0, 5, [3]uint32{1, 2, 0}, [3]uint32{3, 4, 0}),                        // 9-byte records, min_ts != max_ts
+		block16(0, 0, [3]int64{1, 2, 0}, [3]int64{7, 7, 0}, [3]int64{2, 3, 0}),        // a self loop in 16-byte records
+		block16(0, 5, [3]int64{1, 2, 3}, [3]int64{3, 4, 9}, [3]int64{5, 6, 5}),        // a 16-byte record after the max_ts bound
+		block16(2, 5, [3]int64{1, 2, 2}, [3]int64{4, 4, -1}),                          // a 16-byte self loop before the min_ts bound
 		append([]byte("STRTSB01"), v2[8:]...),
 		append([]byte("STRTSB99"), v2[8:]...),
 		bytes.Repeat([]byte{0}, 48),
