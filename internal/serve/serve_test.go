@@ -148,6 +148,99 @@ func TestServeCounterLifecycle(t *testing.T) {
 	}
 }
 
+// tenantNameCases are names on both sides of the tenant name rule:
+// an ASCII letter or digit, then up to 63 letters, digits, '_' or '-'.
+var tenantNameCases = []struct {
+	name  string
+	valid bool
+}{
+	{"a", true},
+	{"7", true},
+	{"Z-9_x", true},
+	{"a" + strings.Repeat("b_C-", 15) + "xyz", true}, // 64 characters
+	{"a" + strings.Repeat("b_C-", 16), false},        // 65 characters
+	{"_a", false},
+	{"-a", false},
+	{"a.b", false},
+	{".", false},
+	{"a/b", false},
+	{"café", false},
+	{"é", false},
+	{"", false},
+	{"a\n", false},
+	{"a b", false},
+}
+
+// TestServeTenantNameRule holds the tenant name rule on both of its
+// paths: PUT answers 400, naming the rule, for a name outside it and
+// creates the tenant otherwise, and recovery's scan of the data
+// directory recovers a metadata file only if its stem follows the
+// rule, leaving any other file where it is.
+func TestServeTenantNameRule(t *testing.T) {
+	const rule = "want ^[a-zA-Z0-9][a-zA-Z0-9_-]{0,63}$"
+	cfg := CounterConfig{R: 64, P: 1, Seed: 3}
+	s, err := NewServer(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, tc := range tenantNameCases {
+		body, _ := json.Marshal(cfg)
+		req := httptest.NewRequest(http.MethodPut, "/v1/counters/x", bytes.NewReader(body))
+		req.SetPathValue("name", tc.name)
+		rec := httptest.NewRecorder()
+		s.handleCreate(rec, req)
+		switch {
+		case tc.valid && rec.Code != http.StatusCreated:
+			t.Errorf("PUT %q: status %d, want 201 (%s)", tc.name, rec.Code, rec.Body)
+		case !tc.valid && (rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), rule)):
+			t.Errorf("PUT %q: status %d, body %s; want 400 naming the rule", tc.name, rec.Code, rec.Body)
+		}
+	}
+
+	for _, tc := range tenantNameCases {
+		if strings.Contains(tc.name, "/") {
+			continue // not a file name
+		}
+		dir := t.TempDir()
+		meta, _ := json.Marshal(tenantMeta{Name: tc.name, Config: cfg})
+		metaPath := filepath.Join(dir, tc.name+".json")
+		if err := os.WriteFile(metaPath, meta, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := NewServer(dir, WithLogf(t.Logf))
+		if err != nil {
+			t.Fatalf("recovering %q: %v", tc.name, err)
+		}
+		if got := s.lookup(tc.name) != nil; got != tc.valid {
+			t.Errorf("recovery of %q: tenant served %v, want %v", tc.name, got, tc.valid)
+		}
+		s.Close()
+		if _, err := os.Stat(metaPath); err != nil {
+			t.Errorf("recovery of %q moved its metadata: %v", tc.name, err)
+		}
+	}
+
+	// A quarantined tenant's metadata, <name>.corrupt.json, is skipped,
+	// not quarantined again.
+	dir := t.TempDir()
+	quarantined := filepath.Join(dir, "win.corrupt.json")
+	if err := os.WriteFile(quarantined, []byte("not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := NewServer(dir, WithLogf(t.Logf))
+	if err != nil {
+		t.Fatalf("recovery over a quarantined tenant: %v", err)
+	}
+	s2.Close()
+	if got, err := os.ReadFile(quarantined); err != nil || string(got) != "not json" {
+		t.Fatalf("quarantined metadata = %q, %v; want it left as it was", got, err)
+	}
+	if again, _ := filepath.Glob(filepath.Join(dir, "win.corrupt.corrupt*")); len(again) > 0 {
+		t.Fatalf("quarantined again: %v", again)
+	}
+}
+
 // TestServeIngestMatchesLibrary: edges POSTed through the API must
 // produce bit-identical estimates to the same edges fed directly to an
 // equally-configured counter — text and binary bodies alike.
