@@ -333,6 +333,24 @@ func (p *OrderedMultiPipeline) emitViewRange(v *blockView, lo, hi int, cur []gra
 	return cur, true
 }
 
+// releaseInFlight returns the views a merge that ended before its
+// sources did still holds: each cursor's, and, once every decoder has
+// exited and so can send no more, the one waiting in each source's
+// channel.
+func (p *OrderedMultiPipeline) releaseInFlight(cursors []blockCursor) {
+	for _, c := range cursors {
+		if c.view != nil {
+			c.view.release()
+		}
+	}
+	p.decoders.Wait()
+	for _, ch := range p.views {
+		for len(ch) > 0 {
+			(<-ch).release()
+		}
+	}
+}
+
 // mergeBlocks is the merger goroutine: it primes one view per source,
 // builds the flat-key loser tree, then merges in one of two modes.
 // Per-edge mode emits the winner and replays. Once the same source wins
@@ -340,10 +358,12 @@ func (p *OrderedMultiPipeline) emitViewRange(v *blockView, lo, hi int, cur []gra
 // key is computed once and gallopBlockRun copies the rest of the
 // winner's run — whole blocks where the bounds allow — across block
 // boundaries, until the run ends and the tournament resumes. Exhausted
-// sources leave the tournament.
+// sources leave the tournament. On its way out it releases what is
+// still in flight.
 func (p *OrderedMultiPipeline) mergeBlocks() {
 	k := len(p.perSource)
 	cursors := make([]blockCursor, k)
+	defer p.releaseInFlight(cursors)
 	t := &blockLoserTree{ts: make([]int64, k), rank: make([]int, k), node: make([]int, k), k: k}
 	for i := range cursors {
 		cursors[i].src = i

@@ -7,6 +7,7 @@ import (
 	"io"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -342,33 +343,7 @@ func TestMergedPipelineHoldsThreeBlocksPerSource(t *testing.T) {
 	records := uint64(min(w, DefaultBlockRecords))
 	for _, k := range []int{2, 8, 64} {
 		base := goroutineBaseline()
-		srcs := make([]Source, k)
-		for i := range srcs {
-			srcs[i] = &infiniteSource{i: uint32(i) << 20}
-		}
-		p, err := NewMergedPipeline(context.Background(), srcs, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		decoded := func() (n uint64) {
-			for _, s := range p.SourceStats() {
-				n += s.Batches
-			}
-			return n
-		}
-		// Poll until the count has held still for 200 ms. Stopping early
-		// only reads a smaller count, so a slow machine cannot fail the
-		// bound, only test it less.
-		n, still := decoded(), time.Now()
-		for deadline := time.Now().Add(10 * time.Second); time.Since(still) < 200*time.Millisecond; {
-			if time.Now().After(deadline) {
-				t.Fatalf("k=%d: decoded blocks still growing after 10 s (%d)", k, n)
-			}
-			time.Sleep(5 * time.Millisecond)
-			if m := decoded(); m != n {
-				n, still = m, time.Now()
-			}
-		}
+		p, n := wedgedMerge(t, k, w)
 		emitted := p.Stats().Edges / records
 		t.Logf("k=%d: %d blocks decoded, %d emitted", k, n, emitted)
 		if n > 3*uint64(k)+emitted {
@@ -376,6 +351,83 @@ func TestMergedPipelineHoldsThreeBlocksPerSource(t *testing.T) {
 		}
 		if err := p.Close(); err != nil {
 			t.Fatalf("k=%d: Close = %v", k, err)
+		}
+		assertNoLeak(t, base)
+	}
+}
+
+// wedgedMerge starts a merge of k infinite sources with nobody
+// consuming and returns it once its count of decoded blocks has held
+// still for 200 ms, with that count. Stopping early only reads a
+// smaller count, so a slow machine cannot fail a bound on it, only test
+// it less.
+func wedgedMerge(t *testing.T, k, w int) (*OrderedMultiPipeline, uint64) {
+	t.Helper()
+	srcs := make([]Source, k)
+	for i := range srcs {
+		srcs[i] = &infiniteSource{i: uint32(i) << 20}
+	}
+	p, err := NewMergedPipeline(context.Background(), srcs, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded := func() (n uint64) {
+		for _, s := range p.SourceStats() {
+			n += s.Batches
+		}
+		return n
+	}
+	n, still := decoded(), time.Now()
+	for deadline := time.Now().Add(10 * time.Second); time.Since(still) < 200*time.Millisecond; {
+		if time.Now().After(deadline) {
+			p.Close()
+			t.Fatalf("k=%d: decoded blocks still growing after 10 s (%d)", k, n)
+		}
+		time.Sleep(5 * time.Millisecond)
+		if m := decoded(); m != n {
+			n, still = m, time.Now()
+		}
+	}
+	return p, n
+}
+
+// A merge closed before its sources end hands every block buffer it
+// holds back to blockBufs: the view each decoder was sending, the one
+// waiting in each source's channel and the one each merger cursor
+// reads. So a second merge of the same shape, closed the same way,
+// finds every buffer it needs idle and allocates none.
+func TestMergedPipelineEarlyCloseReturnsBlockBuffers(t *testing.T) {
+	// Take the idle buffers earlier tests left off the list for the
+	// test's length, so the first merge draws only new ones.
+	held := make([][]byte, blockBufs.Idle())
+	for i := range held {
+		held[i] = blockBufs.Get(0)
+	}
+	newBuf := blockBufs.New
+	var made atomic.Int64
+	blockBufs.New = func(n int) []byte {
+		made.Add(1)
+		return newBuf(n)
+	}
+	defer func() {
+		blockBufs.New = newBuf
+		for _, b := range held {
+			blockBufs.Put(b)
+		}
+	}()
+	const w = 16
+	for _, k := range []int{2, 8, 64} {
+		base := goroutineBaseline()
+		for run := 1; run <= 2; run++ {
+			made.Store(0)
+			p, n := wedgedMerge(t, k, w)
+			if err := p.Close(); err != nil {
+				t.Fatalf("k=%d: Close = %v", k, err)
+			}
+			t.Logf("k=%d, run %d: %d blocks decoded, %d new block buffers", k, run, n, made.Load())
+			if run == 2 && made.Load() > 0 {
+				t.Errorf("k=%d: the second early-closed merge allocated %d block buffers, want 0", k, made.Load())
+			}
 		}
 		assertNoLeak(t, base)
 	}

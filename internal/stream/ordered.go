@@ -3,6 +3,7 @@ package stream
 import (
 	"context"
 	"fmt"
+	"sync"
 	"sync/atomic"
 )
 
@@ -35,6 +36,11 @@ type OrderedMultiPipeline struct {
 	// for one view, a source holds at most three blocks: one its decoder
 	// fills, one in the channel, and one the merger reads.
 	views []chan *blockView
+
+	// decoders counts the decoder goroutines still running; the merger
+	// waits for them on its way out, then releases the views left in
+	// the channels.
+	decoders sync.WaitGroup
 
 	// replays counts the merger's tournament decisions (tree replays
 	// and exhausts), stored as the merger exits; the gallop tests read
@@ -104,10 +110,14 @@ func newBlockMerge(ctx context.Context, k, w int, opts []PipeOption, source func
 	}
 	p.init(ctx, w, DefaultPipelineDepth, opts)
 	producers := make([]func(), 0, k+1)
+	p.decoders.Add(k)
 	for i := range p.views {
 		p.views[i] = make(chan *blockView, 1)
 		src := source(i, min(w, DefaultBlockRecords))
-		producers = append(producers, func() { p.decodeBlocks(i, src) })
+		producers = append(producers, func() {
+			defer p.decoders.Done()
+			p.decodeBlocks(i, src)
+		})
 	}
 	p.start(append(producers, p.mergeBlocks)...)
 	return p, nil
