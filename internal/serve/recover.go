@@ -41,7 +41,7 @@ func (s *Server) recover() error {
 	}
 	for _, metaPath := range metas {
 		name := strings.TrimSuffix(filepath.Base(metaPath), ".json")
-		if !nameRE.MatchString(name) {
+		if !validName(name) {
 			continue // not one of ours (quarantined metas have a dot in the stem)
 		}
 		t, err := s.recoverTenant(name)

@@ -35,7 +35,6 @@ import (
 	"io"
 	"log"
 	"net/http"
-	"regexp"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -237,11 +236,26 @@ func WithLogf(f func(format string, args ...any)) ServerOption {
 	return func(s *Server) { s.logf = f }
 }
 
-// nameRE bounds tenant names to path- and filename-safe tokens (the
-// name becomes a checkpoint filename). Dots are excluded on purpose:
-// quarantined files (<name>.corrupt.*) must never collide with a live
-// tenant's namespace.
-var nameRE = regexp.MustCompile(`^[a-zA-Z0-9][a-zA-Z0-9_-]{0,63}$`)
+// nameRule bounds tenant names to path- and filename-safe tokens (the
+// name becomes a checkpoint filename): an ASCII letter or digit, then
+// up to 63 ASCII letters, digits, '_' or '-'. Dots are excluded on
+// purpose: quarantined files (<name>.corrupt.*) must never collide with
+// a live tenant's namespace.
+const nameRule = `^[a-zA-Z0-9][a-zA-Z0-9_-]{0,63}$`
+
+// validName reports whether name follows nameRule.
+func validName(name string) bool {
+	if len(name) < 1 || len(name) > 64 || name[0] == '_' || name[0] == '-' {
+		return false
+	}
+	for i := 0; i < len(name); i++ {
+		c := name[i]
+		if !('a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' || c == '_' || c == '-') {
+			return false
+		}
+	}
+	return true
+}
 
 // NewServer returns a Server persisting to dataDir (created if
 // missing), after recovering every checkpointed tenant found there —
@@ -318,8 +332,8 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	if !nameRE.MatchString(name) {
-		httpError(w, http.StatusBadRequest, "invalid counter name %q (want %s)", name, nameRE)
+	if !validName(name) {
+		httpError(w, http.StatusBadRequest, "invalid counter name %q (want %s)", name, nameRule)
 		return
 	}
 	var cfg CounterConfig
