@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"runtime/debug"
 	"testing"
 	"time"
 )
@@ -68,4 +69,24 @@ func TestHTTPServerClosesSilentAndIdleConnections(t *testing.T) {
 		t.Fatalf("keep-alive request: status %d, body %q, close %v, err %v", resp.StatusCode, body, resp.Close, err)
 	}
 	expectClosedByServer(t, idle, br, "an idle keep-alive connection")
+}
+
+// TestServingGCPolicy: with GOGC unset, setServingGC puts the collector
+// at servingGCPercent; with GOGC set to any value, empty included, it
+// leaves the collector's percent as it was.
+func TestServingGCPolicy(t *testing.T) {
+	orig := debug.SetGCPercent(100)
+	defer debug.SetGCPercent(orig)
+
+	setServingGC(func(string) (string, bool) { return "", false })
+	if got := debug.SetGCPercent(100); got != servingGCPercent {
+		t.Fatalf("GOGC unset: collector at %d, want %d", got, servingGCPercent)
+	}
+	for _, v := range []string{"100", "off", "25", "200", ""} {
+		debug.SetGCPercent(73)
+		setServingGC(func(key string) (string, bool) { return v, key == "GOGC" })
+		if got := debug.SetGCPercent(100); got != 73 {
+			t.Fatalf("GOGC=%q: collector at %d, want it left at 73", v, got)
+		}
+	}
 }
