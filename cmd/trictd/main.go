@@ -51,15 +51,15 @@
 // and exits 0. SIGKILL is the case the WAL exists for.
 //
 // Memory: once recovery is done and before the listener opens, trictd
-// sets the garbage collector's percent to 50, so a serving heap grows
-// to 1.5× its live size (at least 2 MB) before a collection, not the
-// default 2× (at least 4 MB). Serving makes only a few KB of garbage
-// per request, so the lower goal costs a few more short collections and
-// keeps that much less memory mapped. Recovery runs at the default
-// goal: WAL replay makes more garbage, and the lower goal would add
-// collections to startup. A GOGC in trictd's environment, whatever its
-// value, is the operator's choice and trictd leaves it in force
-// throughout.
+// sets the garbage collector's percent to 50: a serving heap then grows
+// to 1.5× its live size, and at least 2 MB, before a collection, in
+// place of the runtime's 2× and 4 MB. Serving leaves only a few KB of
+// garbage per request, so the lower goal costs a few more short
+// collections and keeps less memory resident. Recovery runs at the
+// runtime's default, so restoring checkpoints and replaying the WAL,
+// which allocate more, pay for no extra collections before the first
+// request. A GOGC in trictd's environment, whatever its value, is the
+// operator's, and trictd leaves it in force throughout.
 package main
 
 import (

@@ -566,6 +566,16 @@
 // tenant at r=64 takes 1.17× the wall time on a v2 body, for 0.94× the
 // CPU.
 //
+// Memory: a serving trictd makes only a few KB of garbage per request,
+// so under the runtime's default collector its heap drifts up to the
+// collector's goal, twice the live heap and at least 4 MB, and stays
+// resident. Once recovery is done and before it opens its listener,
+// trictd sets the collector's percent to 50, a goal of 1.5× the live
+// heap and at least 2 MB, unless GOGC is in its environment. Recovery
+// keeps the default goal, so restoring checkpoints and replaying the
+// WAL, which allocate more, pay for no extra collections before the
+// first request is answered.
+//
 // Checkpoints bound replay, they do not define durability: on a timer,
 // on demand (POST /v1/checkpoint), and during graceful shutdown, each
 // tenant's counter is serialized to a new checkpoint generation (fsync,
