@@ -148,43 +148,42 @@ func TestServeCounterLifecycle(t *testing.T) {
 	}
 }
 
-// tenantNameCases are names on both sides of the tenant name rule:
-// an ASCII letter or digit, then up to 63 letters, digits, '_' or '-'.
-var tenantNameCases = []struct {
-	name  string
-	valid bool
-}{
-	{"a", true},
-	{"7", true},
-	{"Z-9_x", true},
-	{"a" + strings.Repeat("b_C-", 15) + "xyz", true}, // 64 characters
-	{"a" + strings.Repeat("b_C-", 16), false},        // 65 characters
-	{"_a", false},
-	{"-a", false},
-	{"a.b", false},
-	{".", false},
-	{"a/b", false},
-	{"café", false},
-	{"é", false},
-	{"", false},
-	{"a\n", false},
-	{"a b", false},
-}
-
 // TestServeTenantNameRule holds the tenant name rule on both of its
 // paths: PUT answers 400, naming the rule, for a name outside it and
 // creates the tenant otherwise, and recovery's scan of the data
 // directory recovers a metadata file only if its stem follows the
 // rule, leaving any other file where it is.
 func TestServeTenantNameRule(t *testing.T) {
+	// The rule: an ASCII letter or digit, then up to 63 letters,
+	// digits, '_' or '-'.
 	const rule = "want ^[a-zA-Z0-9][a-zA-Z0-9_-]{0,63}$"
+	cases := []struct {
+		name  string
+		valid bool
+	}{
+		{"a", true},
+		{"7", true},
+		{"Z-9_x", true},
+		{"a" + strings.Repeat("b_C-", 15) + "xyz", true}, // 64 characters
+		{"a" + strings.Repeat("b_C-", 16), false},        // 65 characters
+		{"_a", false},
+		{"-a", false},
+		{"a.b", false},
+		{".", false},
+		{"a/b", false},
+		{"café", false},
+		{"é", false},
+		{"", false},
+		{"a\n", false},
+		{"a b", false},
+	}
 	cfg := CounterConfig{R: 64, P: 1, Seed: 3}
 	s, err := NewServer(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	for _, tc := range tenantNameCases {
+	for _, tc := range cases {
 		body, _ := json.Marshal(cfg)
 		req := httptest.NewRequest(http.MethodPut, "/v1/counters/x", bytes.NewReader(body))
 		req.SetPathValue("name", tc.name)
@@ -198,7 +197,7 @@ func TestServeTenantNameRule(t *testing.T) {
 		}
 	}
 
-	for _, tc := range tenantNameCases {
+	for _, tc := range cases {
 		if strings.Contains(tc.name, "/") {
 			continue // not a file name
 		}

@@ -245,7 +245,7 @@ const nameRule = `^[a-zA-Z0-9][a-zA-Z0-9_-]{0,63}$`
 
 // validName reports whether name follows nameRule.
 func validName(name string) bool {
-	if len(name) < 1 || len(name) > 64 || name[0] == '_' || name[0] == '-' {
+	if len(name) == 0 || len(name) > 64 || name[0] == '_' || name[0] == '-' {
 		return false
 	}
 	for i := 0; i < len(name); i++ {

@@ -216,6 +216,7 @@ func (s *filledBlockSource) nextBlockView() (*blockView, error) {
 // exhausted. Edges, blocks, and decode time are counted per source
 // here; the aggregate counts merged deliveries at the merger.
 func (p *OrderedMultiPipeline) decodeBlocks(i int, src blockSource) {
+	defer p.decoders.Done()
 	for {
 		v, err := p.nextBudgetedView(i, src)
 		if err != nil {
@@ -333,10 +334,10 @@ func (p *OrderedMultiPipeline) emitViewRange(v *blockView, lo, hi int, cur []gra
 	return cur, true
 }
 
-// releaseInFlight returns the views a merge that ended before its
-// sources did still holds: each cursor's, and, once every decoder has
+// releaseInFlight hands back the views the merge still holds when it
+// ends before its sources do: each cursor's and, once every decoder has
 // exited and so can send no more, the one waiting in each source's
-// channel.
+// channel. A merge that ran to the end holds none.
 func (p *OrderedMultiPipeline) releaseInFlight(cursors []blockCursor) {
 	for _, c := range cursors {
 		if c.view != nil {

@@ -114,10 +114,7 @@ func newBlockMerge(ctx context.Context, k, w int, opts []PipeOption, source func
 	for i := range p.views {
 		p.views[i] = make(chan *blockView, 1)
 		src := source(i, min(w, DefaultBlockRecords))
-		producers = append(producers, func() {
-			defer p.decoders.Done()
-			p.decodeBlocks(i, src)
-		})
+		producers = append(producers, func() { p.decodeBlocks(i, src) })
 	}
 	p.start(append(producers, p.mergeBlocks)...)
 	return p, nil
