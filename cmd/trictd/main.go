@@ -57,8 +57,9 @@
 // garbage per request, so the lower goal costs a few more short
 // collections and keeps less memory resident. Recovery runs at the
 // runtime's default, so restoring checkpoints and replaying the WAL,
-// which allocate more, pay for no extra collections before the first
-// request. A GOGC in trictd's environment, whatever its value, is the
+// which allocate more, run no extra collections; lowering the goal
+// afterwards costs at most one, when the heap recovery left is above
+// it. A GOGC in trictd's environment, whatever its value, is the
 // operator's, and trictd leaves it in force throughout.
 package main
 

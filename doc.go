@@ -573,8 +573,9 @@
 // trictd sets the collector's percent to 50, a goal of 1.5× the live
 // heap and at least 2 MB, unless GOGC is in its environment. Recovery
 // keeps the default goal, so restoring checkpoints and replaying the
-// WAL, which allocate more, pay for no extra collections before the
-// first request is answered.
+// WAL, which allocate more, run no extra collections; lowering the goal
+// afterwards costs at most one, when the heap recovery left is above
+// it.
 //
 // Checkpoints bound replay, they do not define durability: on a timer,
 // on demand (POST /v1/checkpoint), and during graceful shutdown, each

@@ -398,7 +398,8 @@ func wedgedMerge(t *testing.T, k, w int) (*OrderedMultiPipeline, uint64) {
 // finds every buffer it needs idle and allocates none.
 func TestMergedPipelineEarlyCloseReturnsBlockBuffers(t *testing.T) {
 	// Take the idle buffers earlier tests left off the list for the
-	// test's length, so the first merge draws only new ones.
+	// test's length: the first merge then draws only new ones, and what
+	// the second allocates does not depend on what those tests left.
 	held := make([][]byte, blockBufs.Idle())
 	for i := range held {
 		held[i] = blockBufs.Get(0)
