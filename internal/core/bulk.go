@@ -47,8 +47,7 @@ func (c *Counter) level1(batch []graph.Edge, x *batchIndex) {
 	total := mOld + w
 	assign := func(idx int, bi uint64) {
 		est := &c.ests[idx]
-		est.r1, est.r1Pos, est.hasR1 = batch[bi], mOld+bi+1, true
-		est.c, est.hasR2, est.hasT = 0, false, false
+		est.setR1(batch[bi], mOld+bi+1)
 		x.adopt(idx, est.r1)
 	}
 	if c.useSkip {
@@ -83,7 +82,7 @@ func (c *Counter) level2(batch []graph.Edge, x *batchIndex) {
 	total := mOld + uint64(len(batch))
 	for idx := range c.ests {
 		est := &c.ests[idx]
-		if !est.hasR1 {
+		if !est.hasR1() {
 			continue
 		}
 		// ix, iy are r1's ids, dx, dy their final batch degrees, and
@@ -135,7 +134,6 @@ func (c *Counter) level2(batch []graph.Edge, x *batchIndex) {
 // on a later edge.
 func (c *Counter) setLevel2(idx int, ids vertexIDs, batch []graph.Edge, x *batchIndex, bi uint32) {
 	est := &c.ests[idx]
-	est.r2, est.r2Pos, est.hasR2 = batch[bi], c.m+uint64(bi)+1, true
-	est.hasT = false
+	est.setR2(batch[bi], c.m+uint64(bi)+1)
 	x.watch(est, idx, ids, int32(bi))
 }

@@ -238,8 +238,8 @@ func TestInternerDenseIdsAndEpochReuse(t *testing.T) {
 		}
 		ids[v] = id
 	}
-	if in.size() != 4 {
-		t.Fatalf("size = %d, want 4", in.size())
+	if in.size != 4 {
+		t.Fatalf("size = %d, want 4", in.size)
 	}
 	if _, ok := in.lookupHashed(999, hash32(999)); ok {
 		t.Fatal("lookup of unseen vertex succeeded")

@@ -22,13 +22,52 @@ import (
 // bulk-processing algorithm needs to order closing edges relative to r2
 // (the paper: "when we store an edge, we also keep the position in the
 // stream where it appears").
+//
+// The three flags, hasR1, hasR2 and hasT, live in the top three bits of
+// the word that holds r2's position and are read through the methods of
+// those names. No stream position exceeds maxEdges = 2^60, so those
+// bits are free, and an estimator takes 40 bytes.
 type Estimator struct {
-	r1, r2       graph.Edge
-	r1Pos, r2Pos uint64
-	c            uint64
-	hasR1        bool
-	hasR2        bool
-	hasT         bool
+	r1, r2     graph.Edge
+	r1Pos      uint64
+	r2PosFlags uint64 // r2's position in the low 61 bits, then flagT, flagR2, flagR1
+	c          uint64
+}
+
+// The flag bits of Estimator.r2PosFlags, and the mask of its position.
+const (
+	flagR1    = 1 << 63
+	flagR2    = 1 << 62
+	flagT     = 1 << 61
+	r2PosMask = flagT - 1
+)
+
+func (est *Estimator) hasR1() bool   { return est.r2PosFlags&flagR1 != 0 }
+func (est *Estimator) hasR2() bool   { return est.r2PosFlags&flagR2 != 0 }
+func (est *Estimator) hasT() bool    { return est.r2PosFlags&flagT != 0 }
+func (est *Estimator) r2Pos() uint64 { return est.r2PosFlags & r2PosMask }
+
+// setR1 adopts e, the edge at position pos, as the level-1 edge. It
+// restarts c and drops r2 and the triangle; r2's edge and position stay
+// as they were, since a checkpoint records them.
+func (est *Estimator) setR1(e graph.Edge, pos uint64) {
+	est.r1, est.r1Pos, est.c = e, pos, 0
+	est.r2PosFlags = est.r2PosFlags&r2PosMask | flagR1
+}
+
+// setR2 adopts e, the edge at position pos, as the level-2 edge, with
+// its wedge open.
+func (est *Estimator) setR2(e graph.Edge, pos uint64) {
+	est.r2 = e
+	est.r2PosFlags = pos | est.r2PosFlags&flagR1 | flagR2
+}
+
+// setT records whether the wedge r1–r2 is closed.
+func (est *Estimator) setT(closed bool) {
+	est.r2PosFlags &^= flagT
+	if closed {
+		est.r2PosFlags |= flagT
+	}
 }
 
 // process advances the estimator by one edge, the i-th of the stream
@@ -37,8 +76,7 @@ type Estimator struct {
 // closing edge.
 func (est *Estimator) process(e graph.Edge, i uint64, rng *randx.Source) {
 	if rng.CoinOneIn(i) {
-		est.r1, est.r1Pos, est.hasR1 = e, i, true
-		est.c, est.hasR2, est.hasT = 0, false, false
+		est.setR1(e, i)
 		return
 	}
 	// i >= 2 here, so r1 is set (the first edge always takes the branch
@@ -48,12 +86,11 @@ func (est *Estimator) process(e graph.Edge, i uint64, rng *randx.Source) {
 	}
 	est.c++
 	if rng.CoinOneIn(est.c) {
-		est.r2, est.r2Pos, est.hasR2 = e, i, true
-		est.hasT = false
+		est.setR2(e, i)
 		return
 	}
-	if est.hasR2 && !est.hasT && est.closesWedge(e) {
-		est.hasT = true
+	if est.hasR2() && !est.hasT() && est.closesWedge(e) {
+		est.setT(true)
 	}
 }
 
@@ -71,7 +108,7 @@ func (est *Estimator) closesWedge(e graph.Edge) bool {
 // TriangleEstimate returns the unbiased estimate τ̃ of Lemma 3.2 for a
 // stream of m edges: c·m if a triangle is held, 0 otherwise.
 func (est *Estimator) TriangleEstimate(m uint64) float64 {
-	if !est.hasT {
+	if !est.hasT() {
 		return 0
 	}
 	return float64(est.c) * float64(m)
@@ -79,7 +116,7 @@ func (est *Estimator) TriangleEstimate(m uint64) float64 {
 
 // WedgeEstimate returns the unbiased estimate ζ̃ = c·m of Lemma 3.10.
 func (est *Estimator) WedgeEstimate(m uint64) float64 {
-	if !est.hasR1 {
+	if !est.hasR1() {
 		return 0
 	}
 	return float64(est.c) * float64(m)
@@ -88,7 +125,7 @@ func (est *Estimator) WedgeEstimate(m uint64) float64 {
 // Triangle returns the sampled triangle and true if the estimator holds
 // one.
 func (est *Estimator) Triangle() (graph.Triangle, bool) {
-	if !est.hasT {
+	if !est.hasT() {
 		return graph.Triangle{}, false
 	}
 	s, _ := est.r1.SharedVertex(est.r2)
@@ -96,7 +133,7 @@ func (est *Estimator) Triangle() (graph.Triangle, bool) {
 }
 
 // HasTriangle reports whether the estimator currently holds a triangle.
-func (est *Estimator) HasTriangle() bool { return est.hasT }
+func (est *Estimator) HasTriangle() bool { return est.hasT() }
 
 // C returns the estimator's neighborhood counter c = |N(r1)|.
 func (est *Estimator) C() uint64 { return est.c }
@@ -104,11 +141,11 @@ func (est *Estimator) C() uint64 { return est.c }
 // Level1 returns the level-1 edge, its stream position, and whether it is
 // set.
 func (est *Estimator) Level1() (graph.Edge, uint64, bool) {
-	return est.r1, est.r1Pos, est.hasR1
+	return est.r1, est.r1Pos, est.hasR1()
 }
 
 // Level2 returns the level-2 edge, its stream position, and whether it is
 // set.
 func (est *Estimator) Level2() (graph.Edge, uint64, bool) {
-	return est.r2, est.r2Pos, est.hasR2
+	return est.r2, est.r2Pos(), est.hasR2()
 }

@@ -127,10 +127,19 @@ func TestEstimatorFirstEdgeAlwaysSampled(t *testing.T) {
 	}
 }
 
+// TestEstimatorBytes pins an estimator's in-memory size: two edges and
+// three 64-bit words, with the flags in r2's position word. The paper's
+// C++ implementation takes 36 bytes (Section 4.3).
+func TestEstimatorBytes(t *testing.T) {
+	if got := EstimatorBytes(); got != 40 {
+		t.Fatalf("EstimatorBytes() = %d, want 40", got)
+	}
+}
+
 func TestClosesWedge(t *testing.T) {
 	est := Estimator{
-		r1: graph.Edge{U: 1, V: 2}, hasR1: true,
-		r2: graph.Edge{U: 2, V: 3}, hasR2: true,
+		r1: graph.Edge{U: 1, V: 2},
+		r2: graph.Edge{U: 2, V: 3}, r2PosFlags: flagR1 | flagR2,
 	}
 	if !est.closesWedge(graph.Edge{U: 1, V: 3}) {
 		t.Fatal("1-3 closes the wedge 1-2-3")
@@ -149,9 +158,9 @@ func TestClosesWedge(t *testing.T) {
 // (r1, r2): shared vertex plus the two outer endpoints.
 func TestTriangleVerticesFromWedge(t *testing.T) {
 	est := Estimator{
-		r1: graph.Edge{U: 7, V: 3}, hasR1: true,
-		r2: graph.Edge{U: 9, V: 7}, hasR2: true,
-		hasT: true, c: 5,
+		r1: graph.Edge{U: 7, V: 3},
+		r2: graph.Edge{U: 9, V: 7}, r2PosFlags: flagR1 | flagR2 | flagT,
+		c: 5,
 	}
 	tri, ok := est.Triangle()
 	if !ok || tri != graph.MakeTriangle(3, 7, 9) {

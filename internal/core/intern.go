@@ -1,23 +1,20 @@
 package core
 
-import (
-	"slices"
+import "streamtri/internal/graph"
 
-	"streamtri/internal/graph"
-)
-
-// interner densely remaps vertices to consecutive ids in [0, k). The
+// interner densely remaps vertices to consecutive ids in [0, size). The
 // bulk path keeps one across batches for the endpoints of every
-// estimator's level-1 edge (batchIndex, scratch.go), so k is about 2r,
-// within the Theorem 3.5 space bound. It is the allocation-free
+// estimator's level-1 edge (batchIndex, scratch.go), so size is about
+// 2r, within the Theorem 3.5 space bound. It is the allocation-free
 // replacement for a `map[graph.NodeID]uint32`: every slice is reused,
-// and a slot is 8 bytes, so the randomly probed table stays small.
+// a slot is 8 bytes, so the randomly probed table stays small, and each
+// key is kept once, in its slot.
 type interner struct {
 	mask  uint32
 	slots []internSlot
-	// keys maps dense id -> original vertex; len(keys) is the number of
-	// vertices interned since begin.
-	keys []graph.NodeID
+	// size is the number of vertices interned since begin, and the next
+	// id.
+	size int
 }
 
 // internSlot holds one key and its id plus one; 0 marks an empty slot.
@@ -39,7 +36,7 @@ func (in *interner) begin(capacity int) {
 	} else {
 		clear(in.slots)
 	}
-	in.keys = slices.Grow(in.keys[:0], in.capacity())
+	in.size = 0
 }
 
 // capacity returns how many keys the hash index takes before it grows.
@@ -59,13 +56,13 @@ func (in *interner) internHashed(v graph.NodeID, hash uint32) uint32 {
 	for {
 		s := &in.slots[h]
 		if s.id1 == 0 {
-			if len(in.keys) >= in.capacity() {
+			if in.size >= in.capacity() {
 				in.grow()
 				return in.internHashed(v, hash)
 			}
-			id := uint32(len(in.keys))
+			id := uint32(in.size)
 			*s = internSlot{key: v, id1: id + 1}
-			in.keys = append(in.keys, v)
+			in.size++
 			return id
 		}
 		if s.key == v {
@@ -91,20 +88,21 @@ func (in *interner) lookupHashed(v graph.NodeID, hash uint32) (uint32, bool) {
 	}
 }
 
-// size returns the number of vertices interned since begin.
-func (in *interner) size() int { return len(in.keys) }
-
-// grow doubles the hash index and reinserts the keys. Dense ids are
-// preserved because they live in in.keys, not in slot order.
+// grow doubles the hash index and rehashes the old slots into it. Each
+// slot carries its key's id, so the ids do not change.
 func (in *interner) grow() {
-	in.slots = make([]internSlot, 2*len(in.slots))
+	old := in.slots
+	in.slots = make([]internSlot, 2*len(old))
 	in.mask = uint32(len(in.slots) - 1)
-	for id, v := range in.keys {
-		h := hash32(v) & in.mask
+	for _, s := range old {
+		if s.id1 == 0 {
+			continue
+		}
+		h := hash32(s.key) & in.mask
 		for in.slots[h].id1 != 0 {
 			h = (h + 1) & in.mask
 		}
-		in.slots[h] = internSlot{key: v, id1: uint32(id) + 1}
+		in.slots[h] = s
 	}
 }
 

@@ -87,6 +87,7 @@ func checkStateInvariants(t *testing.T, edges []graph.Edge, c *Counter) {
 // checkIndexInvariants verifies c's batch index, once it has been
 // built:
 //
+//   - the table's slots hold the ids 0 to size−1, once each;
 //   - unless the index is stale, every estimator with an r1 has cached
 //     ids that name r1's endpoints;
 //   - every key's hash is set in the filter;
@@ -100,22 +101,39 @@ func checkIndexInvariants(t *testing.T, c *Counter) {
 	if x.build == 0 {
 		return
 	}
+	keys := make([]graph.NodeID, x.in.size)
+	seen := make([]bool, x.in.size)
+	n := 0
+	for _, s := range x.in.slots {
+		if s.id1 == 0 {
+			continue
+		}
+		id := int(s.id1 - 1)
+		if id >= x.in.size || seen[id] {
+			t.Fatalf("a slot holds id %d, which is a repeat or not below size %d", id, x.in.size)
+		}
+		keys[id], seen[id] = s.key, true
+		n++
+	}
+	if n != x.in.size {
+		t.Fatalf("%d slots in use, want size %d", n, x.in.size)
+	}
 	for i := range c.ests {
 		est := &c.ests[i]
-		if x.stale || !est.hasR1 {
+		if x.stale || !est.hasR1() {
 			continue
 		}
 		ids := x.ids[i]
-		if int(max(ids.u, ids.v)) >= x.in.size() || x.in.keys[ids.u] != est.r1.U || x.in.keys[ids.v] != est.r1.V {
+		if int(max(ids.u, ids.v)) >= x.in.size || keys[ids.u] != est.r1.U || keys[ids.v] != est.r1.V {
 			t.Fatalf("estimator %d: cached ids %v do not name r1 %v", i, ids, est.r1)
 		}
 	}
-	for id, v := range x.in.keys {
+	for id, v := range keys {
 		if x.qbits.test(hash32(v)) == 0 {
 			t.Fatalf("key %d (vertex %d) is not in the filter", id, v)
 		}
 	}
-	if added := x.in.size() - x.built; added > r/4 || x.limit != r/4 {
+	if added := x.in.size - x.built; added > r/4 || x.limit != r/4 {
 		t.Fatalf("%d keys interned since the last rebuild, bound %d, want at most r/4 = %d", added, x.limit, r/4)
 	}
 	if got, want := len(x.in.slots), nextPow2(4*r, 16); got != want {

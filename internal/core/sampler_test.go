@@ -144,7 +144,7 @@ func TestUniformTriangleEdgeCases(t *testing.T) {
 	}
 	est = Estimator{
 		r1: graph.Edge{U: 1, V: 2}, r2: graph.Edge{U: 2, V: 3},
-		hasR1: true, hasR2: true, hasT: true, c: 4,
+		r2PosFlags: flagR1 | flagR2 | flagT, c: 4,
 	}
 	if _, ok := UniformTriangle(&est, 0, randx.New(30)); ok {
 		t.Fatal("maxDeg=0 must reject")

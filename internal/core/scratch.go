@@ -296,7 +296,7 @@ func (x *batchIndex) adopt(idx int, e graph.Edge) {
 		return
 	}
 	x.ids[idx] = x.endpoints(e)
-	if x.in.size()-x.built > x.limit {
+	if x.in.size-x.built > x.limit {
 		x.stale = true
 	}
 }
@@ -316,11 +316,11 @@ func (x *batchIndex) rebuild(ests []Estimator) {
 		x.ids = make([]vertexIDs, r)
 	}
 	for i := range ests {
-		if est := &ests[i]; est.hasR1 {
+		if est := &ests[i]; est.hasR1() {
 			x.ids[i] = x.endpoints(est.r1)
 		}
 	}
-	x.built, x.limit, x.stale = x.in.size(), r/4, false
+	x.built, x.limit, x.stale = x.in.size, r/4, false
 }
 
 // scan streams the batch past the keys: it counts each one's batch
@@ -334,7 +334,7 @@ func (x *batchIndex) scan(batch []graph.Edge, r int) {
 	// takes before it would grow keeps a set from growing it again. The
 	// tables are held in locals for the loops: through the embedded
 	// pointer, every access would reload them.
-	n := x.in.size()
+	n := x.in.size
 	verts := slices.Grow(x.verts[:0], x.in.capacity())[:n]
 	clear(verts)
 	hits, cands, qbits := x.hits[:0], x.probes, x.qbits
@@ -417,7 +417,7 @@ func (x *batchIndex) watch(est *Estimator, idx int, ids vertexIDs, after int32) 
 // batch arrives after r2 and closes the wedge. This replaces the
 // per-batch re-subscription into table Q.
 func (x *batchIndex) watchRetained(est *Estimator, idx int, ids vertexIDs) {
-	if est.hasR2 && !est.hasT {
+	if est.hasR2() && !est.hasT() {
 		x.watch(est, idx, ids, -1)
 	}
 }
@@ -444,6 +444,6 @@ func (x *batchIndex) closeWedges(batch []graph.Edge, ests []Estimator) {
 		x.pairs.see(packPair(e.U, e.V), int32(h.pos))
 	}
 	for _, ow := range x.wedges {
-		ests[ow.est].hasT = x.pairs.last(ow.slot) > ow.after
+		ests[ow.est].setT(x.pairs.last(ow.slot) > ow.after)
 	}
 }

@@ -24,7 +24,8 @@ import (
 //
 // and state packs hasR1/hasR2/hasT into bits 0..2. The decoder rejects
 // a record that no stream of m edges can produce and that a later
-// AddBatch could not absorb (see checkRecord).
+// AddBatch could not absorb (see checkRecord), and one whose r2Pos is
+// above 2^61 − 1, which an Estimator cannot hold beside its flags.
 //
 // Earlier builds could split a counter's estimators into p shards, each
 // with its own RNG, and checkpointed them in an envelope over p blobs:
@@ -99,13 +100,13 @@ func (c *Counter) WriteTo(w io.Writer) (int64, error) {
 	for i := range c.ests {
 		est := &c.ests[i]
 		var st uint8
-		if est.hasR1 {
+		if est.hasR1() {
 			st |= stHasR1
 		}
-		if est.hasR2 {
+		if est.hasR2() {
 			st |= stHasR2
 		}
-		if est.hasT {
+		if est.hasT() {
 			st |= stHasT
 		}
 		b = le.AppendUint32(b, est.r1.U)
@@ -113,7 +114,7 @@ func (c *Counter) WriteTo(w io.Writer) (int64, error) {
 		b = le.AppendUint32(b, est.r2.U)
 		b = le.AppendUint32(b, est.r2.V)
 		b = le.AppendUint64(b, est.r1Pos)
-		b = le.AppendUint64(b, est.r2Pos)
+		b = le.AppendUint64(b, est.r2Pos())
 		b = le.AppendUint64(b, est.c)
 		b = append(b, st)
 	}
@@ -204,11 +205,21 @@ func readCounter(br *bufio.Reader) (*Counter, error) {
 		var est Estimator
 		est.r1.U, est.r1.V = le.Uint32(rec[0:]), le.Uint32(rec[4:])
 		est.r2.U, est.r2.V = le.Uint32(rec[8:]), le.Uint32(rec[12:])
-		est.r1Pos, est.r2Pos, est.c = le.Uint64(rec[16:]), le.Uint64(rec[24:]), le.Uint64(rec[32:])
+		est.r1Pos, est.r2PosFlags, est.c = le.Uint64(rec[16:]), le.Uint64(rec[24:]), le.Uint64(rec[32:])
+		if est.r2PosFlags > r2PosMask {
+			// No writer records one: its top bits would hold the flags.
+			return nil, fmt.Errorf("core: estimator %d: r2Pos %d beyond 2^61-1", i, est.r2PosFlags)
+		}
 		st := rec[40]
-		est.hasR1 = st&stHasR1 != 0
-		est.hasR2 = st&stHasR2 != 0
-		est.hasT = st&stHasT != 0
+		if st&stHasR1 != 0 {
+			est.r2PosFlags |= flagR1
+		}
+		if st&stHasR2 != 0 {
+			est.r2PosFlags |= flagR2
+		}
+		if st&stHasT != 0 {
+			est.r2PosFlags |= flagT
+		}
 		if err := checkRecord(&est, m); err != nil {
 			return nil, fmt.Errorf("core: estimator %d: %w", i, err)
 		}
@@ -231,14 +242,14 @@ const maxEdges = 1 << 60
 // the bulk path can leave r2Pos = r1Pos when r1 is a self loop.
 func checkRecord(est *Estimator, m uint64) error {
 	switch {
-	case est.hasR2 && !est.hasR1:
+	case est.hasR2() && !est.hasR1():
 		return errors.New("hasR2 set without hasR1")
-	case est.hasT && !est.hasR2:
+	case est.hasT() && !est.hasR2():
 		return errors.New("hasT set without hasR2")
-	case est.hasR1 && (est.r1Pos == 0 || est.r1Pos > m):
+	case est.hasR1() && (est.r1Pos == 0 || est.r1Pos > m):
 		return fmt.Errorf("r1Pos %d outside [1, m=%d]", est.r1Pos, m)
-	case est.hasR2 && est.r2Pos > m:
-		return fmt.Errorf("r2Pos %d beyond m=%d", est.r2Pos, m)
+	case est.hasR2() && est.r2Pos() > m:
+		return fmt.Errorf("r2Pos %d beyond m=%d", est.r2Pos(), m)
 	case est.c > 4*m:
 		return fmt.Errorf("c %d beyond 4m=4×%d", est.c, m)
 	}

@@ -258,13 +258,13 @@ func TestSerializeRejectsImpossibleRecords(t *testing.T) {
 		damage func(est *Estimator, c *Counter)
 		field  string // "" = accepted
 	}{
-		{"hasR2 without hasR1", func(est *Estimator, _ *Counter) { est.hasR1 = false }, "hasR2"},
-		{"hasT without hasR2", func(est *Estimator, _ *Counter) { est.hasR2, est.hasT = false, true }, "hasT"},
+		{"hasR2 without hasR1", func(est *Estimator, _ *Counter) { est.r2PosFlags &^= flagR1 }, "hasR2"},
+		{"hasT without hasR2", func(est *Estimator, _ *Counter) { est.r2PosFlags = est.r2PosFlags&^flagR2 | flagT }, "hasT"},
 		{"r1Pos zero", func(est *Estimator, _ *Counter) { est.r1Pos = 0 }, "r1Pos"},
 		{"r1Pos beyond m", func(est *Estimator, c *Counter) { est.r1Pos = c.m + 1 }, "r1Pos"},
 		{"r1Pos at m", func(est *Estimator, c *Counter) { est.r1Pos = c.m }, ""},
-		{"r2Pos beyond m", func(est *Estimator, c *Counter) { est.r2Pos = c.m + 1 }, "r2Pos"},
-		{"r2Pos before r1Pos", func(est *Estimator, _ *Counter) { est.r2Pos = est.r1Pos - 1 }, ""},
+		{"r2Pos beyond m", func(est *Estimator, c *Counter) { est.r2PosFlags = est.r2PosFlags&^r2PosMask | (c.m + 1) }, "r2Pos"},
+		{"r2Pos before r1Pos", func(est *Estimator, _ *Counter) { est.r2PosFlags = est.r2PosFlags&^r2PosMask | (est.r1Pos - 1) }, ""},
 		{"c beyond 4m", func(est *Estimator, c *Counter) { est.c = 4*c.m + 1 }, "c "},
 		{"c at 4m", func(est *Estimator, c *Counter) { est.c = 4 * c.m }, ""},
 		{"c = 2^64-1", func(est *Estimator, _ *Counter) { est.c = 1<<64 - 1 }, "c "},
@@ -275,7 +275,7 @@ func TestSerializeRejectsImpossibleRecords(t *testing.T) {
 			c := NewCounter(3, 5)
 			c.AddBatch(edges)
 			est := &c.ests[1]
-			if !est.hasR2 || est.r1Pos < 2 {
+			if !est.hasR2() || est.r1Pos < 2 {
 				t.Fatalf("setup: estimator holds %+v, want a wedge with r1Pos ≥ 2", *est)
 			}
 			tc.damage(est, c)
@@ -289,6 +289,38 @@ func TestSerializeRejectsImpossibleRecords(t *testing.T) {
 				t.Fatalf("error %q does not name %q", err, tc.field)
 			}
 		})
+	}
+}
+
+// TestSerializeR2PosBound: an Estimator keeps its three flags in the
+// top bits of r2's position, so the decoder rejects a recorded r2Pos
+// above 2^61 − 1, which no writer produces. A stale one (hasR2 clear,
+// so no bound in m applies) at 2^61 − 1 restores, with its flags, and
+// encodes back to the same bytes.
+func TestSerializeR2PosBound(t *testing.T) {
+	c := NewCounter(3, 5)
+	c.AddBatch(gen.Complete(8))
+	c.ests[1].r2PosFlags &^= flagR2 | flagT
+	blob := encodeState(t, c)
+	rec := blob[len(blob)-2*recordLen:] // estimator 1's record
+	for _, pos := range []uint64{r2PosMask, r2PosMask + 1, 1<<64 - 1} {
+		binary.LittleEndian.PutUint64(rec[24:], pos)
+		got, err := ReadCounterFrom(bytes.NewReader(blob))
+		if pos > r2PosMask {
+			if err == nil || !strings.Contains(err.Error(), "r2Pos") {
+				t.Fatalf("r2Pos %d: err = %v, want a rejection naming r2Pos", pos, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("r2Pos %d: %v", pos, err)
+		}
+		if est := &got.ests[1]; est.r2Pos() != pos || !est.hasR1() || est.hasR2() || est.hasT() {
+			t.Fatalf("r2Pos %d restored as %d (hasR1 %v, hasR2 %v, hasT %v)", pos, est.r2Pos(), est.hasR1(), est.hasR2(), est.hasT())
+		}
+		if !bytes.Equal(encodeState(t, got), blob) {
+			t.Fatalf("r2Pos %d: the restored counter encodes to other bytes", pos)
+		}
 	}
 }
 

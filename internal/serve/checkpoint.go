@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -12,7 +13,7 @@ import (
 	"strings"
 	"time"
 
-	"streamtri/internal/freelist"
+	"streamtri/internal/stream"
 )
 
 // Durability: each tenant's on-disk state is
@@ -99,13 +100,19 @@ func fileExists(path string) bool {
 }
 
 // CheckpointAll checkpoints every durable tenant whose stream advanced
-// since its last checkpoint, returning how many were written. Tenants
-// are checkpointed one at a time; each holds its ingest lock only while
-// serializing to memory and while rotating its WAL.
+// since its last checkpoint. It returns how many generations it wrote
+// and its failures joined, each naming its tenant: a tenant whose
+// checkpoint fails does not stop the ones after it, and is tried again
+// at the next call. Calls run one at a time, so two never write one
+// generation twice. Tenants are checkpointed one at a time; each holds
+// its ingest lock only while serializing to memory and while rotating
+// its WAL.
 func (s *Server) CheckpointAll() (int, error) {
 	if s.dataDir == "" {
 		return 0, nil
 	}
+	s.ckptMu.Lock()
+	defer s.ckptMu.Unlock()
 	s.mu.RLock()
 	tenants := make([]*tenant, 0, len(s.tenants))
 	for _, t := range s.tenants {
@@ -117,26 +124,31 @@ func (s *Server) CheckpointAll() (int, error) {
 	sort.Slice(tenants, func(i, j int) bool { return tenants[i].name < tenants[j].name })
 
 	n := 0
+	var errs []error
 	for _, t := range tenants {
 		wrote, err := s.checkpointTenant(t)
-		if err != nil {
-			return n, fmt.Errorf("checkpointing %q: %w", t.name, err)
-		}
 		if wrote {
 			n++
 		}
+		if err != nil {
+			errs = append(errs, fmt.Errorf("checkpointing %q: %w", t.name, err))
+		}
 	}
-	return n, nil
+	return n, errors.Join(errs...)
 }
 
-// ckptBufs lists the idle buffers checkpoint blobs are serialized into.
-// Each checkpointTenant call borrows its own until the blob is on disk,
-// so concurrent CheckpointAll callers never share one; a counter's
-// WriteTo builds its blob in the buffer's spare capacity, so once a
-// buffer has held a blob of a tenant's size, checkpointing that tenant
-// again allocates nothing that scales with r.
-var ckptBufs = freelist.List[*bytes.Buffer]{New: func(int) *bytes.Buffer { return new(bytes.Buffer) }}
-
+// checkpointTenant writes a generation of t if its stream advanced
+// since the last one, and reports whether it did. t.ckptEdges advances
+// only once the generation is durable, so a failed write is retried.
+// The caller holds s.ckptMu.
+//
+// The blob is built in a buffer borrowed from stream.BlockBufs, the
+// list the WAL's appends and replayed blocks share, and handed back
+// once it is on disk. A counter's WriteTo builds its blob in the
+// buffer's spare capacity, so when an idle block buffer holds it,
+// checkpointing allocates nothing that scales with r. When it does not
+// fit, WriteTo builds it in a buffer of its own, and the grown buffer
+// is listed in place of the one borrowed.
 func (s *Server) checkpointTenant(t *tenant) (bool, error) {
 	t.mu.Lock()
 	if t.closed {
@@ -148,19 +160,14 @@ func (s *Server) checkpointTenant(t *tenant) (bool, error) {
 		t.mu.Unlock()
 		return false, nil
 	}
-	blob := ckptBufs.Get(0)
-	defer ckptBufs.Put(blob)
-	blob.Reset()
+	blob := bytes.NewBuffer(stream.BlockBufs.Get(0))
 	_, err := t.c.WriteTo(blob)
-	if err == nil {
-		t.ckptEdges = edges
-	}
 	t.mu.Unlock()
-	if err != nil {
-		return false, err
+	if err == nil {
+		err = s.atomicWriteSync(s.genPath(t.name, edges), blob.Bytes(), "ckpt")
 	}
-
-	if err := s.atomicWriteSync(s.genPath(t.name, edges), blob.Bytes(), "ckpt"); err != nil {
+	stream.BlockBufs.Put(blob.Bytes()[:0])
+	if err != nil {
 		return false, err
 	}
 	// The generation is durable; retire the current WAL segment so its
@@ -168,6 +175,7 @@ func (s *Server) checkpointTenant(t *tenant) (bool, error) {
 	// segments they were covering. Rotation re-takes the ingest lock —
 	// it must not race an in-flight POST's appends.
 	t.mu.Lock()
+	t.ckptEdges = edges
 	if t.wal != nil && !t.closed {
 		err = t.wal.rotate()
 	}

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -658,6 +659,140 @@ func TestServeCheckpointSkipsUnchanged(t *testing.T) {
 	}
 	if n, err := s.CheckpointAll(); err != nil || n != 1 {
 		t.Fatalf("post-ingest CheckpointAll = (%d, %v), want (1, nil)", n, err)
+	}
+}
+
+// loadTenants starts a durable server in a fresh directory whose
+// tenants, one per name, have each taken one POST of 500 edges.
+func loadTenants(t *testing.T, names ...string) *Server {
+	t.Helper()
+	s, err := NewServer(t.TempDir(), WithLogf(t.Logf), WithCheckpointRetention(1<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	h := s.Handler()
+	for i, name := range names {
+		if code := createCounterVia(h, name, CounterConfig{R: 32, Seed: uint64(i + 1)}); code != http.StatusCreated {
+			t.Fatalf("create %s: status %d", name, code)
+		}
+		if err := postBinary(h, name, binaryBody(t, testEdges(t, uint64(91+i), 500)).Bytes()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s
+}
+
+// blockCheckpoint makes the next checkpoint write of tenant name fail,
+// by putting a directory where its temp file goes, and returns a func
+// that removes the directory.
+func blockCheckpoint(t *testing.T, s *Server, name string) func() {
+	t.Helper()
+	tmp := s.genPath(name, s.lookup(name).edges()) + ".tmp"
+	if err := os.Mkdir(tmp, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	return func() {
+		if err := os.Remove(tmp); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// checkGenerations requires tenant name to have exactly want checkpoint
+// generations, the newest at its current position.
+func checkGenerations(t *testing.T, s *Server, name string, want int) {
+	t.Helper()
+	gens, err := s.listGenerations(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(gens) != want || want > 0 && gens[0].pos != s.lookup(name).edges() {
+		t.Fatalf("%s has generations %+v, want %d, the newest at %d", name, gens, want, s.lookup(name).edges())
+	}
+}
+
+// TestServeCheckpointRetriedAfterFailedWrite: a checkpoint whose file
+// write failed is written by the next CheckpointAll, though the tenant
+// took no edges in between. Without the retry every later call skips
+// the idle tenant, the final one at shutdown included, and reports
+// success.
+func TestServeCheckpointRetriedAfterFailedWrite(t *testing.T) {
+	s := loadTenants(t, "a")
+	unblock := blockCheckpoint(t, s, "a")
+	if n, err := s.CheckpointAll(); err == nil || n != 0 {
+		t.Fatalf("blocked CheckpointAll = (%d, %v), want (0, an error)", n, err)
+	}
+	unblock()
+	if n, err := s.CheckpointAll(); err != nil || n != 1 {
+		t.Fatalf("CheckpointAll after the failure = (%d, %v), want (1, nil)", n, err)
+	}
+	checkGenerations(t, s, "a", 1)
+}
+
+// TestServeCheckpointPastFailingTenant: one tenant whose checkpoint
+// fails does not stop the checkpoints of the tenants after it, and the
+// error names the tenant that failed.
+func TestServeCheckpointPastFailingTenant(t *testing.T) {
+	s := loadTenants(t, "a", "b")
+	unblock := blockCheckpoint(t, s, "a")
+	n, err := s.CheckpointAll()
+	if err == nil || n != 1 || !strings.Contains(err.Error(), `"a"`) || strings.Contains(err.Error(), `"b"`) {
+		t.Fatalf("CheckpointAll = (%d, %v), want (1, an error naming only \"a\")", n, err)
+	}
+	checkGenerations(t, s, "a", 0)
+	checkGenerations(t, s, "b", 1)
+	unblock()
+	if n, err := s.CheckpointAll(); err != nil || n != 1 {
+		t.Fatalf("CheckpointAll after the failure = (%d, %v), want (1, nil)", n, err)
+	}
+	checkGenerations(t, s, "a", 1)
+}
+
+// TestServeConcurrentCheckpointAllWritesOnce: CheckpointAll calls that
+// overlap write each generation once between them, since they run one
+// at a time. A tenant's checkpointed position advances only once its
+// generation is durable, so without that two calls would both write
+// it. make race runs this.
+func TestServeConcurrentCheckpointAllWritesOnce(t *testing.T) {
+	names := []string{"a", "b", "c"}
+	s := loadTenants(t, names...)
+	var writes atomic.Int64
+	s.faults.hook = func(point string) bool {
+		if point == "ckpt-tmp" {
+			writes.Add(1)
+		}
+		return false
+	}
+	h := s.Handler()
+	for round := 1; round <= 8; round++ {
+		var (
+			wg      sync.WaitGroup
+			written atomic.Int64
+		)
+		start := make(chan struct{})
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				n, err := s.CheckpointAll()
+				if err != nil {
+					t.Error(err)
+				}
+				written.Add(int64(n))
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if got, want := writes.Load(), int64(round*len(names)); written.Load() != int64(len(names)) || got != want {
+			t.Fatalf("round %d: the calls report %d generations and wrote %d in all, want %d and %d", round, written.Load(), got, len(names), want)
+		}
+		for i, name := range names {
+			if err := postBinary(h, name, binaryBody(t, testEdges(t, uint64(100*round+i), 300)).Bytes()); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }
 

@@ -154,8 +154,9 @@ type tenant struct {
 	// wal is the tenant's write-ahead log; nil on volatile servers.
 	wal *walWriter
 
-	// ckptEdges is the edge count captured by the last checkpoint
-	// (under mu); checkpoints are skipped while it matches edges().
+	// ckptEdges is the position of the last durable checkpoint
+	// generation (under mu); checkpoints are skipped while it matches
+	// edges().
 	ckptEdges uint64
 }
 
@@ -206,6 +207,9 @@ type Server struct {
 
 	mu      sync.RWMutex
 	tenants map[string]*tenant
+
+	// ckptMu runs CheckpointAll calls one at a time.
+	ckptMu sync.Mutex
 }
 
 // ServerOption configures NewServer.

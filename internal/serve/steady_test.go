@@ -16,6 +16,7 @@ import (
 
 	"streamtri"
 	"streamtri/internal/core"
+	"streamtri/internal/stream"
 )
 
 // steadyAllocBound is what one cycle of the allocation guard may
@@ -369,7 +370,7 @@ func TestServeTenantFootprint(t *testing.T) {
 		}
 		break
 	}
-	for name, idle := range map[string]int{"batch": edgeBufs.Idle(), "body reader": bodyReaders.Idle(), "checkpoint": ckptBufs.Idle()} {
+	for name, idle := range map[string]int{"batch": edgeBufs.Idle(), "body reader": bodyReaders.Idle(), "block": stream.BlockBufs.Idle()} {
 		if idle == 0 {
 			t.Errorf("no %s buffer is listed after the tenant that used one was deleted", name)
 		}
@@ -380,9 +381,10 @@ func TestServeTenantFootprint(t *testing.T) {
 		load(fmt.Sprintf("t%02d", i))
 	}
 	perTenant := (liveHeap() - base) / tenants
-	// The key index: a hash table of 4r 8-byte slots, room for 3r
-	// 4-byte keys, and a filter of 32r bits.
-	own := r*core.EstimatorBytes() + 8*r + (4*8+3*4+32/8)*r
+	// The estimators (40 B each), their cached ids (8 B each) and the
+	// key index: a hash table of 4r 8-byte slots, which hold the keys,
+	// and a filter of 32r bits.
+	own := r*core.EstimatorBytes() + 8*r + (4*8+32/8)*r
 	const allowance = 16 << 10
 	t.Logf("live heap per tenant: %.1f KiB; own state %.1f KiB", float64(perTenant)/1024, float64(own)/1024)
 	if perTenant >= own+allowance {

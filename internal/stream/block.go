@@ -311,14 +311,16 @@ func ReadBlockBinaryEdges(r io.Reader) ([]TimestampedEdge, error) {
 	}
 }
 
-// blockBufs lists the idle block buffers of views and WAL appends, for
+// BlockBufs lists the idle block buffers of views and WAL appends, for
 // any goroutine to borrow: with each source's one-view hand-off channel
 // bounding views in flight, a k-way merge's steady state circulates ~3
 // buffers per source through it, whatever the source's format, and
-// AppendEdgeBlock borrows one per append. A new buffer has room for a
-// default block's 16-byte records, and blockBufSlack bytes past the
-// request.
-var blockBufs = freelist.List[[]byte]{
+// AppendEdgeBlock borrows one per append. The serving layer builds its
+// checkpoint blobs in one too, so a daemon keeps one list of such
+// buffers, not one per use. A new buffer has room for a default
+// block's 16-byte records, and blockBufSlack bytes past the request.
+// Items are listed with length 0.
+var BlockBufs = freelist.List[[]byte]{
 	New:  func(n int) []byte { return make([]byte, 0, max(n+blockBufSlack, 16*DefaultBlockRecords)) },
 	Size: func(b []byte) int { return cap(b) },
 }
@@ -328,11 +330,11 @@ var blockBufs = freelist.List[[]byte]{
 // magic, header and records for a batch of as many edges.
 const blockBufSlack = len(blockBinaryMagic) + blockHeaderSize
 
-func getBlockBuf(n int) []byte { return blockBufs.Get(n)[:n] }
+func getBlockBuf(n int) []byte { return BlockBufs.Get(n)[:n] }
 
 func putBlockBuf(b []byte) {
 	if cap(b) > 0 {
-		blockBufs.Put(b[:0])
+		BlockBufs.Put(b[:0])
 	}
 }
 
@@ -449,7 +451,7 @@ func (s *BlockBinarySource) checkHeader() error {
 }
 
 // rawBlock is one block whose header structure and checksum have been
-// checked, but not yet its records. Its payload comes from blockBufs;
+// checked, but not yet its records. Its payload comes from BlockBufs;
 // the decoder that consumes the block returns it or hands it on.
 type rawBlock struct {
 	payload      []byte

@@ -454,19 +454,19 @@ func TestBlockBinarySourceCloseHandsBackItsBlock(t *testing.T) {
 			"StripTimestamps": StripTimestamps(NewBlockBinarySource(bytes.NewReader(data))).(BatchFiller),
 		}
 		for name, src := range sources {
-			idle := blockBufs.Idle()
+			idle := BlockBufs.Idle()
 			if n, err := src.Fill(make([]graph.Edge, 1)); n != 1 || err != nil {
 				t.Fatalf("%s: Fill read %d records: %v", name, n, err)
 			}
-			if blockBufs.Idle() != idle-1 {
-				t.Fatalf("%s: %d idle buffers mid-block, want %d", name, blockBufs.Idle(), idle-1)
+			if BlockBufs.Idle() != idle-1 {
+				t.Fatalf("%s: %d idle buffers mid-block, want %d", name, BlockBufs.Idle(), idle-1)
 			}
 			for range 2 {
 				if err := src.(io.Closer).Close(); err != nil {
 					t.Fatal(err)
 				}
-				if blockBufs.Idle() != idle {
-					t.Fatalf("%s: %d idle buffers after Close, want %d", name, blockBufs.Idle(), idle)
+				if BlockBufs.Idle() != idle {
+					t.Fatalf("%s: %d idle buffers after Close, want %d", name, BlockBufs.Idle(), idle)
 				}
 			}
 		}

@@ -392,7 +392,7 @@ func wedgedMerge(t *testing.T, k, w int) (*OrderedMultiPipeline, uint64) {
 }
 
 // A merge closed before its sources end hands every block buffer it
-// holds back to blockBufs: the view each decoder was sending, the one
+// holds back to BlockBufs: the view each decoder was sending, the one
 // waiting in each source's channel and the one each merger cursor
 // reads. So a second merge of the same shape, closed the same way,
 // finds every buffer it needs idle and allocates none.
@@ -400,20 +400,20 @@ func TestMergedPipelineEarlyCloseReturnsBlockBuffers(t *testing.T) {
 	// Take the idle buffers earlier tests left off the list for the
 	// test's length: the first merge then draws only new ones, and what
 	// the second allocates does not depend on what those tests left.
-	held := make([][]byte, blockBufs.Idle())
+	held := make([][]byte, BlockBufs.Idle())
 	for i := range held {
-		held[i] = blockBufs.Get(0)
+		held[i] = BlockBufs.Get(0)
 	}
-	newBuf := blockBufs.New
+	newBuf := BlockBufs.New
 	var made atomic.Int64
-	blockBufs.New = func(n int) []byte {
+	BlockBufs.New = func(n int) []byte {
 		made.Add(1)
 		return newBuf(n)
 	}
 	defer func() {
-		blockBufs.New = newBuf
+		BlockBufs.New = newBuf
 		for _, b := range held {
-			blockBufs.Put(b)
+			BlockBufs.Put(b)
 		}
 	}()
 	const w = 16

@@ -41,7 +41,7 @@ const EdgeBlockRecordBytes = minCompressedRecord
 // interleaved with Write/WriteBatch: those buffer toward the block
 // target, and mixing the two would tear a buffered block in half.
 //
-// The bytes are built in a buffer borrowed from blockBufs, the list the
+// The bytes are built in a buffer borrowed from BlockBufs, the list the
 // block readers draw their payloads from (a buffer a replayed block was
 // read into fits the append of a batch of its size), and handed back
 // before AppendEdgeBlock returns, so between appends the writer holds
