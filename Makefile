@@ -12,7 +12,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-.PHONY: all fmt vet build test race fuzz-smoke bench-smoke bench-core bench-check smoke smoke-serve smoke-crash perfbench-test ci
+.PHONY: all fmt vet build test race fuzz-smoke bench-smoke bench-core bench-check smoke smoke-serve smoke-crash perfbench-test perfpairs-test ci
 
 all: ci
 
@@ -206,7 +206,14 @@ smoke-crash:
 perfbench-test:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
+# Self-test of scripts/perfpairs.sh, the interleaved-pairs comparison
+# that end-to-end perf claims rest on: it runs the script on two stub
+# checkouts that print canned results and checks its quartiles, wins,
+# gain and bound verdicts and its list of bad runs.
+perfpairs-test:
+	bash scripts/perfpairs-test.sh
+
 # Mirrors the per-push GitHub Actions coverage (the matrix/fuzz/bench
 # jobs run fmt..bench-smoke plus the smoke and perfbench jobs;
 # fuzz-smoke and bench-check are separate because of their runtime).
-ci: fmt vet build test race bench-smoke smoke smoke-serve smoke-crash perfbench-test
+ci: fmt vet build test race bench-smoke smoke smoke-serve smoke-crash perfbench-test perfpairs-test

@@ -523,14 +523,20 @@
 // a batch the log refused never reaches the counter; a request that
 // fails mid-body (a malformed record, a dropped client) leaves both at
 // the same batch boundary. Between POSTs a tenant holds its counter's
-// own state (its estimators, their cached endpoint ids and, for a
-// whole-stream tenant, its endpoint index, all O(r)), its published
-// estimates and its WAL writer, and nothing that scales with w. Each
-// POST and each WAL replay borrows a buffer of w edges; the handler's
-// 64 KiB body reader, each WAL block's encode buffer, each checkpoint's
-// serialization buffer and each AddBatch's batch tables are borrowed
-// too, and all are handed back when the request, the replay, the
-// append, the checkpoint's file write or the AddBatch is done. A
+// own state, its published estimates and its WAL writer, and nothing
+// that scales with w. For a whole-stream tenant that state is 84 bytes
+// per estimator: the estimator (40), its cached endpoint ids (8) and
+// its share of the endpoint index (36: a hash table of 4r 8-byte slots,
+// which hold the keys, and a filter of 32 bits per estimator); Section
+// 4.3 of the paper reports 36 bytes per estimator, for the estimator
+// alone (see core.EstimatorBytes). Each POST and each WAL replay
+// borrows a buffer of w edges; the handler's 64 KiB body reader, each
+// WAL block's encode buffer, each checkpoint's blob and each AddBatch's
+// batch tables are borrowed too, and all are handed back when the
+// request, the replay, the append, the checkpoint's file write or the
+// AddBatch is done. A checkpoint's blob is built in a block buffer
+// from the list the WAL's appends and replayed blocks share, so a
+// daemon keeps no buffer for checkpoints alone. A
 // tenant's log keeps one block writer across segment rotations, which
 // writes each block from its borrowed buffer in one call and holds no
 // buffer of its own. The buffers come from free lists, not sync.Pools:
@@ -582,7 +588,9 @@
 // tenant's counter is serialized to a new checkpoint generation (fsync,
 // atomic rename, directory fsync), the newest -checkpoint-retain
 // generations are kept, and WAL segments covered by the oldest retained
-// generation are pruned. Whole-stream tenants serialize through
+// generation are pruned. A tenant whose checkpoint fails does not stop
+// the others', and is checkpointed again at the next attempt, idle or
+// not; the failures are reported together, each naming its tenant. Whole-stream tenants serialize through
 // WriteTo/RestoreParallelTriangleCounter (an NSTC blob; restore also
 // reads the NSTS envelope of p shards that tenants wrote while p split
 // the estimators, as one counter that holds the shards' estimators in

@@ -19,7 +19,8 @@ func main() {
 	edges := stream.Shuffle(gen.HolmeKim(randx.New(7), 20_000, 3, 0.6), randx.New(8))
 
 	// One counter, 64k estimators. Estimators are the accuracy knob:
-	// more estimators, more accuracy, more memory (≈48 B each).
+	// more estimators, more accuracy, more memory (40 B of state each,
+	// ≈84 B with the bulk path's endpoint index).
 	tc := streamtri.NewTriangleCounter(1<<16, streamtri.WithSeed(42))
 	for _, e := range edges {
 		tc.Add(e) // amortized O(1): edges are batched internally

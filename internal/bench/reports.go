@@ -169,7 +169,9 @@ func estimates(ts []Trial) []float64 {
 }
 
 // MemTable reproduces the Section 4.3 estimator-memory table from the
-// actual struct size.
+// actual struct size: 40 bytes per estimator against the paper's 36.
+// The flags share r2's position word; the 4 bytes over are the two
+// stream positions, held as 64-bit values (see core.EstimatorBytes).
 func MemTable(w io.Writer, cfg Config) {
 	cfg = cfg.withDefaults()
 	size := core.EstimatorBytes()

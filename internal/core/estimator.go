@@ -30,16 +30,19 @@ import (
 type Estimator struct {
 	r1, r2     graph.Edge
 	r1Pos      uint64
-	r2PosFlags uint64 // r2's position in the low 61 bits, then flagT, flagR2, flagR1
+	r2PosFlags uint64 // r2's position in the low 61 bits, then flagR1, flagR2, flagT
 	c          uint64
 }
 
-// The flag bits of Estimator.r2PosFlags, and the mask of its position.
+// The flag bits of Estimator.r2PosFlags, in the order of the state
+// byte of a checkpoint record (serialize.go), so one shift by flagShift
+// converts between the two, and the mask of r2's position.
 const (
-	flagR1    = 1 << 63
-	flagR2    = 1 << 62
-	flagT     = 1 << 61
-	r2PosMask = flagT - 1
+	flagShift = 61
+	flagR1    = 1 << flagShift
+	flagR2    = 2 << flagShift
+	flagT     = 4 << flagShift
+	r2PosMask = flagR1 - 1
 )
 
 func (est *Estimator) hasR1() bool   { return est.r2PosFlags&flagR1 != 0 }

@@ -99,16 +99,6 @@ func (c *Counter) WriteTo(w io.Writer) (int64, error) {
 	b = append(b, rng...)
 	for i := range c.ests {
 		est := &c.ests[i]
-		var st uint8
-		if est.hasR1() {
-			st |= stHasR1
-		}
-		if est.hasR2() {
-			st |= stHasR2
-		}
-		if est.hasT() {
-			st |= stHasT
-		}
 		b = le.AppendUint32(b, est.r1.U)
 		b = le.AppendUint32(b, est.r1.V)
 		b = le.AppendUint32(b, est.r2.U)
@@ -116,7 +106,7 @@ func (c *Counter) WriteTo(w io.Writer) (int64, error) {
 		b = le.AppendUint64(b, est.r1Pos)
 		b = le.AppendUint64(b, est.r2Pos())
 		b = le.AppendUint64(b, est.c)
-		b = append(b, st)
+		b = append(b, uint8(est.r2PosFlags>>flagShift))
 	}
 	n, err := w.Write(b)
 	return int64(n), err
@@ -210,16 +200,7 @@ func readCounter(br *bufio.Reader) (*Counter, error) {
 			// No writer records one: its top bits would hold the flags.
 			return nil, fmt.Errorf("core: estimator %d: r2Pos %d beyond 2^61-1", i, est.r2PosFlags)
 		}
-		st := rec[40]
-		if st&stHasR1 != 0 {
-			est.r2PosFlags |= flagR1
-		}
-		if st&stHasR2 != 0 {
-			est.r2PosFlags |= flagR2
-		}
-		if st&stHasT != 0 {
-			est.r2PosFlags |= flagT
-		}
+		est.r2PosFlags |= uint64(rec[40]&(stHasR1|stHasR2|stHasT)) << flagShift
 		if err := checkRecord(&est, m); err != nil {
 			return nil, fmt.Errorf("core: estimator %d: %w", i, err)
 		}
