@@ -590,7 +590,8 @@
 // generations are kept, and WAL segments covered by the oldest retained
 // generation are pruned. A tenant whose checkpoint fails does not stop
 // the others', and is checkpointed again at the next attempt, idle or
-// not; the failures are reported together, each naming its tenant. Whole-stream tenants serialize through
+// not; the failures are reported together, each naming its tenant.
+// Whole-stream tenants serialize through
 // WriteTo/RestoreParallelTriangleCounter (an NSTC blob; restore also
 // reads the NSTS envelope of p shards that tenants wrote while p split
 // the estimators, as one counter that holds the shards' estimators in

@@ -186,9 +186,9 @@ func createCounterVia(h http.Handler, name string, cfg CounterConfig) int {
 
 // TestServeConcurrentCheckpointsDuringIngest runs two CheckpointAll
 // loops while two whole-stream tenants and one windowed tenant ingest,
-// so checkpoints serialize into pooled buffers concurrently with each
-// other and with the WAL appends borrowing pooled block buffers (make
-// race runs it under the race detector). Every generation left on disk
+// so checkpoints, which take turns, serialize into listed block
+// buffers concurrently with the WAL appends borrowing them (make race
+// runs it under the race detector). Every generation left on disk
 // must then restore to the WriteTo bytes of a library counter fed the
 // same batches up to the generation's position.
 func TestServeConcurrentCheckpointsDuringIngest(t *testing.T) {
