@@ -71,6 +71,40 @@ func (m *cpuMeter) report(b *testing.B, edges float64) {
 	}
 }
 
+// stageMeter sums a counter's BatchStats over a benchmark's timed
+// stretches, as cpuMeter sums their CPU time.
+type stageMeter struct {
+	since, sum core.BatchStats
+}
+
+func (m *stageMeter) start(c *core.Counter) { m.since = c.BatchStats() }
+
+func (m *stageMeter) stop(c *core.Counter) {
+	s := c.BatchStats()
+	for p := range s.Phase {
+		m.sum.Phase[p] += s.Phase[p] - m.since.Phase[p]
+	}
+	m.sum.Candidates += s.Candidates - m.since.Candidates
+	m.sum.Hits += s.Hits - m.since.Hits
+	m.sum.Rebuilds += s.Rebuilds - m.since.Rebuilds
+}
+
+// report gives, for `edges` edges in all, each AddBatch phase's wall ns
+// per edge and the rest of the timed stretches' wall time as "other",
+// so the stages sum to ns/op over the edges per op; the filter's
+// candidates and hits per edge; and the index rebuilds per op.
+func (m *stageMeter) report(b *testing.B, edges float64) {
+	other := b.Elapsed()
+	for p, name := range core.PhaseNames {
+		b.ReportMetric(float64(m.sum.Phase[p].Nanoseconds())/edges, name+"-ns/edge")
+		other -= m.sum.Phase[p]
+	}
+	b.ReportMetric(float64(other.Nanoseconds())/edges, "other-ns/edge")
+	b.ReportMetric(float64(m.sum.Candidates)/edges, "cands/edge")
+	b.ReportMetric(float64(m.sum.Hits)/edges, "hits/edge")
+	b.ReportMetric(float64(m.sum.Rebuilds)/float64(b.N), "rebuilds/op")
+}
+
 // timePasses runs pass once untimed, to warm scratch tables, then b.N
 // times on the benchmark's timer and a cpuMeter, and reports Medges/s
 // and the process's CPU ns per edge for m edges per pass.
@@ -91,10 +125,26 @@ func timePasses(b *testing.B, m int, pass func()) {
 // BenchCoreAddBatch is the body of BenchmarkAddBatchFlat: b.N full
 // passes of the stream in batches of w through one persistent counter,
 // after one untimed pass, so scratch tables reach steady state and the
-// reported B/op reflects the per-batch allocation behavior.
+// reported B/op reflects the per-batch allocation behavior. Beside
+// timePasses' rates it reports the stages of AddBatch (stageMeter).
 func BenchCoreAddBatch(b *testing.B, edges []graph.Edge, r, w int) {
 	c := core.NewCounter(r, 1)
-	timePasses(b, len(edges), func() { streamInBatches(c, edges, w) })
+	streamInBatches(c, edges, w)
+	b.ReportAllocs()
+	var cpu cpuMeter
+	var stages stageMeter
+	b.ResetTimer()
+	cpu.start()
+	stages.start(c)
+	for i := 0; i < b.N; i++ {
+		streamInBatches(c, edges, w)
+	}
+	stages.stop(c)
+	cpu.stop()
+	b.StopTimer()
+	m := float64(len(edges)) * float64(b.N)
+	cpu.report(b, m)
+	stages.report(b, m)
 }
 
 // Bulk-load's shape: perfbench's bulk-load workload feeds each tenant, a
@@ -137,10 +187,13 @@ func BenchCoreBulkLoad(b *testing.B, edges []graph.Edge) {
 	}
 	b.ReportAllocs()
 	var cpu cpuMeter
+	var stages stageMeter
 	b.ResetTimer()
 	cpu.start()
+	stages.start(sc)
 	for i, k := 0, bulkLoadWarmup; i < b.N; i, k = i+1, k+1 {
 		if (k+1)*w > len(edges) {
+			stages.stop(sc)
 			cpu.stop()
 			b.StopTimer()
 			var err error
@@ -150,10 +203,13 @@ func BenchCoreBulkLoad(b *testing.B, edges []graph.Edge) {
 			k = bulkLoadWarmup
 			b.StartTimer()
 			cpu.start()
+			stages.start(sc)
 		}
 		sc.AddBatch(edges[k*w : (k+1)*w])
 	}
+	stages.stop(sc)
 	cpu.stop()
 	b.StopTimer()
 	cpu.report(b, float64(w)*float64(b.N))
+	stages.report(b, float64(w)*float64(b.N))
 }

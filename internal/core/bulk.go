@@ -1,6 +1,51 @@
 package core
 
-import "streamtri/internal/graph"
+import (
+	"time"
+
+	"streamtri/internal/graph"
+)
+
+// PhaseNames names AddBatch's phases in the order it runs them, as
+// BatchStats.Phase indexes them.
+var PhaseNames = [...]string{"level1", "rebuild", "scan", "level2", "closeWedges", "publish"}
+
+const (
+	phaseLevel1 = iota
+	phaseRebuild
+	phaseScan
+	phaseLevel2
+	phaseCloseWedges
+	phasePublish
+)
+
+// BatchStats sums what a counter's AddBatch calls did: the wall time of
+// each phase, and the work of scan's filter. It is kept per batch, from
+// one clock read per phase and the lengths of loops that run anyway, so
+// it costs nothing per edge. A restored counter starts from zero.
+type BatchStats struct {
+	// Phase holds the time spent in each phase, indexed as PhaseNames.
+	Phase [len(PhaseNames)]time.Duration
+	// Candidates counts the batch endpoints that passed the key filter
+	// and were looked up, Hits those that are keys, and Rebuilds the
+	// rebuilds of the key index.
+	Candidates, Hits, Rebuilds uint64
+}
+
+// lap adds the time since t to phase p and returns the time it read.
+func (s *BatchStats) lap(p int, t time.Time) time.Time {
+	now := time.Now()
+	s.Phase[p] += now.Sub(t)
+	return now
+}
+
+// BatchStats returns the sums over the counter's AddBatch calls since it
+// was made or restored.
+func (c *Counter) BatchStats() BatchStats {
+	s := c.stats
+	s.Rebuilds = c.idx.build
+	return s
+}
 
 // AddBatch advances all estimators as if the batch's edges had been
 // played one at a time after the stream so far (the bulkTC algorithm of
@@ -23,18 +68,27 @@ func (c *Counter) AddBatch(batch []graph.Edge) {
 	}
 	x := &c.idx
 	x.stale = x.stale || x.build == 0 // never built: a fresh or restored counter
+	st := &c.stats
+	t := time.Now()
 	c.level1(batch, x)
+	t = st.lap(phaseLevel1, t)
 	if x.stale {
 		x.rebuild(c.ests)
 	}
+	t = st.lap(phaseRebuild, t)
 	x.batchTables = tableSets.Get(0)
-	x.scan(batch, len(c.ests))
+	st.Candidates += uint64(x.scan(batch, len(c.ests)))
+	st.Hits += uint64(len(x.hits))
+	t = st.lap(phaseScan, t)
 	c.level2(batch, x)
+	t = st.lap(phaseLevel2, t)
 	x.closeWedges(batch, c.ests)
 	tableSets.Put(x.batchTables)
 	x.batchTables = nil
+	t = st.lap(phaseCloseWedges, t)
 	c.m += uint64(len(batch))
 	c.publish()
+	st.lap(phasePublish, t)
 }
 
 // level1 is Step 1: resample level-1 edges. Each estimator keeps its

@@ -45,6 +45,10 @@ type Counter struct {
 	// counter has not built it yet, and Add leaves it stale; the next
 	// AddBatch rebuilds it.
 	idx batchIndex
+
+	// stats sums the AddBatch calls' phase times and filter counts
+	// (BatchStats).
+	stats BatchStats
 }
 
 // Option configures a Counter.

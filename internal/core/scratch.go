@@ -329,7 +329,8 @@ func (x *batchIndex) rebuild(ests []Estimator) {
 // table for at most r open wedges. The batch goes by in chunks of
 // probeChunk/2 edges, each in a filter pass over both endpoints of
 // every edge and a probe pass over the interner (see the file comment).
-func (x *batchIndex) scan(batch []graph.Edge, r int) {
+// It returns how many candidates the filter passes kept.
+func (x *batchIndex) scan(batch []graph.Edge, r int) (candidates int) {
 	// verts holds one entry per key; sizing it for every key the table
 	// takes before it would grow keeps a set from growing it again. The
 	// tables are held in locals for the loops: through the embedded
@@ -354,6 +355,7 @@ func (x *batchIndex) scan(batch []graph.Edge, r int) {
 				hits = append(hits, vertexHit{pos: c.pos, id: id})
 			}
 		}
+		candidates += k
 	}
 	// Counting sort of the hits by vertex: each start first points one
 	// past the vertex's list and is walked back while the hits are
@@ -372,6 +374,7 @@ func (x *batchIndex) scan(batch []graph.Edge, r int) {
 	x.verts, x.hits, x.occ = verts, hits, occ
 	x.pairs.begin(r)
 	x.wedges = x.wedges[:0]
+	return candidates
 }
 
 // degree returns the final batch degree of the key with id id.
