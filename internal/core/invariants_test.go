@@ -129,7 +129,7 @@ func checkIndexInvariants(t *testing.T, c *Counter) {
 		}
 	}
 	for id, v := range keys {
-		if x.qbits.test(hash32(v)) == 0 {
+		if x.filter.test(hash32(v)) == 0 {
 			t.Fatalf("key %d (vertex %d) is not in the filter", id, v)
 		}
 	}

@@ -74,9 +74,9 @@ func packPair(a, b uint32) uint64 {
 	return uint64(a)<<32 | uint64(b)
 }
 
-// bitset is a bitmap over hash values: a filter with no false
-// negatives, which answers most "not in the set" questions without a
-// hash probe.
+// bitset is a bitmap over hash values: the pair table's filter, with no
+// false negatives, which answers most "not in the set" questions without
+// a hash probe.
 type bitset struct {
 	words []uint64
 	mask  uint32
@@ -94,11 +94,10 @@ func (b *bitset) add(hash uint32) {
 	b.words[i>>6] |= 1 << (i & 63)
 }
 
-// test returns 1 if hash's bit is set and 0 if not: scan's filter pass
-// advances its candidate count by it instead of branching on it.
-func (b *bitset) test(hash uint32) int {
+// has reports whether hash's bit is set.
+func (b *bitset) has(hash uint32) bool {
 	i := hash & b.mask
-	return int(b.words[i>>6] >> (i & 63) & 1)
+	return b.words[i>>6]>>(i&63)&1 == 1
 }
 
 // pairTable holds the closing pairs the estimators wait for and, for
@@ -162,7 +161,7 @@ func (t *pairTable) register(key uint64) uint32 {
 // last.
 func (t *pairTable) see(key uint64, i int32) {
 	hash := hash64(key)
-	if t.bits.test(uint32(hash)) == 0 {
+	if !t.bits.has(uint32(hash)) {
 		return
 	}
 	h := uint32(hash>>32) & t.mask
@@ -190,7 +189,9 @@ type batchVertex struct {
 }
 
 // vertexHit is one batch endpoint that is a key: the batch position and
-// the key's id.
+// the key's id. Positions are 32 bits, here and in the occurrence lists,
+// and scan's candidates pack position·2 + side into 32 bits, so a batch
+// must hold fewer than 2^31 edges.
 type vertexHit struct {
 	pos, id uint32
 }
@@ -212,17 +213,12 @@ type openWedge struct {
 	after int32
 }
 
-// probe is a candidate of scan's filter pass: a batch endpoint that
-// passed qbits, its hash32 and its batch position.
-type probe struct {
-	v         graph.NodeID
-	hash, pos uint32
-}
-
-// probeChunk is how many candidates scan's filter pass may collect, two
-// per edge, before the probe pass looks them up. It keeps the
-// candidates in L1 (24 KiB) and gives the probe pass enough independent
-// lookups for the CPU to overlap their cache misses.
+// probeChunk is how many batch endpoints, of half as many edges, scan's
+// filter pass takes at a time, and so how many candidates it may keep
+// before the probe pass looks them up. A candidate is the endpoint's
+// 4-byte index, so they stay in L1 (8 KiB), and a chunk gives the probe
+// pass enough independent lookups for the CPU to overlap their cache
+// misses.
 const probeChunk = 2048
 
 // batchIndex is the part of the index a counter keeps; see the file
@@ -231,11 +227,12 @@ const probeChunk = 2048
 // last rebuild whose estimators have moved on, so its footprint is
 // O(r), the estimator share of Theorem 3.5's O(r + w).
 type batchIndex struct {
-	// in holds the keys and qbits a filter over their hashes, 16 bits
-	// per key at a rebuild, which rejects most batch endpoints in one
-	// probe. Both are kept across batches until the next rebuild.
-	in    interner
-	qbits bitset
+	// in holds the keys and filter a filter over their hashes, 32 bits
+	// per estimator and so about 16 per key at a rebuild, which rejects
+	// most batch endpoints in one probe. Both are kept across batches
+	// until the next rebuild.
+	in     interner
+	filter keyFilter
 	// ids caches, per estimator, the ids of its level-1 endpoints; they
 	// are current unless stale is set.
 	ids []vertexIDs
@@ -256,7 +253,7 @@ type batchIndex struct {
 // closing pairs, and scan's candidates. The hit list and the
 // occurrence lists hold one entry per batch endpoint that is a key, at
 // most 2w, the pair table and the wedge list at most r entries, and the
-// candidates a fixed probeChunk (24 KiB): the O(w) share of
+// candidates a fixed probeChunk (8 KiB): the O(w) share of
 // Theorem 3.5's space is needed for one call only. The sets live in
 // tableSets, each sized by the largest batch it has served.
 type batchTables struct {
@@ -265,19 +262,19 @@ type batchTables struct {
 	occ    []uint32
 	pairs  pairTable
 	wedges []openWedge
-	probes []probe // probeChunk candidates of scan's filter pass
+	cands  []uint32 // probeChunk candidates of scan's filter pass
 }
 
 // tableSets lists the idle table sets: as many as AddBatch calls ever
 // ran at once, in any counters.
 var tableSets = freelist.List[*batchTables]{New: func(int) *batchTables {
-	return &batchTables{probes: make([]probe, probeChunk)}
+	return &batchTables{cands: make([]uint32, probeChunk)}
 }}
 
 // intern returns v's id, interning v and adding it to the filter.
 func (x *batchIndex) intern(v graph.NodeID) uint32 {
 	h := hash32(v)
-	x.qbits.add(h)
+	x.filter.add(h)
 	return x.in.internHashed(v, h)
 }
 
@@ -310,7 +307,7 @@ func (x *batchIndex) adopt(idx int, e graph.Edge) {
 func (x *batchIndex) rebuild(ests []Estimator) {
 	r := len(ests)
 	x.in.begin(2 * r)
-	x.qbits.reset(nextPow2(32*r, 1024))
+	x.filter.reset(nextPow2(32*r, 1024))
 	x.build++
 	if len(x.ids) != r {
 		x.ids = make([]vertexIDs, r)
@@ -326,10 +323,10 @@ func (x *batchIndex) rebuild(ests []Estimator) {
 // scan streams the batch past the keys: it counts each one's batch
 // degree, then lays its occurrence list out in occ. A self loop on a
 // key counts twice, at the same position. It also empties the pair
-// table for at most r open wedges. The batch goes by in chunks of
-// probeChunk/2 edges, each in a filter pass over both endpoints of
-// every edge and a probe pass over the interner (see the file comment).
-// It returns how many candidates the filter passes kept.
+// table for at most r open wedges. The batch's endpoints go by in chunks
+// of probeChunk, each in a filter pass (filterChunk) and a probe pass
+// over the interner (see the file comment). It returns how many
+// candidates the filter passes kept.
 func (x *batchIndex) scan(batch []graph.Edge, r int) (candidates int) {
 	// verts holds one entry per key; sizing it for every key the table
 	// takes before it would grow keeps a set from growing it again. The
@@ -338,21 +335,15 @@ func (x *batchIndex) scan(batch []graph.Edge, r int) (candidates int) {
 	n := x.in.size
 	verts := slices.Grow(x.verts[:0], x.in.capacity())[:n]
 	clear(verts)
-	hits, cands, qbits := x.hits[:0], x.probes, x.qbits
-	for lo := 0; lo < len(batch); lo += probeChunk / 2 {
-		k := 0
-		for i, e := range batch[lo:min(lo+probeChunk/2, len(batch))] {
-			pos := uint32(lo + i)
-			hu, hv := hash32(e.U), hash32(e.V)
-			cands[k] = probe{v: e.U, hash: hu, pos: pos}
-			k += qbits.test(hu)
-			cands[k] = probe{v: e.V, hash: hv, pos: pos}
-			k += qbits.test(hv)
-		}
+	eps := batchEndpoints(batch)
+	hits, cands := x.hits[:0], x.cands
+	for lo := 0; lo < len(eps); lo += probeChunk {
+		k := filterChunk(eps[lo:min(lo+probeChunk, len(eps))], uint32(lo), &x.filter, cands)
 		for _, c := range cands[:k] {
-			if id, ok := x.in.lookupHashed(c.v, c.hash); ok {
+			v := eps[c]
+			if id, ok := x.in.lookupHashed(v, hash32(v)); ok {
 				verts[id].deg++
-				hits = append(hits, vertexHit{pos: c.pos, id: id})
+				hits = append(hits, vertexHit{pos: c >> 1, id: id})
 			}
 		}
 		candidates += k
