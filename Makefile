@@ -12,7 +12,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-.PHONY: all fmt vet build test race fuzz-smoke bench-smoke bench-core bench-check smoke smoke-serve smoke-crash perfbench-test perfpairs-test ci
+.PHONY: all fmt vet build cross test race fuzz-smoke bench-smoke bench-core bench-check smoke smoke-serve smoke-crash perfbench-test perfpairs-test ci
 
 all: ci
 
@@ -27,6 +27,15 @@ vet:
 
 build:
 	$(GO) build ./...
+
+# internal/core holds an amd64 assembly kernel (filter_amd64.s) beside
+# the Go loop every other GOARCH runs: vet and build both other ways,
+# so a declaration or file that only amd64 sees cannot break them. On
+# amd64, vet's asmdecl check holds the kernel's frame offsets to its Go
+# declaration.
+cross:
+	GOARCH=arm64 $(GO) vet ./... && GOARCH=arm64 $(GO) build ./...
+	GOARCH=386 $(GO) vet ./... && GOARCH=386 $(GO) build ./...
 
 test:
 	$(GO) test ./...
@@ -61,11 +70,14 @@ race:
 # sliding-window checkpoint decoder, both versions: accepted bytes must
 # decode to a reachable estimator state; version 2 re-encodes
 # identically, version 1 converts to a state whose version-2 encoding
-# decodes back to it; everything else is rejected by name), and
+# decodes back to it; everything else is rejected by name),
 # FuzzCounterCheckpointDecode (the checkpoint decoder, over NSTC blobs
 # and NSTS shard envelopes: no panic or runaway allocation, decode →
 # WriteTo → decode must keep the state, and every accepted state must
-# then absorb a stream in batches without panicking). Entries are package:Target pairs so targets can
+# then absorb a stream in batches without panicking), and
+# FuzzFilterChunk (the bulk engine's AVX2 filter kernel must write the
+# Go loop's candidates, in order, on any chunk, filter and key set; it
+# skips on CPUs that do not select the kernel). Entries are package:Target pairs so targets can
 # live next to the code they fuzz. `go test` alone already replays the
 # seed corpus; this target actually mutates.
 FUZZTIME ?= 20s
@@ -78,7 +90,8 @@ FUZZ_TARGETS := \
 	internal/stream:FuzzBlockBinarySourceFill \
 	internal/stream:FuzzOrderedMergeMatchesReference \
 	internal/window:FuzzWindowCheckpointDecode \
-	internal/core:FuzzCounterCheckpointDecode
+	internal/core:FuzzCounterCheckpointDecode \
+	internal/core:FuzzFilterChunk
 fuzz-smoke:
 	for t in $(FUZZ_TARGETS); do \
 		$(GO) test -run xxx -fuzz "$${t##*:}"'$$' -fuzztime $(FUZZTIME) "./$${t%%:*}/"; \
@@ -86,11 +99,12 @@ fuzz-smoke:
 
 # A fast sanity pass over every benchmark (100 iterations each), catching
 # bit-rot in the bench harness without paying for full measurement runs.
-# The stream and window packages' own benchmarks (the WAL block append
-# and replay, the v2 body decode, the window engine's AddBatch) run here
-# too, and nowhere else in CI.
+# The core, stream and window packages' own benchmarks (the filter
+# kernel against the filter loop, the WAL block append and replay, the
+# v2 body decode, the window engine's AddBatch) run here too, and
+# nowhere else in CI.
 bench-smoke:
-	$(GO) test -run xxx -bench . -benchtime 100x ./internal/bench/ ./internal/stream/ ./internal/window/
+	$(GO) test -run xxx -bench . -benchtime 100x ./internal/bench/ ./internal/core/ ./internal/stream/ ./internal/window/
 
 # One measurement run of the gated cells: each runs three times, and
 # the gate reads the median Medges/s, since single runs jitter several
@@ -216,4 +230,4 @@ perfpairs-test:
 # Mirrors the per-push GitHub Actions coverage (the matrix/fuzz/bench
 # jobs run fmt..bench-smoke plus the smoke and perfbench jobs;
 # fuzz-smoke and bench-check are separate because of their runtime).
-ci: fmt vet build test race bench-smoke smoke smoke-serve smoke-crash perfbench-test perfpairs-test
+ci: fmt vet build cross test race bench-smoke smoke smoke-serve smoke-crash perfbench-test perfpairs-test

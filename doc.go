@@ -54,11 +54,15 @@
 // over the batch gives each key its batch degree and its occurrence
 // list, a CSR naming the batch position at which it reaches each
 // degree, and records the positions that hold a key. The pass runs in
-// chunks of 1,024 edges, two loops each: the first hashes every endpoint
-// and keeps those the index's filter passes, the second looks them up
-// in the hash table. The filter test decides no branch, and the lookups
-// of a chunk do not depend on each other, so the CPU overlaps their
-// cache misses instead of waiting on each in turn. Step 2 walks the
+// chunks of 1,024 edges, two passes each. The filter pass hashes every
+// endpoint and keeps, as 4-byte candidates, those that pass the index's
+// filter: 32 bits per estimator in 32-bit words, where each key sets two
+// bits of one word. On CPUs with AVX2 an assembly kernel takes the
+// endpoints eight at a time; elsewhere a Go loop whose filter test
+// decides no branch writes the same candidates. The probe pass then
+// looks the candidates up in the hash table. The lookups of a chunk do
+// not depend on each other, so the CPU overlaps their cache misses
+// instead of waiting on each in turn. Step 2 walks the
 // estimators in order and draws every random number. An estimator whose
 // two endpoints both have batch degree 0 draws nothing; one that adopted
 // a batch edge takes its β from the rank of that edge's position in the
@@ -97,12 +101,27 @@
 // table there has 4r = 65,536 slots of 8 bytes, 512 KiB, against the
 // 768 KiB of the per-batch table's 12-byte slots.
 //
-// Probing the endpoint index in those chunked two loops, and replaying
-// the log's own 9-byte records in one loop, cut the CPU that trictd's
-// recovery spends per replayed edge by about a fifth: 63.4 against 48.4
-// ns in the in-process recovery benchmark at bulk-load's shape (medians
-// of six alternating rounds, 2 vCPUs). The two loops cost a 24 KiB
-// candidate array per table set.
+// Probing the endpoint index in chunks, a filter pass and then a probe
+// pass, and replaying the log's own 9-byte records in one loop, cut the
+// CPU that trictd's recovery spends per replayed edge by about a fifth:
+// 63.4 against 48.4 ns in the in-process recovery benchmark at
+// bulk-load's shape (medians of six alternating rounds, 2 vCPUs). The
+// passes cost an 8 KiB candidate array per table set (24 KiB while a
+// candidate carried its endpoint and hash).
+//
+// Running the filter pass eight endpoints at a time, in the AVX2
+// kernel, over the two-bit filter raised bulk-load's edges per CPU
+// second from 31.5M to 45.2M (medians of ten interleaved pairs, higher
+// in all ten, 2 vCPUs); its setup time and peak RSS held. In process at
+// bulk-load's shape, scan fell from 14.3 to 6.8 ns per edge and
+// AddBatch's CPU per edge by about a third, and the filter passes 0.25
+// candidates per edge, of which 0.21 are keys, where a one-bit filter
+// of the same 32 bits per estimator passed 0.32 (medians of six
+// alternating rounds). The two-bit filter on the Go loop alone bought
+// nothing measurable. The kernel reads eight filter words with one
+// VPGATHERDD, which is much slower on Intel CPUs whose microcode
+// mitigates Gather Data Sampling (CVE-2022-40982); it was measured only
+// on a host that reports itself not affected.
 //
 // ParallelTriangleCounter is deprecated: it is TriangleCounter's
 // intake over one counter, seeded as shard 0 was when p split the

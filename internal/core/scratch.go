@@ -19,7 +19,7 @@ import (
 // around the estimator passes:
 //
 //   - Step 1 (level1): the endpoints of every batch edge an estimator
-//     adopts are interned (in, with a filter over their hashes, qbits),
+//     adopts are interned (in, with a filter over their hashes, filter),
 //     and the estimator's cached ids (ids) name them. The keys stay
 //     across batches, so the index always holds every r1 endpoint;
 //   - rebuild: when the index is stale (a fresh or restored counter, an
@@ -37,17 +37,21 @@ import (
 //     pairs, which records each pair's last batch position and settles
 //     every wedge.
 //
-// scan, which probes the interner once per batch endpoint, runs over
-// chunks of the batch in two passes. The filter pass hashes every
-// endpoint and keeps the ones that pass qbits as candidates (probes),
-// advancing by the filter bit instead of branching on it; the probe
-// pass then looks the candidates up, in batch order. Probed one at a
-// time, each endpoint would be a branch the CPU cannot predict and a
-// cache miss it waits on; a chunk's probes are independent, so their
-// misses overlap. The candidates keep batch order, so the tables come
-// out as one pass would leave them. closeWedges probes the pair table
-// once per distinct hit position; the same two passes there measured
-// no gain beyond run-to-run spread, so it probes one position at a time.
+// scan, which asks the interner about every batch endpoint, runs over
+// chunks of the batch's endpoints in two passes. The filter pass
+// (filterChunk, filter.go) hashes every endpoint and keeps each one that
+// passes filter as a candidate, its 4-byte index among the endpoints:
+// on CPUs with AVX2 an assembly kernel does it eight endpoints at a
+// time, and elsewhere a Go loop that advances by the filter test instead
+// of branching on it. The probe pass then reads each candidate's
+// endpoint back, hashes it again and looks it up, in batch order.
+// Probed one at a time, each endpoint would be a branch the CPU cannot
+// predict and a cache miss it waits on; a chunk's probes are
+// independent, so their misses overlap. The candidates keep batch
+// order, so the tables come out as one pass would leave them.
+// closeWedges probes the pair table once per distinct hit position; the
+// same two passes there measured no gain beyond run-to-run spread, so
+// it probes one position at a time.
 //
 // Everything is kept, epoch-stamped or length-reset, in the counter or
 // in the listed table sets, so steady-state batches, rebuilds included,
@@ -213,7 +217,7 @@ type openWedge struct {
 	after int32
 }
 
-// probeChunk is how many batch endpoints, of half as many edges, scan's
+// probeChunk is how many batch endpoints (probeChunk/2 edges) scan's
 // filter pass takes at a time, and so how many candidates it may keep
 // before the probe pass looks them up. A candidate is the endpoint's
 // 4-byte index, so they stay in L1 (8 KiB), and a chunk gives the probe
@@ -227,10 +231,10 @@ const probeChunk = 2048
 // last rebuild whose estimators have moved on, so its footprint is
 // O(r), the estimator share of Theorem 3.5's O(r + w).
 type batchIndex struct {
-	// in holds the keys and filter a filter over their hashes, 32 bits
-	// per estimator and so about 16 per key at a rebuild, which rejects
-	// most batch endpoints in one probe. Both are kept across batches
-	// until the next rebuild.
+	// in holds the keys, and filter is a two-bit filter over their
+	// hashes (keyFilter) of 32 bits per estimator, so about 16 per key
+	// at a rebuild, which rejects most batch endpoints in one probe.
+	// Both are kept across batches until the next rebuild.
 	in     interner
 	filter keyFilter
 	// ids caches, per estimator, the ids of its level-1 endpoints; they
